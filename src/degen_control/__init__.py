@@ -4,8 +4,8 @@ from .coefficients import (Case, DegeneracyCoefficient, DriftEnvelope,
                            classical_coefficient, constant_drift,
                            power_coefficient, tabular_coefficient,
                            validate_beta, validate_coefficient, zero_drift)
-from .mesh import (GridSpec, StateVector, TriDiagOperator, assemble_operator,
-                   build_grid, hardy_check)
+from .mesh import (GridSpec, TriDiagOperator, assemble_operator, build_grid,
+                   hardy_check)
 from .pde import LinearProblem, Trajectory, duality_residual, solve_adjoint, solve_forward
 from .carleman import (CarlemanWeights, SourceSplit, build_weights,
                        cacciopoli_check, carleman_functionals, eval_phi,

@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .coefficients import Case, DegeneracyCoefficient
+from .coefficients import Case, DegeneracyCoefficient, zero_drift
 from .errors import NonFiniteIntegral, OutOfDomain, WeightInvalid
 from .mesh import GridSpec, face_diffusivity
-from .pde import LinearProblem, Trajectory, _banded_solve, _step_bands
+from .pde import LinearProblem, Trajectory, march
 
 
 @dataclass
@@ -236,22 +236,12 @@ def solve_terminal_source(p: LinearProblem, vT: np.ndarray,
     Uses the pure diffusion operator of the problem (drift ignored); F has
     shape (M+1, N) sampled at the time nodes.
     """
-    p0 = p.with_drift(_pure_diffusion_drift())
-    fwd_bands, _ = _step_bands(p0)
+    p0 = p.with_drift(zero_drift())
     act = p0.active()
-    v = np.asarray(vT, dtype=float)[act].copy()
+    src = None if F is None else -np.asarray(F, dtype=float)[:-1, act]
     states = np.zeros((p.M + 1, p.grid.N))
-    states[p.M, act] = v
-    for n in range(p.M - 1, -1, -1):
-        rhs = v if F is None else v - p.dt * F[n][act]
-        v = _banded_solve(fwd_bands[n], rhs, n + 1)
-        states[n, act] = v
+    states[:, act] = march(p0, np.asarray(vT, dtype=float)[act], src, adjoint=True)
     return Trajectory(grid=p.grid, times=p.times, states=states, case=p.case)
-
-
-def _pure_diffusion_drift():
-    from .coefficients import zero_drift
-    return zero_drift()
 
 
 def _degenerate_ratio(grid: GridSpec, a: DegeneracyCoefficient,
@@ -262,6 +252,19 @@ def _degenerate_ratio(grid: GridSpec, a: DegeneracyCoefficient,
     pos = x > 0.0
     out[pos] = numerator_sq(x[pos]) / np.asarray(a.eval(x[pos]), dtype=float)
     return out
+
+
+def _damping_weights(w: CarlemanWeights, grid: GridSpec, theta: np.ndarray,
+                     s: float):
+    """e^{-2 s phi} on (interior time, node) and (interior time, face) pairs.
+
+    Both arrays are divided by their common maximum, taken in log space, so
+    they stay representable where the raw weight underflows.
+    """
+    L_nodes = -2.0 * s * np.outer(theta, np.atleast_1d(w.eta(grid.nodes)))
+    L_faces = -2.0 * s * np.outer(theta, np.atleast_1d(w.eta(grid.faces)))
+    Lmax = max(float(L_nodes.max()), float(L_faces.max()))
+    return np.exp(L_nodes - Lmax), np.exp(L_faces - Lmax)
 
 
 def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
@@ -282,15 +285,8 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
     if not np.all(np.isfinite(v.states)):
         raise NonFiniteIntegral("trajectory contains non-finite values")
 
-    times = p.times[1:-1]
-    theta = np.asarray(w.theta(times), dtype=float)
-    eta_n = np.atleast_1d(w.eta(grid.nodes))
-    eta_f = np.atleast_1d(w.eta(grid.faces))
-    L_nodes = -2.0 * s * np.outer(theta, eta_n)
-    L_faces = -2.0 * s * np.outer(theta, eta_f)
-    Lmax = max(float(L_nodes.max()), float(L_faces.max()))
-    Wn = np.exp(L_nodes - Lmax)
-    Wf = np.exp(L_faces - Lmax)
+    theta = np.asarray(w.theta(p.times[1:-1]), dtype=float)
+    Wn, Wf = _damping_weights(w, grid, theta, s)
 
     V = v.states[1:-1]
     dV = np.diff(V, axis=1) / grid.spacings
@@ -344,15 +340,8 @@ def cacciopoli_check(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
     if not np.all(np.isfinite(v.states)):
         raise NonFiniteIntegral("trajectory contains non-finite values")
     ap, bp = w.omega_prime
-    times = p.times[1:-1]
-    theta = np.asarray(w.theta(times), dtype=float)
-    eta_n = np.atleast_1d(w.eta(grid.nodes))
-    eta_f = np.atleast_1d(w.eta(grid.faces))
-    L_nodes = -2.0 * s * np.outer(theta, eta_n)
-    L_faces = -2.0 * s * np.outer(theta, eta_f)
-    Lmax = max(float(L_nodes.max()), float(L_faces.max()))
-    Wn = np.exp(L_nodes - Lmax)
-    Wf = np.exp(L_faces - Lmax)
+    theta = np.asarray(w.theta(p.times[1:-1]), dtype=float)
+    Wn, Wf = _damping_weights(w, grid, theta, s)
 
     V = v.states[1:-1]
     dV = np.diff(V, axis=1) / grid.spacings

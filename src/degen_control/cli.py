@@ -12,7 +12,6 @@ exit status 2 flags hypothesis/validation failures, 3 solver failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -49,13 +48,12 @@ def write_table(path, header: str, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_control_field(path, p: LinearProblem, h: np.ndarray,
-                        t_offset: float = 0.0) -> None:
-    times = p.times[:-1] + t_offset
+def write_control_field(path, times, nodes, field: np.ndarray) -> None:
+    """Write a space-time field as ``t,x,value`` rows, one row of ``field`` per time."""
     with open(path, "w") as fh:
         fh.write("t,x,value\n")
-        for t, row in zip(times, h):
-            for x, v in zip(p.grid.nodes, row):
+        for t, row in zip(times, field):
+            for x, v in zip(nodes, row):
                 fh.write(f"{t:.17g},{x:.17g},{v:.17g}\n")
 
 
@@ -134,7 +132,7 @@ def cmd_validate(cfg: Config, outdir: str, rng) -> list:
     c_beta = validate_beta(drift.beta, a) if drift.C_beta > 0 else 0.0
     grid = build_grid(cfg.get_int("grid.N", default=128),
                       cfg.get_float("grid.gamma", default=1.0))
-    c_h = hardy_check(grid, a, cfg.get_int("hardy.samples", default=200), rng=rng)
+    c_h = hardy_check(grid, a)
     lines = [f"{report.case_admissible.value}, K={_fmt(report.K)}"]
     lines += report.summary_lines()
     lines.append(f"C_beta = {_fmt(c_beta)}")
@@ -149,7 +147,8 @@ def cmd_validate(cfg: Config, outdir: str, rng) -> list:
 def cmd_solve(cfg: Config, outdir: str, rng) -> list:
     p = build_problem(cfg, rng)
     traj = solve_forward(p)
-    traj.to_csv(os.path.join(outdir, "trajectory.csv"))
+    write_control_field(os.path.join(outdir, "trajectory.csv"), traj.times,
+                        p.grid.nodes, traj.states)
     return [
         f"norm_y0 = {_fmt(l2_norm(p.grid, p.y0))}",
         f"norm_yT = {_fmt(l2_norm(p.grid, traj.final()))}",
@@ -164,7 +163,8 @@ def cmd_control(cfg: Config, outdir: str, rng) -> list:
                             max_iters=cfg.get_int("cg.maxiter", default=500))
     write_table(os.path.join(outdir, "hum.csv"), "epsilon,norm_yT,cost,cg_iters",
                 [(res.epsilon, res.norm_yT, res.cost, res.cg_iters)])
-    write_control_field(os.path.join(outdir, "control.csv"), p, res.h)
+    write_control_field(os.path.join(outdir, "control.csv"), p.times[:-1],
+                        p.grid.nodes, res.h)
     lines = [
         f"epsilon = {_fmt(res.epsilon)}",
         f"norm_yT = {_fmt(res.norm_yT)}",
@@ -259,12 +259,10 @@ def cmd_semilinear(cfg: Config, outdir: str, rng) -> list:
                 [(k + 1, inc, cost, n) for k, (inc, cost, n) in
                  enumerate(zip(rep.increments, rep.control_costs, rep.yT_norms))])
     if rep.h is not None and rep.hum is not None:
-        sub = p
-        if rep.t0 > 0.0:
-            sub = dataclasses.replace(p, T=p.T - rep.t0, M=rep.h.shape[0],
-                                      y0=rep.phase1_final)
-        write_control_field(os.path.join(outdir, "control.csv"), sub, rep.h,
-                            t_offset=rep.t0)
+        # the controlled phase runs on its own clock starting at t0
+        write_control_field(os.path.join(outdir, "control.csv"),
+                            rep.hum.trajectory.times[:-1] + rep.t0,
+                            p.grid.nodes, rep.h)
     lines = [
         f"iterations = {rep.iterations}",
         f"converged = {rep.converged}",

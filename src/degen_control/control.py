@@ -21,37 +21,14 @@ import numpy as np
 
 from .errors import NoConvergence, NotSPD, ZeroDenominator
 from .mesh import l2_norm
-from .pde import (LinearProblem, Trajectory, _banded_solve, _step_bands,
-                  control_cost, solve_adjoint, solve_forward)
-
-
-def _adjoint_states_active(p: LinearProblem, vT_act: np.ndarray) -> np.ndarray:
-    """(M+1, n_active) backward states of the weighted-transpose step map."""
-    _, adj_bands = _step_bands(p)
-    states = np.empty((p.M + 1, vT_act.size))
-    v = vT_act.copy()
-    states[p.M] = v
-    for n in range(p.M - 1, -1, -1):
-        v = _banded_solve(adj_bands[n], v, n + 1)
-        states[n] = v
-    return states
-
-
-def _forward_final_active(p: LinearProblem, y0_act: np.ndarray,
-                          ctrl_states: np.ndarray | None,
-                          mask_act: np.ndarray) -> np.ndarray:
-    fwd_bands, _ = _step_bands(p)
-    y = y0_act.copy()
-    for n in range(p.M):
-        rhs = y if ctrl_states is None else y + p.dt * (ctrl_states[n] * mask_act)
-        y = _banded_solve(fwd_bands[n], rhs, n + 1)
-    return y
+from .pde import (LinearProblem, Trajectory, control_cost, march,
+                  solve_adjoint, solve_forward)
 
 
 def _gramian_apply_active(p: LinearProblem, vT_act: np.ndarray) -> np.ndarray:
-    mask_act = p.omega_mask()[p.active()]
-    vs = _adjoint_states_active(p, vT_act)
-    return _forward_final_active(p, np.zeros_like(vT_act), vs, mask_act)
+    vs = march(p, vT_act, adjoint=True)
+    vs *= p.omega_mask()[p.active()]
+    return march(p, np.zeros_like(vT_act), vs[:-1])[-1]
 
 
 def apply_gramian(p: LinearProblem, vT: np.ndarray) -> np.ndarray:
@@ -237,7 +214,7 @@ def observability_estimate(p: LinearProblem, n_samples: int,
     mask_w = w_act * p.omega_mask()[act]
 
     def quotient_of(u_act):
-        vs = _adjoint_states_active(p, u_act)
+        vs = march(p, u_act, adjoint=True)
         num = float(np.sum(w_act * vs[0] * vs[0]))
         den = p.dt * float(np.sum(mask_w * vs[:-1] ** 2))
         return num, den, vs
@@ -262,11 +239,9 @@ def observability_estimate(p: LinearProblem, n_samples: int,
 
     refined = None
     if power_iters > 0 and best_u is not None:
-        mask_act = p.omega_mask()[act]
         u = best_u.copy()
         for _ in range(power_iters):
-            vs = _adjoint_states_active(p, u)
-            bu = _forward_final_active(p, vs[0], None, mask_act)
+            bu = march(p, march(p, u, adjoint=True)[0])[-1]
             nrm = np.sqrt(np.sum(w_act * bu * bu))
             if nrm == 0.0:
                 break

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import eigvalsh_tridiagonal
 
-from .coefficients import Case, DegeneracyCoefficient, DriftEnvelope
+from .coefficients import Case, DegeneracyCoefficient, DriftEnvelope, zero_drift
 from .errors import BadResolution, DegenerateSample
 
 
@@ -164,82 +164,22 @@ def h1a_norm(grid: GridSpec, a: DegeneracyCoefficient, u: np.ndarray) -> float:
     return float(np.sqrt(l2_inner(grid, u, u) + dirichlet_energy(grid, a, u)))
 
 
-def flux_divergence_seminorm(grid: GridSpec, a: DegeneracyCoefficient,
-                             u: np.ndarray) -> float:
-    """Diagnostic ||(a u_x)_x||_{L^2} over active nodes (second-order energy)."""
-    from .coefficients import zero_drift
-    op = assemble_operator(grid, a, zero_drift(), 0.0)
-    r = op.apply(u[op.active])
-    return float(np.sqrt(np.sum(op.weights * r * r)))
-
-
-@dataclass(frozen=True)
-class StateVector:
-    grid: GridSpec
-    values: np.ndarray
-
-    def l2_norm(self) -> float:
-        return l2_norm(self.grid, self.values)
-
-    def h1a_norm(self, a: DegeneracyCoefficient) -> float:
-        return h1a_norm(self.grid, a, self.values)
-
-
 # -- discrete Hardy-type inequality --------------------------------------------
 
-def hardy_check(grid: GridSpec, a: DegeneracyCoefficient, n_samples: int,
-                rng: np.random.Generator | None = None,
-                power_iters: int = 32) -> float:
-    """Largest observed ||v||^2 / ||sqrt(a) v_x||^2 over admissible samples.
+def hardy_check(grid: GridSpec, a: DegeneracyCoefficient) -> float:
+    """Discrete Hardy constant: max ||v||^2 / ||sqrt(a) v_x||^2 over admissible v.
 
-    Samples are random nodal vectors with v(1) = 0 (and v(0) = 0 in the weak
-    case); the best sample is sharpened by inverse power iteration on the
-    weighted stiffness matrix, so the returned constant approaches the
-    extremal Rayleigh quotient. A finite value certifies the discrete
-    Hardy-type inequality with that constant.
+    Admissible nodal vectors vanish at x = 1 (and at x = 0 in the weak case).
+    The quotient's maximum is 1/mu_min for the smallest eigenvalue mu_min of
+    the weighted stiffness pencil (W A, W), i.e. of the symmetric tridiagonal
+    W^{1/2} A W^{-1/2}, found by a direct tridiagonal eigensolve. A finite
+    value certifies the discrete Hardy-type inequality with that constant.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(0) if rng is None else rng
-    act = active_indices(grid, a.case)
-    w_act = grid.weights[act]
-    af = face_diffusivity(grid, a)
-    h = grid.spacings
-
-    def energy(v_act: np.ndarray) -> float:
-        full = np.zeros(grid.N)
-        full[act] = v_act
-        du = np.diff(full)
-        return float(np.sum(af * du * du / h))
-
-    best = 0.0
-    best_vec = None
-    for _ in range(n_samples):
-        v = rng.standard_normal(act.size)
-        mass = float(np.sum(w_act * v * v))
-        en = energy(v)
-        if en == 0.0:
-            raise DegenerateSample("zero gradient energy for a nonzero sample")
-        q = mass / en
-        if q > best:
-            best, best_vec = q, v
-
-    if power_iters > 0 and best_vec is not None:
-        from .coefficients import zero_drift
-        op = assemble_operator(grid, a, zero_drift(), 0.0)
-        # weighted stiffness W A is symmetric positive definite
-        n = act.size
-        ab = np.zeros((2, n))
-        ab[1] = op.diag * w_act
-        ab[0, 1:] = op.sup[:-1] * w_act[:-1]
-        v = best_vec / np.sqrt(np.sum(best_vec ** 2))
-        for _ in range(power_iters):
-            z = solveh_banded(ab, w_act * v)
-            nz = np.sqrt(np.sum(z ** 2))
-            if nz == 0.0:
-                break
-            v = z / nz
-        en = energy(v)
-        if en > 0.0:
-            best = max(best, float(np.sum(w_act * v * v)) / en)
-    return best
+    op = assemble_operator(grid, a, zero_drift(), 0.0)
+    w = op.weights
+    off = op.sup[:-1] * np.sqrt(w[:-1] / w[1:])
+    mu_min = eigvalsh_tridiagonal(op.diag, off, select="i", select_range=(0, 0))[0]
+    if mu_min <= 0.0:
+        raise DegenerateSample(f"weighted stiffness is not positive definite "
+                               f"(smallest eigenvalue {mu_min:.3e})")
+    return 1.0 / float(mu_min)

@@ -24,7 +24,8 @@ import numpy as np
 from .coefficients import DriftEnvelope, linear_beta
 from .errors import NoFixedPoint, UnboundedFrozenCoefficient
 from .mesh import GridSpec, assemble_operator, l2_norm
-from .pde import LinearProblem, Trajectory, _banded_solve, solve_forward
+from .pde import (LinearProblem, Trajectory, _factor_step, _step_solve,
+                  solve_forward)
 from .control import HUMResult, hum_solve
 
 
@@ -326,12 +327,7 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity,
                                   c=_row_lookup(x, crow[None, :], dt),
                                   C_beta=p.drift.C_beta, time_dependent=True)
             op = assemble_operator(p.grid, p.a, drift, t1)
-            n_act = act.size
-            ab = np.zeros((3, n_act))
-            ab[0, 1:] = dt * op.sup[:-1]
-            ab[1] = 1.0 + dt * op.diag
-            ab[2, :-1] = dt * op.sub[1:]
-            y_act = _banded_solve(ab, states[n][act], n + 1)
+            y_act = _step_solve(_factor_step(op, dt, n + 1), states[n][act])
             w_new = np.zeros(p.grid.N)
             w_new[act] = y_act
             delta = l2_norm(p.grid, w_new - w)

@@ -217,8 +217,8 @@ def test_criterion_8_semilinear_fixed_point(tmp_path):
     assert np.array_equal(rep0.h, hum.h)
     path_a = tmp_path / "picard_control.csv"
     path_b = tmp_path / "hum_control.csv"
-    write_control_field(path_a, p, rep0.h)
-    write_control_field(path_b, p, hum.h)
+    write_control_field(path_a, p.times[:-1], p.grid.nodes, rep0.h)
+    write_control_field(path_b, p.times[:-1], p.grid.nodes, hum.h)
     assert path_a.read_bytes() == path_b.read_bytes()
     print(f"\n[PASS] criterion 8: semilinear fixed point (iters <= 20, "
           f"geometric increments, residual <= 1e-5, C stable "

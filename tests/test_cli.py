@@ -4,9 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from degen_control.cli import main
+from degen_control.cli import main, write_control_field
 from degen_control.config import parse_config
 from degen_control.errors import ConfigError
+from degen_control.pde import solve_forward
+
+from conftest import make_problem
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -100,6 +103,20 @@ T = 0.1
     assert len(lines) == 1 + 17 * 32
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "C_T = " in summary
+
+
+def test_trajectory_csv_format(tmp_path):
+    p = make_problem(N=16, M=8)
+    traj = solve_forward(p)
+    path = tmp_path / "traj.csv"
+    write_control_field(path, traj.times, p.grid.nodes, traj.states)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,x,value"
+    assert len(lines) == 1 + (p.M + 1) * p.grid.N
+    t0, x1, val = lines[1 + 1].split(",")   # second row of the t=0 block
+    assert float(t0) == 0.0
+    assert float(x1) == pytest.approx(p.grid.nodes[1])
+    assert float(val) == pytest.approx(p.y0[1])
 
 
 def test_control_command_zero_datum_gives_zero_control(tmp_path):

@@ -6,10 +6,12 @@ import pytest
 from degen_control.coefficients import (Case, DegeneracyCoefficient,
                                         classical_coefficient, constant_drift,
                                         power_coefficient, zero_drift)
+from degen_control import pde
+from degen_control.control import hum_solve
 from degen_control.errors import SolverBreakdown
 from degen_control.mesh import build_grid, l2_norm
 from degen_control.pde import (LinearProblem, duality_residual, solve_adjoint,
-                               solve_forward, zero_control)
+                               solve_forward)
 
 from conftest import heat_problem, make_problem
 
@@ -68,7 +70,8 @@ def test_adjoint_initial_norm_bounded(rng):
 def test_duality_trivial():
     p = make_problem(N=32, M=16)
     vT = np.sin(np.pi * p.grid.nodes)
-    assert duality_residual(p, np.zeros(p.grid.N), zero_control(p), vT) == 0.0
+    assert duality_residual(p, np.zeros(p.grid.N), np.zeros((p.M, p.grid.N)),
+                            vT) == 0.0
 
 
 @pytest.mark.parametrize("a", [classical_coefficient(), power_coefficient(0.5),
@@ -173,6 +176,8 @@ def test_solver_breakdown():
                       M=M, y0=np.sin(np.pi * g.nodes))
     with pytest.raises(SolverBreakdown):
         solve_forward(p)
+    with pytest.raises(SolverBreakdown):
+        solve_adjoint(p, p.y0)
 
 
 def test_problem_invariants():
@@ -195,12 +200,29 @@ def test_problem_invariants():
 
 def test_replace_resets_step_cache():
     p = make_problem(N=24, M=16)
-    solve_forward(p)        # populates the band cache
+    solve_forward(p)        # populates the factor cache
     p2 = dataclasses.replace(p, drift=constant_drift(5.0, 0.0))
     assert p2._cache == {}
     r1 = solve_forward(p).final()
     r2 = solve_forward(p2).final()
     assert not np.allclose(r1, r2)
+
+
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_step_matrix_factored_once_per_time_level(monkeypatch, time_dependent):
+    factorizations = []
+    real_dgttrf = pde.dgttrf
+
+    def counting_dgttrf(*args, **kwargs):
+        factorizations.append(1)
+        return real_dgttrf(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "dgttrf", counting_dgttrf)
+    p = make_problem(N=24, M=16, b0=0.3, c0=0.2)
+    p = p.with_drift(dataclasses.replace(p.drift, time_dependent=time_dependent))
+    hum_solve(p, 1e-4)
+    # one forward and one adjoint factorisation per distinct time level
+    assert len(factorizations) == (2 * p.M if time_dependent else 2)
 
 
 def test_stability_ratio_reported():
@@ -209,20 +231,6 @@ def test_stability_ratio_reported():
     assert traj.stability_ratio == pytest.approx(1.0, abs=1e-12)
     zero = solve_forward(p.with_y0(np.zeros(p.grid.N)))
     assert zero.stability_ratio == 0.0
-
-
-def test_trajectory_csv_format(tmp_path):
-    p = make_problem(N=16, M=8)
-    traj = solve_forward(p)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,x,value"
-    assert len(lines) == 1 + (p.M + 1) * p.grid.N
-    t0, x1, val = lines[1 + 1].split(",")   # second row of the t=0 block
-    assert float(t0) == 0.0
-    assert float(x1) == pytest.approx(p.grid.nodes[1])
-    assert float(val) == pytest.approx(p.y0[1])
 
 
 def test_trajectory_norms_are_consistent(rng):
