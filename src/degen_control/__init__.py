@@ -8,8 +8,7 @@ from .mesh import (GridSpec, TriDiagOperator, assemble_operator, build_grid,
                    hardy_check)
 from .pde import LinearProblem, Trajectory, duality_residual, solve_adjoint, solve_forward
 from .carleman import (CarlemanWeights, SourceSplit, build_weights,
-                       cacciopoli_check, carleman_functionals, eval_phi,
-                       eval_weight_log, ratio_experiment)
+                       carleman_functionals, ratio_experiment)
 from .control import (HUMResult, ObservabilityReport, apply_gramian,
                       epsilon_sweep, hum_solve, observability_estimate)
 from .semilinear import (FixedPointReport, Nonlinearity, freeze_coefficients,

@@ -16,15 +16,25 @@ region (w1, w2). The bump rho vanishes at 0 and 1, is positive inside, and
 has its single critical point at the midpoint of an interior subinterval
 (a', b') of (kappa-, kappa+), so eta' = psi_cls' != 0 on (kappa+, w2).
 
-The audited inequalities compare, for solutions v of the backward equation
-v_t + (a v_x)_x = F (or = F0 + (beta F1)_x),
+The audit checks three estimates for solutions v of the backward equation
+v_t + (a v_x)_x = F (or = F0 + (beta F1)_x), each a ``variant`` of
+``carleman_functionals`` and ``ratio_experiment``:
 
-    lhs = |int| (s theta a v_x^2 + s^3 theta^3 (x^2/a) v^2) e^{-2 s phi}
+- "lemma": the weighted energy
 
-against the observation term plus source terms. e^{-2 s phi} underflows
-catastrophically at desk scale, so every integral here is computed in log
-space with the weight normalized by its maximum over the space-time grid;
-both sides share one normalization, leaving all ratios unchanged.
+      lhs = int_Q (s theta a v_x^2 + s^3 theta^3 (x^2/a) v^2) e^{-2 s phi}
+
+  against the weighted F^2 plus the observation term on omega;
+- "theorem": the same energy against the observation term plus
+  F0^2 + s^2 theta^3 (beta^2/a) F1^2;
+- "cacciopoli": the local Caccioppoli-type gradient energy
+  int v_x^2 e^{-2 s phi} over omega' x (0, T), against the lemma's
+  right-hand side.
+
+e^{-2 s phi} underflows catastrophically at desk scale, so every integral
+here is computed in log space with the weight normalized by its maximum over
+the space-time grid; both sides share one normalization, leaving all ratios
+unchanged.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .coefficients import Case, DegeneracyCoefficient, zero_drift
-from .errors import NonFiniteIntegral, OutOfDomain, WeightInvalid
+from .errors import NonFiniteIntegral, WeightInvalid
 from .mesh import GridSpec, face_diffusivity
 from .pde import LinearProblem, Trajectory, march
 
@@ -54,7 +64,6 @@ class CarlemanWeights:
     kappa_plus: float
     omega_prime: tuple
     rho_peak: float
-    s0: float | None = None
     _int_cache: dict = field(default_factory=dict, repr=False)
 
     # cumulative integral of tau/a(tau), robust to the singularity at 0
@@ -195,18 +204,6 @@ def build_weights(a: DegeneracyCoefficient, omega: tuple, T: float,
     return w
 
 
-def eval_phi(w: CarlemanWeights, x, t: float) -> float:
-    if not (0.0 < t < w.T):
-        raise OutOfDomain(f"t = {t} outside (0, {w.T})")
-    val = np.asarray(w.eta(x), dtype=float) * float(w.theta(t))
-    return float(val) if val.ndim == 0 else val
-
-
-def eval_weight_log(w: CarlemanWeights, x, t: float, s: float):
-    """log of the damping weight, -2 s phi(x, t); exponentiate last."""
-    return -2.0 * s * eval_phi(w, x, t)
-
-
 @dataclass(frozen=True)
 class SourceSplit:
     """Source decomposition F0 + (beta F1)_x, both sampled on the grid."""
@@ -215,17 +212,16 @@ class SourceSplit:
     F1: np.ndarray   # (M+1, N)
 
 
-def beta_divergence(grid: GridSpec, beta, F1_slice: np.ndarray,
+def beta_divergence(grid: GridSpec, beta, F1: np.ndarray,
                     case: Case) -> np.ndarray:
-    """Flux-form divergence of beta*F1 at the nodes (zero boundary flux at a
-    strong-degeneracy left end)."""
-    prod = np.asarray(beta(grid.nodes), dtype=float) * F1_slice
-    face_vals = 0.5 * (prod[:-1] + prod[1:])
-    out = np.zeros(grid.N)
-    inner = slice(1, grid.N - 1)
-    out[inner] = (face_vals[1:] - face_vals[:-1]) / grid.weights[inner]
+    """Flux-form divergence of beta*F1 at the nodes, along the last axis of F1
+    (zero boundary flux at a strong-degeneracy left end)."""
+    prod = np.asarray(beta(grid.nodes), dtype=float) * F1
+    face_vals = 0.5 * (prod[..., :-1] + prod[..., 1:])
+    out = np.zeros(prod.shape)
+    out[..., 1:-1] = (face_vals[..., 1:] - face_vals[..., :-1]) / grid.weights[1:-1]
     if case is Case.SDP:
-        out[0] = face_vals[0] / grid.weights[0]
+        out[..., 0] = face_vals[..., 0] / grid.weights[0]
     return out
 
 
@@ -269,15 +265,18 @@ def _damping_weights(w: CarlemanWeights, grid: GridSpec, theta: np.ndarray,
 
 def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
                          src, s: float, variant: str = "lemma"):
-    """Weighted energy (lhs) and the inequality's right-hand side (rhs).
+    """Left-hand side and right-hand side of one audited estimate.
 
-    variant "lemma": rhs = weighted F^2 over Q plus the observation term;
-    ``src`` is an (M+1, N) field or None. variant "theorem": rhs = observation
-    term plus F0^2 + s^2 theta^3 (beta^2/a) F1^2; ``src`` is a SourceSplit or
-    None. Both sides share one log-space weight normalization, so their ratio
-    is exact while the absolute scale is that of the largest weight.
+    variant "lemma": lhs = weighted energy over Q, rhs = weighted F^2 over Q
+    plus the observation term; ``src`` is an (M+1, N) field or None.
+    variant "theorem": the same lhs, rhs = observation term plus
+    F0^2 + s^2 theta^3 (beta^2/a) F1^2; ``src`` is a SourceSplit or None.
+    variant "cacciopoli": lhs = weighted v_x^2 over omega' x (0, T), rhs and
+    ``src`` as for the lemma. Both sides share one log-space weight
+    normalization, so their ratio is exact while the absolute scale is that
+    of the largest weight.
     """
-    if variant not in ("lemma", "theorem"):
+    if variant not in ("lemma", "theorem", "cacciopoli"):
         raise ValueError(f"unknown variant {variant!r}")
     if s <= 0.0:
         raise ValueError("Carleman parameter s must be positive")
@@ -290,19 +289,24 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
 
     V = v.states[1:-1]
     dV = np.diff(V, axis=1) / grid.spacings
-    af_h = face_diffusivity(grid, w.a) * grid.spacings
-    xx_over_a = _degenerate_ratio(grid, w.a, lambda x: x * x)
     wq = grid.weights
     dt = p.dt
 
-    grad = s * float(np.sum(theta * np.sum(af_h * dV * dV * Wf, axis=1)))
-    zero = s ** 3 * float(np.sum(theta ** 3 * np.sum(wq * xx_over_a * V * V * Wn, axis=1)))
-    lhs = dt * (grad + zero)
+    if variant == "cacciopoli":
+        ap, bp = w.omega_prime
+        prime_mask = ((grid.faces > ap) & (grid.faces < bp)) * grid.spacings
+        lhs = dt * float(np.sum(np.sum(prime_mask * dV * dV * Wf, axis=1)))
+    else:
+        af_h = face_diffusivity(grid, w.a) * grid.spacings
+        xx_over_a = _degenerate_ratio(grid, w.a, lambda x: x * x)
+        grad = s * float(np.sum(theta * np.sum(af_h * dV * dV * Wf, axis=1)))
+        zero = s ** 3 * float(np.sum(theta ** 3 * np.sum(wq * xx_over_a * V * V * Wn, axis=1)))
+        lhs = dt * (grad + zero)
 
     obs_mask = wq * p.omega_mask()
     obs = dt * float(np.sum(np.sum(obs_mask * V * V * Wn, axis=1)))
 
-    if variant == "lemma":
+    if variant != "theorem":
         if src is None:
             src_term = 0.0
         else:
@@ -311,51 +315,20 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
                 raise NonFiniteIntegral("source field contains non-finite values")
             src_term = dt * float(np.sum(np.sum(wq * F * F * Wn, axis=1)))
         rhs = src_term + obs
+    elif src is None:
+        rhs = obs
     else:
-        if src is None:
-            rhs = obs
-        else:
-            F0 = np.asarray(src.F0, dtype=float)[1:-1]
-            F1 = np.asarray(src.F1, dtype=float)[1:-1]
-            if not (np.all(np.isfinite(F0)) and np.all(np.isfinite(F1))):
-                raise NonFiniteIntegral("source fields contain non-finite values")
-            bb_over_a = _degenerate_ratio(grid, w.a,
-                                          lambda x: np.asarray(p.drift.beta(x)) ** 2)
-            t0 = dt * float(np.sum(np.sum(wq * F0 * F0 * Wn, axis=1)))
-            t1 = s ** 2 * dt * float(
-                np.sum(theta ** 3 * np.sum(wq * bb_over_a * F1 * F1 * Wn, axis=1)))
-            rhs = obs + t0 + t1
+        F0 = np.asarray(src.F0, dtype=float)[1:-1]
+        F1 = np.asarray(src.F1, dtype=float)[1:-1]
+        if not (np.all(np.isfinite(F0)) and np.all(np.isfinite(F1))):
+            raise NonFiniteIntegral("source fields contain non-finite values")
+        bb_over_a = _degenerate_ratio(grid, w.a,
+                                      lambda x: np.asarray(p.drift.beta(x)) ** 2)
+        t0 = dt * float(np.sum(np.sum(wq * F0 * F0 * Wn, axis=1)))
+        t1 = s ** 2 * dt * float(
+            np.sum(theta ** 3 * np.sum(wq * bb_over_a * F1 * F1 * Wn, axis=1)))
+        rhs = obs + t0 + t1
 
-    if not (np.isfinite(lhs) and np.isfinite(rhs)):
-        raise NonFiniteIntegral("weighted integral evaluated non-finite")
-    return float(lhs), float(rhs)
-
-
-def cacciopoli_check(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
-                     F: np.ndarray | None, s: float):
-    """Local gradient energy on the interior subinterval vs state + source terms."""
-    if s <= 0.0:
-        raise ValueError("Carleman parameter s must be positive")
-    grid = p.grid
-    if not np.all(np.isfinite(v.states)):
-        raise NonFiniteIntegral("trajectory contains non-finite values")
-    ap, bp = w.omega_prime
-    theta = np.asarray(w.theta(p.times[1:-1]), dtype=float)
-    Wn, Wf = _damping_weights(w, grid, theta, s)
-
-    V = v.states[1:-1]
-    dV = np.diff(V, axis=1) / grid.spacings
-    prime_mask = ((grid.faces > ap) & (grid.faces < bp)) * grid.spacings
-    lhs = p.dt * float(np.sum(np.sum(prime_mask * dV * dV * Wf, axis=1)))
-
-    wq = grid.weights
-    obs_mask = wq * p.omega_mask()
-    rhs = p.dt * float(np.sum(np.sum(obs_mask * V * V * Wn, axis=1)))
-    if F is not None:
-        Fi = np.asarray(F, dtype=float)[1:-1]
-        if not np.all(np.isfinite(Fi)):
-            raise NonFiniteIntegral("source field contains non-finite values")
-        rhs += p.dt * float(np.sum(np.sum(wq * Fi * Fi * Wn, axis=1)))
     if not (np.isfinite(lhs) and np.isfinite(rhs)):
         raise NonFiniteIntegral("weighted integral evaluated non-finite")
     return float(lhs), float(rhs)
@@ -399,7 +372,8 @@ def random_space_time_field(rng: np.random.Generator, case: Case, T: float,
 
 
 def _sample_field(fun, grid: GridSpec, times: np.ndarray) -> np.ndarray:
-    return np.stack([np.asarray(fun(grid.nodes, t), dtype=float) for t in times])
+    """fun on the (time, node) grid, from one call broadcasting times against nodes."""
+    return np.asarray(fun(grid.nodes, times[:, None]), dtype=float)
 
 
 @dataclass
@@ -436,12 +410,12 @@ def ratio_experiment(p: LinearProblem, w: CarlemanWeights, s_values,
                      rng: np.random.Generator | None = None) -> AuditResult:
     """Ratios lhs/rhs over an ensemble of random solutions, per Carleman parameter.
 
-    Both variants draw random smooth terminal data and random smooth sources
-    (F for the lemma form, (F0, F1) for the theorem form) and solve the
-    backward equation they drive. Source-free ensembles leave only the
-    observation term on the right-hand side, whose discrete maximum ratio is
-    not stable under refinement; the audited inequalities are stated for the
-    source-driven solution class anyway.
+    Every variant draws random smooth terminal data and random smooth sources
+    (F for the lemma and Caccioppoli forms, (F0, F1) for the theorem form)
+    and solves the backward equation they drive. Source-free ensembles leave
+    only the observation term on the right-hand side, whose discrete maximum
+    ratio is not stable under refinement; the audited inequalities are stated
+    for the source-driven solution class anyway.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     s_values = [float(s) for s in s_values]
@@ -452,10 +426,8 @@ def ratio_experiment(p: LinearProblem, w: CarlemanWeights, s_values,
             F0 = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
             F1 = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
             src = SourceSplit(F0=F0, F1=F1)
-            F_eff = np.stack([
-                F0[n] + beta_divergence(p.grid, p.drift.beta, F1[n], p.case)
-                for n in range(p.M + 1)])
-            v = solve_terminal_source(p, vT, F_eff)
+            v = solve_terminal_source(
+                p, vT, F0 + beta_divergence(p.grid, p.drift.beta, F1, p.case))
         else:
             src = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
             v = solve_terminal_source(p, vT, src)
@@ -465,7 +437,6 @@ def ratio_experiment(p: LinearProblem, w: CarlemanWeights, s_values,
     max_r = [float(np.max(ratios[:, j])) for j in range(len(s_values))]
     med_r = [float(np.median(ratios[:, j])) for j in range(len(s_values))]
     s0, plateaued = calibrate_s0(s_values, max_r)
-    w.s0 = s0
     return AuditResult(variant=variant, s_values=s_values, max_ratios=max_r,
                        median_ratios=med_r, n_samples=n_samples, s0=s0,
                        plateaued=plateaued)

@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import carleman, control, semilinear
-from .coefficients import (Case, catalog_coefficient, constant_drift,
-                           linear_beta, load_tabular_coefficient,
+from .coefficients import (COEFFICIENT_CATALOG, Case, catalog_coefficient,
+                           constant_drift, linear_beta, load_tabular_coefficient,
                            power_coefficient, validate_beta, validate_coefficient,
                            zero_beta)
 from .config import Config, parse_config
@@ -68,7 +68,7 @@ def build_coefficient(cfg: Config):
         case = cfg.get_str("a.case", default=None, choices={"WDP", "SDP"})
         return load_tabular_coefficient(cfg.get_str("a.path"),
                                         case=Case(case) if case else None)
-    name = cfg.get_str("a.name", choices=set(("sqrt", "linear", "x32", "classical")))
+    name = cfg.get_str("a.name", choices=set(COEFFICIENT_CATALOG))
     return catalog_coefficient(name)
 
 
@@ -112,13 +112,16 @@ def build_problem(cfg: Config, rng) -> LinearProblem:
 
 def build_nonlinearity(cfg: Config, drift):
     kind = cfg.get_str("nl.kind", default="zero",
-                       choices=set(semilinear.NONLINEARITY_CATALOG))
+                       choices={"zero", "sine", "tanh-grad", "mixed"})
     m = cfg.get_float("nl.m", default=1.0)
+    beta_sup = max(drift.C_beta, 1e-300)
+    if kind == "zero":
+        return semilinear.zero_nonlinearity()
+    if kind == "sine":
+        return semilinear.sine_nonlinearity(m)
     if kind == "tanh-grad":
-        return semilinear.tanh_grad_nonlinearity(beta_sup=max(drift.C_beta, 1e-300))
-    if kind == "mixed":
-        return semilinear.mixed_nonlinearity(m, beta_sup=max(drift.C_beta, 1e-300))
-    return semilinear.catalog_nonlinearity(kind, m)
+        return semilinear.tanh_grad_nonlinearity(beta_sup=beta_sup)
+    return semilinear.mixed_nonlinearity(m, beta_sup=beta_sup)
 
 
 # -- commands -------------------------------------------------------------------
@@ -228,18 +231,11 @@ def cmd_carleman_audit(cfg: Config, outdir: str, rng) -> list:
                 "s,variant,max_ratio,median_ratio,n_samples", rows)
 
     s_ref = s_values[len(s_values) // 2]
-    cac = []
-    for _ in range(n_samples):
-        vT = carleman.random_smooth_field(rng, p.case)(p.grid.nodes)
-        F = carleman._sample_field(
-            carleman.random_space_time_field(rng, p.case, p.T), p.grid, p.times)
-        v = carleman.solve_terminal_source(p, vT, F)
-        lhs, rhs = carleman.cacciopoli_check(p, w, v, F, s_ref)
-        cac.append(lhs / rhs if rhs > 0 else np.inf)
+    cac = carleman.ratio_experiment(p, w, [s_ref], n_samples, "cacciopoli", rng)
     write_table(os.path.join(outdir, "cacciopoli.csv"),
                 "s,max_ratio,median_ratio,n_samples",
-                [(s_ref, float(np.max(cac)), float(np.median(cac)), n_samples)])
-    lines.append(f"cacciopoli_max_ratio = {_fmt(float(np.max(cac)))}")
+                [(s_ref, cac.max_ratios[0], cac.median_ratios[0], n_samples)])
+    lines.append(f"cacciopoli_max_ratio = {_fmt(cac.max_ratios[0])}")
     return lines
 
 

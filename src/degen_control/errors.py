@@ -69,12 +69,6 @@ class DegenerateSample(DegenControlError):
     exit_code = 3
 
 
-class OutOfDomain(DegenControlError):
-    """Evaluation requested outside the admissible space-time domain."""
-    code = "OUT_OF_DOMAIN"
-    exit_code = 3
-
-
 class NonFiniteIntegral(DegenControlError):
     """A weighted integrand evaluated to a non-finite value."""
     code = "NONFINITE_INTEGRAL"

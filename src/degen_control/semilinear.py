@@ -100,21 +100,6 @@ def mixed_nonlinearity(m: float, beta_sup: float = 1.0) -> Nonlinearity:
                         lipschitz_L=abs(m) + float(beta_sup), name=f"mixed({m:g})")
 
 
-NONLINEARITY_CATALOG = {
-    "zero": lambda m=0.0: zero_nonlinearity(),
-    "sine": lambda m=1.0: sine_nonlinearity(m),
-    "tanh-grad": lambda m=0.0: tanh_grad_nonlinearity(),
-    "mixed": lambda m=1.0: mixed_nonlinearity(m),
-}
-
-
-def catalog_nonlinearity(name: str, m: float = 1.0) -> Nonlinearity:
-    try:
-        return NONLINEARITY_CATALOG[name](m)
-    except KeyError:
-        raise ValueError(f"unknown nonlinearity catalog entry {name!r}") from None
-
-
 def validate_nonlinearity(nl: Nonlinearity, beta=None, n_samples: int = 200,
                           rng: np.random.Generator | None = None) -> dict:
     """Sample the factor caps and the declared Lipschitz constant.

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from degen_control.carleman import (SourceSplit, beta_divergence, build_weights,
-                                    c2_threshold, cacciopoli_check, calibrate_s0,
-                                    carleman_functionals, eval_phi,
-                                    eval_weight_log, random_smooth_field,
+                                    c2_threshold, calibrate_s0,
+                                    carleman_functionals, random_smooth_field,
                                     ratio_experiment, solve_terminal_source,
                                     _sample_field, random_space_time_field)
 from degen_control.coefficients import Case, power_coefficient
-from degen_control.errors import NonFiniteIntegral, OutOfDomain, WeightInvalid
+from degen_control.errors import NonFiniteIntegral, WeightInvalid
 from degen_control.mesh import build_grid
 from degen_control.pde import Trajectory
 
@@ -44,24 +43,18 @@ def test_psi_deg_quadrature_against_closed_form():
 def test_theta_value_and_blowup():
     w = build_weights(SQRT, (0.3, 0.9), T=1.0)
     assert float(w.theta(0.5)) == pytest.approx(256.0)
-    logs = [eval_weight_log(w, 0.5, t, 1.0) for t in (0.5, 0.1, 0.01, 0.001)]
-    assert all(l2 < l1 for l1, l2 in zip(logs, logs[1:]))
+    theta = w.theta(np.array([0.5, 0.1, 0.01, 0.001]))
+    assert np.all(np.diff(theta) > 0.0)
+    # the log weight -2 s eta theta (here s = 1) falls as theta grows, because eta > 0
+    assert float(w.eta(0.5)) > 0.0
+    logs = -2.0 * float(w.eta(0.5)) * theta
+    assert np.all(np.diff(logs) < 0.0)
 
 
 def test_theta_symmetric_about_midpoint():
     w = build_weights(SQRT, (0.3, 0.9), T=0.8)
     ts = np.array([0.1, 0.2, 0.3])
     assert np.allclose(w.theta(ts), w.theta(0.8 - ts), rtol=1e-14)
-
-
-def test_eval_phi_domain():
-    w = build_weights(SQRT, (0.3, 0.9), T=1.0)
-    with pytest.raises(OutOfDomain):
-        eval_phi(w, 0.5, 0.0)
-    with pytest.raises(OutOfDomain):
-        eval_phi(w, 0.5, 1.0)
-    with pytest.raises(OutOfDomain):
-        eval_weight_log(w, 0.5, -0.1, 2.0)
 
 
 def test_cutoff_and_blend_values():
@@ -123,7 +116,9 @@ def test_omega_must_be_interior():
 
 def test_monotone_damping_in_s():
     w = build_weights(SQRT, (0.3, 0.9), T=1.0)
-    logs = [eval_weight_log(w, 0.4, 0.3, s) for s in (1.0, 2.0, 4.0, 8.0)]
+    phi = float(w.eta(0.4)) * float(w.theta(0.3))
+    assert phi > 0.0
+    logs = [-2.0 * s * phi for s in (1.0, 2.0, 4.0, 8.0)]
     assert all(b < a for a, b in zip(logs, logs[1:]))
 
 
@@ -142,7 +137,7 @@ def test_functionals_zero_inputs():
     assert carleman_functionals(p, w, v, F, 2.0, "lemma") == (0.0, 0.0)
     split = SourceSplit(F0=F, F1=F)
     assert carleman_functionals(p, w, v, split, 2.0, "theorem") == (0.0, 0.0)
-    assert cacciopoli_check(p, w, v, F, 2.0) == (0.0, 0.0)
+    assert carleman_functionals(p, w, v, F, 2.0, "cacciopoli") == (0.0, 0.0)
 
 
 def test_functionals_quadratic_homogeneity(rng):
@@ -177,21 +172,18 @@ def test_functional_input_validation():
         carleman_functionals(p, w, v, None, 2.0, "bogus")
 
 
-def test_lemma_ratio_smoke(rng):
-    p = make_problem(N=48, M=48, T=3.0, y0=np.zeros(48))
-    w = build_weights(p.a, p.omega, p.T, lam=0.5)
-    res = ratio_experiment(p, w, [1, 4, 16], 8, "lemma", rng)
-    assert all(np.isfinite(r) and r > 0 for r in res.max_ratios)
-    assert all(m <= M for m, M in zip(res.median_ratios, res.max_ratios))
-    assert w.s0 == res.s0
-
-
-def test_theorem_ratio_smoke(rng):
-    p = make_problem(a=power_coefficient(1.5), N=48, M=48, T=3.0,
+@pytest.mark.parametrize("variant, alpha", [("lemma", 0.5), ("theorem", 1.5),
+                                            ("cacciopoli", 0.5)],
+                         ids=["lemma", "theorem", "cacciopoli"])
+def test_ratio_smoke(rng, variant, alpha):
+    p = make_problem(a=power_coefficient(alpha), N=48, M=48, T=3.0,
                      y0=np.zeros(48))
     w = build_weights(p.a, p.omega, p.T, lam=0.5)
-    res = ratio_experiment(p, w, [1, 4, 16], 8, "theorem", rng)
+    res = ratio_experiment(p, w, [1, 4, 16], 8, variant, rng)
+    assert res.variant == variant and res.s_values == [1.0, 4.0, 16.0]
     assert all(np.isfinite(r) and r > 0 for r in res.max_ratios)
+    assert all(m <= M for m, M in zip(res.median_ratios, res.max_ratios))
+    assert res.s0 in res.s_values
 
 
 def test_cacciopoli_source_monotonicity(rng):
@@ -200,8 +192,8 @@ def test_cacciopoli_source_monotonicity(rng):
     vT = random_smooth_field(rng, p.case)(p.grid.nodes)
     F = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
     v = solve_terminal_source(p, vT, F)
-    lhs1, rhs1 = cacciopoli_check(p, w, v, F, 4.0)
-    lhs2, rhs2 = cacciopoli_check(p, w, v, 10.0 * F, 4.0)
+    lhs1, rhs1 = carleman_functionals(p, w, v, F, 4.0, "cacciopoli")
+    lhs2, rhs2 = carleman_functionals(p, w, v, 10.0 * F, 4.0, "cacciopoli")
     assert lhs2 == pytest.approx(lhs1)
     assert rhs2 > rhs1
     assert lhs2 / rhs2 < lhs1 / rhs1
@@ -219,7 +211,7 @@ def test_cacciopoli_stable_under_refinement(rng):
             F = _sample_field(random_space_time_field(local_rng, p.case, p.T),
                               p.grid, p.times)
             v = solve_terminal_source(p, vT, F)
-            lhs, rhs = cacciopoli_check(p, w, v, F, 4.0)
+            lhs, rhs = carleman_functionals(p, w, v, F, 4.0, "cacciopoli")
             ratios.append(lhs / rhs)
         vals[N] = max(ratios)
     assert abs(vals[128] - vals[64]) <= 0.20 * vals[64]
@@ -254,6 +246,22 @@ def test_beta_divergence_constant_product_vanishes():
     F1 = np.ones(g.N)
     div = beta_divergence(g, beta, F1, Case.WDP)
     assert np.allclose(div[1:-1], 0.0, atol=1e-12)
+    # a (k, N) array is differenced along its last axis, row by row
+    rows = np.outer([1.0, -2.0, 0.5], np.sin(np.pi * g.nodes))
+    for case in (Case.WDP, Case.SDP):
+        div = beta_divergence(g, np.sqrt, rows, case)
+        assert div.shape == rows.shape
+        for row, d in zip(rows, div):
+            assert np.array_equal(d, beta_divergence(g, np.sqrt, row, case))
+
+
+def test_sample_field_matches_per_time_evaluation(rng):
+    p = make_problem(N=48, M=32, T=2.0)
+    f = random_space_time_field(rng, p.case, p.T)
+    F = _sample_field(f, p.grid, p.times)
+    ref = np.stack([f(p.grid.nodes, t) for t in p.times])
+    assert F.shape == (p.M + 1, p.grid.N)
+    assert np.allclose(F, ref, rtol=0.0, atol=1e-14)
 
 
 def test_terminal_source_solver_zero_data():

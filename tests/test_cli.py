@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from degen_control.cli import main, write_control_field
-from degen_control.config import parse_config
+from degen_control.cli import build_nonlinearity, main, write_control_field
+from degen_control.coefficients import constant_drift, linear_beta
+from degen_control.config import Config, parse_config
 from degen_control.errors import ConfigError
 from degen_control.pde import solve_forward
 
@@ -208,6 +209,20 @@ samples = 4
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "s0[lemma] = " in summary
     assert "cacciopoli_max_ratio = " in summary
+    # the Caccioppoli experiment runs at the middle s of the sweep
+    cac = (tmp_path / "out" / "cacciopoli.csv").read_text().splitlines()
+    assert cac[0] == "s,max_ratio,median_ratio,n_samples"
+    assert len(cac) == 2 and cac[1].startswith("4,") and cac[1].endswith(",4")
+
+
+def test_build_nonlinearity_kinds():
+    drift = constant_drift(0.0, 0.0, beta=linear_beta(3.0), C_beta=3.0)
+    built = {kind: build_nonlinearity(Config({"nl.kind": kind, "nl.m": "0.5"}), drift)
+             for kind in ("zero", "sine", "tanh-grad", "mixed")}
+    assert [nl.lipschitz_L for nl in built.values()] == [0.0, 0.5, 3.0, 3.5]
+    assert build_nonlinearity(Config({}), drift).name == "zero"
+    with pytest.raises(ConfigError, match="nl.kind"):
+        build_nonlinearity(Config({"nl.kind": "cubic"}), drift)
 
 
 def test_semilinear_command(tmp_path):
