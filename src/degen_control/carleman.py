@@ -16,6 +16,9 @@ region (w1, w2). The bump rho vanishes at 0 and 1, is positive inside, and
 has its single critical point at the midpoint of an interior subinterval
 (a', b') of (kappa-, kappa+), so eta' = psi_cls' != 0 on (kappa+, w2).
 
+psi_deg's integral is one cumulative sum of ``quad`` over the gaps between the
+sorted points, for every coefficient kind; eta is sampled once on the grid.
+
 The audit checks three estimates for solutions v of the backward equation
 v_t + (a v_x)_x = F (or = F0 + (beta F1)_x), each a ``variant`` of
 ``carleman_functionals`` and ``ratio_experiment``:
@@ -51,9 +54,9 @@ from .mesh import GridSpec, face_diffusivity
 from .pde import LinearProblem, Trajectory, march
 
 
-@dataclass
+@dataclass(frozen=True)
 class CarlemanWeights:
-    """Blended weight profiles and their parameters (immutable after build)."""
+    """Blended weight profiles, their parameters, and eta sampled on ``grid``."""
 
     a: DegeneracyCoefficient
     T: float
@@ -64,26 +67,27 @@ class CarlemanWeights:
     kappa_plus: float
     omega_prime: tuple
     rho_peak: float
-    _int_cache: dict = field(default_factory=dict, repr=False)
+    grid: GridSpec = field(repr=False)
+    eta_nodes: np.ndarray = field(init=False, repr=False)
+    eta_faces: np.ndarray = field(init=False, repr=False)
 
-    # cumulative integral of tau/a(tau), robust to the singularity at 0
-    def _int_x_over_a(self, x: float) -> float:
-        x = float(x)
-        if x <= 0.0:
+    def __post_init__(self):
+        object.__setattr__(self, "eta_nodes", self.eta(self.grid.nodes))
+        object.__setattr__(self, "eta_faces", self.eta(self.grid.faces))
+
+    def _x_over_a(self, tau: float) -> float:
+        if tau <= 0.0:
             return 0.0
-        if x not in self._int_cache:
-            def integrand(tau):
-                if tau <= 0.0:
-                    return 0.0
-                return tau / float(self.a.eval(np.array([tau]))[0])
-            val, _ = quad(integrand, 0.0, x, limit=200)
-            self._int_cache[x] = val
-        return self._int_cache[x]
+        return tau / float(self.a.eval(np.array([tau]))[0])
 
     def psi_deg(self, x):
+        """c1 (c2 - int_0^x tau/a) for every entry of x in one pass: one ``quad``
+        over each gap between the sorted distinct points, then a running sum."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        ints = np.array([self._int_x_over_a(t) for t in xs])
-        out = self.c1 * (self.c2 - ints)
+        pts, inv = np.unique(np.maximum(xs, 0.0), return_inverse=True)
+        gaps = [quad(self._x_over_a, lo, hi, limit=200)[0]
+                for lo, hi in zip(np.r_[0.0, pts[:-1]], pts)]
+        out = self.c1 * (self.c2 - np.cumsum(gaps)[inv.reshape(xs.shape)])
         return out if np.ndim(x) else float(out[0])
 
     def psi_deg_prime(self, x):
@@ -150,16 +154,14 @@ def c2_threshold(a: DegeneracyCoefficient) -> float:
     return 1.0 / (a1 * (2.0 - a.K))
 
 
-def _check_points(grid: GridSpec | None) -> np.ndarray:
-    pts = np.union1d(np.geomspace(1e-6, 1.0, 257), np.linspace(0.0, 1.0, 257))
-    if grid is not None:
-        pts = np.union1d(pts, grid.nodes)
-    return pts
+def _check_points(grid: GridSpec) -> np.ndarray:
+    return np.unique(np.concatenate([np.geomspace(1e-6, 1.0, 257),
+                                     np.linspace(0.0, 1.0, 257), grid.nodes]))
 
 
 def build_weights(a: DegeneracyCoefficient, omega: tuple, T: float,
                   c1: float = 1.0, lam: float = 2.0, c2: float | None = None,
-                  grid: GridSpec | None = None) -> CarlemanWeights:
+                  *, grid: GridSpec) -> CarlemanWeights:
     """Construct and validate the blended weight for a control region with w1 > 0.
 
     ``c2`` defaults to 1.05 times the positivity threshold 1/(a(1)(2-K)).
@@ -169,9 +171,9 @@ def build_weights(a: DegeneracyCoefficient, omega: tuple, T: float,
     w1, w2 = omega
     if not (0.0 < w1 < w2 < 1.0):
         raise ValueError("control region must satisfy 0 < w1 < w2 < 1")
-    if T <= 0.0:
+    if not T > 0.0:
         raise ValueError("horizon must be positive")
-    if c1 <= 0.0 or lam <= 0.0:
+    if not (c1 > 0.0 and lam > 0.0):
         raise ValueError("c1 and lambda must be positive")
     if c2 is None:
         c2 = 1.05 * c2_threshold(a)
@@ -182,7 +184,7 @@ def build_weights(a: DegeneracyCoefficient, omega: tuple, T: float,
     ap, bp = km + 0.25 * width, kp - 0.25 * width
     w = CarlemanWeights(a=a, T=float(T), c1=float(c1), c2=float(c2),
                         lam=float(lam), kappa_minus=km, kappa_plus=kp,
-                        omega_prime=(ap, bp), rho_peak=0.5 * (ap + bp))
+                        omega_prime=(ap, bp), rho_peak=0.5 * (ap + bp), grid=grid)
 
     pts = _check_points(grid)
     psi = np.atleast_1d(w.psi_deg(pts))
@@ -229,14 +231,14 @@ def solve_terminal_source(p: LinearProblem, vT: np.ndarray,
                           F: np.ndarray | None = None) -> Trajectory:
     """Backward implicit-Euler solution of v_t + (a v_x)_x = F, v(T) = vT.
 
-    Uses the pure diffusion operator of the problem (drift ignored); F has
-    shape (M+1, N) sampled at the time nodes.
+    Marches ``p`` as given, so the caller passes the drift-free problem
+    ``p.with_drift(zero_drift())``; reusing one such problem reuses its step
+    factors. F has shape (M+1, N) sampled at the time nodes.
     """
-    p0 = p.with_drift(zero_drift())
-    act = p0.active()
+    act = p.active()
     src = None if F is None else -np.asarray(F, dtype=float)[:-1, act]
     states = np.zeros((p.M + 1, p.grid.N))
-    states[:, act] = march(p0, np.asarray(vT, dtype=float)[act], src, adjoint=True)
+    states[:, act] = march(p, np.asarray(vT, dtype=float)[act], src, adjoint=True)
     return Trajectory(grid=p.grid, times=p.times, states=states, case=p.case)
 
 
@@ -250,15 +252,14 @@ def _degenerate_ratio(grid: GridSpec, a: DegeneracyCoefficient,
     return out
 
 
-def _damping_weights(w: CarlemanWeights, grid: GridSpec, theta: np.ndarray,
-                     s: float):
+def _damping_weights(w: CarlemanWeights, theta: np.ndarray, s: float):
     """e^{-2 s phi} on (interior time, node) and (interior time, face) pairs.
 
     Both arrays are divided by their common maximum, taken in log space, so
     they stay representable where the raw weight underflows.
     """
-    L_nodes = -2.0 * s * np.outer(theta, np.atleast_1d(w.eta(grid.nodes)))
-    L_faces = -2.0 * s * np.outer(theta, np.atleast_1d(w.eta(grid.faces)))
+    L_nodes = -2.0 * s * np.outer(theta, w.eta_nodes)
+    L_faces = -2.0 * s * np.outer(theta, w.eta_faces)
     Lmax = max(float(L_nodes.max()), float(L_faces.max()))
     return np.exp(L_nodes - Lmax), np.exp(L_faces - Lmax)
 
@@ -274,18 +275,20 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
     variant "cacciopoli": lhs = weighted v_x^2 over omega' x (0, T), rhs and
     ``src`` as for the lemma. Both sides share one log-space weight
     normalization, so their ratio is exact while the absolute scale is that
-    of the largest weight.
+    of the largest weight. ``w`` must be built on ``p.grid``.
     """
     if variant not in ("lemma", "theorem", "cacciopoli"):
         raise ValueError(f"unknown variant {variant!r}")
-    if s <= 0.0:
+    if not s > 0.0:
         raise ValueError("Carleman parameter s must be positive")
     grid = p.grid
+    if w.grid is not grid:
+        raise ValueError("Carleman weights were built on another grid than p.grid")
     if not np.all(np.isfinite(v.states)):
         raise NonFiniteIntegral("trajectory contains non-finite values")
 
     theta = np.asarray(w.theta(p.times[1:-1]), dtype=float)
-    Wn, Wf = _damping_weights(w, grid, theta, s)
+    Wn, Wf = _damping_weights(w, theta, s)
 
     V = v.states[1:-1]
     dV = np.diff(V, axis=1) / grid.spacings
@@ -418,6 +421,7 @@ def ratio_experiment(p: LinearProblem, w: CarlemanWeights, s_values,
     for the source-driven solution class anyway.
     """
     rng = np.random.default_rng(0) if rng is None else rng
+    p0 = p.with_drift(zero_drift())
     s_values = [float(s) for s in s_values]
     ratios = np.zeros((n_samples, len(s_values)))
     for i in range(n_samples):
@@ -427,10 +431,10 @@ def ratio_experiment(p: LinearProblem, w: CarlemanWeights, s_values,
             F1 = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
             src = SourceSplit(F0=F0, F1=F1)
             v = solve_terminal_source(
-                p, vT, F0 + beta_divergence(p.grid, p.drift.beta, F1, p.case))
+                p0, vT, F0 + beta_divergence(p.grid, p.drift.beta, F1, p.case))
         else:
             src = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
-            v = solve_terminal_source(p, vT, src)
+            v = solve_terminal_source(p0, vT, src)
         for j, s in enumerate(s_values):
             lhs, rhs = carleman_functionals(p, w, v, src, s, variant)
             ratios[i, j] = lhs / rhs if rhs > 0.0 else np.inf

@@ -153,11 +153,12 @@ def l2_norm(grid: GridSpec, u: np.ndarray) -> float:
     return float(np.sqrt(max(l2_inner(grid, u, u), 0.0)))
 
 
-def dirichlet_energy(grid: GridSpec, a: DegeneracyCoefficient, u: np.ndarray) -> float:
-    """|| sqrt(a) u_x ||^2 with slopes at faces, matching the flux stencil."""
+def dirichlet_energy(grid: GridSpec, a: DegeneracyCoefficient, u: np.ndarray):
+    """|| sqrt(a) u_x ||^2 along the last axis of u, with slopes at faces,
+    matching the flux stencil."""
     af = face_diffusivity(grid, a)
     du = np.diff(u)
-    return float(np.sum(af * du * du / grid.spacings))
+    return np.sum(af * du * du / grid.spacings, axis=-1)
 
 
 def h1a_norm(grid: GridSpec, a: DegeneracyCoefficient, u: np.ndarray) -> float:

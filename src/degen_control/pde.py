@@ -54,7 +54,7 @@ class LinearProblem:
         w1, w2 = self.omega
         if not (0.0 < w1 < w2 < 1.0):
             raise ValueError(f"control region must satisfy 0 < w1 < w2 < 1, got {self.omega}")
-        if self.T <= 0.0:
+        if not self.T > 0.0:
             raise ValueError("horizon T must be positive")
         if self.M < 8:
             raise ValueError("need at least 8 time steps")
@@ -157,8 +157,11 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.states[-1]
 
+    def _sq_l2(self) -> np.ndarray:
+        return np.sum(self.grid.weights * self.states * self.states, axis=1)
+
     def sup_l2(self) -> float:
-        return max(l2_norm(self.grid, s) for s in self.states)
+        return float(np.sqrt(np.max(self._sq_l2())))
 
     def _time_weights(self) -> np.ndarray:
         dt = self.times[1] - self.times[0]
@@ -167,28 +170,19 @@ class Trajectory:
         return tw
 
     def l2_Q(self) -> float:
-        tw = self._time_weights()
-        acc = sum(twn * l2_norm(self.grid, s) ** 2 for twn, s in zip(tw, self.states))
-        return float(np.sqrt(acc))
+        return float(np.sqrt(np.sum(self._time_weights() * self._sq_l2())))
 
     def z_norm(self, a: DegeneracyCoefficient) -> float:
         """L^2(0,T; H^1_a) norm."""
-        tw = self._time_weights()
-        acc = 0.0
-        for twn, s in zip(tw, self.states):
-            acc += twn * (l2_norm(self.grid, s) ** 2 + dirichlet_energy(self.grid, a, s))
-        return float(np.sqrt(acc))
+        energy = dirichlet_energy(self.grid, a, self.states)
+        return float(np.sqrt(np.sum(self._time_weights() * (self._sq_l2() + energy))))
 
 
 def control_cost(p: LinearProblem, h: np.ndarray) -> float:
     """||h||^2 over the control region and horizon (piecewise constant in t)."""
     act = p.active()
     wm = p.grid.weights[act] * p.omega_mask()[act]
-    acc = 0.0
-    for n in range(p.M):
-        hn = h[n][act]
-        acc += p.dt * float(np.sum(wm * hn * hn))
-    return acc
+    return p.dt * float(np.sum(wm * h[:p.M, act] ** 2))
 
 
 def solve_forward(p: LinearProblem, h: np.ndarray | None = None) -> Trajectory:
@@ -222,10 +216,7 @@ def control_pairing(p: LinearProblem, h: np.ndarray, v: Trajectory) -> float:
     """sum_n dt <h^n, v^n> over the control region."""
     act = p.active()
     wm = p.grid.weights[act] * p.omega_mask()[act]
-    acc = 0.0
-    for n in range(p.M):
-        acc += p.dt * float(np.sum(wm * h[n][act] * v.states[n][act]))
-    return acc
+    return p.dt * float(np.sum(wm * h[:p.M, act] * v.states[:p.M, act]))
 
 
 def duality_residual(p: LinearProblem, y0: np.ndarray, h: np.ndarray,

@@ -136,11 +136,11 @@ def test_criterion_5_carleman_boundedness_audit():
     summary = []
     for label, a in (("WDP", power_coefficient(0.5)),
                      ("SDP", power_coefficient(1.5))):
-        w = build_weights(a, OMEGA, T=T_audit, lam=0.5)
         for variant in ("lemma", "theorem"):
             max_by_N = {}
             for N in (64, 128):
                 p = _problem(a, N=N, M=128, T=T_audit, y0=np.zeros(N))
+                w = build_weights(a, OMEGA, T=T_audit, lam=0.5, grid=p.grid)
                 res = ratio_experiment(p, w, s_values, 50, variant,
                                        np.random.default_rng(7))
                 assert all(np.isfinite(r) and r > 0.0 for r in res.max_ratios)

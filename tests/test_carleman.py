@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from degen_control import pde
 from degen_control.carleman import (SourceSplit, beta_divergence, build_weights,
                                     c2_threshold, calibrate_s0,
                                     carleman_functionals, random_smooth_field,
                                     ratio_experiment, solve_terminal_source,
-                                    _sample_field, random_space_time_field)
+                                    _check_points, _sample_field,
+                                    random_space_time_field)
 from degen_control.coefficients import Case, power_coefficient
 from degen_control.errors import NonFiniteIntegral, WeightInvalid
 from degen_control.mesh import build_grid
@@ -14,17 +18,18 @@ from degen_control.pde import Trajectory
 from conftest import make_problem
 
 SQRT = power_coefficient(0.5)
+GRID = build_grid(64, 1.0)
 
 
 def test_c2_default_exceeds_threshold():
-    w = build_weights(SQRT, (0.3, 0.9), T=1.0)
+    w = build_weights(SQRT, (0.3, 0.9), T=1.0, grid=GRID)
     assert c2_threshold(SQRT) == pytest.approx(2 / 3)
     assert w.c2 == pytest.approx(0.7, abs=1e-12)
     assert w.c2 > c2_threshold(SQRT)
 
 
 def test_kappa_formulas():
-    w = build_weights(SQRT, (0.3, 0.9), T=1.0)
+    w = build_weights(SQRT, (0.3, 0.9), T=1.0, grid=GRID)
     assert w.kappa_minus == pytest.approx(0.5, abs=1e-15)
     assert w.kappa_plus == pytest.approx(0.7, abs=1e-15)
     width = w.kappa_plus - w.kappa_minus
@@ -32,16 +37,19 @@ def test_kappa_formulas():
     assert w.omega_prime[1] == pytest.approx(w.kappa_plus - width / 4)
 
 
-def test_psi_deg_quadrature_against_closed_form():
-    # int_0^x tau^(1/2) dtau = (2/3) x^(3/2)
-    w = build_weights(SQRT, (0.3, 0.9), T=1.0, c2=1.0)
-    for x in (0.1, 0.5, 1.0):
-        assert w.psi_deg(x) == pytest.approx(1.0 - (2 / 3) * x ** 1.5, abs=1e-8)
-    assert w.psi_deg(1.0) == pytest.approx(1 / 3, abs=1e-8)
+@pytest.mark.parametrize("alpha, c2", [(0.5, 1.0), (1.5, 3.0)])
+def test_psi_deg_quadrature_against_closed_form(alpha, c2):
+    # int_0^x tau^(1 - alpha) dtau = x^(2 - alpha) / (2 - alpha)
+    g = build_grid(128, 1.0)
+    w = build_weights(power_coefficient(alpha), (0.3, 0.9), T=1.0, c2=c2, grid=g)
+    xs = np.concatenate([_check_points(g), g.nodes, g.faces])
+    exact = c2 - xs ** (2.0 - alpha) / (2.0 - alpha)
+    assert np.allclose(w.psi_deg(xs), exact, rtol=0.0, atol=1e-13)
+    assert w.psi_deg(1.0) == pytest.approx(c2 - 1.0 / (2.0 - alpha), abs=1e-13)
 
 
 def test_theta_value_and_blowup():
-    w = build_weights(SQRT, (0.3, 0.9), T=1.0)
+    w = build_weights(SQRT, (0.3, 0.9), T=1.0, grid=GRID)
     assert float(w.theta(0.5)) == pytest.approx(256.0)
     theta = w.theta(np.array([0.5, 0.1, 0.01, 0.001]))
     assert np.all(np.diff(theta) > 0.0)
@@ -52,13 +60,13 @@ def test_theta_value_and_blowup():
 
 
 def test_theta_symmetric_about_midpoint():
-    w = build_weights(SQRT, (0.3, 0.9), T=0.8)
+    w = build_weights(SQRT, (0.3, 0.9), T=0.8, grid=GRID)
     ts = np.array([0.1, 0.2, 0.3])
     assert np.allclose(w.theta(ts), w.theta(0.8 - ts), rtol=1e-14)
 
 
 def test_cutoff_and_blend_values():
-    w = build_weights(SQRT, (0.3, 0.9), T=1.0)
+    w = build_weights(SQRT, (0.3, 0.9), T=1.0, grid=GRID)
     assert float(w.xi(w.kappa_minus)) == 1.0
     assert float(w.xi(w.kappa_plus)) == 0.0
     xs = np.linspace(0, 1, 101)
@@ -71,7 +79,7 @@ def test_cutoff_and_blend_values():
 
 
 def test_blend_is_c1_across_cutoff_interval():
-    w = build_weights(SQRT, (0.3, 0.9), T=1.0)
+    w = build_weights(SQRT, (0.3, 0.9), T=1.0, grid=GRID)
     for x0 in (w.kappa_minus, w.kappa_plus):
         for delta in (1e-4, 1e-6):
             jump = abs(float(w.eta(x0 + delta)) - float(w.eta(x0 - delta)))
@@ -85,7 +93,7 @@ def test_blend_is_c1_across_cutoff_interval():
 
 
 def test_rho_shape():
-    w = build_weights(SQRT, (0.3, 0.9), T=1.0)
+    w = build_weights(SQRT, (0.3, 0.9), T=1.0, grid=GRID)
     assert float(w.rho(0.0)) == pytest.approx(0.0, abs=1e-15)
     assert float(w.rho(1.0)) == pytest.approx(0.0, abs=1e-12)
     xs = np.linspace(0.01, 0.99, 99)
@@ -106,16 +114,24 @@ def test_eta_prime_nonzero_beyond_cutoff():
 
 def test_weight_positivity_guard():
     with pytest.raises(WeightInvalid):
-        build_weights(SQRT, (0.3, 0.9), T=1.0, c2=0.01)
+        build_weights(SQRT, (0.3, 0.9), T=1.0, c2=0.01, grid=GRID)
 
 
 def test_omega_must_be_interior():
     with pytest.raises(ValueError):
-        build_weights(SQRT, (0.0, 0.9), T=1.0)
+        build_weights(SQRT, (0.0, 0.9), T=1.0, grid=GRID)
+
+
+@pytest.mark.parametrize("bad", [{"T": float("nan")}, {"c1": float("nan")},
+                                 {"lam": float("nan")}], ids=["T", "c1", "lam"])
+def test_build_weights_rejects_nan_parameters(bad):
+    kwargs = {"T": 1.0, **bad}
+    with pytest.raises(ValueError):
+        build_weights(SQRT, (0.3, 0.9), grid=GRID, **kwargs)
 
 
 def test_monotone_damping_in_s():
-    w = build_weights(SQRT, (0.3, 0.9), T=1.0)
+    w = build_weights(SQRT, (0.3, 0.9), T=1.0, grid=GRID)
     phi = float(w.eta(0.4)) * float(w.theta(0.3))
     assert phi > 0.0
     logs = [-2.0 * s * phi for s in (1.0, 2.0, 4.0, 8.0)]
@@ -131,7 +147,7 @@ def _zero_traj(p):
 
 def test_functionals_zero_inputs():
     p = make_problem(N=32, M=16, T=1.0)
-    w = build_weights(p.a, p.omega, p.T)
+    w = build_weights(p.a, p.omega, p.T, grid=p.grid)
     v = _zero_traj(p)
     F = np.zeros((p.M + 1, p.grid.N))
     assert carleman_functionals(p, w, v, F, 2.0, "lemma") == (0.0, 0.0)
@@ -142,7 +158,7 @@ def test_functionals_zero_inputs():
 
 def test_functionals_quadratic_homogeneity(rng):
     p = make_problem(N=48, M=32, T=2.0)
-    w = build_weights(p.a, p.omega, p.T, lam=0.5)
+    w = build_weights(p.a, p.omega, p.T, lam=0.5, grid=p.grid)
     vT = random_smooth_field(rng, p.case)(p.grid.nodes)
     F = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
     v = solve_terminal_source(p, vT, F)
@@ -155,7 +171,7 @@ def test_functionals_quadratic_homogeneity(rng):
 
 def test_functionals_reject_nonfinite():
     p = make_problem(N=32, M=16, T=1.0)
-    w = build_weights(p.a, p.omega, p.T)
+    w = build_weights(p.a, p.omega, p.T, grid=p.grid)
     v = _zero_traj(p)
     v.states[3, 5] = np.inf
     with pytest.raises(NonFiniteIntegral):
@@ -164,12 +180,25 @@ def test_functionals_reject_nonfinite():
 
 def test_functional_input_validation():
     p = make_problem(N=32, M=16, T=1.0)
-    w = build_weights(p.a, p.omega, p.T)
+    w = build_weights(p.a, p.omega, p.T, grid=p.grid)
     v = _zero_traj(p)
     with pytest.raises(ValueError):
         carleman_functionals(p, w, v, None, -1.0, "lemma")
     with pytest.raises(ValueError):
+        carleman_functionals(p, w, v, None, float("nan"), "lemma")
+    with pytest.raises(ValueError):
         carleman_functionals(p, w, v, None, 2.0, "bogus")
+
+
+def test_weights_frozen_and_tied_to_their_grid():
+    p = make_problem(N=32, M=16, T=1.0)
+    w = build_weights(p.a, p.omega, p.T, grid=build_grid(32, 1.0))
+    with pytest.raises(ValueError, match="another grid"):
+        carleman_functionals(p, w, _zero_traj(p), None, 2.0, "lemma")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.c2 = 2.0
+    assert np.array_equal(w.eta_nodes, w.eta(w.grid.nodes))
+    assert np.array_equal(w.eta_faces, w.eta(w.grid.faces))
 
 
 @pytest.mark.parametrize("variant, alpha", [("lemma", 0.5), ("theorem", 1.5),
@@ -178,7 +207,7 @@ def test_functional_input_validation():
 def test_ratio_smoke(rng, variant, alpha):
     p = make_problem(a=power_coefficient(alpha), N=48, M=48, T=3.0,
                      y0=np.zeros(48))
-    w = build_weights(p.a, p.omega, p.T, lam=0.5)
+    w = build_weights(p.a, p.omega, p.T, lam=0.5, grid=p.grid)
     res = ratio_experiment(p, w, [1, 4, 16], 8, variant, rng)
     assert res.variant == variant and res.s_values == [1.0, 4.0, 16.0]
     assert all(np.isfinite(r) and r > 0 for r in res.max_ratios)
@@ -186,9 +215,28 @@ def test_ratio_smoke(rng, variant, alpha):
     assert res.s0 in res.s_values
 
 
+@pytest.mark.parametrize("n_samples", [1, 5])
+def test_ratio_experiment_factors_once(monkeypatch, rng, n_samples):
+    factorizations = []
+    real_dgttrf = pde.dgttrf
+
+    def counting_dgttrf(*args, **kwargs):
+        factorizations.append(1)
+        return real_dgttrf(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "dgttrf", counting_dgttrf)
+    p = make_problem(N=24, M=16, T=1.0, b0=0.3, c0=0.2)
+    w = build_weights(p.a, p.omega, p.T, lam=0.5, grid=p.grid)
+    for variant in ("lemma", "theorem"):
+        factorizations.clear()
+        ratio_experiment(p, w, [1, 4], n_samples, variant, rng)
+        # one drift-free problem per call: one forward and one adjoint factorisation
+        assert len(factorizations) == 2
+
+
 def test_cacciopoli_source_monotonicity(rng):
     p = make_problem(N=48, M=32, T=2.0)
-    w = build_weights(p.a, p.omega, p.T, lam=0.5)
+    w = build_weights(p.a, p.omega, p.T, lam=0.5, grid=p.grid)
     vT = random_smooth_field(rng, p.case)(p.grid.nodes)
     F = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
     v = solve_terminal_source(p, vT, F)
@@ -203,7 +251,7 @@ def test_cacciopoli_stable_under_refinement(rng):
     vals = {}
     for N in (64, 128):
         p = make_problem(N=N, M=64, T=3.0, y0=np.zeros(N))
-        w = build_weights(p.a, p.omega, p.T, lam=0.5)
+        w = build_weights(p.a, p.omega, p.T, lam=0.5, grid=p.grid)
         local_rng = np.random.default_rng(99)
         ratios = []
         for _ in range(20):

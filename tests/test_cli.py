@@ -153,6 +153,21 @@ cg.maxiter = 2
     assert last.startswith("ERROR NO_CONVERGENCE:")
 
 
+@pytest.mark.parametrize("command", ["control", "carleman-audit"])
+def test_nan_horizon_is_precondition_error(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, f"""
+command = {command}
+a.kind = power
+a.alpha = 0.5
+grid.N = 32
+M = 32
+T = nan
+""")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 2
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last.startswith("ERROR PRECONDITION:")
+
+
 def test_sweep_command(tmp_path):
     cfg = write_cfg(tmp_path, """
 command = sweep
