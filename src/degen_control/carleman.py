@@ -17,7 +17,10 @@ has its single critical point at the midpoint of an interior subinterval
 (a', b') of (kappa-, kappa+), so eta' = psi_cls' != 0 on (kappa+, w2).
 
 psi_deg's integral is one cumulative sum of ``quad`` over the gaps between the
-sorted points, for every coefficient kind; eta is sampled once on the grid.
+sorted points, for every coefficient kind. The weights run it once, over the
+union of the grid's nodes and faces and the validation check points, and
+sample there, once, everything the audit reads that depends only on the grid
+and the weights.
 
 The audit checks three estimates for solutions v of the backward equation
 v_t + (a v_x)_x = F (or = F0 + (beta F1)_x), each a ``variant`` of
@@ -56,7 +59,10 @@ from .pde import LinearProblem, Trajectory, march
 
 @dataclass(frozen=True)
 class CarlemanWeights:
-    """Blended weight profiles, their parameters, and eta sampled on ``grid``."""
+    """Blended weight profiles, their parameters, and what the audit needs of
+    them on ``grid``: eta at the nodes and faces, a times the face spacings,
+    a and x^2/a at the nodes, and psi_deg at the validation check points
+    (which contain the nodes), all from one cumulative ``quad`` pass."""
 
     a: DegeneracyCoefficient
     T: float
@@ -68,12 +74,28 @@ class CarlemanWeights:
     omega_prime: tuple
     rho_peak: float
     grid: GridSpec = field(repr=False)
+    check_points: np.ndarray = field(init=False, repr=False)
+    psi_check: np.ndarray = field(init=False, repr=False)
     eta_nodes: np.ndarray = field(init=False, repr=False)
     eta_faces: np.ndarray = field(init=False, repr=False)
+    a_faces_h: np.ndarray = field(init=False, repr=False)   # a(faces) * spacings
+    a_pos: np.ndarray = field(init=False, repr=False)       # a at the nodes x > 0
+    xx_over_a: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "eta_nodes", self.eta(self.grid.nodes))
-        object.__setattr__(self, "eta_faces", self.eta(self.grid.faces))
+        grid = self.grid
+        pts, nodes, faces = _check_points(grid), grid.nodes, grid.faces
+        psi = np.split(self.psi_deg(np.concatenate([pts, nodes, faces])),
+                       [pts.size, pts.size + nodes.size])
+        a_pos = np.asarray(self.a.eval(nodes[nodes > 0.0]), dtype=float)
+        for name, value in (
+                ("check_points", pts), ("psi_check", psi[0]),
+                ("eta_nodes", self.eta(nodes, psi[1])),
+                ("eta_faces", self.eta(faces, psi[2])),
+                ("a_faces_h", face_diffusivity(grid, self.a) * grid.spacings),
+                ("a_pos", a_pos),
+                ("xx_over_a", _degenerate_ratio(nodes, a_pos, lambda x: x * x))):
+            object.__setattr__(self, name, value)
 
     def _x_over_a(self, tau: float) -> float:
         if tau <= 0.0:
@@ -134,14 +156,17 @@ class CarlemanWeights:
         out[inside] = -30.0 * ui * ui * (1.0 - ui) ** 2 / width
         return out
 
-    def eta(self, x):
+    def eta(self, x, psi=None):
+        """The blended profile; ``psi``, if given, is psi_deg(x) already computed."""
         xi = self.xi(x)
-        return self.psi_deg(x) * xi + (1.0 - xi) * self.psi_cls(x)
+        psi = self.psi_deg(x) if psi is None else psi
+        return psi * xi + (1.0 - xi) * self.psi_cls(x)
 
-    def eta_prime(self, x):
+    def eta_prime(self, x, psi=None):
         xi = self.xi(x)
         dxi = self.xi_prime(x)
-        return (self.psi_deg_prime(x) * xi + self.psi_deg(x) * dxi
+        psi = self.psi_deg(x) if psi is None else psi
+        return (self.psi_deg_prime(x) * xi + psi * dxi
                 - dxi * self.psi_cls(x) + (1.0 - xi) * self.psi_cls_prime(x))
 
     def theta(self, t):
@@ -186,16 +211,15 @@ def build_weights(a: DegeneracyCoefficient, omega: tuple, T: float,
                         lam=float(lam), kappa_minus=km, kappa_plus=kp,
                         omega_prime=(ap, bp), rho_peak=0.5 * (ap + bp), grid=grid)
 
-    pts = _check_points(grid)
-    psi = np.atleast_1d(w.psi_deg(pts))
+    pts, psi = w.check_points, w.psi_check
     if np.any(psi <= 0.0):
         raise WeightInvalid(
             f"psi_deg <= 0 at x = {pts[np.argmin(psi)]:.6g}; "
             f"c2 = {c2:.6g} vs threshold {c2_threshold(a):.6g}")
 
-    region = pts[(pts > kp) & (pts < w2)]
-    if region.size:
-        dp = np.abs(np.atleast_1d(w.eta_prime(region)))
+    region = (pts > kp) & (pts < w2)
+    if np.any(region):
+        dp = np.abs(w.eta_prime(pts[region], psi[region]))
         if np.any(dp <= 1e-12 * max(1.0, float(dp.max()))):
             raise WeightInvalid("eta' vanishes at a node of (kappa+, w2)")
 
@@ -242,13 +266,12 @@ def solve_terminal_source(p: LinearProblem, vT: np.ndarray,
     return Trajectory(grid=p.grid, times=p.times, states=states, case=p.case)
 
 
-def _degenerate_ratio(grid: GridSpec, a: DegeneracyCoefficient,
-                      numerator_sq) -> np.ndarray:
-    """numerator(x)^2 / a(x) at the nodes with the limiting value 0 at x = 0."""
-    x = grid.nodes
-    out = np.zeros(grid.N)
+def _degenerate_ratio(x: np.ndarray, a_pos: np.ndarray, numerator_sq) -> np.ndarray:
+    """numerator(x)^2 / a(x) at the nodes x, given ``a_pos`` = a at the nodes
+    x > 0, with the limiting value 0 at x = 0."""
+    out = np.zeros(x.size)
     pos = x > 0.0
-    out[pos] = numerator_sq(x[pos]) / np.asarray(a.eval(x[pos]), dtype=float)
+    out[pos] = numerator_sq(x[pos]) / a_pos
     return out
 
 
@@ -300,10 +323,8 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
         prime_mask = ((grid.faces > ap) & (grid.faces < bp)) * grid.spacings
         lhs = dt * float(np.sum(np.sum(prime_mask * dV * dV * Wf, axis=1)))
     else:
-        af_h = face_diffusivity(grid, w.a) * grid.spacings
-        xx_over_a = _degenerate_ratio(grid, w.a, lambda x: x * x)
-        grad = s * float(np.sum(theta * np.sum(af_h * dV * dV * Wf, axis=1)))
-        zero = s ** 3 * float(np.sum(theta ** 3 * np.sum(wq * xx_over_a * V * V * Wn, axis=1)))
+        grad = s * float(np.sum(theta * np.sum(w.a_faces_h * dV * dV * Wf, axis=1)))
+        zero = s ** 3 * float(np.sum(theta ** 3 * np.sum(wq * w.xx_over_a * V * V * Wn, axis=1)))
         lhs = dt * (grad + zero)
 
     obs_mask = wq * p.omega_mask()
@@ -325,7 +346,7 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
         F1 = np.asarray(src.F1, dtype=float)[1:-1]
         if not (np.all(np.isfinite(F0)) and np.all(np.isfinite(F1))):
             raise NonFiniteIntegral("source fields contain non-finite values")
-        bb_over_a = _degenerate_ratio(grid, w.a,
+        bb_over_a = _degenerate_ratio(grid.nodes, w.a_pos,
                                       lambda x: np.asarray(p.drift.beta(x)) ** 2)
         t0 = dt * float(np.sum(np.sum(wq * F0 * F0 * Wn, axis=1)))
         t1 = s ** 2 * dt * float(

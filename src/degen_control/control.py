@@ -11,11 +11,19 @@ gradient; the resulting control h = vhat-adjoint restricted to omega yields
 a final state satisfying y(T) = -eps vhat exactly up to the CG residual.
 As eps -> 0 the final-state norm follows the square-root law of penalized
 HUM for null-controllable configurations, which the epsilon sweep measures.
+
+Every penalty of a sweep shares the Gramian and the right-hand side, so one
+Krylov space serves the whole ladder: a multi-shift CG runs on the smallest
+eps and recurs every other penalty's iterate at no extra Gramian apply. A
+penalty's ``cg_iters`` is the iteration at which its recurred residual met
+the tolerance; it equals a separate CG run's count in exact arithmetic and
+can differ by a few iterations in floating point. With one penalty the
+iteration is plain CG.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,41 +47,82 @@ def apply_gramian(p: LinearProblem, vT: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cg(apply_A, rhs, inner, tol, max_iters):
-    """Conjugate gradient in a weighted inner product.
+@dataclass
+class _Shifted:
+    """CG state of one shifted system, recurred from the seed's residuals."""
 
-    Returns (x, iterations, residual_history, energy_history); the energy
-    history tracks the quadratic functional 1/2 x'Ax - b'x, which decreases
-    monotonically. Raises NotSPD on nonpositive curvature beyond round-off,
-    NoConvergence when the iteration budget runs out.
+    delta: float              # shift minus the seed shift, >= 0
+    x: np.ndarray
+    p: np.ndarray
+    res_hist: list
+    zeta: float = 1.0         # r_shift = zeta r_seed
+    zeta_prev: float = 1.0
+    energy: float = 0.0
+    energy_hist: list = field(default_factory=lambda: [0.0])
+    iters: int | None = None  # set once converged; the state is frozen then
+
+
+def _cg(apply_gram, rhs, inner, shifts, tol, max_iters):
+    """Multi-shift conjugate gradient for (Lam + sigma I) x = rhs, every sigma
+    in ``shifts``, in a weighted inner product.
+
+    CG runs on the seed system, the smallest shift, with one ``apply_gram``
+    per iteration. Every shifted residual stays collinear with the seed's,
+    r_sigma = zeta r, so each shift's iterate, search direction and energy
+    follow from scalar recurrences in zeta (Jegerlehner, "Krylov space solvers
+    for shifted linear systems", 1996) at no further apply. A shift converges
+    at the first k with |zeta_k| ||r_k|| <= tol ||rhs|| and is frozen from
+    then on. With one shift zeta == 1 exactly and this is plain CG.
+
+    Returns, per shift in the given order, (x, iterations, residual_history,
+    energy_history); the energy 1/2 x'Ax - b'x of each system decreases
+    monotonically. Raises NotSPD on nonpositive curvature of the seed system
+    beyond round-off, NoConvergence with the seed's residual history when the
+    iteration budget runs out before every shift has converged.
     """
-    x = np.zeros_like(rhs)
+    seed = min(shifts)
     norm_rhs = np.sqrt(inner(rhs, rhs))
     if norm_rhs == 0.0:
-        return x, 0, [0.0], [0.0]
+        return [(np.zeros_like(rhs), 0, [0.0], [0.0]) for _ in shifts]
     r = rhs.copy()
     d = r.copy()
     rs = inner(r, r)
     res_hist = [np.sqrt(rs)]
-    energy_hist = [0.0]
-    J = 0.0
+    systems = [_Shifted(delta=s - seed, x=np.zeros_like(rhs), p=r.copy(),
+                        res_hist=[res_hist[0]]) for s in shifts]
+    live = systems
+    alpha_prev, beta_prev = 1.0, 0.0
     for k in range(1, max_iters + 1):
-        Ad = apply_A(d)
+        Ad = apply_gram(d) + seed * d
         dAd = inner(d, Ad)
         dd = inner(d, d)
         if dAd <= 1e-14 * dd:
             raise NotSPD(f"curvature {dAd:.3e} on a direction of norm^2 {dd:.3e}")
         alpha = rs / dAd
-        x = x + alpha * d
-        J -= 0.5 * rs * rs / dAd
-        energy_hist.append(J)
         r = r - alpha * Ad
         rs_new = inner(r, r)
         res_hist.append(np.sqrt(rs_new))
-        if res_hist[-1] <= tol * norm_rhs:
-            return x, k, res_hist, energy_hist
-        d = r + (rs_new / rs) * d
+        beta = rs_new / rs
+        for sy in live:
+            z, zp = sy.zeta, sy.zeta_prev
+            z_new = z * zp * alpha_prev / (alpha * beta_prev * (zp - z)
+                                           + zp * alpha_prev * (1.0 + sy.delta * alpha))
+            alpha_s = alpha * (z_new / z)
+            sy.x = sy.x + alpha_s * sy.p
+            sy.energy -= 0.5 * alpha_s * (z * z * rs)
+            sy.energy_hist.append(sy.energy)
+            sy.res_hist.append(abs(z_new) * res_hist[-1])
+            if sy.res_hist[-1] <= tol * norm_rhs:
+                sy.iters = k
+                continue
+            sy.p = z_new * r + ((z_new / z) ** 2 * beta) * sy.p
+            sy.zeta_prev, sy.zeta = z, z_new
+        live = [sy for sy in live if sy.iters is None]
+        if not live:
+            return [(sy.x, sy.iters, sy.res_hist, sy.energy_hist) for sy in systems]
+        d = r + beta * d
         rs = rs_new
+        alpha_prev, beta_prev = alpha, beta
     raise NoConvergence(
         f"CG spent {max_iters} iterations, residual {res_hist[-1]:.3e} "
         f"(target {tol * norm_rhs:.3e})", res_hist)
@@ -95,6 +144,51 @@ class HUMResult:
     trajectory: Trajectory
 
 
+def _hum_solves(p: LinearProblem, eps_list, cg_tol: float, max_iters: int):
+    """Penalized minimal-norm controls of the linear problem, one HUMResult
+    per penalty, yielded in the order of ``eps_list``.
+
+    Solves (Lam + eps I) vhat = -y_free(T) for every eps at once by
+    multi-shift CG in the weighted inner product: y_free is computed once and
+    all penalties share one Krylov space. Per eps it builds the control from
+    the adjoint of vhat and reruns the forward problem with it; the
+    optimality identity yT = -eps vhat holds to the CG tolerance and its gap
+    is recorded.
+    """
+    for eps in eps_list:
+        if not (np.isfinite(eps) and eps > 0.0):
+            raise ValueError(f"penalty epsilon must be finite and positive, got {eps}")
+    act = p.active()
+    w_act = p.grid.weights[act]
+
+    def inner(u, v):
+        return float(np.sum(w_act * u * v))
+
+    rhs = -solve_forward(p).final()[act]
+    solves = _cg(lambda u: _gramian_apply_active(p, u), rhs, inner, eps_list,
+                 cg_tol, max_iters)
+    y0n = l2_norm(p.grid, p.y0)
+    norm_rhs = float(np.sqrt(inner(rhs, rhs)))
+    for epsilon, (x, iters, res_hist, energy_hist) in zip(eps_list, solves):
+        vhatT = np.zeros(p.grid.N)
+        vhatT[act] = x
+        v = solve_adjoint(p, vhatT)
+        h = v.states[:-1] * p.omega_mask()[None, :]
+        y = solve_forward(p, h)
+        yT = y.final()
+        gap_vec = yT[act] + epsilon * x
+        gap = float(np.sqrt(np.sum(w_act * gap_vec * gap_vec)))
+        if gap > 10.0 * cg_tol * max(y0n, norm_rhs) + 1e-300:
+            raise NoConvergence(
+                f"optimality identity violated: ||yT + eps vhat|| = {gap:.3e}", res_hist)
+        cost = control_cost(p, h)
+        yield HUMResult(
+            vhatT=vhatT, h=h, yT=yT, norm_yT=l2_norm(p.grid, yT), cost=cost,
+            cost_constant=cost / y0n ** 2 if y0n > 0 else None, epsilon=epsilon,
+            cg_iters=iters, cg_residual=res_hist[-1], cg_energy_history=energy_hist,
+            optimality_gap=gap, trajectory=y)
+
+
 def hum_solve(p: LinearProblem, epsilon: float, cg_tol: float = 1e-10,
               max_iters: int = 500) -> HUMResult:
     """Penalized minimal-norm control of the linear problem.
@@ -102,43 +196,10 @@ def hum_solve(p: LinearProblem, epsilon: float, cg_tol: float = 1e-10,
     Solves (Lam + eps I) vhat = -y_free(T) by CG in the weighted inner
     product, builds the control from the adjoint of vhat, and reruns the
     forward problem with it. The optimality identity yT = -eps vhat holds to
-    the CG tolerance and its gap is recorded.
+    the CG tolerance and its gap is recorded. Raises ValueError unless eps is
+    finite and positive.
     """
-    if epsilon <= 0.0:
-        raise ValueError("penalty epsilon must be positive")
-    act = p.active()
-    w_act = p.grid.weights[act]
-
-    def inner(u, v):
-        return float(np.sum(w_act * u * v))
-
-    y_free = solve_forward(p)
-    rhs = -y_free.final()[act]
-
-    def apply_A(u):
-        return _gramian_apply_active(p, u) + epsilon * u
-
-    x, iters, res_hist, energy_hist = _cg(apply_A, rhs, inner, cg_tol, max_iters)
-
-    vhatT = np.zeros(p.grid.N)
-    vhatT[act] = x
-    v = solve_adjoint(p, vhatT)
-    h = v.states[:-1] * p.omega_mask()[None, :]
-    y = solve_forward(p, h)
-    yT = y.final()
-    gap_vec = yT[act] + epsilon * x
-    gap = float(np.sqrt(np.sum(w_act * gap_vec * gap_vec)))
-    y0n = l2_norm(p.grid, p.y0)
-    norm_rhs = float(np.sqrt(inner(rhs, rhs)))
-    if gap > 10.0 * cg_tol * max(y0n, norm_rhs) + 1e-300:
-        raise NoConvergence(
-            f"optimality identity violated: ||yT + eps vhat|| = {gap:.3e}", res_hist)
-    cost = control_cost(p, h)
-    return HUMResult(vhatT=vhatT, h=h, yT=yT, norm_yT=l2_norm(p.grid, yT),
-                     cost=cost, cost_constant=cost / y0n ** 2 if y0n > 0 else None,
-                     epsilon=epsilon, cg_iters=iters, cg_residual=res_hist[-1],
-                     cg_energy_history=energy_hist, optimality_gap=gap,
-                     trajectory=y)
+    return next(_hum_solves(p, [float(epsilon)], cg_tol, max_iters))
 
 
 @dataclass
@@ -169,12 +230,9 @@ def epsilon_sweep(p: LinearProblem, eps_list, cg_tol: float = 1e-10,
         raise ValueError("need at least 4 penalty values")
     if np.any(np.diff(eps_list) >= 0.0):
         raise ValueError("penalty values must be strictly decreasing")
-    rows = []
-    for eps in eps_list:
-        res = hum_solve(p, eps, cg_tol=cg_tol, max_iters=max_iters)
-        rows.append(SweepRow(epsilon=eps, norm_yT=res.norm_yT, cost=res.cost,
-                             cg_iters=res.cg_iters,
-                             optimality_gap=res.optimality_gap))
+    rows = [SweepRow(epsilon=res.epsilon, norm_yT=res.norm_yT, cost=res.cost,
+                     cg_iters=res.cg_iters, optimality_gap=res.optimality_gap)
+            for res in _hum_solves(p, eps_list, cg_tol, max_iters)]
     norms = np.array([r.norm_yT for r in rows])
     costs = np.array([r.cost for r in rows])
     ok = norms > 0.0

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from degen_control import pde
+from degen_control import carleman, pde
 from degen_control.carleman import (SourceSplit, beta_divergence, build_weights,
                                     c2_threshold, calibrate_s0,
                                     carleman_functionals, random_smooth_field,
@@ -204,8 +204,41 @@ def test_weights_frozen_and_tied_to_their_grid():
         carleman_functionals(p, w, _zero_traj(p), None, 2.0, "lemma")
     with pytest.raises(dataclasses.FrozenInstanceError):
         w.c2 = 2.0
-    assert np.array_equal(w.eta_nodes, w.eta(w.grid.nodes))
-    assert np.array_equal(w.eta_faces, w.eta(w.grid.faces))
+    # sampled from one cumulative psi_deg pass over nodes, faces and check
+    # points, so equal to a pass over the nodes or faces alone up to quad
+    # round-off (the bound of the closed-form psi_deg tests)
+    assert np.allclose(w.eta_nodes, w.eta(w.grid.nodes), rtol=0.0, atol=1e-13)
+    assert np.allclose(w.eta_faces, w.eta(w.grid.faces), rtol=0.0, atol=1e-13)
+
+
+def test_weights_sample_grid_factors_once(monkeypatch):
+    quad_calls = []
+    real_quad = carleman.quad
+
+    def counting_quad(*args, **kwargs):
+        quad_calls.append(1)
+        return real_quad(*args, **kwargs)
+
+    a_evals = []
+
+    def counting_eval(x):
+        a_evals.append(1)
+        return SQRT.eval(x)
+
+    monkeypatch.setattr(carleman, "quad", counting_quad)
+    a = dataclasses.replace(SQRT, eval=counting_eval)
+    p = make_problem(a=a, N=32, M=16, T=1.0, b0=0.3)
+    w = build_weights(a, p.omega, p.T, grid=p.grid)
+    # one quad per distinct point of nodes, faces and check points (0 included)
+    assert len(quad_calls) == np.unique(np.r_[w.check_points, p.grid.faces]).size
+    assert np.allclose(w.psi_check, w.psi_deg(w.check_points), rtol=0.0, atol=1e-13)
+    a_evals.clear()
+    v = _zero_traj(p)
+    F = np.ones((p.M + 1, p.grid.N))
+    for variant, src in (("lemma", F), ("cacciopoli", F),
+                         ("theorem", SourceSplit(F0=F, F1=F))):
+        carleman_functionals(p, w, v, src, 2.0, variant)
+    assert a_evals == []
 
 
 @pytest.mark.parametrize("variant, alpha", [("lemma", 0.5), ("theorem", 1.5),

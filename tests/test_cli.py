@@ -153,15 +153,22 @@ cg.maxiter = 2
     assert last.startswith("ERROR NO_CONVERGENCE:")
 
 
-@pytest.mark.parametrize("command", ["control", "carleman-audit"])
-def test_nan_horizon_is_precondition_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("command,bad", [
+    ("control", "T = nan"),
+    ("carleman-audit", "T = nan"),
+    ("control", "epsilon = nan"),
+    ("sweep", "epsilon.sweep = 1e-2,nan,1e-4,1e-5"),
+], ids=["control", "carleman-audit", "control-epsilon", "sweep-epsilon"])
+def test_nan_horizon_is_precondition_error(tmp_path, capsys, command, bad):
+    # NaN passes a check written as x <= 0; a NaN horizon or penalty must end
+    # as a precondition error, not as NO_CONVERGENCE after 500 CG iterations
     cfg = write_cfg(tmp_path, f"""
 command = {command}
 a.kind = power
 a.alpha = 0.5
 grid.N = 32
 M = 32
-T = nan
+{bad}
 """)
     assert main([cfg, "--out", str(tmp_path / "o")]) == 2
     last = capsys.readouterr().out.strip().splitlines()[-1]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from degen_control import pde
 from degen_control.control import (ObservabilityReport, _cg, apply_gramian,
                                    epsilon_sweep, hum_solve,
                                    observability_estimate)
@@ -125,19 +126,40 @@ def test_sweep_preconditions():
         epsilon_sweep(p, [1e-2, 1e-3, 1e-4])
     with pytest.raises(ValueError):
         epsilon_sweep(p, [1e-4, 1e-3, 1e-2, 1e-5])
+    with pytest.raises(ValueError):
+        epsilon_sweep(p, [1e-2, float("nan"), 1e-4, 1e-5])
+
+
+def test_sweep_shares_one_krylov_space(monkeypatch):
+    # one free forward sweep, one backward and one forward sweep per
+    # iteration of the hardest penalty, then one of each per penalty
+    solves = []
+    real_dgttrs = pde.dgttrs
+
+    def counting_dgttrs(*args, **kwargs):
+        solves.append(1)
+        return real_dgttrs(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "dgttrs", counting_dgttrs)
+    p = make_problem(N=32, M=16)
+    eps = [1e-2, 1e-3, 1e-4, 1e-5]
+    sw = epsilon_sweep(p, eps)
+    iters = max(r.cg_iters for r in sw.rows)
+    assert len(solves) == p.M * (1 + 2 * iters + 2 * len(eps))
 
 
 def test_hum_rejects_bad_epsilon():
     p = make_problem(N=32, M=16)
-    with pytest.raises(ValueError):
-        hum_solve(p, 0.0)
+    for epsilon in (0.0, -1e-6, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            hum_solve(p, epsilon)
 
 
 def test_cg_not_spd():
     rhs = np.ones(4)
     inner = lambda u, v: float(u @ v)
     with pytest.raises(NotSPD):
-        _cg(lambda u: -u, rhs, inner, 1e-10, 50)
+        _cg(lambda u: -u, rhs, inner, [0.0], 1e-10, 50)
 
 
 def test_cg_no_convergence_reports_history():
@@ -145,8 +167,32 @@ def test_cg_no_convergence_reports_history():
     A = np.diag([1.0, 1e-12])
     inner = lambda u, v: float(u @ v)
     with pytest.raises(NoConvergence) as exc:
-        _cg(lambda u: A @ u, rhs, inner, 1e-14, 1)
+        _cg(lambda u: A @ u, rhs, inner, [0.0], 1e-14, 1)
     assert len(exc.value.residual_history) >= 1
+
+
+def test_multishift_cg_matches_one_shift_solves():
+    # SPD with spectrum in [0.1, 1], so CG converges long before rounding
+    # could make the shared and the separate iteration counts drift apart;
+    # the shifts come unsorted, the seed is the smallest
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    A = Q @ np.diag(np.geomspace(0.1, 1.0, 60)) @ Q.T
+    rhs = rng.standard_normal(60)
+    inner = lambda u, v: float(u @ v)
+    shifts = [1e-2, 1.0, 1e-4, 1e-1]
+    together = _cg(lambda u: A @ u, rhs, inner, shifts, 1e-10, 500)
+    assert len(together) == len(shifts)
+    for sigma, (x, iters, res_hist, energy_hist) in zip(shifts, together):
+        [(x1, iters1, _, _)] = _cg(lambda u: A @ u, rhs, inner, [sigma], 1e-10, 500)
+        assert iters == iters1
+        assert np.linalg.norm(x - x1) <= 1e-9 * np.linalg.norm(x1)
+        assert len(res_hist) == len(energy_hist) == iters + 1
+        assert np.all(np.diff(energy_hist) <= 0.0)
+        A_sigma = A + sigma * np.eye(60)
+        assert energy_hist[-1] == pytest.approx(0.5 * x @ A_sigma @ x - rhs @ x, rel=1e-9)
+        exact = np.linalg.solve(A_sigma, rhs)
+        assert np.linalg.norm(x - exact) <= 1e-6 * np.linalg.norm(exact)
 
 
 def test_hum_no_convergence():
