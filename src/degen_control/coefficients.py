@@ -61,9 +61,11 @@ class DegeneracyCoefficient:
 class DriftEnvelope:
     """First/zero-order coefficient data for the linear equation.
 
-    ``b(x, t)`` multiplies the state, ``beta(x) * c(x, t)`` its gradient.
-    ``C_beta`` bounds |beta(x)/x|. ``time_dependent`` tells the solvers
-    whether the step matrix must be rebuilt at every time level.
+    ``b(x, t)`` multiplies the state, ``beta(x) * c(x, t)`` its gradient;
+    assembly calls them with the active nodes x (n,) and a column of times t
+    (L, 1), and their results must broadcast to (L, n). ``C_beta`` bounds
+    |beta(x)/x|. ``time_dependent`` tells the solvers whether the step
+    matrix must be rebuilt at every time level.
     """
 
     beta: Callable[[np.ndarray], np.ndarray]
@@ -221,6 +223,8 @@ def finite_difference_derivative(f, step: float = FD_STEP):
 
 def linear_beta(scale: float = 1.0):
     scale = float(scale)
+    if not np.isfinite(scale):
+        raise ValueError(f"beta scale must be finite, got {scale}")
 
     def beta(x):
         return scale * np.asarray(x, dtype=float)
@@ -237,6 +241,8 @@ def constant_drift(b0: float = 0.0, c0: float = 0.0, beta=None,
     """Drift with constant zero/first-order coefficients and beta(x) = x by default."""
     beta = beta if beta is not None else linear_beta(1.0)
     b0, c0 = float(b0), float(c0)
+    if not (np.isfinite(b0) and np.isfinite(c0)):
+        raise ValueError(f"drift constants must be finite, got b0 = {b0}, c0 = {c0}")
 
     def b(x, t):
         return np.full_like(np.asarray(x, dtype=float), b0)

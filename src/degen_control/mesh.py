@@ -70,7 +70,10 @@ def face_diffusivity(grid: GridSpec, a: DegeneracyCoefficient) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TriDiagOperator:
-    """Assembled operator over the active nodes (sub[0] = sup[-1] = 0)."""
+    """Assembled operator over the active nodes (sub[0] = sup[-1] = 0).
+
+    Bands are (n,), or (L, n) for L stacked time levels that ``apply`` maps
+    level by level."""
 
     sub: np.ndarray
     diag: np.ndarray
@@ -82,31 +85,31 @@ class TriDiagOperator:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         r = self.diag * u
-        r[1:] += self.sub[1:] * u[:-1]
-        r[:-1] += self.sup[:-1] * u[1:]
+        r[..., 1:] += self.sub[..., 1:] * u[..., :-1]
+        r[..., :-1] += self.sup[..., :-1] * u[..., 1:]
         return r
-
-    def dense(self) -> np.ndarray:
-        n = self.diag.size
-        A = np.diag(self.diag)
-        A += np.diag(self.sub[1:], -1)
-        A += np.diag(self.sup[:-1], 1)
-        return A
 
 
 def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
-                      drift: DriftEnvelope, t: float) -> TriDiagOperator:
-    """Flux-form diffusion + reaction + upwinded drift at time t."""
+                      drift: DriftEnvelope, t) -> TriDiagOperator:
+    """Flux-form diffusion + reaction + upwinded drift at time t.
+
+    Given a 1-D array of L times, the bands are stacked with shape (L, n):
+    the diffusion part is computed once and the drift's b and c are evaluated
+    once, at the active nodes against the column of times.
+    """
     act = active_indices(grid, a.case)
     n = act.size
     x = grid.nodes
     h = grid.spacings
     w = grid.weights
     af = face_diffusivity(grid, a)
+    t = np.asarray(t, dtype=float)
+    shape = t.shape + (n,)
 
-    sub = np.zeros(n)
-    diag = np.zeros(n)
-    sup = np.zeros(n)
+    sub = np.zeros(shape)
+    diag = np.zeros(shape)
+    sup = np.zeros(shape)
     d = w[act]
 
     cR = af[act] / h[act]                       # right face conductance
@@ -119,25 +122,23 @@ def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
     # neighbors contribute nothing (their value is zero)
     left_active = act - 1 >= act[0]
     right_active = act + 1 <= act[-1]
-    sub[left_active] = -(cL / d)[left_active]
-    sup[right_active] = -(cR / d)[right_active]
+    sub[..., left_active] = -(cL / d)[left_active]
+    sup[..., right_active] = -(cR / d)[right_active]
 
-    diag += np.asarray(drift.b(x[act], t), dtype=float)
+    diag += drift.b(x[act], t[..., None])
 
-    q = np.asarray(drift.beta(x[act]), dtype=float) \
-        * np.asarray(drift.c(x[act], t), dtype=float)
+    q = np.asarray(drift.beta(x[act]), dtype=float) * drift.c(x[act], t[..., None])
     if np.any(q != 0.0):
         backward = (q >= 0.0) & has_left_face
         forward = ~backward
         hb = np.ones(n)
         hb[has_left_face] = h[act[has_left_face] - 1]
-        diag[backward] += (q / hb)[backward]
-        bw_couple = backward & left_active
-        sub[bw_couple] -= (q / hb)[bw_couple]
-        hf = h[act]
-        diag[forward] -= (q / hf)[forward]
-        fw_couple = forward & right_active
-        sup[fw_couple] += (q / hf)[fw_couple]
+        qh = q / hb
+        np.add(diag, qh, out=diag, where=backward)
+        np.subtract(sub, qh, out=sub, where=backward & left_active)
+        np.divide(q, h[act], out=qh)
+        np.subtract(diag, qh, out=diag, where=forward)
+        np.add(sup, qh, out=sup, where=forward & right_active)
 
     return TriDiagOperator(sub=sub, diag=diag, sup=sup, active=act,
                            weights=d, case=a.case, grid=grid)
@@ -159,10 +160,6 @@ def dirichlet_energy(grid: GridSpec, a: DegeneracyCoefficient, u: np.ndarray):
     af = face_diffusivity(grid, a)
     du = np.diff(u)
     return np.sum(af * du * du / grid.spacings, axis=-1)
-
-
-def h1a_norm(grid: GridSpec, a: DegeneracyCoefficient, u: np.ndarray) -> float:
-    return float(np.sqrt(l2_inner(grid, u, u) + dirichlet_energy(grid, a, u)))
 
 
 # -- discrete Hardy-type inequality --------------------------------------------

@@ -13,11 +13,13 @@ and observability machinery is built on (discretize-then-optimize).
 
 Time-dependent coefficients are frozen per step at the backward node t_{n+1}.
 
-Every sweep goes through ``march``. The step matrix I + dt A(t_{n+1}) is
-assembled once per distinct time level, LU-factored (LAPACK ``dgttrf``) for
-both directions and cached on the problem, so with time-independent
-coefficients one factorisation per direction serves all M steps. The adjoint factors the weighted transpose I + dt W^{-1} A^T W
-as a tridiagonal matrix of its own. Solving with the forward LU in transposed
+Every sweep goes through ``march``. One batched assembly per problem gives
+the step matrices I + dt A(t_{n+1}) of all M levels as stacked bands (a
+single level for time-independent coefficients). Each level is LU-factored
+(LAPACK ``dgttrf``) for both directions and cached on the problem, so with
+time-independent coefficients one factorisation per direction serves all M
+steps. The adjoint factors the weighted transpose I + dt W^{-1} A^T W as a
+tridiagonal matrix of its own. Solving with the forward LU in transposed
 mode is equal in exact arithmetic, but rounds differently enough to move
 small entries of the semilinear golden control field past the corpus's 1e-6
 relative tolerance.
@@ -33,8 +35,8 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .coefficients import DegeneracyCoefficient, DriftEnvelope
 from .errors import SolverBreakdown
-from .mesh import (GridSpec, TriDiagOperator, active_indices,
-                   assemble_operator, dirichlet_energy, l2_norm)
+from .mesh import (GridSpec, active_indices, assemble_operator,
+                   dirichlet_energy, l2_norm)
 
 
 @dataclass
@@ -88,14 +90,14 @@ class LinearProblem:
         return (x >= self.omega[0]) & (x <= self.omega[1])
 
 
-def _factor_step(op: TriDiagOperator, dt: float, step: int,
-                 w: np.ndarray | None = None):
-    """LU factors of I + dt A, or of I + dt W^{-1} A^T W given the weights w."""
-    sub, sup = op.sub[1:], op.sup[:-1]
+def _factor_step(sub, diag, sup, dt: float, step: int, w: np.ndarray | None = None):
+    """LU factors of I + dt A from A's bands at one level, or of
+    I + dt W^{-1} A^T W given the weights w."""
+    sub, sup = sub[1:], sup[:-1]
     if w is not None:
         # the weighted transpose of a tridiagonal matrix is tridiagonal too
         sub, sup = sup * w[:-1] / w[1:], sub * w[1:] / w[:-1]
-    *lu, info = dgttrf(dt * sub, 1.0 + dt * op.diag, dt * sup)
+    *lu, info = dgttrf(dt * sub, 1.0 + dt * diag, dt * sup)
     if info > 0:
         raise SolverBreakdown(f"singular step matrix at time index {step}")
     return lu
@@ -108,19 +110,19 @@ def _step_solve(lu, rhs: np.ndarray) -> np.ndarray:
 def _step_factors(p: LinearProblem, adjoint: bool) -> list:
     """Per-step LU factors of one direction.
 
-    Each distinct time level is assembled once and factored for both
-    directions at the first call, so a problem that marches both ways (HUM,
-    Picard) never assembles a level twice.
+    At the first call one assembly gives the stacked bands of every time
+    level (of one level when the drift is time independent), and each level
+    is factored for both directions, so a problem that marches both ways
+    (HUM, Picard) assembles once.
     """
     if not p._cache:
         w = p.grid.weights[p.active()]
-        levels = range(1, p.M + 1) if p.drift.time_dependent else (1,)
-        fwd, adj = [], []
-        for k in levels:
-            op = assemble_operator(p.grid, p.a, p.drift, k * p.dt)
-            fwd.append(_factor_step(op, p.dt, k))
-            adj.append(_factor_step(op, p.dt, k, w))
-        reps = 1 if p.drift.time_dependent else p.M
+        steps = np.arange(1, (p.M if p.drift.time_dependent else 1) + 1)
+        op = assemble_operator(p.grid, p.a, p.drift, steps * p.dt)
+        levels = list(zip(steps, op.sub, op.diag, op.sup))
+        fwd = [_factor_step(*bands, p.dt, k) for k, *bands in levels]
+        adj = [_factor_step(*bands, p.dt, k, w) for k, *bands in levels]
+        reps = p.M // len(levels)
         p._cache.update(fwd=fwd * reps, adj=adj * reps)
     return p._cache["adj" if adjoint else "fwd"]
 

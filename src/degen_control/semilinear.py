@@ -8,9 +8,14 @@ freezing with the penalized linear control solve and stops when consecutive
 trajectories agree in the L^2(0,T; H^1_a) norm; the converged pair (y, h) is
 checked against the discrete semilinear equation itself.
 
+Freezing works on whole space-time arrays: each factor is called once on
+the (M+1, N) trajectory, and each frozen linear problem, the residual's
+included, is assembled once as stacked bands read from those tables.
+
 For rough initial data the two-phase driver first runs the uncontrolled
 semilinear equation on (0, t0) (per-step inner iteration on the frozen
-coefficients), then controls on (t0, T) from the smoothed state.
+coefficients, one row assembly per inner step), then controls on (t0, T)
+from the smoothed state.
 """
 
 from __future__ import annotations
@@ -46,7 +51,10 @@ def _tanhc(p):
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Factored nonlinearity f = b~ s + c~ beta p with bounded factors."""
+    """Factored nonlinearity f = b~ s + c~ beta p with bounded factors.
+
+    Freezing calls a factor with x (N,), t (M+1, 1) and s, p (M+1, N); its
+    result must broadcast to (M+1, N)."""
 
     b_factor: Callable  # (x, t, s, p) -> array
     c_factor: Callable  # (x, t, s, p) -> array
@@ -69,6 +77,8 @@ def zero_nonlinearity() -> Nonlinearity:
 
 def sine_nonlinearity(m: float) -> Nonlinearity:
     m = float(m)
+    if not np.isfinite(m):
+        raise ValueError(f"nonlinearity constant m must be finite, got {m}")
 
     def b(x, t, s, p):
         return m * _sinc(s)
@@ -89,6 +99,8 @@ def tanh_grad_nonlinearity(beta_sup: float = 1.0) -> Nonlinearity:
 
 def mixed_nonlinearity(m: float, beta_sup: float = 1.0) -> Nonlinearity:
     m = float(m)
+    if not np.isfinite(m):
+        raise ValueError(f"nonlinearity constant m must be finite, got {m}")
 
     def b(x, t, s, p):
         return m * _sinc(s)
@@ -145,14 +157,11 @@ def gradient_field(grid: GridSpec, states: np.ndarray) -> np.ndarray:
 
 
 def freeze_coefficients(z: Trajectory, nl: Nonlinearity):
-    """Evaluate the factors along the trajectory: (b_z, c_z), shape (M+1, N)."""
-    x = z.grid.nodes
-    zx = gradient_field(z.grid, z.states)
-    b_field = np.empty_like(z.states)
-    c_field = np.empty_like(z.states)
-    for n, t in enumerate(z.times):
-        b_field[n] = np.asarray(nl.b_factor(x, float(t), z.states[n], zx[n]), dtype=float)
-        c_field[n] = np.asarray(nl.c_factor(x, float(t), z.states[n], zx[n]), dtype=float)
+    """Call each factor once along the trajectory: (b_z, c_z), read-only
+    arrays of shape (M+1, N); a factor's (N,) result is broadcast."""
+    args = (z.grid.nodes, z.times[:, None], z.states, gradient_field(z.grid, z.states))
+    b_field = np.broadcast_to(np.asarray(nl.b_factor(*args), dtype=float), z.states.shape)
+    c_field = np.broadcast_to(np.asarray(nl.c_factor(*args), dtype=float), z.states.shape)
     tol = 1e-9
     if np.max(np.abs(b_field)) > nl.b_cap * (1.0 + tol) + 1e-300:
         raise UnboundedFrozenCoefficient(
@@ -165,25 +174,17 @@ def freeze_coefficients(z: Trajectory, nl: Nonlinearity):
     return b_field, c_field
 
 
-def _row_lookup(nodes: np.ndarray, field: np.ndarray, dt: float):
-    """Tabulated (x, t) -> row value lookup, snapping t to the step index."""
-    n_max = field.shape[0] - 1
+def frozen_drift(p: LinearProblem, b_field: np.ndarray,
+                 c_field: np.ndarray) -> DriftEnvelope:
+    """p's drift with b and c read, in one indexing expression, from (L, N)
+    tables on p's nodes: row k holds time k dt and the last row every later
+    time, so (M+1, N) tables follow p's levels and one row is constant."""
+    def table(field):
+        return lambda x, t: field[np.minimum(np.rint(t / p.dt).astype(int), len(field) - 1),
+                                  np.searchsorted(p.grid.nodes, x)]
 
-    def f(x_query, t):
-        n = min(max(int(round(t / dt)), 0), n_max)
-        idx = np.searchsorted(nodes, np.asarray(x_query, dtype=float))
-        return field[n][idx]
-
-    return f
-
-
-def tabulated_drift(base: DriftEnvelope, grid: GridSpec, b_field: np.ndarray,
-                    c_field: np.ndarray, T: float) -> DriftEnvelope:
-    dt = T / (b_field.shape[0] - 1)
-    return DriftEnvelope(beta=base.beta,
-                         b=_row_lookup(grid.nodes, b_field, dt),
-                         c=_row_lookup(grid.nodes, c_field, dt),
-                         C_beta=base.C_beta, time_dependent=True)
+    return dataclasses.replace(p.drift, b=table(b_field), c=table(c_field),
+                               time_dependent=True)
 
 
 # -- fixed-point loop ------------------------------------------------------------
@@ -212,21 +213,13 @@ def semilinear_residual(p: LinearProblem, nl: Nonlinearity, traj: Trajectory,
     Uses the same stencils as the solver (coefficients frozen along the
     trajectory itself), so a true discrete solution gives round-off.
     """
-    b_field, c_field = freeze_coefficients(traj, nl)
-    drift = tabulated_drift(p.drift, p.grid, b_field, c_field, p.T)
+    drift = frozen_drift(p, *freeze_coefficients(traj, nl))
+    op = assemble_operator(p.grid, p.a, drift, p.dt * np.arange(1, p.M + 1))
     act = p.active()
-    w_act = p.grid.weights[act]
-    mask_act = p.omega_mask()[act]
-    dt = p.dt
-    acc = 0.0
-    for n in range(p.M):
-        op = assemble_operator(p.grid, p.a, drift, (n + 1) * dt)
-        y_new = traj.states[n + 1][act]
-        r = (y_new - traj.states[n][act]) / dt + op.apply(y_new) \
-            - h[n][act] * mask_act
-        acc += dt * float(np.sum(w_act * r * r))
-    y0n = l2_norm(p.grid, p.y0)
-    return float(np.sqrt(acc)) / max(y0n, 1e-300)
+    y = traj.states[:, act]
+    r = (y[1:] - y[:-1]) / p.dt + op.apply(y[1:]) - h[:p.M, act] * p.omega_mask()[act]
+    acc = p.dt * float(np.sum(p.grid.weights[act] * r * r))
+    return float(np.sqrt(acc)) / max(l2_norm(p.grid, p.y0), 1e-300)
 
 
 def _diff_z_norm(a, z_new: Trajectory, z_old: Trajectory) -> float:
@@ -251,15 +244,13 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
 
     zero_traj = Trajectory(grid=p.grid, times=p.times,
                            states=np.zeros((p.M + 1, p.grid.N)), case=p.case)
-    b0, c0 = freeze_coefficients(zero_traj, nl)
-    z = solve_forward(p.with_drift(tabulated_drift(p.drift, p.grid, b0, c0, p.T)))
+    z = solve_forward(p.with_drift(frozen_drift(p, *freeze_coefficients(zero_traj, nl))))
 
     increments, costs, yT_norms = [], [], []
     hum = None
     converged = False
     for _k in range(1, max_fp_iters + 1):
-        b_f, c_f = freeze_coefficients(z, nl)
-        p_k = p.with_drift(tabulated_drift(p.drift, p.grid, b_f, c_f, p.T))
+        p_k = p.with_drift(frozen_drift(p, *freeze_coefficients(z, nl)))
         hum = hum_solve(p_k, epsilon, cg_tol=cg_tol, max_iters=cg_max_iters)
         z_new = hum.trajectory
         inc = _diff_z_norm(p.a, z_new, z)
@@ -307,12 +298,10 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity,
             zx = np.gradient(w, x)
             brow = np.asarray(nl.b_factor(x, t1, w, zx), dtype=float)
             crow = np.asarray(nl.c_factor(x, t1, w, zx), dtype=float)
-            drift = DriftEnvelope(beta=p.drift.beta,
-                                  b=_row_lookup(x, brow[None, :], dt),
-                                  c=_row_lookup(x, crow[None, :], dt),
-                                  C_beta=p.drift.C_beta, time_dependent=True)
+            drift = frozen_drift(p, brow[None, :], crow[None, :])
             op = assemble_operator(p.grid, p.a, drift, t1)
-            y_act = _step_solve(_factor_step(op, dt, n + 1), states[n][act])
+            y_act = _step_solve(_factor_step(op.sub, op.diag, op.sup, dt, n + 1),
+                                states[n][act])
             w_new = np.zeros(p.grid.N)
             w_new[act] = y_act
             delta = l2_norm(p.grid, w_new - w)

@@ -120,6 +120,24 @@ def test_trajectory_csv_format(tmp_path):
     assert float(val) == pytest.approx(p.y0[1])
 
 
+def test_control_field_writer_bytes_match_per_value_format(tmp_path):
+    times = np.array([0.0, 0.1 + 0.2, 1.0, 1e300])
+    nodes = np.array([0.0, 1.0 / 3.0, 0.5, 1.0])
+    field = np.array([[-0.0, 5e-324, 1e300, 0.1 + 0.2],
+                      [2.0, -7.0, 0.0, -5e-324],
+                      [1e-17, -1e300, 123456789.0, np.inf],
+                      [-np.inf, np.nan, -2.5e-310, 1.0]])
+    old = tmp_path / "old.csv"
+    with open(old, "w") as fh:
+        fh.write("t,x,value\n")
+        for t, row in zip(times, field):
+            for x, v in zip(nodes, row):
+                fh.write(f"{t:.17g},{x:.17g},{v:.17g}\n")
+    new = tmp_path / "new.csv"
+    write_control_field(new, times, nodes, field)
+    assert new.read_bytes() == old.read_bytes()
+
+
 def test_control_command_zero_datum_gives_zero_control(tmp_path):
     cfg = write_cfg(tmp_path, """
 command = control
@@ -158,7 +176,13 @@ cg.maxiter = 2
     ("carleman-audit", "T = nan"),
     ("control", "epsilon = nan"),
     ("sweep", "epsilon.sweep = 1e-2,nan,1e-4,1e-5"),
-], ids=["control", "carleman-audit", "control-epsilon", "sweep-epsilon"])
+    ("control", "b.const = nan"),
+    ("control", "c.const = nan"),
+    ("control", "beta.kind = scaled\nbeta.scale = nan"),
+    ("semilinear", "nl.kind = sine\nnl.m = nan"),
+], ids=["control", "carleman-audit", "control-epsilon", "sweep-epsilon",
+        "control-b-const", "control-c-const", "control-beta-scale",
+        "semilinear-nl-m"])
 def test_nan_horizon_is_precondition_error(tmp_path, capsys, command, bad):
     # NaN passes a check written as x <= 0; a NaN horizon or penalty must end
     # as a precondition error, not as NO_CONVERGENCE after 500 CG iterations

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from degen_control import mesh, pde, semilinear
 from degen_control.coefficients import linear_beta
 from degen_control.control import hum_solve
 from degen_control.errors import NoFixedPoint, UnboundedFrozenCoefficient
@@ -163,6 +166,39 @@ def test_semilinear_residual_detects_wrong_pair(rng):
                            0.1 * rng.standard_normal(rep.trajectory.states.shape),
                            case=p.case)
     assert semilinear_residual(p, nl, corrupted, rep.h) > 1e-2
+
+
+def test_one_assembly_per_linear_problem_and_one_call_per_factor(monkeypatch):
+    real_assemble = mesh.assemble_operator
+    assemblies = []
+
+    def counting_assemble(*args, **kwargs):
+        assemblies.append(1)
+        return real_assemble(*args, **kwargs)
+
+    for module in (pde, semilinear):
+        monkeypatch.setattr(module, "assemble_operator", counting_assemble)
+    p = make_problem(N=32, M=24)
+    rep = picard_null_control(p, mixed_nonlinearity(0.5), epsilon=1e-6)
+    assert rep.iterations >= 2
+    # the initial forward solve, one HUM solve per Picard step, the residual
+    assert len(assemblies) == rep.iterations + 2
+
+    factor_calls = []
+
+    def counted(name, factor):
+        def wrapped(*args):
+            factor_calls.append(name)
+            return factor(*args)
+        return wrapped
+
+    zero = zero_nonlinearity()
+    nl = dataclasses.replace(zero, b_factor=counted("b", zero.b_factor),
+                             c_factor=counted("c", zero.c_factor))
+    b_f, c_f = freeze_coefficients(rep.trajectory, nl)
+    assert sorted(factor_calls) == ["b", "c"]
+    assert b_f.shape == c_f.shape == (p.M + 1, p.grid.N)
+    assert not np.any(b_f) and not np.any(c_f)
 
 
 def test_semilinear_forward_matches_linear_for_zero_nl():
