@@ -9,8 +9,8 @@ from .mesh import (GridSpec, TriDiagOperator, assemble_operator, build_grid,
 from .pde import LinearProblem, Trajectory, duality_residual, solve_adjoint, solve_forward
 from .carleman import (CarlemanWeights, SourceSplit, build_weights,
                        carleman_functionals, ratio_experiment)
-from .control import (HUMResult, ObservabilityReport, apply_gramian,
-                      epsilon_sweep, hum_solve, observability_estimate)
+from .control import (HUMResult, ObservabilityReport, epsilon_sweep, gramian,
+                      hum_solve, observability_estimate)
 from .semilinear import (FixedPointReport, Nonlinearity, freeze_coefficients,
                          picard_null_control, two_phase_control)
 

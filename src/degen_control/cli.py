@@ -118,6 +118,9 @@ def build_nonlinearity(cfg: Config, drift):
     kind = cfg.get_str("nl.kind", default="zero",
                        choices={"zero", "sine", "tanh-grad", "mixed"})
     m = cfg.get_float("nl.m", default=1.0)
+    if not np.isfinite(m):
+        # rejected for every kind, also those that do not use m
+        raise ValueError(f"nonlinearity constant nl.m must be finite, got {m}")
     beta_sup = max(drift.C_beta, 1e-300)
     if kind == "zero":
         return semilinear.zero_nonlinearity()

@@ -19,6 +19,19 @@ penalty's ``cg_iters`` is the iteration at which its recurred residual met
 the tolerance; it equals a separate CG run's count in exact arithmetic and
 can differ by a few iterations in floating point. With one penalty the
 iteration is plain CG.
+
+Which Gramian the CG applies depends on the coefficients. With
+time-independent coefficients ``epsilon_sweep`` and
+``observability_estimate`` assemble it once as a dense matrix (``gramian``):
+one multi-column solve gives the one-step adjoint matrix G, and binary
+powering gives B = W Lam and E = G^M in O(n^3 log M) BLAS-3 work, whatever
+the number of CG iterations that follows. Each CG iteration is then one
+matrix-vector product, so a penalty's ``cg_iters`` counts iterations on the
+assembled Gramian and may differ by a few from marching. Everything after the
+CG (the adjoint, the control, the forward rerun and the optimality-gap check)
+still marches, so an inaccurate B ends in ``NoConvergence``. With
+time-dependent coefficients (the frozen Picard problems) both keep marching
+the matrix-free Gramian. ``hum_solve`` always marches.
 """
 
 from __future__ import annotations
@@ -29,8 +42,8 @@ import numpy as np
 
 from .errors import NoConvergence, NotSPD, ZeroDenominator
 from .mesh import l2_norm
-from .pde import (LinearProblem, Trajectory, control_cost, march,
-                  solve_adjoint, solve_forward)
+from .pde import (LinearProblem, Trajectory, _step_factors, _step_solve,
+                  control_cost, march, solve_adjoint, solve_forward)
 
 
 def _gramian_apply_active(p: LinearProblem, vT_act: np.ndarray) -> np.ndarray:
@@ -39,12 +52,31 @@ def _gramian_apply_active(p: LinearProblem, vT_act: np.ndarray) -> np.ndarray:
     return march(p, np.zeros_like(vT_act), vs[:-1])[-1]
 
 
-def apply_gramian(p: LinearProblem, vT: np.ndarray) -> np.ndarray:
-    """y(T) reached from zero by the control v|_omega built from terminal data vT."""
+def gramian(p: LinearProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (B, E) on the active nodes for time-independent coefficients.
+
+    B = W Lam = dt sum_{j=1..M} (G^j)' W_omega G^j is the Gramian's quadratic
+    form in the weighted inner product, and E = G^M maps vT to v(0), where G
+    is the one-step adjoint matrix: one solve of the cached adjoint factors
+    on the identity. Square-and-multiply on the pairs (G^a, S_a), with
+    S_{a+b} = S_a + (G^a)' S_b G^a, builds both in O(log M) products. B is
+    returned exactly symmetric. Raises ValueError for time-dependent
+    coefficients, whose step matrix changes with the level.
+    """
+    if p.drift.time_dependent:
+        raise ValueError("a dense Gramian needs time-independent coefficients")
     act = p.active()
-    out = np.zeros(p.grid.N)
-    out[act] = _gramian_apply_active(p, np.asarray(vT, dtype=float)[act])
-    return out
+    mask_w = p.grid.weights[act] * p.omega_mask()[act]
+    G = _step_solve(_step_factors(p, adjoint=True)[0], np.eye(act.size))
+    s1 = p.dt * (G.T * mask_w) @ G
+    P, S = G, s1
+    for bit in bin(p.M)[3:]:
+        S = S + P.T @ S @ P
+        P = P @ P
+        if bit == "1":
+            S = s1 + G.T @ S @ G
+            P = P @ G
+    return 0.5 * (S + S.T), P
 
 
 @dataclass
@@ -144,16 +176,18 @@ class HUMResult:
     trajectory: Trajectory
 
 
-def _hum_solves(p: LinearProblem, eps_list, cg_tol: float, max_iters: int):
+def _hum_solves(p: LinearProblem, eps_list, cg_tol: float, max_iters: int,
+                dense: bool = False):
     """Penalized minimal-norm controls of the linear problem, one HUMResult
     per penalty, yielded in the order of ``eps_list``.
 
     Solves (Lam + eps I) vhat = -y_free(T) for every eps at once by
     multi-shift CG in the weighted inner product: y_free is computed once and
-    all penalties share one Krylov space. Per eps it builds the control from
-    the adjoint of vhat and reruns the forward problem with it; the
-    optimality identity yT = -eps vhat holds to the CG tolerance and its gap
-    is recorded.
+    all penalties share one Krylov space; ``dense`` applies Lam as the
+    assembled W^-1 B of ``gramian`` instead of marching it. Per eps it builds
+    the control from the adjoint of vhat and reruns the forward problem with
+    it; the optimality identity yT = -eps vhat holds to the CG tolerance and
+    its gap is recorded.
     """
     for eps in eps_list:
         if not (np.isfinite(eps) and eps > 0.0):
@@ -164,9 +198,13 @@ def _hum_solves(p: LinearProblem, eps_list, cg_tol: float, max_iters: int):
     def inner(u, v):
         return float(np.sum(w_act * u * v))
 
+    if dense:
+        B, _ = gramian(p)
+        apply_gram = lambda u: (B @ u) / w_act
+    else:
+        apply_gram = lambda u: _gramian_apply_active(p, u)
     rhs = -solve_forward(p).final()[act]
-    solves = _cg(lambda u: _gramian_apply_active(p, u), rhs, inner, eps_list,
-                 cg_tol, max_iters)
+    solves = _cg(apply_gram, rhs, inner, eps_list, cg_tol, max_iters)
     y0n = l2_norm(p.grid, p.y0)
     norm_rhs = float(np.sqrt(inner(rhs, rhs)))
     for epsilon, (x, iters, res_hist, energy_hist) in zip(eps_list, solves):
@@ -198,6 +236,11 @@ def hum_solve(p: LinearProblem, epsilon: float, cg_tol: float = 1e-10,
     forward problem with it. The optimality identity yT = -eps vhat holds to
     the CG tolerance and its gap is recorded. Raises ValueError unless eps is
     finite and positive.
+
+    The Gramian stays matrix-free here, also for time-independent
+    coefficients where the dense ``gramian`` would be cheaper: the
+    benchmark's ``control`` check pins this path's exact number of
+    single-column tridiagonal solves.
     """
     return next(_hum_solves(p, [float(epsilon)], cg_tol, max_iters))
 
@@ -224,6 +267,7 @@ def epsilon_sweep(p: LinearProblem, eps_list, cg_tol: float = 1e-10,
 
     Fits the log-log slope of ||y(T)|| against eps; for a null-controllable
     configuration the slope sits near 1/2 and the control cost stays bounded.
+    With time-independent coefficients the CG runs on the dense ``gramian``.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 4:
@@ -232,7 +276,8 @@ def epsilon_sweep(p: LinearProblem, eps_list, cg_tol: float = 1e-10,
         raise ValueError("penalty values must be strictly decreasing")
     rows = [SweepRow(epsilon=res.epsilon, norm_yT=res.norm_yT, cost=res.cost,
                      cg_iters=res.cg_iters, optimality_gap=res.optimality_gap)
-            for res in _hum_solves(p, eps_list, cg_tol, max_iters)]
+            for res in _hum_solves(p, eps_list, cg_tol, max_iters,
+                                   dense=not p.drift.time_dependent)]
     norms = np.array([r.norm_yT for r in rows])
     costs = np.array([r.cost for r in rows])
     ok = norms > 0.0
@@ -263,19 +308,37 @@ def observability_estimate(p: LinearProblem, n_samples: int,
     dominant mode is the smoothest terminal datum; its quotient is included
     in the reported maximum. Finiteness and refinement stability of the
     maximum are the acceptance signals.
+
+    With time-independent coefficients the quotients are the quadratic forms
+    u'Au / u'Bu of the dense ``gramian`` pair, A = E'WE, and a power step is
+    u -> W^-1 A u; otherwise every quotient and power step marches.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(0) if rng is None else rng
     act = p.active()
     w_act = p.grid.weights[act]
-    mask_w = w_act * p.omega_mask()[act]
 
-    def quotient_of(u_act):
-        vs = march(p, u_act, adjoint=True)
-        num = float(np.sum(w_act * vs[0] * vs[0]))
-        den = p.dt * float(np.sum(mask_w * vs[:-1] ** 2))
-        return num, den, vs
+    if p.drift.time_dependent:
+        mask_w = w_act * p.omega_mask()[act]
+
+        def quotient_of(u_act):
+            vs = march(p, u_act, adjoint=True)
+            num = float(np.sum(w_act * vs[0] * vs[0]))
+            den = p.dt * float(np.sum(mask_w * vs[:-1] ** 2))
+            return num, den
+
+        def power_step(u_act):
+            return march(p, march(p, u_act, adjoint=True)[0])[-1]
+    else:
+        B, E = gramian(p)
+        A = E.T @ (w_act[:, None] * E)
+
+        def quotient_of(u_act):
+            return float(u_act @ A @ u_act), float(u_act @ B @ u_act)
+
+        def power_step(u_act):
+            return (A @ u_act) / w_act
 
     quotients = []
     best_u = None
@@ -284,7 +347,7 @@ def observability_estimate(p: LinearProblem, n_samples: int,
         for _attempt in range(10):
             u = rng.standard_normal(act.size)
             u /= np.sqrt(np.sum(w_act * u * u))
-            num, den, _ = quotient_of(u)
+            num, den = quotient_of(u)
             if den > 0.0:
                 break
         else:
@@ -299,12 +362,12 @@ def observability_estimate(p: LinearProblem, n_samples: int,
     if power_iters > 0 and best_u is not None:
         u = best_u.copy()
         for _ in range(power_iters):
-            bu = march(p, march(p, u, adjoint=True)[0])[-1]
+            bu = power_step(u)
             nrm = np.sqrt(np.sum(w_act * bu * bu))
             if nrm == 0.0:
                 break
             u = bu / nrm
-        num, den, _ = quotient_of(u)
+        num, den = quotient_of(u)
         if den > 0.0:
             refined = num / den
 

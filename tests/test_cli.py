@@ -180,9 +180,10 @@ cg.maxiter = 2
     ("control", "c.const = nan"),
     ("control", "beta.kind = scaled\nbeta.scale = nan"),
     ("semilinear", "nl.kind = sine\nnl.m = nan"),
+    ("semilinear", "nl.kind = zero\nnl.m = nan"),
 ], ids=["control", "carleman-audit", "control-epsilon", "sweep-epsilon",
         "control-b-const", "control-c-const", "control-beta-scale",
-        "semilinear-nl-m"])
+        "semilinear-nl-m", "semilinear-nl-m-unused"])
 def test_nan_horizon_is_precondition_error(tmp_path, capsys, command, bad):
     # NaN passes a check written as x <= 0; a NaN horizon or penalty must end
     # as a precondition error, not as NO_CONVERGENCE after 500 CG iterations

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from degen_control import pde
-from degen_control.control import (ObservabilityReport, _cg, apply_gramian,
-                                   epsilon_sweep, hum_solve,
-                                   observability_estimate)
+from degen_control.control import (ObservabilityReport, _cg,
+                                   _gramian_apply_active, epsilon_sweep,
+                                   gramian, hum_solve, observability_estimate)
 from degen_control.coefficients import power_coefficient
 from degen_control.errors import NoConvergence, NotSPD, ZeroDenominator
 from degen_control.mesh import l2_norm
@@ -15,7 +17,7 @@ from conftest import heat_problem, make_problem
 
 def test_gramian_zero_maps_to_zero():
     p = make_problem(N=32, M=16)
-    assert np.all(apply_gramian(p, np.zeros(p.grid.N)) == 0.0)
+    assert np.all(_gramian_apply_active(p, np.zeros(p.active().size)) == 0.0)
 
 
 def test_gramian_symmetry_and_quadratic_form(rng):
@@ -27,17 +29,46 @@ def test_gramian_symmetry_and_quadratic_form(rng):
         u = rng.standard_normal(p.grid.N)
         v = rng.standard_normal(p.grid.N)
         u[[0, -1]] = v[[0, -1]] = 0.0
-        Lu = apply_gramian(p, u)
-        Lv = apply_gramian(p, v)
-        s_uv = float(np.sum(w * Lu[act] * v[act]))
-        s_vu = float(np.sum(w * u[act] * Lv[act]))
+        Lu = _gramian_apply_active(p, u[act])
+        Lv = _gramian_apply_active(p, v[act])
+        s_uv = float(np.sum(w * Lu * v[act]))
+        s_vu = float(np.sum(w * u[act] * Lv))
         assert s_uv == pytest.approx(s_vu, rel=1e-11, abs=1e-14)
         # <Lam u, u> equals the control-region energy of the adjoint states
         adj = solve_adjoint(p, u)
         energy = p.dt * float(np.sum(mask_w * adj.states[:-1][:, act] ** 2))
-        s_uu = float(np.sum(w * Lu[act] * u[act]))
+        s_uu = float(np.sum(w * Lu * u[act]))
         assert s_uu == pytest.approx(energy, rel=1e-11)
         assert s_uu >= 0.0
+
+
+@pytest.mark.parametrize("M", [8, 13, 37])
+@pytest.mark.parametrize("alpha", [0.5, 1.5], ids=["WDP", "SDP"])
+def test_gramian_matches_marched_operators(alpha, M):
+    # odd M exercise the binary decomposition's "plus one step" branch
+    p = make_problem(a=power_coefficient(alpha), N=40, M=M, b0=0.2, c0=-1.0)
+    act = p.active()
+    n = act.size
+    w = p.grid.weights[act]
+    B, E = gramian(p)
+    assert B.shape == E.shape == (n, n)
+    assert np.array_equal(B, B.T)
+    eye = np.eye(n)
+    Lam = np.column_stack([_gramian_apply_active(p, eye[:, j]) for j in range(n)])
+    E_marched = np.column_stack([pde.march(p, eye[:, j], adjoint=True)[0]
+                                 for j in range(n)])
+    assert np.linalg.norm(B / w[:, None] - Lam) <= 1e-13 * np.linalg.norm(Lam)
+    assert np.linalg.norm(E - E_marched) <= 1e-13 * np.linalg.norm(E_marched)
+
+
+def _marching(p):
+    # the same problem flagged time dependent, which forces the marching path
+    return p.with_drift(dataclasses.replace(p.drift, time_dependent=True))
+
+
+def test_gramian_rejects_time_dependent_coefficients():
+    with pytest.raises(ValueError):
+        gramian(_marching(make_problem(N=32, M=16, b0=0.2)))
 
 
 def test_hum_zero_datum():
@@ -69,9 +100,9 @@ def test_hum_matches_dense_oracle(rng):
     eps = 1e-4
     Lam = np.zeros((n, n))
     for j in range(n):
-        e = np.zeros(p.grid.N)
-        e[act[j]] = 1.0
-        Lam[:, j] = apply_gramian(p, e)[act]
+        e = np.zeros(n)
+        e[j] = 1.0
+        Lam[:, j] = _gramian_apply_active(p, e)
     rhs = -solve_forward(p).final()[act]
     x_dense = np.linalg.solve(Lam + eps * np.eye(n), rhs)
     res = hum_solve(p, eps, cg_tol=1e-12)
@@ -130,9 +161,7 @@ def test_sweep_preconditions():
         epsilon_sweep(p, [1e-2, float("nan"), 1e-4, 1e-5])
 
 
-def test_sweep_shares_one_krylov_space(monkeypatch):
-    # one free forward sweep, one backward and one forward sweep per
-    # iteration of the hardest penalty, then one of each per penalty
+def _counted_sweep(monkeypatch, p, eps):
     solves = []
     real_dgttrs = pde.dgttrs
 
@@ -141,11 +170,44 @@ def test_sweep_shares_one_krylov_space(monkeypatch):
         return real_dgttrs(*args, **kwargs)
 
     monkeypatch.setattr(pde, "dgttrs", counting_dgttrs)
+    return epsilon_sweep(p, eps), len(solves)
+
+
+def test_sweep_shares_one_krylov_space(monkeypatch):
+    # one solve of the adjoint factors on the identity for the dense
+    # Gramian, one free forward sweep, then one backward and one forward
+    # sweep per penalty; no sweep per CG iteration
     p = make_problem(N=32, M=16)
     eps = [1e-2, 1e-3, 1e-4, 1e-5]
-    sw = epsilon_sweep(p, eps)
+    _, solves = _counted_sweep(monkeypatch, p, eps)
+    assert solves == 1 + p.M * (1 + 2 * len(eps)) == 145
+
+
+def test_sweep_shares_one_krylov_space_when_marching(monkeypatch):
+    # one free forward sweep, one backward and one forward sweep per
+    # iteration of the hardest penalty, then one of each per penalty
+    p = _marching(make_problem(N=32, M=16))
+    eps = [1e-2, 1e-3, 1e-4, 1e-5]
+    sw, solves = _counted_sweep(monkeypatch, p, eps)
     iters = max(r.cg_iters for r in sw.rows)
-    assert len(solves) == p.M * (1 + 2 * iters + 2 * len(eps))
+    assert solves == p.M * (1 + 2 * iters + 2 * len(eps))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5], ids=["WDP", "SDP"])
+def test_dense_and_marching_paths_agree(alpha):
+    p = make_problem(a=power_coefficient(alpha), N=40, M=32, b0=0.2, c0=-1.0)
+    eps = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+    dense, marched = epsilon_sweep(p, eps), epsilon_sweep(_marching(p), eps)
+    for rd, rm in zip(dense.rows, marched.rows):
+        assert rd.norm_yT == pytest.approx(rm.norm_yT, rel=1e-8)
+        assert rd.cost == pytest.approx(rm.cost, rel=1e-8)
+    assert dense.slope == pytest.approx(marched.slope, rel=1e-8)
+    od = observability_estimate(p, 12, power_iters=5, rng=np.random.default_rng(5))
+    om = observability_estimate(_marching(p), 12, power_iters=5,
+                                rng=np.random.default_rng(5))
+    assert od.quotients == pytest.approx(om.quotients, rel=1e-10)
+    assert od.refined_quotient == pytest.approx(om.refined_quotient, rel=1e-10)
+    assert od.max_quotient == pytest.approx(om.max_quotient, rel=1e-10)
 
 
 def test_hum_rejects_bad_epsilon():
