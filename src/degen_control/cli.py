@@ -6,7 +6,8 @@ One config file per run; the selected command writes comma-separated tables
 plus a human-readable ``summary.txt`` into the output directory and prints
 the summary to stdout. A fixed seed reproduces byte-identical outputs. Every
 failure path exits nonzero with a final line ``ERROR <code>: <message>``;
-exit status 2 flags hypothesis/validation failures, 3 solver failures.
+exit status 2 flags hypothesis/validation failures and unreadable files, 3
+solver failures.
 """
 
 from __future__ import annotations
@@ -191,11 +192,9 @@ def cmd_sweep(cfg: Config, outdir: str, rng) -> list:
     p = build_problem(cfg, rng)
     eps = cfg.get_float_list("epsilon.sweep",
                              default=[1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
-    res = control.epsilon_sweep(p, eps,
-                                cg_tol=cfg.get_float("cg.tol", default=1e-10),
-                                max_iters=cfg.get_int("cg.maxiter", default=500))
-    write_table(os.path.join(outdir, "sweep.csv"), "epsilon,norm_yT,cost,cg_iters",
-                [(r.epsilon, r.norm_yT, r.cost, r.cg_iters) for r in res.rows])
+    res = control.epsilon_sweep(p, eps, cg_tol=cfg.get_float("cg.tol", default=1e-10))
+    write_table(os.path.join(outdir, "sweep.csv"), "epsilon,norm_yT,cost,optimality_gap",
+                [(r.epsilon, r.norm_yT, r.cost, r.optimality_gap) for r in res.rows])
     return [
         f"slope = {_fmt(res.slope)}",
         f"cost_ratio = {_fmt(res.cost_ratio)}",
@@ -316,6 +315,10 @@ def run(config_path: str, outdir: str | None = None, seed: int | None = None) ->
         return exc.exit_code
     except ValueError as exc:
         print(f"ERROR PRECONDITION: {exc}")
+        return 2
+    except OSError as exc:
+        # a file named by the config (a.path) or the output directory
+        print(f"ERROR CONFIG: {exc}")
         return 2
 
 

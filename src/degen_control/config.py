@@ -1,7 +1,7 @@
 """Line-based ``key = value`` experiment configuration files.
 
 Lines are ``key = value`` pairs; ``#`` starts a comment; blank lines are
-ignored. Values stay strings until a typed getter converts them, so every
+ignored; a key given twice is an error. Values stay strings until a typed getter converts them, so every
 type error can name the offending key.
 """
 
@@ -74,7 +74,7 @@ class Config:
 
 
 def parse_config(path) -> Config:
-    entries = {}
+    entries, first_line = {}, {}
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -85,7 +85,12 @@ def parse_config(path) -> Config:
                     raise ConfigError(
                         f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
                 key, _, value = stripped.partition("=")
-                entries[key.strip()] = value.strip()
+                key = key.strip()
+                if key in first_line:
+                    raise ConfigError(f"{path}:{lineno}: duplicate key '{key}', "
+                                      f"first given on line {first_line[key]}")
+                first_line[key] = lineno
+                entries[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return Config(entries, source=str(path))

@@ -6,37 +6,27 @@ forward from zero. Under the transpose-exact discretization this map is
 symmetric positive semidefinite in the trapezoid-weighted inner product, with
 quadratic form <Lam vT, vT> = sum_n dt ||v^n||^2_omega.
 
-The penalized control solves (Lam + eps I) vhat = -y_free(T) by conjugate
-gradient; the resulting control h = vhat-adjoint restricted to omega yields
-a final state satisfying y(T) = -eps vhat exactly up to the CG residual.
-As eps -> 0 the final-state norm follows the square-root law of penalized
-HUM for null-controllable configurations, which the epsilon sweep measures.
+The penalized control solves (Lam + eps I) vhat = -y_free(T); the resulting
+control h = vhat-adjoint restricted to omega yields a final state satisfying
+y(T) = -eps vhat exactly up to the solver's residual. As eps -> 0 the
+final-state norm follows the square-root law of penalized HUM for
+null-controllable configurations, which the epsilon sweep measures.
 
-Every penalty of a sweep shares the Gramian and the right-hand side, so one
-Krylov space serves the whole ladder: a multi-shift CG runs on the smallest
-eps and recurs every other penalty's iterate at no extra Gramian apply. A
-penalty's ``cg_iters`` is the iteration at which its recurred residual met
-the tolerance; it equals a separate CG run's count in exact arithmetic and
-can differ by a few iterations in floating point. With one penalty the
-iteration is plain CG.
-
-Which Gramian the CG applies depends on the coefficients. With
-time-independent coefficients ``epsilon_sweep`` and
-``observability_estimate`` assemble it once as a dense matrix (``gramian``):
-one multi-column solve gives the one-step adjoint matrix G, and binary
-powering gives B = W Lam and E = G^M in O(n^3 log M) BLAS-3 work, whatever
-the number of CG iterations that follows. Each CG iteration is then one
-matrix-vector product, so a penalty's ``cg_iters`` counts iterations on the
-assembled Gramian and may differ by a few from marching. Everything after the
-CG (the adjoint, the control, the forward rerun and the optimality-gap check)
-still marches, so an inaccurate B ends in ``NoConvergence``. With
-time-dependent coefficients (the frozen Picard problems) both keep marching
-the matrix-free Gramian. ``hum_solve`` always marches.
+``hum_solve`` runs conjugate gradient on the matrix-free Gramian, one
+backward and one forward sweep per iteration. ``epsilon_sweep`` and
+``observability_estimate`` assemble the Gramian once as a dense matrix
+(``gramian``): B = W Lam and E, the map vT -> v(0). The sweep solves every
+penalty of its ladder exactly from one symmetric eigendecomposition of B in
+the weighted inner product, O(n^2) per penalty; the observability quotients
+and power steps are quadratic forms and products with (E'WE, B). Everything
+after the linear solve (the adjoint, the control, the forward rerun and the
+optimality-gap check) still marches, so an inaccurate B ends in
+``NoConvergence``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,21 +43,28 @@ def _gramian_apply_active(p: LinearProblem, vT_act: np.ndarray) -> np.ndarray:
 
 
 def gramian(p: LinearProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (B, E) on the active nodes for time-independent coefficients.
+    """Dense (B, E) on the active nodes.
 
-    B = W Lam = dt sum_{j=1..M} (G^j)' W_omega G^j is the Gramian's quadratic
-    form in the weighted inner product, and E = G^M maps vT to v(0), where G
-    is the one-step adjoint matrix: one solve of the cached adjoint factors
-    on the identity. Square-and-multiply on the pairs (G^a, S_a), with
-    S_{a+b} = S_a + (G^a)' S_b G^a, builds both in O(log M) products. B is
-    returned exactly symmetric. Raises ValueError for time-dependent
-    coefficients, whose step matrix changes with the level.
+    B = W Lam = dt sum_{k=0..M-1} V_k' W_omega V_k is the Gramian's quadratic
+    form in the weighted inner product and E = V_0 maps vT to v(0), where
+    V_k maps vT to the adjoint state v^k. With time-independent coefficients
+    V_k = G^(M-k) for the one-step adjoint matrix G, one solve of the cached
+    adjoint factors on the identity, and square-and-multiply on the pairs
+    (G^a, S_a), with S_{a+b} = S_a + (G^a)' S_b G^a, builds both in
+    O(log M) products. Otherwise one backward sweep of the identity through
+    the per-level factors accumulates the sum. B is returned exactly
+    symmetric.
     """
-    if p.drift.time_dependent:
-        raise ValueError("a dense Gramian needs time-independent coefficients")
     act = p.active()
     mask_w = p.grid.weights[act] * p.omega_mask()[act]
-    G = _step_solve(_step_factors(p, adjoint=True)[0], np.eye(act.size))
+    factors = _step_factors(p, adjoint=True)
+    if p.drift.time_dependent:
+        P, S = np.eye(act.size), np.zeros((act.size, act.size))
+        for k in range(p.M - 1, -1, -1):
+            P = _step_solve(factors[k], P)
+            S += p.dt * (P.T * mask_w) @ P
+        return 0.5 * (S + S.T), P
+    G = _step_solve(factors[0], np.eye(act.size))
     s1 = p.dt * (G.T * mask_w) @ G
     P, S = G, s1
     for bit in bin(p.M)[3:]:
@@ -79,82 +76,40 @@ def gramian(p: LinearProblem) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (S + S.T), P
 
 
-@dataclass
-class _Shifted:
-    """CG state of one shifted system, recurred from the seed's residuals."""
+def _cg(apply_op, rhs, inner, tol, max_iters):
+    """Conjugate gradient for apply_op(x) = rhs in a weighted inner product.
 
-    delta: float              # shift minus the seed shift, >= 0
-    x: np.ndarray
-    p: np.ndarray
-    res_hist: list
-    zeta: float = 1.0         # r_shift = zeta r_seed
-    zeta_prev: float = 1.0
-    energy: float = 0.0
-    energy_hist: list = field(default_factory=lambda: [0.0])
-    iters: int | None = None  # set once converged; the state is frozen then
-
-
-def _cg(apply_gram, rhs, inner, shifts, tol, max_iters):
-    """Multi-shift conjugate gradient for (Lam + sigma I) x = rhs, every sigma
-    in ``shifts``, in a weighted inner product.
-
-    CG runs on the seed system, the smallest shift, with one ``apply_gram``
-    per iteration. Every shifted residual stays collinear with the seed's,
-    r_sigma = zeta r, so each shift's iterate, search direction and energy
-    follow from scalar recurrences in zeta (Jegerlehner, "Krylov space solvers
-    for shifted linear systems", 1996) at no further apply. A shift converges
-    at the first k with |zeta_k| ||r_k|| <= tol ||rhs|| and is frozen from
-    then on. With one shift zeta == 1 exactly and this is plain CG.
-
-    Returns, per shift in the given order, (x, iterations, residual_history,
-    energy_history); the energy 1/2 x'Ax - b'x of each system decreases
-    monotonically. Raises NotSPD on nonpositive curvature of the seed system
-    beyond round-off, NoConvergence with the seed's residual history when the
-    iteration budget runs out before every shift has converged.
+    Converges at the first k with ||r_k|| <= tol ||rhs||. Returns (x,
+    iterations, residual_history, energy_history); the energy 1/2 x'Ax - b'x
+    decreases monotonically. Raises NotSPD on nonpositive curvature beyond
+    round-off, NoConvergence with the residual history when the iteration
+    budget runs out.
     """
-    seed = min(shifts)
     norm_rhs = np.sqrt(inner(rhs, rhs))
     if norm_rhs == 0.0:
-        return [(np.zeros_like(rhs), 0, [0.0], [0.0]) for _ in shifts]
+        return np.zeros_like(rhs), 0, [0.0], [0.0]
+    x = np.zeros_like(rhs)
     r = rhs.copy()
     d = r.copy()
     rs = inner(r, r)
     res_hist = [np.sqrt(rs)]
-    systems = [_Shifted(delta=s - seed, x=np.zeros_like(rhs), p=r.copy(),
-                        res_hist=[res_hist[0]]) for s in shifts]
-    live = systems
-    alpha_prev, beta_prev = 1.0, 0.0
+    energy_hist = [0.0]
     for k in range(1, max_iters + 1):
-        Ad = apply_gram(d) + seed * d
+        Ad = apply_op(d)
         dAd = inner(d, Ad)
         dd = inner(d, d)
         if dAd <= 1e-14 * dd:
             raise NotSPD(f"curvature {dAd:.3e} on a direction of norm^2 {dd:.3e}")
         alpha = rs / dAd
+        x = x + alpha * d
         r = r - alpha * Ad
         rs_new = inner(r, r)
         res_hist.append(np.sqrt(rs_new))
-        beta = rs_new / rs
-        for sy in live:
-            z, zp = sy.zeta, sy.zeta_prev
-            z_new = z * zp * alpha_prev / (alpha * beta_prev * (zp - z)
-                                           + zp * alpha_prev * (1.0 + sy.delta * alpha))
-            alpha_s = alpha * (z_new / z)
-            sy.x = sy.x + alpha_s * sy.p
-            sy.energy -= 0.5 * alpha_s * (z * z * rs)
-            sy.energy_hist.append(sy.energy)
-            sy.res_hist.append(abs(z_new) * res_hist[-1])
-            if sy.res_hist[-1] <= tol * norm_rhs:
-                sy.iters = k
-                continue
-            sy.p = z_new * r + ((z_new / z) ** 2 * beta) * sy.p
-            sy.zeta_prev, sy.zeta = z, z_new
-        live = [sy for sy in live if sy.iters is None]
-        if not live:
-            return [(sy.x, sy.iters, sy.res_hist, sy.energy_hist) for sy in systems]
-        d = r + beta * d
+        energy_hist.append(energy_hist[-1] - 0.5 * alpha * rs)
+        if res_hist[-1] <= tol * norm_rhs:
+            return x, k, res_hist, energy_hist
+        d = r + (rs_new / rs) * d
         rs = rs_new
-        alpha_prev, beta_prev = alpha, beta
     raise NoConvergence(
         f"CG spent {max_iters} iterations, residual {res_hist[-1]:.3e} "
         f"(target {tol * norm_rhs:.3e})", res_hist)
@@ -176,55 +131,34 @@ class HUMResult:
     trajectory: Trajectory
 
 
-def _hum_solves(p: LinearProblem, eps_list, cg_tol: float, max_iters: int,
-                dense: bool = False):
-    """Penalized minimal-norm controls of the linear problem, one HUMResult
-    per penalty, yielded in the order of ``eps_list``.
+def _check_penalty(eps: float) -> None:
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"penalty epsilon must be finite and positive, got {eps}")
 
-    Solves (Lam + eps I) vhat = -y_free(T) for every eps at once by
-    multi-shift CG in the weighted inner product: y_free is computed once and
-    all penalties share one Krylov space; ``dense`` applies Lam as the
-    assembled W^-1 B of ``gramian`` instead of marching it. Per eps it builds
-    the control from the adjoint of vhat and reruns the forward problem with
-    it; the optimality identity yT = -eps vhat holds to the CG tolerance and
-    its gap is recorded.
+
+def _control_of(p: LinearProblem, x: np.ndarray, epsilon: float, rhs: np.ndarray,
+                cg_tol: float, res_hist=None):
+    """Control of the penalised solution x = vhat on the active nodes.
+
+    Builds h from the adjoint of vhat and reruns the forward problem with it,
+    both marched; the optimality identity yT = -eps vhat must then hold to
+    10 cg_tol max(||y0||, ||rhs||), or NoConvergence is raised. Returns
+    (vhatT, h, trajectory, optimality_gap).
     """
-    for eps in eps_list:
-        if not (np.isfinite(eps) and eps > 0.0):
-            raise ValueError(f"penalty epsilon must be finite and positive, got {eps}")
     act = p.active()
     w_act = p.grid.weights[act]
-
-    def inner(u, v):
-        return float(np.sum(w_act * u * v))
-
-    if dense:
-        B, _ = gramian(p)
-        apply_gram = lambda u: (B @ u) / w_act
-    else:
-        apply_gram = lambda u: _gramian_apply_active(p, u)
-    rhs = -solve_forward(p).final()[act]
-    solves = _cg(apply_gram, rhs, inner, eps_list, cg_tol, max_iters)
-    y0n = l2_norm(p.grid, p.y0)
-    norm_rhs = float(np.sqrt(inner(rhs, rhs)))
-    for epsilon, (x, iters, res_hist, energy_hist) in zip(eps_list, solves):
-        vhatT = np.zeros(p.grid.N)
-        vhatT[act] = x
-        v = solve_adjoint(p, vhatT)
-        h = v.states[:-1] * p.omega_mask()[None, :]
-        y = solve_forward(p, h)
-        yT = y.final()
-        gap_vec = yT[act] + epsilon * x
-        gap = float(np.sqrt(np.sum(w_act * gap_vec * gap_vec)))
-        if gap > 10.0 * cg_tol * max(y0n, norm_rhs) + 1e-300:
-            raise NoConvergence(
-                f"optimality identity violated: ||yT + eps vhat|| = {gap:.3e}", res_hist)
-        cost = control_cost(p, h)
-        yield HUMResult(
-            vhatT=vhatT, h=h, yT=yT, norm_yT=l2_norm(p.grid, yT), cost=cost,
-            cost_constant=cost / y0n ** 2 if y0n > 0 else None, epsilon=epsilon,
-            cg_iters=iters, cg_residual=res_hist[-1], cg_energy_history=energy_hist,
-            optimality_gap=gap, trajectory=y)
+    vhatT = np.zeros(p.grid.N)
+    vhatT[act] = x
+    v = solve_adjoint(p, vhatT)
+    h = v.states[:-1] * p.omega_mask()[None, :]
+    y = solve_forward(p, h)
+    gap_vec = y.final()[act] + epsilon * x
+    gap = float(np.sqrt(np.sum(w_act * gap_vec * gap_vec)))
+    scale = max(l2_norm(p.grid, p.y0), float(np.sqrt(np.sum(w_act * rhs * rhs))))
+    if gap > 10.0 * cg_tol * scale + 1e-300:
+        raise NoConvergence(
+            f"optimality identity violated: ||yT + eps vhat|| = {gap:.3e}", res_hist)
+    return vhatT, h, y, gap
 
 
 def hum_solve(p: LinearProblem, epsilon: float, cg_tol: float = 1e-10,
@@ -232,17 +166,35 @@ def hum_solve(p: LinearProblem, epsilon: float, cg_tol: float = 1e-10,
     """Penalized minimal-norm control of the linear problem.
 
     Solves (Lam + eps I) vhat = -y_free(T) by CG in the weighted inner
-    product, builds the control from the adjoint of vhat, and reruns the
-    forward problem with it. The optimality identity yT = -eps vhat holds to
-    the CG tolerance and its gap is recorded. Raises ValueError unless eps is
-    finite and positive.
+    product, applying Lam matrix-free, builds the control from the adjoint of
+    vhat, and reruns the forward problem with it. The optimality identity
+    yT = -eps vhat holds to the CG tolerance and its gap is recorded. Raises
+    ValueError unless eps is finite and positive.
 
-    The Gramian stays matrix-free here, also for time-independent
-    coefficients where the dense ``gramian`` would be cheaper: the
-    benchmark's ``control`` check pins this path's exact number of
-    single-column tridiagonal solves.
+    The Gramian stays matrix-free here, also where the dense ``gramian``
+    would be cheaper: the benchmark's ``control`` check pins this path's
+    exact number of single-column tridiagonal solves.
     """
-    return next(_hum_solves(p, [float(epsilon)], cg_tol, max_iters))
+    epsilon = float(epsilon)
+    _check_penalty(epsilon)
+    act = p.active()
+    w_act = p.grid.weights[act]
+
+    def inner(u, v):
+        return float(np.sum(w_act * u * v))
+
+    rhs = -solve_forward(p).final()[act]
+    x, iters, res_hist, energy_hist = _cg(
+        lambda u: _gramian_apply_active(p, u) + epsilon * u, rhs, inner,
+        cg_tol, max_iters)
+    vhatT, h, y, gap = _control_of(p, x, epsilon, rhs, cg_tol, res_hist)
+    y0n = l2_norm(p.grid, p.y0)
+    cost = control_cost(p, h)
+    return HUMResult(
+        vhatT=vhatT, h=h, yT=y.final(), norm_yT=l2_norm(p.grid, y.final()),
+        cost=cost, cost_constant=cost / y0n ** 2 if y0n > 0 else None,
+        epsilon=epsilon, cg_iters=iters, cg_residual=res_hist[-1],
+        cg_energy_history=energy_hist, optimality_gap=gap, trajectory=y)
 
 
 @dataclass
@@ -250,8 +202,7 @@ class SweepRow:
     epsilon: float
     norm_yT: float
     cost: float
-    cg_iters: int
-    optimality_gap: float = 0.0
+    optimality_gap: float
 
 
 @dataclass
@@ -261,23 +212,39 @@ class SweepResult:
     cost_ratio: float
 
 
-def epsilon_sweep(p: LinearProblem, eps_list, cg_tol: float = 1e-10,
-                  max_iters: int = 500) -> SweepResult:
+def epsilon_sweep(p: LinearProblem, eps_list, cg_tol: float = 1e-10) -> SweepResult:
     """Run the penalized control across a decreasing penalty ladder.
+
+    Every rung is solved exactly from one symmetric eigendecomposition
+    Q Lam_s Q' = W^-1/2 B W^-1/2 of the dense ``gramian``: vhat = W^-1/2 Q
+    (Lam_s + eps)^-1 Q' W^1/2 rhs. Raises NotSPD when the smallest shifted
+    eigenvalue is at most 1e-14, CG's curvature threshold. ``cg_tol`` sets the
+    bound of each rung's optimality-gap check against the marched map.
 
     Fits the log-log slope of ||y(T)|| against eps; for a null-controllable
     configuration the slope sits near 1/2 and the control cost stays bounded.
-    With time-independent coefficients the CG runs on the dense ``gramian``.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 4:
         raise ValueError("need at least 4 penalty values")
+    for eps in eps_list:
+        _check_penalty(eps)
     if np.any(np.diff(eps_list) >= 0.0):
         raise ValueError("penalty values must be strictly decreasing")
-    rows = [SweepRow(epsilon=res.epsilon, norm_yT=res.norm_yT, cost=res.cost,
-                     cg_iters=res.cg_iters, optimality_gap=res.optimality_gap)
-            for res in _hum_solves(p, eps_list, cg_tol, max_iters,
-                                   dense=not p.drift.time_dependent)]
+    act = p.active()
+    sw = np.sqrt(p.grid.weights[act])
+    rhs = -solve_forward(p).final()[act]
+    B, _ = gramian(p)
+    lam, Q = np.linalg.eigh(B / np.outer(sw, sw))
+    if lam[0] + eps_list[-1] <= 1e-14:
+        raise NotSPD(f"smallest Gramian eigenvalue {lam[0]:.3e} plus penalty "
+                     f"{eps_list[-1]:.3e} is not positive beyond round-off")
+    coef = Q.T @ (sw * rhs)
+    rows = []
+    for eps in eps_list:
+        _, h, y, gap = _control_of(p, (Q @ (coef / (lam + eps))) / sw, eps, rhs, cg_tol)
+        rows.append(SweepRow(epsilon=eps, norm_yT=l2_norm(p.grid, y.final()),
+                             cost=control_cost(p, h), optimality_gap=gap))
     norms = np.array([r.norm_yT for r in rows])
     costs = np.array([r.cost for r in rows])
     ok = norms > 0.0
@@ -309,43 +276,25 @@ def observability_estimate(p: LinearProblem, n_samples: int,
     in the reported maximum. Finiteness and refinement stability of the
     maximum are the acceptance signals.
 
-    With time-independent coefficients the quotients are the quadratic forms
-    u'Au / u'Bu of the dense ``gramian`` pair, A = E'WE, and a power step is
-    u -> W^-1 A u; otherwise every quotient and power step marches.
+    The quotients are the quadratic forms u'Au / u'Bu of the dense
+    ``gramian`` pair, A = E'WE, and a power step is u -> W^-1 A u.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(0) if rng is None else rng
-    act = p.active()
-    w_act = p.grid.weights[act]
+    w_act = p.grid.weights[p.active()]
+    B, E = gramian(p)
+    A = E.T @ (w_act[:, None] * E)
 
-    if p.drift.time_dependent:
-        mask_w = w_act * p.omega_mask()[act]
-
-        def quotient_of(u_act):
-            vs = march(p, u_act, adjoint=True)
-            num = float(np.sum(w_act * vs[0] * vs[0]))
-            den = p.dt * float(np.sum(mask_w * vs[:-1] ** 2))
-            return num, den
-
-        def power_step(u_act):
-            return march(p, march(p, u_act, adjoint=True)[0])[-1]
-    else:
-        B, E = gramian(p)
-        A = E.T @ (w_act[:, None] * E)
-
-        def quotient_of(u_act):
-            return float(u_act @ A @ u_act), float(u_act @ B @ u_act)
-
-        def power_step(u_act):
-            return (A @ u_act) / w_act
+    def quotient_of(u_act):
+        return float(u_act @ A @ u_act), float(u_act @ B @ u_act)
 
     quotients = []
     best_u = None
     best_q = -np.inf
     for _ in range(n_samples):
         for _attempt in range(10):
-            u = rng.standard_normal(act.size)
+            u = rng.standard_normal(w_act.size)
             u /= np.sqrt(np.sum(w_act * u * u))
             num, den = quotient_of(u)
             if den > 0.0:
@@ -362,7 +311,7 @@ def observability_estimate(p: LinearProblem, n_samples: int,
     if power_iters > 0 and best_u is not None:
         u = best_u.copy()
         for _ in range(power_iters):
-            bu = power_step(u)
+            bu = (A @ u) / w_act
             nrm = np.sqrt(np.sum(w_act * bu * bu))
             if nrm == 0.0:
                 break

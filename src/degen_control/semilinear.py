@@ -284,7 +284,8 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
 def semilinear_forward(p: LinearProblem, nl: Nonlinearity,
                        inner_tol: float = 1e-12, max_inner: int = 50) -> Trajectory:
     """Uncontrolled semilinear forward solve with per-step frozen-coefficient
-    inner iteration."""
+    inner iteration. Raises ``NoFixedPoint`` when a step's inner iteration
+    spends ``max_inner`` iterations without meeting ``inner_tol``."""
     act = p.active()
     x = p.grid.nodes
     dt = p.dt
@@ -308,6 +309,10 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity,
             w = w_new
             if delta <= inner_tol * scale:
                 break
+        else:
+            raise NoFixedPoint(
+                f"coast step {n + 1}: inner iteration spent {max_inner} iterations, "
+                f"last increment {delta:.3e} (target {inner_tol * scale:.3e})")
         states[n + 1] = w
     return Trajectory(grid=p.grid, times=p.times, states=states, case=p.case)
 

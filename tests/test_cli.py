@@ -88,6 +88,24 @@ def test_malformed_line_is_config_error(tmp_path, capsys):
     assert "ERROR CONFIG" in capsys.readouterr().out
 
 
+def test_duplicate_key_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "command = validate\na.alpha = 0.5\n\na.alpha = 1.5\n")
+    with pytest.raises(ConfigError, match=r"run.cfg:4: duplicate key 'a.alpha', "
+                                          r"first given on line 2"):
+        parse_config(cfg)
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().out.strip().splitlines()[-1].startswith("ERROR CONFIG:")
+
+
+def test_missing_coefficient_table_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    cfg = write_cfg(tmp_path, f"command = validate\na.kind = table\na.path = {missing}\n")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 2
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last.startswith("ERROR CONFIG:")
+    assert "missing.csv" in last
+
+
 def test_solve_command_writes_trajectory(tmp_path):
     cfg = write_cfg(tmp_path, """
 command = solve
@@ -171,6 +189,25 @@ cg.maxiter = 2
     assert last.startswith("ERROR NO_CONVERGENCE:")
 
 
+def test_unconverged_coast_phase_exits_three(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, """
+command = semilinear
+a.kind = power
+a.alpha = 0.5
+grid.N = 64
+M = 64
+T = 2
+y0.kind = sine
+y0.amplitude = 3
+nl.kind = sine
+nl.m = -30
+t0 = 1
+""")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 3
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last.startswith("ERROR NO_FIXED_POINT:")
+
+
 @pytest.mark.parametrize("command,bad", [
     ("control", "T = nan"),
     ("carleman-audit", "T = nan"),
@@ -212,7 +249,7 @@ epsilon.sweep = 1e-2,1e-3,1e-4,1e-5
     out = str(tmp_path / "out")
     assert main([cfg, "--out", out]) == 0
     lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "epsilon,norm_yT,cost,cg_iters"
+    assert lines[0] == "epsilon,norm_yT,cost,optimality_gap"
     assert len(lines) == 5
     assert "slope = " in (tmp_path / "out" / "summary.txt").read_text()
 

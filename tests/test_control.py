@@ -11,6 +11,7 @@ from degen_control.coefficients import power_coefficient
 from degen_control.errors import NoConvergence, NotSPD, ZeroDenominator
 from degen_control.mesh import l2_norm
 from degen_control.pde import solve_adjoint, solve_forward
+from degen_control.semilinear import frozen_drift
 
 from conftest import heat_problem, make_problem
 
@@ -42,11 +43,18 @@ def test_gramian_symmetry_and_quadratic_form(rng):
         assert s_uu >= 0.0
 
 
-@pytest.mark.parametrize("M", [8, 13, 37])
-@pytest.mark.parametrize("alpha", [0.5, 1.5], ids=["WDP", "SDP"])
-def test_gramian_matches_marched_operators(alpha, M):
-    # odd M exercise the binary decomposition's "plus one step" branch
+@pytest.mark.parametrize("alpha, M, frozen", [
+    pytest.param(alpha, M, frozen, id=f"{case}-{M}" + ("-frozen" if frozen else ""))
+    for case, alpha in (("WDP", 0.5), ("SDP", 1.5))
+    for M in (8, 13, 37) for frozen in (False, True)])
+def test_gramian_matches_marched_operators(alpha, M, frozen):
+    # odd M exercise the binary decomposition's "plus one step" branch; a
+    # frozen drift from random (M+1, N) tables takes the backward sweep
     p = make_problem(a=power_coefficient(alpha), N=40, M=M, b0=0.2, c0=-1.0)
+    if frozen:
+        rng = np.random.default_rng(M)
+        b, c = rng.uniform(-1.0, 1.0, (2, M + 1, p.grid.N))
+        p = p.with_drift(frozen_drift(p, b, c))
     act = p.active()
     n = act.size
     w = p.grid.weights[act]
@@ -61,14 +69,10 @@ def test_gramian_matches_marched_operators(alpha, M):
     assert np.linalg.norm(E - E_marched) <= 1e-13 * np.linalg.norm(E_marched)
 
 
-def _marching(p):
-    # the same problem flagged time dependent, which forces the marching path
+def _time_dependent(p):
+    # the same problem flagged time dependent: one step matrix per level, and
+    # a Gramian accumulated by one backward sweep instead of binary powering
     return p.with_drift(dataclasses.replace(p.drift, time_dependent=True))
-
-
-def test_gramian_rejects_time_dependent_coefficients():
-    with pytest.raises(ValueError):
-        gramian(_marching(make_problem(N=32, M=16, b0=0.2)))
 
 
 def test_hum_zero_datum():
@@ -176,7 +180,7 @@ def _counted_sweep(monkeypatch, p, eps):
 def test_sweep_shares_one_krylov_space(monkeypatch):
     # one solve of the adjoint factors on the identity for the dense
     # Gramian, one free forward sweep, then one backward and one forward
-    # sweep per penalty; no sweep per CG iteration
+    # sweep per penalty; the linear solves themselves march nothing
     p = make_problem(N=32, M=16)
     eps = [1e-2, 1e-3, 1e-4, 1e-5]
     _, solves = _counted_sweep(monkeypatch, p, eps)
@@ -184,30 +188,51 @@ def test_sweep_shares_one_krylov_space(monkeypatch):
 
 
 def test_sweep_shares_one_krylov_space_when_marching(monkeypatch):
-    # one free forward sweep, one backward and one forward sweep per
-    # iteration of the hardest penalty, then one of each per penalty
-    p = _marching(make_problem(N=32, M=16))
+    # one backward sweep of the identity for the Gramian and one free
+    # forward sweep, then one backward and one forward sweep per penalty
+    p = _time_dependent(make_problem(N=32, M=16))
     eps = [1e-2, 1e-3, 1e-4, 1e-5]
-    sw, solves = _counted_sweep(monkeypatch, p, eps)
-    iters = max(r.cg_iters for r in sw.rows)
-    assert solves == p.M * (1 + 2 * iters + 2 * len(eps))
+    _, solves = _counted_sweep(monkeypatch, p, eps)
+    assert solves == p.M * (2 + 2 * len(eps)) == 160
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5], ids=["WDP", "SDP"])
 def test_dense_and_marching_paths_agree(alpha):
+    # the Gramian by binary powering and by one backward sweep of the
+    # identity give the same sweep and the same observability report
     p = make_problem(a=power_coefficient(alpha), N=40, M=32, b0=0.2, c0=-1.0)
     eps = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
-    dense, marched = epsilon_sweep(p, eps), epsilon_sweep(_marching(p), eps)
+    dense, marched = epsilon_sweep(p, eps), epsilon_sweep(_time_dependent(p), eps)
     for rd, rm in zip(dense.rows, marched.rows):
         assert rd.norm_yT == pytest.approx(rm.norm_yT, rel=1e-8)
         assert rd.cost == pytest.approx(rm.cost, rel=1e-8)
     assert dense.slope == pytest.approx(marched.slope, rel=1e-8)
     od = observability_estimate(p, 12, power_iters=5, rng=np.random.default_rng(5))
-    om = observability_estimate(_marching(p), 12, power_iters=5,
+    om = observability_estimate(_time_dependent(p), 12, power_iters=5,
                                 rng=np.random.default_rng(5))
     assert od.quotients == pytest.approx(om.quotients, rel=1e-10)
     assert od.refined_quotient == pytest.approx(om.refined_quotient, rel=1e-10)
     assert od.max_quotient == pytest.approx(om.max_quotient, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5], ids=["WDP", "SDP"])
+def test_sweep_rows_match_hum_solve(alpha):
+    # the eigendecomposed ladder against one matrix-free CG solve per rung
+    p = make_problem(a=power_coefficient(alpha), N=40, M=32, b0=0.2, c0=-1.0)
+    eps = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+    for row in epsilon_sweep(p, eps).rows:
+        res = hum_solve(p, row.epsilon)
+        assert row.norm_yT == pytest.approx(res.norm_yT, rel=1e-8)
+        assert row.cost == pytest.approx(res.cost, rel=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5], ids=["WDP", "SDP"])
+def test_sweep_rejects_penalties_below_round_off(alpha):
+    # B's smallest eigenvalues sit far below 1e-14, so the ladder's last
+    # rungs leave (Lam + eps I) positive definite only within round-off
+    p = make_problem(a=power_coefficient(alpha), N=32, M=16)
+    with pytest.raises(NotSPD):
+        epsilon_sweep(p, [1e-13, 1e-14, 1e-15, 1e-16])
 
 
 def test_hum_rejects_bad_epsilon():
@@ -221,7 +246,7 @@ def test_cg_not_spd():
     rhs = np.ones(4)
     inner = lambda u, v: float(u @ v)
     with pytest.raises(NotSPD):
-        _cg(lambda u: -u, rhs, inner, [0.0], 1e-10, 50)
+        _cg(lambda u: -u, rhs, inner, 1e-10, 50)
 
 
 def test_cg_no_convergence_reports_history():
@@ -229,29 +254,23 @@ def test_cg_no_convergence_reports_history():
     A = np.diag([1.0, 1e-12])
     inner = lambda u, v: float(u @ v)
     with pytest.raises(NoConvergence) as exc:
-        _cg(lambda u: A @ u, rhs, inner, [0.0], 1e-14, 1)
+        _cg(lambda u: A @ u, rhs, inner, 1e-14, 1)
     assert len(exc.value.residual_history) >= 1
 
 
-def test_multishift_cg_matches_one_shift_solves():
-    # SPD with spectrum in [0.1, 1], so CG converges long before rounding
-    # could make the shared and the separate iteration counts drift apart;
-    # the shifts come unsorted, the seed is the smallest
+def test_cg_solves_each_shifted_system():
+    # SPD with spectrum in [0.1, 1] plus each shift
     rng = np.random.default_rng(3)
     Q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
     A = Q @ np.diag(np.geomspace(0.1, 1.0, 60)) @ Q.T
     rhs = rng.standard_normal(60)
     inner = lambda u, v: float(u @ v)
-    shifts = [1e-2, 1.0, 1e-4, 1e-1]
-    together = _cg(lambda u: A @ u, rhs, inner, shifts, 1e-10, 500)
-    assert len(together) == len(shifts)
-    for sigma, (x, iters, res_hist, energy_hist) in zip(shifts, together):
-        [(x1, iters1, _, _)] = _cg(lambda u: A @ u, rhs, inner, [sigma], 1e-10, 500)
-        assert iters == iters1
-        assert np.linalg.norm(x - x1) <= 1e-9 * np.linalg.norm(x1)
+    for sigma in [1e-2, 1.0, 1e-4, 1e-1]:
+        A_sigma = A + sigma * np.eye(60)
+        x, iters, res_hist, energy_hist = _cg(lambda u: A_sigma @ u, rhs, inner,
+                                              1e-10, 500)
         assert len(res_hist) == len(energy_hist) == iters + 1
         assert np.all(np.diff(energy_hist) <= 0.0)
-        A_sigma = A + sigma * np.eye(60)
         assert energy_hist[-1] == pytest.approx(0.5 * x @ A_sigma @ x - rhs @ x, rel=1e-9)
         exact = np.linalg.solve(A_sigma, rhs)
         assert np.linalg.norm(x - exact) <= 1e-6 * np.linalg.norm(exact)

@@ -208,6 +208,15 @@ def test_semilinear_forward_matches_linear_for_zero_nl():
     assert np.allclose(traj_semi.states, traj_lin.states, rtol=1e-12, atol=1e-15)
 
 
+def test_coast_phase_fails_closed():
+    # the coast phase of a 64 x 64 run with T = 2, t0 = 1: every step's inner
+    # iteration spends its budget on the stiff sine nonlinearity
+    p = make_problem(N=64, M=32, T=1.0)
+    p = p.with_y0(3.0 * p.y0)
+    with pytest.raises(NoFixedPoint, match="coast step 1"):
+        semilinear_forward(p, sine_nonlinearity(-30.0))
+
+
 def test_two_phase_zero_t0_is_identical():
     p = make_problem(N=48, M=48)
     nl = sine_nonlinearity(0.5)
