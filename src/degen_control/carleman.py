@@ -56,6 +56,9 @@ from .errors import NonFiniteIntegral, WeightInvalid
 from .mesh import GridSpec, face_diffusivity
 from .pde import LinearProblem, Trajectory, march
 
+FIELD_MODES = 6      # modes of every random smooth field
+PLATEAU_REL = 0.05   # per-step relative change that counts as a plateau
+
 
 @dataclass(frozen=True)
 class CarlemanWeights:
@@ -196,10 +199,10 @@ def build_weights(a: DegeneracyCoefficient, omega: tuple, T: float,
     w1, w2 = omega
     if not (0.0 < w1 < w2 < 1.0):
         raise ValueError("control region must satisfy 0 < w1 < w2 < 1")
-    if not T > 0.0:
-        raise ValueError("horizon must be positive")
-    if not (c1 > 0.0 and lam > 0.0):
-        raise ValueError("c1 and lambda must be positive")
+    if not (np.isfinite(T) and T > 0.0):
+        raise ValueError("horizon must be finite and positive")
+    if not (np.isfinite(c1) and np.isfinite(lam) and c1 > 0.0 and lam > 0.0):
+        raise ValueError(f"c1 and lambda must be finite and positive, got {c1}, {lam}")
     if c2 is None:
         c2 = 1.05 * c2_threshold(a)
 
@@ -263,7 +266,7 @@ def solve_terminal_source(p: LinearProblem, vT: np.ndarray,
     src = None if F is None else -np.asarray(F, dtype=float)[:-1, act]
     states = np.zeros((p.M + 1, p.grid.N))
     states[:, act] = march(p, np.asarray(vT, dtype=float)[act], src, adjoint=True)
-    return Trajectory(grid=p.grid, times=p.times, states=states, case=p.case)
+    return Trajectory(grid=p.grid, times=p.times, states=states)
 
 
 def _degenerate_ratio(x: np.ndarray, a_pos: np.ndarray, numerator_sq) -> np.ndarray:
@@ -360,15 +363,16 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
 
 # -- random solution ensembles and the ratio experiment -------------------------
 
-def random_smooth_field(rng: np.random.Generator, case: Case, n_modes: int = 6):
-    """Random low-mode expansion compatible with the boundary conditions.
+def random_smooth_field(rng: np.random.Generator, case: Case):
+    """Random expansion in the ``FIELD_MODES`` lowest modes compatible with
+    the boundary conditions.
 
     Weak case: sine modes (zero at both ends). Strong case: shifted cosine
     modes with zero slope at 0 and zero value at 1. Returning a continuum
     function (not nodal noise) keeps refinement studies comparable across
     grids.
     """
-    coeffs = rng.standard_normal(n_modes) / np.arange(1, n_modes + 1)
+    coeffs = rng.standard_normal(FIELD_MODES) / np.arange(1, FIELD_MODES + 1)
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -383,9 +387,8 @@ def random_smooth_field(rng: np.random.Generator, case: Case, n_modes: int = 6):
     return f
 
 
-def random_space_time_field(rng: np.random.Generator, case: Case, T: float,
-                            n_modes: int = 6):
-    spatial = random_smooth_field(rng, case, n_modes)
+def random_space_time_field(rng: np.random.Generator, case: Case, T: float):
+    spatial = random_smooth_field(rng, case)
     j = int(rng.integers(1, 3))
     phase = float(rng.uniform(0.0, 2.0 * np.pi))
 
@@ -415,8 +418,9 @@ class AuditResult:
             yield (s, self.variant, mx, md, self.n_samples)
 
 
-def calibrate_s0(s_values, max_ratios, plateau_rel: float = 0.05):
-    """Smallest s from which the max-ratio curve stays flat per doubling.
+def calibrate_s0(s_values, max_ratios):
+    """Smallest s from which the max-ratio curve stays flat per doubling,
+    that is, changes by at most ``PLATEAU_REL`` relative per step.
 
     Returns (s0, plateaued). Without a plateau the last s is reported and
     flagged.
@@ -424,7 +428,7 @@ def calibrate_s0(s_values, max_ratios, plateau_rel: float = 0.05):
     s_values = list(s_values)
     r = list(max_ratios)
     for k in range(len(r) - 1):
-        if all(abs(r[j + 1] - r[j]) <= plateau_rel * abs(r[j]) for j in range(k, len(r) - 1)):
+        if all(abs(r[j + 1] - r[j]) <= PLATEAU_REL * abs(r[j]) for j in range(k, len(r) - 1)):
             return float(s_values[k]), True
     return float(s_values[-1]), False
 
@@ -439,11 +443,16 @@ def ratio_experiment(p: LinearProblem, w: CarlemanWeights, s_values,
     and solves the backward equation they drive. Source-free ensembles leave
     only the observation term on the right-hand side, whose discrete maximum
     ratio is not stable under refinement; the audited inequalities are stated
-    for the source-driven solution class anyway.
+    for the source-driven solution class anyway. Raises ValueError unless
+    ``s_values`` is a non-empty list of finite s > 0 and n_samples >= 1.
     """
+    s_values = [float(s) for s in s_values]
+    if not (s_values and all(np.isfinite(s) and s > 0.0 for s in s_values)):
+        raise ValueError(f"need a non-empty ladder of finite s > 0, got {s_values}")
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
     rng = np.random.default_rng(0) if rng is None else rng
     p0 = p.with_drift(zero_drift())
-    s_values = [float(s) for s in s_values]
     ratios = np.zeros((n_samples, len(s_values)))
     for i in range(n_samples):
         vT = random_smooth_field(rng, p.case)(p.grid.nodes)

@@ -19,17 +19,13 @@ import sys
 import numpy as np
 
 from . import carleman, control, semilinear
-from .coefficients import (COEFFICIENT_CATALOG, Case, catalog_coefficient,
-                           constant_drift, linear_beta, load_tabular_coefficient,
-                           power_coefficient, validate_beta, validate_coefficient,
-                           zero_beta)
+from .coefficients import (COEFFICIENT_CATALOG, Case, constant_drift, linear_beta,
+                           load_tabular_coefficient, power_coefficient,
+                           validate_beta, validate_coefficient, zero_beta)
 from .config import Config, parse_config
 from .errors import DegenControlError, HypothesisViolated
 from .mesh import build_grid, hardy_check, l2_norm
 from .pde import LinearProblem, solve_forward
-
-COMMANDS = ("validate", "solve", "control", "semilinear", "carleman-audit",
-            "observability", "sweep")
 
 
 def _fmt(v) -> str:
@@ -74,7 +70,7 @@ def build_coefficient(cfg: Config):
         return load_tabular_coefficient(cfg.get_str("a.path"),
                                         case=Case(case) if case else None)
     name = cfg.get_str("a.name", choices=set(COEFFICIENT_CATALOG))
-    return catalog_coefficient(name)
+    return COEFFICIENT_CATALOG[name]()
 
 
 def build_drift(cfg: Config, a):
@@ -116,20 +112,22 @@ def build_problem(cfg: Config, rng) -> LinearProblem:
 
 
 def build_nonlinearity(cfg: Config, drift):
+    """The configured catalog nonlinearity. ``drift`` is not read: the
+    factored nonlinearity needs nothing of the drift, and the parameter stays
+    for callers that pass it."""
     kind = cfg.get_str("nl.kind", default="zero",
                        choices={"zero", "sine", "tanh-grad", "mixed"})
     m = cfg.get_float("nl.m", default=1.0)
     if not np.isfinite(m):
         # rejected for every kind, also those that do not use m
         raise ValueError(f"nonlinearity constant nl.m must be finite, got {m}")
-    beta_sup = max(drift.C_beta, 1e-300)
     if kind == "zero":
         return semilinear.zero_nonlinearity()
     if kind == "sine":
         return semilinear.sine_nonlinearity(m)
     if kind == "tanh-grad":
-        return semilinear.tanh_grad_nonlinearity(beta_sup=beta_sup)
-    return semilinear.mixed_nonlinearity(m, beta_sup=beta_sup)
+        return semilinear.tanh_grad_nonlinearity()
+    return semilinear.mixed_nonlinearity(m)
 
 
 # -- commands -------------------------------------------------------------------
@@ -192,7 +190,7 @@ def cmd_sweep(cfg: Config, outdir: str, rng) -> list:
     p = build_problem(cfg, rng)
     eps = cfg.get_float_list("epsilon.sweep",
                              default=[1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
-    res = control.epsilon_sweep(p, eps, cg_tol=cfg.get_float("cg.tol", default=1e-10))
+    res = control.epsilon_sweep(p, eps)
     write_table(os.path.join(outdir, "sweep.csv"), "epsilon,norm_yT,cost,optimality_gap",
                 [(r.epsilon, r.norm_yT, r.cost, r.optimality_gap) for r in res.rows])
     return [
@@ -298,7 +296,7 @@ def run(config_path: str, outdir: str | None = None, seed: int | None = None) ->
     """Execute one configured experiment; returns the process exit status."""
     try:
         cfg = parse_config(config_path)
-        command = cfg.get_str("command", choices=set(COMMANDS))
+        command = cfg.get_str("command", choices=set(_DISPATCH))
         out = outdir or cfg.get_str("out", default="out")
         os.makedirs(out, exist_ok=True)
         if seed is None:

@@ -26,6 +26,7 @@ from .errors import EnvelopeUnbounded, HypothesisViolated, NonPositiveCoefficien
 
 TOL_HYP = 1e-10
 FD_STEP = 1e-6
+BETA_CAP = 1e6       # largest |beta(x)/x| that validate_beta accepts near x = 0
 
 
 class Case(str, Enum):
@@ -53,9 +54,6 @@ class DegeneracyCoefficient:
     label: str = ""
     sample_floor: float = 1e-10
 
-    def __call__(self, x):
-        return self.eval(x)
-
 
 @dataclass(frozen=True)
 class DriftEnvelope:
@@ -78,12 +76,10 @@ class DriftEnvelope:
 @dataclass(frozen=True)
 class ValidationReport:
     K: float
-    case_requested: Case
     case_admissible: Case
     sigma: float | None
     clauses: dict
     passed: bool
-    n_samples: int
 
     def summary_lines(self):
         lines = [
@@ -196,13 +192,6 @@ COEFFICIENT_CATALOG = {
 }
 
 
-def catalog_coefficient(name: str) -> DegeneracyCoefficient:
-    try:
-        return COEFFICIENT_CATALOG[name]()
-    except KeyError:
-        raise ValueError(f"unknown coefficient catalog entry {name!r}") from None
-
-
 def finite_difference_derivative(f, step: float = FD_STEP):
     """Central differences on (0,1], one-sided next to the endpoints.
 
@@ -300,8 +289,8 @@ def _sigma_search(a: DegeneracyCoefficient, K: float) -> float | None:
     return None
 
 
-def validate_coefficient(a_candidate, case: Case, n_samples: int = 256,
-                         samples: np.ndarray | None = None) -> ValidationReport:
+def validate_coefficient(a_candidate, case: Case,
+                         n_samples: int = 256) -> ValidationReport:
     """Check the degeneracy hypotheses on samples and measure the constants.
 
     Returns a report with the smallest K making x a'(x) <= K a(x) hold over
@@ -311,10 +300,7 @@ def validate_coefficient(a_candidate, case: Case, n_samples: int = 256,
     """
     case = Case(case)
     a = _as_coefficient(a_candidate)
-    if samples is None:
-        xs = hypothesis_samples(n_samples, x_min=a.sample_floor)
-    else:
-        xs = np.asarray(samples, dtype=float)
+    xs = hypothesis_samples(n_samples, x_min=a.sample_floor)
 
     vals = np.asarray(a.eval(xs), dtype=float)
     if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
@@ -352,17 +338,16 @@ def validate_coefficient(a_candidate, case: Case, n_samples: int = 256,
     if case is Case.SDP:
         clauses["sigma_monotone"] = bool(sigma_ok)
     passed = all(clauses.values())
-    return ValidationReport(K=K, case_requested=case, case_admissible=admissible,
-                            sigma=sigma, clauses=clauses, passed=passed,
-                            n_samples=len(xs))
+    return ValidationReport(K=K, case_admissible=admissible, sigma=sigma,
+                            clauses=clauses, passed=passed)
 
 
-def validate_beta(beta, a, n_samples: int = 256, cap: float = 1e6,
+def validate_beta(beta, a, n_samples: int = 256,
                   samples: np.ndarray | None = None) -> float:
     """sup over samples of |beta(x)/x|, guarding against blow-up at 0.
 
     Probes a geometric refinement of the sample floor toward x = 0; if the
-    envelope exceeds ``cap`` there, raises ``EnvelopeUnbounded``. Also checks
+    envelope exceeds ``BETA_CAP`` there, raises ``EnvelopeUnbounded``. Also checks
     the induced bound beta(x)^2 / a(x) <= C_beta^2 / a(1) at the samples.
     """
     a = _as_coefficient(a)
@@ -379,9 +364,9 @@ def validate_beta(beta, a, n_samples: int = 256, cap: float = 1e6,
     probes = np.geomspace(floor * 1e-6, floor, 16)
     probe_env = np.abs(np.asarray(beta(probes), dtype=float) / probes)
     worst = max(c_beta, float(np.max(probe_env))) if np.all(np.isfinite(probe_env)) else np.inf
-    if worst > cap:
+    if worst > BETA_CAP:
         raise EnvelopeUnbounded(
-            f"|beta(x)/x| reaches {worst:.3e} (> cap {cap:.3e}) as x -> 0")
+            f"|beta(x)/x| reaches {worst:.3e} (> cap {BETA_CAP:.3e}) as x -> 0")
 
     a_vals = np.asarray(a.eval(xs), dtype=float)
     a1 = float(a.eval(np.array([1.0]))[0])

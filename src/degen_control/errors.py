@@ -32,7 +32,8 @@ class EnvelopeUnbounded(DegenControlError):
 
 
 class BadResolution(DegenControlError):
-    """Grid request below the minimum supported resolution."""
+    """Grid request below the minimum supported resolution, or with a grading
+    exponent that is not finite and >= 1."""
     code = "BAD_RESOLUTION"
     exit_code = 2
 

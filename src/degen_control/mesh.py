@@ -35,7 +35,6 @@ def graded_nodes(N: int, gamma: float) -> np.ndarray:
 @dataclass(frozen=True)
 class GridSpec:
     N: int
-    gamma: float
     nodes: np.ndarray     # (N,)
     faces: np.ndarray     # (N-1,) midpoints
     spacings: np.ndarray  # (N-1,) h_{i+1/2} = x_{i+1} - x_i
@@ -45,16 +44,15 @@ class GridSpec:
 def build_grid(N: int, gamma: float = 1.0) -> GridSpec:
     if N < 8:
         raise BadResolution(f"need at least 8 nodes, got {N}")
-    if gamma < 1.0:
-        raise BadResolution(f"grading exponent must be >= 1, got {gamma}")
+    if not (np.isfinite(gamma) and gamma >= 1.0):
+        raise BadResolution(f"grading exponent must be finite and >= 1, got {gamma}")
     nodes = graded_nodes(N, gamma)
     h = np.diff(nodes)
     faces = 0.5 * (nodes[:-1] + nodes[1:])
     w = np.zeros(N)
     w[:-1] += 0.5 * h
     w[1:] += 0.5 * h
-    return GridSpec(N=N, gamma=float(gamma), nodes=nodes, faces=faces,
-                    spacings=h, weights=w)
+    return GridSpec(N=N, nodes=nodes, faces=faces, spacings=h, weights=w)
 
 
 def active_indices(grid: GridSpec, case: Case) -> np.ndarray:
@@ -80,8 +78,6 @@ class TriDiagOperator:
     sup: np.ndarray
     active: np.ndarray
     weights: np.ndarray   # trapezoid weights restricted to active nodes
-    case: Case
-    grid: GridSpec
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         r = self.diag * u
@@ -140,8 +136,7 @@ def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
         np.subtract(diag, qh, out=diag, where=forward)
         np.add(sup, qh, out=sup, where=forward & right_active)
 
-    return TriDiagOperator(sub=sub, diag=diag, sup=sup, active=act,
-                           weights=d, case=a.case, grid=grid)
+    return TriDiagOperator(sub=sub, diag=diag, sup=sup, active=act, weights=d)
 
 
 # -- inner products and norms --------------------------------------------------

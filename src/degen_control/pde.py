@@ -56,13 +56,15 @@ class LinearProblem:
         w1, w2 = self.omega
         if not (0.0 < w1 < w2 < 1.0):
             raise ValueError(f"control region must satisfy 0 < w1 < w2 < 1, got {self.omega}")
-        if not self.T > 0.0:
-            raise ValueError("horizon T must be positive")
+        if not (np.isfinite(self.T) and self.T > 0.0):
+            raise ValueError(f"horizon T must be finite and positive, got {self.T}")
         if self.M < 8:
             raise ValueError("need at least 8 time steps")
         self.y0 = np.asarray(self.y0, dtype=float)
         if self.y0.shape != (self.grid.N,):
             raise ValueError("initial datum must be a nodal vector on the grid")
+        if not np.all(np.isfinite(self.y0)):
+            raise ValueError("initial datum must be finite")
 
     @property
     def dt(self) -> float:
@@ -153,7 +155,6 @@ class Trajectory:
     grid: GridSpec
     times: np.ndarray
     states: np.ndarray           # (M+1, N)
-    case: object
     stability_ratio: float | None = None
 
     def final(self) -> np.ndarray:
@@ -170,9 +171,6 @@ class Trajectory:
         tw = np.full(self.times.size, dt)
         tw[0] = tw[-1] = 0.5 * dt
         return tw
-
-    def l2_Q(self) -> float:
-        return float(np.sqrt(np.sum(self._time_weights() * self._sq_l2())))
 
     def z_norm(self, a: DegeneracyCoefficient) -> float:
         """L^2(0,T; H^1_a) norm."""
@@ -198,7 +196,7 @@ def solve_forward(p: LinearProblem, h: np.ndarray | None = None) -> Trajectory:
     src = None if h is None else h[:, act] * p.omega_mask()[act]
     states = np.zeros((p.M + 1, p.grid.N))
     states[:, act] = march(p, p.y0[act], src)
-    traj = Trajectory(grid=p.grid, times=p.times, states=states, case=p.case)
+    traj = Trajectory(grid=p.grid, times=p.times, states=states)
     denom = l2_norm(p.grid, states[0])
     if h is not None:
         denom += float(np.sqrt(control_cost(p, h)))
@@ -211,7 +209,7 @@ def solve_adjoint(p: LinearProblem, vT: np.ndarray) -> Trajectory:
     act = p.active()
     states = np.zeros((p.M + 1, p.grid.N))
     states[:, act] = march(p, np.asarray(vT, dtype=float)[act], adjoint=True)
-    return Trajectory(grid=p.grid, times=p.times, states=states, case=p.case)
+    return Trajectory(grid=p.grid, times=p.times, states=states)
 
 
 def control_pairing(p: LinearProblem, h: np.ndarray, v: Trajectory) -> float:

@@ -3,7 +3,9 @@
 Nonlinearities enter in factored form f(x,t,s,p) = b~(x,t,s,p) s +
 c~(x,t,s,p) beta(x) p with bounded factors, so freezing them along a
 trajectory z produces coefficients (b_z, c_z) that keep the linearized
-problem inside the bounded-coefficient theory. The outer loop alternates
+problem inside the bounded-coefficient theory. The factors and their caps
+are all the program reads of a nonlinearity: ``freeze_coefficients`` checks
+every frozen value against the caps. The outer loop alternates
 freezing with the penalized linear control solve and stops when consecutive
 trajectories agree in the L^2(0,T; H^1_a) norm; the converged pair (y, h) is
 checked against the discrete semilinear equation itself.
@@ -14,8 +16,9 @@ included, is assembled once as stacked bands read from those tables.
 
 For rough initial data the two-phase driver first runs the uncontrolled
 semilinear equation on (0, t0) (per-step inner iteration on the frozen
-coefficients, one row assembly per inner step), then controls on (t0, T)
-from the smoothed state.
+coefficients, one row assembly per inner step, to ``COAST_TOL`` within
+``COAST_MAX_INNER`` iterations), then controls on (t0, T) from the smoothed
+state.
 """
 
 from __future__ import annotations
@@ -26,21 +29,23 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import DriftEnvelope, linear_beta
+from .coefficients import DriftEnvelope
 from .errors import NoFixedPoint, UnboundedFrozenCoefficient
 from .mesh import GridSpec, assemble_operator, l2_norm
 from .pde import (LinearProblem, Trajectory, _factor_step, _step_solve,
                   solve_forward)
 from .control import HUMResult, hum_solve
 
-
-def _sinc(s):
-    """sin(s)/s with the limit value 1 at s = 0."""
-    s = np.asarray(s, dtype=float)
-    return np.sinc(s / np.pi)
+# the coast phase's per-step inner iteration: relative increment target and budget
+COAST_TOL = 1e-12
+COAST_MAX_INNER = 50
 
 
-def _tanhc(p):
+def _zero(x, t, s, p):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def _tanh_grad(x, t, s, p):
     """tanh(p)/p with the limit value 1 at p = 0."""
     p = np.asarray(p, dtype=float)
     out = np.ones_like(p)
@@ -49,9 +54,18 @@ def _tanhc(p):
     return out
 
 
+def _sine(m: float):
+    """The factor m sin(s)/s, with the limit value m at s = 0; m must be finite."""
+    m = float(m)
+    if not np.isfinite(m):
+        raise ValueError(f"nonlinearity constant m must be finite, got {m}")
+    return lambda x, t, s, p: m * np.sinc(np.asarray(s, dtype=float) / np.pi)
+
+
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Factored nonlinearity f = b~ s + c~ beta p with bounded factors.
+    """Factored nonlinearity f = b~ s + c~ beta p with factors bounded by
+    ``b_cap`` and ``c_cap``, which is all the fixed point needs of f.
 
     Freezing calls a factor with x (N,), t (M+1, 1) and s, p (M+1, N); its
     result must broadcast to (M+1, N)."""
@@ -60,93 +74,22 @@ class Nonlinearity:
     c_factor: Callable  # (x, t, s, p) -> array
     b_cap: float
     c_cap: float
-    lipschitz_L: float
-    name: str = ""
-
-    def f(self, beta, x, t, s, p):
-        x = np.asarray(x, dtype=float)
-        return (np.asarray(self.b_factor(x, t, s, p), dtype=float) * s
-                + np.asarray(self.c_factor(x, t, s, p), dtype=float)
-                * np.asarray(beta(x), dtype=float) * p)
 
 
 def zero_nonlinearity() -> Nonlinearity:
-    z = lambda x, t, s, p: np.zeros_like(np.asarray(x, dtype=float))
-    return Nonlinearity(z, z, b_cap=0.0, c_cap=0.0, lipschitz_L=0.0, name="zero")
+    return Nonlinearity(_zero, _zero, b_cap=0.0, c_cap=0.0)
 
 
 def sine_nonlinearity(m: float) -> Nonlinearity:
-    m = float(m)
-    if not np.isfinite(m):
-        raise ValueError(f"nonlinearity constant m must be finite, got {m}")
-
-    def b(x, t, s, p):
-        return m * _sinc(s)
-
-    z = lambda x, t, s, p: np.zeros_like(np.asarray(x, dtype=float))
-    return Nonlinearity(b, z, b_cap=abs(m), c_cap=0.0, lipschitz_L=abs(m),
-                        name=f"sine({m:g})")
+    return Nonlinearity(_sine(m), _zero, b_cap=abs(float(m)), c_cap=0.0)
 
 
-def tanh_grad_nonlinearity(beta_sup: float = 1.0) -> Nonlinearity:
-    def c(x, t, s, p):
-        return _tanhc(p)
-
-    z = lambda x, t, s, p: np.zeros_like(np.asarray(x, dtype=float))
-    return Nonlinearity(z, c, b_cap=0.0, c_cap=1.0, lipschitz_L=float(beta_sup),
-                        name="tanh-grad")
+def tanh_grad_nonlinearity() -> Nonlinearity:
+    return Nonlinearity(_zero, _tanh_grad, b_cap=0.0, c_cap=1.0)
 
 
-def mixed_nonlinearity(m: float, beta_sup: float = 1.0) -> Nonlinearity:
-    m = float(m)
-    if not np.isfinite(m):
-        raise ValueError(f"nonlinearity constant m must be finite, got {m}")
-
-    def b(x, t, s, p):
-        return m * _sinc(s)
-
-    def c(x, t, s, p):
-        return _tanhc(p)
-
-    return Nonlinearity(b, c, b_cap=abs(m), c_cap=1.0,
-                        lipschitz_L=abs(m) + float(beta_sup), name=f"mixed({m:g})")
-
-
-def validate_nonlinearity(nl: Nonlinearity, beta=None, n_samples: int = 200,
-                          rng: np.random.Generator | None = None) -> dict:
-    """Sample the factor caps and the declared Lipschitz constant.
-
-    Raises ``UnboundedFrozenCoefficient`` if a factor exceeds its cap and
-    ``ValueError`` if the Lipschitz declaration is violated on sample pairs.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    beta = beta if beta is not None else linear_beta(1.0)
-    x = rng.uniform(0.0, 1.0, n_samples)
-    t = float(rng.uniform(0.0, 1.0))
-    s1, p1 = rng.normal(0, 3, n_samples), rng.normal(0, 3, n_samples)
-    s2, p2 = rng.normal(0, 3, n_samples), rng.normal(0, 3, n_samples)
-
-    b_max = float(np.max(np.abs(nl.b_factor(x, t, s1, p1))))
-    c_max = float(np.max(np.abs(nl.c_factor(x, t, s1, p1))))
-    tol = 1e-9
-    if b_max > nl.b_cap * (1.0 + tol) + 1e-300:
-        raise UnboundedFrozenCoefficient(
-            f"zero-order factor reaches {b_max:.6g} > cap {nl.b_cap:.6g}")
-    if c_max > nl.c_cap * (1.0 + tol) + 1e-300:
-        raise UnboundedFrozenCoefficient(
-            f"first-order factor reaches {c_max:.6g} > cap {nl.c_cap:.6g}")
-
-    f1 = nl.f(beta, x, t, s1, p1)
-    f2 = nl.f(beta, x, t, s2, p2)
-    bound = nl.lipschitz_L * (np.abs(s1 - s2) + np.abs(p1 - p2))
-    lip = np.abs(f1 - f2)
-    if np.any(lip > bound * (1.0 + tol) + 1e-12):
-        worst = float(np.max(lip - bound))
-        raise ValueError(
-            f"Lipschitz declaration violated by {worst:.3e} on sample pairs")
-    observed = lip / np.maximum(np.abs(s1 - s2) + np.abs(p1 - p2), 1e-300)
-    return {"b_max": b_max, "c_max": c_max,
-            "lipschitz_observed": float(np.max(observed))}
+def mixed_nonlinearity(m: float) -> Nonlinearity:
+    return Nonlinearity(_sine(m), _tanh_grad, b_cap=abs(float(m)), c_cap=1.0)
 
 
 # -- freezing ------------------------------------------------------------------
@@ -224,7 +167,7 @@ def semilinear_residual(p: LinearProblem, nl: Nonlinearity, traj: Trajectory,
 
 def _diff_z_norm(a, z_new: Trajectory, z_old: Trajectory) -> float:
     diff = Trajectory(grid=z_new.grid, times=z_new.times,
-                      states=z_new.states - z_old.states, case=z_new.case)
+                      states=z_new.states - z_old.states)
     return diff.z_norm(a)
 
 
@@ -237,13 +180,16 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
     to ||y0||. On convergence the pair (y, h) is substituted into the discrete
     semilinear equation; the report's ``converged`` flag requires that
     residual to stay below 10 * fp_tol. Raises ``NoFixedPoint`` when the
-    budget runs out on a growing increment sequence.
+    budget runs out on a growing increment sequence, and ValueError unless
+    fp_tol is finite and positive.
     """
+    if not (np.isfinite(fp_tol) and fp_tol > 0.0):
+        raise ValueError(f"fixed-point tolerance must be finite and positive, got {fp_tol}")
     y0n = l2_norm(p.grid, p.y0)
     tol_abs = fp_tol * max(y0n, 1e-300)
 
     zero_traj = Trajectory(grid=p.grid, times=p.times,
-                           states=np.zeros((p.M + 1, p.grid.N)), case=p.case)
+                           states=np.zeros((p.M + 1, p.grid.N)))
     z = solve_forward(p.with_drift(frozen_drift(p, *freeze_coefficients(zero_traj, nl))))
 
     increments, costs, yT_norms = [], [], []
@@ -281,11 +227,11 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
                             trajectory=z, hum=hum)
 
 
-def semilinear_forward(p: LinearProblem, nl: Nonlinearity,
-                       inner_tol: float = 1e-12, max_inner: int = 50) -> Trajectory:
+def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> Trajectory:
     """Uncontrolled semilinear forward solve with per-step frozen-coefficient
-    inner iteration. Raises ``NoFixedPoint`` when a step's inner iteration
-    spends ``max_inner`` iterations without meeting ``inner_tol``."""
+    inner iteration. A step's iterate is accepted once its increment is at
+    most ``COAST_TOL`` times ||y0||; ``NoFixedPoint`` is raised when a step
+    spends ``COAST_MAX_INNER`` iterations without that."""
     act = p.active()
     x = p.grid.nodes
     dt = p.dt
@@ -295,7 +241,7 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity,
     for n in range(p.M):
         t1 = (n + 1) * dt
         w = states[n].copy()
-        for _j in range(max_inner):
+        for _j in range(COAST_MAX_INNER):
             zx = np.gradient(w, x)
             brow = np.asarray(nl.b_factor(x, t1, w, zx), dtype=float)
             crow = np.asarray(nl.c_factor(x, t1, w, zx), dtype=float)
@@ -307,14 +253,15 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity,
             w_new[act] = y_act
             delta = l2_norm(p.grid, w_new - w)
             w = w_new
-            if delta <= inner_tol * scale:
+            if delta <= COAST_TOL * scale:
                 break
         else:
             raise NoFixedPoint(
-                f"coast step {n + 1}: inner iteration spent {max_inner} iterations, "
-                f"last increment {delta:.3e} (target {inner_tol * scale:.3e})")
+                f"coast step {n + 1}: inner iteration spent {COAST_MAX_INNER} "
+                f"iterations, last increment {delta:.3e} "
+                f"(target {COAST_TOL * scale:.3e})")
         states[n + 1] = w
-    return Trajectory(grid=p.grid, times=p.times, states=states, case=p.case)
+    return Trajectory(grid=p.grid, times=p.times, states=states)
 
 
 def two_phase_control(p: LinearProblem, nl: Nonlinearity, t0: float,

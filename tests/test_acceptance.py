@@ -182,7 +182,7 @@ def test_criterion_7_null_control_sweep():
         start = time.perf_counter()
         p = _problem(a, N=64, M=128, T=0.5)
         y0n = l2_norm(p.grid, p.y0)
-        res = epsilon_sweep(p, eps_list, cg_tol=cg_tol)
+        res = epsilon_sweep(p, eps_list)
         assert 0.35 <= res.slope <= 0.65
         assert res.cost_ratio <= 10.0
         for row in res.rows:

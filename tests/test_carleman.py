@@ -149,7 +149,7 @@ def test_monotone_damping_in_s():
 
 def _zero_traj(p):
     return Trajectory(grid=p.grid, times=p.times,
-                      states=np.zeros((p.M + 1, p.grid.N)), case=p.case)
+                      states=np.zeros((p.M + 1, p.grid.N)))
 
 
 def test_functionals_zero_inputs():
@@ -170,7 +170,7 @@ def test_functionals_quadratic_homogeneity(rng):
     F = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
     v = solve_terminal_source(p, vT, F)
     lhs1, rhs1 = carleman_functionals(p, w, v, F, 4.0, "lemma")
-    v10 = Trajectory(grid=p.grid, times=p.times, states=10.0 * v.states, case=p.case)
+    v10 = Trajectory(grid=p.grid, times=p.times, states=10.0 * v.states)
     lhs2, rhs2 = carleman_functionals(p, w, v10, 10.0 * F, 4.0, "lemma")
     assert lhs2 == pytest.approx(100.0 * lhs1, rel=1e-12)
     assert rhs2 == pytest.approx(100.0 * rhs1, rel=1e-12)

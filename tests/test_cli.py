@@ -9,6 +9,7 @@ from degen_control.coefficients import constant_drift, linear_beta
 from degen_control.config import Config, parse_config
 from degen_control.errors import ConfigError
 from degen_control.pde import solve_forward
+from degen_control.semilinear import zero_nonlinearity
 
 from conftest import make_problem
 
@@ -218,12 +219,28 @@ t0 = 1
     ("control", "beta.kind = scaled\nbeta.scale = nan"),
     ("semilinear", "nl.kind = sine\nnl.m = nan"),
     ("semilinear", "nl.kind = zero\nnl.m = nan"),
+    ("solve", "T = inf"),
+    ("control", "T = inf"),
+    ("carleman-audit", "carleman.lambda = inf"),
+    ("carleman-audit", "carleman.c1 = inf"),
+    ("control", "cg.tol = nan"),
+    ("semilinear", "fp.tol = nan"),
+    ("control", "y0.amplitude = nan"),
+    ("carleman-audit", "s.sweep ="),
+    ("carleman-audit", "s.sweep = 1,inf,4"),
+    ("carleman-audit", "samples = 0"),
 ], ids=["control", "carleman-audit", "control-epsilon", "sweep-epsilon",
         "control-b-const", "control-c-const", "control-beta-scale",
-        "semilinear-nl-m", "semilinear-nl-m-unused"])
+        "semilinear-nl-m", "semilinear-nl-m-unused", "solve-T-inf",
+        "control-T-inf", "carleman-audit-lambda-inf", "carleman-audit-c1-inf",
+        "control-cg-tol", "semilinear-fp-tol", "control-y0-amplitude",
+        "carleman-audit-empty-ladder", "carleman-audit-infinite-s",
+        "carleman-audit-no-samples"])
 def test_nan_horizon_is_precondition_error(tmp_path, capsys, command, bad):
-    # NaN passes a check written as x <= 0; a NaN horizon or penalty must end
-    # as a precondition error, not as NO_CONVERGENCE after 500 CG iterations
+    # NaN and inf pass checks written as x <= 0 or x < 1; a non-finite
+    # horizon, penalty, tolerance or datum, or an empty audit ensemble, must
+    # end as a precondition error, not as exit 0, a traceback or
+    # NO_CONVERGENCE after 500 CG iterations
     cfg = write_cfg(tmp_path, f"""
 command = {command}
 a.kind = power
@@ -235,6 +252,24 @@ M = 32
     assert main([cfg, "--out", str(tmp_path / "o")]) == 2
     last = capsys.readouterr().out.strip().splitlines()[-1]
     assert last.startswith("ERROR PRECONDITION:")
+
+
+@pytest.mark.parametrize("command,bad", [
+    ("solve", "grid.gamma = inf"),
+    ("control", "grid.gamma = nan"),
+], ids=["solve-inf", "control-nan"])
+def test_nonfinite_grading_is_bad_resolution(tmp_path, capsys, command, bad):
+    cfg = write_cfg(tmp_path, f"""
+command = {command}
+a.kind = power
+a.alpha = 0.5
+grid.N = 32
+M = 32
+{bad}
+""")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 2
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last.startswith("ERROR BAD_RESOLUTION:")
 
 
 def test_sweep_command(tmp_path):
@@ -303,8 +338,9 @@ def test_build_nonlinearity_kinds():
     drift = constant_drift(0.0, 0.0, beta=linear_beta(3.0), C_beta=3.0)
     built = {kind: build_nonlinearity(Config({"nl.kind": kind, "nl.m": "0.5"}), drift)
              for kind in ("zero", "sine", "tanh-grad", "mixed")}
-    assert [nl.lipschitz_L for nl in built.values()] == [0.0, 0.5, 3.0, 3.5]
-    assert build_nonlinearity(Config({}), drift).name == "zero"
+    assert [(nl.b_cap, nl.c_cap) for nl in built.values()] == \
+        [(0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (0.5, 1.0)]
+    assert build_nonlinearity(Config({}), drift) == zero_nonlinearity()
     with pytest.raises(ConfigError, match="nl.kind"):
         build_nonlinearity(Config({"nl.kind": "cubic"}), drift)
 

@@ -236,5 +236,9 @@ def test_stability_ratio_reported():
 def test_trajectory_norms_are_consistent(rng):
     p = make_problem(N=32, M=16)
     traj = solve_forward(p.with_y0(rng.standard_normal(p.grid.N)))
-    assert traj.z_norm(p.a) >= traj.l2_Q() > 0.0
+    # L^2(Q) by the trapezoid rule in time, which z_norm adds the energy to
+    tw = np.full(p.M + 1, p.dt)
+    tw[[0, -1]] = 0.5 * p.dt
+    l2_Q = np.sqrt(np.sum(tw * np.sum(p.grid.weights * traj.states ** 2, axis=1)))
+    assert traj.z_norm(p.a) >= l2_Q > 0.0
     assert traj.sup_l2() > 0.0

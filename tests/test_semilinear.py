@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from degen_control import mesh, pde, semilinear
-from degen_control.coefficients import linear_beta
 from degen_control.control import hum_solve
 from degen_control.errors import NoFixedPoint, UnboundedFrozenCoefficient
 from degen_control.mesh import l2_norm
@@ -13,15 +12,14 @@ from degen_control.semilinear import (Nonlinearity, freeze_coefficients,
                                       mixed_nonlinearity, picard_null_control,
                                       semilinear_forward, semilinear_residual,
                                       sine_nonlinearity, tanh_grad_nonlinearity,
-                                      two_phase_control, validate_nonlinearity,
-                                      zero_nonlinearity)
+                                      two_phase_control, zero_nonlinearity)
 
 from conftest import heat_problem, make_problem
 
 
 def _const_traj(p, values):
     states = np.tile(values, (p.M + 1, 1))
-    return Trajectory(grid=p.grid, times=p.times, states=states, case=p.case)
+    return Trajectory(grid=p.grid, times=p.times, states=states)
 
 
 def test_freeze_sine_at_zero_state():
@@ -54,36 +52,23 @@ def test_freeze_cap_violation():
     runaway = Nonlinearity(
         b_factor=lambda x, t, s, p: np.full_like(np.asarray(x, dtype=float), 7.0),
         c_factor=lambda x, t, s, p: np.zeros_like(np.asarray(x, dtype=float)),
-        b_cap=1.0, c_cap=0.0, lipschitz_L=7.0, name="runaway")
+        b_cap=1.0, c_cap=0.0)
     p = make_problem(N=32, M=16)
     z = _const_traj(p, np.zeros(p.grid.N))
     with pytest.raises(UnboundedFrozenCoefficient):
         freeze_coefficients(z, runaway)
-    with pytest.raises(UnboundedFrozenCoefficient):
-        validate_nonlinearity(runaway)
-
-
-def test_validate_nonlinearity_catalog():
-    for nl in (zero_nonlinearity(), sine_nonlinearity(0.5),
-               tanh_grad_nonlinearity(), mixed_nonlinearity(0.5)):
-        report = validate_nonlinearity(nl, beta=linear_beta(1.0))
-        assert report["lipschitz_observed"] <= nl.lipschitz_L * (1 + 1e-9) + 1e-12
-
-
-def test_validate_nonlinearity_rejects_understated_lipschitz():
-    lying = Nonlinearity(
-        b_factor=sine_nonlinearity(1.0).b_factor,
-        c_factor=sine_nonlinearity(1.0).c_factor,
-        b_cap=1.0, c_cap=0.0, lipschitz_L=0.05, name="lying")
-    with pytest.raises(ValueError):
-        validate_nonlinearity(lying)
 
 
 def test_nonlinearity_vanishes_at_origin():
+    # f = b~ s + c~ beta p with beta(x) = x: the factors take their finite
+    # limits m and 1 at s = p = 0, so f vanishes there
     nl = mixed_nonlinearity(0.7)
     x = np.linspace(0, 1, 9)
-    val = nl.f(linear_beta(1.0), x, 0.3, np.zeros_like(x), np.zeros_like(x))
-    assert np.all(val == 0.0)
+    zero = np.zeros_like(x)
+    b = nl.b_factor(x, 0.3, zero, zero)
+    c = nl.c_factor(x, 0.3, zero, zero)
+    assert np.all(b == 0.7) and np.all(c == 1.0)
+    assert np.all(b * zero + c * x * zero == 0.0)
 
 
 def test_picard_zero_nonlinearity_reduces_to_linear():
@@ -100,7 +85,7 @@ def test_picard_constant_reaction_two_iterations():
     const_b = Nonlinearity(
         b_factor=lambda x, t, s, p: np.full_like(np.asarray(x, dtype=float), 0.3),
         c_factor=lambda x, t, s, p: np.zeros_like(np.asarray(x, dtype=float)),
-        b_cap=0.3, c_cap=0.0, lipschitz_L=0.3, name="const")
+        b_cap=0.3, c_cap=0.0)
     p = make_problem(N=48, M=48)
     rep = picard_null_control(p, const_b, epsilon=1e-6)
     assert rep.iterations == 2
@@ -163,8 +148,7 @@ def test_semilinear_residual_detects_wrong_pair(rng):
     assert semilinear_residual(p, nl, rep.trajectory, rep.h) <= 1e-5
     corrupted = Trajectory(grid=p.grid, times=p.times,
                            states=rep.trajectory.states +
-                           0.1 * rng.standard_normal(rep.trajectory.states.shape),
-                           case=p.case)
+                           0.1 * rng.standard_normal(rep.trajectory.states.shape))
     assert semilinear_residual(p, nl, corrupted, rep.h) > 1e-2
 
 
@@ -206,6 +190,17 @@ def test_semilinear_forward_matches_linear_for_zero_nl():
     traj_semi = semilinear_forward(p, zero_nonlinearity())
     traj_lin = solve_forward(p)
     assert np.allclose(traj_semi.states, traj_lin.states, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("nl,N,T", [(sine_nonlinearity(-10.0), 64, 1.0),
+                                     (mixed_nonlinearity(0.5), 48, 0.5)],
+                         ids=["sine-10", "mixed-0.5"])
+def test_coast_phase_solves_the_discrete_semilinear_equation(nl, N, T):
+    # each coast step is its own fixed point, so the uncontrolled trajectory
+    # satisfies the discrete semilinear equation at every level
+    p = make_problem(N=N, M=32, T=T)
+    traj = semilinear_forward(p, nl)
+    assert semilinear_residual(p, nl, traj, np.zeros((p.M, p.grid.N))) <= 1e-9
 
 
 def test_coast_phase_fails_closed():
