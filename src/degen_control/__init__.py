@@ -12,7 +12,7 @@ from .carleman import (CarlemanWeights, SourceSplit, build_weights,
 from .control import (HUMResult, ObservabilityReport, epsilon_sweep, gramian,
                       hum_solve, observability_estimate)
 from .semilinear import (FixedPointReport, Nonlinearity, freeze_coefficients,
-                         picard_null_control, two_phase_control)
+                         picard_null_control)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

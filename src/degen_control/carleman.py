@@ -444,7 +444,9 @@ def ratio_experiment(p: LinearProblem, w: CarlemanWeights, s_values,
     only the observation term on the right-hand side, whose discrete maximum
     ratio is not stable under refinement; the audited inequalities are stated
     for the source-driven solution class anyway. Raises ValueError unless
-    ``s_values`` is a non-empty list of finite s > 0 and n_samples >= 1.
+    ``s_values`` is a non-empty list of finite s > 0 and n_samples >= 1, and
+    ``NonFiniteIntegral`` when a sample's weighted right-hand side underflows
+    to 0, where the ratio is undefined.
     """
     s_values = [float(s) for s in s_values]
     if not (s_values and all(np.isfinite(s) and s > 0.0 for s in s_values)):
@@ -467,7 +469,11 @@ def ratio_experiment(p: LinearProblem, w: CarlemanWeights, s_values,
             v = solve_terminal_source(p0, vT, src)
         for j, s in enumerate(s_values):
             lhs, rhs = carleman_functionals(p, w, v, src, s, variant)
-            ratios[i, j] = lhs / rhs if rhs > 0.0 else np.inf
+            if not rhs > 0.0:
+                raise NonFiniteIntegral(
+                    f"weighted right-hand side underflowed to 0 at s = {s:g}; "
+                    f"the ratio lhs/rhs = {lhs:.3g}/0 is undefined")
+            ratios[i, j] = lhs / rhs
     max_r = [float(np.max(ratios[:, j])) for j in range(len(s_values))]
     med_r = [float(np.median(ratios[:, j])) for j in range(len(s_values))]
     s0, plateaued = calibrate_s0(s_values, max_r)

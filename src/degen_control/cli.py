@@ -250,24 +250,23 @@ def cmd_semilinear(cfg: Config, outdir: str, rng) -> list:
     fp_tol = cfg.get_float("fp.tol", default=1e-6)
     max_fp = cfg.get_int("fp.maxiter", default=50)
     t0 = cfg.get_float("t0", default=0.0)
-    rep = semilinear.two_phase_control(p, nl, t0, eps, fp_tol=fp_tol,
-                                       max_fp_iters=max_fp,
-                                       cg_tol=cfg.get_float("cg.tol", default=1e-10),
-                                       cg_max_iters=cfg.get_int("cg.maxiter", default=500))
+    rep = semilinear.picard_null_control(p, nl, eps, t0=t0, fp_tol=fp_tol,
+                                         max_fp_iters=max_fp,
+                                         cg_tol=cfg.get_float("cg.tol", default=1e-10),
+                                         cg_max_iters=cfg.get_int("cg.maxiter", default=500))
     write_table(os.path.join(outdir, "iterations.csv"),
                 "iter,increment,control_cost,norm_yT",
                 [(k + 1, inc, cost, n) for k, (inc, cost, n) in
                  enumerate(zip(rep.increments, rep.control_costs, rep.yT_norms))])
-    if rep.h is not None and rep.hum is not None:
-        # the controlled phase runs on its own clock starting at t0
-        write_control_field(os.path.join(outdir, "control.csv"),
-                            rep.hum.trajectory.times[:-1] + rep.t0,
-                            p.grid.nodes, rep.h)
+    # the controlled phase runs on its own clock starting at t0
+    write_control_field(os.path.join(outdir, "control.csv"),
+                        rep.hum.trajectory.times[:-1] + rep.t0,
+                        p.grid.nodes, rep.hum.h)
     lines = [
         f"iterations = {rep.iterations}",
         f"converged = {rep.converged}",
         f"residual = {_fmt(rep.residual)}",
-        f"norm_yT = {_fmt(rep.final_norm_yT)}",
+        f"norm_yT = {_fmt(rep.hum.norm_yT)}",
         f"t0 = {_fmt(rep.t0)}",
     ]
     if rep.cost_constant is not None:

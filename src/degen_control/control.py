@@ -172,7 +172,8 @@ def hum_solve(p: LinearProblem, epsilon: float, cg_tol: float = 1e-10,
     product, applying Lam matrix-free, builds the control from the adjoint of
     vhat, and reruns the forward problem with it. The optimality identity
     yT = -eps vhat holds to the CG tolerance and its gap is recorded. Raises
-    ValueError unless eps and cg_tol are finite and positive.
+    ValueError unless eps and cg_tol are finite and positive and
+    max_iters >= 1.
 
     The Gramian stays matrix-free here, also where the dense ``gramian``
     would be cheaper: the benchmark's ``control`` check pins this path's
@@ -182,6 +183,8 @@ def hum_solve(p: LinearProblem, epsilon: float, cg_tol: float = 1e-10,
     _check_penalty(epsilon)
     if not (np.isfinite(cg_tol) and cg_tol > 0.0):
         raise ValueError(f"CG tolerance must be finite and positive, got {cg_tol}")
+    if max_iters < 1:
+        raise ValueError(f"CG budget must be at least 1 iteration, got {max_iters}")
     act = p.active()
     w_act = p.grid.weights[act]
 

@@ -14,11 +14,12 @@ Freezing works on whole space-time arrays: each factor is called once on
 the (M+1, N) trajectory, and each frozen linear problem, the residual's
 included, is assembled once as stacked bands read from those tables.
 
-For rough initial data the two-phase driver first runs the uncontrolled
-semilinear equation on (0, t0) (per-step inner iteration on the frozen
-coefficients, one row assembly per inner step, to ``COAST_TOL`` within
-``COAST_MAX_INNER`` iterations), then controls on (t0, T) from the smoothed
-state.
+For rough initial data ``picard_null_control`` with t0 > 0 first runs the
+uncontrolled semilinear equation on (0, t0), then controls on (t0, T) from
+the smoothed state. The coast iterates each step on its own: every inner
+iterate is frozen through ``freeze_coefficients`` as a one-level trajectory,
+so its values are checked against the caps too, and assembled as one row,
+to ``COAST_TOL`` within ``COAST_MAX_INNER`` iterations.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .coefficients import DriftEnvelope
 from .errors import NoFixedPoint, UnboundedFrozenCoefficient
-from .mesh import GridSpec, assemble_operator, l2_norm
+from .mesh import assemble_operator, l2_norm
 from .pde import (LinearProblem, Trajectory, _factor_step, _step_solve,
                   solve_forward)
 from .control import HUMResult, hum_solve
@@ -94,15 +95,12 @@ def mixed_nonlinearity(m: float) -> Nonlinearity:
 
 # -- freezing ------------------------------------------------------------------
 
-def gradient_field(grid: GridSpec, states: np.ndarray) -> np.ndarray:
-    """Nodal slopes of each time slice (centered, one-sided at the ends)."""
-    return np.gradient(states, grid.nodes, axis=-1)
-
-
 def freeze_coefficients(z: Trajectory, nl: Nonlinearity):
-    """Call each factor once along the trajectory: (b_z, c_z), read-only
-    arrays of shape (M+1, N); a factor's (N,) result is broadcast."""
-    args = (z.grid.nodes, z.times[:, None], z.states, gradient_field(z.grid, z.states))
+    """Call each factor once along the trajectory, with the nodal slopes of
+    each level (centered, one-sided at the ends): (b_z, c_z), read-only
+    arrays of z.states' shape (L, N); a factor's (N,) result is broadcast."""
+    args = (z.grid.nodes, z.times[:, None], z.states,
+            np.gradient(z.states, z.grid.nodes, axis=-1))
     b_field = np.broadcast_to(np.asarray(nl.b_factor(*args), dtype=float), z.states.shape)
     c_field = np.broadcast_to(np.asarray(nl.c_factor(*args), dtype=float), z.states.shape)
     tol = 1e-9
@@ -134,19 +132,19 @@ def frozen_drift(p: LinearProblem, b_field: np.ndarray,
 
 @dataclass
 class FixedPointReport:
-    iterations: int
     increments: list
     control_costs: list
     yT_norms: list
     converged: bool
     residual: float            # discrete semilinear residual, relative to ||y0||
-    final_norm_yT: float
     cost_constant: float | None
-    h: np.ndarray | None
-    trajectory: Trajectory | None
-    hum: HUMResult | None
+    hum: HUMResult             # the last linear control: its h, trajectory and norm_yT
     t0: float = 0.0
     phase1_final: np.ndarray | None = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.increments)
 
 
 def semilinear_residual(p: LinearProblem, nl: Nonlinearity, traj: Trajectory,
@@ -172,19 +170,41 @@ def _diff_z_norm(a, z_new: Trajectory, z_old: Trajectory) -> float:
 
 
 def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
-                        fp_tol: float = 1e-6, max_fp_iters: int = 50,
+                        t0: float = 0.0, fp_tol: float = 1e-6, max_fp_iters: int = 50,
                         cg_tol: float = 1e-10, cg_max_iters: int = 500) -> FixedPointReport:
     """Iterate freeze -> penalized linear control -> refreeze to a fixed point.
+
+    With t0 > 0 the uncontrolled semilinear equation first coasts on (0, t0)
+    and the loop controls on (t0, T) from y(t0). t0 snaps to the step grid;
+    both phases keep the original step size and need at least 8 steps.
+    Catalog nonlinearities are autonomous, so restarting the clock at t0 is
+    immaterial.
 
     The stopping increment is ||z_{k+1} - z_k|| in L^2(0,T; H^1_a), relative
     to ||y0||. On convergence the pair (y, h) is substituted into the discrete
     semilinear equation; the report's ``converged`` flag requires that
     residual to stay below 10 * fp_tol. Raises ``NoFixedPoint`` when the
     budget runs out on a growing increment sequence, and ValueError unless
-    fp_tol is finite and positive.
+    fp_tol is finite and positive and max_fp_iters >= 1.
     """
     if not (np.isfinite(fp_tol) and fp_tol > 0.0):
         raise ValueError(f"fixed-point tolerance must be finite and positive, got {fp_tol}")
+    if max_fp_iters < 1:
+        raise ValueError(f"fixed-point budget must be at least 1 iteration, got {max_fp_iters}")
+    phase1_final = None
+    if t0 != 0.0:
+        if not (0.0 < t0 < p.T):
+            raise ValueError("t0 must lie strictly inside (0, T)")
+        M1 = int(round(p.M * t0 / p.T))
+        if M1 < 8 or p.M - M1 < 8:
+            raise ValueError("both phases need at least 8 time steps; "
+                             f"split gave {M1} + {p.M - M1}")
+        t0 = M1 * p.dt
+        phase1_final = semilinear_forward(dataclasses.replace(p, T=t0, M=M1), nl).final()
+        p = dataclasses.replace(p, T=p.T - t0, M=p.M - M1, y0=phase1_final)
+    else:
+        t0 = 0.0  # a t0 of -0.0 reports as 0
+
     y0n = l2_norm(p.grid, p.y0)
     tol_abs = fp_tol * max(y0n, 1e-300)
 
@@ -193,9 +213,8 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
     z = solve_forward(p.with_drift(frozen_drift(p, *freeze_coefficients(zero_traj, nl))))
 
     increments, costs, yT_norms = [], [], []
-    hum = None
     converged = False
-    for _k in range(1, max_fp_iters + 1):
+    for _k in range(max_fp_iters):
         p_k = p.with_drift(frozen_drift(p, *freeze_coefficients(z, nl)))
         hum = hum_solve(p_k, epsilon, cg_tol=cg_tol, max_iters=cg_max_iters)
         z_new = hum.trajectory
@@ -215,16 +234,13 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
             f"({increments[-3]:.3e} -> {increments[-1]:.3e}) "
             f"after {len(increments)} outer steps")
 
-    residual = semilinear_residual(p, nl, z, hum.h) if hum is not None else 0.0
-    converged = converged and residual <= 10.0 * fp_tol
-    cost_constant = (max(costs) / y0n ** 2) if (costs and y0n > 0) else None
-    return FixedPointReport(iterations=len(increments), increments=increments,
-                            control_costs=costs, yT_norms=yT_norms,
-                            converged=converged, residual=residual,
-                            final_norm_yT=yT_norms[-1] if yT_norms else 0.0,
-                            cost_constant=cost_constant,
-                            h=hum.h if hum is not None else None,
-                            trajectory=z, hum=hum)
+    residual = semilinear_residual(p, nl, z, hum.h)
+    return FixedPointReport(increments=increments, control_costs=costs,
+                            yT_norms=yT_norms,
+                            converged=converged and residual <= 10.0 * fp_tol,
+                            residual=residual,
+                            cost_constant=max(costs) / y0n ** 2 if y0n > 0 else None,
+                            hum=hum, t0=t0, phase1_final=phase1_final)
 
 
 def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> Trajectory:
@@ -233,7 +249,6 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> Trajectory:
     most ``COAST_TOL`` times ||y0||; ``NoFixedPoint`` is raised when a step
     spends ``COAST_MAX_INNER`` iterations without that."""
     act = p.active()
-    x = p.grid.nodes
     dt = p.dt
     states = np.zeros((p.M + 1, p.grid.N))
     states[0, act] = p.y0[act]
@@ -242,10 +257,8 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> Trajectory:
         t1 = (n + 1) * dt
         w = states[n].copy()
         for _j in range(COAST_MAX_INNER):
-            zx = np.gradient(w, x)
-            brow = np.asarray(nl.b_factor(x, t1, w, zx), dtype=float)
-            crow = np.asarray(nl.c_factor(x, t1, w, zx), dtype=float)
-            drift = frozen_drift(p, brow[None, :], crow[None, :])
+            level = Trajectory(grid=p.grid, times=np.array([t1]), states=w[None, :])
+            drift = frozen_drift(p, *freeze_coefficients(level, nl))
             op = assemble_operator(p.grid, p.a, drift, t1)
             y_act = _step_solve(_factor_step(op.sub, op.diag, op.sup, dt, n + 1),
                                 states[n][act])
@@ -262,40 +275,3 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> Trajectory:
                 f"(target {COAST_TOL * scale:.3e})")
         states[n + 1] = w
     return Trajectory(grid=p.grid, times=p.times, states=states)
-
-
-def two_phase_control(p: LinearProblem, nl: Nonlinearity, t0: float,
-                      epsilon: float, fp_tol: float = 1e-6,
-                      max_fp_iters: int = 50, cg_tol: float = 1e-10,
-                      cg_max_iters: int = 500) -> FixedPointReport:
-    """Coast uncontrolled on (0, t0), then control on (t0, T) from y(t0).
-
-    t0 snaps to the step grid; both phases keep the original step size. With
-    t0 = 0 this is exactly the one-phase iteration. Catalog nonlinearities
-    are autonomous, so restarting the clock at t0 is immaterial.
-    """
-    if t0 == 0.0:
-        return picard_null_control(p, nl, epsilon, fp_tol=fp_tol,
-                                   max_fp_iters=max_fp_iters, cg_tol=cg_tol,
-                                   cg_max_iters=cg_max_iters)
-    if not (0.0 < t0 < p.T):
-        raise ValueError("t0 must lie strictly inside (0, T)")
-    M1 = int(round(p.M * t0 / p.T))
-    M1 = max(M1, 1)
-    M2 = p.M - M1
-    if M1 < 8 or M2 < 8:
-        raise ValueError("both phases need at least 8 time steps; "
-                         f"split gave {M1} + {M2}")
-    t0_snap = M1 * p.dt
-
-    p1 = dataclasses.replace(p, T=t0_snap, M=M1)
-    coast = semilinear_forward(p1, nl)
-    y_t0 = coast.final()
-
-    p2 = dataclasses.replace(p, T=p.T - t0_snap, M=M2, y0=y_t0)
-    report = picard_null_control(p2, nl, epsilon, fp_tol=fp_tol,
-                                 max_fp_iters=max_fp_iters, cg_tol=cg_tol,
-                                 cg_max_iters=cg_max_iters)
-    report.t0 = t0_snap
-    report.phase1_final = y_t0
-    return report

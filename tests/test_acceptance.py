@@ -23,7 +23,7 @@ from degen_control.errors import HypothesisViolated
 from degen_control.mesh import build_grid, l2_norm
 from degen_control.pde import LinearProblem, solve_adjoint, solve_forward
 from degen_control.semilinear import (picard_null_control, sine_nonlinearity,
-                                      two_phase_control, zero_nonlinearity)
+                                      zero_nonlinearity)
 
 OMEGA = (0.3, 0.9)
 
@@ -214,10 +214,10 @@ def test_criterion_8_semilinear_fixed_point(tmp_path):
     rep0 = picard_null_control(p, zero_nonlinearity(), epsilon=1e-6)
     hum = hum_solve(p, 1e-6)
     assert rep0.iterations <= 2
-    assert np.array_equal(rep0.h, hum.h)
+    assert np.array_equal(rep0.hum.h, hum.h)
     path_a = tmp_path / "picard_control.csv"
     path_b = tmp_path / "hum_control.csv"
-    write_control_field(path_a, p.times[:-1], p.grid.nodes, rep0.h)
+    write_control_field(path_a, p.times[:-1], p.grid.nodes, rep0.hum.h)
     write_control_field(path_b, p.times[:-1], p.grid.nodes, hum.h)
     assert path_a.read_bytes() == path_b.read_bytes()
     print(f"\n[PASS] criterion 8: semilinear fixed point (iters <= 20, "
@@ -234,12 +234,12 @@ def test_criterion_9_two_phase_control():
     p = LinearProblem(a=a, drift=zero_drift(), T=0.5, omega=OMEGA, grid=grid,
                       M=128, y0=y0)
     nl = sine_nonlinearity(0.5)
-    rep = two_phase_control(p, nl, t0=p.T / 4, epsilon=1e-6)
+    rep = picard_null_control(p, nl, epsilon=1e-6, t0=p.T / 4)
     assert rep.converged
     p_single = dataclasses.replace(p, T=p.T - rep.t0, M=p.M - 32,
                                    y0=rep.phase1_final)
     single = picard_null_control(p_single, nl, epsilon=1e-6)
-    ratio = rep.final_norm_yT / single.final_norm_yT
+    ratio = rep.hum.norm_yT / single.hum.norm_yT
     assert 0.5 <= ratio <= 2.0
     print(f"\n[PASS] criterion 9: two-phase control (final-state ratio "
           f"{ratio:.3f} within 2x of single-phase from y(t0))")

@@ -209,6 +209,25 @@ t0 = 1
     assert last.startswith("ERROR NO_FIXED_POINT:")
 
 
+def test_underflowed_audit_rhs_is_nonfinite_integral(tmp_path, capsys):
+    # at s = 1 with the default T and lambda every node weight underflows to
+    # 0, so the ratio is undefined: a solver failure, not max_ratio = inf
+    cfg = write_cfg(tmp_path, """
+command = carleman-audit
+a.kind = power
+a.alpha = 0.5
+grid.N = 32
+M = 32
+s.sweep = 1
+samples = 1
+carleman.variant = lemma
+""")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 3
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last.startswith("ERROR NONFINITE_INTEGRAL:")
+    assert "s = 1" in last
+
+
 @pytest.mark.parametrize("command,bad", [
     ("control", "T = nan"),
     ("carleman-audit", "T = nan"),
@@ -229,13 +248,16 @@ t0 = 1
     ("carleman-audit", "s.sweep ="),
     ("carleman-audit", "s.sweep = 1,inf,4"),
     ("carleman-audit", "samples = 0"),
+    ("control", "cg.maxiter = 0"),
+    ("semilinear", "fp.maxiter = 0"),
 ], ids=["control", "carleman-audit", "control-epsilon", "sweep-epsilon",
         "control-b-const", "control-c-const", "control-beta-scale",
         "semilinear-nl-m", "semilinear-nl-m-unused", "solve-T-inf",
         "control-T-inf", "carleman-audit-lambda-inf", "carleman-audit-c1-inf",
         "control-cg-tol", "semilinear-fp-tol", "control-y0-amplitude",
         "carleman-audit-empty-ladder", "carleman-audit-infinite-s",
-        "carleman-audit-no-samples"])
+        "carleman-audit-no-samples", "control-cg-maxiter",
+        "semilinear-fp-maxiter"])
 def test_nan_horizon_is_precondition_error(tmp_path, capsys, command, bad):
     # NaN and inf pass checks written as x <= 0 or x < 1; a non-finite
     # horizon, penalty, tolerance or datum, or an empty audit ensemble, must

@@ -12,7 +12,7 @@ from degen_control.semilinear import (Nonlinearity, freeze_coefficients,
                                       mixed_nonlinearity, picard_null_control,
                                       semilinear_forward, semilinear_residual,
                                       sine_nonlinearity, tanh_grad_nonlinearity,
-                                      two_phase_control, zero_nonlinearity)
+                                      zero_nonlinearity)
 
 from conftest import heat_problem, make_problem
 
@@ -77,7 +77,7 @@ def test_picard_zero_nonlinearity_reduces_to_linear():
     hum = hum_solve(p, 1e-6)
     assert rep.iterations == 2          # second pass confirms the first
     assert rep.converged
-    assert np.array_equal(rep.h, hum.h)
+    assert np.array_equal(rep.hum.h, hum.h)
     assert rep.increments[-1] == 0.0
 
 
@@ -127,8 +127,8 @@ def test_picard_zero_datum():
     p = make_problem(N=32, M=16, y0=np.zeros(32))
     rep = picard_null_control(p, sine_nonlinearity(0.5), epsilon=1e-6)
     assert rep.converged
-    assert rep.final_norm_yT == 0.0
-    assert np.all(rep.h == 0.0)
+    assert rep.hum.norm_yT == 0.0
+    assert np.all(rep.hum.h == 0.0)
 
 
 def test_picard_stress_never_silently_wrong():
@@ -145,11 +145,11 @@ def test_semilinear_residual_detects_wrong_pair(rng):
     p = make_problem(N=32, M=32)
     nl = sine_nonlinearity(0.5)
     rep = picard_null_control(p, nl, epsilon=1e-6)
-    assert semilinear_residual(p, nl, rep.trajectory, rep.h) <= 1e-5
+    assert semilinear_residual(p, nl, rep.hum.trajectory, rep.hum.h) <= 1e-5
     corrupted = Trajectory(grid=p.grid, times=p.times,
-                           states=rep.trajectory.states +
-                           0.1 * rng.standard_normal(rep.trajectory.states.shape))
-    assert semilinear_residual(p, nl, corrupted, rep.h) > 1e-2
+                           states=rep.hum.trajectory.states +
+                           0.1 * rng.standard_normal(rep.hum.trajectory.states.shape))
+    assert semilinear_residual(p, nl, corrupted, rep.hum.h) > 1e-2
 
 
 def test_one_assembly_per_linear_problem_and_one_call_per_factor(monkeypatch):
@@ -179,7 +179,7 @@ def test_one_assembly_per_linear_problem_and_one_call_per_factor(monkeypatch):
     zero = zero_nonlinearity()
     nl = dataclasses.replace(zero, b_factor=counted("b", zero.b_factor),
                              c_factor=counted("c", zero.c_factor))
-    b_f, c_f = freeze_coefficients(rep.trajectory, nl)
+    b_f, c_f = freeze_coefficients(rep.hum.trajectory, nl)
     assert sorted(factor_calls) == ["b", "c"]
     assert b_f.shape == c_f.shape == (p.M + 1, p.grid.N)
     assert not np.any(b_f) and not np.any(c_f)
@@ -212,21 +212,33 @@ def test_coast_phase_fails_closed():
         semilinear_forward(p, sine_nonlinearity(-30.0))
 
 
+def test_coast_phase_checks_the_caps():
+    # the coast freezes through freeze_coefficients, so a factor above its
+    # cap fails there as it does in the Picard loop
+    runaway = Nonlinearity(
+        b_factor=lambda x, t, s, p: np.full_like(np.asarray(x, dtype=float), 2.0),
+        c_factor=lambda x, t, s, p: np.zeros_like(np.asarray(x, dtype=float)),
+        b_cap=1.0, c_cap=0.0)
+    p = make_problem(N=32, M=16)
+    with pytest.raises(UnboundedFrozenCoefficient):
+        semilinear_forward(p, runaway)
+
+
 def test_two_phase_zero_t0_is_identical():
     p = make_problem(N=48, M=48)
     nl = sine_nonlinearity(0.5)
     rep_direct = picard_null_control(p, nl, epsilon=1e-6)
-    rep_two = two_phase_control(p, nl, t0=0.0, epsilon=1e-6)
+    rep_two = picard_null_control(p, nl, epsilon=1e-6, t0=0.0)
     assert rep_two.t0 == 0.0
     assert rep_two.increments == rep_direct.increments
-    assert np.array_equal(rep_two.h, rep_direct.h)
+    assert np.array_equal(rep_two.hum.h, rep_direct.hum.h)
 
 
 def test_two_phase_zero_datum():
     p = make_problem(N=48, M=64, y0=np.zeros(48))
-    rep = two_phase_control(p, sine_nonlinearity(0.5), t0=0.125, epsilon=1e-6)
-    assert rep.final_norm_yT == 0.0
-    assert np.all(rep.h == 0.0)
+    rep = picard_null_control(p, sine_nonlinearity(0.5), epsilon=1e-6, t0=0.125)
+    assert rep.hum.norm_yT == 0.0
+    assert np.all(rep.hum.h == 0.0)
 
 
 def test_two_phase_matches_single_phase_from_smoothed_datum(rng):
@@ -236,21 +248,21 @@ def test_two_phase_matches_single_phase_from_smoothed_datum(rng):
     y0 = rng.standard_normal(p.grid.N)
     y0[[0, -1]] = 0.0
     p = p.with_y0(y0)
-    rep = two_phase_control(p, zero_nonlinearity(), t0=p.T / 4, epsilon=1e-6)
+    rep = picard_null_control(p, zero_nonlinearity(), epsilon=1e-6, t0=p.T / 4)
     import dataclasses
     p_single = dataclasses.replace(p, T=p.T - rep.t0, M=p.M - 16,
                                    y0=rep.phase1_final)
     hum = hum_solve(p_single, 1e-6)
-    assert rep.final_norm_yT <= hum.norm_yT * (1.0 + 1e-9)
-    assert rep.final_norm_yT >= hum.norm_yT * (1.0 - 1e-9)
+    assert rep.hum.norm_yT <= hum.norm_yT * (1.0 + 1e-9)
+    assert rep.hum.norm_yT >= hum.norm_yT * (1.0 - 1e-9)
 
 
 def test_two_phase_domain_guards():
     p = make_problem(N=32, M=32)
     with pytest.raises(ValueError):
-        two_phase_control(p, zero_nonlinearity(), t0=p.T, epsilon=1e-6)
+        picard_null_control(p, zero_nonlinearity(), epsilon=1e-6, t0=p.T)
     with pytest.raises(ValueError):
-        two_phase_control(p, zero_nonlinearity(), t0=-0.1, epsilon=1e-6)
+        picard_null_control(p, zero_nonlinearity(), epsilon=1e-6, t0=-0.1)
     with pytest.raises(ValueError):
         # split leaves fewer than 8 steps in a phase
-        two_phase_control(p, zero_nonlinearity(), t0=0.01, epsilon=1e-6)
+        picard_null_control(p, zero_nonlinearity(), epsilon=1e-6, t0=0.01)
