@@ -54,7 +54,7 @@ from scipy.integrate import quad
 from .coefficients import Case, DegeneracyCoefficient, zero_drift
 from .errors import NonFiniteIntegral, WeightInvalid
 from .mesh import GridSpec, face_diffusivity
-from .pde import LinearProblem, Trajectory, march
+from .pde import LinearProblem, Trajectory, _trajectory
 
 FIELD_MODES = 6      # modes of every random smooth field
 PLATEAU_REL = 0.05   # per-step relative change that counts as a plateau
@@ -262,11 +262,8 @@ def solve_terminal_source(p: LinearProblem, vT: np.ndarray,
     ``p.with_drift(zero_drift())``; reusing one such problem reuses its step
     factors. F has shape (M+1, N) sampled at the time nodes.
     """
-    act = p.active()
-    src = None if F is None else -np.asarray(F, dtype=float)[:-1, act]
-    states = np.zeros((p.M + 1, p.grid.N))
-    states[:, act] = march(p, np.asarray(vT, dtype=float)[act], src, adjoint=True)
-    return Trajectory(grid=p.grid, times=p.times, states=states)
+    src = None if F is None else -np.asarray(F, dtype=float)[:-1]
+    return _trajectory(p, vT, src, adjoint=True)
 
 
 def _degenerate_ratio(x: np.ndarray, a_pos: np.ndarray, numerator_sq) -> np.ndarray:

@@ -7,7 +7,7 @@ plus a human-readable ``summary.txt`` into the output directory and prints
 the summary to stdout. A fixed seed reproduces byte-identical outputs. Every
 failure path exits nonzero with a final line ``ERROR <code>: <message>``;
 exit status 2 flags hypothesis/validation failures and unreadable files, 3
-solver failures.
+solver failures and any other exception (``ERROR INTERNAL``).
 """
 
 from __future__ import annotations
@@ -158,10 +158,12 @@ def cmd_solve(cfg: Config, outdir: str, rng) -> list:
     traj = solve_forward(p)
     write_control_field(os.path.join(outdir, "trajectory.csv"), traj.times,
                         p.grid.nodes, traj.states)
+    # measured stability ratio sup_n ||y^n|| / ||y^0|| of the zero-filled datum
+    norm0 = l2_norm(p.grid, traj.states[0])
     return [
         f"norm_y0 = {_fmt(l2_norm(p.grid, p.y0))}",
         f"norm_yT = {_fmt(l2_norm(p.grid, traj.final()))}",
-        f"C_T = {_fmt(traj.stability_ratio)}",
+        f"C_T = {_fmt(traj.sup_l2() / norm0 if norm0 > 0.0 else 0.0)}",
     ]
 
 
@@ -317,6 +319,10 @@ def run(config_path: str, outdir: str | None = None, seed: int | None = None) ->
         # a file named by the config (a.path) or the output directory
         print(f"ERROR CONFIG: {exc}")
         return 2
+    except Exception as exc:
+        # nothing above caught it, so it is a defect; keep the final-line contract
+        print(f"ERROR INTERNAL: {type(exc).__name__}: {exc}")
+        return 3
 
 
 def main(argv=None) -> int:

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import EnvelopeUnbounded, HypothesisViolated, NonPositiveCoefficient
 
 TOL_HYP = 1e-10
-FD_STEP = 1e-6
 BETA_CAP = 1e6       # largest |beta(x)/x| that validate_beta accepts near x = 0
 
 
@@ -192,24 +191,6 @@ COEFFICIENT_CATALOG = {
 }
 
 
-def finite_difference_derivative(f, step: float = FD_STEP):
-    """Central differences on (0,1], one-sided next to the endpoints.
-
-    The step shrinks proportionally to x near the degeneracy point; a fixed
-    step would wash out the singular derivative there.
-    """
-
-    def df(x):
-        x = np.asarray(x, dtype=float)
-        h = np.minimum(step, x / 8.0)
-        h = np.maximum(h, 1e-300)
-        lo = np.maximum(x - h, 0.0)
-        hi = np.minimum(x + h, 1.0)
-        return (f(hi) - f(lo)) / (hi - lo)
-
-    return df
-
-
 def linear_beta(scale: float = 1.0):
     scale = float(scale)
     if not np.isfinite(scale):
@@ -262,17 +243,6 @@ def hypothesis_samples(n_samples: int, x_min: float = 1e-10) -> np.ndarray:
     return np.concatenate([geo, uni])
 
 
-def _as_coefficient(a_candidate) -> DegeneracyCoefficient:
-    if isinstance(a_candidate, DegeneracyCoefficient):
-        return a_candidate
-    if callable(a_candidate):
-        return DegeneracyCoefficient(
-            eval=lambda x: np.asarray(a_candidate(np.asarray(x, dtype=float)), dtype=float),
-            deriv=finite_difference_derivative(a_candidate),
-            K=0.0, case=Case.WDP, label="callable")
-    raise TypeError("coefficient must be a DegeneracyCoefficient or a callable")
-
-
 def _sigma_search(a: DegeneracyCoefficient, K: float) -> float | None:
     """Largest exponent with a(x)/x^sigma nondecreasing on (0, 0.1]."""
     lo = min(max(1e-8, a.sample_floor), 0.05)
@@ -289,7 +259,7 @@ def _sigma_search(a: DegeneracyCoefficient, K: float) -> float | None:
     return None
 
 
-def validate_coefficient(a_candidate, case: Case,
+def validate_coefficient(a: DegeneracyCoefficient, case: Case,
                          n_samples: int = 256) -> ValidationReport:
     """Check the degeneracy hypotheses on samples and measure the constants.
 
@@ -299,7 +269,6 @@ def validate_coefficient(a_candidate, case: Case,
     sample and ``HypothesisViolated`` if no K < 2 works.
     """
     case = Case(case)
-    a = _as_coefficient(a_candidate)
     xs = hypothesis_samples(n_samples, x_min=a.sample_floor)
 
     vals = np.asarray(a.eval(xs), dtype=float)
@@ -342,7 +311,7 @@ def validate_coefficient(a_candidate, case: Case,
                             clauses=clauses, passed=passed)
 
 
-def validate_beta(beta, a, n_samples: int = 256,
+def validate_beta(beta, a: DegeneracyCoefficient, n_samples: int = 256,
                   samples: np.ndarray | None = None) -> float:
     """sup over samples of |beta(x)/x|, guarding against blow-up at 0.
 
@@ -350,7 +319,6 @@ def validate_beta(beta, a, n_samples: int = 256,
     envelope exceeds ``BETA_CAP`` there, raises ``EnvelopeUnbounded``. Also checks
     the induced bound beta(x)^2 / a(x) <= C_beta^2 / a(1) at the samples.
     """
-    a = _as_coefficient(a)
     if samples is None:
         xs = hypothesis_samples(n_samples, x_min=a.sample_floor)
     else:

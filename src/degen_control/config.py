@@ -17,9 +17,6 @@ class Config:
         self.entries = dict(entries)
         self.source = source
 
-    def has(self, key: str) -> bool:
-        return key in self.entries
-
     def _raw(self, key: str, default):
         if key in self.entries:
             return self.entries[key]

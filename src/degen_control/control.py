@@ -291,6 +291,8 @@ def observability_estimate(p: LinearProblem, n_samples: int,
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if power_iters < 0:
+        raise ValueError(f"power iteration count must be >= 0, got {power_iters}")
     rng = np.random.default_rng(0) if rng is None else rng
     w_act = p.grid.weights[p.active()]
     B, E = gramian(p)

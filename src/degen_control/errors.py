@@ -33,7 +33,7 @@ class EnvelopeUnbounded(DegenControlError):
 
 class BadResolution(DegenControlError):
     """Grid request below the minimum supported resolution, or with a grading
-    exponent that is not finite and >= 1."""
+    exponent that is not finite and >= 1 or that makes a node spacing zero."""
     code = "BAD_RESOLUTION"
     exit_code = 2
 

@@ -27,11 +27,6 @@ from .coefficients import Case, DegeneracyCoefficient, DriftEnvelope, zero_drift
 from .errors import BadResolution, DegenerateSample
 
 
-def graded_nodes(N: int, gamma: float) -> np.ndarray:
-    """Node formula x_i = (i/(N-1))^gamma, without the resolution guard."""
-    return (np.arange(N, dtype=float) / (N - 1)) ** gamma
-
-
 @dataclass(frozen=True)
 class GridSpec:
     N: int
@@ -46,8 +41,11 @@ def build_grid(N: int, gamma: float = 1.0) -> GridSpec:
         raise BadResolution(f"need at least 8 nodes, got {N}")
     if not (np.isfinite(gamma) and gamma >= 1.0):
         raise BadResolution(f"grading exponent must be finite and >= 1, got {gamma}")
-    nodes = graded_nodes(N, gamma)
+    nodes = (np.arange(N, dtype=float) / (N - 1)) ** gamma
     h = np.diff(nodes)
+    if not np.all(h > 0.0):
+        raise BadResolution(f"grading exponent {gamma} collapses the first nodes "
+                            f"of a {N}-node grid")
     faces = 0.5 * (nodes[:-1] + nodes[1:])
     w = np.zeros(N)
     w[:-1] += 0.5 * h

@@ -67,7 +67,7 @@ def test_criterion_2_duality_exactness():
             y0 = rng.standard_normal(p.grid.N)
             vT = rng.standard_normal(p.grid.N)
             h = rng.standard_normal((p.M, p.grid.N))
-            y = solve_forward(p.with_y0(y0), h)
+            y = solve_forward(dataclasses.replace(p, y0=y0), h)
             v = solve_adjoint(p, vT)
             t1 = float(np.sum(w * y.final()[act] * vT[act]))
             t2 = float(np.sum(w * y0[act] * v.states[0][act]))
@@ -85,7 +85,7 @@ def test_criterion_2_duality_exactness():
         for j in range(n):
             e = np.zeros(p.grid.N)
             e[act[j]] = 1.0
-            F[:, j] = solve_forward(p.with_y0(e)).final()[act]
+            F[:, j] = solve_forward(dataclasses.replace(p, y0=e)).final()[act]
             G[:, j] = solve_adjoint(p, e).states[0][act]
         w = p.grid.weights[act]
         assert np.max(np.abs(G - (F.T * w[None, :]) / w[:, None])) <= 1e-12

@@ -228,6 +228,24 @@ carleman.variant = lemma
     assert "s = 1" in last
 
 
+def test_escaping_exception_is_internal_error(tmp_path, capsys):
+    # s = 1e300 overflows inside the audit's weights; whatever escapes the
+    # typed handlers must still end on an ERROR line with exit 3
+    cfg = write_cfg(tmp_path, """
+command = carleman-audit
+a.kind = power
+a.alpha = 0.5
+grid.N = 32
+M = 32
+s.sweep = 1e300
+samples = 1
+carleman.variant = lemma
+""")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 3
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last.startswith("ERROR INTERNAL:")
+
+
 @pytest.mark.parametrize("command,bad", [
     ("control", "T = nan"),
     ("carleman-audit", "T = nan"),
@@ -250,6 +268,7 @@ carleman.variant = lemma
     ("carleman-audit", "samples = 0"),
     ("control", "cg.maxiter = 0"),
     ("semilinear", "fp.maxiter = 0"),
+    ("observability", "power.iters = -1"),
 ], ids=["control", "carleman-audit", "control-epsilon", "sweep-epsilon",
         "control-b-const", "control-c-const", "control-beta-scale",
         "semilinear-nl-m", "semilinear-nl-m-unused", "solve-T-inf",
@@ -257,7 +276,7 @@ carleman.variant = lemma
         "control-cg-tol", "semilinear-fp-tol", "control-y0-amplitude",
         "carleman-audit-empty-ladder", "carleman-audit-infinite-s",
         "carleman-audit-no-samples", "control-cg-maxiter",
-        "semilinear-fp-maxiter"])
+        "semilinear-fp-maxiter", "observability-power-iters"])
 def test_nan_horizon_is_precondition_error(tmp_path, capsys, command, bad):
     # NaN and inf pass checks written as x <= 0 or x < 1; a non-finite
     # horizon, penalty, tolerance or datum, or an empty audit ensemble, must
@@ -279,7 +298,8 @@ M = 32
 @pytest.mark.parametrize("command,bad", [
     ("solve", "grid.gamma = inf"),
     ("control", "grid.gamma = nan"),
-], ids=["solve-inf", "control-nan"])
+    ("control", "grid.gamma = 250"),
+], ids=["solve-inf", "control-nan", "control-collapsed"])
 def test_nonfinite_grading_is_bad_resolution(tmp_path, capsys, command, bad):
     cfg = write_cfg(tmp_path, f"""
 command = {command}

@@ -56,7 +56,8 @@ def test_case_mismatch_fails_without_raising():
 
 
 def test_nonpositive_coefficient():
-    bad = lambda x: np.asarray(x, dtype=float) - 0.5
+    bad = DegeneracyCoefficient(eval=lambda x: np.asarray(x, dtype=float) - 0.5,
+                                deriv=np.ones_like, K=0.0, case=Case.WDP)
     with pytest.raises(NonPositiveCoefficient):
         validate_coefficient(bad, Case.WDP)
 
@@ -66,12 +67,6 @@ def test_nonvanishing_at_zero_fails_clause():
     assert not report.passed
     assert not report.clauses["vanishes_at_zero"]
     assert report.K == 0.0
-
-
-def test_callable_coefficient_uses_finite_differences():
-    report = validate_coefficient(lambda x: np.asarray(x) ** 0.5, Case.WDP)
-    assert report.passed
-    assert report.K == pytest.approx(0.5, abs=2e-3)
 
 
 def test_tabular_coefficient_roundtrip(tmp_path):

@@ -7,7 +7,7 @@ from degen_control.coefficients import (Case, DegeneracyCoefficient,
                                         power_coefficient, zero_drift)
 from degen_control.errors import BadResolution, DegenerateSample
 from degen_control.mesh import (assemble_operator, build_grid, dirichlet_energy,
-                                graded_nodes, hardy_check, l2_inner, l2_norm)
+                                hardy_check, l2_inner, l2_norm)
 from degen_control.pde import LinearProblem
 from degen_control.semilinear import frozen_drift
 
@@ -17,9 +17,10 @@ def _dense(op):
 
 
 def test_graded_node_formula():
-    assert np.allclose(graded_nodes(5, 1.0), [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert np.allclose(graded_nodes(5, 2.0), [0.0, 1 / 16, 1 / 4, 9 / 16, 1.0])
-    assert np.allclose(np.diff(graded_nodes(7, 1.0)), 1 / 6)
+    i = np.arange(9)
+    assert np.allclose(build_grid(9, 1.0).nodes, i / 8)
+    assert np.allclose(build_grid(9, 2.0).nodes, (i / 8) ** 2)
+    assert np.allclose(np.diff(build_grid(9, 1.0).nodes), 1 / 8)
 
 
 def test_build_grid_guards():

@@ -75,6 +75,7 @@ def test_picard_zero_nonlinearity_reduces_to_linear():
     p = make_problem(N=48, M=48)
     rep = picard_null_control(p, zero_nonlinearity(), epsilon=1e-6)
     hum = hum_solve(p, 1e-6)
+    assert rep.t0 == 0.0                # no coast unless t0 is given
     assert rep.iterations == 2          # second pass confirms the first
     assert rep.converged
     assert np.array_equal(rep.hum.h, hum.h)
@@ -207,7 +208,7 @@ def test_coast_phase_fails_closed():
     # the coast phase of a 64 x 64 run with T = 2, t0 = 1: every step's inner
     # iteration spends its budget on the stiff sine nonlinearity
     p = make_problem(N=64, M=32, T=1.0)
-    p = p.with_y0(3.0 * p.y0)
+    p = dataclasses.replace(p, y0=3.0 * p.y0)
     with pytest.raises(NoFixedPoint, match="coast step 1"):
         semilinear_forward(p, sine_nonlinearity(-30.0))
 
@@ -224,16 +225,6 @@ def test_coast_phase_checks_the_caps():
         semilinear_forward(p, runaway)
 
 
-def test_two_phase_zero_t0_is_identical():
-    p = make_problem(N=48, M=48)
-    nl = sine_nonlinearity(0.5)
-    rep_direct = picard_null_control(p, nl, epsilon=1e-6)
-    rep_two = picard_null_control(p, nl, epsilon=1e-6, t0=0.0)
-    assert rep_two.t0 == 0.0
-    assert rep_two.increments == rep_direct.increments
-    assert np.array_equal(rep_two.hum.h, rep_direct.hum.h)
-
-
 def test_two_phase_zero_datum():
     p = make_problem(N=48, M=64, y0=np.zeros(48))
     rep = picard_null_control(p, sine_nonlinearity(0.5), epsilon=1e-6, t0=0.125)
@@ -247,9 +238,8 @@ def test_two_phase_matches_single_phase_from_smoothed_datum(rng):
     p = heat_problem(N=48, M=64, T=0.5)
     y0 = rng.standard_normal(p.grid.N)
     y0[[0, -1]] = 0.0
-    p = p.with_y0(y0)
+    p = dataclasses.replace(p, y0=y0)
     rep = picard_null_control(p, zero_nonlinearity(), epsilon=1e-6, t0=p.T / 4)
-    import dataclasses
     p_single = dataclasses.replace(p, T=p.T - rep.t0, M=p.M - 16,
                                    y0=rep.phase1_final)
     hum = hum_solve(p_single, 1e-6)
