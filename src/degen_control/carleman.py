@@ -287,6 +287,14 @@ def _damping_weights(w: CarlemanWeights, theta: np.ndarray, s: float):
     return np.exp(L_nodes - Lmax), np.exp(L_faces - Lmax)
 
 
+def _admissible_s(s) -> bool:
+    """s > 0 with s^3, the highest power of s the functionals take, finite."""
+    try:
+        return s > 0.0 and math.isfinite(s ** 3)
+    except OverflowError:
+        return False
+
+
 def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
                          src, s: float, variant: str = "lemma"):
     """Left-hand side and right-hand side of one audited estimate.
@@ -302,8 +310,8 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
     """
     if variant not in ("lemma", "theorem", "cacciopoli"):
         raise ValueError(f"unknown variant {variant!r}")
-    if not s > 0.0:
-        raise ValueError("Carleman parameter s must be positive")
+    if not _admissible_s(s):
+        raise ValueError(f"Carleman parameter s must be positive with s^3 finite, got {s}")
     grid = p.grid
     if w.grid is not grid:
         raise ValueError("Carleman weights were built on another grid than p.grid")
@@ -318,17 +326,20 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
     wq = grid.weights
     dt = p.dt
 
+    def total(integrand, weight, time_factor=1.0):
+        """sum over t of time_factor(t) * sum over x of integrand * weight."""
+        return float(np.sum(time_factor * np.sum(integrand * weight, axis=1)))
+
     if variant == "cacciopoli":
         ap, bp = w.omega_prime
         prime_mask = ((grid.faces > ap) & (grid.faces < bp)) * grid.spacings
-        lhs = dt * float(np.sum(np.sum(prime_mask * dV * dV * Wf, axis=1)))
+        lhs = dt * total(prime_mask * dV * dV, Wf)
     else:
-        grad = s * float(np.sum(theta * np.sum(w.a_faces_h * dV * dV * Wf, axis=1)))
-        zero = s ** 3 * float(np.sum(theta ** 3 * np.sum(wq * w.xx_over_a * V * V * Wn, axis=1)))
+        grad = s * total(w.a_faces_h * dV * dV, Wf, theta)
+        zero = s ** 3 * total(wq * w.xx_over_a * V * V, Wn, theta ** 3)
         lhs = dt * (grad + zero)
 
-    obs_mask = wq * p.omega_mask()
-    obs = dt * float(np.sum(np.sum(obs_mask * V * V * Wn, axis=1)))
+    obs = dt * total(wq * p.omega_mask() * V * V, Wn)
 
     if variant != "theorem":
         if src is None:
@@ -337,7 +348,7 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
             F = np.asarray(src, dtype=float)[1:-1]
             if not np.all(np.isfinite(F)):
                 raise NonFiniteIntegral("source field contains non-finite values")
-            src_term = dt * float(np.sum(np.sum(wq * F * F * Wn, axis=1)))
+            src_term = dt * total(wq * F * F, Wn)
         rhs = src_term + obs
     elif src is None:
         rhs = obs
@@ -348,9 +359,8 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
             raise NonFiniteIntegral("source fields contain non-finite values")
         bb_over_a = _degenerate_ratio(grid.nodes, w.a_pos,
                                       lambda x: np.asarray(p.drift.beta(x)) ** 2)
-        t0 = dt * float(np.sum(np.sum(wq * F0 * F0 * Wn, axis=1)))
-        t1 = s ** 2 * dt * float(
-            np.sum(theta ** 3 * np.sum(wq * bb_over_a * F1 * F1 * Wn, axis=1)))
+        t0 = dt * total(wq * F0 * F0, Wn)
+        t1 = s ** 2 * dt * total(wq * bb_over_a * F1 * F1, Wn, theta ** 3)
         rhs = obs + t0 + t1
 
     if not (np.isfinite(lhs) and np.isfinite(rhs)):
@@ -441,13 +451,13 @@ def ratio_experiment(p: LinearProblem, w: CarlemanWeights, s_values,
     only the observation term on the right-hand side, whose discrete maximum
     ratio is not stable under refinement; the audited inequalities are stated
     for the source-driven solution class anyway. Raises ValueError unless
-    ``s_values`` is a non-empty list of finite s > 0 and n_samples >= 1, and
-    ``NonFiniteIntegral`` when a sample's weighted right-hand side underflows
-    to 0, where the ratio is undefined.
+    ``s_values`` is a non-empty list of s > 0 with s^3 finite and
+    n_samples >= 1, and ``NonFiniteIntegral`` when a sample's weighted
+    right-hand side underflows to 0, where the ratio is undefined.
     """
     s_values = [float(s) for s in s_values]
-    if not (s_values and all(np.isfinite(s) and s > 0.0 for s in s_values)):
-        raise ValueError(f"need a non-empty ladder of finite s > 0, got {s_values}")
+    if not (s_values and all(map(_admissible_s, s_values))):
+        raise ValueError(f"need a non-empty ladder of s > 0 with s^3 finite, got {s_values}")
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     rng = np.random.default_rng(0) if rng is None else rng

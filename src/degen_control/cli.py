@@ -75,15 +75,10 @@ def build_coefficient(cfg: Config):
 
 def build_drift(cfg: Config, a):
     kind = cfg.get_str("beta.kind", default="x", choices={"x", "zero", "scaled"})
-    if kind == "zero":
-        beta, c_beta = zero_beta, 0.0
-    else:
-        scale = cfg.get_float("beta.scale", default=1.0) if kind == "scaled" else 1.0
-        beta, c_beta = linear_beta(scale), abs(scale)
-    drift = constant_drift(cfg.get_float("b.const", default=0.0),
-                           cfg.get_float("c.const", default=0.0),
-                           beta=beta, C_beta=c_beta)
-    return drift
+    scale = cfg.get_float("beta.scale", default=1.0) if kind == "scaled" else 1.0
+    beta = zero_beta if kind == "zero" else linear_beta(scale)
+    return constant_drift(cfg.get_float("b.const", default=0.0),
+                          cfg.get_float("c.const", default=0.0), beta=beta)
 
 
 def build_initial_datum(cfg: Config, grid, rng):
@@ -137,8 +132,7 @@ def cmd_validate(cfg: Config, outdir: str, rng) -> list:
     requested = cfg.get_str("a.case", default=None, choices={"WDP", "SDP"})
     report = validate_coefficient(a, Case(requested) if requested else a.case,
                                   n_samples=cfg.get_int("samples", default=256))
-    drift = build_drift(cfg, a)
-    c_beta = validate_beta(drift.beta, a) if drift.C_beta > 0 else 0.0
+    c_beta = validate_beta(build_drift(cfg, a).beta, a)
     grid = build_grid(cfg.get_int("grid.N", default=128),
                       cfg.get_float("grid.gamma", default=1.0))
     c_h = hardy_check(grid, a)

@@ -60,15 +60,14 @@ class DriftEnvelope:
 
     ``b(x, t)`` multiplies the state, ``beta(x) * c(x, t)`` its gradient;
     assembly calls them with the active nodes x (n,) and a column of times t
-    (L, 1), and their results must broadcast to (L, n). ``C_beta`` bounds
-    |beta(x)/x|. ``time_dependent`` tells the solvers whether the step
-    matrix must be rebuilt at every time level.
+    (L, 1), and their results must broadcast to (L, n). ``time_dependent``
+    tells the solvers whether the step matrix must be rebuilt at every time
+    level.
     """
 
     beta: Callable[[np.ndarray], np.ndarray]
     b: Callable[[np.ndarray, float], np.ndarray]
     c: Callable[[np.ndarray, float], np.ndarray]
-    C_beta: float = 0.0
     time_dependent: bool = False
 
 
@@ -206,8 +205,7 @@ def zero_beta(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def constant_drift(b0: float = 0.0, c0: float = 0.0, beta=None,
-                   C_beta: float | None = None) -> DriftEnvelope:
+def constant_drift(b0: float = 0.0, c0: float = 0.0, beta=None) -> DriftEnvelope:
     """Drift with constant zero/first-order coefficients and beta(x) = x by default."""
     beta = beta if beta is not None else linear_beta(1.0)
     b0, c0 = float(b0), float(c0)
@@ -220,10 +218,7 @@ def constant_drift(b0: float = 0.0, c0: float = 0.0, beta=None,
     def c(x, t):
         return np.full_like(np.asarray(x, dtype=float), c0)
 
-    if C_beta is None:
-        xs = hypothesis_samples(64)
-        C_beta = float(np.max(np.abs(beta(xs) / xs)))
-    return DriftEnvelope(beta=beta, b=b, c=c, C_beta=C_beta)
+    return DriftEnvelope(beta=beta, b=b, c=c)
 
 
 def zero_drift() -> DriftEnvelope:

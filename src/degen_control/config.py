@@ -1,8 +1,9 @@
 """Line-based ``key = value`` experiment configuration files.
 
 Lines are ``key = value`` pairs; ``#`` starts a comment; blank lines are
-ignored; a key given twice is an error. Values stay strings until a typed getter converts them, so every
-type error can name the offending key.
+ignored; a key given twice is an error. Values stay strings until a typed
+getter converts them, and every getter reads through ``Config._get``, so
+every type error can name the offending key.
 """
 
 from __future__ import annotations
@@ -13,61 +14,47 @@ _REQUIRED = object()
 
 
 class Config:
-    def __init__(self, entries: dict, source: str = "<config>"):
+    def __init__(self, entries: dict):
         self.entries = dict(entries)
-        self.source = source
 
-    def _raw(self, key: str, default):
-        if key in self.entries:
-            return self.entries[key]
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key '{key}'")
-        return default
+    def _get(self, key: str, default, parse, what: str):
+        """``parse`` of the value of ``key``, or ``default`` as given when the
+        key is absent; ConfigError when a required key is absent or the value
+        does not parse (``what`` names the expected form)."""
+        if key not in self.entries:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key '{key}'")
+            return default
+        val = self.entries[key]
+        try:
+            return parse(val)
+        except (TypeError, ValueError):
+            raise ConfigError(f"key '{key}' must be {what}, got {val!r}") from None
 
     def get_str(self, key: str, default=_REQUIRED, choices=None) -> str:
-        val = self._raw(key, default)
-        if val is default and default is not _REQUIRED:
-            return default
-        if choices is not None and val not in choices:
-            raise ConfigError(
-                f"key '{key}' must be one of {sorted(choices)}, got {val!r}")
-        return val
+        def pick(val):
+            if choices is None or val in choices:
+                return val
+            raise ValueError(val)
+
+        return self._get(key, default, pick, f"one of {sorted(choices or ())}")
 
     def get_float(self, key: str, default=_REQUIRED) -> float:
-        val = self._raw(key, default)
-        if val is default and default is not _REQUIRED:
-            return default
-        try:
-            return float(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"key '{key}' must be a real number, got {val!r}") from None
+        return self._get(key, default, float, "a real number")
 
     def get_int(self, key: str, default=_REQUIRED) -> int:
-        val = self._raw(key, default)
-        if val is default and default is not _REQUIRED:
-            return default
-        try:
-            return int(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"key '{key}' must be an integer, got {val!r}") from None
+        return self._get(key, default, int, "an integer")
 
     def get_float_list(self, key: str, default=_REQUIRED) -> list:
-        val = self._raw(key, default)
-        if val is default and default is not _REQUIRED:
-            return default
-        try:
-            return [float(tok) for tok in str(val).split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(
-                f"key '{key}' must be comma-separated reals, got {val!r}") from None
+        return self._get(key, default,
+                         lambda v: [float(tok) for tok in str(v).split(",") if tok.strip()],
+                         "comma-separated reals")
 
     def get_pair(self, key: str, default=_REQUIRED) -> tuple:
         vals = self.get_float_list(key, default)
-        if isinstance(vals, tuple):
-            return vals
         if len(vals) != 2:
             raise ConfigError(f"key '{key}' must hold exactly two reals")
-        return (vals[0], vals[1])
+        return tuple(vals)
 
 
 def parse_config(path) -> Config:
@@ -90,4 +77,4 @@ def parse_config(path) -> Config:
                 entries[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return Config(entries, source=str(path))
+    return Config(entries)

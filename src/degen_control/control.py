@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotSPD, ZeroDenominator
+from .errors import NoConvergence, NotSPD
 from .mesh import l2_norm
 from .pde import (LinearProblem, Trajectory, _step_factors, _step_solve,
                   control_cost, march, solve_adjoint, solve_forward)
@@ -287,7 +287,8 @@ def observability_estimate(p: LinearProblem, n_samples: int,
     maximum are the acceptance signals.
 
     The quotients are the quadratic forms u'Au / u'Bu of the dense
-    ``gramian`` pair, A = E'WE, and a power step is u -> W^-1 A u.
+    ``gramian`` pair, A = E'WE, and a power step is u -> W^-1 A u. As the
+    control region holds a node, u'Bu > 0 off a null set of draws.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -301,27 +302,15 @@ def observability_estimate(p: LinearProblem, n_samples: int,
     def quotient_of(u_act):
         return float(u_act @ A @ u_act), float(u_act @ B @ u_act)
 
-    quotients = []
-    best_u = None
-    best_q = -np.inf
+    samples = []
     for _ in range(n_samples):
-        for _attempt in range(10):
-            u = rng.standard_normal(w_act.size)
-            u /= np.sqrt(np.sum(w_act * u * u))
-            num, den = quotient_of(u)
-            if den > 0.0:
-                break
-        else:
-            raise ZeroDenominator(
-                "sample restriction to the control region vanished 10 times in a row")
-        q = num / den
-        quotients.append(q)
-        if q > best_q:
-            best_q, best_u = q, u
+        u = rng.standard_normal(w_act.size)
+        samples.append(u / np.sqrt(np.sum(w_act * u * u)))
+    quotients = [num / den for num, den in map(quotient_of, samples)]
 
     refined = None
-    if power_iters > 0 and best_u is not None:
-        u = best_u.copy()
+    if power_iters > 0:
+        u = samples[int(np.argmax(quotients))]
         for _ in range(power_iters):
             bu = (A @ u) / w_act
             nrm = np.sqrt(np.sum(w_act * bu * bu))
@@ -329,8 +318,7 @@ def observability_estimate(p: LinearProblem, n_samples: int,
                 break
             u = bu / nrm
         num, den = quotient_of(u)
-        if den > 0.0:
-            refined = num / den
+        refined = num / den
 
     candidates = quotients + ([refined] if refined is not None else [])
     return ObservabilityReport(samples=n_samples,

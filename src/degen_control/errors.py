@@ -33,7 +33,7 @@ class EnvelopeUnbounded(DegenControlError):
 
 class BadResolution(DegenControlError):
     """Grid request below the minimum supported resolution, or with a grading
-    exponent that is not finite and >= 1 or that makes a node spacing zero."""
+    exponent that is not finite and >= 1 or leaves a spacing h with 1/h^2 = inf."""
     code = "BAD_RESOLUTION"
     exit_code = 2
 
@@ -89,12 +89,6 @@ class NoConvergence(DegenControlError):
 class NotSPD(DegenControlError):
     """A CG direction produced nonpositive curvature beyond round-off."""
     code = "NOT_SPD"
-    exit_code = 3
-
-
-class ZeroDenominator(DegenControlError):
-    """Sample restriction to the observation region is identically zero."""
-    code = "ZERO_DENOMINATOR"
     exit_code = 3
 
 

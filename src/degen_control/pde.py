@@ -66,6 +66,8 @@ class LinearProblem:
             raise ValueError("initial datum must be a nodal vector on the grid")
         if not np.all(np.isfinite(self.y0)):
             raise ValueError("initial datum must be finite")
+        if not np.any(self.omega_mask()):
+            raise ValueError(f"control region omega = {self.omega} holds no grid node")
 
     @property
     def dt(self) -> float:
@@ -163,16 +165,13 @@ class Trajectory:
     def sup_l2(self) -> float:
         return float(np.sqrt(np.max(self._sq_l2())))
 
-    def _time_weights(self) -> np.ndarray:
+    def z_norm(self, a: DegeneracyCoefficient) -> float:
+        """L^2(0,T; H^1_a) norm, by the trapezoid rule in time."""
+        energy = dirichlet_energy(self.grid, a, self.states)
         dt = self.times[1] - self.times[0]
         tw = np.full(self.times.size, dt)
         tw[0] = tw[-1] = 0.5 * dt
-        return tw
-
-    def z_norm(self, a: DegeneracyCoefficient) -> float:
-        """L^2(0,T; H^1_a) norm."""
-        energy = dirichlet_energy(self.grid, a, self.states)
-        return float(np.sqrt(np.sum(self._time_weights() * (self._sq_l2() + energy))))
+        return float(np.sqrt(np.sum(tw * (self._sq_l2() + energy))))
 
 
 def control_cost(p: LinearProblem, h: np.ndarray) -> float:

@@ -163,12 +163,6 @@ def semilinear_residual(p: LinearProblem, nl: Nonlinearity, traj: Trajectory,
     return float(np.sqrt(acc)) / max(l2_norm(p.grid, p.y0), 1e-300)
 
 
-def _diff_z_norm(a, z_new: Trajectory, z_old: Trajectory) -> float:
-    diff = Trajectory(grid=z_new.grid, times=z_new.times,
-                      states=z_new.states - z_old.states)
-    return diff.z_norm(a)
-
-
 def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
                         t0: float = 0.0, fp_tol: float = 1e-6, max_fp_iters: int = 50,
                         cg_tol: float = 1e-10, cg_max_iters: int = 500) -> FixedPointReport:
@@ -218,7 +212,7 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
         p_k = p.with_drift(frozen_drift(p, *freeze_coefficients(z, nl)))
         hum = hum_solve(p_k, epsilon, cg_tol=cg_tol, max_iters=cg_max_iters)
         z_new = hum.trajectory
-        inc = _diff_z_norm(p.a, z_new, z)
+        inc = dataclasses.replace(z_new, states=z_new.states - z.states).z_norm(p.a)
         increments.append(inc)
         costs.append(hum.cost)
         yT_norms.append(hum.norm_yT)

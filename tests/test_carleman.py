@@ -193,6 +193,9 @@ def test_functional_input_validation():
         carleman_functionals(p, w, v, None, -1.0, "lemma")
     with pytest.raises(ValueError):
         carleman_functionals(p, w, v, None, float("nan"), "lemma")
+    # s^3 overflows although s is finite
+    with pytest.raises(ValueError, match="s\\^3 finite"):
+        carleman_functionals(p, w, v, None, 1e300, "lemma")
     with pytest.raises(ValueError):
         carleman_functionals(p, w, v, None, 2.0, "bogus")
 

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from degen_control import cli
 from degen_control.cli import build_nonlinearity, main, write_control_field
 from degen_control.coefficients import constant_drift, linear_beta
 from degen_control.config import Config, parse_config
@@ -65,6 +66,17 @@ grid.N = 64
     assert "C_H = " in text
     printed = capsys.readouterr().out
     assert "WDP, K=0.5" in printed
+
+
+def test_validate_zero_beta(tmp_path):
+    cfg = write_cfg(tmp_path, """
+command = validate
+a.kind = power
+a.alpha = 1.5
+beta.kind = zero
+""")
+    assert main([cfg, "--out", str(tmp_path / "out")]) == 0
+    assert "C_beta = 0\n" in (tmp_path / "out" / "summary.txt").read_text()
 
 
 def test_validate_rejects_alpha_two(tmp_path, capsys):
@@ -228,22 +240,34 @@ carleman.variant = lemma
     assert "s = 1" in last
 
 
-def test_escaping_exception_is_internal_error(tmp_path, capsys):
-    # s = 1e300 overflows inside the audit's weights; whatever escapes the
-    # typed handlers must still end on an ERROR line with exit 3
-    cfg = write_cfg(tmp_path, """
-command = carleman-audit
-a.kind = power
-a.alpha = 0.5
-grid.N = 32
-M = 32
-s.sweep = 1e300
-samples = 1
-carleman.variant = lemma
-""")
+def test_escaping_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    # whatever escapes the typed handlers must still end on an ERROR line
+    # with exit 3
+    def defect(cfg, outdir, rng):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setitem(cli._DISPATCH, "solve", defect)
+    cfg = write_cfg(tmp_path, "command = solve\na.kind = power\na.alpha = 0.5\n")
     assert main([cfg, "--out", str(tmp_path / "o")]) == 3
     last = capsys.readouterr().out.strip().splitlines()[-1]
-    assert last.startswith("ERROR INTERNAL:")
+    assert last == "ERROR INTERNAL: ZeroDivisionError: float division by zero"
+
+
+@pytest.mark.parametrize("command", ["control", "sweep", "observability",
+                                     "carleman-audit"])
+def test_empty_control_region_is_precondition_error(tmp_path, capsys, command):
+    # no node of the 8-node grid lies in [0.501, 0.502], so omega observes
+    # and controls nothing
+    cfg = write_cfg(tmp_path, f"""
+command = {command}
+a.kind = power
+a.alpha = 0.5
+grid.N = 8
+omega = 0.501,0.502
+""")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 2
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last.startswith("ERROR PRECONDITION:") and "omega" in last
 
 
 @pytest.mark.parametrize("command,bad", [
@@ -269,6 +293,7 @@ carleman.variant = lemma
     ("control", "cg.maxiter = 0"),
     ("semilinear", "fp.maxiter = 0"),
     ("observability", "power.iters = -1"),
+    ("carleman-audit", "s.sweep = 1e300"),
 ], ids=["control", "carleman-audit", "control-epsilon", "sweep-epsilon",
         "control-b-const", "control-c-const", "control-beta-scale",
         "semilinear-nl-m", "semilinear-nl-m-unused", "solve-T-inf",
@@ -276,7 +301,8 @@ carleman.variant = lemma
         "control-cg-tol", "semilinear-fp-tol", "control-y0-amplitude",
         "carleman-audit-empty-ladder", "carleman-audit-infinite-s",
         "carleman-audit-no-samples", "control-cg-maxiter",
-        "semilinear-fp-maxiter", "observability-power-iters"])
+        "semilinear-fp-maxiter", "observability-power-iters",
+        "carleman-audit-s-cubed-overflow"])
 def test_nan_horizon_is_precondition_error(tmp_path, capsys, command, bad):
     # NaN and inf pass checks written as x <= 0 or x < 1; a non-finite
     # horizon, penalty, tolerance or datum, or an empty audit ensemble, must
@@ -299,7 +325,8 @@ M = 32
     ("solve", "grid.gamma = inf"),
     ("control", "grid.gamma = nan"),
     ("control", "grid.gamma = 250"),
-], ids=["solve-inf", "control-nan", "control-collapsed"])
+    ("control", "grid.gamma = 200"),
+], ids=["solve-inf", "control-nan", "control-collapsed", "control-near-collapsed"])
 def test_nonfinite_grading_is_bad_resolution(tmp_path, capsys, command, bad):
     cfg = write_cfg(tmp_path, f"""
 command = {command}
@@ -377,7 +404,7 @@ samples = 4
 
 
 def test_build_nonlinearity_kinds():
-    drift = constant_drift(0.0, 0.0, beta=linear_beta(3.0), C_beta=3.0)
+    drift = constant_drift(0.0, 0.0, beta=linear_beta(3.0))
     built = {kind: build_nonlinearity(Config({"nl.kind": kind, "nl.m": "0.5"}), drift)
              for kind in ("zero", "sine", "tanh-grad", "mixed")}
     assert [(nl.b_cap, nl.c_cap) for nl in built.values()] == \
