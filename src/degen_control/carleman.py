@@ -17,10 +17,10 @@ has its single critical point at the midpoint of an interior subinterval
 (a', b') of (kappa-, kappa+), so eta' = psi_cls' != 0 on (kappa+, w2).
 
 psi_deg's integral is one cumulative sum of ``quad`` over the gaps between the
-sorted points, for every coefficient kind. The weights run it once, over the
-union of the grid's nodes and faces and the validation check points, and
-sample there, once, everything the audit reads that depends only on the grid
-and the weights.
+sorted points, for every coefficient kind; ``scipy.integrate`` is imported at
+the first psi_deg call. The weights run it once, over the union of the grid's
+nodes and faces and the validation check points, and sample there, once,
+everything the audit reads that depends only on the grid and the weights.
 
 The audit checks three estimates for solutions v of the backward equation
 v_t + (a v_x)_x = F (or = F0 + (beta F1)_x), each a ``variant`` of
@@ -49,7 +49,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .coefficients import Case, DegeneracyCoefficient, zero_drift
 from .errors import NonFiniteIntegral, WeightInvalid
@@ -108,6 +107,7 @@ class CarlemanWeights:
     def psi_deg(self, x):
         """c1 (c2 - int_0^x tau/a) for every entry of x in one pass: one ``quad``
         over each gap between the sorted distinct points, then a running sum."""
+        from scipy.integrate import quad
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         pts, inv = np.unique(np.maximum(xs, 0.0), return_inverse=True)
         gaps = [quad(self._x_over_a, lo, hi, limit=200)[0]

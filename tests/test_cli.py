@@ -1,5 +1,7 @@
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -431,6 +433,40 @@ nl.m = 0.5
     assert len(lines) >= 2
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "converged = True" in summary
+
+
+_LAZY_QUAD_CHILD = """
+import sys
+from degen_control import cli
+*linear, audit = sys.argv[1:]
+status = [cli.run(cfg, cfg + ".out") for cfg in linear]
+before = "scipy.integrate" in sys.modules
+status.append(cli.run(audit, audit + ".out"))
+print(status, before, "scipy.integrate" in sys.modules)
+"""
+
+
+def test_only_the_audit_loads_scipy_integrate(tmp_path):
+    # psi_deg imports scipy.integrate at its first quad, so the commands that
+    # build no Carleman weights never pay for it; a fresh interpreter sees it
+    head = "a.kind = power\na.alpha = 0.5\ngrid.N = 32\nM = 32\n"
+    cfgs = [write_cfg(tmp_path, f"command = {command}\n{head}{extra}", f"{command}.cfg")
+            for command, extra in [
+                ("control", ""),
+                ("sweep", "epsilon.sweep = 1e-2,1e-3,1e-4,1e-5\n"),
+                ("observability", "samples = 2\npower.iters = 2\n"),
+                ("semilinear", "nl.kind = sine\nnl.m = 0.5\nepsilon = 1e-6\n"),
+                ("carleman-audit", "T = 3.0\ncarleman.lambda = 0.5\n"
+                                   "s.sweep = 1,4\nsamples = 2\n")]]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _LAZY_QUAD_CHILD, *cfgs], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False True"
+    rows = (tmp_path / "carleman-audit.cfg.out" / "carleman.csv").read_text().splitlines()
+    ratios = [float(v) for row in rows[1:] for v in row.split(",")[2:4]]
+    assert len(ratios) == 2 * 2 * 2 and np.all(np.isfinite(ratios))
 
 
 def test_tabular_coefficient_through_cli(tmp_path):

@@ -225,16 +225,16 @@ def test_coast_phase_checks_the_caps():
         semilinear_forward(p, runaway)
 
 
-def test_two_phase_zero_datum():
+def test_coast_then_control_zero_datum():
     p = make_problem(N=48, M=64, y0=np.zeros(48))
     rep = picard_null_control(p, sine_nonlinearity(0.5), epsilon=1e-6, t0=0.125)
     assert rep.hum.norm_yT == 0.0
     assert np.all(rep.hum.h == 0.0)
 
 
-def test_two_phase_matches_single_phase_from_smoothed_datum(rng):
-    # rough datum, no nonlinearity: phase 2 equals the control run that
-    # starts from the coasted state
+def test_coast_then_control_matches_hum_from_coasted_state(rng):
+    # rough datum, no nonlinearity: the control on (t0, T) equals the control
+    # run that starts from the coasted state
     p = heat_problem(N=48, M=64, T=0.5)
     y0 = rng.standard_normal(p.grid.N)
     y0[[0, -1]] = 0.0
@@ -247,12 +247,12 @@ def test_two_phase_matches_single_phase_from_smoothed_datum(rng):
     assert rep.hum.norm_yT >= hum.norm_yT * (1.0 - 1e-9)
 
 
-def test_two_phase_domain_guards():
+def test_coast_then_control_rejects_bad_t0():
     p = make_problem(N=32, M=32)
     with pytest.raises(ValueError):
         picard_null_control(p, zero_nonlinearity(), epsilon=1e-6, t0=p.T)
     with pytest.raises(ValueError):
         picard_null_control(p, zero_nonlinearity(), epsilon=1e-6, t0=-0.1)
     with pytest.raises(ValueError):
-        # split leaves fewer than 8 steps in a phase
+        # t0 leaves fewer than 8 steps in the coast
         picard_null_control(p, zero_nonlinearity(), epsilon=1e-6, t0=0.01)
