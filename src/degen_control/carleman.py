@@ -203,6 +203,8 @@ def build_weights(a: DegeneracyCoefficient, omega: tuple, T: float,
         raise ValueError("horizon must be finite and positive")
     if not (np.isfinite(c1) and np.isfinite(lam) and c1 > 0.0 and lam > 0.0):
         raise ValueError(f"c1 and lambda must be finite and positive, got {c1}, {lam}")
+    if not 2.0 * lam < np.log(np.finfo(float).max):
+        raise ValueError(f"lambda = {lam} overflows the classical weight e^(2 lambda)")
     if c2 is None:
         c2 = 1.05 * c2_threshold(a)
 
@@ -279,8 +281,14 @@ def _damping_weights(w: CarlemanWeights, theta: np.ndarray, s: float):
     """e^{-2 s phi} on (interior time, node) and (interior time, face) pairs.
 
     Both arrays are divided by their common maximum, taken in log space, so
-    they stay representable where the raw weight underflows.
+    they stay representable where the raw weight underflows. Raises
+    ValueError when an exponent 2 s theta eta would overflow.
     """
+    # eta > 0, so every product below lies in [-max(1, 2 s) * peak, 0]
+    peak = float(theta.max()) * max(float(w.eta_nodes.max()), float(w.eta_faces.max()))
+    if not math.isfinite(max(1.0, 2.0 * s) * peak):
+        raise ValueError(f"the weight exponent 2 s theta eta overflows at s = {s:g} "
+                         f"with c1 = {w.c1:g}, lambda = {w.lam:g}")
     L_nodes = -2.0 * s * np.outer(theta, w.eta_nodes)
     L_faces = -2.0 * s * np.outer(theta, w.eta_faces)
     Lmax = max(float(L_nodes.max()), float(L_faces.max()))

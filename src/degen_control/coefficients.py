@@ -58,17 +58,20 @@ class DegeneracyCoefficient:
 class DriftEnvelope:
     """First/zero-order coefficient data for the linear equation.
 
-    ``b(x, t)`` multiplies the state, ``beta(x) * c(x, t)`` its gradient;
-    assembly calls them with the active nodes x (n,) and a column of times t
-    (L, 1), and their results must broadcast to (L, n). ``time_dependent``
-    tells the solvers whether the step matrix must be rebuilt at every time
-    level.
+    ``b`` multiplies the state and ``beta(x) * c`` its gradient. Each of b
+    and c is a number or an (N,) vector on the grid nodes, constant in time,
+    or an (M+1, N) table over the time nodes t_k = k T/M, whose row k+1
+    serves the step to t_{k+1}. ``time_dependent`` reads the shapes: a table
+    means one step matrix per time level.
     """
 
     beta: Callable[[np.ndarray], np.ndarray]
-    b: Callable[[np.ndarray, float], np.ndarray]
-    c: Callable[[np.ndarray, float], np.ndarray]
-    time_dependent: bool = False
+    b: float | np.ndarray
+    c: float | np.ndarray
+
+    @property
+    def time_dependent(self) -> bool:
+        return np.ndim(self.b) == 2 or np.ndim(self.c) == 2
 
 
 @dataclass(frozen=True)
@@ -96,9 +99,9 @@ class ValidationReport:
 
 def power_coefficient(alpha: float) -> DegeneracyCoefficient:
     """a(x) = x^alpha with analytic derivative; K = alpha exactly."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     alpha = float(alpha)
+    if not (np.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
 
     def f(x):
         return np.asarray(x, dtype=float) ** alpha
@@ -211,14 +214,7 @@ def constant_drift(b0: float = 0.0, c0: float = 0.0, beta=None) -> DriftEnvelope
     b0, c0 = float(b0), float(c0)
     if not (np.isfinite(b0) and np.isfinite(c0)):
         raise ValueError(f"drift constants must be finite, got b0 = {b0}, c0 = {c0}")
-
-    def b(x, t):
-        return np.full_like(np.asarray(x, dtype=float), b0)
-
-    def c(x, t):
-        return np.full_like(np.asarray(x, dtype=float), c0)
-
-    return DriftEnvelope(beta=beta, b=b, c=c)
+    return DriftEnvelope(beta=beta, b=b0, c=c0)
 
 
 def zero_drift() -> DriftEnvelope:

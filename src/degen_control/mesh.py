@@ -88,12 +88,13 @@ class TriDiagOperator:
 
 
 def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
-                      drift: DriftEnvelope, t) -> TriDiagOperator:
-    """Flux-form diffusion + reaction + upwinded drift at time t.
+                      drift: DriftEnvelope) -> TriDiagOperator:
+    """Flux-form diffusion + reaction + upwinded drift.
 
-    Given a 1-D array of L times, the bands are stacked with shape (L, n):
-    the diffusion part is computed once and the drift's b and c are evaluated
-    once, at the active nodes against the column of times.
+    The bands are (n,) when the drift's b and c are numbers or (N,) vectors.
+    An (M+1, N) table gives bands stacked with shape (M, n): level k, for the
+    step to t_{k+1}, reads the table's row k+1, and the diffusion part is
+    computed once for all levels.
     """
     act = active_indices(grid, a.case)
     n = act.size
@@ -101,8 +102,14 @@ def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
     h = grid.spacings
     w = grid.weights
     af = face_diffusivity(grid, a)
-    t = np.asarray(t, dtype=float)
-    shape = t.shape + (n,)
+
+    def on_steps(f):
+        # at the active nodes; no step reads a table's row 0
+        f = np.asarray(f, dtype=float)
+        return f if f.ndim == 0 else f[act] if f.ndim == 1 else f[1:, act]
+
+    b, c = on_steps(drift.b), on_steps(drift.c)
+    shape = np.broadcast_shapes(b.shape, c.shape, (n,))
 
     sub = np.zeros(shape)
     diag = np.zeros(shape)
@@ -122,9 +129,9 @@ def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
     sub[..., left_active] = -(cL / d)[left_active]
     sup[..., right_active] = -(cR / d)[right_active]
 
-    diag += drift.b(x[act], t[..., None])
+    diag += b
 
-    q = np.asarray(drift.beta(x[act]), dtype=float) * drift.c(x[act], t[..., None])
+    q = np.asarray(drift.beta(x[act]), dtype=float) * c
     if np.any(q != 0.0):
         backward = (q >= 0.0) & has_left_face
         forward = ~backward
@@ -169,7 +176,7 @@ def hardy_check(grid: GridSpec, a: DegeneracyCoefficient) -> float:
     W^{1/2} A W^{-1/2}, found by a direct tridiagonal eigensolve. A finite
     value certifies the discrete Hardy-type inequality with that constant.
     """
-    op = assemble_operator(grid, a, zero_drift(), 0.0)
+    op = assemble_operator(grid, a, zero_drift())
     w = op.weights
     off = op.sup[:-1] * np.sqrt(w[:-1] / w[1:])
     mu_min = eigvalsh_tridiagonal(op.diag, off, select="i", select_range=(0, 0))[0]

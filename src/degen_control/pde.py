@@ -11,12 +11,13 @@ backward from terminal data. Consequently the discrete duality identity
 holds to solver round-off for every (y0, h, vT), which is what the control
 and observability machinery is built on (discretize-then-optimize).
 
-Time-dependent coefficients are frozen per step at the backward node t_{n+1}.
+A drift table (``DriftEnvelope``) is read at the backward node: the step to
+t_{n+1} takes its row n+1, so ``LinearProblem`` requires M+1 rows.
 
-Every sweep goes through ``march``. One batched assembly per problem gives
-the step matrices I + dt A(t_{n+1}) of all M levels as stacked bands (a
-single level for time-independent coefficients). Each level is LU-factored
-(LAPACK ``dgttrf``) for both directions and cached on the problem, so with
+Every sweep goes through ``march``. One assembly per problem gives the step
+matrices I + dt A(t_{n+1}) of all M levels as stacked bands (a single level
+when the drift holds no table). Each level is LU-factored (LAPACK
+``dgttrf``) for both directions and cached on the problem, so with
 time-independent coefficients one factorisation per direction serves all M
 steps. The adjoint factors the weighted transpose I + dt W^{-1} A^T W as a
 tridiagonal matrix of its own. Solving with the forward LU in transposed
@@ -68,6 +69,10 @@ class LinearProblem:
             raise ValueError("initial datum must be finite")
         if not np.any(self.omega_mask()):
             raise ValueError(f"control region omega = {self.omega} holds no grid node")
+        for name, shape in (("b", np.shape(self.drift.b)), ("c", np.shape(self.drift.c))):
+            if shape not in ((), (self.grid.N,), (self.M + 1, self.grid.N)):
+                raise ValueError(f"drift {name} must be a number, an (N,) vector or an "
+                                 f"(M+1, N) = ({self.M + 1}, {self.grid.N}) table, got {shape}")
 
     @property
     def dt(self) -> float:
@@ -112,18 +117,17 @@ def _step_solve(lu, rhs: np.ndarray) -> np.ndarray:
 def _step_factors(p: LinearProblem, adjoint: bool) -> list:
     """Per-step LU factors of one direction.
 
-    At the first call one assembly gives the stacked bands of every time
-    level (of one level when the drift is time independent), and each level
-    is factored for both directions, so a problem that marches both ways
-    (HUM, Picard) assembles once.
+    At the first call one assembly gives the bands of every time level (of
+    one level when the drift holds no table), and each level is factored for
+    both directions, so a problem that marches both ways (HUM, Picard)
+    assembles once.
     """
     if not p._cache:
         w = p.grid.weights[p.active()]
-        steps = np.arange(1, (p.M if p.drift.time_dependent else 1) + 1)
-        op = assemble_operator(p.grid, p.a, p.drift, steps * p.dt)
-        levels = list(zip(steps, op.sub, op.diag, op.sup))
-        fwd = [_factor_step(*bands, p.dt, k) for k, *bands in levels]
-        adj = [_factor_step(*bands, p.dt, k, w) for k, *bands in levels]
+        op = assemble_operator(p.grid, p.a, p.drift)
+        levels = list(zip(*(np.atleast_2d(band) for band in (op.sub, op.diag, op.sup))))
+        fwd = [_factor_step(*bands, p.dt, k + 1) for k, bands in enumerate(levels)]
+        adj = [_factor_step(*bands, p.dt, k + 1, w) for k, bands in enumerate(levels)]
         reps = p.M // len(levels)
         p._cache.update(fwd=fwd * reps, adj=adj * reps)
     return p._cache["adj" if adjoint else "fwd"]

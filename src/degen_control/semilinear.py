@@ -11,15 +11,15 @@ trajectories agree in the L^2(0,T; H^1_a) norm; the converged pair (y, h) is
 checked against the discrete semilinear equation itself.
 
 Freezing works on whole space-time arrays: each factor is called once on
-the (M+1, N) trajectory, and each frozen linear problem, the residual's
-included, is assembled once as stacked bands read from those tables.
+the (M+1, N) trajectory, whose tables become the drift's b and c, and each
+frozen linear problem, the residual's included, is assembled once.
 
 For rough initial data ``picard_null_control`` with t0 > 0 first runs the
 uncontrolled semilinear equation on (0, t0), then controls on (t0, T) from
 the smoothed state. The coast iterates each step on its own: every inner
 iterate is frozen through ``freeze_coefficients`` as a one-level trajectory,
-so its values are checked against the caps too, and assembled as one row,
-to ``COAST_TOL`` within ``COAST_MAX_INNER`` iterations.
+so its values are checked against the caps too, and its one frozen row is
+assembled as (N,) vectors, to ``COAST_TOL`` in ``COAST_MAX_INNER`` steps.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import DriftEnvelope
 from .errors import NoFixedPoint, UnboundedFrozenCoefficient
 from .mesh import assemble_operator, l2_norm
 from .pde import (LinearProblem, Trajectory, _factor_step, _step_solve,
@@ -115,17 +114,10 @@ def freeze_coefficients(z: Trajectory, nl: Nonlinearity):
     return b_field, c_field
 
 
-def frozen_drift(p: LinearProblem, b_field: np.ndarray,
-                 c_field: np.ndarray) -> DriftEnvelope:
-    """p's drift with b and c read, in one indexing expression, from (L, N)
-    tables on p's nodes: row k holds time k dt and the last row every later
-    time, so (M+1, N) tables follow p's levels and one row is constant."""
-    def table(field):
-        return lambda x, t: field[np.minimum(np.rint(t / p.dt).astype(int), len(field) - 1),
-                                  np.searchsorted(p.grid.nodes, x)]
-
-    return dataclasses.replace(p.drift, b=table(b_field), c=table(c_field),
-                               time_dependent=True)
+def frozen_problem(p: LinearProblem, z: Trajectory, nl: Nonlinearity) -> LinearProblem:
+    """p with its drift's b and c frozen along z, as (M+1, N) tables."""
+    b_field, c_field = freeze_coefficients(z, nl)
+    return p.with_drift(dataclasses.replace(p.drift, b=b_field, c=c_field))
 
 
 # -- fixed-point loop ------------------------------------------------------------
@@ -154,8 +146,7 @@ def semilinear_residual(p: LinearProblem, nl: Nonlinearity, traj: Trajectory,
     Uses the same stencils as the solver (coefficients frozen along the
     trajectory itself), so a true discrete solution gives round-off.
     """
-    drift = frozen_drift(p, *freeze_coefficients(traj, nl))
-    op = assemble_operator(p.grid, p.a, drift, p.dt * np.arange(1, p.M + 1))
+    op = assemble_operator(p.grid, p.a, frozen_problem(p, traj, nl).drift)
     act = p.active()
     y = traj.states[:, act]
     r = (y[1:] - y[:-1]) / p.dt + op.apply(y[1:]) - h[:p.M, act] * p.omega_mask()[act]
@@ -204,13 +195,13 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
 
     zero_traj = Trajectory(grid=p.grid, times=p.times,
                            states=np.zeros((p.M + 1, p.grid.N)))
-    z = solve_forward(p.with_drift(frozen_drift(p, *freeze_coefficients(zero_traj, nl))))
+    z = solve_forward(frozen_problem(p, zero_traj, nl))
 
     increments, costs, yT_norms = [], [], []
     converged = False
     for _k in range(max_fp_iters):
-        p_k = p.with_drift(frozen_drift(p, *freeze_coefficients(z, nl)))
-        hum = hum_solve(p_k, epsilon, cg_tol=cg_tol, max_iters=cg_max_iters)
+        hum = hum_solve(frozen_problem(p, z, nl), epsilon, cg_tol=cg_tol,
+                        max_iters=cg_max_iters)
         z_new = hum.trajectory
         inc = dataclasses.replace(z_new, states=z_new.states - z.states).z_norm(p.a)
         increments.append(inc)
@@ -252,8 +243,9 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> Trajectory:
         w = states[n].copy()
         for _j in range(COAST_MAX_INNER):
             level = Trajectory(grid=p.grid, times=np.array([t1]), states=w[None, :])
-            drift = frozen_drift(p, *freeze_coefficients(level, nl))
-            op = assemble_operator(p.grid, p.a, drift, t1)
+            b_row, c_row = freeze_coefficients(level, nl)
+            op = assemble_operator(p.grid, p.a,
+                                   dataclasses.replace(p.drift, b=b_row[0], c=c_row[0]))
             y_act = _step_solve(_factor_step(op.sub, op.diag, op.sup, dt, n + 1),
                                 states[n][act])
             w_new = np.zeros(p.grid.N)

@@ -296,6 +296,8 @@ omega = 0.501,0.502
     ("semilinear", "fp.maxiter = 0"),
     ("observability", "power.iters = -1"),
     ("carleman-audit", "s.sweep = 1e300"),
+    ("carleman-audit", "carleman.lambda = 400"),
+    ("carleman-audit", "carleman.c1 = 1e308"),
 ], ids=["control", "carleman-audit", "control-epsilon", "sweep-epsilon",
         "control-b-const", "control-c-const", "control-beta-scale",
         "semilinear-nl-m", "semilinear-nl-m-unused", "solve-T-inf",
@@ -304,7 +306,8 @@ omega = 0.501,0.502
         "carleman-audit-empty-ladder", "carleman-audit-infinite-s",
         "carleman-audit-no-samples", "control-cg-maxiter",
         "semilinear-fp-maxiter", "observability-power-iters",
-        "carleman-audit-s-cubed-overflow"])
+        "carleman-audit-s-cubed-overflow", "carleman-audit-lambda-overflow",
+        "carleman-audit-c1-overflow"])
 def test_nan_horizon_is_precondition_error(tmp_path, capsys, command, bad):
     # NaN and inf pass checks written as x <= 0 or x < 1; a non-finite
     # horizon, penalty, tolerance or datum, or an empty audit ensemble, must
@@ -321,6 +324,24 @@ M = 32
     assert main([cfg, "--out", str(tmp_path / "o")]) == 2
     last = capsys.readouterr().out.strip().splitlines()[-1]
     assert last.startswith("ERROR PRECONDITION:")
+
+
+@pytest.mark.parametrize("command", ["control", "validate"])
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_nonfinite_alpha_is_precondition_error(tmp_path, capsys, command, alpha):
+    # a non-finite exponent passes a check written as alpha <= 0: nan ran
+    # control into NO_CONVERGENCE, inf ran it to exit 0, and validate blamed
+    # the coefficient's sign
+    cfg = write_cfg(tmp_path, f"""
+command = {command}
+a.kind = power
+a.alpha = {alpha}
+grid.N = 32
+M = 32
+""")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 2
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last.startswith("ERROR PRECONDITION:") and "alpha" in last
 
 
 @pytest.mark.parametrize("command,bad", [

@@ -11,7 +11,6 @@ from degen_control.coefficients import power_coefficient
 from degen_control.errors import NoConvergence, NotSPD
 from degen_control.mesh import l2_norm
 from degen_control.pde import solve_adjoint, solve_forward
-from degen_control.semilinear import frozen_drift
 
 from conftest import heat_problem, make_problem
 
@@ -54,7 +53,7 @@ def test_gramian_matches_marched_operators(alpha, M, frozen):
     if frozen:
         rng = np.random.default_rng(M)
         b, c = rng.uniform(-1.0, 1.0, (2, M + 1, p.grid.N))
-        p = p.with_drift(frozen_drift(p, b, c))
+        p = p.with_drift(dataclasses.replace(p.drift, b=b, c=c))
     act = p.active()
     n = act.size
     w = p.grid.weights[act]
@@ -70,9 +69,10 @@ def test_gramian_matches_marched_operators(alpha, M, frozen):
 
 
 def _time_dependent(p):
-    # the same problem flagged time dependent: one step matrix per level, and
-    # a Gramian accumulated by one backward sweep instead of binary powering
-    return p.with_drift(dataclasses.replace(p.drift, time_dependent=True))
+    # the same problem with b as a constant (M+1, N) table: one step matrix
+    # per level, and a Gramian accumulated by one backward sweep instead of
+    # binary powering
+    return p.with_drift(dataclasses.replace(p.drift, b=np.full((p.M + 1, p.grid.N), p.drift.b)))
 
 
 def test_hum_zero_datum():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -8,8 +10,6 @@ from degen_control.coefficients import (Case, DegeneracyCoefficient,
 from degen_control.errors import BadResolution, DegenerateSample
 from degen_control.mesh import (assemble_operator, build_grid, dirichlet_energy,
                                 hardy_check, l2_inner, l2_norm)
-from degen_control.pde import LinearProblem
-from degen_control.semilinear import frozen_drift
 
 
 def _dense(op):
@@ -44,7 +44,7 @@ def test_grid_invariants():
 ])
 def test_operator_symmetry_without_drift(a, gamma, rng):
     g = build_grid(48, gamma)
-    op = assemble_operator(g, a, zero_drift(), 0.0)
+    op = assemble_operator(g, a, zero_drift())
     n = op.active.size
     for _ in range(10):
         u = rng.standard_normal(n)
@@ -58,7 +58,7 @@ def test_operator_symmetry_without_drift(a, gamma, rng):
 
 def test_row_sums_give_reaction_coefficient():
     g = build_grid(32, 1.0)
-    op = assemble_operator(g, power_coefficient(0.5), constant_drift(5.0, 0.0), 0.0)
+    op = assemble_operator(g, power_coefficient(0.5), constant_drift(5.0, 0.0))
     ones = np.ones(op.active.size)
     r = op.apply(ones)
     # interior rows (both neighbors active) telescope to b = 5
@@ -68,7 +68,7 @@ def test_row_sums_give_reaction_coefficient():
 def test_sdp_left_node_has_zero_left_flux():
     g = build_grid(32, 1.0)
     a = power_coefficient(1.5)
-    op = assemble_operator(g, a, zero_drift(), 0.0)
+    op = assemble_operator(g, a, zero_drift())
     assert op.active[0] == 0
     assert op.sub[0] == 0.0
     # constant vector: both flux differences vanish at the left node
@@ -85,7 +85,7 @@ def test_positivity_with_nonnegative_reaction(rng):
     g = build_grid(40, 1.0)
     b_field = rng.uniform(0.0, 3.0)
     op = assemble_operator(g, power_coefficient(0.5),
-                           constant_drift(b_field, 0.0), 0.0)
+                           constant_drift(b_field, 0.0))
     for _ in range(20):
         u = rng.standard_normal(op.active.size)
         assert float(np.sum(op.weights * op.apply(u) * u)) >= -1e-12
@@ -96,7 +96,7 @@ def test_upwinding_is_monotone_with_drift():
     g = build_grid(32, 1.0)
     for c0 in (4.0, -4.0):
         op = assemble_operator(g, power_coefficient(0.5),
-                               constant_drift(0.0, c0), 0.0)
+                               constant_drift(0.0, c0))
         assert np.all(op.sub <= 1e-15)
         assert np.all(op.sup <= 1e-15)
         assert np.all(op.diag > 0.0)
@@ -104,32 +104,32 @@ def test_upwinding_is_monotone_with_drift():
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5], ids=["WDP", "SDP"])
 def test_stacked_assembly_matches_scalar_time_levels(rng, alpha):
-    # a frozen drift with b != 0 and c of both signs hits both upwind branches
+    # a drift table with b != 0 and c of both signs hits both upwind branches
     a = power_coefficient(alpha)
     g = build_grid(24, 1.0)
     M = 12
-    p = LinearProblem(a=a, drift=constant_drift(0.0, 0.0), T=0.5,
-                      omega=(0.3, 0.9), grid=g, M=M, y0=np.zeros(g.N))
     b_field = rng.uniform(-2.0, 2.0, (M + 1, g.N))
     c_field = rng.uniform(-3.0, 3.0, (M + 1, g.N))
     c_field[M // 2] = 0.0                 # one level without first-order term
-    drift = frozen_drift(p, b_field, c_field)
-    times = p.dt * np.arange(1, M + 1)
-    stacked = assemble_operator(g, a, drift, times)
+    drift = dataclasses.replace(zero_drift(), b=b_field, c=c_field)
+    assert drift.time_dependent and not zero_drift().time_dependent
+    stacked = assemble_operator(g, a, drift)
     assert stacked.diag.shape == (M, stacked.active.size)
-    for k, t in enumerate(times):
-        op = assemble_operator(g, a, drift, t)
+    # level k is the step to t_{k+1}: the table's row k + 1 as (N,) vectors
+    rows = [dataclasses.replace(drift, b=b_field[k + 1], c=c_field[k + 1]) for k in range(M)]
+    assert not any(row.time_dependent for row in rows)
+    for k, row in enumerate(rows):
+        op = assemble_operator(g, a, row)
         for band in ("sub", "diag", "sup"):
             assert np.array_equal(getattr(stacked, band)[k], getattr(op, band))
     u = rng.standard_normal((M, stacked.active.size))
     assert np.array_equal(stacked.apply(u),
-                          [assemble_operator(g, a, drift, t).apply(v)
-                           for t, v in zip(times, u)])
+                          [assemble_operator(g, a, row).apply(v) for row, v in zip(rows, u)])
 
 
 def test_classical_smallest_eigenvalue_matches_oracle():
     g = build_grid(64, 1.0)
-    op = assemble_operator(g, classical_coefficient(), zero_drift(), 0.0)
+    op = assemble_operator(g, classical_coefficient(), zero_drift())
     A = _dense(op)
     W = np.diag(op.weights)
     lam = sla.eigh(W @ A, W, eigvals_only=True)
@@ -144,7 +144,7 @@ def test_consistency_second_order():
     Ns = [33, 65, 129]
     for N in Ns:
         g = build_grid(N, 1.0)
-        op = assemble_operator(g, classical_coefficient(), zero_drift(), 0.0)
+        op = assemble_operator(g, classical_coefficient(), zero_drift())
         u = np.sin(np.pi * g.nodes)
         r = op.apply(u[op.active]) - np.pi ** 2 * u[op.active]
         errs.append(np.max(np.abs(r)))
@@ -164,7 +164,7 @@ def test_norm_ordering(rng):
 def test_dirichlet_energy_matches_operator_quadratic_form(rng):
     g = build_grid(40, 1.0)
     a = power_coefficient(0.5)
-    op = assemble_operator(g, a, zero_drift(), 0.0)
+    op = assemble_operator(g, a, zero_drift())
     u = rng.standard_normal(g.N)
     u[0] = u[-1] = 0.0
     quad_form = float(np.sum(op.weights * op.apply(u[op.active]) * u[op.active]))
@@ -177,7 +177,7 @@ def test_hardy_classical_matches_eigensolve_oracle():
     g = build_grid(128, 1.0)
     a = classical_coefficient()
     c_h = hardy_check(g, a)
-    op = assemble_operator(g, a, zero_drift(), 0.0)
+    op = assemble_operator(g, a, zero_drift())
     W = np.diag(op.weights)
     WA = W @ _dense(op)
     mu = sla.eigh(W, WA, eigvals_only=True)

@@ -212,6 +212,22 @@ def test_problem_invariants():
                       grid=g, M=16, y0=np.zeros(8))
 
 
+def test_drift_table_must_cover_every_time_node():
+    # the step to t_{k+1} reads row k+1, so a table needs M + 1 rows; one
+    # with M rows would leave the last step without coefficients
+    g = build_grid(16, 1.0)
+    kwargs = dict(a=power_coefficient(0.5), T=0.5, omega=(0.3, 0.9), grid=g, M=16,
+                  y0=np.zeros(16))
+    for name in ("b", "c"):
+        for shape in ((16, 16), (18, 16), (17, 15), (15,), (1, 16)):
+            drift = dataclasses.replace(zero_drift(), **{name: np.zeros(shape)})
+            with pytest.raises(ValueError, match=f"drift {name} must be"):
+                LinearProblem(drift=drift, **kwargs)
+        for shape in ((17, 16), (16,)):
+            LinearProblem(drift=dataclasses.replace(zero_drift(), **{name: np.ones(shape)}),
+                          **kwargs)
+
+
 def test_replace_resets_step_cache():
     p = make_problem(N=24, M=16)
     solve_forward(p)        # populates the factor cache
@@ -233,7 +249,8 @@ def test_step_matrix_factored_once_per_time_level(monkeypatch, time_dependent):
 
     monkeypatch.setattr(pde, "dgttrf", counting_dgttrf)
     p = make_problem(N=24, M=16, b0=0.3, c0=0.2)
-    p = p.with_drift(dataclasses.replace(p.drift, time_dependent=time_dependent))
+    if time_dependent:
+        p = p.with_drift(dataclasses.replace(p.drift, b=np.full((p.M + 1, p.grid.N), p.drift.b)))
     hum_solve(p, 1e-4)
     # one forward and one adjoint factorisation per distinct time level
     assert len(factorizations) == (2 * p.M if time_dependent else 2)
