@@ -24,23 +24,31 @@ everything the audit reads that depends only on the grid and the weights.
 
 The audit checks three estimates for solutions v of the backward equation
 v_t + (a v_x)_x = F (or = F0 + (beta F1)_x), each a ``variant`` of
-``carleman_functionals`` and ``ratio_experiment``:
+``carleman_functionals`` and ``ratio_experiment``, with the observation term
+obs = int_{omega x (0, T)} v^2 e^{-2 s phi}:
 
 - "lemma": the weighted energy
 
       lhs = int_Q (s theta a v_x^2 + s^3 theta^3 (x^2/a) v^2) e^{-2 s phi}
 
-  against the weighted F^2 plus the observation term on omega;
-- "theorem": the same energy against the observation term plus
-  F0^2 + s^2 theta^3 (beta^2/a) F1^2;
+  against rhs = int_Q F^2 e^{-2 s phi} + obs;
+- "theorem": the same energy against
+  rhs = obs + int_Q (F0^2 + s^2 theta^3 (beta^2/a) F1^2) e^{-2 s phi};
 - "cacciopoli": the local Caccioppoli-type gradient energy
-  int v_x^2 e^{-2 s phi} over omega' x (0, T), against the lemma's
-  right-hand side.
+  lhs = int_{omega' x (0, T)} v_x^2 e^{-2 s phi}, against the lemma's rhs.
+
+Each side is a short list of terms (k, integrand, nodes or faces, time
+factor) worth s^k dt sum_t factor(t) sum_x integrand e^{-2 s phi} over the
+interior time levels: node integrands carry the trapezoid weights, face
+integrands the spacings, with v_x the difference quotient on the faces.
+The integrands depend on the sample only, so one call forms them once and
+sums them for every s of the ladder.
 
 e^{-2 s phi} underflows catastrophically at desk scale, so every integral
 here is computed in log space with the weight normalized by its maximum over
-the space-time grid; both sides share one normalization, leaving all ratios
-unchanged.
+the space-time grid; both sides share one normalization per s, leaving all
+ratios unchanged. A side that still underflows to 0 while its integrands are
+not all zero has no ratio, and is an error.
 """
 
 from __future__ import annotations
@@ -257,15 +265,15 @@ def beta_divergence(grid: GridSpec, beta, F1: np.ndarray,
 
 
 def solve_terminal_source(p: LinearProblem, vT: np.ndarray,
-                          F: np.ndarray | None = None) -> Trajectory:
+                          F: np.ndarray) -> Trajectory:
     """Backward implicit-Euler solution of v_t + (a v_x)_x = F, v(T) = vT.
 
     Marches ``p`` as given, so the caller passes the drift-free problem
     ``p.with_drift(zero_drift())``; reusing one such problem reuses its step
-    factors. F has shape (M+1, N) sampled at the time nodes.
+    factors. The source F is required, with shape (M+1, N) sampled at the
+    time nodes.
     """
-    src = None if F is None else -np.asarray(F, dtype=float)[:-1]
-    return _trajectory(p, vT, src, adjoint=True)
+    return _trajectory(p, vT, -np.asarray(F, dtype=float)[:-1], adjoint=True)
 
 
 def _degenerate_ratio(x: np.ndarray, a_pos: np.ndarray, numerator_sq) -> np.ndarray:
@@ -304,76 +312,64 @@ def _admissible_s(s) -> bool:
 
 
 def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
-                         src, s: float, variant: str = "lemma"):
-    """Left-hand side and right-hand side of one audited estimate.
+                         src, s_values, variant: str = "lemma"):
+    """(lhs, rhs) of one audited estimate, as two arrays over ``s_values``.
 
-    variant "lemma": lhs = weighted energy over Q, rhs = weighted F^2 over Q
-    plus the observation term; ``src`` is an (M+1, N) field or None.
-    variant "theorem": the same lhs, rhs = observation term plus
-    F0^2 + s^2 theta^3 (beta^2/a) F1^2; ``src`` is a SourceSplit or None.
-    variant "cacciopoli": lhs = weighted v_x^2 over omega' x (0, T), rhs and
-    ``src`` as for the lemma. Both sides share one log-space weight
-    normalization, so their ratio is exact while the absolute scale is that
-    of the largest weight. ``w`` must be built on ``p.grid``.
+    ``src`` is the (M+1, N) source F, or a SourceSplit for "theorem". The
+    integrands of each side's terms (see the module docstring) are formed
+    once and summed for every s; ``w`` must be built on ``p.grid``. Raises
+    ``NonFiniteIntegral`` when an input or a side is non-finite, or when a
+    side with a nonzero integrand underflows to 0, where the ratio is
+    undefined.
     """
     if variant not in ("lemma", "theorem", "cacciopoli"):
         raise ValueError(f"unknown variant {variant!r}")
-    if not _admissible_s(s):
-        raise ValueError(f"Carleman parameter s must be positive with s^3 finite, got {s}")
+    s_values = [float(s) for s in s_values]
+    if not (s_values and all(map(_admissible_s, s_values))):
+        raise ValueError(f"need a non-empty ladder of s > 0 with s^3 finite, got {s_values}")
     grid = p.grid
     if w.grid is not grid:
         raise ValueError("Carleman weights were built on another grid than p.grid")
-    if not np.all(np.isfinite(v.states)):
-        raise NonFiniteIntegral("trajectory contains non-finite values")
+    fields = (src.F0, src.F1) if variant == "theorem" else (src,)
+    fields = [np.asarray(f, dtype=float)[1:-1] for f in fields]
+    if not all(np.all(np.isfinite(f)) for f in (v.states, *fields)):
+        raise NonFiniteIntegral("trajectory or source contains non-finite values")
 
     theta = np.asarray(w.theta(p.times[1:-1]), dtype=float)
-    Wn, Wf = _damping_weights(w, theta, s)
-
     V = v.states[1:-1]
     dV = np.diff(V, axis=1) / grid.spacings
     wq = grid.weights
-    dt = p.dt
-
-    def total(integrand, weight, time_factor=1.0):
-        """sum over t of time_factor(t) * sum over x of integrand * weight."""
-        return float(np.sum(time_factor * np.sum(integrand * weight, axis=1)))
-
     if variant == "cacciopoli":
         ap, bp = w.omega_prime
         prime_mask = ((grid.faces > ap) & (grid.faces < bp)) * grid.spacings
-        lhs = dt * total(prime_mask * dV * dV, Wf)
+        lhs = [(0, prime_mask * dV * dV, "faces", 1.0)]
     else:
-        grad = s * total(w.a_faces_h * dV * dV, Wf, theta)
-        zero = s ** 3 * total(wq * w.xx_over_a * V * V, Wn, theta ** 3)
-        lhs = dt * (grad + zero)
-
-    obs = dt * total(wq * p.omega_mask() * V * V, Wn)
-
-    if variant != "theorem":
-        if src is None:
-            src_term = 0.0
-        else:
-            F = np.asarray(src, dtype=float)[1:-1]
-            if not np.all(np.isfinite(F)):
-                raise NonFiniteIntegral("source field contains non-finite values")
-            src_term = dt * total(wq * F * F, Wn)
-        rhs = src_term + obs
-    elif src is None:
-        rhs = obs
-    else:
-        F0 = np.asarray(src.F0, dtype=float)[1:-1]
-        F1 = np.asarray(src.F1, dtype=float)[1:-1]
-        if not (np.all(np.isfinite(F0)) and np.all(np.isfinite(F1))):
-            raise NonFiniteIntegral("source fields contain non-finite values")
+        lhs = [(1, w.a_faces_h * dV * dV, "faces", theta),
+               (3, wq * w.xx_over_a * V * V, "nodes", theta ** 3)]
+    obs = (0, wq * p.omega_mask() * V * V, "nodes", 1.0)
+    if variant == "theorem":
+        F0, F1 = fields
         bb_over_a = _degenerate_ratio(grid.nodes, w.a_pos,
                                       lambda x: np.asarray(p.drift.beta(x)) ** 2)
-        t0 = dt * total(wq * F0 * F0, Wn)
-        t1 = s ** 2 * dt * total(wq * bb_over_a * F1 * F1, Wn, theta ** 3)
-        rhs = obs + t0 + t1
+        rhs = [obs, (0, wq * F0 * F0, "nodes", 1.0),
+               (2, wq * bb_over_a * F1 * F1, "nodes", theta ** 3)]
+    else:
+        rhs = [(0, wq * fields[0] * fields[0], "nodes", 1.0), obs]
 
-    if not (np.isfinite(lhs) and np.isfinite(rhs)):
-        raise NonFiniteIntegral("weighted integral evaluated non-finite")
-    return float(lhs), float(rhs)
+    sides = (("left-hand side", lhs), ("right-hand side", rhs))
+    live = [any(np.any(term[1]) for term in terms) for _, terms in sides]
+    out = np.zeros((2, len(s_values)))
+    for j, s in enumerate(s_values):
+        W = dict(zip(("nodes", "faces"), _damping_weights(w, theta, s)))
+        for i, (side, terms) in enumerate(sides):
+            out[i, j] = sum(s ** k * p.dt * float(np.sum(tf * np.sum(I * W[at], axis=1)))
+                            for k, I, at, tf in terms)
+            if not math.isfinite(out[i, j]):
+                raise NonFiniteIntegral(f"weighted {side} evaluated non-finite at s = {s:g}")
+            if out[i, j] == 0.0 and live[i]:
+                raise NonFiniteIntegral(f"weighted {side} underflowed to 0 at "
+                                        f"s = {s:g}; the ratio lhs/rhs is undefined")
+    return out[0], out[1]
 
 
 # -- random solution ensembles and the ratio experiment -------------------------
@@ -458,14 +454,11 @@ def ratio_experiment(p: LinearProblem, w: CarlemanWeights, s_values,
     and solves the backward equation they drive. Source-free ensembles leave
     only the observation term on the right-hand side, whose discrete maximum
     ratio is not stable under refinement; the audited inequalities are stated
-    for the source-driven solution class anyway. Raises ValueError unless
-    ``s_values`` is a non-empty list of s > 0 with s^3 finite and
-    n_samples >= 1, and ``NonFiniteIntegral`` when a sample's weighted
-    right-hand side underflows to 0, where the ratio is undefined.
+    for the source-driven solution class anyway. One ``carleman_functionals``
+    call per sample checks and covers the whole ladder, and raises where a
+    side underflows to 0. Raises ValueError unless n_samples >= 1.
     """
     s_values = [float(s) for s in s_values]
-    if not (s_values and all(map(_admissible_s, s_values))):
-        raise ValueError(f"need a non-empty ladder of s > 0 with s^3 finite, got {s_values}")
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     rng = np.random.default_rng(0) if rng is None else rng
@@ -482,15 +475,10 @@ def ratio_experiment(p: LinearProblem, w: CarlemanWeights, s_values,
         else:
             src = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
             v = solve_terminal_source(p0, vT, src)
-        for j, s in enumerate(s_values):
-            lhs, rhs = carleman_functionals(p, w, v, src, s, variant)
-            if not rhs > 0.0:
-                raise NonFiniteIntegral(
-                    f"weighted right-hand side underflowed to 0 at s = {s:g}; "
-                    f"the ratio lhs/rhs = {lhs:.3g}/0 is undefined")
-            ratios[i, j] = lhs / rhs
-    max_r = [float(np.max(ratios[:, j])) for j in range(len(s_values))]
-    med_r = [float(np.median(ratios[:, j])) for j in range(len(s_values))]
+        lhs, rhs = carleman_functionals(p, w, v, src, s_values, variant)
+        ratios[i] = lhs / rhs
+    max_r = np.max(ratios, axis=0).tolist()
+    med_r = np.median(ratios, axis=0).tolist()
     s0, plateaued = calibrate_s0(s_values, max_r)
     return AuditResult(variant=variant, s_values=s_values, max_ratios=max_r,
                        median_ratios=med_r, n_samples=n_samples, s0=s0,

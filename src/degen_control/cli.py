@@ -73,7 +73,7 @@ def build_coefficient(cfg: Config):
     return COEFFICIENT_CATALOG[name]()
 
 
-def build_drift(cfg: Config, a):
+def build_drift(cfg: Config):
     kind = cfg.get_str("beta.kind", default="x", choices={"x", "zero", "scaled"})
     scale = cfg.get_float("beta.scale", default=1.0) if kind == "scaled" else 1.0
     beta = zero_beta if kind == "zero" else linear_beta(scale)
@@ -95,7 +95,7 @@ def build_initial_datum(cfg: Config, grid, rng):
 
 def build_problem(cfg: Config, rng) -> LinearProblem:
     a = build_coefficient(cfg)
-    drift = build_drift(cfg, a)
+    drift = build_drift(cfg)
     grid = build_grid(cfg.get_int("grid.N", default=64),
                       cfg.get_float("grid.gamma", default=1.0))
     return LinearProblem(a=a, drift=drift,
@@ -132,7 +132,7 @@ def cmd_validate(cfg: Config, outdir: str, rng) -> list:
     requested = cfg.get_str("a.case", default=None, choices={"WDP", "SDP"})
     report = validate_coefficient(a, Case(requested) if requested else a.case,
                                   n_samples=cfg.get_int("samples", default=256))
-    c_beta = validate_beta(build_drift(cfg, a).beta, a)
+    c_beta = validate_beta(build_drift(cfg).beta, a)
     grid = build_grid(cfg.get_int("grid.N", default=128),
                       cfg.get_float("grid.gamma", default=1.0))
     c_h = hardy_check(grid, a)

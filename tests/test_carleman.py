@@ -158,10 +158,11 @@ def test_functionals_zero_inputs():
     w = build_weights(p.a, p.omega, p.T, grid=p.grid)
     v = _zero_traj(p)
     F = np.zeros((p.M + 1, p.grid.N))
-    assert carleman_functionals(p, w, v, F, 2.0, "lemma") == (0.0, 0.0)
+    zero = [[0.0], [0.0]]
+    assert np.array_equal(carleman_functionals(p, w, v, F, [2.0], "lemma"), zero)
     split = SourceSplit(F0=F, F1=F)
-    assert carleman_functionals(p, w, v, split, 2.0, "theorem") == (0.0, 0.0)
-    assert carleman_functionals(p, w, v, F, 2.0, "cacciopoli") == (0.0, 0.0)
+    assert np.array_equal(carleman_functionals(p, w, v, split, [2.0], "theorem"), zero)
+    assert np.array_equal(carleman_functionals(p, w, v, F, [2.0], "cacciopoli"), zero)
 
 
 def test_functionals_quadratic_homogeneity(rng):
@@ -170,9 +171,9 @@ def test_functionals_quadratic_homogeneity(rng):
     vT = random_smooth_field(rng, p.case)(p.grid.nodes)
     F = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
     v = solve_terminal_source(p, vT, F)
-    lhs1, rhs1 = carleman_functionals(p, w, v, F, 4.0, "lemma")
+    (lhs1,), (rhs1,) = carleman_functionals(p, w, v, F, [4.0], "lemma")
     v10 = Trajectory(grid=p.grid, times=p.times, states=10.0 * v.states)
-    lhs2, rhs2 = carleman_functionals(p, w, v10, 10.0 * F, 4.0, "lemma")
+    (lhs2,), (rhs2,) = carleman_functionals(p, w, v10, 10.0 * F, [4.0], "lemma")
     assert lhs2 == pytest.approx(100.0 * lhs1, rel=1e-12)
     assert rhs2 == pytest.approx(100.0 * rhs1, rel=1e-12)
 
@@ -182,30 +183,33 @@ def test_functionals_reject_nonfinite():
     w = build_weights(p.a, p.omega, p.T, grid=p.grid)
     v = _zero_traj(p)
     v.states[3, 5] = np.inf
+    F = np.zeros((p.M + 1, p.grid.N))
     with pytest.raises(NonFiniteIntegral):
-        carleman_functionals(p, w, v, None, 2.0, "lemma")
+        carleman_functionals(p, w, v, F, [2.0], "lemma")
 
 
 def test_functional_input_validation():
     p = make_problem(N=32, M=16, T=1.0)
     w = build_weights(p.a, p.omega, p.T, grid=p.grid)
     v = _zero_traj(p)
+    F = np.zeros((p.M + 1, p.grid.N))
     with pytest.raises(ValueError):
-        carleman_functionals(p, w, v, None, -1.0, "lemma")
+        carleman_functionals(p, w, v, F, [-1.0], "lemma")
     with pytest.raises(ValueError):
-        carleman_functionals(p, w, v, None, float("nan"), "lemma")
+        carleman_functionals(p, w, v, F, [float("nan")], "lemma")
     # s^3 overflows although s is finite
     with pytest.raises(ValueError, match="s\\^3 finite"):
-        carleman_functionals(p, w, v, None, 1e300, "lemma")
+        carleman_functionals(p, w, v, F, [1e300], "lemma")
     with pytest.raises(ValueError):
-        carleman_functionals(p, w, v, None, 2.0, "bogus")
+        carleman_functionals(p, w, v, F, [2.0], "bogus")
 
 
 def test_weights_frozen_and_tied_to_their_grid():
     p = make_problem(N=32, M=16, T=1.0)
     w = build_weights(p.a, p.omega, p.T, grid=build_grid(32, 1.0))
     with pytest.raises(ValueError, match="another grid"):
-        carleman_functionals(p, w, _zero_traj(p), None, 2.0, "lemma")
+        carleman_functionals(p, w, _zero_traj(p), np.zeros((p.M + 1, p.grid.N)),
+                             [2.0], "lemma")
     with pytest.raises(dataclasses.FrozenInstanceError):
         w.c2 = 2.0
     # sampled from one cumulative psi_deg pass over nodes, faces and check
@@ -241,8 +245,61 @@ def test_weights_sample_grid_factors_once(monkeypatch):
     F = np.ones((p.M + 1, p.grid.N))
     for variant, src in (("lemma", F), ("cacciopoli", F),
                          ("theorem", SourceSplit(F0=F, F1=F))):
-        carleman_functionals(p, w, v, src, 2.0, variant)
+        carleman_functionals(p, w, v, src, [2.0], variant)
     assert a_evals == []
+
+
+def _reference_sides(p, w, v, src, s, variant):
+    """lhs and rhs of ``variant`` at s from the module docstring's formulas,
+    as direct sums over the interior (time, node) and (time, face) pairs."""
+    g, t = p.grid, p.times[1:-1]
+    th = ((t * (p.T - t)) ** -4.0)[:, None]
+    log_n, log_f = -2.0 * s * th * w.eta_nodes, -2.0 * s * th * w.eta_faces
+    top = max(log_n.max(), log_f.max())
+
+    def on_nodes(f):
+        return p.dt * np.sum(g.weights * f * np.exp(log_n - top))
+
+    def on_faces(f):
+        return p.dt * np.sum(g.spacings * f * np.exp(log_f - top))
+
+    x = g.nodes
+    a_n = np.where(x > 0.0, w.a.eval(x), np.inf)   # x^2/a and beta^2/a -> 0 at 0
+    V = v.states[1:-1]
+    Vx = np.diff(V, axis=1) / g.spacings
+    obs = on_nodes(p.omega_mask() * V ** 2)
+    if variant == "cacciopoli":
+        ap, bp = w.omega_prime
+        lhs = on_faces(((g.faces > ap) & (g.faces < bp)) * Vx ** 2)
+    else:
+        lhs = (on_faces(s * th * w.a.eval(g.faces) * Vx ** 2)
+               + on_nodes(s ** 3 * th ** 3 * x ** 2 / a_n * V ** 2))
+    if variant == "theorem":
+        bb_a = p.drift.beta(x) ** 2 / a_n
+        rhs = obs + on_nodes(src.F0[1:-1] ** 2 + s ** 2 * th ** 3 * bb_a * src.F1[1:-1] ** 2)
+    else:
+        rhs = on_nodes(src[1:-1] ** 2) + obs
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("variant", ["lemma", "theorem", "cacciopoli"])
+def test_functionals_match_reference_sums(rng, variant):
+    p = make_problem(N=16, M=8, T=3.0)
+    w = build_weights(p.a, p.omega, p.T, lam=0.5, grid=p.grid)
+    shape = (p.M + 1, p.grid.N)
+    v = Trajectory(grid=p.grid, times=p.times, states=rng.standard_normal(shape))
+    F = rng.standard_normal(shape)
+    src = SourceSplit(F0=F, F1=rng.standard_normal(shape)) if variant == "theorem" else F
+    ladder = [1.0, 4.0, 16.0]
+    lhs, rhs = carleman_functionals(p, w, v, src, ladder, variant)
+    want = np.array([_reference_sides(p, w, v, src, s, variant) for s in ladder]).T
+    assert np.all(want > 0.0)
+    np.testing.assert_allclose(lhs, want[0], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(rhs, want[1], rtol=1e-13, atol=0.0)
+    # one call over the ladder is the one-element calls, bit for bit
+    single = [carleman_functionals(p, w, v, src, [s], variant) for s in ladder]
+    assert np.array_equal(lhs, np.concatenate([l for l, _ in single]))
+    assert np.array_equal(rhs, np.concatenate([r for _, r in single]))
 
 
 @pytest.mark.parametrize("variant, alpha", [("lemma", 0.5), ("theorem", 1.5),
@@ -284,8 +341,8 @@ def test_cacciopoli_source_monotonicity(rng):
     vT = random_smooth_field(rng, p.case)(p.grid.nodes)
     F = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
     v = solve_terminal_source(p, vT, F)
-    lhs1, rhs1 = carleman_functionals(p, w, v, F, 4.0, "cacciopoli")
-    lhs2, rhs2 = carleman_functionals(p, w, v, 10.0 * F, 4.0, "cacciopoli")
+    (lhs1,), (rhs1,) = carleman_functionals(p, w, v, F, [4.0], "cacciopoli")
+    (lhs2,), (rhs2,) = carleman_functionals(p, w, v, 10.0 * F, [4.0], "cacciopoli")
     assert lhs2 == pytest.approx(lhs1)
     assert rhs2 > rhs1
     assert lhs2 / rhs2 < lhs1 / rhs1
@@ -303,7 +360,7 @@ def test_cacciopoli_stable_under_refinement(rng):
             F = _sample_field(random_space_time_field(local_rng, p.case, p.T),
                               p.grid, p.times)
             v = solve_terminal_source(p, vT, F)
-            lhs, rhs = carleman_functionals(p, w, v, F, 4.0, "cacciopoli")
+            (lhs,), (rhs,) = carleman_functionals(p, w, v, F, [4.0], "cacciopoli")
             ratios.append(lhs / rhs)
         vals[N] = max(ratios)
     assert abs(vals[128] - vals[64]) <= 0.20 * vals[64]
@@ -358,5 +415,5 @@ def test_sample_field_matches_per_time_evaluation(rng):
 
 def test_terminal_source_solver_zero_data():
     p = make_problem(N=32, M=16, T=1.0)
-    v = solve_terminal_source(p, np.zeros(p.grid.N), None)
+    v = solve_terminal_source(p, np.zeros(p.grid.N), np.zeros((p.M + 1, p.grid.N)))
     assert np.all(v.states == 0.0)

@@ -223,23 +223,30 @@ t0 = 1
     assert last.startswith("ERROR NO_FIXED_POINT:")
 
 
-def test_underflowed_audit_rhs_is_nonfinite_integral(tmp_path, capsys):
-    # at s = 1 with the default T and lambda every node weight underflows to
-    # 0, so the ratio is undefined: a solver failure, not max_ratio = inf
-    cfg = write_cfg(tmp_path, """
+@pytest.mark.parametrize("ladder, side, s", [
+    ("s.sweep = 1", "right-hand side", "s = 1"),
+    ("carleman.c1 = 1e10\ns.sweep = 8", "left-hand side", "s = 8"),
+], ids=["rhs", "lhs"])
+def test_underflowed_audit_rhs_is_nonfinite_integral(tmp_path, capsys, ladder, side, s):
+    # rhs: at s = 1 with the default T and lambda every node weight
+    # underflows to 0, so the ratio is undefined: a solver failure, not
+    # max_ratio = inf. lhs: at c1 = 1e10 eta is about 1e9 on omega' against
+    # 48 near x = 1, so the Caccioppoli energy underflows to 0: a solver
+    # failure, not cacciopoli_max_ratio = 0
+    cfg = write_cfg(tmp_path, f"""
 command = carleman-audit
 a.kind = power
 a.alpha = 0.5
 grid.N = 32
 M = 32
-s.sweep = 1
+{ladder}
 samples = 1
 carleman.variant = lemma
 """)
     assert main([cfg, "--out", str(tmp_path / "o")]) == 3
     last = capsys.readouterr().out.strip().splitlines()[-1]
     assert last.startswith("ERROR NONFINITE_INTEGRAL:")
-    assert "s = 1" in last
+    assert side in last and s in last
 
 
 def test_escaping_exception_is_internal_error(tmp_path, capsys, monkeypatch):
