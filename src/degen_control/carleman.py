@@ -445,8 +445,8 @@ def calibrate_s0(s_values, max_ratios):
 
 
 def ratio_experiment(p: LinearProblem, w: CarlemanWeights, s_values,
-                     n_samples: int, variant: str = "lemma",
-                     rng: np.random.Generator | None = None) -> AuditResult:
+                     n_samples: int, variant: str,
+                     rng: np.random.Generator) -> AuditResult:
     """Ratios lhs/rhs over an ensemble of random solutions, per Carleman parameter.
 
     Every variant draws random smooth terminal data and random smooth sources
@@ -456,12 +456,14 @@ def ratio_experiment(p: LinearProblem, w: CarlemanWeights, s_values,
     ratio is not stable under refinement; the audited inequalities are stated
     for the source-driven solution class anyway. One ``carleman_functionals``
     call per sample checks and covers the whole ladder, and raises where a
-    side underflows to 0. Raises ValueError unless n_samples >= 1.
+    side underflows to 0. Raises ValueError before any solve unless
+    n_samples >= 1 and the ladder increases strictly, as ``calibrate_s0`` reads.
     """
     s_values = [float(s) for s in s_values]
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    rng = np.random.default_rng(0) if rng is None else rng
+    if not np.all(np.diff(s_values) > 0.0):
+        raise ValueError(f"s values must be strictly increasing, got {s_values}")
     p0 = p.with_drift(zero_drift())
     ratios = np.zeros((n_samples, len(s_values)))
     for i in range(n_samples):

@@ -84,6 +84,9 @@ def build_drift(cfg: Config):
 def build_initial_datum(cfg: Config, grid, rng):
     kind = cfg.get_str("y0.kind", default="sine", choices={"sine", "noise", "zero"})
     amp = cfg.get_float("y0.amplitude", default=1.0)
+    if not np.isfinite(amp):
+        # rejected for every kind, also zero, which does not use it
+        raise ValueError(f"initial amplitude y0.amplitude must be finite, got {amp}")
     if kind == "zero":
         return np.zeros(grid.N)
     if kind == "noise":

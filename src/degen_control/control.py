@@ -12,17 +12,17 @@ y(T) = -eps vhat exactly up to the solver's residual. As eps -> 0 the
 final-state norm follows the square-root law of penalized HUM for
 null-controllable configurations, which the epsilon sweep measures.
 
-``hum_solve`` runs conjugate gradient on the matrix-free Gramian, one
-backward and one forward sweep per iteration. ``epsilon_sweep`` and
-``observability_estimate`` assemble the Gramian once as a dense matrix
-(``gramian``): B = W Lam and E, the map vT -> v(0). The sweep solves every
-penalty of its ladder exactly from one symmetric eigendecomposition of B in
-the weighted inner product, O(n^2) per penalty; the observability quotients
-and power steps are quadratic forms and products with (E'WE, B). Everything
-after the linear solve (the adjoint, the control, the forward rerun and the
-optimality-gap check) still marches, so an inaccurate B ends in
-``NoConvergence``. No CG runs in the sweep, so its gap bound is the fixed
-``SWEEP_GAP_TOL``; only ``hum_solve`` takes a CG tolerance.
+``hum_solve`` runs conjugate gradient on the matrix-free Gramian, one backward
+and one forward sweep per iteration, for any coefficients. ``epsilon_sweep``
+and ``observability_estimate`` serve time-independent coefficients only,
+through the dense ``gramian`` pair: B = W Lam and E, the map vT -> v(0). The
+sweep solves every penalty of its ladder exactly from one symmetric
+eigendecomposition of B in the weighted inner product, O(n^2) per penalty; the
+observability quotients and power steps are quadratic forms and products with
+(E'WE, B). Everything after the linear solve (the adjoint, the control, the
+forward rerun and the optimality-gap check) still marches, so an inaccurate B
+ends in ``NoConvergence``. No CG runs in the sweep, so its gap bound is the
+fixed ``SWEEP_GAP_TOL``; only ``hum_solve`` takes a CG tolerance.
 """
 
 from __future__ import annotations
@@ -47,28 +47,23 @@ def _gramian_apply_active(p: LinearProblem, vT_act: np.ndarray) -> np.ndarray:
 
 
 def gramian(p: LinearProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (B, E) on the active nodes.
+    """Dense (B, E) on the active nodes, for time-independent coefficients.
 
     B = W Lam = dt sum_{k=0..M-1} V_k' W_omega V_k is the Gramian's quadratic
     form in the weighted inner product and E = V_0 maps vT to v(0), where
-    V_k maps vT to the adjoint state v^k. With time-independent coefficients
-    V_k = G^(M-k) for the one-step adjoint matrix G, one solve of the cached
-    adjoint factors on the identity, and square-and-multiply on the pairs
-    (G^a, S_a), with S_{a+b} = S_a + (G^a)' S_b G^a, builds both in
-    O(log M) products. Otherwise one backward sweep of the identity through
-    the per-level factors accumulates the sum. B is returned exactly
-    symmetric.
+    V_k = G^(M-k) maps vT to the adjoint state v^k and G, the one-step
+    adjoint matrix, is one solve of the cached adjoint factors on the
+    identity. Square-and-multiply on the pairs (G^a, S_a), with
+    S_{a+b} = S_a + (G^a)' S_b G^a, builds both in O(log M) products. B is
+    returned exactly symmetric. Raises ValueError on a drift table: a
+    time-dependent problem takes ``hum_solve``'s matrix-free path.
     """
+    if p.drift.time_dependent:
+        raise ValueError("the dense Gramian needs time-independent coefficients; "
+                         "a drift table takes hum_solve's matrix-free path")
     act = p.active()
     mask_w = p.grid.weights[act] * p.omega_mask()[act]
-    factors = _step_factors(p, adjoint=True)
-    if p.drift.time_dependent:
-        P, S = np.eye(act.size), np.zeros((act.size, act.size))
-        for k in range(p.M - 1, -1, -1):
-            P = _step_solve(factors[k], P)
-            S += p.dt * (P.T * mask_w) @ P
-        return 0.5 * (S + S.T), P
-    G = _step_solve(factors[0], np.eye(act.size))
+    G = _step_solve(_step_factors(p, adjoint=True)[0], np.eye(act.size))
     s1 = p.dt * (G.T * mask_w) @ G
     P, S = G, s1
     for bit in bin(p.M)[3:]:
@@ -226,9 +221,9 @@ def epsilon_sweep(p: LinearProblem, eps_list) -> SweepResult:
     Every rung is solved exactly from one symmetric eigendecomposition
     Q Lam_s Q' = W^-1/2 B W^-1/2 of the dense ``gramian``: vhat = W^-1/2 Q
     (Lam_s + eps)^-1 Q' W^1/2 rhs. Raises NotSPD when the smallest shifted
-    eigenvalue is at most 1e-14, CG's curvature threshold. Each rung's
-    optimality gap, checked against the marched map, must stay within
-    10 ``SWEEP_GAP_TOL`` max(||y0||, ||y_free(T)||).
+    eigenvalue is at most 1e-14, CG's curvature threshold, and ValueError on
+    a drift table. Each rung's optimality gap, checked against the marched
+    map, must stay within 10 ``SWEEP_GAP_TOL`` max(||y0||, ||y_free(T)||).
 
     Fits the log-log slope of ||y(T)|| against eps; for a null-controllable
     configuration the slope sits near 1/2 and the control cost stays bounded.
@@ -274,9 +269,8 @@ class ObservabilityReport:
     refined_quotient: float | None
 
 
-def observability_estimate(p: LinearProblem, n_samples: int,
-                           power_iters: int = 0,
-                           rng: np.random.Generator | None = None) -> ObservabilityReport:
+def observability_estimate(p: LinearProblem, n_samples: int, power_iters: int,
+                           rng: np.random.Generator) -> ObservabilityReport:
     """Largest observed ||v(0)||^2 / ||v||^2_{omega x (0,T)} over random terminal data.
 
     Terminal samples are nodal standard normals with boundary rows zeroed and
@@ -288,13 +282,13 @@ def observability_estimate(p: LinearProblem, n_samples: int,
 
     The quotients are the quadratic forms u'Au / u'Bu of the dense
     ``gramian`` pair, A = E'WE, and a power step is u -> W^-1 A u. As the
-    control region holds a node, u'Bu > 0 off a null set of draws.
+    control region holds a node, u'Bu > 0 off a null set of draws. Raises
+    ValueError on a drift table, as ``gramian`` does.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if power_iters < 0:
         raise ValueError(f"power iteration count must be >= 0, got {power_iters}")
-    rng = np.random.default_rng(0) if rng is None else rng
     w_act = p.grid.weights[p.active()]
     B, E = gramian(p)
     A = E.T @ (w_act[:, None] * E)

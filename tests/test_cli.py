@@ -305,6 +305,9 @@ omega = 0.501,0.502
     ("carleman-audit", "s.sweep = 1e300"),
     ("carleman-audit", "carleman.lambda = 400"),
     ("carleman-audit", "carleman.c1 = 1e308"),
+    ("carleman-audit", "T = 3\ncarleman.lambda = 0.5\ns.sweep = 4,2,1"),
+    ("carleman-audit", "s.sweep = 2,2"),
+    ("control", "y0.kind = zero\ny0.amplitude = nan"),
 ], ids=["control", "carleman-audit", "control-epsilon", "sweep-epsilon",
         "control-b-const", "control-c-const", "control-beta-scale",
         "semilinear-nl-m", "semilinear-nl-m-unused", "solve-T-inf",
@@ -314,12 +317,13 @@ omega = 0.501,0.502
         "carleman-audit-no-samples", "control-cg-maxiter",
         "semilinear-fp-maxiter", "observability-power-iters",
         "carleman-audit-s-cubed-overflow", "carleman-audit-lambda-overflow",
-        "carleman-audit-c1-overflow"])
+        "carleman-audit-c1-overflow", "carleman-audit-decreasing-ladder",
+        "carleman-audit-repeated-s", "control-y0-amplitude-unused"])
 def test_nan_horizon_is_precondition_error(tmp_path, capsys, command, bad):
     # NaN and inf pass checks written as x <= 0 or x < 1; a non-finite
-    # horizon, penalty, tolerance or datum, or an empty audit ensemble, must
-    # end as a precondition error, not as exit 0, a traceback or
-    # NO_CONVERGENCE after 500 CG iterations
+    # horizon, penalty, tolerance or datum, an empty audit ensemble or an s
+    # ladder out of order must end as a precondition error, not as exit 0, a
+    # traceback or NO_CONVERGENCE after 500 CG iterations
     cfg = write_cfg(tmp_path, f"""
 command = {command}
 a.kind = power

@@ -42,18 +42,12 @@ def test_gramian_symmetry_and_quadratic_form(rng):
         assert s_uu >= 0.0
 
 
-@pytest.mark.parametrize("alpha, M, frozen", [
-    pytest.param(alpha, M, frozen, id=f"{case}-{M}" + ("-frozen" if frozen else ""))
-    for case, alpha in (("WDP", 0.5), ("SDP", 1.5))
-    for M in (8, 13, 37) for frozen in (False, True)])
-def test_gramian_matches_marched_operators(alpha, M, frozen):
-    # odd M exercise the binary decomposition's "plus one step" branch; a
-    # frozen drift from random (M+1, N) tables takes the backward sweep
+@pytest.mark.parametrize("alpha, M", [
+    pytest.param(alpha, M, id=f"{case}-{M}")
+    for case, alpha in (("WDP", 0.5), ("SDP", 1.5)) for M in (8, 13, 37)])
+def test_gramian_matches_marched_operators(alpha, M):
+    # odd M exercise the binary decomposition's "plus one step" branch
     p = make_problem(a=power_coefficient(alpha), N=40, M=M, b0=0.2, c0=-1.0)
-    if frozen:
-        rng = np.random.default_rng(M)
-        b, c = rng.uniform(-1.0, 1.0, (2, M + 1, p.grid.N))
-        p = p.with_drift(dataclasses.replace(p.drift, b=b, c=c))
     act = p.active()
     n = act.size
     w = p.grid.weights[act]
@@ -66,13 +60,6 @@ def test_gramian_matches_marched_operators(alpha, M, frozen):
                                  for j in range(n)])
     assert np.linalg.norm(B / w[:, None] - Lam) <= 1e-13 * np.linalg.norm(Lam)
     assert np.linalg.norm(E - E_marched) <= 1e-13 * np.linalg.norm(E_marched)
-
-
-def _time_dependent(p):
-    # the same problem with b as a constant (M+1, N) table: one step matrix
-    # per level, and a Gramian accumulated by one backward sweep instead of
-    # binary powering
-    return p.with_drift(dataclasses.replace(p.drift, b=np.full((p.M + 1, p.grid.N), p.drift.b)))
 
 
 def test_hum_zero_datum():
@@ -187,32 +174,18 @@ def test_sweep_shares_one_krylov_space(monkeypatch):
     assert solves == 1 + p.M * (1 + 2 * len(eps)) == 145
 
 
-def test_sweep_shares_one_krylov_space_when_marching(monkeypatch):
-    # one backward sweep of the identity for the Gramian and one free
-    # forward sweep, then one backward and one forward sweep per penalty
-    p = _time_dependent(make_problem(N=32, M=16))
-    eps = [1e-2, 1e-3, 1e-4, 1e-5]
-    _, solves = _counted_sweep(monkeypatch, p, eps)
-    assert solves == p.M * (2 + 2 * len(eps)) == 160
-
-
-@pytest.mark.parametrize("alpha", [0.5, 1.5], ids=["WDP", "SDP"])
-def test_dense_and_marching_paths_agree(alpha):
-    # the Gramian by binary powering and by one backward sweep of the
-    # identity give the same sweep and the same observability report
-    p = make_problem(a=power_coefficient(alpha), N=40, M=32, b0=0.2, c0=-1.0)
-    eps = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
-    dense, marched = epsilon_sweep(p, eps), epsilon_sweep(_time_dependent(p), eps)
-    for rd, rm in zip(dense.rows, marched.rows):
-        assert rd.norm_yT == pytest.approx(rm.norm_yT, rel=1e-8)
-        assert rd.cost == pytest.approx(rm.cost, rel=1e-8)
-    assert dense.slope == pytest.approx(marched.slope, rel=1e-8)
-    od = observability_estimate(p, 12, power_iters=5, rng=np.random.default_rng(5))
-    om = observability_estimate(_time_dependent(p), 12, power_iters=5,
-                                rng=np.random.default_rng(5))
-    assert od.quotients == pytest.approx(om.quotients, rel=1e-10)
-    assert od.refined_quotient == pytest.approx(om.refined_quotient, rel=1e-10)
-    assert od.max_quotient == pytest.approx(om.max_quotient, rel=1e-10)
+def test_dense_paths_refuse_drift_tables():
+    # binary powering needs one step matrix for every level; a drift table
+    # takes hum_solve's matrix-free path instead
+    p = make_problem(N=32, M=16, b0=0.2)
+    p = p.with_drift(dataclasses.replace(p.drift, b=np.full((p.M + 1, p.grid.N), 0.2)))
+    assert p.drift.time_dependent
+    with pytest.raises(ValueError, match="time-independent"):
+        gramian(p)
+    with pytest.raises(ValueError, match="time-independent"):
+        epsilon_sweep(p, [1e-2, 1e-3, 1e-4, 1e-5])
+    with pytest.raises(ValueError, match="time-independent"):
+        observability_estimate(p, 4, 0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5], ids=["WDP", "SDP"])
