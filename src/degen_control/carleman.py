@@ -17,10 +17,11 @@ has its single critical point at the midpoint of an interior subinterval
 (a', b') of (kappa-, kappa+), so eta' = psi_cls' != 0 on (kappa+, w2).
 
 psi_deg's integral is one cumulative sum of ``quad`` over the gaps between the
-sorted points, for every coefficient kind; ``scipy.integrate`` is imported at
-the first psi_deg call. The weights run it once, over the union of the grid's
-nodes and faces and the validation check points, and sample there, once,
-everything the audit reads that depends only on the grid and the weights.
+sorted points, for every coefficient kind, with a relative tolerance only;
+``scipy.integrate`` is imported at the first psi_deg call. The weights run it
+once, over the grid's nodes and faces, and sample there everything the audit
+reads that depends only on the grid and the weights. tau/a >= 0 makes psi_deg
+decrease, so validity reads psi_deg at the last node, x = 1, and psi_cls'.
 
 The audit checks three estimates for solutions v of the backward equation
 v_t + (a v_x)_x = F (or = F0 + (beta F1)_x), each a ``variant`` of
@@ -59,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import Case, DegeneracyCoefficient, zero_drift
-from .errors import NonFiniteIntegral, WeightInvalid
+from .errors import HypothesisViolated, NonFiniteIntegral, WeightInvalid
 from .mesh import GridSpec, face_diffusivity
 from .pde import LinearProblem, Trajectory, _trajectory
 
@@ -70,9 +71,9 @@ PLATEAU_REL = 0.05   # per-step relative change that counts as a plateau
 @dataclass(frozen=True)
 class CarlemanWeights:
     """Blended weight profiles, their parameters, and what the audit needs of
-    them on ``grid``: eta at the nodes and faces, a times the face spacings,
-    a and x^2/a at the nodes, and psi_deg at the validation check points
-    (which contain the nodes), all from one cumulative ``quad`` pass."""
+    them on ``grid``: eta at the nodes and faces, from one cumulative ``quad``
+    pass, a times the face spacings, and 1/a and x^2/a at the nodes (both 0
+    at x = 0). Raises ``WeightInvalid`` if psi_deg(1) <= 0."""
 
     a: DegeneracyCoefficient
     T: float
@@ -84,27 +85,27 @@ class CarlemanWeights:
     omega_prime: tuple
     rho_peak: float
     grid: GridSpec = field(repr=False)
-    check_points: np.ndarray = field(init=False, repr=False)
-    psi_check: np.ndarray = field(init=False, repr=False)
     eta_nodes: np.ndarray = field(init=False, repr=False)
     eta_faces: np.ndarray = field(init=False, repr=False)
     a_faces_h: np.ndarray = field(init=False, repr=False)   # a(faces) * spacings
-    a_pos: np.ndarray = field(init=False, repr=False)       # a at the nodes x > 0
+    inv_a: np.ndarray = field(init=False, repr=False)       # 1/a at the nodes, 0 at x = 0
     xx_over_a: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         grid = self.grid
-        pts, nodes, faces = _check_points(grid), grid.nodes, grid.faces
-        psi = np.split(self.psi_deg(np.concatenate([pts, nodes, faces])),
-                       [pts.size, pts.size + nodes.size])
-        a_pos = np.asarray(self.a.eval(nodes[nodes > 0.0]), dtype=float)
+        nodes, faces = grid.nodes, grid.faces
+        psi = self.psi_deg(np.concatenate([nodes, faces]))
+        if not psi[grid.N - 1] > 0.0:   # the last node is x = 1
+            raise WeightInvalid(f"psi_deg <= 0 at x = 1; c2 = {self.c2:.6g} vs "
+                                f"threshold {c2_threshold(self.a):.6g}")
+        pos = nodes > 0.0
+        inv_a = np.zeros(nodes.size)
+        inv_a[pos] = 1.0 / np.asarray(self.a.eval(nodes[pos]), dtype=float)
         for name, value in (
-                ("check_points", pts), ("psi_check", psi[0]),
-                ("eta_nodes", self.eta(nodes, psi[1])),
-                ("eta_faces", self.eta(faces, psi[2])),
+                ("eta_nodes", self.eta(nodes, psi[:grid.N])),
+                ("eta_faces", self.eta(faces, psi[grid.N:])),
                 ("a_faces_h", face_diffusivity(grid, self.a) * grid.spacings),
-                ("a_pos", a_pos),
-                ("xx_over_a", _degenerate_ratio(nodes, a_pos, lambda x: x * x))):
+                ("inv_a", inv_a), ("xx_over_a", nodes * nodes * inv_a)):
             object.__setattr__(self, name, value)
 
     def _x_over_a(self, tau: float) -> float:
@@ -118,7 +119,7 @@ class CarlemanWeights:
         from scipy.integrate import quad
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         pts, inv = np.unique(np.maximum(xs, 0.0), return_inverse=True)
-        gaps = [quad(self._x_over_a, lo, hi, limit=200)[0]
+        gaps = [quad(self._x_over_a, lo, hi, epsabs=0.0, limit=200)[0]
                 for lo, hi in zip(np.r_[0.0, pts[:-1]], pts)]
         out = self.c1 * (self.c2 - np.cumsum(gaps)[inv.reshape(xs.shape)])
         return out if np.ndim(x) else float(out[0])
@@ -173,11 +174,10 @@ class CarlemanWeights:
         psi = self.psi_deg(x) if psi is None else psi
         return psi * xi + (1.0 - xi) * self.psi_cls(x)
 
-    def eta_prime(self, x, psi=None):
+    def eta_prime(self, x):
         xi = self.xi(x)
         dxi = self.xi_prime(x)
-        psi = self.psi_deg(x) if psi is None else psi
-        return (self.psi_deg_prime(x) * xi + psi * dxi
+        return (self.psi_deg_prime(x) * xi + self.psi_deg(x) * dxi
                 - dxi * self.psi_cls(x) + (1.0 - xi) * self.psi_cls_prime(x))
 
     def theta(self, t):
@@ -201,9 +201,13 @@ def build_weights(a: DegeneracyCoefficient, omega: tuple, T: float,
     """Construct and validate the blended weight for a control region with w1 > 0.
 
     ``c2`` defaults to 1.05 times the positivity threshold 1/(a(1)(2-K)).
-    Raises ``WeightInvalid`` if psi_deg fails to stay positive or eta' vanishes
-    at a check node of (kappa+, w2).
+    Raises ``HypothesisViolated`` unless K < 2, before any quadrature, and
+    ``WeightInvalid`` unless psi_deg(1) > 0 (so psi_deg > 0 on [0, 1]; read by
+    the weights from their grid pass), eta' = psi_cls' != 0 on (kappa+, w2)
+    and rho' != 0 off (a', b') (both at the check points, in closed form).
     """
+    if not a.K < 2.0:
+        raise HypothesisViolated(f"Carleman weights need K < 2, got K = {a.K:g}")
     w1, w2 = omega
     if not (0.0 < w1 < w2 < 1.0):
         raise ValueError("control region must satisfy 0 < w1 < w2 < 1")
@@ -224,15 +228,10 @@ def build_weights(a: DegeneracyCoefficient, omega: tuple, T: float,
                         lam=float(lam), kappa_minus=km, kappa_plus=kp,
                         omega_prime=(ap, bp), rho_peak=0.5 * (ap + bp), grid=grid)
 
-    pts, psi = w.check_points, w.psi_check
-    if np.any(psi <= 0.0):
-        raise WeightInvalid(
-            f"psi_deg <= 0 at x = {pts[np.argmin(psi)]:.6g}; "
-            f"c2 = {c2:.6g} vs threshold {c2_threshold(a):.6g}")
-
+    pts = _check_points(grid)
     region = (pts > kp) & (pts < w2)
     if np.any(region):
-        dp = np.abs(w.eta_prime(pts[region], psi[region]))
+        dp = np.abs(w.psi_cls_prime(pts[region]))
         if np.any(dp <= 1e-12 * max(1.0, float(dp.max()))):
             raise WeightInvalid("eta' vanishes at a node of (kappa+, w2)")
 
@@ -274,15 +273,6 @@ def solve_terminal_source(p: LinearProblem, vT: np.ndarray,
     time nodes.
     """
     return _trajectory(p, vT, -np.asarray(F, dtype=float)[:-1], adjoint=True)
-
-
-def _degenerate_ratio(x: np.ndarray, a_pos: np.ndarray, numerator_sq) -> np.ndarray:
-    """numerator(x)^2 / a(x) at the nodes x, given ``a_pos`` = a at the nodes
-    x > 0, with the limiting value 0 at x = 0."""
-    out = np.zeros(x.size)
-    pos = x > 0.0
-    out[pos] = numerator_sq(x[pos]) / a_pos
-    return out
 
 
 def _damping_weights(w: CarlemanWeights, theta: np.ndarray, s: float):
@@ -330,6 +320,9 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
     grid = p.grid
     if w.grid is not grid:
         raise ValueError("Carleman weights were built on another grid than p.grid")
+    if w.T != p.T:
+        raise ValueError(f"Carleman weights were built for T = {w.T:g}, "
+                         f"not for p.T = {p.T:g}")
     fields = (src.F0, src.F1) if variant == "theorem" else (src,)
     fields = [np.asarray(f, dtype=float)[1:-1] for f in fields]
     if not all(np.all(np.isfinite(f)) for f in (v.states, *fields)):
@@ -349,8 +342,7 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
     obs = (0, wq * p.omega_mask() * V * V, "nodes", 1.0)
     if variant == "theorem":
         F0, F1 = fields
-        bb_over_a = _degenerate_ratio(grid.nodes, w.a_pos,
-                                      lambda x: np.asarray(p.drift.beta(x)) ** 2)
+        bb_over_a = np.asarray(p.drift.beta(grid.nodes), dtype=float) ** 2 * w.inv_a
         rhs = [obs, (0, wq * F0 * F0, "nodes", 1.0),
                (2, wq * bb_over_a * F1 * F1, "nodes", theta ** 3)]
     else:

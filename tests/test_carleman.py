@@ -56,6 +56,25 @@ def test_psi_deg_quadrature_against_closed_form_strong_degeneracy():
     _check_psi_deg_closed_form(1.5, 3.0)
 
 
+def _closed_form_eta(w, x, alpha):
+    """eta at x from the closed-form psi_deg of a(x) = x^alpha."""
+    return w.eta(x, w.c1 * (w.c2 - x ** (2.0 - alpha) / (2.0 - alpha)))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_weights_match_closed_form_on_fine_grids(alpha):
+    # the gaps next to x = 0 are tiny, so quad's default absolute tolerance
+    # would leave them about 1e-4 relative error; the weights' grid pass
+    # uses a relative tolerance only
+    for N in (128, 256):
+        g = build_grid(N, 1.0)
+        w = build_weights(power_coefficient(alpha), (0.3, 0.9), T=1.0, grid=g)
+        assert np.allclose(w.eta_nodes, _closed_form_eta(w, g.nodes, alpha),
+                           rtol=0.0, atol=1e-13)
+        assert np.allclose(w.eta_faces, _closed_form_eta(w, g.faces, alpha),
+                           rtol=0.0, atol=1e-13)
+
+
 def test_theta_value_and_blowup():
     w = build_weights(SQRT, (0.3, 0.9), T=1.0, grid=GRID)
     assert float(w.theta(0.5)) == pytest.approx(256.0)
@@ -123,6 +142,13 @@ def test_eta_prime_nonzero_beyond_cutoff():
 def test_weight_positivity_guard():
     with pytest.raises(WeightInvalid):
         build_weights(SQRT, (0.3, 0.9), T=1.0, c2=0.01, grid=GRID)
+
+
+def test_flat_classical_profile_is_weight_invalid():
+    # psi_cls' = -lam rho' e^(lam rho) falls below the 1e-12 floor on (kappa+, w2)
+    for lam in (1e-13, 1e-300):
+        with pytest.raises(WeightInvalid, match="eta' vanishes"):
+            build_weights(SQRT, (0.3, 0.9), T=1.0, lam=lam, grid=GRID)
 
 
 def test_omega_must_be_interior():
@@ -212,11 +238,21 @@ def test_weights_frozen_and_tied_to_their_grid():
                              [2.0], "lemma")
     with pytest.raises(dataclasses.FrozenInstanceError):
         w.c2 = 2.0
-    # sampled from one cumulative psi_deg pass over nodes, faces and check
-    # points, so equal to a pass over the nodes or faces alone up to quad
-    # round-off (the bound of the closed-form psi_deg tests)
+    # sampled from one cumulative psi_deg pass over nodes and faces, so equal
+    # to a pass over the nodes or faces alone up to quad round-off (the bound
+    # of the closed-form psi_deg tests)
     assert np.allclose(w.eta_nodes, w.eta(w.grid.nodes), rtol=0.0, atol=1e-13)
     assert np.allclose(w.eta_faces, w.eta(w.grid.faces), rtol=0.0, atol=1e-13)
+
+
+def test_weights_tied_to_their_horizon():
+    p = make_problem(N=32, M=32, T=0.5)
+    w = build_weights(p.a, p.omega, 1.0, grid=p.grid)
+    with pytest.raises(ValueError, match="T = 1, not for p.T = 0.5"):
+        carleman_functionals(p, w, _zero_traj(p), np.zeros((p.M + 1, p.grid.N)),
+                             [2.0], "lemma")
+    with pytest.raises(ValueError, match="T = 1"):
+        ratio_experiment(p, w, [1.0, 2.0], 1, "lemma", np.random.default_rng(0))
 
 
 def test_weights_sample_grid_factors_once(monkeypatch):
@@ -237,9 +273,12 @@ def test_weights_sample_grid_factors_once(monkeypatch):
     a = dataclasses.replace(SQRT, eval=counting_eval)
     p = make_problem(a=a, N=32, M=16, T=1.0, b0=0.3)
     w = build_weights(a, p.omega, p.T, grid=p.grid)
-    # one quad per distinct point of nodes, faces and check points (0 included)
-    assert len(quad_calls) == np.unique(np.r_[w.check_points, p.grid.faces]).size
-    assert np.allclose(w.psi_check, w.psi_deg(w.check_points), rtol=0.0, atol=1e-13)
+    # one quad per distinct point of nodes and faces (0 included)
+    assert len(quad_calls) == np.unique(np.r_[p.grid.nodes, p.grid.faces]).size == 63
+    assert np.allclose(w.eta_nodes, _closed_form_eta(w, p.grid.nodes, 0.5),
+                       rtol=0.0, atol=1e-13)
+    assert np.allclose(w.eta_faces, _closed_form_eta(w, p.grid.faces, 0.5),
+                       rtol=0.0, atol=1e-13)
     a_evals.clear()
     v = _zero_traj(p)
     F = np.ones((p.M + 1, p.grid.N))

@@ -89,6 +89,24 @@ def test_validate_rejects_alpha_two(tmp_path, capsys):
     assert lines[-1].startswith("ERROR HYPOTHESIS_VIOLATED:")
 
 
+@pytest.mark.parametrize("alpha", ["2", "2.5"])
+def test_audit_needs_k_below_two(tmp_path, capsys, alpha):
+    # int_0^x tau/a diverges for K >= 2, so no degenerate weight exists: the
+    # same hypothesis violation as in validate
+    cfg = write_cfg(tmp_path, f"""
+command = carleman-audit
+a.kind = power
+a.alpha = {alpha}
+grid.N = 32
+M = 32
+s.sweep = 1,2
+samples = 2
+""")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 2
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last.startswith("ERROR HYPOTHESIS_VIOLATED:") and f"K = {alpha}" in last
+
+
 def test_missing_command_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "a.kind = power\n")
     assert main([cfg, "--out", str(tmp_path / "o")]) == 2
