@@ -48,8 +48,12 @@ sums them for every s of the ladder.
 e^{-2 s phi} underflows catastrophically at desk scale, so every integral
 here is computed in log space with the weight normalized by its maximum over
 the space-time grid; both sides share one normalization per s, leaving all
-ratios unchanged. A side that still underflows to 0 while its integrands are
-not all zero has no ratio, and is an error.
+ratios unchanged. The normalised weight depends only on the weights, M and s,
+so it is formed once per (M, s) per weights object and cached there; the
+weights record a and omega, and the functionals refuse a problem built with
+another coefficient, control region, grid or horizon. A side that still
+underflows to 0 while its integrands are not all zero has no ratio, and is an
+error.
 """
 
 from __future__ import annotations
@@ -73,9 +77,11 @@ class CarlemanWeights:
     """Blended weight profiles, their parameters, and what the audit needs of
     them on ``grid``: eta at the nodes and faces, from one cumulative ``quad``
     pass, a times the face spacings, and 1/a and x^2/a at the nodes (both 0
-    at x = 0). Raises ``WeightInvalid`` if psi_deg(1) <= 0."""
+    at x = 0). Raises ``WeightInvalid`` if psi_deg(1) <= 0. ``_damping``
+    caches the normalised e^{-2 s phi} of ``_damping_weights`` per (M, s)."""
 
     a: DegeneracyCoefficient
+    omega: tuple
     T: float
     c1: float
     c2: float
@@ -90,6 +96,7 @@ class CarlemanWeights:
     a_faces_h: np.ndarray = field(init=False, repr=False)   # a(faces) * spacings
     inv_a: np.ndarray = field(init=False, repr=False)       # 1/a at the nodes, 0 at x = 0
     xx_over_a: np.ndarray = field(init=False, repr=False)
+    _damping: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         grid = self.grid
@@ -224,9 +231,10 @@ def build_weights(a: DegeneracyCoefficient, omega: tuple, T: float,
     kp = (w1 + 2.0 * w2) / 3.0
     width = kp - km
     ap, bp = km + 0.25 * width, kp - 0.25 * width
-    w = CarlemanWeights(a=a, T=float(T), c1=float(c1), c2=float(c2),
-                        lam=float(lam), kappa_minus=km, kappa_plus=kp,
-                        omega_prime=(ap, bp), rho_peak=0.5 * (ap + bp), grid=grid)
+    w = CarlemanWeights(a=a, omega=tuple(omega), T=float(T), c1=float(c1),
+                        c2=float(c2), lam=float(lam), kappa_minus=km,
+                        kappa_plus=kp, omega_prime=(ap, bp),
+                        rho_peak=0.5 * (ap + bp), grid=grid)
 
     pts = _check_points(grid)
     region = (pts > kp) & (pts < w2)
@@ -307,10 +315,11 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
 
     ``src`` is the (M+1, N) source F, or a SourceSplit for "theorem". The
     integrands of each side's terms (see the module docstring) are formed
-    once and summed for every s; ``w`` must be built on ``p.grid``. Raises
-    ``NonFiniteIntegral`` when an input or a side is non-finite, or when a
-    side with a nonzero integrand underflows to 0, where the ratio is
-    undefined.
+    once and summed for every s; ``w`` must be built for ``p.a``, ``p.omega``
+    and ``p.T`` on ``p.grid``, which makes (M, s) a key of its damping
+    weights. Raises ``NonFiniteIntegral`` when an input or a side is
+    non-finite, or when a side with a nonzero integrand underflows to 0, where
+    the ratio is undefined.
     """
     if variant not in ("lemma", "theorem", "cacciopoli"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -323,6 +332,11 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
     if w.T != p.T:
         raise ValueError(f"Carleman weights were built for T = {w.T:g}, "
                          f"not for p.T = {p.T:g}")
+    if w.a is not p.a:
+        raise ValueError("Carleman weights were built for another coefficient than p.a")
+    if w.omega != tuple(p.omega):
+        raise ValueError(f"Carleman weights were built for omega = {w.omega}, "
+                         f"not for p.omega = {tuple(p.omega)}")
     fields = (src.F0, src.F1) if variant == "theorem" else (src,)
     fields = [np.asarray(f, dtype=float)[1:-1] for f in fields]
     if not all(np.all(np.isfinite(f)) for f in (v.states, *fields)):
@@ -352,7 +366,10 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
     live = [any(np.any(term[1]) for term in terms) for _, terms in sides]
     out = np.zeros((2, len(s_values)))
     for j, s in enumerate(s_values):
-        W = dict(zip(("nodes", "faces"), _damping_weights(w, theta, s)))
+        key = (p.M, s)
+        if key not in w._damping:
+            w._damping[key] = _damping_weights(w, theta, s)
+        W = dict(zip(("nodes", "faces"), w._damping[key]))
         for i, (side, terms) in enumerate(sides):
             out[i, j] = sum(s ** k * p.dt * float(np.sum(tf * np.sum(I * W[at], axis=1)))
                             for k, I, at, tf in terms)

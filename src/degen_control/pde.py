@@ -19,13 +19,16 @@ matrices I + dt A(t_{n+1}) of all M levels as stacked bands (a single level
 when the drift holds no table). Each level is LU-factored (LAPACK
 ``dgttrf``) for both directions and cached on the problem, so with
 time-independent coefficients one factorisation per direction serves all M
-steps. The adjoint factors the weighted transpose I + dt W^{-1} A^T W as a
-tridiagonal matrix of its own. Solving with the forward LU in transposed
-mode is equal in exact arithmetic, but rounds differently enough to move
-small entries of the semilinear golden control field past the corpus's 1e-6
-relative tolerance. It also changes the CG path of ``hum_solve``: the README
-``control`` config then takes 109 iterations and 56,576 single-column solves
-instead of 108 and 56,064, and the benchmark pins the latter count.
+steps. Each step is one single-column ``dgttrs`` call that solves in place
+in the row of the output it fills, so a sweep makes exactly M solves and no
+temporaries. The adjoint factors the weighted transpose I + dt W^{-1} A^T W
+as a tridiagonal matrix of its own. Solving with the forward LU in
+transposed mode is equal in exact arithmetic, but rounds differently enough
+to move small entries of the semilinear golden control field past the
+corpus's 1e-6 relative tolerance. It also changes the CG path of
+``hum_solve``: the README ``control`` config then takes 109 iterations and
+56,576 single-column solves instead of 108 and 56,064, and the benchmark
+pins the latter count.
 """
 
 from __future__ import annotations
@@ -141,14 +144,25 @@ def march(p: LinearProblem, u: np.ndarray, src: np.ndarray | None = None,
     Adjoint: ``u`` is v^M and v^k = (I + dt W^{-1} A_{k+1}^T W)^{-1}
     (v^{k+1} + dt src[k]), the weighted transpose of the forward step.
     ``src``, if given, has shape (M, n).
+
+    Each step forms its right-hand side in the row it fills (dt src[k] is
+    written into the rows once, up front) and solves there in place with one
+    single-column ``dgttrs`` call, so the sweep makes exactly M solves and
+    leaves ``u`` and ``src`` untouched.
     """
     factors = _step_factors(p, adjoint)
     states = np.empty((p.M + 1, np.size(u)))
     states[p.M if adjoint else 0] = u
+    if src is not None:
+        np.multiply(p.dt, src, out=states[:-1] if adjoint else states[1:])
     for k in (range(p.M - 1, -1, -1) if adjoint else range(p.M)):
         prev, new = (k + 1, k) if adjoint else (k, k + 1)
-        rhs = states[prev] if src is None else states[prev] + p.dt * src[k]
-        states[new] = _step_solve(factors[k], rhs)
+        row = states[new]
+        if src is None:
+            row[...] = states[prev]     # a copy keeps -0.0, adding to 0 would not
+        else:
+            row += states[prev]
+        dgttrs(*factors[k], row, "N", 1)    # overwrite_b: solves in place
     return states
 
 

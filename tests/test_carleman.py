@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from degen_control import pde
+from degen_control import carleman, pde
 from degen_control.carleman import (SourceSplit, beta_divergence, build_weights,
                                     c2_threshold, calibrate_s0,
                                     carleman_functionals, random_smooth_field,
@@ -253,6 +253,58 @@ def test_weights_tied_to_their_horizon():
                              [2.0], "lemma")
     with pytest.raises(ValueError, match="T = 1"):
         ratio_experiment(p, w, [1.0, 2.0], 1, "lemma", np.random.default_rng(0))
+
+
+def test_weights_tied_to_their_coefficient_and_region():
+    p = make_problem(N=32, M=32, T=3.0)
+    v, F = _zero_traj(p), np.zeros((p.M + 1, p.grid.N))
+    for a, omega, what in ((power_coefficient(1.5), p.omega, "another coefficient"),
+                           (power_coefficient(0.5), p.omega, "another coefficient"),
+                           (p.a, (0.1, 0.3), "omega = \\(0.1, 0.3\\)")):
+        w = build_weights(a, omega, p.T, lam=0.5, grid=p.grid)
+        with pytest.raises(ValueError, match=what):
+            carleman_functionals(p, w, v, F, [2.0], "lemma")
+        with pytest.raises(ValueError, match=what):
+            ratio_experiment(p, w, [1.0, 2.0], 1, "lemma", np.random.default_rng(0))
+    w = build_weights(p.a, list(p.omega), p.T, lam=0.5, grid=p.grid)
+    assert w.omega == p.omega
+    carleman_functionals(p, w, v, F, [2.0], "lemma")
+
+
+def test_damping_weights_once_per_step_count_and_s(monkeypatch, rng):
+    calls = []
+    real = carleman._damping_weights
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(carleman, "_damping_weights", counting)
+    p16 = make_problem(N=32, M=16, T=3.0, y0=np.zeros(32))
+    w = build_weights(p16.a, p16.omega, p16.T, lam=0.5, grid=p16.grid)
+    ratio_experiment(p16, w, [1, 2, 4], 4, "lemma", rng)
+    assert calls == [1.0, 2.0, 4.0]
+    ratio_experiment(p16, w, [1, 2, 4], 4, "lemma", rng)
+    assert len(calls) == 3
+
+    # the cache is keyed by the step count as well as s
+    p32 = dataclasses.replace(p16, M=32)
+    for p in (p16, p32, p16):
+        vT = random_smooth_field(rng, p.case)(p.grid.nodes)
+        F = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
+        v = solve_terminal_source(p, vT, F)
+        fresh = build_weights(p.a, p.omega, p.T, lam=0.5, grid=p.grid)
+        got = carleman_functionals(p, w, v, F, [1.0, 2.0, 4.0], "lemma")
+        want = carleman_functionals(p, fresh, v, F, [1.0, 2.0, 4.0], "lemma")
+        assert np.array_equal(got, want)
+
+    # an overflowing exponent raises before anything is cached, on every call
+    big = build_weights(p16.a, p16.omega, p16.T, c1=1e300, lam=0.5, grid=p16.grid)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="overflows at s = 1e\\+10"):
+            carleman_functionals(p16, big, _zero_traj(p16), np.zeros((p16.M + 1, 32)),
+                                 [1e10], "lemma")
+    assert big._damping == {}
 
 
 def test_weights_sample_grid_factors_once(monkeypatch):

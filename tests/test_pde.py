@@ -256,6 +256,44 @@ def test_step_matrix_factored_once_per_time_level(monkeypatch, time_dependent):
     assert len(factorizations) == (2 * p.M if time_dependent else 2)
 
 
+@pytest.mark.parametrize("table", [False, True], ids=["constant", "table"])
+@pytest.mark.parametrize("with_src", [False, True], ids=["no-src", "src"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_march_matches_stepwise_reference(monkeypatch, rng, adjoint, with_src, table):
+    p = make_problem(N=24, M=16, b0=0.3, c0=0.2)
+    if table:
+        b = 0.3 * (1.0 + 0.5 * np.sin(p.times))[:, None] * np.ones(p.grid.N)
+        p = p.with_drift(dataclasses.replace(p.drift, b=b))
+    n = p.active().size
+    u = rng.standard_normal(n)
+    src = rng.standard_normal((p.M, n)) if with_src else None
+    u_in, src_in = u.copy(), None if src is None else src.copy()
+
+    # the step recursion of march's docstring, one fresh solution per step
+    factors = pde._step_factors(p, adjoint)
+    ref = np.empty((p.M + 1, n))
+    ref[p.M if adjoint else 0] = u
+    for k in (range(p.M - 1, -1, -1) if adjoint else range(p.M)):
+        prev, new = (k + 1, k) if adjoint else (k, k + 1)
+        rhs = ref[prev] if src is None else ref[prev] + p.dt * src[k]
+        ref[new] = pde._step_solve(factors[k], rhs)
+
+    rhs_dims = []
+    real_dgttrs = pde.dgttrs
+
+    def counting_dgttrs(*args, **kwargs):
+        rhs_dims.append(np.ndim(args[5]))
+        return real_dgttrs(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "dgttrs", counting_dgttrs)
+    states = pde.march(p, u, src, adjoint)
+    assert np.array_equal(states, ref)
+    assert np.array_equal(u, u_in)
+    assert src is None or np.array_equal(src, src_in)
+    # one single-column solve per step, in place in the output
+    assert rhs_dims == [1] * p.M
+
+
 def test_stability_ratio_reported(tmp_path):
     # solve reports C_T = sup_n ||y^n|| / ||y^0||: 1 for a decaying heat
     # profile, 0 for a zero datum
