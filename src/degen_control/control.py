@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotSPD
+from .errors import NoConvergence, NonFiniteIntegral, NotSPD
 from .mesh import l2_norm
-from .pde import (LinearProblem, Trajectory, _step_factors, _step_solve,
-                  control_cost, march, solve_adjoint, solve_forward)
+from .pde import (LinearProblem, Trajectory, _adjoint_step_matrix, control_cost,
+                  march, solve_adjoint, solve_forward)
 
 # the ladder's exact solves stand in for a CG at this tolerance in the gap check
 SWEEP_GAP_TOL = 1e-10
@@ -51,9 +51,9 @@ def gramian(p: LinearProblem) -> tuple[np.ndarray, np.ndarray]:
 
     B = W Lam = dt sum_{k=0..M-1} V_k' W_omega V_k is the Gramian's quadratic
     form in the weighted inner product and E = V_0 maps vT to v(0), where
-    V_k = G^(M-k) maps vT to the adjoint state v^k and G, the one-step
-    adjoint matrix, is one solve of the cached adjoint factors on the
-    identity. Square-and-multiply on the pairs (G^a, S_a), with
+    V_k = G^(M-k) maps vT to the adjoint state v^k and G = W^-1 M^-T W, the
+    one-step adjoint matrix, is one transposed solve of the step matrix's LU
+    on diag(w). Square-and-multiply on the pairs (G^a, S_a), with
     S_{a+b} = S_a + (G^a)' S_b G^a, builds both in O(log M) products. B is
     returned exactly symmetric. Raises ValueError on a drift table: a
     time-dependent problem takes ``hum_solve``'s matrix-free path.
@@ -63,7 +63,7 @@ def gramian(p: LinearProblem) -> tuple[np.ndarray, np.ndarray]:
                          "a drift table takes hum_solve's matrix-free path")
     act = p.active()
     mask_w = p.grid.weights[act] * p.omega_mask()[act]
-    G = _step_solve(_step_factors(p, adjoint=True)[0], np.eye(act.size))
+    G = _adjoint_step_matrix(p)
     s1 = p.dt * (G.T * mask_w) @ G
     P, S = G, s1
     for bit in bin(p.M)[3:]:
@@ -282,7 +282,8 @@ def observability_estimate(p: LinearProblem, n_samples: int, power_iters: int,
 
     The quotients are the quadratic forms u'Au / u'Bu of the dense
     ``gramian`` pair, A = E'WE, and a power step is u -> W^-1 A u. As the
-    control region holds a node, u'Bu > 0 off a null set of draws. Raises
+    control region holds a node, u'Bu > 0 off a null set of draws; a side
+    that underflowed to 0 raises NonFiniteIntegral naming the sample. Raises
     ValueError on a drift table, as ``gramian`` does.
     """
     if n_samples < 1:
@@ -293,14 +294,18 @@ def observability_estimate(p: LinearProblem, n_samples: int, power_iters: int,
     B, E = gramian(p)
     A = E.T @ (w_act[:, None] * E)
 
-    def quotient_of(u_act):
-        return float(u_act @ A @ u_act), float(u_act @ B @ u_act)
+    def quotient_of(u_act, sample):
+        num, den = float(u_act @ A @ u_act), float(u_act @ B @ u_act)
+        if num == 0.0 or den == 0.0:
+            side = "numerator u'Au" if num == 0.0 else "denominator u'Bu"
+            raise NonFiniteIntegral(f"{side} of {sample} underflowed to 0; no quotient")
+        return num / den
 
     samples = []
     for _ in range(n_samples):
         u = rng.standard_normal(w_act.size)
         samples.append(u / np.sqrt(np.sum(w_act * u * u)))
-    quotients = [num / den for num, den in map(quotient_of, samples)]
+    quotients = [quotient_of(u, f"sample {i}") for i, u in enumerate(samples)]
 
     refined = None
     if power_iters > 0:
@@ -311,8 +316,7 @@ def observability_estimate(p: LinearProblem, n_samples: int, power_iters: int,
             if nrm == 0.0:
                 break
             u = bu / nrm
-        num, den = quotient_of(u)
-        refined = num / den
+        refined = quotient_of(u, "the power iterate")
 
     candidates = quotients + ([refined] if refined is not None else [])
     return ObservabilityReport(samples=n_samples,

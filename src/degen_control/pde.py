@@ -15,20 +15,14 @@ A drift table (``DriftEnvelope``) is read at the backward node: the step to
 t_{n+1} takes its row n+1, so ``LinearProblem`` requires M+1 rows.
 
 Every sweep goes through ``march``. One assembly per problem gives the step
-matrices I + dt A(t_{n+1}) of all M levels as stacked bands (a single level
-when the drift holds no table). Each level is LU-factored (LAPACK
-``dgttrf``) for both directions and cached on the problem, so with
-time-independent coefficients one factorisation per direction serves all M
-steps. Each step is one single-column ``dgttrs`` call that solves in place
-in the row of the output it fills, so a sweep makes exactly M solves and no
-temporaries. The adjoint factors the weighted transpose I + dt W^{-1} A^T W
-as a tridiagonal matrix of its own. Solving with the forward LU in
-transposed mode is equal in exact arithmetic, but rounds differently enough
-to move small entries of the semilinear golden control field past the
-corpus's 1e-6 relative tolerance. It also changes the CG path of
-``hum_solve``: the README ``control`` config then takes 109 iterations and
-56,576 single-column solves instead of 108 and 56,064, and the benchmark
-pins the latter count.
+matrices M_k = I + dt A(t_k) of all M levels as stacked bands (one level when
+the drift holds no table); each distinct level is LU-factored once
+(``dgttrf``), cached on the problem, and solved with in both directions. The
+adjoint step v^k = W^{-1} M_{k+1}^{-T} W (v^{k+1} + dt src[k]) runs in
+u = W v with ``dgttrs`` in transposed mode, and a sweep scales by W once
+before and once after its loop: scaling around every step rounds twice more
+per step, which moves ``hum_solve``'s CG path on the README ``control``
+config from 108 to 109 iterations.
 """
 
 from __future__ import annotations
@@ -100,14 +94,9 @@ class LinearProblem:
         return (x >= self.omega[0]) & (x <= self.omega[1])
 
 
-def _factor_step(sub, diag, sup, dt: float, step: int, w: np.ndarray | None = None):
-    """LU factors of I + dt A from A's bands at one level, or of
-    I + dt W^{-1} A^T W given the weights w."""
-    sub, sup = sub[1:], sup[:-1]
-    if w is not None:
-        # the weighted transpose of a tridiagonal matrix is tridiagonal too
-        sub, sup = sup * w[:-1] / w[1:], sub * w[1:] / w[:-1]
-    *lu, info = dgttrf(dt * sub, 1.0 + dt * diag, dt * sup)
+def _factor_step(sub, diag, sup, dt: float, step: int):
+    """LU factors of I + dt A from A's bands at one level."""
+    *lu, info = dgttrf(dt * sub[1:], 1.0 + dt * diag, dt * sup[:-1])
     if info > 0:
         raise SolverBreakdown(f"singular step matrix at time index {step}")
     return lu
@@ -117,44 +106,48 @@ def _step_solve(lu, rhs: np.ndarray) -> np.ndarray:
     return dgttrs(*lu, rhs)[0]
 
 
-def _step_factors(p: LinearProblem, adjoint: bool) -> list:
-    """Per-step LU factors of one direction.
-
-    At the first call one assembly gives the bands of every time level (of
-    one level when the drift holds no table), and each level is factored for
-    both directions, so a problem that marches both ways (HUM, Picard)
-    assembles once.
-    """
+def _step_factors(p: LinearProblem) -> list:
+    """LU factors of the step matrix of each of the M steps, for both directions.
+    The first call assembles the bands of every time level once (one level when
+    the drift holds no table) and factors each distinct level once."""
     if not p._cache:
-        w = p.grid.weights[p.active()]
         op = assemble_operator(p.grid, p.a, p.drift)
         levels = list(zip(*(np.atleast_2d(band) for band in (op.sub, op.diag, op.sup))))
-        fwd = [_factor_step(*bands, p.dt, k + 1) for k, bands in enumerate(levels)]
-        adj = [_factor_step(*bands, p.dt, k + 1, w) for k, bands in enumerate(levels)]
-        reps = p.M // len(levels)
-        p._cache.update(fwd=fwd * reps, adj=adj * reps)
-    return p._cache["adj" if adjoint else "fwd"]
+        lu = [_factor_step(*bands, p.dt, k + 1) for k, bands in enumerate(levels)]
+        p._cache["lu"] = lu * (p.M // len(levels))
+    return p._cache["lu"]
+
+
+def _adjoint_step_matrix(p: LinearProblem) -> np.ndarray:
+    """The one-step adjoint matrix G = W^{-1} M^{-T} W of a problem with one
+    step matrix M, from one multi-column transposed solve on diag(w)."""
+    w = p.grid.weights[p.active()]
+    return dgttrs(*_step_factors(p)[0], np.diag(w), "T")[0] / w[:, None]
 
 
 def march(p: LinearProblem, u: np.ndarray, src: np.ndarray | None = None,
           adjoint: bool = False) -> np.ndarray:
     """One implicit-Euler sweep over the active nodes; returns (M+1, n) states.
 
-    Forward: ``u`` is y^0 and y^{k+1} = (I + dt A_{k+1})^{-1} (y^k + dt src[k]).
-    Adjoint: ``u`` is v^M and v^k = (I + dt W^{-1} A_{k+1}^T W)^{-1}
-    (v^{k+1} + dt src[k]), the weighted transpose of the forward step.
-    ``src``, if given, has shape (M, n).
+    With M_k = I + dt A_k, forward: ``u`` is y^0 and y^{k+1} = M_{k+1}^{-1}
+    (y^k + dt src[k]); adjoint: ``u`` is v^M and v^k = W^{-1} M_{k+1}^{-T} W
+    (v^{k+1} + dt src[k]). ``src``, if given, has shape (M, n).
 
     Each step forms its right-hand side in the row it fills (dt src[k] is
     written into the rows once, up front) and solves there in place with one
     single-column ``dgttrs`` call, so the sweep makes exactly M solves and
-    leaves ``u`` and ``src`` untouched.
+    leaves ``u`` and ``src`` untouched. The adjoint multiplies the rows that
+    hold data by w before its loop, solves transposed, and divides by w after.
     """
-    factors = _step_factors(p, adjoint)
+    factors = _step_factors(p)
     states = np.empty((p.M + 1, np.size(u)))
     states[p.M if adjoint else 0] = u
     if src is not None:
         np.multiply(p.dt, src, out=states[:-1] if adjoint else states[1:])
+    if adjoint:
+        w = p.grid.weights[p.active()]
+        states[p.M if src is None else slice(None)] *= w
+    trans = "T" if adjoint else "N"
     for k in (range(p.M - 1, -1, -1) if adjoint else range(p.M)):
         prev, new = (k + 1, k) if adjoint else (k, k + 1)
         row = states[new]
@@ -162,7 +155,9 @@ def march(p: LinearProblem, u: np.ndarray, src: np.ndarray | None = None,
             row[...] = states[prev]     # a copy keeps -0.0, adding to 0 would not
         else:
             row += states[prev]
-        dgttrs(*factors[k], row, "N", 1)    # overwrite_b: solves in place
+        dgttrs(*factors[k], row, trans, 1)    # overwrite_b: solves in place
+    if adjoint:
+        states /= w
     return states
 
 

@@ -422,8 +422,8 @@ def test_ratio_experiment_factors_once(monkeypatch, rng, n_samples):
     for variant in ("lemma", "theorem"):
         factorizations.clear()
         ratio_experiment(p, w, [1, 4], n_samples, variant, rng)
-        # one drift-free problem per call: one forward and one adjoint factorisation
-        assert len(factorizations) == 2
+        # one drift-free problem per call: one factorisation serves both directions
+        assert len(factorizations) == 1
 
 
 def test_cacciopoli_source_monotonicity(rng):

@@ -89,6 +89,17 @@ def test_validate_rejects_alpha_two(tmp_path, capsys):
     assert lines[-1].startswith("ERROR HYPOTHESIS_VIOLATED:")
 
 
+def test_validate_case_mismatch_fails_and_keeps_summary(tmp_path, capsys):
+    # sqrt(x) is weakly degenerate; requesting SDP fails only the case clause
+    cfg = write_cfg(tmp_path, "command = validate\na.kind = power\na.alpha = 0.5\n"
+                              "a.case = SDP\ngrid.N = 32\n")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 2
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last == "ERROR HYPOTHESIS_VIOLATED: validation clauses failed: case_match"
+    summary = (tmp_path / "o" / "summary.txt").read_text().splitlines()
+    assert "clause case_match = False" in summary
+
+
 @pytest.mark.parametrize("alpha", ["2", "2.5"])
 def test_audit_needs_k_below_two(tmp_path, capsys, alpha):
     # int_0^x tau/a diverges for K >= 2, so no degenerate weight exists: the
@@ -155,6 +166,20 @@ T = 0.1
     assert len(lines) == 1 + 17 * 32
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "C_T = " in summary
+
+
+def test_noise_datum_is_seeded_and_zero_at_the_ends(tmp_path):
+    cfg = write_cfg(tmp_path, "command = solve\na.kind = power\na.alpha = 0.5\n"
+                              "grid.N = 16\nM = 8\ny0.kind = noise\n")
+    outs = {}
+    for run, seed in (("a", "7"), ("b", "7"), ("c", "8")):
+        assert main([cfg, "--out", str(tmp_path / run), "--seed", seed]) == 0
+        outs[run] = digest_dir(tmp_path / run)
+    assert outs["a"] == outs["b"]
+    assert outs["a"]["trajectory.csv"] != outs["c"]["trajectory.csv"]
+    rows = (tmp_path / "a" / "trajectory.csv").read_text().splitlines()[1:17]
+    y0 = [float(row.split(",")[2]) for row in rows]
+    assert y0[0] == y0[-1] == 0.0 and all(v != 0.0 for v in y0[1:-1])
 
 
 def test_trajectory_csv_format(tmp_path):

@@ -8,7 +8,7 @@ from degen_control.control import (ObservabilityReport, _cg,
                                    _gramian_apply_active, epsilon_sweep,
                                    gramian, hum_solve, observability_estimate)
 from degen_control.coefficients import power_coefficient
-from degen_control.errors import NoConvergence, NotSPD
+from degen_control.errors import NoConvergence, NonFiniteIntegral, NotSPD
 from degen_control.mesh import l2_norm
 from degen_control.pde import solve_adjoint, solve_forward
 
@@ -165,13 +165,29 @@ def _counted_sweep(monkeypatch, p, eps):
 
 
 def test_sweep_shares_one_krylov_space(monkeypatch):
-    # one solve of the adjoint factors on the identity for the dense
-    # Gramian, one free forward sweep, then one backward and one forward
-    # sweep per penalty; the linear solves themselves march nothing
+    # one multi-column transposed solve on diag(w) for the dense Gramian's
+    # one-step adjoint matrix, one free forward sweep, then one backward and
+    # one forward sweep per penalty; the linear solves themselves march nothing
     p = make_problem(N=32, M=16)
     eps = [1e-2, 1e-3, 1e-4, 1e-5]
     _, solves = _counted_sweep(monkeypatch, p, eps)
     assert solves == 1 + p.M * (1 + 2 * len(eps)) == 145
+
+
+def test_hum_solve_count_closed_form(monkeypatch):
+    # a time-independent problem factors once; then every sweep is M solves:
+    # the free forward sweep, one backward and one forward sweep per CG
+    # iteration, and the adjoint and forward sweeps that build the control
+    calls = {"dgttrf": 0, "dgttrs": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(pde, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(pde, name, counting)
+    p = make_problem(N=32, M=24, b0=0.2, c0=0.1)
+    res = hum_solve(p, 1e-6)
+    assert res.cg_iters > 0
+    assert calls == {"dgttrf": 1, "dgttrs": p.M * (1 + 2 * res.cg_iters + 2)}
 
 
 def test_dense_paths_refuse_drift_tables():
@@ -293,3 +309,12 @@ def test_observability_zero_denominator():
     # denominator; the problem refuses it at construction
     with pytest.raises(ValueError, match="omega"):
         make_problem(N=8, M=8, omega=(0.501, 0.502), y0=np.zeros(8))
+
+
+@pytest.mark.parametrize("b0", [1e12, 1e200])
+def test_observability_underflowed_quotient_is_named(rng, b0):
+    # a strong drift sweeps the adjoint out of the grid: at b = 1e12 u'Au
+    # underflows to 0 (the maximum read 0), at 1e200 u'Bu does too (0/0)
+    p = make_problem(N=16, M=16, b0=b0)
+    with pytest.raises(NonFiniteIntegral, match="numerator u'Au of sample 0 underflowed"):
+        observability_estimate(p, 5, power_iters=0, rng=rng)
