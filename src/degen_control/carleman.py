@@ -18,10 +18,10 @@ has its single critical point at the midpoint of an interior subinterval
 
 psi_deg's integral is one cumulative sum of ``quad`` over the gaps between the
 sorted points, for every coefficient kind, with a relative tolerance only;
-``scipy.integrate`` is imported at the first psi_deg call. The weights run it
-once, over the grid's nodes and faces, and sample there everything the audit
-reads that depends only on the grid and the weights. tau/a >= 0 makes psi_deg
-decrease, so validity reads psi_deg at the last node, x = 1, and psi_cls'.
+``scipy.integrate`` is imported at the first psi_deg call. The weights derive
+their geometry from omega, run psi_deg once over the grid's nodes and faces,
+sample there everything the audit reads that depends only on the grid and the
+weights, and check their validity on the same points.
 
 The audit checks three estimates for solutions v of the backward equation
 v_t + (a v_x)_x = F (or = F0 + (beta F1)_x), each a ``variant`` of
@@ -74,11 +74,15 @@ PLATEAU_REL = 0.05   # per-step relative change that counts as a plateau
 
 @dataclass(frozen=True)
 class CarlemanWeights:
-    """Blended weight profiles, their parameters, and what the audit needs of
-    them on ``grid``: eta at the nodes and faces, from one cumulative ``quad``
-    pass, a times the face spacings, and 1/a and x^2/a at the nodes (both 0
-    at x = 0). Raises ``WeightInvalid`` if psi_deg(1) <= 0. ``_damping``
-    caches the normalised e^{-2 s phi} of ``_damping_weights`` per (M, s)."""
+    """Blended weight profiles, their parameters, the geometry they derive from
+    omega (kappa+-, omega' = (a', b') and the bump's peak) and what the audit
+    needs of them on ``grid``: eta at the nodes and faces, from one cumulative
+    ``quad`` pass, a times the face spacings, and 1/a and x^2/a at the nodes
+    (both 0 at x = 0). Raises ``WeightInvalid`` unless omega' holds a face and
+    (kappa+, w2) a node or face, eta' = psi_cls' != 0 at those and rho' != 0
+    at the nodes and faces off [a', b'], all before the quadrature, and
+    psi_deg(1) > 0 (psi_deg decreases, as tau/a >= 0). ``_damping`` caches
+    the normalised e^{-2 s phi} of ``_damping_weights`` per (M, s)."""
 
     a: DegeneracyCoefficient
     omega: tuple
@@ -86,11 +90,11 @@ class CarlemanWeights:
     c1: float
     c2: float
     lam: float
-    kappa_minus: float
-    kappa_plus: float
-    omega_prime: tuple
-    rho_peak: float
     grid: GridSpec = field(repr=False)
+    kappa_minus: float = field(init=False)
+    kappa_plus: float = field(init=False)
+    omega_prime: tuple = field(init=False)
+    rho_peak: float = field(init=False)
     eta_nodes: np.ndarray = field(init=False, repr=False)
     eta_faces: np.ndarray = field(init=False, repr=False)
     a_faces_h: np.ndarray = field(init=False, repr=False)   # a(faces) * spacings
@@ -99,9 +103,28 @@ class CarlemanWeights:
     _damping: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        w1, w2 = self.omega
+        km, kp = (2.0 * w1 + w2) / 3.0, (w1 + 2.0 * w2) / 3.0
+        ap, bp = km + 0.25 * (kp - km), kp - 0.25 * (kp - km)
+        for name, value in (("kappa_minus", km), ("kappa_plus", kp),
+                            ("omega_prime", (ap, bp)), ("rho_peak", 0.5 * (ap + bp))):
+            object.__setattr__(self, name, value)
         grid = self.grid
         nodes, faces = grid.nodes, grid.faces
-        psi = self.psi_deg(np.concatenate([nodes, faces]))
+        pts = np.concatenate([nodes, faces])
+        if not np.any((faces > ap) & (faces < bp)):
+            raise WeightInvalid(f"omega' = ({ap:.6g}, {bp:.6g}) holds no grid face")
+        region = pts[(pts > kp) & (pts < w2)]
+        if not region.size:
+            raise WeightInvalid(f"(kappa+, w2) = ({kp:.6g}, {w2:.6g}) holds no node or face")
+        dp = np.abs(self.psi_cls_prime(region))
+        if np.any(dp <= 1e-12 * np.max(dp, initial=1.0)):
+            raise WeightInvalid("eta' vanishes at a grid point of (kappa+, w2)")
+        off = ((pts > 0.0) & (pts < ap)) | ((pts > bp) & (pts < 1.0))
+        dr = np.abs(self.rho_prime(pts[off]))
+        if np.any(dr <= 1e-12 * np.max(dr, initial=1.0)):
+            raise WeightInvalid("rho' vanishes outside the interior bump interval")
+        psi = self.psi_deg(pts)
         if not psi[grid.N - 1] > 0.0:   # the last node is x = 1
             raise WeightInvalid(f"psi_deg <= 0 at x = 1; c2 = {self.c2:.6g} vs "
                                 f"threshold {c2_threshold(self.a):.6g}")
@@ -197,21 +220,15 @@ def c2_threshold(a: DegeneracyCoefficient) -> float:
     return 1.0 / (a1 * (2.0 - a.K))
 
 
-def _check_points(grid: GridSpec) -> np.ndarray:
-    return np.unique(np.concatenate([np.geomspace(1e-6, 1.0, 257),
-                                     np.linspace(0.0, 1.0, 257), grid.nodes]))
-
-
 def build_weights(a: DegeneracyCoefficient, omega: tuple, T: float,
                   c1: float = 1.0, lam: float = 2.0, c2: float | None = None,
                   *, grid: GridSpec) -> CarlemanWeights:
     """Construct and validate the blended weight for a control region with w1 > 0.
 
     ``c2`` defaults to 1.05 times the positivity threshold 1/(a(1)(2-K)).
-    Raises ``HypothesisViolated`` unless K < 2, before any quadrature, and
-    ``WeightInvalid`` unless psi_deg(1) > 0 (so psi_deg > 0 on [0, 1]; read by
-    the weights from their grid pass), eta' = psi_cls' != 0 on (kappa+, w2)
-    and rho' != 0 off (a', b') (both at the check points, in closed form).
+    Raises ``HypothesisViolated`` unless K < 2, before any quadrature, then
+    ``ValueError`` on an omega, T, c1 or lambda out of range; the weights raise
+    ``WeightInvalid`` (see ``CarlemanWeights``).
     """
     if not a.K < 2.0:
         raise HypothesisViolated(f"Carleman weights need K < 2, got K = {a.K:g}")
@@ -226,28 +243,8 @@ def build_weights(a: DegeneracyCoefficient, omega: tuple, T: float,
         raise ValueError(f"lambda = {lam} overflows the classical weight e^(2 lambda)")
     if c2 is None:
         c2 = 1.05 * c2_threshold(a)
-
-    km = (2.0 * w1 + w2) / 3.0
-    kp = (w1 + 2.0 * w2) / 3.0
-    width = kp - km
-    ap, bp = km + 0.25 * width, kp - 0.25 * width
-    w = CarlemanWeights(a=a, omega=tuple(omega), T=float(T), c1=float(c1),
-                        c2=float(c2), lam=float(lam), kappa_minus=km,
-                        kappa_plus=kp, omega_prime=(ap, bp),
-                        rho_peak=0.5 * (ap + bp), grid=grid)
-
-    pts = _check_points(grid)
-    region = (pts > kp) & (pts < w2)
-    if np.any(region):
-        dp = np.abs(w.psi_cls_prime(pts[region]))
-        if np.any(dp <= 1e-12 * max(1.0, float(dp.max()))):
-            raise WeightInvalid("eta' vanishes at a node of (kappa+, w2)")
-
-    outside = pts[((pts > 0.0) & (pts < ap)) | ((pts > bp) & (pts < 1.0))]
-    dr = np.abs(np.atleast_1d(w.rho_prime(outside)))
-    if np.any(dr <= 1e-12 * max(1.0, float(dr.max()))):
-        raise WeightInvalid("rho' vanishes outside the interior bump interval")
-    return w
+    return CarlemanWeights(a=a, omega=tuple(omega), T=float(T), c1=float(c1),
+                           c2=float(c2), lam=float(lam), grid=grid)
 
 
 @dataclass(frozen=True)

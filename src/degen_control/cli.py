@@ -156,10 +156,10 @@ def cmd_solve(cfg: Config, outdir: str, rng) -> list:
     write_control_field(os.path.join(outdir, "trajectory.csv"), traj.times,
                         p.grid.nodes, traj.states)
     # measured stability ratio sup_n ||y^n|| / ||y^0|| of the zero-filled datum
-    norm0 = l2_norm(p.grid, traj.states[0])
+    norm0 = l2_norm(p.grid.weights, traj.states[0])
     return [
-        f"norm_y0 = {_fmt(l2_norm(p.grid, p.y0))}",
-        f"norm_yT = {_fmt(l2_norm(p.grid, traj.final()))}",
+        f"norm_y0 = {_fmt(l2_norm(p.grid.weights, p.y0))}",
+        f"norm_yT = {_fmt(l2_norm(p.grid.weights, traj.final()))}",
         f"C_T = {_fmt(traj.sup_l2() / norm0 if norm0 > 0.0 else 0.0)}",
     ]
 

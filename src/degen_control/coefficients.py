@@ -38,18 +38,17 @@ class DegeneracyCoefficient:
     """Diffusion coefficient with its degeneracy data.
 
     ``eval`` and ``deriv`` are vectorized callables; ``deriv`` is only ever
-    evaluated on (0, 1]. ``K`` is the slope constant, ``sigma`` the SDP
-    monotonicity exponent (None for WDP), ``case`` the boundary-condition tag.
-    ``sample_floor`` is the smallest x at which hypothesis checks may probe;
-    tabular coefficients set it to their first positive abscissa because the
-    interpolant knows nothing below that.
+    evaluated on (0, 1]. ``K`` is the slope constant and ``case`` the
+    boundary-condition tag; the SDP monotonicity exponent sigma is measured
+    by ``validate_coefficient``. ``sample_floor`` is the smallest x at which
+    hypothesis checks may probe; tabular coefficients set it to their first
+    positive abscissa because the interpolant knows nothing below that.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
     K: float
     case: Case
-    sigma: float | None = None
     label: str = ""
     sample_floor: float = 1e-10
 
@@ -110,12 +109,7 @@ def power_coefficient(alpha: float) -> DegeneracyCoefficient:
         return alpha * np.asarray(x, dtype=float) ** (alpha - 1.0)
 
     case = Case.WDP if alpha < 1.0 else Case.SDP
-    sigma = None
-    if case is Case.SDP:
-        # a/x^sigma nondecreasing holds for any sigma <= alpha
-        sigma = alpha if alpha > 1.0 else 0.5
-    return DegeneracyCoefficient(f, df, K=alpha, case=case, sigma=sigma,
-                                 label=f"power({alpha:g})")
+    return DegeneracyCoefficient(f, df, K=alpha, case=case, label=f"power({alpha:g})")
 
 
 def classical_coefficient() -> DegeneracyCoefficient:
@@ -173,8 +167,7 @@ def tabular_coefficient(xs, values, case: Case | None = None) -> DegeneracyCoeff
                                   label="table", sample_floor=floor)
     report = validate_coefficient(probe, case=case or Case.WDP, n_samples=128)
     use_case = case or report.case_admissible
-    return DegeneracyCoefficient(f, df, K=report.K, case=use_case,
-                                 sigma=report.sigma, label="table",
+    return DegeneracyCoefficient(f, df, K=report.K, case=use_case, label="table",
                                  sample_floor=floor)
 
 
@@ -302,18 +295,14 @@ def validate_coefficient(a: DegeneracyCoefficient, case: Case,
                             clauses=clauses, passed=passed)
 
 
-def validate_beta(beta, a: DegeneracyCoefficient, n_samples: int = 256,
-                  samples: np.ndarray | None = None) -> float:
+def validate_beta(beta, a: DegeneracyCoefficient, n_samples: int = 256) -> float:
     """sup over samples of |beta(x)/x|, guarding against blow-up at 0.
 
     Probes a geometric refinement of the sample floor toward x = 0; if the
     envelope exceeds ``BETA_CAP`` there, raises ``EnvelopeUnbounded``. Also checks
     the induced bound beta(x)^2 / a(x) <= C_beta^2 / a(1) at the samples.
     """
-    if samples is None:
-        xs = hypothesis_samples(n_samples, x_min=a.sample_floor)
-    else:
-        xs = np.asarray(samples, dtype=float)
+    xs = hypothesis_samples(n_samples, x_min=a.sample_floor)
     env = np.abs(np.asarray(beta(xs), dtype=float) / xs)
     if not np.all(np.isfinite(env)):
         raise EnvelopeUnbounded("beta(x)/x non-finite at a sample")

@@ -80,23 +80,28 @@ def _cg(apply_op, rhs, inner, tol, max_iters):
 
     Converges at the first k with ||r_k|| <= tol ||rhs||. Returns (x,
     iterations, residual_history, energy_history); the energy 1/2 x'Ax - b'x
-    decreases monotonically. Raises NotSPD on nonpositive curvature beyond
-    round-off, NoConvergence with the residual history when the iteration
-    budget runs out.
+    decreases monotonically. Raises NonFiniteIntegral on an overflowed ||rhs||^2
+    or curvature, NotSPD on nonpositive curvature beyond round-off, and
+    NoConvergence with the residual history when the iteration budget runs out.
     """
-    norm_rhs = np.sqrt(inner(rhs, rhs))
+    with np.errstate(over="ignore"):
+        rs = inner(rhs, rhs)
+    if not np.isfinite(rs):
+        raise NonFiniteIntegral(f"||rhs||^2 = {rs:.3e} is not finite")
+    norm_rhs = np.sqrt(rs)
     if norm_rhs == 0.0:
         return np.zeros_like(rhs), 0, [0.0], [0.0]
     x = np.zeros_like(rhs)
     r = rhs.copy()
     d = r.copy()
-    rs = inner(r, r)
-    res_hist = [np.sqrt(rs)]
+    res_hist = [norm_rhs]
     energy_hist = [0.0]
     for k in range(1, max_iters + 1):
         Ad = apply_op(d)
-        dAd = inner(d, Ad)
-        dd = inner(d, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dAd, dd = inner(d, Ad), inner(d, d)
+        if not (np.isfinite(dAd) and np.isfinite(dd)):
+            raise NonFiniteIntegral(f"curvature {dAd:.3e} or norm^2 {dd:.3e} is not finite")
         if dAd <= 1e-14 * dd:
             raise NotSPD(f"curvature {dAd:.3e} on a direction of norm^2 {dd:.3e}")
         alpha = rs / dAd
@@ -129,6 +134,14 @@ class HUMResult:
     trajectory: Trajectory
 
 
+def _cost_constant(cost: float, y0n: float) -> float | None:
+    """cost / ||y0||^2 (None for y0 = 0), dividing twice where ||y0||^2 overflows."""
+    try:
+        return cost / y0n ** 2 if y0n > 0.0 else None
+    except OverflowError:
+        return cost / y0n / y0n
+
+
 def _check_penalty(eps: float) -> None:
     if not (np.isfinite(eps) and eps > 0.0):
         raise ValueError(f"penalty epsilon must be finite and positive, got {eps}")
@@ -150,9 +163,8 @@ def _control_of(p: LinearProblem, x: np.ndarray, epsilon: float, rhs: np.ndarray
     v = solve_adjoint(p, vhatT)
     h = v.states[:-1] * p.omega_mask()[None, :]
     y = solve_forward(p, h)
-    gap_vec = y.final()[act] + epsilon * x
-    gap = float(np.sqrt(np.sum(w_act * gap_vec * gap_vec)))
-    scale = max(l2_norm(p.grid, p.y0), float(np.sqrt(np.sum(w_act * rhs * rhs))))
+    gap = l2_norm(w_act, y.final()[act] + epsilon * x)
+    scale = max(l2_norm(p.grid.weights, p.y0), l2_norm(w_act, rhs))
     if gap > 10.0 * gap_tol * scale + 1e-300:
         raise NoConvergence(
             f"optimality identity violated: ||yT + eps vhat|| = {gap:.3e}", res_hist)
@@ -191,11 +203,10 @@ def hum_solve(p: LinearProblem, epsilon: float, cg_tol: float = 1e-10,
         lambda u: _gramian_apply_active(p, u) + epsilon * u, rhs, inner,
         cg_tol, max_iters)
     vhatT, h, y, gap = _control_of(p, x, epsilon, rhs, cg_tol, res_hist)
-    y0n = l2_norm(p.grid, p.y0)
     cost = control_cost(p, h)
     return HUMResult(
-        vhatT=vhatT, h=h, yT=y.final(), norm_yT=l2_norm(p.grid, y.final()),
-        cost=cost, cost_constant=cost / y0n ** 2 if y0n > 0 else None,
+        vhatT=vhatT, h=h, yT=y.final(), norm_yT=l2_norm(p.grid.weights, y.final()),
+        cost=cost, cost_constant=_cost_constant(cost, l2_norm(p.grid.weights, p.y0)),
         epsilon=epsilon, cg_iters=iters, cg_energy_history=energy_hist,
         optimality_gap=gap, trajectory=y)
 
@@ -248,7 +259,7 @@ def epsilon_sweep(p: LinearProblem, eps_list) -> SweepResult:
     for eps in eps_list:
         _, h, y, gap = _control_of(p, (Q @ (coef / (lam + eps))) / sw, eps, rhs,
                                    SWEEP_GAP_TOL)
-        rows.append(SweepRow(epsilon=eps, norm_yT=l2_norm(p.grid, y.final()),
+        rows.append(SweepRow(epsilon=eps, norm_yT=l2_norm(p.grid.weights, y.final()),
                              cost=control_cost(p, h), optimality_gap=gap))
     norms = np.array([r.norm_yT for r in rows])
     costs = np.array([r.cost for r in rows])
@@ -301,10 +312,8 @@ def observability_estimate(p: LinearProblem, n_samples: int, power_iters: int,
             raise NonFiniteIntegral(f"{side} of {sample} underflowed to 0; no quotient")
         return num / den
 
-    samples = []
-    for _ in range(n_samples):
-        u = rng.standard_normal(w_act.size)
-        samples.append(u / np.sqrt(np.sum(w_act * u * u)))
+    samples = rng.standard_normal((n_samples, w_act.size))
+    samples /= l2_norm(w_act, samples)[:, None]
     quotients = [quotient_of(u, f"sample {i}") for i, u in enumerate(samples)]
 
     refined = None
@@ -312,7 +321,7 @@ def observability_estimate(p: LinearProblem, n_samples: int, power_iters: int,
         u = samples[int(np.argmax(quotients))]
         for _ in range(power_iters):
             bu = (A @ u) / w_act
-            nrm = np.sqrt(np.sum(w_act * bu * bu))
+            nrm = l2_norm(w_act, bu)
             if nrm == 0.0:
                 break
             u = bu / nrm

@@ -1,4 +1,4 @@
-"""Graded spatial grids, the flux-form operator, and discrete norms.
+"""Graded grids, the flux-form operator, one weighted L2 norm and the H^1_a energy.
 
 The operator discretizes -(a(x) u_x)_x + b u + beta c u_x on nodes
 x_i = (i/(N-1))^gamma with the diffusivity evaluated at face midpoints:
@@ -77,8 +77,6 @@ class TriDiagOperator:
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
-    active: np.ndarray
-    weights: np.ndarray   # trapezoid weights restricted to active nodes
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         r = self.diag * u
@@ -144,17 +142,19 @@ def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
         np.subtract(diag, qh, out=diag, where=forward)
         np.add(sup, qh, out=sup, where=forward & right_active)
 
-    return TriDiagOperator(sub=sub, diag=diag, sup=sup, active=act, weights=d)
+    return TriDiagOperator(sub=sub, diag=diag, sup=sup)
 
 
-# -- inner products and norms --------------------------------------------------
+# -- norms ---------------------------------------------------------------------
 
-def l2_inner(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
-    return float(np.sum(grid.weights * u * v))
-
-
-def l2_norm(grid: GridSpec, u: np.ndarray) -> float:
-    return float(np.sqrt(max(l2_inner(grid, u, u), 0.0)))
+def l2_norm(w: np.ndarray, u: np.ndarray):
+    """sqrt(sum w u^2) along the last axis of u, a float for a vector. Each row
+    is first scaled, exactly, by the power of two of its largest |entry|, so no
+    square under- or overflows where the norm itself is representable."""
+    _, e = np.frexp(np.max(np.abs(u), axis=-1, keepdims=True))
+    v = np.ldexp(u, -e)
+    out = np.ldexp(np.sqrt(np.sum(w * v * v, axis=-1)), e[..., 0])
+    return float(out) if out.ndim == 0 else out
 
 
 def dirichlet_energy(grid: GridSpec, a: DegeneracyCoefficient, u: np.ndarray):
@@ -177,7 +177,7 @@ def hardy_check(grid: GridSpec, a: DegeneracyCoefficient) -> float:
     value certifies the discrete Hardy-type inequality with that constant.
     """
     op = assemble_operator(grid, a, zero_drift())
-    w = op.weights
+    w = grid.weights[active_indices(grid, a.case)]
     off = op.sup[:-1] * np.sqrt(w[:-1] / w[1:])
     mu_min = eigvalsh_tridiagonal(op.diag, off, select="i", select_range=(0, 0))[0]
     if mu_min <= 0.0:

@@ -34,8 +34,8 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .coefficients import DegeneracyCoefficient, DriftEnvelope
-from .errors import SolverBreakdown
-from .mesh import GridSpec, active_indices, assemble_operator, dirichlet_energy
+from .errors import NonFiniteIntegral, SolverBreakdown
+from .mesh import GridSpec, active_indices, assemble_operator, dirichlet_energy, l2_norm
 
 
 @dataclass
@@ -172,26 +172,29 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.states[-1]
 
-    def _sq_l2(self) -> np.ndarray:
-        return np.sum(self.grid.weights * self.states * self.states, axis=1)
-
     def sup_l2(self) -> float:
-        return float(np.sqrt(np.max(self._sq_l2())))
+        return float(np.max(l2_norm(self.grid.weights, self.states)))
 
     def z_norm(self, a: DegeneracyCoefficient) -> float:
         """L^2(0,T; H^1_a) norm, by the trapezoid rule in time."""
+        sq = np.sum(self.grid.weights * self.states * self.states, axis=1)
         energy = dirichlet_energy(self.grid, a, self.states)
         dt = self.times[1] - self.times[0]
         tw = np.full(self.times.size, dt)
         tw[0] = tw[-1] = 0.5 * dt
-        return float(np.sqrt(np.sum(tw * (self._sq_l2() + energy))))
+        return float(np.sqrt(np.sum(tw * (sq + energy))))
 
 
 def control_cost(p: LinearProblem, h: np.ndarray) -> float:
-    """||h||^2 over the control region and horizon (piecewise constant in t)."""
+    """||h||^2 over the control region and horizon (piecewise constant in t);
+    raises ``NonFiniteIntegral`` where it overflows."""
     act = p.active()
     wm = p.grid.weights[act] * p.omega_mask()[act]
-    return p.dt * float(np.sum(wm * h[:p.M, act] ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = p.dt * float(np.sum(wm * h[:p.M, act] ** 2))
+    if not np.isfinite(cost):
+        raise NonFiniteIntegral(f"control cost overflows: max |h| = {np.max(np.abs(h)):.3e}")
+    return cost
 
 
 def _trajectory(p: LinearProblem, u: np.ndarray, src: np.ndarray | None = None,

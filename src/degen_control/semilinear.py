@@ -34,7 +34,7 @@ from .errors import NoFixedPoint, UnboundedFrozenCoefficient
 from .mesh import assemble_operator, l2_norm
 from .pde import (LinearProblem, Trajectory, _factor_step, _step_solve,
                   solve_forward)
-from .control import HUMResult, hum_solve
+from .control import HUMResult, _cost_constant, hum_solve
 
 # the coast phase's per-step inner iteration: relative increment target and budget
 COAST_TOL = 1e-12
@@ -151,7 +151,7 @@ def semilinear_residual(p: LinearProblem, nl: Nonlinearity, traj: Trajectory,
     y = traj.states[:, act]
     r = (y[1:] - y[:-1]) / p.dt + op.apply(y[1:]) - h[:p.M, act] * p.omega_mask()[act]
     acc = p.dt * float(np.sum(p.grid.weights[act] * r * r))
-    return float(np.sqrt(acc)) / max(l2_norm(p.grid, p.y0), 1e-300)
+    return float(np.sqrt(acc)) / max(l2_norm(p.grid.weights, p.y0), 1e-300)
 
 
 def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
@@ -190,7 +190,7 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
     else:
         t0 = 0.0  # a t0 of -0.0 reports as 0
 
-    y0n = l2_norm(p.grid, p.y0)
+    y0n = l2_norm(p.grid.weights, p.y0)
     tol_abs = fp_tol * max(y0n, 1e-300)
 
     zero_traj = Trajectory(grid=p.grid, times=p.times,
@@ -224,7 +224,7 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
                             yT_norms=yT_norms,
                             converged=converged and residual <= 10.0 * fp_tol,
                             residual=residual,
-                            cost_constant=max(costs) / y0n ** 2 if y0n > 0 else None,
+                            cost_constant=_cost_constant(max(costs), y0n),
                             hum=hum, t0=t0, phase1_final=phase1_final)
 
 
@@ -237,7 +237,7 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> Trajectory:
     dt = p.dt
     states = np.zeros((p.M + 1, p.grid.N))
     states[0, act] = p.y0[act]
-    scale = max(l2_norm(p.grid, states[0]), 1e-300)
+    scale = max(l2_norm(p.grid.weights, states[0]), 1e-300)
     for n in range(p.M):
         t1 = (n + 1) * dt
         w = states[n].copy()
@@ -250,7 +250,7 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> Trajectory:
                                 states[n][act])
             w_new = np.zeros(p.grid.N)
             w_new[act] = y_act
-            delta = l2_norm(p.grid, w_new - w)
+            delta = l2_norm(p.grid.weights, w_new - w)
             w = w_new
             if delta <= COAST_TOL * scale:
                 break

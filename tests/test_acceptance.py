@@ -181,7 +181,7 @@ def test_criterion_7_null_control_sweep():
                      ("a=x^0.5", power_coefficient(0.5))):
         start = time.perf_counter()
         p = _problem(a, N=64, M=128, T=0.5)
-        y0n = l2_norm(p.grid, p.y0)
+        y0n = l2_norm(p.grid.weights, p.y0)
         res = epsilon_sweep(p, eps_list)
         assert 0.35 <= res.slope <= 0.65
         assert res.cost_ratio <= 10.0

@@ -9,8 +9,8 @@ from degen_control.carleman import (SourceSplit, beta_divergence, build_weights,
                                     c2_threshold, calibrate_s0,
                                     carleman_functionals, random_smooth_field,
                                     ratio_experiment, solve_terminal_source,
-                                    _check_points, _sample_field,
-                                    random_space_time_field)
+                                    _sample_field, random_space_time_field,
+                                    CarlemanWeights)
 from degen_control.coefficients import Case, power_coefficient
 from degen_control.errors import NonFiniteIntegral, WeightInvalid
 from degen_control.mesh import build_grid
@@ -38,11 +38,27 @@ def test_kappa_formulas():
     assert w.omega_prime[1] == pytest.approx(w.kappa_plus - width / 4)
 
 
+def test_weights_derive_their_geometry():
+    # the constructor takes the parameters only; the geometry comes from omega
+    init = [f.name for f in dataclasses.fields(CarlemanWeights) if f.init]
+    assert init == ["a", "omega", "T", "c1", "c2", "lam", "grid"]
+    w = CarlemanWeights(a=SQRT, omega=(0.3, 0.9), T=1.0, c1=1.0, c2=0.7, lam=2.0,
+                        grid=GRID)
+    built = build_weights(SQRT, (0.3, 0.9), T=1.0, c2=0.7, grid=GRID)
+    for name in ("kappa_minus", "kappa_plus", "omega_prime", "rho_peak"):
+        assert getattr(w, name) == getattr(built, name)
+    assert np.array_equal(w.eta_nodes, built.eta_nodes)
+    assert (w.kappa_minus, w.kappa_plus) == pytest.approx((0.5, 0.7), abs=1e-15)
+    assert w.omega_prime == pytest.approx((0.55, 0.65), abs=1e-15)
+    assert w.rho_peak == pytest.approx(0.6, abs=1e-15)
+
+
 def _check_psi_deg_closed_form(alpha, c2):
     # int_0^x tau^(1 - alpha) dtau = x^(2 - alpha) / (2 - alpha)
     g = build_grid(128, 1.0)
     w = build_weights(power_coefficient(alpha), (0.3, 0.9), T=1.0, c2=c2, grid=g)
-    xs = np.concatenate([_check_points(g), g.nodes, g.faces])
+    xs = np.concatenate([np.geomspace(1e-6, 1.0, 257), np.linspace(0.0, 1.0, 257),
+                         g.nodes, g.faces])
     exact = c2 - xs ** (2.0 - alpha) / (2.0 - alpha)
     assert np.allclose(w.psi_deg(xs), exact, rtol=0.0, atol=1e-13)
     assert w.psi_deg(1.0) == pytest.approx(c2 - 1.0 / (2.0 - alpha), abs=1e-13)
@@ -149,6 +165,16 @@ def test_flat_classical_profile_is_weight_invalid():
     for lam in (1e-13, 1e-300):
         with pytest.raises(WeightInvalid, match="eta' vanishes"):
             build_weights(SQRT, (0.3, 0.9), T=1.0, lam=lam, grid=GRID)
+
+
+def test_regions_without_a_grid_point_are_weight_invalid():
+    # on 8 nodes, omega' = (0.4283, 0.4317) lies between the faces 5/14 and 7/14
+    with pytest.raises(WeightInvalid, match="omega' = .* holds no grid face"):
+        build_weights(SQRT, (0.42, 0.44), T=1.0, lam=0.5, grid=build_grid(8, 1.0))
+    # omega' = (0.4925, 0.5075) holds the face 1/2, but (kappa+, w2) =
+    # (0.515, 0.545) lies between it and the node 4/7
+    with pytest.raises(WeightInvalid, match="holds no node or face"):
+        build_weights(SQRT, (0.455, 0.545), T=1.0, lam=0.5, grid=build_grid(8, 1.0))
 
 
 def test_omega_must_be_interior():

@@ -11,6 +11,7 @@ from degen_control.cli import build_nonlinearity, main, write_control_field
 from degen_control.coefficients import constant_drift, linear_beta
 from degen_control.config import Config, parse_config
 from degen_control.errors import ConfigError
+from degen_control.mesh import build_grid
 from degen_control.pde import solve_forward
 from degen_control.semilinear import zero_nonlinearity
 
@@ -264,6 +265,88 @@ t0 = 1
     assert main([cfg, "--out", str(tmp_path / "o")]) == 3
     last = capsys.readouterr().out.strip().splitlines()[-1]
     assert last.startswith("ERROR NO_FIXED_POINT:")
+
+
+def _summary(text):
+    return dict(line.split(" = ", 1) for line in text.strip().splitlines())
+
+
+def test_solve_norms_a_state_whose_squares_overflow(tmp_path, capsys):
+    # b = -250 grows the state to about 4e174, past the ~1.3e154 where its
+    # squares overflow; the norms stay finite and equal a max-scaled sum
+    cfg = write_cfg(tmp_path, """
+command = solve
+a.kind = power
+a.alpha = 0.5
+grid.N = 32
+M = 128
+b.const = -250
+""")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 0
+    out = _summary(capsys.readouterr().out)
+    yT = np.loadtxt(tmp_path / "o" / "trajectory.csv", delimiter=",", skiprows=1)[-32:, 2]
+    peak = np.max(np.abs(yT))
+    w = build_grid(32, 1.0).weights
+    assert float(out["norm_yT"]) == pytest.approx(
+        peak * np.sqrt(np.sum(w * (yT / peak) ** 2)), rel=1e-14)
+    assert np.isfinite(float(out["C_T"])) and float(out["C_T"]) > 1e170
+
+
+@pytest.mark.parametrize("command, amplitude, extra", [
+    ("control", "1e154", ""),
+    ("control", "1e155", ""),
+    ("control", "1e156", ""),
+    ("sweep", "1e160", ""),
+    ("semilinear", "1e155", "nl.kind = sine\nnl.m = 0.5\n"),
+], ids=["control-1e154", "control-1e155", "control-1e156", "sweep", "semilinear"])
+def test_overflowed_cost_is_nonfinite_integral(tmp_path, capsys, command, amplitude,
+                                               extra):
+    # an overflowed ||h||^2 or ||rhs||^2 is a solver failure, not a printed
+    # cost of inf or nan, nor a NOT_SPD on a curvature of inf
+    cfg = write_cfg(tmp_path, f"""
+command = {command}
+a.kind = power
+a.alpha = 0.5
+grid.N = 32
+M = 32
+y0.amplitude = {amplitude}
+{extra}""")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 3
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last.startswith("ERROR NONFINITE_INTEGRAL:")
+
+
+def test_cost_constant_where_only_the_datum_norm_squared_overflows(tmp_path, capsys):
+    # ||y0||^2 = 2e308 overflows, the cost 4e301 does not: the cost constant
+    # is the one of a unit datum, not 0 or an OverflowError
+    body = ("command = control\na.kind = power\na.alpha = 0.5\ngrid.N = 32\nM = 32\n"
+            "T = 2\nomega = 0.05,0.95\nepsilon = 1e-2\n")
+    constants = []
+    for amplitude in ("1", "2e154"):
+        cfg = write_cfg(tmp_path, body + f"y0.amplitude = {amplitude}\n")
+        assert main([cfg, "--out", str(tmp_path / amplitude)]) == 0
+        constants.append(float(_summary(capsys.readouterr().out)["cost_constant"]))
+    assert constants[1] == pytest.approx(constants[0], rel=1e-9)
+
+
+def test_audit_region_without_a_grid_point_is_weight_invalid(tmp_path, capsys):
+    # omega' = (0.4283, 0.4317) holds no face of an 8-node grid, so the
+    # Caccioppoli energy would be an empty sum printed as a ratio of 0
+    cfg = write_cfg(tmp_path, """
+command = carleman-audit
+a.kind = power
+a.alpha = 0.5
+grid.N = 8
+M = 16
+T = 3
+omega = 0.42,0.44
+carleman.lambda = 0.5
+s.sweep = 1,2
+samples = 2
+""")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 2
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last == "ERROR WEIGHT_INVALID: omega' = (0.428333, 0.431667) holds no grid face"
 
 
 @pytest.mark.parametrize("ladder, side, s", [

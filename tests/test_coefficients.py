@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from degen_control.coefficients import (Case, DegeneracyCoefficient,
-                                        classical_coefficient,
-                                        hypothesis_samples, power_coefficient,
+                                        classical_coefficient, power_coefficient,
                                         tabular_coefficient, validate_beta,
                                         validate_coefficient)
 from degen_control.errors import (EnvelopeUnbounded, HypothesisViolated,
@@ -113,7 +112,7 @@ def test_beta_oscillatory_bounded_by_three():
     a = power_coefficient(0.5)
     # refinement oracle: the envelope stays <= 3 on successively denser grids
     for n in (64, 256, 1024):
-        c = validate_beta(beta, a, samples=hypothesis_samples(n))
+        c = validate_beta(beta, a, n_samples=n)
         assert c <= 3.0 + 1e-12
     assert validate_beta(beta, a) >= 1.0
 
@@ -121,16 +120,6 @@ def test_beta_oscillatory_bounded_by_three():
 def test_beta_sqrt_unbounded():
     with pytest.raises(EnvelopeUnbounded):
         validate_beta(lambda x: np.sqrt(x), power_coefficient(0.5))
-
-
-def test_beta_monotone_on_nested_samples(rng):
-    beta = lambda x: x * (2.0 + np.sin(3.0 * x))
-    a = power_coefficient(0.5)
-    base = hypothesis_samples(64)
-    extra = np.union1d(base, rng.uniform(1e-8, 1.0, 200))
-    c_small = validate_beta(beta, a, samples=base)
-    c_big = validate_beta(beta, a, samples=extra)
-    assert c_big >= c_small
 
 
 def test_power_requires_positive_alpha():

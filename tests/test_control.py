@@ -75,7 +75,7 @@ def test_hum_zero_datum():
 def test_hum_heat_reaches_small_final_state():
     p = heat_problem(N=64, M=128, T=0.5)
     res = hum_solve(p, 1e-6)
-    y0n = l2_norm(p.grid, p.y0)
+    y0n = l2_norm(p.grid.weights, p.y0)
     assert res.norm_yT <= 1e-3 * y0n
     assert res.optimality_gap <= 10.0 * 1e-10 * y0n
     # energy functional decreases monotonically along CG
@@ -122,7 +122,7 @@ def test_hum_optimality_identity_and_duality_consistency(rng):
 def test_hum_on_graded_grid_strong_degeneracy():
     p = make_problem(a=power_coefficient(1.5), N=64, M=128, gamma=2.0)
     res = hum_solve(p, 1e-6)
-    y0n = l2_norm(p.grid, p.y0)
+    y0n = l2_norm(p.grid.weights, p.y0)
     assert res.norm_yT <= 0.05 * y0n
     assert res.optimality_gap <= 10.0 * 1e-10 * y0n
 

@@ -8,8 +8,8 @@ from degen_control.coefficients import (Case, DegeneracyCoefficient,
                                         classical_coefficient, constant_drift,
                                         power_coefficient, zero_drift)
 from degen_control.errors import BadResolution, DegenerateSample
-from degen_control.mesh import (assemble_operator, build_grid, dirichlet_energy,
-                                hardy_check, l2_inner, l2_norm)
+from degen_control.mesh import (active_indices, assemble_operator, build_grid,
+                                dirichlet_energy, hardy_check, l2_norm)
 
 
 def _dense(op):
@@ -45,21 +45,21 @@ def test_grid_invariants():
 def test_operator_symmetry_without_drift(a, gamma, rng):
     g = build_grid(48, gamma)
     op = assemble_operator(g, a, zero_drift())
-    n = op.active.size
+    wa = g.weights[active_indices(g, a.case)]
     for _ in range(10):
-        u = rng.standard_normal(n)
-        w = rng.standard_normal(n)
-        lhs = float(np.sum(op.weights * op.apply(u) * w))
-        rhs = float(np.sum(op.weights * u * op.apply(w)))
-        nu = np.sqrt(np.sum(op.weights * u * u))
-        nw = np.sqrt(np.sum(op.weights * w * w))
+        u = rng.standard_normal(wa.size)
+        w = rng.standard_normal(wa.size)
+        lhs = float(np.sum(wa * op.apply(u) * w))
+        rhs = float(np.sum(wa * u * op.apply(w)))
+        nu = np.sqrt(np.sum(wa * u * u))
+        nw = np.sqrt(np.sum(wa * w * w))
         assert abs(lhs - rhs) <= 1e-12 * nu * nw
 
 
 def test_row_sums_give_reaction_coefficient():
     g = build_grid(32, 1.0)
     op = assemble_operator(g, power_coefficient(0.5), constant_drift(5.0, 0.0))
-    ones = np.ones(op.active.size)
+    ones = np.ones(active_indices(g, Case.WDP).size)
     r = op.apply(ones)
     # interior rows (both neighbors active) telescope to b = 5
     assert np.allclose(r[1:-1], 5.0, atol=1e-10)
@@ -69,10 +69,11 @@ def test_sdp_left_node_has_zero_left_flux():
     g = build_grid(32, 1.0)
     a = power_coefficient(1.5)
     op = assemble_operator(g, a, zero_drift())
-    assert op.active[0] == 0
+    act = active_indices(g, a.case)
+    assert act[0] == 0 and act.size == op.diag.size
     assert op.sub[0] == 0.0
     # constant vector: both flux differences vanish at the left node
-    r = op.apply(np.ones(op.active.size))
+    r = op.apply(np.ones(act.size))
     assert r[0] == pytest.approx(0.0, abs=1e-12)
     # row 0 couples only to the right with the conductance over the half cell
     af0 = float(a.eval(np.array([g.faces[0]]))[0])
@@ -86,9 +87,10 @@ def test_positivity_with_nonnegative_reaction(rng):
     b_field = rng.uniform(0.0, 3.0)
     op = assemble_operator(g, power_coefficient(0.5),
                            constant_drift(b_field, 0.0))
+    wa = g.weights[active_indices(g, Case.WDP)]
     for _ in range(20):
-        u = rng.standard_normal(op.active.size)
-        assert float(np.sum(op.weights * op.apply(u) * u)) >= -1e-12
+        u = rng.standard_normal(wa.size)
+        assert float(np.sum(wa * op.apply(u) * u)) >= -1e-12
 
 
 def test_upwinding_is_monotone_with_drift():
@@ -114,7 +116,8 @@ def test_stacked_assembly_matches_scalar_time_levels(rng, alpha):
     drift = dataclasses.replace(zero_drift(), b=b_field, c=c_field)
     assert drift.time_dependent and not zero_drift().time_dependent
     stacked = assemble_operator(g, a, drift)
-    assert stacked.diag.shape == (M, stacked.active.size)
+    n = active_indices(g, a.case).size
+    assert stacked.diag.shape == (M, n)
     # level k is the step to t_{k+1}: the table's row k + 1 as (N,) vectors
     rows = [dataclasses.replace(drift, b=b_field[k + 1], c=c_field[k + 1]) for k in range(M)]
     assert not any(row.time_dependent for row in rows)
@@ -122,7 +125,7 @@ def test_stacked_assembly_matches_scalar_time_levels(rng, alpha):
         op = assemble_operator(g, a, row)
         for band in ("sub", "diag", "sup"):
             assert np.array_equal(getattr(stacked, band)[k], getattr(op, band))
-    u = rng.standard_normal((M, stacked.active.size))
+    u = rng.standard_normal((M, n))
     assert np.array_equal(stacked.apply(u),
                           [assemble_operator(g, a, row).apply(v) for row, v in zip(rows, u)])
 
@@ -131,7 +134,7 @@ def test_classical_smallest_eigenvalue_matches_oracle():
     g = build_grid(64, 1.0)
     op = assemble_operator(g, classical_coefficient(), zero_drift())
     A = _dense(op)
-    W = np.diag(op.weights)
+    W = np.diag(g.weights[active_indices(g, Case.WDP)])
     lam = sla.eigh(W @ A, W, eigvals_only=True)
     h = 1.0 / (g.N - 1)
     exact_discrete = 2.0 / h ** 2 * (1.0 - np.cos(np.pi * h))
@@ -145,8 +148,8 @@ def test_consistency_second_order():
     for N in Ns:
         g = build_grid(N, 1.0)
         op = assemble_operator(g, classical_coefficient(), zero_drift())
-        u = np.sin(np.pi * g.nodes)
-        r = op.apply(u[op.active]) - np.pi ** 2 * u[op.active]
+        u = np.sin(np.pi * g.nodes)[active_indices(g, Case.WDP)]
+        r = op.apply(u) - np.pi ** 2 * u
         errs.append(np.max(np.abs(r)))
     hs = [1.0 / (N - 1) for N in Ns]
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -167,7 +170,8 @@ def test_dirichlet_energy_matches_operator_quadratic_form(rng):
     op = assemble_operator(g, a, zero_drift())
     u = rng.standard_normal(g.N)
     u[0] = u[-1] = 0.0
-    quad_form = float(np.sum(op.weights * op.apply(u[op.active]) * u[op.active]))
+    act = active_indices(g, a.case)
+    quad_form = float(np.sum(g.weights[act] * op.apply(u[act]) * u[act]))
     assert quad_form == pytest.approx(dirichlet_energy(g, a, u), rel=1e-12)
 
 
@@ -178,7 +182,7 @@ def test_hardy_classical_matches_eigensolve_oracle():
     a = classical_coefficient()
     c_h = hardy_check(g, a)
     op = assemble_operator(g, a, zero_drift())
-    W = np.diag(op.weights)
+    W = np.diag(g.weights[active_indices(g, a.case)])
     WA = W @ _dense(op)
     mu = sla.eigh(W, WA, eigvals_only=True)
     oracle = mu[-1]   # largest mass/stiffness quotient
@@ -203,10 +207,31 @@ def test_hardy_degenerate_sample():
         hardy_check(build_grid(16, 1.0), zero_a)
 
 
-def test_l2_inner_is_trapezoid(rng):
+def test_l2_inner_is_trapezoid():
     g = build_grid(64, 1.0)
-    u = g.nodes ** 2
-    assert l2_inner(g, u, np.ones_like(u)) == pytest.approx(1 / 3, abs=1e-3)
-    v = rng.standard_normal(g.N)
-    assert l2_norm(g, v) == pytest.approx(np.sqrt(l2_inner(g, v, v)))
-    assert dirichlet_energy(g, classical_coefficient(), u) >= 0.0
+    assert l2_norm(g.weights, g.nodes) ** 2 == pytest.approx(1 / 3, abs=1e-3)
+    assert dirichlet_energy(g, classical_coefficient(), g.nodes ** 2) >= 0.0
+
+
+def test_l2_norm_equals_the_unscaled_sum(rng):
+    # the power-of-two scaling is exact wherever no square under- or overflows
+    g = build_grid(48, 2.0)
+    for _ in range(20):
+        u = rng.standard_normal(g.N) * 10.0 ** rng.uniform(-100.0, 100.0)
+        got = l2_norm(g.weights, u)
+        assert isinstance(got, float)
+        assert np.array_equal(got, np.sqrt(np.sum(g.weights * u * u)))
+    rows = rng.standard_normal((7, g.N)) * 10.0 ** rng.uniform(-100.0, 100.0, (7, 1))
+    assert np.array_equal(l2_norm(g.weights, rows),
+                          np.sqrt(np.sum(g.weights * rows * rows, axis=-1)))
+
+
+def test_l2_norm_finite_where_the_squares_overflow(rng):
+    g = build_grid(48, 1.0)
+    u = rng.standard_normal(g.N)
+    for scale in (1e200, 1e-200):
+        got = l2_norm(g.weights, u * scale)
+        assert np.isfinite(got) and got > 0.0
+        assert got == pytest.approx(scale * l2_norm(g.weights, u), rel=1e-15)
+    assert l2_norm(g.weights, np.zeros(g.N)) == 0.0
+    assert np.array_equal(l2_norm(g.weights, np.zeros((3, g.N))), np.zeros(3))

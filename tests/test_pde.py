@@ -76,7 +76,7 @@ def test_adjoint_initial_norm_bounded(rng):
         vT = rng.standard_normal(p.grid.N)
         vT[0] = vT[-1] = 0.0
         v = solve_adjoint(p, vT)
-        ratios.append(l2_norm(p.grid, v.states[0]) / l2_norm(p.grid, vT))
+        ratios.append(l2_norm(p.grid.weights, v.states[0]) / l2_norm(p.grid.weights, vT))
     assert np.all(np.isfinite(ratios))
     assert max(ratios) < 10.0
 
@@ -146,7 +146,7 @@ def test_unconditional_stability():
         p = LinearProblem(a=power_coefficient(0.5), drift=constant_drift(1.0, 0.0),
                           T=0.5, omega=(0.3, 0.9), grid=g, M=M, y0=y0)
         traj = solve_forward(p)
-        assert traj.sup_l2() <= l2_norm(g, y0) * (1.0 + 1e-12)
+        assert traj.sup_l2() <= l2_norm(g.weights, y0) * (1.0 + 1e-12)
 
 
 def test_temporal_order_one():

@@ -102,7 +102,7 @@ def test_picard_sine_converges_geometrically():
         assert b <= 0.5 * a
     assert rep.residual <= 1e-5
     # control cost stays uniformly bounded across iterations
-    y0n = l2_norm(p.grid, p.y0)
+    y0n = l2_norm(p.grid.weights, p.y0)
     assert max(rep.control_costs) <= 10.0 * y0n ** 2
     assert rep.cost_constant is not None
 
