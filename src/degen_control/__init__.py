@@ -3,7 +3,7 @@
 from .coefficients import (Case, DegeneracyCoefficient, DriftEnvelope,
                            classical_coefficient, constant_drift,
                            power_coefficient, tabular_coefficient,
-                           validate_beta, validate_coefficient, zero_drift)
+                           validate_coefficient, zero_drift)
 from .mesh import (GridSpec, TriDiagOperator, assemble_operator, build_grid,
                    hardy_check)
 from .pde import LinearProblem, Trajectory, solve_adjoint, solve_forward

@@ -19,11 +19,11 @@ import sys
 import numpy as np
 
 from . import carleman, control, semilinear
-from .coefficients import (COEFFICIENT_CATALOG, Case, constant_drift, linear_beta,
-                           load_tabular_coefficient, power_coefficient,
-                           validate_beta, validate_coefficient, zero_beta)
+from .coefficients import (BETA_CAP, COEFFICIENT_CATALOG, Case, constant_drift,
+                           linear_beta, load_tabular_coefficient,
+                           power_coefficient, validate_coefficient, zero_beta)
 from .config import Config, parse_config
-from .errors import DegenControlError, HypothesisViolated
+from .errors import DegenControlError, EnvelopeUnbounded, HypothesisViolated
 from .mesh import build_grid, hardy_check, l2_norm
 from .pde import LinearProblem, solve_forward
 
@@ -133,9 +133,13 @@ def build_nonlinearity(cfg: Config, drift):
 def cmd_validate(cfg: Config, outdir: str, rng) -> list:
     a = build_coefficient(cfg)
     requested = cfg.get_str("a.case", default=None, choices={"WDP", "SDP"})
-    report = validate_coefficient(a, Case(requested) if requested else a.case,
-                                  n_samples=cfg.get_int("samples", default=256))
-    c_beta = validate_beta(build_drift(cfg).beta, a)
+    report = validate_coefficient(a, Case(requested) if requested else a.case)
+    # the CLI builds beta(x) = s x (s = 0 for beta.kind = zero), so
+    # C_beta = sup |beta(x)/x| = |beta(1)| = |s|
+    c_beta = abs(float(build_drift(cfg).beta(1.0)))
+    if c_beta > BETA_CAP:
+        raise EnvelopeUnbounded(
+            f"C_beta = |beta.scale| = {c_beta:.3e} exceeds the cap {BETA_CAP:.3e}")
     grid = build_grid(cfg.get_int("grid.N", default=128),
                       cfg.get_float("grid.gamma", default=1.0))
     c_h = hardy_check(grid, a)

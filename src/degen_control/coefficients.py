@@ -8,10 +8,13 @@ requires a sigma with a(x)/x^sigma nondecreasing near 0. The drift envelope
 beta(x) must keep beta(x)/x bounded, which in turn bounds beta^2/a by the
 constant pattern C^2 x^2 / a(x) <= C^2 / a(1).
 
-All hypothesis checks are sampling-based: the continuum statements are
-verified on a finite sample set clustered geometrically toward the degeneracy
-point, with relative tolerance ``TOL_HYP``. No certification between samples
-is attempted.
+Both constants are extremes of the log-slope s(x) = x a'(x)/a(x): K is its
+supremum on (0, 1] (at least 0) and sigma its infimum on (0, 0.1], the
+largest exponent with a/x^sigma nondecreasing there. Each constructor works
+them out once from its formula, so they are exact: K = sigma = alpha for
+x^alpha, K = sigma = 0 for the classical coefficient, and for a table the
+extremes of its piecewise quadratic s from the first positive abscissa up.
+Every constructor builds an a that is positive on (0, 1].
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EnvelopeUnbounded, HypothesisViolated, NonPositiveCoefficient
+from .errors import HypothesisViolated
 
 TOL_HYP = 1e-10
-BETA_CAP = 1e6       # largest |beta(x)/x| that validate_beta accepts near x = 0
+BETA_CAP = 1e6       # largest C_beta = |beta.scale| that ``validate`` accepts
 
 
 class Case(str, Enum):
@@ -37,20 +40,17 @@ class Case(str, Enum):
 class DegeneracyCoefficient:
     """Diffusion coefficient with its degeneracy data.
 
-    ``eval`` and ``deriv`` are vectorized callables; ``deriv`` is only ever
-    evaluated on (0, 1]. ``K`` is the slope constant and ``case`` the
-    boundary-condition tag; the SDP monotonicity exponent sigma is measured
-    by ``validate_coefficient``. ``sample_floor`` is the smallest x at which
-    hypothesis checks may probe; tabular coefficients set it to their first
-    positive abscissa because the interpolant knows nothing below that.
+    ``eval`` is a vectorized callable. ``K`` is the supremum of the log-slope
+    x a'/a on (0, 1] (at least 0) and ``sigma`` its infimum on (0, 0.1], both
+    exact from the constructor's formula; ``case`` is the boundary-condition
+    tag.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
     K: float
+    sigma: float
     case: Case
     label: str = ""
-    sample_floor: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class ValidationReport:
 # -- constructors -------------------------------------------------------------
 
 def power_coefficient(alpha: float) -> DegeneracyCoefficient:
-    """a(x) = x^alpha with analytic derivative; K = alpha exactly."""
+    """a(x) = x^alpha, whose log-slope is alpha: K = sigma = alpha."""
     alpha = float(alpha)
     if not (np.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
@@ -105,11 +105,9 @@ def power_coefficient(alpha: float) -> DegeneracyCoefficient:
     def f(x):
         return np.asarray(x, dtype=float) ** alpha
 
-    def df(x):
-        return alpha * np.asarray(x, dtype=float) ** (alpha - 1.0)
-
     case = Case.WDP if alpha < 1.0 else Case.SDP
-    return DegeneracyCoefficient(f, df, K=alpha, case=case, label=f"power({alpha:g})")
+    return DegeneracyCoefficient(f, K=alpha, sigma=alpha, case=case,
+                                 label=f"power({alpha:g})")
 
 
 def classical_coefficient() -> DegeneracyCoefficient:
@@ -119,17 +117,20 @@ def classical_coefficient() -> DegeneracyCoefficient:
     reference case for oracles and regressions.
     """
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return DegeneracyCoefficient(one, zero, K=0.0, case=Case.WDP, label="classical")
+    return DegeneracyCoefficient(one, K=0.0, sigma=0.0, case=Case.WDP, label="classical")
 
 
 def tabular_coefficient(xs, values, case: Case | None = None) -> DegeneracyCoefficient:
     """Coefficient from a strictly increasing (x, a(x)) table starting at (0, 0).
 
     Interpolation is monotone (PCHIP) in log-log coordinates, so power-law
-    behavior near the degeneracy point is reproduced exactly and the slope
-    constant x a'/a is the log-log slope of the interpolant. The constants
-    and case are measured on samples from the first tabulated abscissa up.
+    behavior near the degeneracy point is reproduced exactly and the log-slope
+    s = x a'/a is the derivative of the interpolant, a quadratic in log x on
+    each piece. The table says nothing below its first positive abscissa
+    xs[1], so K and sigma are the extremes of s on [xs[1], 1] and
+    [xs[1], 0.1]: the largest and smallest value of s at the ends, the knots
+    and the vertices there. ``case`` defaults to the one K admits; K >= 2
+    raises ``HypothesisViolated``.
     """
     from scipy.interpolate import PchipInterpolator
 
@@ -144,7 +145,7 @@ def tabular_coefficient(xs, values, case: Case | None = None) -> DegeneracyCoeff
     if np.any(values[1:] <= 0.0):
         raise ValueError("table values must be positive away from x = 0")
     logp = PchipInterpolator(np.log(xs[1:]), np.log(values[1:]), extrapolate=True)
-    dlogp = logp.derivative()
+    slope = logp.derivative()           # s as a function of t = log x
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -153,22 +154,15 @@ def tabular_coefficient(xs, values, case: Case | None = None) -> DegeneracyCoeff
         out[pos] = np.exp(logp(np.log(x[pos])))
         return out
 
-    def df(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        out[pos] = f(x[pos]) * np.asarray(dlogp(np.log(x[pos]))) / x[pos]
-        return out
-
-    # the table says nothing below its first positive abscissa; measure the
-    # constants from there up rather than trusting interpolant fill-in
-    floor = float(xs[1])
-    probe = DegeneracyCoefficient(f, df, K=0.0, case=case or Case.WDP,
-                                  label="table", sample_floor=floor)
-    report = validate_coefficient(probe, case=case or Case.WDP, n_samples=128)
-    use_case = case or report.case_admissible
-    return DegeneracyCoefficient(f, df, K=report.K, case=use_case, label="table",
-                                 sample_floor=floor)
+    # roots() is nan on a piece where s' is 0 (a power law); the range test
+    # drops it, as it drops the vertices outside the window
+    t = np.concatenate([slope.x, slope.derivative().roots(), [0.0, np.log(0.1)]])
+    lo = slope.x[0]
+    K = max(0.0, float(np.max(slope(t[(t >= lo) & (t <= max(lo, 0.0))]))))
+    sigma = float(np.min(slope(t[(t >= lo) & (t <= max(lo, np.log(0.1)))])))
+    admissible = _case_of(K)
+    return DegeneracyCoefficient(f, K=K, sigma=sigma, case=case or admissible,
+                                 label="table")
 
 
 def load_tabular_coefficient(path, case: Case | None = None) -> DegeneracyCoefficient:
@@ -216,111 +210,36 @@ def zero_drift() -> DriftEnvelope:
 
 # -- hypothesis validation ----------------------------------------------------
 
-def hypothesis_samples(n_samples: int, x_min: float = 1e-10) -> np.ndarray:
-    """Sample set on (0, 1]: geometric toward the degeneracy point, uniform above 0.1."""
-    if n_samples < 16:
-        raise ValueError("n_samples must be >= 16")
-    x_min = min(max(x_min, 1e-300), 0.05)
-    n_geo = n_samples // 2
-    geo = np.geomspace(x_min, 0.1, n_geo)
-    uni = np.linspace(0.1, 1.0, n_samples - n_geo + 1)[1:]
-    return np.concatenate([geo, uni])
+def _case_of(K: float) -> Case:
+    """The case that slope constant K admits; none admits K >= 2."""
+    if K >= 2.0 - TOL_HYP:
+        raise HypothesisViolated(f"smallest admissible K is {K:.12g}, outside [0, 2)")
+    return Case.WDP if K < 1.0 else Case.SDP
 
 
-def _sigma_search(a: DegeneracyCoefficient, K: float) -> float | None:
-    """Largest exponent with a(x)/x^sigma nondecreasing on (0, 0.1]."""
-    lo = min(max(1e-8, a.sample_floor), 0.05)
-    near = np.geomspace(lo, 0.1, 64)
-    vals = np.asarray(a.eval(near), dtype=float)
-    if K > 1.0 + TOL_HYP:
-        candidates = K - (K - 1.0) * np.linspace(0.0, 0.96, 13)
-    else:
-        candidates = np.linspace(0.95, 0.05, 13)
-    for sigma in candidates:
-        ratio = vals / near ** sigma
-        if np.all(ratio[1:] >= ratio[:-1] * (1.0 - 1e-9)):
-            return float(sigma)
-    return None
+def validate_coefficient(a: DegeneracyCoefficient, case: Case) -> ValidationReport:
+    """Report the hypotheses for ``case`` from the coefficient's exact K and sigma.
 
-
-def validate_coefficient(a: DegeneracyCoefficient, case: Case,
-                         n_samples: int = 256) -> ValidationReport:
-    """Check the degeneracy hypotheses on samples and measure the constants.
-
-    Returns a report with the smallest K making x a'(x) <= K a(x) hold over
-    the samples, the case that K admits, and (for SDP) the monotonicity
-    exponent sigma. Raises ``NonPositiveCoefficient`` if a <= 0 at an interior
-    sample and ``HypothesisViolated`` if no K < 2 works.
+    Returns the case that K admits and, for SDP, sigma. The clause
+    ``sigma_monotone`` holds when sigma >= 1 + 0.04 (K - 1) for K > 1, and
+    sigma >= 0.05 otherwise. Raises ``HypothesisViolated`` if K >= 2.
     """
     case = Case(case)
-    xs = hypothesis_samples(n_samples, x_min=a.sample_floor)
-
-    vals = np.asarray(a.eval(xs), dtype=float)
-    if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
-        bad = xs[np.argmin(vals)]
-        raise NonPositiveCoefficient(f"a(x) <= 0 at interior sample x = {bad:.3e}")
-
+    admissible = _case_of(a.K)
     a1 = float(a.eval(np.array([1.0]))[0])
     a0 = float(a.eval(np.array([0.0]))[0])
     vanishes = abs(a0) <= TOL_HYP * max(abs(a1), 1.0)
 
-    derivs = np.asarray(a.deriv(xs), dtype=float)
-    ratios = xs * derivs / vals
-    if not np.all(np.isfinite(ratios)):
-        raise HypothesisViolated("x a'(x)/a(x) non-finite at a sample; no K < 2 works")
-    K = float(max(0.0, np.max(ratios)))
-    if K >= 2.0 - TOL_HYP:
-        raise HypothesisViolated(
-            f"smallest admissible K is {K:.12g}, outside [0, 2)")
-
-    admissible = Case.WDP if K < 1.0 else Case.SDP
-    case_match = admissible is case
-
-    sigma = None
-    sigma_ok = True
-    if case is Case.SDP and admissible is Case.SDP:
-        sigma = _sigma_search(a, K)
-        sigma_ok = sigma is not None
-
+    sigma = a.sigma if case is Case.SDP and admissible is Case.SDP else None
     clauses = {
         "vanishes_at_zero": bool(vanishes),
         "positive_interior": True,
         "slope_bound": True,
-        "case_match": bool(case_match),
+        "case_match": admissible is case,
     }
     if case is Case.SDP:
-        clauses["sigma_monotone"] = bool(sigma_ok)
+        least = 1.0 + 0.04 * (a.K - 1.0) if a.K > 1.0 + TOL_HYP else 0.05
+        clauses["sigma_monotone"] = sigma is None or sigma >= least
     passed = all(clauses.values())
-    return ValidationReport(K=K, case_admissible=admissible, sigma=sigma,
+    return ValidationReport(K=a.K, case_admissible=admissible, sigma=sigma,
                             clauses=clauses, passed=passed)
-
-
-def validate_beta(beta, a: DegeneracyCoefficient, n_samples: int = 256) -> float:
-    """sup over samples of |beta(x)/x|, guarding against blow-up at 0.
-
-    Probes a geometric refinement of the sample floor toward x = 0; if the
-    envelope exceeds ``BETA_CAP`` there, raises ``EnvelopeUnbounded``. Also checks
-    the induced bound beta(x)^2 / a(x) <= C_beta^2 / a(1) at the samples.
-    """
-    xs = hypothesis_samples(n_samples, x_min=a.sample_floor)
-    env = np.abs(np.asarray(beta(xs), dtype=float) / xs)
-    if not np.all(np.isfinite(env)):
-        raise EnvelopeUnbounded("beta(x)/x non-finite at a sample")
-    c_beta = float(np.max(env))
-
-    floor = float(np.min(xs))
-    probes = np.geomspace(floor * 1e-6, floor, 16)
-    probe_env = np.abs(np.asarray(beta(probes), dtype=float) / probes)
-    worst = max(c_beta, float(np.max(probe_env))) if np.all(np.isfinite(probe_env)) else np.inf
-    if worst > BETA_CAP:
-        raise EnvelopeUnbounded(
-            f"|beta(x)/x| reaches {worst:.3e} (> cap {BETA_CAP:.3e}) as x -> 0")
-
-    a_vals = np.asarray(a.eval(xs), dtype=float)
-    a1 = float(a.eval(np.array([1.0]))[0])
-    lhs = np.asarray(beta(xs), dtype=float) ** 2 / a_vals
-    if np.any(lhs > c_beta ** 2 / a1 * (1.0 + 1e-9) + TOL_HYP):
-        raise HypothesisViolated(
-            "beta^2/a exceeds C_beta^2/a(1) at a sample; coefficient violates "
-            "x^2/a(x) <= 1/a(1)")
-    return c_beta

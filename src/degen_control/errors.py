@@ -13,12 +13,6 @@ class DegenControlError(Exception):
 
 # -- validation family (exit 2) ---------------------------------------------
 
-class NonPositiveCoefficient(DegenControlError):
-    """Diffusion coefficient is <= 0 at an interior sample."""
-    code = "NONPOSITIVE_COEFFICIENT"
-    exit_code = 2
-
-
 class HypothesisViolated(DegenControlError):
     """No admissible slope constant K < 2 exists for the coefficient."""
     code = "HYPOTHESIS_VIOLATED"
@@ -26,7 +20,7 @@ class HypothesisViolated(DegenControlError):
 
 
 class EnvelopeUnbounded(DegenControlError):
-    """|beta(x)/x| grows past the configured cap as x -> 0."""
+    """C_beta = sup |beta(x)/x| exceeds its cap."""
     code = "ENVELOPE_UNBOUNDED"
     exit_code = 2
 

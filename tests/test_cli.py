@@ -82,6 +82,22 @@ beta.kind = zero
     assert "C_beta = 0\n" in (tmp_path / "out" / "summary.txt").read_text()
 
 
+def test_validate_c_beta_is_abs_scale(tmp_path):
+    # beta(x) = -3 x: C_beta = sup |beta(x)/x| = 3
+    cfg = write_cfg(tmp_path, "command = validate\na.kind = power\na.alpha = 0.5\n"
+                              "beta.kind = scaled\nbeta.scale = -3\n")
+    assert main([cfg, "--out", str(tmp_path / "out")]) == 0
+    assert "C_beta = 3\n" in (tmp_path / "out" / "summary.txt").read_text()
+
+
+def test_validate_beta_scale_past_cap_is_unbounded(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "command = validate\na.kind = power\na.alpha = 0.5\n"
+                              "beta.kind = scaled\nbeta.scale = 2e6\n")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 2
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last.startswith("ERROR ENVELOPE_UNBOUNDED:") and "beta.scale" in last
+
+
 def test_validate_rejects_alpha_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "command = validate\na.kind = power\na.alpha = 2.0\n")
     code = main([cfg, "--out", str(tmp_path / "o")])

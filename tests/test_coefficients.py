@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from degen_control.coefficients import (Case, DegeneracyCoefficient,
                                         classical_coefficient, power_coefficient,
-                                        tabular_coefficient, validate_beta,
-                                        validate_coefficient)
-from degen_control.errors import (EnvelopeUnbounded, HypothesisViolated,
-                                  NonPositiveCoefficient)
+                                        tabular_coefficient, validate_coefficient)
+from degen_control.errors import HypothesisViolated
 
 
 def test_sqrt_passes_wdp():
@@ -17,11 +16,14 @@ def test_sqrt_passes_wdp():
 
 
 def test_power_family_k_exact():
-    # x a' = alpha a exactly for the power family
+    # x a' = alpha a exactly for the power family: K = sigma = alpha, bit for bit
     for alpha in (0.25, 0.5, 0.75, 1.0, 1.5, 1.9):
         case = Case.WDP if alpha < 1.0 else Case.SDP
-        report = validate_coefficient(power_coefficient(alpha), case)
-        assert abs(report.K - alpha) <= 1e-10
+        a = power_coefficient(alpha)
+        assert a.K == alpha and a.sigma == alpha
+        report = validate_coefficient(a, case)
+        assert report.K == alpha
+        assert report.sigma == (alpha if case is Case.SDP else None)
         assert report.case_admissible is case
         assert report.passed
 
@@ -34,16 +36,17 @@ def test_x_squared_rejected():
 def test_x32_sdp_sigma():
     report = validate_coefficient(power_coefficient(1.5), Case.SDP)
     assert report.passed
-    assert abs(report.K - 1.5) <= 1e-10
+    assert report.K == 1.5
     # a / x^sigma is constant at sigma = K, the largest admissible exponent
-    assert report.sigma == pytest.approx(1.5, abs=1e-9)
+    assert report.sigma == 1.5
 
 
 def test_alpha_one_is_sdp_with_fractional_sigma():
     report = validate_coefficient(power_coefficient(1.0), Case.SDP)
     assert report.passed
     assert report.case_admissible is Case.SDP
-    assert report.sigma is not None and 0.0 < report.sigma < 1.0
+    # a / x is constant: sigma = 1 exactly
+    assert report.sigma == 1.0
 
 
 def test_case_mismatch_fails_without_raising():
@@ -52,13 +55,6 @@ def test_case_mismatch_fails_without_raising():
     assert not report.passed
     assert not report.clauses["case_match"]
     assert report.case_admissible is Case.WDP
-
-
-def test_nonpositive_coefficient():
-    bad = DegeneracyCoefficient(eval=lambda x: np.asarray(x, dtype=float) - 0.5,
-                                deriv=np.ones_like, K=0.0, case=Case.WDP)
-    with pytest.raises(NonPositiveCoefficient):
-        validate_coefficient(bad, Case.WDP)
 
 
 def test_nonvanishing_at_zero_fails_clause():
@@ -87,11 +83,36 @@ def test_tabular_sdp_with_curvature_revalidates_cleanly():
     vals = xs ** 1.5 * (1.0 + 0.3 * xs)
     a = tabular_coefficient(xs, vals)
     assert a.case is Case.SDP
-    assert a.sample_floor == pytest.approx(1e-6)
     report = validate_coefficient(a, Case.SDP)
     assert report.passed
-    assert report.sigma is not None
+    assert report.K == a.K and report.sigma == a.sigma
     assert report.K == pytest.approx(1.5 + 0.3 / 1.3, rel=1e-2)
+
+
+def test_tabular_constants_are_the_extremes_of_the_log_slope():
+    # s = x a'/a of the log-log PCHIP on 2e6 log-spaced points: K is its
+    # supremum on [xs[1], 1] and sigma its infimum on [xs[1], 0.1]
+    xs = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 200)])
+    vals = xs ** 1.3 * (1.0 + 0.3 * np.sin(3.0 * xs))
+    a = tabular_coefficient(xs, vals)
+    logp = PchipInterpolator(np.log(xs[1:]), np.log(vals[1:]))
+    probe = np.geomspace(1e-6, 1.0, 1000)
+    assert np.allclose(a.eval(probe), np.exp(logp(np.log(probe))), rtol=1e-14)
+    s = logp.derivative()
+    dense_max = np.max(s(np.log(np.geomspace(1e-6, 1.0, 2_000_000))))
+    dense_min = np.min(s(np.log(np.geomspace(1e-6, 0.1, 2_000_000))))
+    assert dense_max <= a.K <= dense_max + 1e-12
+    assert dense_min - 1e-12 <= a.sigma <= dense_min
+    assert a.K == pytest.approx(1.4377439471040, abs=1e-12)
+    assert a.sigma == pytest.approx(1.3000008984755, abs=1e-12)
+    assert a.case is Case.SDP
+
+
+def test_tabular_k_two_is_rejected():
+    xs = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 20)])
+    for case in (None, Case.SDP):
+        with pytest.raises(HypothesisViolated):
+            tabular_coefficient(xs, xs ** 2.0, case=case)
 
 
 def test_tabular_rejects_bad_tables():
@@ -99,27 +120,6 @@ def test_tabular_rejects_bad_tables():
         tabular_coefficient([0.0, 0.5, 0.4, 1.0], [0.0, 0.1, 0.2, 1.0])
     with pytest.raises(ValueError):
         tabular_coefficient([0.1, 0.5, 0.7, 1.0], [0.1, 0.2, 0.3, 1.0])
-
-
-# -- drift envelope -------------------------------------------------------------
-
-def test_beta_linear_is_one():
-    assert validate_beta(lambda x: x, power_coefficient(0.5)) == pytest.approx(1.0)
-
-
-def test_beta_oscillatory_bounded_by_three():
-    beta = lambda x: x * (2.0 + np.sin(1.0 / x))
-    a = power_coefficient(0.5)
-    # refinement oracle: the envelope stays <= 3 on successively denser grids
-    for n in (64, 256, 1024):
-        c = validate_beta(beta, a, n_samples=n)
-        assert c <= 3.0 + 1e-12
-    assert validate_beta(beta, a) >= 1.0
-
-
-def test_beta_sqrt_unbounded():
-    with pytest.raises(EnvelopeUnbounded):
-        validate_beta(lambda x: np.sqrt(x), power_coefficient(0.5))
 
 
 def test_power_requires_positive_alpha():

@@ -181,8 +181,7 @@ def test_manufactured_steady_state_with_drift(b0, c0):
 def test_solver_breakdown():
     null_a = DegeneracyCoefficient(
         eval=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        deriv=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        K=0.0, case=Case.WDP, label="null")
+        K=0.0, sigma=0.0, case=Case.WDP, label="null")
     g = build_grid(16, 1.0)
     M = 16
     drift = constant_drift(-M / 0.5, 0.0)   # makes I + dt A vanish exactly
