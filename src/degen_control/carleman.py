@@ -16,9 +16,9 @@ region (w1, w2). The bump rho vanishes at 0 and 1, is positive inside, and
 has its single critical point at the midpoint of an interior subinterval
 (a', b') of (kappa-, kappa+), so eta' = psi_cls' != 0 on (kappa+, w2).
 
-psi_deg's integral is one cumulative sum of ``quad`` over the gaps between the
-sorted points, for every coefficient kind, with a relative tolerance only;
-``scipy.integrate`` is imported at the first psi_deg call. The weights derive
+psi_deg's integral is the coefficient's own primitive ``a.primitive``, worked
+out once by its constructor: a closed form for power laws and the classical
+coefficient, one vectorised Gauss-Legendre pass for a table. The weights derive
 their geometry from omega, run psi_deg once over the grid's nodes and faces,
 sample there everything the audit reads that depends only on the grid and the
 weights, and check their validity on the same points.
@@ -76,11 +76,11 @@ PLATEAU_REL = 0.05   # per-step relative change that counts as a plateau
 class CarlemanWeights:
     """Blended weight profiles, their parameters, the geometry they derive from
     omega (kappa+-, omega' = (a', b') and the bump's peak) and what the audit
-    needs of them on ``grid``: eta at the nodes and faces, from one cumulative
-    ``quad`` pass, a times the face spacings, and 1/a and x^2/a at the nodes
-    (both 0 at x = 0). Raises ``WeightInvalid`` unless omega' holds a face and
-    (kappa+, w2) a node or face, eta' = psi_cls' != 0 at those and rho' != 0
-    at the nodes and faces off [a', b'], all before the quadrature, and
+    needs of them on ``grid``: eta at the nodes and faces, from one
+    ``a.primitive`` call, a times the face spacings, and 1/a and x^2/a at the
+    nodes (both 0 at x = 0). Raises ``WeightInvalid`` unless omega' holds a
+    face and (kappa+, w2) a node or face, eta' = psi_cls' != 0 at those and
+    rho' != 0 at the nodes and faces off [a', b'], all before psi_deg, and
     psi_deg(1) > 0 (psi_deg decreases, as tau/a >= 0). ``_damping`` caches
     the normalised e^{-2 s phi} of ``_damping_weights`` per (M, s)."""
 
@@ -138,21 +138,11 @@ class CarlemanWeights:
                 ("inv_a", inv_a), ("xx_over_a", nodes * nodes * inv_a)):
             object.__setattr__(self, name, value)
 
-    def _x_over_a(self, tau: float) -> float:
-        if tau <= 0.0:
-            return 0.0
-        return tau / float(self.a.eval(np.array([tau]))[0])
-
     def psi_deg(self, x):
-        """c1 (c2 - int_0^x tau/a) for every entry of x in one pass: one ``quad``
-        over each gap between the sorted distinct points, then a running sum."""
-        from scipy.integrate import quad
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        pts, inv = np.unique(np.maximum(xs, 0.0), return_inverse=True)
-        gaps = [quad(self._x_over_a, lo, hi, epsabs=0.0, limit=200)[0]
-                for lo, hi in zip(np.r_[0.0, pts[:-1]], pts)]
-        out = self.c1 * (self.c2 - np.cumsum(gaps)[inv.reshape(xs.shape)])
-        return out if np.ndim(x) else float(out[0])
+        """c1 (c2 - int_0^x tau/a), with the integral from ``a.primitive``
+        (0 for x <= 0)."""
+        out = self.c1 * (self.c2 - self.a.primitive(np.maximum(x, 0.0)))
+        return out if np.ndim(x) else float(out)
 
     def psi_deg_prime(self, x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -226,7 +216,7 @@ def build_weights(a: DegeneracyCoefficient, omega: tuple, T: float,
     """Construct and validate the blended weight for a control region with w1 > 0.
 
     ``c2`` defaults to 1.05 times the positivity threshold 1/(a(1)(2-K)).
-    Raises ``HypothesisViolated`` unless K < 2, before any quadrature, then
+    Raises ``HypothesisViolated`` unless K < 2, before any weight, then
     ``ValueError`` on an omega, T, c1 or lambda out of range; the weights raise
     ``WeightInvalid`` (see ``CarlemanWeights``).
     """

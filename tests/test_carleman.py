@@ -2,7 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.integrate
 
 from degen_control import carleman, pde
 from degen_control.carleman import (SourceSplit, beta_divergence, build_weights,
@@ -79,9 +78,8 @@ def _closed_form_eta(w, x, alpha):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5])
 def test_weights_match_closed_form_on_fine_grids(alpha):
-    # the gaps next to x = 0 are tiny, so quad's default absolute tolerance
-    # would leave them about 1e-4 relative error; the weights' grid pass
-    # uses a relative tolerance only
+    # eta on the nodes and faces from one primitive pass, graded grids' tiny
+    # spacings next to x = 0 included
     for N in (128, 256):
         g = build_grid(N, 1.0)
         w = build_weights(power_coefficient(alpha), (0.3, 0.9), T=1.0, grid=g)
@@ -158,6 +156,11 @@ def test_eta_prime_nonzero_beyond_cutoff():
 def test_weight_positivity_guard():
     with pytest.raises(WeightInvalid):
         build_weights(SQRT, (0.3, 0.9), T=1.0, c2=0.01, grid=GRID)
+    # past K = 2 int_0^x tau^(1 - alpha) diverges: psi_deg is -inf, not the
+    # positive value the closed form x^(2 - alpha)/(2 - alpha) would give
+    with pytest.raises(WeightInvalid, match="psi_deg <= 0"):
+        CarlemanWeights(a=power_coefficient(2.5), omega=(0.3, 0.9), T=1.0, c1=1.0,
+                        c2=1.0, lam=2.0, grid=GRID)
 
 
 def test_flat_classical_profile_is_weight_invalid():
@@ -264,9 +267,8 @@ def test_weights_frozen_and_tied_to_their_grid():
                              [2.0], "lemma")
     with pytest.raises(dataclasses.FrozenInstanceError):
         w.c2 = 2.0
-    # sampled from one cumulative psi_deg pass over nodes and faces, so equal
-    # to a pass over the nodes or faces alone up to quad round-off (the bound
-    # of the closed-form psi_deg tests)
+    # sampled from one psi_deg pass over nodes and faces, so equal to a pass
+    # over the nodes or faces alone (the bound of the closed-form psi_deg tests)
     assert np.allclose(w.eta_nodes, w.eta(w.grid.nodes), rtol=0.0, atol=1e-13)
     assert np.allclose(w.eta_faces, w.eta(w.grid.faces), rtol=0.0, atol=1e-13)
 
@@ -333,26 +335,24 @@ def test_damping_weights_once_per_step_count_and_s(monkeypatch, rng):
     assert big._damping == {}
 
 
-def test_weights_sample_grid_factors_once(monkeypatch):
-    quad_calls = []
-    real_quad = scipy.integrate.quad
-
-    def counting_quad(*args, **kwargs):
-        quad_calls.append(1)
-        return real_quad(*args, **kwargs)
-
-    a_evals = []
+def test_weights_sample_grid_factors_once():
+    a_evals, primitive_calls = [], []
 
     def counting_eval(x):
-        a_evals.append(1)
+        a_evals.append(np.size(x))
         return SQRT.eval(x)
 
-    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
-    a = dataclasses.replace(SQRT, eval=counting_eval)
+    def counting_primitive(x):
+        primitive_calls.append(np.size(x))
+        return SQRT.primitive(x)
+
+    a = dataclasses.replace(SQRT, eval=counting_eval, primitive=counting_primitive)
     p = make_problem(a=a, N=32, M=16, T=1.0, b0=0.3)
     w = build_weights(a, p.omega, p.T, grid=p.grid)
-    # one quad per distinct point of nodes and faces (0 included)
-    assert len(quad_calls) == np.unique(np.r_[p.grid.nodes, p.grid.faces]).size == 63
+    # a(1) for the default c2, one primitive pass over the 32 nodes and 31
+    # faces, then 1/a on the 31 positive nodes and a on the 31 faces
+    assert primitive_calls == [63]
+    assert a_evals == [1, 31, 31]
     assert np.allclose(w.eta_nodes, _closed_form_eta(w, p.grid.nodes, 0.5),
                        rtol=0.0, atol=1e-13)
     assert np.allclose(w.eta_faces, _closed_form_eta(w, p.grid.faces, 0.5),

@@ -609,38 +609,45 @@ nl.m = 0.5
     assert "converged = True" in summary
 
 
-_LAZY_QUAD_CHILD = """
+_NO_INTEGRATE_CHILD = """
 import sys
 from degen_control import cli
-*linear, audit = sys.argv[1:]
-status = [cli.run(cfg, cfg + ".out") for cfg in linear]
-before = "scipy.integrate" in sys.modules
-status.append(cli.run(audit, audit + ".out"))
-print(status, before, "scipy.integrate" in sys.modules)
+status = [cli.run(cfg, cfg + ".out") for cfg in sys.argv[1:]]
+print(status, "scipy.integrate" in sys.modules)
 """
 
 
-def test_only_the_audit_loads_scipy_integrate(tmp_path):
-    # psi_deg imports scipy.integrate at its first quad, so the commands that
-    # build no Carleman weights never pay for it; a fresh interpreter sees it
-    head = "a.kind = power\na.alpha = 0.5\ngrid.N = 32\nM = 32\n"
-    cfgs = [write_cfg(tmp_path, f"command = {command}\n{head}{extra}", f"{command}.cfg")
-            for command, extra in [
-                ("control", ""),
-                ("sweep", "epsilon.sweep = 1e-2,1e-3,1e-4,1e-5\n"),
-                ("observability", "samples = 2\npower.iters = 2\n"),
-                ("semilinear", "nl.kind = sine\nnl.m = 0.5\nepsilon = 1e-6\n"),
-                ("carleman-audit", "T = 3.0\ncarleman.lambda = 0.5\n"
-                                   "s.sweep = 1,4\nsamples = 2\n")]]
+def test_no_command_loads_scipy_integrate(tmp_path):
+    # psi_deg reads the coefficient's own primitive, so no command, the audit
+    # on a power law or on a table included, imports scipy.integrate; a fresh
+    # interpreter sees it
+    xs = np.linspace(0.0, 1.0, 201)
+    np.savetxt(tmp_path / "a.csv", np.column_stack([xs, xs ** 0.5]), delimiter=",")
+    power = "a.kind = power\na.alpha = 0.5\n"
+    table = f"a.kind = table\na.path = {tmp_path / 'a.csv'}\n"
+    head = "grid.N = 32\nM = 32\n"
+    audit = "T = 3.0\ncarleman.lambda = 0.5\ns.sweep = 1,4\nsamples = 2\n"
+    runs = [("validate", power, ""), ("solve", power, "T = 0.1\n"), ("control", power, ""),
+            ("sweep", power, "epsilon.sweep = 1e-2,1e-3,1e-4,1e-5\n"),
+            ("observability", power, "samples = 2\npower.iters = 2\n"),
+            ("semilinear", power, "nl.kind = sine\nnl.m = 0.5\nepsilon = 1e-6\n"),
+            ("carleman-audit", power, audit), ("carleman-audit", table, audit)]
+    cfgs = [write_cfg(tmp_path, f"command = {command}\n{a}{head}{extra}", f"run{i}.cfg")
+            for i, (command, a, extra) in enumerate(runs)]
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _LAZY_QUAD_CHILD, *cfgs], env=env,
+    done = subprocess.run([sys.executable, "-c", _NO_INTEGRATE_CHILD, *cfgs], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False True"
-    rows = (tmp_path / "carleman-audit.cfg.out" / "carleman.csv").read_text().splitlines()
-    ratios = [float(v) for row in rows[1:] for v in row.split(",")[2:4]]
-    assert len(ratios) == 2 * 2 * 2 and np.all(np.isfinite(ratios))
+    assert done.stdout.splitlines()[-1] == f"{[0] * len(runs)} False"
+    # the table reproduces sqrt(x), so its Gauss-rule audit is the closed form's
+    audits = [(tmp_path / f"run{i}.cfg.out" / "carleman.csv").read_text().splitlines()
+              for i in (6, 7)]
+    assert audits[0][0] == audits[1][0]
+    ratios = np.array([[float(v) for row in rows[1:] for v in row.split(",")[2:4]]
+                       for rows in audits])
+    assert ratios.shape == (2, 2 * 2 * 2) and np.all(np.isfinite(ratios))
+    assert np.allclose(ratios[1], ratios[0], rtol=1e-9, atol=0.0)
 
 
 def test_tabular_coefficient_through_cli(tmp_path):

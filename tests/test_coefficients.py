@@ -134,3 +134,60 @@ def test_coefficient_is_reusable_and_pure():
     second = a.eval(x)
     assert np.array_equal(first, second)
     assert isinstance(a, DegeneracyCoefficient)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 1.9])
+def test_tabular_primitive_of_a_power_law(alpha):
+    # log-log PCHIP reproduces a table of x^alpha, so its Gauss-rule primitive
+    # is int_0^x tau^(1 - alpha) = x^(2 - alpha)/(2 - alpha), below the first
+    # knot (the graded panels) and above it
+    xs = np.linspace(0.0, 1.0, 201)
+    a = tabular_coefficient(xs, xs ** alpha)
+    x = np.concatenate([[0.0], np.geomspace(1e-12, 1.0, 97), np.linspace(0.0, 1.0, 333),
+                        xs])
+    assert np.allclose(a.primitive(x), x ** (2.0 - alpha) / (2.0 - alpha),
+                       rtol=0.0, atol=1e-12)
+    assert a.primitive(0.25) == pytest.approx(0.25 ** (2.0 - alpha) / (2.0 - alpha),
+                                              rel=1e-13)
+
+
+def test_tabular_primitive_of_a_curved_table():
+    # P(1) - P(x) against Simpson's rule in t = log tau with 64 intervals on
+    # each piece between the PCHIP's knots, where the integrand is smooth
+    # (error far below 1e-12), for a table whose PCHIP is curved
+    xs = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 200)])
+    vals = xs ** 1.3 * (1.0 + 0.3 * np.sin(3.0 * xs))
+    a = tabular_coefficient(xs, vals)
+    knots = np.log(xs[1:])
+    simpson = np.r_[1.0, np.tile([4.0, 2.0], 32)[:-1], 1.0] / (3.0 * 64)
+    for x in (3e-7, 1e-3, 0.37):
+        cuts = np.unique(np.r_[np.log(x), knots[knots > np.log(x)]])
+        t = cuts[:-1, None] + np.diff(cuts)[:, None] * np.linspace(0.0, 1.0, 65)
+        f = np.exp(t) ** 2 / a.eval(np.exp(t))
+        want = np.sum(np.diff(cuts) * (f @ simpson))
+        got = a.primitive(np.array([1.0]))[0] - a.primitive(np.array([x]))[0]
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+def _hand_built(K, sigma):
+    return DegeneracyCoefficient(eval=power_coefficient(K).eval,
+                                 primitive=power_coefficient(K).primitive,
+                                 K=K, sigma=sigma, case=Case.SDP, label="hand")
+
+
+def test_sigma_monotone_is_the_strong_degeneracy_hypothesis():
+    # for K > 1 some theta in (1, K] must make a/x^theta nondecreasing near
+    # 0, that is sigma > 1; K <= 1 asks nothing
+    for K, sigma, holds in ((1.0, 0.9, True), (1.0, 0.05, True),
+                            (1.0 + 2e-10, 0.9, False), (1.5, 1.0, False),
+                            (1.5, 1.01, True), (1.9, 1.0 + 1e-12, True)):
+        report = validate_coefficient(_hand_built(K, sigma), Case.SDP)
+        assert report.clauses["sigma_monotone"] is holds, (K, sigma)
+        assert report.passed is holds
+
+
+def test_validate_reports_only_clauses_an_input_can_fail():
+    report = validate_coefficient(power_coefficient(1.5), Case.SDP)
+    assert list(report.clauses) == ["vanishes_at_zero", "case_match", "sigma_monotone"]
+    assert list(validate_coefficient(power_coefficient(0.5), Case.WDP).clauses) == [
+        "vanishes_at_zero", "case_match"]

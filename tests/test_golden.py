@@ -5,9 +5,15 @@ against the committed outputs in tests/golden/expected/<name>/. Structure
 (file set, headers, row counts, summary keys) must match exactly; numeric
 values are compared with a tight relative tolerance so that a changed BLAS
 only moves round-off, while iteration-count columns get a small integer
-slack. Regenerate after an intentional behavior change with
+slack. Regenerate the runs an intentional behavior change moves, by name,
+
+    GOLDEN_REGEN=validate_x32,audit_sqrt pytest tests/test_golden.py
+
+so that the other runs keep their committed bits, or every run with
 
     GOLDEN_REGEN=1 pytest tests/test_golden.py
+
+A name that is not a run fails the test that checks the names.
 """
 
 import os
@@ -22,7 +28,8 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 EXPECTED_DIR = os.path.join(GOLDEN_DIR, "expected")
 RUNS = sorted(name[:-4] for name in os.listdir(GOLDEN_DIR)
               if name.endswith(".cfg"))
-REGEN = os.environ.get("GOLDEN_REGEN", "") == "1"
+_REGEN = os.environ.get("GOLDEN_REGEN", "")
+REGEN = set(RUNS) if _REGEN == "1" else set(filter(None, _REGEN.split(",")))
 
 RTOL, ATOL = 1e-6, 1e-12
 COUNT_COLUMNS = {"cg_iters", "iter", "sample", "n_samples", "samples",
@@ -67,18 +74,22 @@ def _compare_summary(path_got, path_want):
             assert key.split("=")[0] == want_key.split("=")[0]
 
 
+def test_golden_regen_names_runs():
+    assert REGEN <= set(RUNS), f"GOLDEN_REGEN names no run: {sorted(REGEN - set(RUNS))}"
+
+
 @pytest.mark.parametrize("run", RUNS)
 def test_golden_run(run, tmp_path):
     cfg = os.path.join(GOLDEN_DIR, f"{run}.cfg")
     outdir = tmp_path / run
     assert main([cfg, "--out", str(outdir)]) == 0
     expected = os.path.join(EXPECTED_DIR, run)
-    if REGEN:
+    if run in REGEN:
         shutil.rmtree(expected, ignore_errors=True)
         shutil.copytree(outdir, expected)
         pytest.skip(f"regenerated golden outputs for {run}")
     assert os.path.isdir(expected), f"no golden outputs for {run}; " \
-        "run GOLDEN_REGEN=1 pytest tests/test_golden.py"
+        f"run GOLDEN_REGEN={run} pytest tests/test_golden.py"
     got_files = sorted(os.listdir(outdir))
     want_files = sorted(os.listdir(expected))
     assert got_files == want_files, f"{run}: output file set changed"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.optimize import brentq
-from scipy.special import jv
+from scipy.special import gamma, jv
 
 from degen_control.coefficients import (Case, DegeneracyCoefficient,
                                         classical_coefficient, constant_drift,
@@ -12,6 +12,7 @@ from degen_control.coefficients import (Case, DegeneracyCoefficient,
 from degen_control.errors import BadResolution, DegenerateSample
 from degen_control.mesh import (active_indices, assemble_operator, build_grid,
                                 dirichlet_energy, hardy_check, l2_norm)
+from degen_control.pde import LinearProblem, solve_forward
 
 
 def _dense(op):
@@ -192,18 +193,36 @@ def test_hardy_classical_matches_eigensolve_oracle():
     assert c_h == pytest.approx(1.0 / np.pi ** 2, rel=0.05)
 
 
+def _bessel_nu_j(alpha):
+    """nu = |1 - alpha|/(2 - alpha) and the first positive zero j of J_nu."""
+    nu = abs(1.0 - alpha) / (2.0 - alpha)
+    x = np.linspace(0.5, 6.0, 112)
+    v = jv(nu, x)
+    i = np.flatnonzero(np.sign(v[1:]) != np.sign(v[:-1]))[0]
+    return nu, brentq(lambda t: jv(nu, t), x[i], x[i + 1], xtol=1e-15)
+
+
 def _bessel_lambda1(alpha):
     """First eigenvalue of -(x^alpha u')' on (0, 1), u(1) = 0, u(0) = 0 for
     alpha < 1 and (x^alpha u')(0) = 0 for 1 <= alpha < 2 (Gueye, SIAM J.
     Control Optim. 52, 2014): ((2 - alpha)/2)^2 j^2, with j the first
-    positive zero of J_{+-nu}, nu = |1 - alpha|/(2 - alpha), sign + for WDP."""
-    nu = abs(1.0 - alpha) / (2.0 - alpha)
-    order = nu if alpha < 1.0 else -nu
-    x = np.linspace(0.5, 6.0, 112)
-    v = jv(order, x)
-    i = np.flatnonzero(np.sign(v[1:]) != np.sign(v[:-1]))[0]
-    j = brentq(lambda t: jv(order, t), x[i], x[i + 1], xtol=1e-15)
-    return ((2.0 - alpha) / 2.0) ** 2 * j ** 2
+    positive zero of J_nu in both cases (see ``_bessel_phi1``)."""
+    return ((2.0 - alpha) / 2.0) ** 2 * _bessel_nu_j(alpha)[1] ** 2
+
+
+def _bessel_phi1(alpha, x):
+    """The first eigenfunction x^((1 - alpha)/2) J_nu(j x^((2 - alpha)/2)).
+
+    Near 0 it behaves as x^(1 - alpha) for alpha < 1, which vanishes, and as
+    a constant for alpha >= 1, whose flux x^alpha u' vanishes: J_nu is the
+    Dirichlet solution in the weak case and the Neumann one in the strong
+    case. Its value at 0 is the limit (j/2)^nu / Gamma(nu + 1) there."""
+    nu, j = _bessel_nu_j(alpha)
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, 0.0 if alpha < 1.0 else (j / 2.0) ** nu / gamma(nu + 1.0))
+    pos = x > 0.0
+    out[pos] = x[pos] ** ((1.0 - alpha) / 2.0) * jv(nu, j * x[pos] ** ((2.0 - alpha) / 2.0))
+    return out
 
 
 @pytest.mark.parametrize("alpha,gamma,order", [
@@ -220,9 +239,37 @@ def test_hardy_converges_to_bessel_eigenvalue(alpha, gamma, order):
     assert abs(-slope - order) <= 0.2
 
 
+@pytest.mark.parametrize("alpha", [1.2, 1.7])
+def test_bessel_oracle_order_in_the_strong_case(alpha):
+    # nu = 0.25 and 7/3 are not integers, so J_nu and J_-nu have other zeros;
+    # the discrete C_H picks J_nu (3e-6 and 5e-6 off at N = 512, gamma = 2)
+    ch = hardy_check(build_grid(512, 2.0), power_coefficient(alpha))
+    assert ch * _bessel_lambda1(alpha) == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("alpha,gamma,order", [
+    (0.5, 1.0, 0.5), (0.5, 2.0, 1.0), (1.5, 2.0, 1.8)])
+def test_eigenmode_solve_converges_to_its_exact_decay(alpha, gamma, order):
+    # implicit Euler from Phi_1 (T = 0.1, M = 4N) against e^(-lambda_1 T) Phi_1
+    # in the relative weighted L2 norm, at the measured order over N = 64...512
+    decay = np.exp(-_bessel_lambda1(alpha) * 0.1)
+    ns = np.array([64, 128, 256, 512])
+    err = []
+    for n in ns:
+        g = build_grid(n, gamma)
+        phi = _bessel_phi1(alpha, g.nodes)
+        p = LinearProblem(a=power_coefficient(alpha), drift=zero_drift(), T=0.1,
+                          omega=(0.3, 0.9), grid=g, M=4 * n, y0=phi)
+        err.append(l2_norm(g.weights, solve_forward(p).final() - decay * phi)
+                   / l2_norm(g.weights, decay * phi))
+    slope = np.polyfit(np.log(ns), np.log(err), 1)[0]
+    assert abs(-slope - order) <= 0.2
+
+
 def test_hardy_degenerate_sample():
     zero_a = DegeneracyCoefficient(
         eval=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        primitive=lambda x: np.full(np.shape(x), np.inf),   # int tau/0 diverges
         K=0.0, sigma=0.0, case=Case.WDP, label="null")
     with pytest.raises(DegenerateSample):
         hardy_check(build_grid(16, 1.0), zero_a)

@@ -181,6 +181,7 @@ def test_manufactured_steady_state_with_drift(b0, c0):
 def test_solver_breakdown():
     null_a = DegeneracyCoefficient(
         eval=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        primitive=lambda x: np.full(np.shape(x), np.inf),   # int tau/0 diverges
         K=0.0, sigma=0.0, case=Case.WDP, label="null")
     g = build_grid(16, 1.0)
     M = 16
