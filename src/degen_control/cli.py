@@ -258,9 +258,9 @@ def cmd_semilinear(cfg: Config, outdir: str, rng) -> list:
                                          cg_tol=cfg.get_float("cg.tol", default=1e-10),
                                          cg_max_iters=cfg.get_int("cg.maxiter", default=500))
     write_table(os.path.join(outdir, "iterations.csv"),
-                "iter,increment,control_cost,norm_yT",
-                [(k + 1, inc, cost, n) for k, (inc, cost, n) in
-                 enumerate(zip(rep.increments, rep.control_costs, rep.yT_norms))])
+                "iter,increment,control_cost,norm_yT,cg_iters",
+                [(k + 1, *row) for k, row in enumerate(zip(
+                    rep.increments, rep.control_costs, rep.yT_norms, rep.cg_iters))])
     # the controlled phase runs on its own clock starting at t0
     write_control_field(os.path.join(outdir, "control.csv"),
                         rep.hum.trajectory.times[:-1] + rep.t0,

@@ -13,7 +13,10 @@ final-state norm follows the square-root law of penalized HUM for
 null-controllable configurations, which the epsilon sweep measures.
 
 ``hum_solve`` runs conjugate gradient on the matrix-free Gramian, one backward
-and one forward sweep per iteration, for any coefficients. ``epsilon_sweep``
+and one forward sweep per iteration, for any coefficients. CG starts from 0,
+or from a given guess such as the previous ``vhatT`` that each Picard step
+after the first passes; either way it stops at ||r_k|| <= tol ||rhs||, so the
+guess changes the work and not the accuracy. ``epsilon_sweep``
 and ``observability_estimate`` serve time-independent coefficients only,
 through the dense ``gramian`` pair: B = W Lam and E, the map vT -> v(0). The
 sweep solves every penalty of its ladder exactly from one symmetric
@@ -75,15 +78,24 @@ def gramian(p: LinearProblem) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (S + S.T), P
 
 
-def _cg(apply_op, rhs, inner, tol, max_iters):
+def _cg(apply_op, rhs, inner, tol, max_iters, x0=None):
     """Conjugate gradient for apply_op(x) = rhs in a weighted inner product.
 
-    Converges at the first k with ||r_k|| <= tol ||rhs||. Returns (x,
-    iterations, residual_history, energy_history); the energy 1/2 x'Ax - b'x
-    decreases monotonically. Raises NonFiniteIntegral on an overflowed ||rhs||^2
-    or curvature, NotSPD on nonpositive curvature beyond round-off, and
-    NoConvergence with the residual history when the iteration budget runs out.
+    Starts from x0, or from 0 when x0 is None, and converges at the first k
+    with ||r_k|| <= tol ||rhs||, measured against ||rhs|| whatever the start;
+    an x0 that already meets the rule comes back as it is, after 0 iterations.
+    Returns (x, iterations, residual_history, energy_history); the energy
+    1/2 x'Ax - b'x starts at that of the start and decreases monotonically.
+    Raises ValueError on an x0 of another shape than rhs or not finite,
+    NonFiniteIntegral on an overflowed ||rhs||^2, ||r_0||^2 or curvature,
+    NotSPD on nonpositive curvature beyond round-off, and NoConvergence with
+    the residual history when the iteration budget runs out.
     """
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != rhs.shape or not np.all(np.isfinite(x0)):
+            raise ValueError(f"CG initial guess must be a finite vector of shape "
+                             f"{rhs.shape}, got a {x0.shape} array")
     with np.errstate(over="ignore"):
         rs = inner(rhs, rhs)
     if not np.isfinite(rs):
@@ -91,11 +103,25 @@ def _cg(apply_op, rhs, inner, tol, max_iters):
     norm_rhs = np.sqrt(rs)
     if norm_rhs == 0.0:
         return np.zeros_like(rhs), 0, [0.0], [0.0]
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
+    if x0 is None:
+        x = np.zeros_like(rhs)
+        r = rhs.copy()
+        energy = 0.0
+    else:
+        x = x0.copy()
+        Ax = apply_op(x)
+        r = rhs - Ax
+        with np.errstate(over="ignore", invalid="ignore"):
+            rs = inner(r, r)
+            energy = 0.5 * inner(x, Ax) - inner(rhs, x)
+        if not (np.isfinite(rs) and np.isfinite(energy)):
+            raise NonFiniteIntegral(f"||r_0||^2 = {rs:.3e} or energy {energy:.3e} "
+                                    f"of the initial guess is not finite")
+    res_hist = [np.sqrt(rs)]
+    energy_hist = [energy]
+    if x0 is not None and res_hist[0] <= tol * norm_rhs:
+        return x, 0, res_hist, energy_hist
     d = r.copy()
-    res_hist = [norm_rhs]
-    energy_hist = [0.0]
     for k in range(1, max_iters + 1):
         Ad = apply_op(d)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -172,15 +198,18 @@ def _control_of(p: LinearProblem, x: np.ndarray, epsilon: float, rhs: np.ndarray
 
 
 def hum_solve(p: LinearProblem, epsilon: float, cg_tol: float = 1e-10,
-              max_iters: int = 500) -> HUMResult:
+              max_iters: int = 500, x0: np.ndarray | None = None) -> HUMResult:
     """Penalized minimal-norm control of the linear problem.
 
     Solves (Lam + eps I) vhat = -y_free(T) by CG in the weighted inner
     product, applying Lam matrix-free, builds the control from the adjoint of
     vhat, and reruns the forward problem with it. The optimality identity
-    yT = -eps vhat holds to the CG tolerance and its gap is recorded. Raises
-    ValueError unless eps and cg_tol are finite and positive and
-    max_iters >= 1.
+    yT = -eps vhat holds to the CG tolerance and its gap is recorded. CG
+    starts from the nodal vector ``x0`` (read on the active nodes), such as
+    the ``vhatT`` of a nearby problem, or from 0 when it is None; the
+    stopping rule is the same either way. Raises ValueError unless eps and
+    cg_tol are finite and positive, max_iters >= 1 and x0, if given, is a
+    finite (N,) vector.
 
     The Gramian stays matrix-free here, also where the dense ``gramian``
     would be cheaper: the benchmark's ``control`` check pins this path's
@@ -198,10 +227,13 @@ def hum_solve(p: LinearProblem, epsilon: float, cg_tol: float = 1e-10,
     def inner(u, v):
         return float(np.sum(w_act * u * v))
 
+    if x0 is not None and np.shape(x0) != (p.grid.N,):
+        raise ValueError(f"initial guess must be a nodal vector of shape "
+                         f"({p.grid.N},), got {np.shape(x0)}")
     rhs = -solve_forward(p).final()[act]
     x, iters, res_hist, energy_hist = _cg(
         lambda u: _gramian_apply_active(p, u) + epsilon * u, rhs, inner,
-        cg_tol, max_iters)
+        cg_tol, max_iters, None if x0 is None else np.asarray(x0, dtype=float)[act])
     vhatT, h, y, gap = _control_of(p, x, epsilon, rhs, cg_tol, res_hist)
     cost = control_cost(p, h)
     return HUMResult(

@@ -86,20 +86,35 @@ class TriDiagOperator:
 
 
 def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
-                      drift: DriftEnvelope) -> TriDiagOperator:
+                      drift: DriftEnvelope,
+                      diffusion: TriDiagOperator | None = None) -> TriDiagOperator:
     """Flux-form diffusion + reaction + upwinded drift.
 
     The bands are (n,) when the drift's b and c are numbers or (N,) vectors.
     An (M+1, N) table gives bands stacked with shape (M, n): level k, for the
     step to t_{k+1}, reads the table's row k+1, and the diffusion part is
-    computed once for all levels.
+    computed once for all levels. ``diffusion``, the (n,) bands of this grid
+    and coefficient under ``zero_drift()``, spares a caller that assembles
+    many drifts evaluating a on the faces again; the result is the same bit
+    for bit.
     """
     act = active_indices(grid, a.case)
     n = act.size
-    x = grid.nodes
     h = grid.spacings
-    w = grid.weights
-    af = face_diffusivity(grid, a)
+    has_left_face = act >= 1
+    # couplings survive only toward active neighbors; eliminated Dirichlet
+    # neighbors contribute nothing (their value is zero)
+    left_active = act - 1 >= act[0]
+    right_active = act + 1 <= act[-1]
+    if diffusion is None:
+        af = face_diffusivity(grid, a)
+        d = grid.weights[act]
+        cR = af[act] / h[act]                       # right face conductance
+        cL = np.zeros(n)
+        cL[has_left_face] = af[act[has_left_face] - 1] / h[act[has_left_face] - 1]
+        diffusion = TriDiagOperator(sub=np.where(left_active, -cL / d, 0.0),
+                                    diag=(cL + cR) / d,
+                                    sup=np.where(right_active, -cR / d, 0.0))
 
     def on_steps(f):
         # at the active nodes; no step reads a table's row 0
@@ -108,28 +123,11 @@ def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
 
     b, c = on_steps(drift.b), on_steps(drift.c)
     shape = np.broadcast_shapes(b.shape, c.shape, (n,))
+    sub = np.broadcast_to(diffusion.sub, shape).copy()
+    diag = np.broadcast_to(diffusion.diag + b, shape).copy()
+    sup = np.broadcast_to(diffusion.sup, shape).copy()
 
-    sub = np.zeros(shape)
-    diag = np.zeros(shape)
-    sup = np.zeros(shape)
-    d = w[act]
-
-    cR = af[act] / h[act]                       # right face conductance
-    cL = np.zeros(n)
-    has_left_face = act >= 1
-    cL[has_left_face] = af[act[has_left_face] - 1] / h[act[has_left_face] - 1]
-
-    diag += (cL + cR) / d
-    # couplings survive only toward active neighbors; eliminated Dirichlet
-    # neighbors contribute nothing (their value is zero)
-    left_active = act - 1 >= act[0]
-    right_active = act + 1 <= act[-1]
-    sub[..., left_active] = -(cL / d)[left_active]
-    sup[..., right_active] = -(cR / d)[right_active]
-
-    diag += b
-
-    q = np.asarray(drift.beta(x[act]), dtype=float) * c
+    q = np.asarray(drift.beta(grid.nodes[act]), dtype=float) * c
     if np.any(q != 0.0):
         backward = (q >= 0.0) & has_left_face
         forward = ~backward

@@ -12,14 +12,19 @@ checked against the discrete semilinear equation itself.
 
 Freezing works on whole space-time arrays: each factor is called once on
 the (M+1, N) trajectory, whose tables become the drift's b and c, and each
-frozen linear problem, the residual's included, is assembled once.
+frozen linear problem, the residual's included, is assembled once. Each
+Picard step after the first starts its CG from the previous step's vhatT,
+under the same stopping rule as a cold start, so a step whose frozen problem
+has not moved takes 0 iterations and repeats the previous control bit for
+bit.
 
 For rough initial data ``picard_null_control`` with t0 > 0 first runs the
 uncontrolled semilinear equation on (0, t0), then controls on (t0, T) from
 the smoothed state. The coast iterates each step on its own: every inner
 iterate is frozen through ``freeze_coefficients`` as a one-level trajectory,
 so its values are checked against the caps too, and its one frozen row is
-assembled as (N,) vectors, to ``COAST_TOL`` in ``COAST_MAX_INNER`` steps.
+assembled as (N,) vectors onto the diffusion bands built once per coast, to
+``COAST_TOL`` in ``COAST_MAX_INNER`` steps.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from typing import Callable
 
 import numpy as np
 
+from .coefficients import zero_drift
 from .errors import NoFixedPoint, UnboundedFrozenCoefficient
 from .mesh import assemble_operator, l2_norm
 from .pde import (LinearProblem, Trajectory, _factor_step, _step_solve,
@@ -127,6 +133,7 @@ class FixedPointReport:
     increments: list
     control_costs: list
     yT_norms: list
+    cg_iters: list             # CG iterations of each step's linear control
     converged: bool
     residual: float            # discrete semilinear residual, relative to ||y0||
     cost_constant: float | None
@@ -197,16 +204,18 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
                            states=np.zeros((p.M + 1, p.grid.N)))
     z = solve_forward(frozen_problem(p, zero_traj, nl))
 
-    increments, costs, yT_norms = [], [], []
+    increments, costs, yT_norms, cg_iters = [], [], [], []
     converged = False
+    hum = None
     for _k in range(max_fp_iters):
         hum = hum_solve(frozen_problem(p, z, nl), epsilon, cg_tol=cg_tol,
-                        max_iters=cg_max_iters)
+                        max_iters=cg_max_iters, x0=None if hum is None else hum.vhatT)
         z_new = hum.trajectory
         inc = dataclasses.replace(z_new, states=z_new.states - z.states).z_norm(p.a)
         increments.append(inc)
         costs.append(hum.cost)
         yT_norms.append(hum.norm_yT)
+        cg_iters.append(hum.cg_iters)
         z = z_new
         if inc <= tol_abs:
             converged = True
@@ -221,7 +230,7 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
 
     residual = semilinear_residual(p, nl, z, hum.h)
     return FixedPointReport(increments=increments, control_costs=costs,
-                            yT_norms=yT_norms,
+                            yT_norms=yT_norms, cg_iters=cg_iters,
                             converged=converged and residual <= 10.0 * fp_tol,
                             residual=residual,
                             cost_constant=_cost_constant(max(costs), y0n),
@@ -238,6 +247,7 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> Trajectory:
     states = np.zeros((p.M + 1, p.grid.N))
     states[0, act] = p.y0[act]
     scale = max(l2_norm(p.grid.weights, states[0]), 1e-300)
+    diffusion = assemble_operator(p.grid, p.a, zero_drift())
     for n in range(p.M):
         t1 = (n + 1) * dt
         w = states[n].copy()
@@ -245,7 +255,8 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> Trajectory:
             level = Trajectory(grid=p.grid, times=np.array([t1]), states=w[None, :])
             b_row, c_row = freeze_coefficients(level, nl)
             op = assemble_operator(p.grid, p.a,
-                                   dataclasses.replace(p.drift, b=b_row[0], c=c_row[0]))
+                                   dataclasses.replace(p.drift, b=b_row[0], c=c_row[0]),
+                                   diffusion)
             y_act = _step_solve(_factor_step(op.sub, op.diag, op.sup, dt, n + 1),
                                 states[n][act])
             w_new = np.zeros(p.grid.N)

@@ -603,8 +603,11 @@ nl.m = 0.5
     out = str(tmp_path / "out")
     assert main([cfg, "--out", out]) == 0
     lines = (tmp_path / "out" / "iterations.csv").read_text().splitlines()
-    assert lines[0] == "iter,increment,control_cost,norm_yT"
+    assert lines[0] == "iter,increment,control_cost,norm_yT,cg_iters"
     assert len(lines) >= 2
+    # each step after the first starts CG from the previous vhatT
+    cg_iters = [int(line.split(",")[-1]) for line in lines[1:]]
+    assert cg_iters[0] > 0 and all(k < cg_iters[0] for k in cg_iters[1:])
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "converged = True" in summary
 

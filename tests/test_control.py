@@ -247,13 +247,16 @@ def test_cg_no_convergence_reports_history():
     assert len(exc.value.residual_history) >= 1
 
 
-def test_cg_solves_each_shifted_system():
-    # SPD with spectrum in [0.1, 1] plus each shift
+def _spd_system():
+    """SPD A with spectrum in [0.1, 1], a right-hand side and the inner product."""
     rng = np.random.default_rng(3)
     Q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
     A = Q @ np.diag(np.geomspace(0.1, 1.0, 60)) @ Q.T
-    rhs = rng.standard_normal(60)
-    inner = lambda u, v: float(u @ v)
+    return A, rng.standard_normal(60), lambda u, v: float(u @ v)
+
+
+def test_cg_solves_each_shifted_system():
+    A, rhs, inner = _spd_system()
     for sigma in [1e-2, 1.0, 1e-4, 1e-1]:
         A_sigma = A + sigma * np.eye(60)
         x, iters, res_hist, energy_hist = _cg(lambda u: A_sigma @ u, rhs, inner,
@@ -263,6 +266,57 @@ def test_cg_solves_each_shifted_system():
         assert energy_hist[-1] == pytest.approx(0.5 * x @ A_sigma @ x - rhs @ x, rel=1e-9)
         exact = np.linalg.solve(A_sigma, rhs)
         assert np.linalg.norm(x - exact) <= 1e-6 * np.linalg.norm(exact)
+
+
+def test_cg_warm_start_that_meets_the_rule_returns_it():
+    A, rhs, inner = _spd_system()
+    x0 = np.linalg.solve(A, rhs)
+    applies = []
+
+    def apply_op(u):
+        applies.append(1)
+        return A @ u
+
+    x, iters, res_hist, energy_hist = _cg(apply_op, rhs, inner, 1e-10, 500, x0=x0)
+    assert iters == 0 and len(applies) == 1      # only the residual of x0
+    assert np.array_equal(x, x0) and x is not x0
+    assert res_hist[0] <= 1e-10 * np.linalg.norm(rhs)
+    assert len(energy_hist) == 1
+
+
+def test_cg_warm_start_keeps_the_stopping_rule_and_descends():
+    A, rhs, inner = _spd_system()
+    tol = 1e-10
+    x0 = np.linalg.solve(A, rhs) + 1e-3 * np.random.default_rng(4).standard_normal(60)
+    x, iters, res_hist, energy_hist = _cg(lambda u: A @ u, rhs, inner, tol, 500, x0=x0)
+    _, cold_iters, _, _ = _cg(lambda u: A @ u, rhs, inner, tol, 500)
+    assert 0 < iters < cold_iters
+    # measured against ||rhs||, not against the smaller ||r_0||
+    assert np.linalg.norm(rhs - A @ x) <= tol * np.linalg.norm(rhs)
+    assert res_hist[0] == pytest.approx(np.linalg.norm(rhs - A @ x0), rel=1e-12)
+    assert energy_hist[0] == pytest.approx(0.5 * x0 @ A @ x0 - rhs @ x0, rel=1e-12)
+    assert np.all(np.diff(energy_hist) <= 0.0)
+    assert energy_hist[-1] == pytest.approx(0.5 * x @ A @ x - rhs @ x, rel=1e-9)
+
+
+@pytest.mark.parametrize("x0", [np.zeros(59), np.zeros((60, 1)),
+                                np.full(60, np.nan), np.full(60, np.inf)],
+                         ids=["short", "column", "nan", "inf"])
+def test_cg_rejects_a_bad_initial_guess(x0):
+    A, rhs, inner = _spd_system()
+    with pytest.raises(ValueError, match="initial guess"):
+        _cg(lambda u: A @ u, rhs, inner, 1e-10, 500, x0=x0)
+
+
+def test_hum_warm_start_from_its_own_solution():
+    p = make_problem(N=32, M=16)
+    cold = hum_solve(p, 1e-6)
+    warm = hum_solve(p, 1e-6, x0=cold.vhatT)
+    assert cold.cg_iters > 0 and warm.cg_iters == 0
+    assert np.array_equal(warm.vhatT, cold.vhatT) and np.array_equal(warm.h, cold.h)
+    for x0 in (np.zeros(p.grid.N - 1), np.full(p.grid.N, np.nan)):
+        with pytest.raises(ValueError, match="initial guess"):
+            hum_solve(p, 1e-6, x0=x0)
 
 
 def test_hum_no_convergence():

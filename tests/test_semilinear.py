@@ -5,11 +5,13 @@ import pytest
 
 from degen_control import mesh, pde, semilinear
 from degen_control.control import hum_solve
-from degen_control.errors import NoFixedPoint, UnboundedFrozenCoefficient
+from degen_control.errors import (NoConvergence, NoFixedPoint,
+                                  UnboundedFrozenCoefficient)
 from degen_control.mesh import l2_norm
 from degen_control.pde import Trajectory, solve_forward
 from degen_control.semilinear import (Nonlinearity, freeze_coefficients,
-                                      mixed_nonlinearity, picard_null_control,
+                                      frozen_problem, mixed_nonlinearity,
+                                      picard_null_control,
                                       semilinear_forward, semilinear_residual,
                                       sine_nonlinearity, tanh_grad_nonlinearity,
                                       zero_nonlinearity)
@@ -80,6 +82,31 @@ def test_picard_zero_nonlinearity_reduces_to_linear():
     assert rep.converged
     assert np.array_equal(rep.hum.h, hum.h)
     assert rep.increments[-1] == 0.0
+
+
+def test_picard_warm_start_spends_fewer_cg_iterations(monkeypatch):
+    # the first step starts cold, as a lone hum_solve of its frozen problem
+    # does; every later step starts from the previous vhatT
+    p = make_problem(N=48, M=64)
+    nl = mixed_nonlinearity(0.5)
+    rep = picard_null_control(p, nl, epsilon=1e-6)
+    zero_traj = _const_traj(p, np.zeros(p.grid.N))
+    z = solve_forward(frozen_problem(p, zero_traj, nl))
+    first = hum_solve(frozen_problem(p, z, nl), 1e-6)
+    assert rep.cg_iters[0] == first.cg_iters
+    monkeypatch.setattr(semilinear, "hum_solve",
+                        lambda *args, x0=None, **kwargs: hum_solve(*args, **kwargs))
+    cold = picard_null_control(p, nl, epsilon=1e-6)
+    assert rep.converged and cold.converged
+    assert len(rep.cg_iters) == rep.iterations and len(cold.cg_iters) == cold.iterations
+    assert cold.cg_iters[0] == first.cg_iters
+    assert sum(rep.cg_iters) < sum(cold.cg_iters)
+
+
+def test_picard_warm_start_keeps_the_cg_budget():
+    p = make_problem(N=32, M=32)
+    with pytest.raises(NoConvergence):
+        picard_null_control(p, sine_nonlinearity(0.5), epsilon=1e-6, cg_max_iters=2)
 
 
 def test_picard_constant_reaction_two_iterations():
@@ -202,6 +229,21 @@ def test_coast_phase_solves_the_discrete_semilinear_equation(nl, N, T):
     p = make_problem(N=N, M=32, T=T)
     traj = semilinear_forward(p, nl)
     assert semilinear_residual(p, nl, traj, np.zeros((p.M, p.grid.N))) <= 1e-9
+
+
+def test_coast_phase_evaluates_a_once():
+    # the diffusion bands are built once per coast; each inner iteration
+    # assembles only its frozen drift onto them
+    p = make_problem(N=32, M=16)
+    calls = []
+
+    def counted(x, _eval=p.a.eval):
+        calls.append(1)
+        return _eval(x)
+
+    p = dataclasses.replace(p, a=dataclasses.replace(p.a, eval=counted))
+    semilinear_forward(p, mixed_nonlinearity(0.5))
+    assert len(calls) == 1
 
 
 def test_coast_phase_fails_closed():
