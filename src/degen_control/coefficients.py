@@ -13,13 +13,13 @@ supremum on (0, 1] (at least 0) and sigma its infimum on (0, 0.1], the
 largest exponent with a/x^sigma nondecreasing there. Each constructor works
 them out once from its formula, so they are exact: K = sigma = alpha for
 x^alpha, K = sigma = 0 for the classical coefficient, and for a table the
-extremes of its piecewise quadratic s from the first positive abscissa up.
+extremes of its s, where below its first knot x1 a table is a power law.
 Every constructor builds an a that is positive on (0, 1].
 
 Each coefficient also carries the primitive P(x) = int_0^x tau/a(tau) dtau
 of the degenerate Carleman profile, from the same formula: x^(2-alpha)/(2-alpha)
-for x^alpha, x^2/2 for the classical coefficient, and one vectorised
-Gauss-Legendre pass in t = log tau for a table (see ``tabular_coefficient``).
+for x^alpha, x^2/2 for the classical coefficient, and for a table
+x^2/((2 - s(x1)) a) below x1 and Gauss-Legendre panels in log tau above.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ TOL_HYP = 1e-10
 BETA_CAP = 1e6       # largest C_beta = |beta.scale| that ``validate`` accepts
 GAUSS_POINTS = 16    # Gauss-Legendre points per panel of a table's primitive
 GAUSS_PANEL = 0.5    # longest panel in t = log x between a table's knots
-GRADED_PANELS = 60   # panels of a table's primitive below its first knot
 
 
 class Case(str, Enum):
@@ -145,21 +144,17 @@ def tabular_coefficient(xs, values, case: Case | None = None) -> DegeneracyCoeff
     Interpolation is monotone (PCHIP) in log-log coordinates, so power-law
     behavior near the degeneracy point is reproduced exactly and the log-slope
     s = x a'/a is the derivative of the interpolant, a quadratic in log x on
-    each piece. The table says nothing below its first positive abscissa
-    xs[1], so K and sigma are the extremes of s on [xs[1], 1] and
-    [xs[1], 0.1]: the largest and smallest value of s at the ends, the knots
-    and the vertices there. ``case`` defaults to the one K admits; K >= 2
-    raises ``HypothesisViolated``.
+    each piece. Below the first positive abscissa x1 = xs[1] the table is the
+    power law a(x1) (x/x1)^s1, s1 = s(x1), C^1 in log-log at x1, so K and
+    sigma, the extremes of s at x1, the window's end, the knots and the
+    vertices, are exact on (0, 1] and (0, 0.1]. ``case`` defaults to the one
+    K admits; K >= 2 raises ``HypothesisViolated``.
 
-    The primitive is integrated in t = log tau, where tau/a dtau =
-    e^(2t - log a) dt is smooth on each piece, with ``GAUSS_POINTS``-point
-    Gauss-Legendre panels at most ``GAUSS_PANEL`` long in t: once per piece
-    for P at the knots, one cumulative sum, then once more from the knot
-    below each x. Below xs[1], on the first piece extrapolated, the rule is
-    graded toward 0 in ``GRADED_PANELS`` panels of ln 2/(2 - s(xs[1])), each
-    halving u = tau^(2 - s(xs[1])), in which a power law is constant; what
-    lies below them is about 2^-60 of the integral. t never underflows, so
-    s(xs[1]) close to 2 needs no special case.
+    Below x1, P = x^2/((2 - s1) a), finite since s1 <= K < 2. Above, P is
+    integrated in t = log tau, where tau/a dtau = e^(2t - log a) dt is smooth
+    on each piece, with ``GAUSS_POINTS``-point Gauss-Legendre panels at most
+    ``GAUSS_PANEL`` long in t: once per piece for P at the knots, one
+    cumulative sum from P(x1), then once more from the knot below each x.
     """
     from numpy.polynomial.legendre import leggauss
     from scipy.interpolate import PchipInterpolator
@@ -168,6 +163,9 @@ def tabular_coefficient(xs, values, case: Case | None = None) -> DegeneracyCoeff
     values = np.asarray(values, dtype=float)
     if xs.ndim != 1 or xs.shape != values.shape or xs.size < 4:
         raise ValueError("table needs matching 1-D columns with >= 4 rows")
+    for name, column in (("x", xs), ("a", values)):
+        if not np.all(np.isfinite(column)):
+            raise ValueError(f"table {name} column must be finite")
     if xs[0] != 0.0 or values[0] != 0.0:
         raise ValueError("first table row must be x = 0 with a = 0")
     if np.any(np.diff(xs) <= 0):
@@ -176,26 +174,28 @@ def tabular_coefficient(xs, values, case: Case | None = None) -> DegeneracyCoeff
         raise ValueError("table values must be positive away from x = 0")
     logp = PchipInterpolator(np.log(xs[1:]), np.log(values[1:]), extrapolate=True)
     slope = logp.derivative()           # s as a function of t = log x
+    knots = slope.x
+    t1, s1 = knots[0], float(slope(knots[0]))
+
+    def log_a(t):
+        return logp(np.maximum(t, t1)) + s1 * np.minimum(t - t1, 0.0)
 
     def f(x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         pos = x > 0.0
-        out[pos] = np.exp(logp(np.log(x[pos])))
+        out[pos] = np.exp(log_a(np.log(x[pos])))
         return out
 
     # roots() is nan on a piece where s' is 0 (a power law); the range test
     # drops it, as it drops the vertices outside the window
-    t = np.concatenate([slope.x, slope.derivative().roots(), [0.0, np.log(0.1)]])
-    lo = slope.x[0]
-    K = max(0.0, float(np.max(slope(t[(t >= lo) & (t <= max(lo, 0.0))]))))
-    sigma = float(np.min(slope(t[(t >= lo) & (t <= max(lo, np.log(0.1)))])))
+    t = np.concatenate([knots, slope.derivative().roots(), [0.0, np.log(0.1)]])
+    K = max(0.0, float(np.max(slope(t[(t >= t1) & (t <= max(t1, 0.0))]))))
+    sigma = float(np.min(slope(t[(t >= t1) & (t <= max(t1, np.log(0.1)))])))
     admissible = _case_of(K)
 
-    knots = slope.x
     nodes, wts = leggauss(GAUSS_POINTS)
     per_piece = max(1, int(np.ceil(np.max(np.diff(knots)) / GAUSS_PANEL)))
-    graded = np.log(2.0) / (2.0 - float(slope(knots[0])))   # s(xs[1]) <= K < 2
 
     def gauss(lo, hi, panels):
         """int_lo^hi e^(2t - log a) dt per entry of (lo, hi), in equal panels."""
@@ -205,7 +205,7 @@ def tabular_coefficient(xs, values, case: Case | None = None) -> DegeneracyCoeff
         return np.sum(half * wts * np.exp(2.0 * t - logp(t)), axis=(1, 2))
 
     def below_first(t):
-        return gauss(t - GRADED_PANELS * graded, t, GRADED_PANELS)
+        return np.exp(2.0 * t - log_a(t)) / (2.0 - s1)
 
     at_knots = np.cumsum(np.r_[below_first(knots[:1]),
                                gauss(knots[:-1], knots[1:], per_piece)])

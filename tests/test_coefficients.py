@@ -6,6 +6,7 @@ from degen_control.coefficients import (Case, DegeneracyCoefficient,
                                         classical_coefficient, power_coefficient,
                                         tabular_coefficient, validate_coefficient)
 from degen_control.errors import HypothesisViolated
+from degen_control.mesh import build_grid
 
 
 def test_sqrt_passes_wdp():
@@ -108,6 +109,17 @@ def test_tabular_constants_are_the_extremes_of_the_log_slope():
     assert a.case is Case.SDP
 
 
+def test_tabular_log_slope_below_the_first_knot_is_within_k_and_sigma():
+    # below x1 = xs[1] a table is the power law of its log-slope at x1, so
+    # the central-difference slope of a.eval there stays inside [sigma, K]
+    xs = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 200)])
+    a = tabular_coefficient(xs, xs ** 1.9 / (1.0 + 0.5 * xs))
+    x, h = np.geomspace(1e-30, 1e-6, 241), 1e-3
+    s = (np.log(a.eval(x * np.exp(h))) - np.log(a.eval(x * np.exp(-h)))) / (2.0 * h)
+    assert np.all(s <= a.K + 1e-9)
+    assert np.all(s >= a.sigma - 1e-9)
+
+
 def test_tabular_k_two_is_rejected():
     xs = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 20)])
     for case in (None, Case.SDP):
@@ -120,6 +132,11 @@ def test_tabular_rejects_bad_tables():
         tabular_coefficient([0.0, 0.5, 0.4, 1.0], [0.0, 0.1, 0.2, 1.0])
     with pytest.raises(ValueError):
         tabular_coefficient([0.1, 0.5, 0.7, 1.0], [0.1, 0.2, 0.3, 1.0])
+    # a non-finite entry is refused by name before scipy sees it
+    with pytest.raises(ValueError, match="table x column must be finite"):
+        tabular_coefficient([0.0, 0.5, np.nan, 1.0], [0.0, 0.1, 0.2, 1.0])
+    with pytest.raises(ValueError, match="table a column must be finite"):
+        tabular_coefficient([0.0, 0.5, 0.7, 1.0], [0.0, np.inf, 0.2, 1.0])
 
 
 def test_power_requires_positive_alpha():
@@ -136,13 +153,28 @@ def test_coefficient_is_reusable_and_pure():
     assert isinstance(a, DegeneracyCoefficient)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.5, 1.9])
-def test_tabular_primitive_of_a_power_law(alpha):
-    # log-log PCHIP reproduces a table of x^alpha, so its Gauss-rule primitive
-    # is int_0^x tau^(1 - alpha) = x^(2 - alpha)/(2 - alpha), below the first
-    # knot (the graded panels) and above it
-    xs = np.linspace(0.0, 1.0, 201)
+UNIFORM_ROWS = np.linspace(0.0, 1.0, 201)
+GEOMETRIC_ROWS = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 200)])
+
+
+@pytest.mark.parametrize("alpha, xs", [
+    *(pytest.param(alpha, UNIFORM_ROWS, id=str(alpha)) for alpha in (0.5, 1.5, 1.9)),
+    *(pytest.param(alpha, GEOMETRIC_ROWS, id=f"geometric-{alpha}")
+      for alpha in (1.5, 1.9, 1.99))])
+def test_tabular_primitive_of_a_power_law(alpha, xs):
+    # log-log PCHIP reproduces a table of x^alpha, so its primitive is
+    # int_0^x tau^(1 - alpha) = x^(2 - alpha)/(2 - alpha): the closed form
+    # below the first knot x1 and the Gauss rule above it
     a = tabular_coefficient(xs, xs ** alpha)
+    grid = build_grid(128)
+    x = np.concatenate([grid.nodes, grid.faces])
+    assert np.allclose(a.primitive(x), x ** (2.0 - alpha) / (2.0 - alpha),
+                       rtol=1e-11, atol=0.0)
+    below, above = a.primitive(xs[1] * np.array([1.0 - 1e-13, 1.0 + 1e-13]))
+    assert above == pytest.approx(below, rel=1e-12)
+    if xs is GEOMETRIC_ROWS:
+        return
+    # uniform rows hold x^alpha to round-off in log-log, a tighter check
     x = np.concatenate([[0.0], np.geomspace(1e-12, 1.0, 97), np.linspace(0.0, 1.0, 333),
                         xs])
     assert np.allclose(a.primitive(x), x ** (2.0 - alpha) / (2.0 - alpha),
