@@ -6,7 +6,7 @@ from .coefficients import (Case, DegeneracyCoefficient, DriftEnvelope,
                            validate_coefficient, zero_drift)
 from .mesh import (GridSpec, TriDiagOperator, assemble_operator, build_grid,
                    hardy_check)
-from .pde import LinearProblem, Trajectory, solve_adjoint, solve_forward
+from .pde import LinearProblem, solve_adjoint, solve_forward
 from .carleman import (CarlemanWeights, SourceSplit, build_weights,
                        carleman_functionals, ratio_experiment)
 from .control import (HUMResult, ObservabilityReport, epsilon_sweep, gramian,

@@ -66,7 +66,7 @@ import numpy as np
 from .coefficients import Case, DegeneracyCoefficient, zero_drift
 from .errors import HypothesisViolated, NonFiniteIntegral, WeightInvalid
 from .mesh import GridSpec, face_diffusivity
-from .pde import LinearProblem, Trajectory, _trajectory
+from .pde import LinearProblem, _trajectory
 
 FIELD_MODES = 6      # modes of every random smooth field
 PLATEAU_REL = 0.05   # per-step relative change that counts as a plateau
@@ -259,14 +259,12 @@ def beta_divergence(grid: GridSpec, beta, F1: np.ndarray,
 
 
 def solve_terminal_source(p: LinearProblem, vT: np.ndarray,
-                          F: np.ndarray) -> Trajectory:
-    """Backward implicit-Euler solution of v_t + (a v_x)_x = F, v(T) = vT.
-
-    Marches ``p`` as given, so the caller passes the drift-free problem
-    ``p.with_drift(zero_drift())``; reusing one such problem reuses its step
-    factors. The source F is required, with shape (M+1, N) sampled at the
-    time nodes.
-    """
+                          F: np.ndarray) -> np.ndarray:
+    """Backward implicit-Euler solution of v_t + (a v_x)_x = F, v(T) = vT, as
+    the (M+1, N) states at ``p.times``. Marches ``p`` as given, so the caller
+    passes the drift-free problem ``p.with_drift(zero_drift())``; reusing one
+    such problem reuses its step factors. The source F is required, with
+    shape (M+1, N) sampled at the time nodes."""
     return _trajectory(p, vT, -np.asarray(F, dtype=float)[:-1], adjoint=True)
 
 
@@ -296,17 +294,17 @@ def _admissible_s(s) -> bool:
         return False
 
 
-def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
+def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: np.ndarray,
                          src, s_values, variant: str = "lemma"):
     """(lhs, rhs) of one audited estimate, as two arrays over ``s_values``.
 
-    ``src`` is the (M+1, N) source F, or a SourceSplit for "theorem". The
-    integrands of each side's terms (see the module docstring) are formed
-    once and summed for every s; ``w`` must be built for ``p.a``, ``p.omega``
-    and ``p.T`` on ``p.grid``, which makes (M, s) a key of its damping
-    weights. Raises ``NonFiniteIntegral`` when an input or a side is
-    non-finite, or when a side with a nonzero integrand underflows to 0, where
-    the ratio is undefined.
+    ``v`` is the (M+1, N) solution at ``p.times`` and ``src`` the (M+1, N)
+    source F, or a SourceSplit for "theorem". The integrands of each side's
+    terms (see the module docstring) are formed once and summed for every s;
+    ``w`` must be built for ``p.a``, ``p.omega`` and ``p.T`` on ``p.grid``,
+    which makes (M, s) a key of its damping weights. Raises
+    ``NonFiniteIntegral`` when an input or a side is non-finite, or when a side
+    with a nonzero integrand underflows to 0, where the ratio is undefined.
     """
     if variant not in ("lemma", "theorem", "cacciopoli"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -326,11 +324,11 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: Trajectory,
                          f"not for p.omega = {tuple(p.omega)}")
     fields = (src.F0, src.F1) if variant == "theorem" else (src,)
     fields = [np.asarray(f, dtype=float)[1:-1] for f in fields]
-    if not all(np.all(np.isfinite(f)) for f in (v.states, *fields)):
+    if not all(np.all(np.isfinite(f)) for f in (v, *fields)):
         raise NonFiniteIntegral("trajectory or source contains non-finite values")
 
     theta = np.asarray(w.theta(p.times[1:-1]), dtype=float)
-    V = v.states[1:-1]
+    V = v[1:-1]
     dV = np.diff(V, axis=1) / grid.spacings
     wq = grid.weights
     if variant == "cacciopoli":

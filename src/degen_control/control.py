@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import NoConvergence, NonFiniteIntegral, NotSPD
 from .mesh import l2_norm
-from .pde import (LinearProblem, Trajectory, _adjoint_step_matrix, control_cost,
-                  march, solve_adjoint, solve_forward)
+from .pde import (LinearProblem, _adjoint_step_matrix, control_cost, march,
+                  solve_adjoint, solve_forward)
 
 # the ladder's exact solves stand in for a CG at this tolerance in the gap check
 SWEEP_GAP_TOL = 1e-10
@@ -157,7 +157,7 @@ class HUMResult:
     cg_iters: int
     cg_energy_history: list
     optimality_gap: float     # ||yT + eps vhatT||
-    trajectory: Trajectory
+    trajectory: np.ndarray    # (M+1, N) controlled states at p.times
 
 
 def _cost_constant(cost: float, y0n: float) -> float | None:
@@ -187,9 +187,9 @@ def _control_of(p: LinearProblem, x: np.ndarray, epsilon: float, rhs: np.ndarray
     vhatT = np.zeros(p.grid.N)
     vhatT[act] = x
     v = solve_adjoint(p, vhatT)
-    h = v.states[:-1] * p.omega_mask()[None, :]
+    h = v[:-1] * p.omega_mask()[None, :]
     y = solve_forward(p, h)
-    gap = l2_norm(w_act, y.final()[act] + epsilon * x)
+    gap = l2_norm(w_act, y[-1, act] + epsilon * x)
     scale = max(l2_norm(p.grid.weights, p.y0), l2_norm(w_act, rhs))
     if gap > 10.0 * gap_tol * scale + 1e-300:
         raise NoConvergence(
@@ -230,14 +230,14 @@ def hum_solve(p: LinearProblem, epsilon: float, cg_tol: float = 1e-10,
     if x0 is not None and np.shape(x0) != (p.grid.N,):
         raise ValueError(f"initial guess must be a nodal vector of shape "
                          f"({p.grid.N},), got {np.shape(x0)}")
-    rhs = -solve_forward(p).final()[act]
+    rhs = -solve_forward(p)[-1, act]
     x, iters, res_hist, energy_hist = _cg(
         lambda u: _gramian_apply_active(p, u) + epsilon * u, rhs, inner,
         cg_tol, max_iters, None if x0 is None else np.asarray(x0, dtype=float)[act])
     vhatT, h, y, gap = _control_of(p, x, epsilon, rhs, cg_tol, res_hist)
     cost = control_cost(p, h)
     return HUMResult(
-        vhatT=vhatT, h=h, yT=y.final(), norm_yT=l2_norm(p.grid.weights, y.final()),
+        vhatT=vhatT, h=h, yT=y[-1], norm_yT=l2_norm(p.grid.weights, y[-1]),
         cost=cost, cost_constant=_cost_constant(cost, l2_norm(p.grid.weights, p.y0)),
         epsilon=epsilon, cg_iters=iters, cg_energy_history=energy_hist,
         optimality_gap=gap, trajectory=y)
@@ -280,7 +280,7 @@ def epsilon_sweep(p: LinearProblem, eps_list) -> SweepResult:
         raise ValueError("penalty values must be strictly decreasing")
     act = p.active()
     sw = np.sqrt(p.grid.weights[act])
-    rhs = -solve_forward(p).final()[act]
+    rhs = -solve_forward(p)[-1, act]
     B, _ = gramian(p)
     lam, Q = np.linalg.eigh(B / np.outer(sw, sw))
     if lam[0] + eps_list[-1] <= 1e-14:
@@ -291,7 +291,7 @@ def epsilon_sweep(p: LinearProblem, eps_list) -> SweepResult:
     for eps in eps_list:
         _, h, y, gap = _control_of(p, (Q @ (coef / (lam + eps))) / sw, eps, rhs,
                                    SWEEP_GAP_TOL)
-        rows.append(SweepRow(epsilon=eps, norm_yT=l2_norm(p.grid.weights, y.final()),
+        rows.append(SweepRow(epsilon=eps, norm_yT=l2_norm(p.grid.weights, y[-1]),
                              cost=control_cost(p, h), optimality_gap=gap))
     norms = np.array([r.norm_yT for r in rows])
     costs = np.array([r.cost for r in rows])

@@ -11,20 +11,20 @@ trajectories agree in the L^2(0,T; H^1_a) norm; the converged pair (y, h) is
 checked against the discrete semilinear equation itself.
 
 Freezing works on whole space-time arrays: each factor is called once on
-the (M+1, N) trajectory, whose tables become the drift's b and c, and each
-frozen linear problem, the residual's included, is assembled once. Each
-Picard step after the first starts its CG from the previous step's vhatT,
-under the same stopping rule as a cold start, so a step whose frozen problem
-has not moved takes 0 iterations and repeats the previous control bit for
-bit.
+the (M+1, N) states at ``p.times``, whose tables become the drift's b and c,
+and each frozen linear problem, the residual's included, is assembled once.
+Each Picard step after the first starts its CG from the previous step's
+vhatT, under the same stopping rule as a cold start, so a step whose frozen
+problem has not moved takes 0 iterations and repeats the previous control
+bit for bit.
 
 For rough initial data ``picard_null_control`` with t0 > 0 first runs the
 uncontrolled semilinear equation on (0, t0), then controls on (t0, T) from
 the smoothed state. The coast iterates each step on its own: every inner
-iterate is frozen through ``freeze_coefficients`` as a one-level trajectory,
-so its values are checked against the caps too, and its one frozen row is
-assembled as (N,) vectors onto the diffusion bands built once per coast, to
-``COAST_TOL`` in ``COAST_MAX_INNER`` steps.
+iterate w is frozen through ``freeze_coefficients`` as the one level
+``w[None, :]`` at time t_{n+1}, so its values are checked against the caps
+too, and its one frozen row is assembled as (N,) vectors onto the diffusion
+bands built once per coast, to ``COAST_TOL`` in ``COAST_MAX_INNER`` steps.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ import numpy as np
 
 from .coefficients import zero_drift
 from .errors import NoFixedPoint, UnboundedFrozenCoefficient
-from .mesh import assemble_operator, l2_norm
-from .pde import (LinearProblem, Trajectory, _factor_step, _step_solve,
-                  solve_forward)
+from .mesh import assemble_operator, dirichlet_energy, l2_norm
+from .pde import LinearProblem, _factor_step, _step_solve, solve_forward
 from .control import HUMResult, _cost_constant, hum_solve
 
 # the coast phase's per-step inner iteration: relative increment target and budget
@@ -100,14 +99,14 @@ def mixed_nonlinearity(m: float) -> Nonlinearity:
 
 # -- freezing ------------------------------------------------------------------
 
-def freeze_coefficients(z: Trajectory, nl: Nonlinearity):
-    """Call each factor once along the trajectory, with the nodal slopes of
-    each level (centered, one-sided at the ends): (b_z, c_z), read-only
-    arrays of z.states' shape (L, N); a factor's (N,) result is broadcast."""
-    args = (z.grid.nodes, z.times[:, None], z.states,
-            np.gradient(z.states, z.grid.nodes, axis=-1))
-    b_field = np.broadcast_to(np.asarray(nl.b_factor(*args), dtype=float), z.states.shape)
-    c_field = np.broadcast_to(np.asarray(nl.c_factor(*args), dtype=float), z.states.shape)
+def freeze_coefficients(nodes: np.ndarray, times: np.ndarray, z: np.ndarray,
+                        nl: Nonlinearity):
+    """Call each factor once along the (L, N) states z at ``times`` on
+    ``nodes``, with each level's nodal slopes (centered, one-sided at the
+    ends): read-only (b_z, c_z) of z's shape; an (N,) result is broadcast."""
+    args = (nodes, times[:, None], z, np.gradient(z, nodes, axis=-1))
+    b_field = np.broadcast_to(np.asarray(nl.b_factor(*args), dtype=float), z.shape)
+    c_field = np.broadcast_to(np.asarray(nl.c_factor(*args), dtype=float), z.shape)
     tol = 1e-9
     if np.max(np.abs(b_field)) > nl.b_cap * (1.0 + tol) + 1e-300:
         raise UnboundedFrozenCoefficient(
@@ -120,9 +119,9 @@ def freeze_coefficients(z: Trajectory, nl: Nonlinearity):
     return b_field, c_field
 
 
-def frozen_problem(p: LinearProblem, z: Trajectory, nl: Nonlinearity) -> LinearProblem:
-    """p with its drift's b and c frozen along z, as (M+1, N) tables."""
-    b_field, c_field = freeze_coefficients(z, nl)
+def frozen_problem(p: LinearProblem, z: np.ndarray, nl: Nonlinearity) -> LinearProblem:
+    """p with b and c frozen along the (M+1, N) states z at ``p.times``, as tables."""
+    b_field, c_field = freeze_coefficients(p.grid.nodes, p.times, z, nl)
     return p.with_drift(dataclasses.replace(p.drift, b=b_field, c=c_field))
 
 
@@ -137,7 +136,7 @@ class FixedPointReport:
     converged: bool
     residual: float            # discrete semilinear residual, relative to ||y0||
     cost_constant: float | None
-    hum: HUMResult             # the last linear control: its h, trajectory and norm_yT
+    hum: HUMResult             # the last linear control: its h, states and norm_yT
     t0: float = 0.0
     phase1_final: np.ndarray | None = None
 
@@ -146,16 +145,23 @@ class FixedPointReport:
         return len(self.increments)
 
 
-def semilinear_residual(p: LinearProblem, nl: Nonlinearity, traj: Trajectory,
-                        h: np.ndarray) -> float:
-    """L^2(Q) residual of the discrete semilinear equation, relative to ||y0||.
+def _z_norm(p: LinearProblem, u: np.ndarray) -> float:
+    """L^2(0,T; H^1_a) norm of the (M+1, N) states u, trapezoid rule in time."""
+    sq = np.sum(p.grid.weights * u * u, axis=1)
+    tw = np.full(p.M + 1, p.dt)
+    tw[0] = tw[-1] = 0.5 * p.dt
+    return float(np.sqrt(np.sum(tw * (sq + dirichlet_energy(p.grid, p.a, u)))))
 
-    Uses the same stencils as the solver (coefficients frozen along the
-    trajectory itself), so a true discrete solution gives round-off.
-    """
-    op = assemble_operator(p.grid, p.a, frozen_problem(p, traj, nl).drift)
+
+def semilinear_residual(p: LinearProblem, nl: Nonlinearity, y: np.ndarray,
+                        h: np.ndarray) -> float:
+    """L^2(Q) residual of the discrete semilinear equation for the (M+1, N)
+    states y at ``p.times`` and the (M, N) control h, relative to ||y0||.
+    Uses the solver's stencils (coefficients frozen along y itself), so a
+    true discrete solution gives round-off."""
+    op = assemble_operator(p.grid, p.a, frozen_problem(p, y, nl).drift)
     act = p.active()
-    y = traj.states[:, act]
+    y = y[:, act]
     r = (y[1:] - y[:-1]) / p.dt + op.apply(y[1:]) - h[:p.M, act] * p.omega_mask()[act]
     acc = p.dt * float(np.sum(p.grid.weights[act] * r * r))
     return float(np.sqrt(acc)) / max(l2_norm(p.grid.weights, p.y0), 1e-300)
@@ -192,7 +198,7 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
             raise ValueError("both phases need at least 8 time steps; "
                              f"split gave {M1} + {p.M - M1}")
         t0 = M1 * p.dt
-        phase1_final = semilinear_forward(dataclasses.replace(p, T=t0, M=M1), nl).final()
+        phase1_final = semilinear_forward(dataclasses.replace(p, T=t0, M=M1), nl)[-1]
         p = dataclasses.replace(p, T=p.T - t0, M=p.M - M1, y0=phase1_final)
     else:
         t0 = 0.0  # a t0 of -0.0 reports as 0
@@ -200,9 +206,7 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
     y0n = l2_norm(p.grid.weights, p.y0)
     tol_abs = fp_tol * max(y0n, 1e-300)
 
-    zero_traj = Trajectory(grid=p.grid, times=p.times,
-                           states=np.zeros((p.M + 1, p.grid.N)))
-    z = solve_forward(frozen_problem(p, zero_traj, nl))
+    z = solve_forward(frozen_problem(p, np.zeros((p.M + 1, p.grid.N)), nl))
 
     increments, costs, yT_norms, cg_iters = [], [], [], []
     converged = False
@@ -210,13 +214,12 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
     for _k in range(max_fp_iters):
         hum = hum_solve(frozen_problem(p, z, nl), epsilon, cg_tol=cg_tol,
                         max_iters=cg_max_iters, x0=None if hum is None else hum.vhatT)
-        z_new = hum.trajectory
-        inc = dataclasses.replace(z_new, states=z_new.states - z.states).z_norm(p.a)
+        inc = _z_norm(p, hum.trajectory - z)
         increments.append(inc)
         costs.append(hum.cost)
         yT_norms.append(hum.norm_yT)
         cg_iters.append(hum.cg_iters)
-        z = z_new
+        z = hum.trajectory
         if inc <= tol_abs:
             converged = True
             break
@@ -237,11 +240,11 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
                             hum=hum, t0=t0, phase1_final=phase1_final)
 
 
-def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> Trajectory:
+def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> np.ndarray:
     """Uncontrolled semilinear forward solve with per-step frozen-coefficient
-    inner iteration. A step's iterate is accepted once its increment is at
-    most ``COAST_TOL`` times ||y0||; ``NoFixedPoint`` is raised when a step
-    spends ``COAST_MAX_INNER`` iterations without that."""
+    inner iteration, as the (M+1, N) states at ``p.times``. A step's iterate
+    is accepted at an increment of at most ``COAST_TOL`` ||y0||; a step that
+    spends ``COAST_MAX_INNER`` iterations without that raises NoFixedPoint."""
     act = p.active()
     dt = p.dt
     states = np.zeros((p.M + 1, p.grid.N))
@@ -252,8 +255,7 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> Trajectory:
         t1 = (n + 1) * dt
         w = states[n].copy()
         for _j in range(COAST_MAX_INNER):
-            level = Trajectory(grid=p.grid, times=np.array([t1]), states=w[None, :])
-            b_row, c_row = freeze_coefficients(level, nl)
+            b_row, c_row = freeze_coefficients(p.grid.nodes, np.array([t1]), w[None, :], nl)
             op = assemble_operator(p.grid, p.a,
                                    dataclasses.replace(p.drift, b=b_row[0], c=c_row[0]),
                                    diffusion)
@@ -271,4 +273,4 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> Trajectory:
                 f"iterations, last increment {delta:.3e} "
                 f"(target {COAST_TOL * scale:.3e})")
         states[n + 1] = w
-    return Trajectory(grid=p.grid, times=p.times, states=states)
+    return states

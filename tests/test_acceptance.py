@@ -69,9 +69,9 @@ def test_criterion_2_duality_exactness():
             h = rng.standard_normal((p.M, p.grid.N))
             y = solve_forward(dataclasses.replace(p, y0=y0), h)
             v = solve_adjoint(p, vT)
-            t1 = float(np.sum(w * y.final()[act] * vT[act]))
-            t2 = float(np.sum(w * y0[act] * v.states[0][act]))
-            t3 = p.dt * float(np.sum(mask_w * h[:, act] * v.states[:-1][:, act]))
+            t1 = float(np.sum(w * y[-1][act] * vT[act]))
+            t2 = float(np.sum(w * y0[act] * v[0][act]))
+            t3 = p.dt * float(np.sum(mask_w * h[:, act] * v[:-1][:, act]))
             rel = abs(t1 - t2 - t3) / max(abs(t1), abs(t2), abs(t3))
             worst = max(worst, rel)
             assert rel <= 1e-10
@@ -85,8 +85,8 @@ def test_criterion_2_duality_exactness():
         for j in range(n):
             e = np.zeros(p.grid.N)
             e[act[j]] = 1.0
-            F[:, j] = solve_forward(dataclasses.replace(p, y0=e)).final()[act]
-            G[:, j] = solve_adjoint(p, e).states[0][act]
+            F[:, j] = solve_forward(dataclasses.replace(p, y0=e))[-1][act]
+            G[:, j] = solve_adjoint(p, e)[0][act]
         w = p.grid.weights[act]
         assert np.max(np.abs(G - (F.T * w[None, :]) / w[:, None])) <= 1e-12
     print(f"\n[PASS] criterion 2: duality exactness (worst relative residual "
@@ -97,14 +97,14 @@ def test_criterion_3_heat_oracle_and_temporal_order():
     p = _problem(classical_coefficient(), N=128, M=256, T=0.1)
     traj = solve_forward(p)
     exact = np.exp(-np.pi ** 2 * p.T) * np.sin(np.pi * p.grid.nodes)
-    err = float(np.max(np.abs(traj.final() - exact)))
+    err = float(np.max(np.abs(traj[-1] - exact)))
     assert err <= 2e-3
 
     errs = []
     for M in (32, 64, 128):
         pM = _problem(classical_coefficient(), N=256, M=M, T=0.1)
         e = np.exp(-np.pi ** 2 * 0.1) * np.sin(np.pi * pM.grid.nodes)
-        errs.append(np.max(np.abs(solve_forward(pM).final() - e)))
+        errs.append(np.max(np.abs(solve_forward(pM)[-1] - e)))
     slope = float(np.polyfit(np.log([0.1 / 32, 0.1 / 64, 0.1 / 128]),
                              np.log(errs), 1)[0])
     assert abs(slope - 1.0) <= 0.2

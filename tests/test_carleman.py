@@ -13,7 +13,6 @@ from degen_control.carleman import (SourceSplit, beta_divergence, build_weights,
 from degen_control.coefficients import Case, power_coefficient
 from degen_control.errors import NonFiniteIntegral, WeightInvalid
 from degen_control.mesh import build_grid
-from degen_control.pde import Trajectory
 
 from conftest import make_problem
 
@@ -204,8 +203,7 @@ def test_monotone_damping_in_s():
 # -- functionals -----------------------------------------------------------------
 
 def _zero_traj(p):
-    return Trajectory(grid=p.grid, times=p.times,
-                      states=np.zeros((p.M + 1, p.grid.N)))
+    return np.zeros((p.M + 1, p.grid.N))
 
 
 def test_functionals_zero_inputs():
@@ -227,7 +225,7 @@ def test_functionals_quadratic_homogeneity(rng):
     F = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
     v = solve_terminal_source(p, vT, F)
     (lhs1,), (rhs1,) = carleman_functionals(p, w, v, F, [4.0], "lemma")
-    v10 = Trajectory(grid=p.grid, times=p.times, states=10.0 * v.states)
+    v10 = 10.0 * v
     (lhs2,), (rhs2,) = carleman_functionals(p, w, v10, 10.0 * F, [4.0], "lemma")
     assert lhs2 == pytest.approx(100.0 * lhs1, rel=1e-12)
     assert rhs2 == pytest.approx(100.0 * rhs1, rel=1e-12)
@@ -237,7 +235,7 @@ def test_functionals_reject_nonfinite():
     p = make_problem(N=32, M=16, T=1.0)
     w = build_weights(p.a, p.omega, p.T, grid=p.grid)
     v = _zero_traj(p)
-    v.states[3, 5] = np.inf
+    v[3, 5] = np.inf
     F = np.zeros((p.M + 1, p.grid.N))
     with pytest.raises(NonFiniteIntegral):
         carleman_functionals(p, w, v, F, [2.0], "lemma")
@@ -382,7 +380,7 @@ def _reference_sides(p, w, v, src, s, variant):
 
     x = g.nodes
     a_n = np.where(x > 0.0, w.a.eval(x), np.inf)   # x^2/a and beta^2/a -> 0 at 0
-    V = v.states[1:-1]
+    V = v[1:-1]
     Vx = np.diff(V, axis=1) / g.spacings
     obs = on_nodes(p.omega_mask() * V ** 2)
     if variant == "cacciopoli":
@@ -404,7 +402,7 @@ def test_functionals_match_reference_sums(rng, variant):
     p = make_problem(N=16, M=8, T=3.0)
     w = build_weights(p.a, p.omega, p.T, lam=0.5, grid=p.grid)
     shape = (p.M + 1, p.grid.N)
-    v = Trajectory(grid=p.grid, times=p.times, states=rng.standard_normal(shape))
+    v = rng.standard_normal(shape)
     F = rng.standard_normal(shape)
     src = SourceSplit(F0=F, F1=rng.standard_normal(shape)) if variant == "theorem" else F
     ladder = [1.0, 4.0, 16.0]
@@ -533,4 +531,4 @@ def test_sample_field_matches_per_time_evaluation(rng):
 def test_terminal_source_solver_zero_data():
     p = make_problem(N=32, M=16, T=1.0)
     v = solve_terminal_source(p, np.zeros(p.grid.N), np.zeros((p.M + 1, p.grid.N)))
-    assert np.all(v.states == 0.0)
+    assert np.all(v == 0.0)

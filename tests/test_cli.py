@@ -203,7 +203,7 @@ def test_trajectory_csv_format(tmp_path):
     p = make_problem(N=16, M=8)
     traj = solve_forward(p)
     path = tmp_path / "traj.csv"
-    write_control_field(path, traj.times, p.grid.nodes, traj.states)
+    write_control_field(path, p.times, p.grid.nodes, traj)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x,value"
     assert len(lines) == 1 + (p.M + 1) * p.grid.N
@@ -314,11 +314,14 @@ b.const = -250
     ("control", "1e156", ""),
     ("sweep", "1e160", ""),
     ("semilinear", "1e155", "nl.kind = sine\nnl.m = 0.5\n"),
-], ids=["control-1e154", "control-1e155", "control-1e156", "sweep", "semilinear"])
+    ("solve", "1e308", ""),
+], ids=["control-1e154", "control-1e155", "control-1e156", "sweep", "semilinear",
+        "solve"])
 def test_overflowed_cost_is_nonfinite_integral(tmp_path, capsys, command, amplitude,
                                                extra):
     # an overflowed ||h||^2 or ||rhs||^2 is a solver failure, not a printed
-    # cost of inf or nan, nor a NOT_SPD on a curvature of inf
+    # cost of inf or nan, nor a NOT_SPD on a curvature of inf; so is a state
+    # that overflows in the march, not a summary of nan norms
     cfg = write_cfg(tmp_path, f"""
 command = {command}
 a.kind = power
@@ -330,6 +333,31 @@ y0.amplitude = {amplitude}
     assert main([cfg, "--out", str(tmp_path / "o")]) == 3
     last = capsys.readouterr().out.strip().splitlines()[-1]
     assert last.startswith("ERROR NONFINITE_INTEGRAL:")
+
+
+def test_two_phase_control_csv_runs_on_the_controlled_clock(tmp_path, capsys):
+    # t0 = 0.2 snaps to 13 of 32 steps of T = 0.5; control.csv's time column
+    # is the controlled phase's own clock shifted by t0
+    cfg = write_cfg(tmp_path, """
+command = semilinear
+a.kind = power
+a.alpha = 0.5
+grid.N = 32
+M = 32
+nl.kind = sine
+t0 = 0.2
+""")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 0
+    t0 = float(_summary(capsys.readouterr().out)["t0"])
+    assert t0 == 13 * (0.5 / 32)
+    rows = (tmp_path / "o" / "control.csv").read_text().splitlines()[1:]
+    blocks = [row.split(",")[0] for row in rows[::32]]
+    assert all(row.split(",")[0] == blocks[k // 32] for k, row in enumerate(rows))
+    M2 = len(blocks)
+    assert M2 == 32 - 13
+    expect = t0 + np.linspace(0.0, 0.5 - t0, M2 + 1)[:-1]
+    assert blocks == [f"{t:.17g}" for t in expect]
+    assert blocks[0] == f"{t0:.17g}"
 
 
 def test_cost_constant_where_only_the_datum_norm_squared_overflows(tmp_path, capsys):

@@ -36,7 +36,7 @@ def test_gramian_symmetry_and_quadratic_form(rng):
         assert s_uv == pytest.approx(s_vu, rel=1e-11, abs=1e-14)
         # <Lam u, u> equals the control-region energy of the adjoint states
         adj = solve_adjoint(p, u)
-        energy = p.dt * float(np.sum(mask_w * adj.states[:-1][:, act] ** 2))
+        energy = p.dt * float(np.sum(mask_w * adj[:-1][:, act] ** 2))
         s_uu = float(np.sum(w * Lu * u[act]))
         assert s_uu == pytest.approx(energy, rel=1e-11)
         assert s_uu >= 0.0
@@ -94,7 +94,7 @@ def test_hum_matches_dense_oracle(rng):
         e = np.zeros(n)
         e[j] = 1.0
         Lam[:, j] = _gramian_apply_active(p, e)
-    rhs = -solve_forward(p).final()[act]
+    rhs = -solve_forward(p)[-1][act]
     x_dense = np.linalg.solve(Lam + eps * np.eye(n), rhs)
     res = hum_solve(p, eps, cg_tol=1e-12)
     assert np.max(np.abs(res.vhatT[act] - x_dense)) <= 1e-6 * np.max(np.abs(x_dense))
@@ -112,9 +112,9 @@ def test_hum_optimality_identity_and_duality_consistency(rng):
         test_w[[0, -1]] = 0.0
         v_w = solve_adjoint(p, test_w)
         t1 = float(np.sum(w * res.yT[act] * test_w[act]))
-        t2 = float(np.sum(w * p.y0[act] * v_w.states[0][act]))
+        t2 = float(np.sum(w * p.y0[act] * v_w[0][act]))
         mask_w = w * p.omega_mask()[act]
-        t3 = p.dt * float(np.sum(mask_w * res.h[:, act] * v_w.states[:-1][:, act]))
+        t3 = p.dt * float(np.sum(mask_w * res.h[:, act] * v_w[:-1][:, act]))
         scale = max(abs(t1), abs(t2), abs(t3))
         assert abs(t1 - t2 - t3) <= 1e-9 * scale
 
@@ -342,8 +342,8 @@ def test_observability_supported_sample_attains_its_quotient(rng):
     mask_w = w * p.omega_mask()[act]
     vT = np.where(p.omega_mask(), np.sin(np.pi * p.grid.nodes), 0.0)
     adj = solve_adjoint(p, vT)
-    num = float(np.sum(w * adj.states[0][act] ** 2))
-    den = p.dt * float(np.sum(mask_w * adj.states[:-1][:, act] ** 2))
+    num = float(np.sum(w * adj[0][act] ** 2))
+    den = p.dt * float(np.sum(mask_w * adj[:-1][:, act] ** 2))
     quotient = num / den
     assert np.isfinite(quotient) and quotient > 0.0
 

@@ -282,7 +282,7 @@ def test_eigenmode_solve_converges_to_its_exact_decay(alpha, gamma, order):
         phi = _bessel_phi1(alpha, g.nodes)
         p = LinearProblem(a=power_coefficient(alpha), drift=zero_drift(), T=0.1,
                           omega=(0.3, 0.9), grid=g, M=4 * n, y0=phi)
-        err.append(l2_norm(g.weights, solve_forward(p).final() - decay * phi)
+        err.append(l2_norm(g.weights, solve_forward(p)[-1] - decay * phi)
                    / l2_norm(g.weights, decay * phi))
     slope = np.polyfit(np.log(ns), np.log(err), 1)[0]
     assert abs(-slope - order) <= 0.2

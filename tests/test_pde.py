@@ -6,7 +6,7 @@ import pytest
 from degen_control.coefficients import (Case, DegeneracyCoefficient,
                                         classical_coefficient, constant_drift,
                                         power_coefficient, zero_drift)
-from degen_control import pde
+from degen_control import pde, semilinear
 from degen_control.cli import cmd_solve
 from degen_control.config import Config
 from degen_control.control import hum_solve
@@ -24,9 +24,9 @@ def duality_residual(p, y0, h, vT):
     w = p.grid.weights[act]
     y = solve_forward(dataclasses.replace(p, y0=y0), h)
     v = solve_adjoint(p, vT)
-    t_final = float(np.sum(w * y.final()[act] * vT[act]))
-    t_init = float(np.sum(w * y0[act] * v.states[0][act]))
-    t_ctrl = p.dt * float(np.sum(w * p.omega_mask()[act] * h[:, act] * v.states[:-1, act]))
+    t_final = float(np.sum(w * y[-1][act] * vT[act]))
+    t_init = float(np.sum(w * y0[act] * v[0][act]))
+    t_ctrl = p.dt * float(np.sum(w * p.omega_mask()[act] * h[:, act] * v[:-1, act]))
     return abs(t_final - t_init - t_ctrl)
 
 
@@ -35,15 +35,15 @@ def test_heat_oracle():
     p = heat_problem(N=128, M=256, T=0.1)
     traj = solve_forward(p)
     exact = np.exp(-np.pi ** 2 * p.T) * np.sin(np.pi * p.grid.nodes)
-    assert np.max(np.abs(traj.final() - exact)) <= 2e-3
+    assert np.max(np.abs(traj[-1] - exact)) <= 2e-3
 
 
 def test_zero_data_stays_zero():
     p = make_problem(y0=np.zeros(65), N=65)
     traj = solve_forward(p)
-    assert np.all(traj.states == 0.0)
+    assert np.all(traj == 0.0)
     v = solve_adjoint(p, np.zeros(p.grid.N))
-    assert np.all(v.states == 0.0)
+    assert np.all(v == 0.0)
 
 
 def test_superposition(rng):
@@ -52,10 +52,10 @@ def test_superposition(rng):
     h2 = rng.standard_normal((p.M, p.grid.N))
     y0 = rng.standard_normal(p.grid.N)
     full = solve_forward(dataclasses.replace(p, y0=y0), h1 + h2)
-    part = solve_forward(dataclasses.replace(p, y0=y0), h1).states \
-        + solve_forward(dataclasses.replace(p, y0=np.zeros(p.grid.N)), h2).states
-    scale = np.max(np.abs(full.states))
-    assert np.max(np.abs(full.states - part)) <= 1e-12 * scale
+    part = solve_forward(dataclasses.replace(p, y0=y0), h1) \
+        + solve_forward(dataclasses.replace(p, y0=np.zeros(p.grid.N)), h2)
+    scale = np.max(np.abs(full))
+    assert np.max(np.abs(full - part)) <= 1e-12 * scale
 
 
 def test_selfadjoint_case_reverses_in_time(rng):
@@ -66,7 +66,7 @@ def test_selfadjoint_case_reverses_in_time(rng):
     vT[0] = vT[-1] = 0.0
     back = solve_adjoint(p, vT)
     forth = solve_forward(dataclasses.replace(p, y0=vT))
-    assert np.allclose(back.states, forth.states[::-1], rtol=1e-12, atol=1e-14)
+    assert np.allclose(back, forth[::-1], rtol=1e-12, atol=1e-14)
 
 
 def test_adjoint_initial_norm_bounded(rng):
@@ -76,7 +76,7 @@ def test_adjoint_initial_norm_bounded(rng):
         vT = rng.standard_normal(p.grid.N)
         vT[0] = vT[-1] = 0.0
         v = solve_adjoint(p, vT)
-        ratios.append(l2_norm(p.grid.weights, v.states[0]) / l2_norm(p.grid.weights, vT))
+        ratios.append(l2_norm(p.grid.weights, v[0]) / l2_norm(p.grid.weights, vT))
     assert np.all(np.isfinite(ratios))
     assert max(ratios) < 10.0
 
@@ -100,7 +100,7 @@ def test_duality_random_inputs(a, rng):
         h = rng.standard_normal((p.M, p.grid.N))
         res = duality_residual(p, y0, h, vT)
         y = solve_forward(dataclasses.replace(p, y0=y0), h)
-        scale = abs(float(np.sum(w * y.final()[act] * vT[act])))
+        scale = abs(float(np.sum(w * y[-1][act] * vT[act])))
         assert res <= 1e-13 * max(scale, 1e-12)
 
 
@@ -117,7 +117,7 @@ def test_duality_on_graded_grid(rng):
         h = rng.standard_normal((p.M, p.grid.N))
         res = duality_residual(p, y0, h, vT)
         y = solve_forward(dataclasses.replace(p, y0=y0), h)
-        scale = abs(float(np.sum(w * y.final()[act] * vT[act])))
+        scale = abs(float(np.sum(w * y[-1][act] * vT[act])))
         assert res <= 1e-13 * max(scale, 1e-12)
 
 
@@ -132,8 +132,8 @@ def test_transpose_equivalence_brute_force():
         for j in range(n):
             e = np.zeros(p.grid.N)
             e[act[j]] = 1.0
-            F[:, j] = solve_forward(dataclasses.replace(p, y0=e)).final()[act]
-            G[:, j] = solve_adjoint(p, e).states[0][act]
+            F[:, j] = solve_forward(dataclasses.replace(p, y0=e))[-1][act]
+            G[:, j] = solve_adjoint(p, e)[0][act]
         w = p.grid.weights[act]
         expected = (F.T * w[None, :]) / w[:, None]
         assert np.max(np.abs(G - expected)) <= 1e-12
@@ -146,7 +146,7 @@ def test_unconditional_stability():
         p = LinearProblem(a=power_coefficient(0.5), drift=constant_drift(1.0, 0.0),
                           T=0.5, omega=(0.3, 0.9), grid=g, M=M, y0=y0)
         traj = solve_forward(p)
-        assert traj.sup_l2() <= l2_norm(g.weights, y0) * (1.0 + 1e-12)
+        assert np.max(l2_norm(g.weights, traj)) <= l2_norm(g.weights, y0) * (1.0 + 1e-12)
 
 
 def test_temporal_order_one():
@@ -155,7 +155,7 @@ def test_temporal_order_one():
         p = heat_problem(N=256, M=M, T=0.1)
         traj = solve_forward(p)
         exact = np.exp(-np.pi ** 2 * p.T) * np.sin(np.pi * p.grid.nodes)
-        errs.append(np.max(np.abs(traj.final() - exact)))
+        errs.append(np.max(np.abs(traj[-1] - exact)))
     slope = np.polyfit(np.log([0.1 / 32, 0.1 / 64, 0.1 / 128]), np.log(errs), 1)[0]
     assert abs(slope - 1.0) <= 0.2
 
@@ -175,7 +175,7 @@ def test_manufactured_steady_state_with_drift(b0, c0):
     h_row = (np.pi ** 2 + b0) * np.sin(np.pi * x) \
         + np.pi * c0 * x * np.cos(np.pi * x)
     traj = solve_forward(p, np.tile(h_row, (M, 1)))
-    assert np.max(np.abs(traj.final() - np.sin(np.pi * x))) <= 5e-3
+    assert np.max(np.abs(traj[-1] - np.sin(np.pi * x))) <= 5e-3
 
 
 def test_solver_breakdown():
@@ -233,8 +233,8 @@ def test_replace_resets_step_cache():
     solve_forward(p)        # populates the factor cache
     p2 = dataclasses.replace(p, drift=constant_drift(5.0, 0.0))
     assert p2._cache == {}
-    r1 = solve_forward(p).final()
-    r2 = solve_forward(p2).final()
+    r1 = solve_forward(p)[-1]
+    r2 = solve_forward(p2)[-1]
     assert not np.allclose(r1, r2)
 
 
@@ -316,9 +316,9 @@ def test_stability_ratio_reported(tmp_path):
 def test_trajectory_norms_are_consistent(rng):
     p = make_problem(N=32, M=16)
     traj = solve_forward(dataclasses.replace(p, y0=rng.standard_normal(p.grid.N)))
-    # L^2(Q) by the trapezoid rule in time, which z_norm adds the energy to
+    # L^2(Q) by the trapezoid rule in time, which _z_norm adds the energy to
     tw = np.full(p.M + 1, p.dt)
     tw[[0, -1]] = 0.5 * p.dt
-    l2_Q = np.sqrt(np.sum(tw * np.sum(p.grid.weights * traj.states ** 2, axis=1)))
-    assert traj.z_norm(p.a) >= l2_Q > 0.0
-    assert traj.sup_l2() > 0.0
+    l2_Q = np.sqrt(np.sum(tw * np.sum(p.grid.weights * traj ** 2, axis=1)))
+    assert semilinear._z_norm(p, traj) >= l2_Q > 0.0
+    assert np.max(l2_norm(p.grid.weights, traj)) > 0.0

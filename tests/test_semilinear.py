@@ -8,7 +8,7 @@ from degen_control.control import hum_solve
 from degen_control.errors import (NoConvergence, NoFixedPoint,
                                   UnboundedFrozenCoefficient)
 from degen_control.mesh import l2_norm
-from degen_control.pde import Trajectory, solve_forward
+from degen_control.pde import solve_forward
 from degen_control.semilinear import (Nonlinearity, freeze_coefficients,
                                       frozen_problem, mixed_nonlinearity,
                                       picard_null_control,
@@ -20,14 +20,13 @@ from conftest import heat_problem, make_problem
 
 
 def _const_traj(p, values):
-    states = np.tile(values, (p.M + 1, 1))
-    return Trajectory(grid=p.grid, times=p.times, states=states)
+    return np.tile(values, (p.M + 1, 1))
 
 
 def test_freeze_sine_at_zero_state():
     p = make_problem(N=32, M=16)
     z = _const_traj(p, np.zeros(p.grid.N))
-    b_f, c_f = freeze_coefficients(z, sine_nonlinearity(3.0))
+    b_f, c_f = freeze_coefficients(p.grid.nodes, p.times, z, sine_nonlinearity(3.0))
     assert np.allclose(b_f, 3.0)          # sinc(0) = 1
     assert np.all(c_f == 0.0)
 
@@ -35,7 +34,7 @@ def test_freeze_sine_at_zero_state():
 def test_freeze_tanh_grad_linear_state():
     p = make_problem(N=32, M=16)
     z = _const_traj(p, 2.0 * p.grid.nodes)   # slope 2 everywhere
-    b_f, c_f = freeze_coefficients(z, tanh_grad_nonlinearity())
+    b_f, c_f = freeze_coefficients(p.grid.nodes, p.times, z, tanh_grad_nonlinearity())
     assert np.all(b_f == 0.0)
     expect = np.tanh(2.0) / 2.0
     assert np.allclose(c_f, expect, atol=1e-12)
@@ -46,7 +45,7 @@ def test_freeze_tanh_grad_linear_state():
 def test_freeze_zero_nonlinearity():
     p = make_problem(N=32, M=16)
     z = _const_traj(p, np.sin(np.pi * p.grid.nodes))
-    b_f, c_f = freeze_coefficients(z, zero_nonlinearity())
+    b_f, c_f = freeze_coefficients(p.grid.nodes, p.times, z, zero_nonlinearity())
     assert np.all(b_f == 0.0) and np.all(c_f == 0.0)
 
 
@@ -58,7 +57,7 @@ def test_freeze_cap_violation():
     p = make_problem(N=32, M=16)
     z = _const_traj(p, np.zeros(p.grid.N))
     with pytest.raises(UnboundedFrozenCoefficient):
-        freeze_coefficients(z, runaway)
+        freeze_coefficients(p.grid.nodes, p.times, z, runaway)
 
 
 def test_nonlinearity_vanishes_at_origin():
@@ -174,9 +173,8 @@ def test_semilinear_residual_detects_wrong_pair(rng):
     nl = sine_nonlinearity(0.5)
     rep = picard_null_control(p, nl, epsilon=1e-6)
     assert semilinear_residual(p, nl, rep.hum.trajectory, rep.hum.h) <= 1e-5
-    corrupted = Trajectory(grid=p.grid, times=p.times,
-                           states=rep.hum.trajectory.states +
-                           0.1 * rng.standard_normal(rep.hum.trajectory.states.shape))
+    corrupted = (rep.hum.trajectory
+                 + 0.1 * rng.standard_normal(rep.hum.trajectory.shape))
     assert semilinear_residual(p, nl, corrupted, rep.hum.h) > 1e-2
 
 
@@ -207,7 +205,7 @@ def test_one_assembly_per_linear_problem_and_one_call_per_factor(monkeypatch):
     zero = zero_nonlinearity()
     nl = dataclasses.replace(zero, b_factor=counted("b", zero.b_factor),
                              c_factor=counted("c", zero.c_factor))
-    b_f, c_f = freeze_coefficients(rep.hum.trajectory, nl)
+    b_f, c_f = freeze_coefficients(p.grid.nodes, p.times, rep.hum.trajectory, nl)
     assert sorted(factor_calls) == ["b", "c"]
     assert b_f.shape == c_f.shape == (p.M + 1, p.grid.N)
     assert not np.any(b_f) and not np.any(c_f)
@@ -217,7 +215,7 @@ def test_semilinear_forward_matches_linear_for_zero_nl():
     p = make_problem(N=48, M=32)
     traj_semi = semilinear_forward(p, zero_nonlinearity())
     traj_lin = solve_forward(p)
-    assert np.allclose(traj_semi.states, traj_lin.states, rtol=1e-12, atol=1e-15)
+    assert np.allclose(traj_semi, traj_lin, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("nl,N,T", [(sine_nonlinearity(-10.0), 64, 1.0),
