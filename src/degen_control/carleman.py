@@ -66,7 +66,7 @@ import numpy as np
 from .coefficients import Case, DegeneracyCoefficient, zero_drift
 from .errors import HypothesisViolated, NonFiniteIntegral, WeightInvalid
 from .mesh import GridSpec, face_diffusivity
-from .pde import LinearProblem, _trajectory
+from .pde import LinearProblem, _finite, march
 
 FIELD_MODES = 6      # modes of every random smooth field
 PLATEAU_REL = 0.05   # per-step relative change that counts as a plateau
@@ -265,7 +265,7 @@ def solve_terminal_source(p: LinearProblem, vT: np.ndarray,
     passes the drift-free problem ``p.with_drift(zero_drift())``; reusing one
     such problem reuses its step factors. The source F is required, with
     shape (M+1, N) sampled at the time nodes."""
-    return _trajectory(p, vT, -np.asarray(F, dtype=float)[:-1], adjoint=True)
+    return _finite(march(p, vT, -np.asarray(F, dtype=float)[:-1], adjoint=True), True)
 
 
 def _damping_weights(w: CarlemanWeights, theta: np.ndarray, s: float):

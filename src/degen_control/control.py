@@ -43,10 +43,13 @@ from .pde import (LinearProblem, _adjoint_step_matrix, control_cost, march,
 SWEEP_GAP_TOL = 1e-10
 
 
-def _gramian_apply_active(p: LinearProblem, vT_act: np.ndarray) -> np.ndarray:
-    vs = march(p, vT_act, adjoint=True)
-    vs *= p.omega_mask()[p.active()]
-    return march(p, np.zeros_like(vT_act), vs[:-1])[-1]
+def _gramian_apply_active(p: LinearProblem, act: slice, vT_act: np.ndarray) -> np.ndarray:
+    """Lam vT on the active slice ``act`` of ``p``, which CG's caller looks up once."""
+    vT = np.zeros(p.grid.N)
+    vT[act] = vT_act
+    vs = march(p, vT, adjoint=True)
+    vs *= p.omega_mask()
+    return march(p, np.zeros(p.grid.N), vs[:-1])[-1, act]
 
 
 def gramian(p: LinearProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +235,7 @@ def hum_solve(p: LinearProblem, epsilon: float, cg_tol: float = 1e-10,
                          f"({p.grid.N},), got {np.shape(x0)}")
     rhs = -solve_forward(p)[-1, act]
     x, iters, res_hist, energy_hist = _cg(
-        lambda u: _gramian_apply_active(p, u) + epsilon * u, rhs, inner,
+        lambda u: _gramian_apply_active(p, act, u) + epsilon * u, rhs, inner,
         cg_tol, max_iters, None if x0 is None else np.asarray(x0, dtype=float)[act])
     vhatT, h, y, gap = _control_of(p, x, epsilon, rhs, cg_tol, res_hist)
     cost = control_cost(p, h)

@@ -56,11 +56,9 @@ def build_grid(N: int, gamma: float = 1.0) -> GridSpec:
     return GridSpec(N=N, nodes=nodes, faces=faces, spacings=h, weights=w)
 
 
-def active_indices(grid: GridSpec, case: Case) -> np.ndarray:
-    """Unknown node indices after boundary elimination."""
-    if case is Case.SDP:
-        return np.arange(0, grid.N - 1)
-    return np.arange(1, grid.N - 1)
+def active_indices(grid: GridSpec, case: Case) -> slice:
+    """The unknown nodes after boundary elimination, one contiguous range."""
+    return slice(0 if case is Case.SDP else 1, grid.N - 1)
 
 
 def face_diffusivity(grid: GridSpec, a: DegeneracyCoefficient) -> np.ndarray:
@@ -99,22 +97,13 @@ def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
     for bit.
     """
     act = active_indices(grid, a.case)
-    n = act.size
     h = grid.spacings
-    has_left_face = act >= 1
-    # couplings survive only toward active neighbors; eliminated Dirichlet
-    # neighbors contribute nothing (their value is zero)
-    left_active = act - 1 >= act[0]
-    right_active = act + 1 <= act[-1]
     if diffusion is None:
-        af = face_diffusivity(grid, a)
-        d = grid.weights[act]
-        cR = af[act] / h[act]                       # right face conductance
-        cL = np.zeros(n)
-        cL[has_left_face] = af[act[has_left_face] - 1] / h[act[has_left_face] - 1]
-        diffusion = TriDiagOperator(sub=np.where(left_active, -cL / d, 0.0),
-                                    diag=(cL + cR) / d,
-                                    sup=np.where(right_active, -cR / d, 0.0))
+        # conductance of node i's left face at i, of its right face at i + 1;
+        # the padded 0 is the zero flux through x = 0 of a strong-case node 0
+        cond = np.r_[0.0, face_diffusivity(grid, a) / h]
+        cL, cR, d = cond[act], cond[1:][act], grid.weights[act]
+        diffusion = TriDiagOperator(sub=-cL / d, diag=(cL + cR) / d, sup=-cR / d)
 
     def on_steps(f):
         # at the active nodes; no step reads a table's row 0
@@ -122,24 +111,23 @@ def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
         return f if f.ndim == 0 else f[act] if f.ndim == 1 else f[1:, act]
 
     b, c = on_steps(drift.b), on_steps(drift.c)
-    shape = np.broadcast_shapes(b.shape, c.shape, (n,))
+    shape = np.broadcast_shapes(b.shape, c.shape, diffusion.diag.shape)
     sub = np.broadcast_to(diffusion.sub, shape).copy()
     diag = np.broadcast_to(diffusion.diag + b, shape).copy()
     sup = np.broadcast_to(diffusion.sup, shape).copy()
 
     q = np.asarray(drift.beta(grid.nodes[act]), dtype=float) * c
     if np.any(q != 0.0):
-        backward = (q >= 0.0) & has_left_face
-        forward = ~backward
-        hb = np.ones(n)
-        hb[has_left_face] = h[act[has_left_face] - 1]
-        qh = q / hb
+        backward = q >= 0.0
+        backward[..., 0] &= act.start > 0     # a strong-case node 0 has no left face
+        qh = q / np.r_[1.0, h][act]           # the padded 1 is never read
         np.add(diag, qh, out=diag, where=backward)
-        np.subtract(sub, qh, out=sub, where=backward & left_active)
+        np.subtract(sub, qh, out=sub, where=backward)
         np.divide(q, h[act], out=qh)
-        np.subtract(diag, qh, out=diag, where=forward)
-        np.add(sup, qh, out=sup, where=forward & right_active)
-
+        np.subtract(diag, qh, out=diag, where=~backward)
+        np.add(sup, qh, out=sup, where=~backward)
+    # eliminated Dirichlet neighbours couple to nothing (their value is zero)
+    sub[..., 0] = sup[..., -1] = 0.0
     return TriDiagOperator(sub=sub, diag=diag, sup=sup)
 
 

@@ -90,7 +90,7 @@ class LinearProblem:
     def with_drift(self, drift: DriftEnvelope) -> "LinearProblem":
         return dataclasses.replace(self, drift=drift)
 
-    def active(self) -> np.ndarray:
+    def active(self) -> slice:
         return active_indices(self.grid, self.case)
 
     def omega_mask(self) -> np.ndarray:
@@ -106,8 +106,9 @@ def _factor_step(sub, diag, sup, dt: float, step: int):
     return lu
 
 
-def _step_solve(lu, rhs: np.ndarray) -> np.ndarray:
-    return dgttrs(*lu, rhs)[0]
+def _step_solve(lu, row: np.ndarray) -> None:
+    """Solve the step matrix on ``row`` in place."""
+    dgttrs(*lu, row, "N", 1)
 
 
 def _step_factors(p: LinearProblem) -> list:
@@ -131,37 +132,42 @@ def _adjoint_step_matrix(p: LinearProblem) -> np.ndarray:
 
 def march(p: LinearProblem, u: np.ndarray, src: np.ndarray | None = None,
           adjoint: bool = False) -> np.ndarray:
-    """One implicit-Euler sweep over the active nodes; returns (M+1, n) states.
+    """One implicit-Euler sweep; returns the (M+1, N) nodal states at
+    ``p.times``, zero outside the active slice.
 
     With M_k = I + dt A_k, forward: ``u`` is y^0 and y^{k+1} = M_{k+1}^{-1}
     (y^k + dt src[k]); adjoint: ``u`` is v^M and v^k = W^{-1} M_{k+1}^{-T} W
-    (v^{k+1} + dt src[k]). ``src``, if given, has shape (M, n).
+    (v^{k+1} + dt src[k]). ``u`` is an (N,) nodal vector and ``src``, if
+    given, an (M, N) array; both are read on the active nodes only.
 
-    Each step forms its right-hand side in the row it fills (dt src[k] is
-    written into the rows once, up front) and solves there in place with one
+    The sweep works on the active columns of the result, a view. Each step
+    forms its right-hand side in the row it fills (dt src[k] is written into
+    the rows once, up front) and solves there in place with one
     single-column ``dgttrs`` call, so the sweep makes exactly M solves and
     leaves ``u`` and ``src`` untouched. The adjoint multiplies the rows that
     hold data by w before its loop, solves transposed, and divides by w after.
     """
     factors = _step_factors(p)
-    states = np.empty((p.M + 1, np.size(u)))
-    states[p.M if adjoint else 0] = u
+    act = p.active()
+    states = np.zeros((p.M + 1, p.grid.N))
+    y = states[:, act]
+    y[p.M if adjoint else 0] = u[act]
     if src is not None:
-        np.multiply(p.dt, src, out=states[:-1] if adjoint else states[1:])
+        np.multiply(p.dt, src[:, act], out=y[:-1] if adjoint else y[1:])
     if adjoint:
-        w = p.grid.weights[p.active()]
-        states[p.M if src is None else slice(None)] *= w
+        w = p.grid.weights[act]
+        y[p.M if src is None else slice(None)] *= w
     trans = "T" if adjoint else "N"
     for k in (range(p.M - 1, -1, -1) if adjoint else range(p.M)):
         prev, new = (k + 1, k) if adjoint else (k, k + 1)
-        row = states[new]
+        row = y[new]
         if src is None:
-            row[...] = states[prev]     # a copy keeps -0.0, adding to 0 would not
+            row[...] = y[prev]          # a copy keeps -0.0, adding to 0 would not
         else:
-            row += states[prev]
+            row += y[prev]
         dgttrs(*factors[k], row, trans, 1)    # overwrite_b: solves in place
     if adjoint:
-        states /= w
+        y /= w
     return states
 
 
@@ -177,19 +183,13 @@ def control_cost(p: LinearProblem, h: np.ndarray) -> float:
     return cost
 
 
-def _trajectory(p: LinearProblem, u: np.ndarray, src: np.ndarray | None = None,
-                adjoint: bool = False) -> np.ndarray:
-    """``march`` from the nodal vector ``u`` (with the (M, N) source ``src`` if
-    given) to the (M+1, N) states at ``p.times``, boundary nodes zero-filled;
-    ``NonFiniteIntegral`` names the first level swept that is not finite."""
-    act = p.active()
-    states = np.zeros((p.M + 1, p.grid.N))
-    states[:, act] = march(p, np.asarray(u, dtype=float)[act],
-                           None if src is None else src[:, act], adjoint)
+def _finite(states: np.ndarray, adjoint: bool) -> np.ndarray:
+    """The states of a sweep as they are; ``NonFiniteIntegral`` names the
+    first level swept that is not finite."""
     bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
     if bad.size:
         n = bad[-1] if adjoint else bad[0]
-        raise NonFiniteIntegral(f"state at time level {n} of {p.M} is not finite")
+        raise NonFiniteIntegral(f"state at time level {n} of {len(states) - 1} is not finite")
     return states
 
 
@@ -200,10 +200,10 @@ def solve_forward(p: LinearProblem, h: np.ndarray | None = None) -> np.ndarray:
     ``h`` has shape (M, N); slice n acts on (t_n, t_{n+1}] and is masked to
     the control region.
     """
-    return _trajectory(p, p.y0, None if h is None else h * p.omega_mask())
+    return _finite(march(p, p.y0, None if h is None else h * p.omega_mask()), False)
 
 
 def solve_adjoint(p: LinearProblem, vT: np.ndarray) -> np.ndarray:
     """Backward solution of the weighted transpose of the forward step map
     from v(T) = vT: the (M+1, N) states at ``p.times``."""
-    return _trajectory(p, vT, adjoint=True)
+    return _finite(march(p, vT, adjoint=True), True)

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import zero_drift
-from .errors import NoFixedPoint, UnboundedFrozenCoefficient
+from .errors import NoFixedPoint, NonFiniteIntegral, UnboundedFrozenCoefficient
 from .mesh import assemble_operator, dirichlet_energy, l2_norm
 from .pde import LinearProblem, _factor_step, _step_solve, solve_forward
 from .control import HUMResult, _cost_constant, hum_solve
@@ -103,8 +103,16 @@ def freeze_coefficients(nodes: np.ndarray, times: np.ndarray, z: np.ndarray,
                         nl: Nonlinearity):
     """Call each factor once along the (L, N) states z at ``times`` on
     ``nodes``, with each level's nodal slopes (centered, one-sided at the
-    ends): read-only (b_z, c_z) of z's shape; an (N,) result is broadcast."""
-    args = (nodes, times[:, None], z, np.gradient(z, nodes, axis=-1))
+    ends): read-only (b_z, c_z) of z's shape; an (N,) result is broadcast.
+    Raises NonFiniteIntegral, naming the time, where a state or a slope is
+    not finite: no factor is asked what an overflowed slope freezes to."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.gradient(z, nodes, axis=-1)
+    bad = np.flatnonzero(~(np.isfinite(z).all(axis=-1) & np.isfinite(slopes).all(axis=-1)))
+    if bad.size:
+        raise NonFiniteIntegral(f"frozen state or its slope is not finite at "
+                                f"t = {times[bad[0]]:.6g}")
+    args = (nodes, times[:, None], z, slopes)
     b_field = np.broadcast_to(np.asarray(nl.b_factor(*args), dtype=float), z.shape)
     c_field = np.broadcast_to(np.asarray(nl.c_factor(*args), dtype=float), z.shape)
     tol = 1e-9
@@ -253,24 +261,24 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> np.ndarray:
     diffusion = assemble_operator(p.grid, p.a, zero_drift())
     for n in range(p.M):
         t1 = (n + 1) * dt
-        w = states[n].copy()
+        w, row = states[n], states[n + 1]
         for _j in range(COAST_MAX_INNER):
             b_row, c_row = freeze_coefficients(p.grid.nodes, np.array([t1]), w[None, :], nl)
             op = assemble_operator(p.grid, p.a,
                                    dataclasses.replace(p.drift, b=b_row[0], c=c_row[0]),
                                    diffusion)
-            y_act = _step_solve(_factor_step(op.sub, op.diag, op.sup, dt, n + 1),
-                                states[n][act])
-            w_new = np.zeros(p.grid.N)
-            w_new[act] = y_act
-            delta = l2_norm(p.grid.weights, w_new - w)
-            w = w_new
+            row[act] = states[n, act]
+            _step_solve(_factor_step(op.sub, op.diag, op.sup, dt, n + 1), row[act])
+            if not np.all(np.isfinite(row)):
+                raise NonFiniteIntegral(f"coast step {n + 1}: state at t = {t1:.6g} "
+                                        f"is not finite")
+            delta = l2_norm(p.grid.weights, row - w)
             if delta <= COAST_TOL * scale:
                 break
+            w = row.copy()
         else:
             raise NoFixedPoint(
                 f"coast step {n + 1}: inner iteration spent {COAST_MAX_INNER} "
                 f"iterations, last increment {delta:.3e} "
                 f"(target {COAST_TOL * scale:.3e})")
-        states[n + 1] = w
     return states

@@ -79,12 +79,13 @@ def test_criterion_2_duality_exactness():
     for a in (power_coefficient(0.5), power_coefficient(1.5)):
         p = _problem(a, N=12, M=12, T=0.5)
         act = p.active()
-        n = act.size
+        idx = np.arange(p.grid.N)[act]
+        n = idx.size
         F = np.zeros((n, n))
         G = np.zeros((n, n))
         for j in range(n):
             e = np.zeros(p.grid.N)
-            e[act[j]] = 1.0
+            e[idx[j]] = 1.0
             F[:, j] = solve_forward(dataclasses.replace(p, y0=e))[-1][act]
             G[:, j] = solve_adjoint(p, e)[0][act]
         w = p.grid.weights[act]

@@ -315,13 +315,17 @@ b.const = -250
     ("sweep", "1e160", ""),
     ("semilinear", "1e155", "nl.kind = sine\nnl.m = 0.5\n"),
     ("solve", "1e308", ""),
+    ("semilinear", "1e308", "t0 = 0.2\nnl.kind = tanh-grad\n"),
+    ("semilinear", "1e308", "t0 = 0.2\nnl.kind = sine\n"),
 ], ids=["control-1e154", "control-1e155", "control-1e156", "sweep", "semilinear",
-        "solve"])
+        "solve", "coast-tanh-grad", "coast-sine"])
 def test_overflowed_cost_is_nonfinite_integral(tmp_path, capsys, command, amplitude,
                                                extra):
     # an overflowed ||h||^2 or ||rhs||^2 is a solver failure, not a printed
     # cost of inf or nan, nor a NOT_SPD on a curvature of inf; so is a state
-    # that overflows in the march, not a summary of nan norms
+    # that overflows in the march, not a summary of nan norms, and a coast
+    # whose slopes overflow where it freezes the nonlinearity, not a
+    # NO_FIXED_POINT after 50 inner iterations on nan
     cfg = write_cfg(tmp_path, f"""
 command = {command}
 a.kind = power

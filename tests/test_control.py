@@ -17,7 +17,8 @@ from conftest import heat_problem, make_problem
 
 def test_gramian_zero_maps_to_zero():
     p = make_problem(N=32, M=16)
-    assert np.all(_gramian_apply_active(p, np.zeros(p.active().size)) == 0.0)
+    act = p.active()
+    assert np.all(_gramian_apply_active(p, act, np.zeros(p.grid.nodes[act].size)) == 0.0)
 
 
 def test_gramian_symmetry_and_quadratic_form(rng):
@@ -29,8 +30,8 @@ def test_gramian_symmetry_and_quadratic_form(rng):
         u = rng.standard_normal(p.grid.N)
         v = rng.standard_normal(p.grid.N)
         u[[0, -1]] = v[[0, -1]] = 0.0
-        Lu = _gramian_apply_active(p, u[act])
-        Lv = _gramian_apply_active(p, v[act])
+        Lu = _gramian_apply_active(p, act, u[act])
+        Lv = _gramian_apply_active(p, act, v[act])
         s_uv = float(np.sum(w * Lu * v[act]))
         s_vu = float(np.sum(w * u[act] * Lv))
         assert s_uv == pytest.approx(s_vu, rel=1e-11, abs=1e-14)
@@ -49,15 +50,15 @@ def test_gramian_matches_marched_operators(alpha, M):
     # odd M exercise the binary decomposition's "plus one step" branch
     p = make_problem(a=power_coefficient(alpha), N=40, M=M, b0=0.2, c0=-1.0)
     act = p.active()
-    n = act.size
+    n = p.grid.nodes[act].size
     w = p.grid.weights[act]
     B, E = gramian(p)
     assert B.shape == E.shape == (n, n)
     assert np.array_equal(B, B.T)
     eye = np.eye(n)
-    Lam = np.column_stack([_gramian_apply_active(p, eye[:, j]) for j in range(n)])
-    E_marched = np.column_stack([pde.march(p, eye[:, j], adjoint=True)[0]
-                                 for j in range(n)])
+    Lam = np.column_stack([_gramian_apply_active(p, act, eye[:, j]) for j in range(n)])
+    E_marched = np.column_stack([pde.march(p, e, adjoint=True)[0, act]
+                                 for e in np.eye(p.grid.N)[act]])
     assert np.linalg.norm(B / w[:, None] - Lam) <= 1e-13 * np.linalg.norm(Lam)
     assert np.linalg.norm(E - E_marched) <= 1e-13 * np.linalg.norm(E_marched)
 
@@ -87,13 +88,13 @@ def test_hum_matches_dense_oracle(rng):
     # brute-force solve of (Lam + eps I) x = -y_free(T) on a small instance
     p = make_problem(N=24, M=16, b0=0.1)
     act = p.active()
-    n = act.size
+    n = p.grid.nodes[act].size
     eps = 1e-4
     Lam = np.zeros((n, n))
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        Lam[:, j] = _gramian_apply_active(p, e)
+        Lam[:, j] = _gramian_apply_active(p, act, e)
     rhs = -solve_forward(p)[-1][act]
     x_dense = np.linalg.solve(Lam + eps * np.eye(n), rhs)
     res = hum_solve(p, eps, cg_tol=1e-12)

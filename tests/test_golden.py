@@ -99,3 +99,29 @@ def test_golden_run(run, tmp_path):
             _compare_csv(got, want)
         else:
             _compare_summary(got, want)
+
+
+def _readme_output_names():
+    """Backticked names in the first cell of README's "Output reference" table."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    text = open(readme).read()
+    section = text.split("\n## Output reference\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    return {name for cell in rows for name in cell.split("`")[1::2]}
+
+
+def test_every_printed_name_has_a_readme_row():
+    # every summary key and CSV column of the golden runs is defined in README
+    documented = _readme_output_names()
+    printed = set()
+    for run in RUNS:
+        expected = os.path.join(EXPECTED_DIR, run)
+        for name in os.listdir(expected):
+            lines = open(os.path.join(expected, name)).read().splitlines()
+            if name.endswith(".csv"):
+                printed.update(lines[0].split(","))
+            else:
+                printed.update(key for key, sep, _ in (line.partition(" = ") for line in lines)
+                               if sep)
+    assert len(printed) >= 40
+    assert printed <= documented, f"no README row for {sorted(printed - documented)}"

@@ -62,8 +62,7 @@ def test_operator_symmetry_without_drift(a, gamma, rng):
 def test_row_sums_give_reaction_coefficient():
     g = build_grid(32, 1.0)
     op = assemble_operator(g, power_coefficient(0.5), constant_drift(5.0, 0.0))
-    ones = np.ones(active_indices(g, Case.WDP).size)
-    r = op.apply(ones)
+    r = op.apply(np.ones(op.diag.size))
     # interior rows (both neighbors active) telescope to b = 5
     assert np.allclose(r[1:-1], 5.0, atol=1e-10)
 
@@ -73,16 +72,50 @@ def test_sdp_left_node_has_zero_left_flux():
     a = power_coefficient(1.5)
     op = assemble_operator(g, a, zero_drift())
     act = active_indices(g, a.case)
-    assert act[0] == 0 and act.size == op.diag.size
+    assert act == slice(0, g.N - 1) and op.diag.size == g.N - 1
     assert op.sub[0] == 0.0
     # constant vector: both flux differences vanish at the left node
-    r = op.apply(np.ones(act.size))
+    r = op.apply(np.ones(op.diag.size))
     assert r[0] == pytest.approx(0.0, abs=1e-12)
     # row 0 couples only to the right with the conductance over the half cell
     af0 = float(a.eval(np.array([g.faces[0]]))[0])
     expect = af0 / g.spacings[0] / g.weights[0]
     assert op.diag[0] == pytest.approx(expect, rel=1e-14)
     assert op.sup[0] == pytest.approx(-expect, rel=1e-14)
+
+
+@pytest.mark.parametrize("c0", [2.0, -2.0])
+@pytest.mark.parametrize("alpha", [0.5, 1.5], ids=["WDP", "SDP"])
+def test_assembly_matches_stencil_entry_by_entry(alpha, c0):
+    # beta(0) = 0.5, so the upwinded entries of both end rows are nonzero;
+    # every entry is formed as the module docstring's stencil, one by one
+    g = build_grid(8, 1.0)
+    a = power_coefficient(alpha)
+    b0 = 0.25
+
+    def beta(x):
+        return 0.5 + x
+
+    op = assemble_operator(g, a, constant_drift(b0, c0, beta=beta))
+    af, h, w = a.eval(g.faces), g.spacings, g.weights
+    first, last = (0 if a.case is Case.SDP else 1), g.N - 2
+    sub, diag, sup = [], [], []
+    for i in range(first, last + 1):
+        cL = af[i - 1] / h[i - 1] if i > 0 else 0.0   # zero flux through x = 0
+        cR = af[i] / h[i]
+        lo, d, up = -cL / w[i], (cL + cR) / w[i] + b0, -cR / w[i]
+        q = beta(g.nodes[i]) * c0
+        if q >= 0.0 and i > 0:      # upwind from the left face
+            d += q / h[i - 1]
+            lo -= q / h[i - 1]
+        else:                       # from the right face, also where no left face is
+            d -= q / h[i]
+            up += q / h[i]
+        sub.append(lo if i > first else 0.0)
+        diag.append(d)
+        sup.append(up if i < last else 0.0)
+    for band, ref in (("sub", sub), ("diag", diag), ("sup", sup)):
+        assert getattr(op, band).tobytes() == np.array(ref).tobytes(), band
 
 
 def test_positivity_with_nonnegative_reaction(rng):
@@ -119,7 +152,7 @@ def test_stacked_assembly_matches_scalar_time_levels(rng, alpha):
     drift = dataclasses.replace(zero_drift(), b=b_field, c=c_field)
     assert drift.time_dependent and not zero_drift().time_dependent
     stacked = assemble_operator(g, a, drift)
-    n = active_indices(g, a.case).size
+    n = g.nodes[active_indices(g, a.case)].size
     assert stacked.diag.shape == (M, n)
     # level k is the step to t_{k+1}: the table's row k + 1 as (N,) vectors
     rows = [dataclasses.replace(drift, b=b_field[k + 1], c=c_field[k + 1]) for k in range(M)]

@@ -126,12 +126,13 @@ def test_transpose_equivalence_brute_force():
     for a in (power_coefficient(0.5), power_coefficient(1.5)):
         p = make_problem(a=a, N=12, M=12, b0=0.5, c0=0.25)
         act = p.active()
-        n = act.size
+        idx = np.arange(p.grid.N)[act]
+        n = idx.size
         F = np.zeros((n, n))
         G = np.zeros((n, n))
         for j in range(n):
             e = np.zeros(p.grid.N)
-            e[act[j]] = 1.0
+            e[idx[j]] = 1.0
             F[:, j] = solve_forward(dataclasses.replace(p, y0=e))[-1][act]
             G[:, j] = solve_adjoint(p, e)[0][act]
         w = p.grid.weights[act]
@@ -264,22 +265,23 @@ def test_march_matches_stepwise_reference(monkeypatch, rng, adjoint, with_src, t
     if table:
         b = 0.3 * (1.0 + 0.5 * np.sin(p.times))[:, None] * np.ones(p.grid.N)
         p = p.with_drift(dataclasses.replace(p.drift, b=b))
-    n = p.active().size
-    u = rng.standard_normal(n)
-    src = rng.standard_normal((p.M, n)) if with_src else None
+    act = p.active()
+    n = p.grid.nodes[act].size
+    u = rng.standard_normal(p.grid.N)
+    src = rng.standard_normal((p.M, p.grid.N)) if with_src else None
     u_in, src_in = u.copy(), None if src is None else src.copy()
 
     # the step recursion of march's docstring, one fresh solution per step;
     # the adjoint runs in u = W v on the transposed forward factors (the
     # forward recursion with w = 1 is exact)
     factors = pde._step_factors(p)
-    w = p.grid.weights[p.active()] if adjoint else np.ones(n)
+    w = p.grid.weights[act] if adjoint else np.ones(n)
     trans = "T" if adjoint else "N"
     ref = np.empty((p.M + 1, n))
-    ref[p.M if adjoint else 0] = u * w
+    ref[p.M if adjoint else 0] = u[act] * w
     for k in (range(p.M - 1, -1, -1) if adjoint else range(p.M)):
         prev, new = (k + 1, k) if adjoint else (k, k + 1)
-        rhs = ref[prev] if src is None else ref[prev] + p.dt * src[k] * w
+        rhs = ref[prev] if src is None else ref[prev] + p.dt * src[k, act] * w
         ref[new] = pde.dgttrs(*factors[k], rhs, trans)[0]
     ref /= w
 
@@ -292,7 +294,11 @@ def test_march_matches_stepwise_reference(monkeypatch, rng, adjoint, with_src, t
 
     monkeypatch.setattr(pde, "dgttrs", counting_dgttrs)
     states = pde.march(p, u, src, adjoint)
-    assert np.array_equal(states, ref)
+    assert states.shape == (p.M + 1, p.grid.N)
+    assert np.array_equal(states[:, act], ref)
+    outside = np.ones(p.grid.N, dtype=bool)
+    outside[act] = False
+    assert np.all(states[:, outside] == 0.0)
     assert np.array_equal(u, u_in)
     assert src is None or np.array_equal(src, src_in)
     # one single-column solve per step, in place in the output

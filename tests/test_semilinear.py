@@ -5,9 +5,9 @@ import pytest
 
 from degen_control import mesh, pde, semilinear
 from degen_control.control import hum_solve
-from degen_control.errors import (NoConvergence, NoFixedPoint,
+from degen_control.errors import (NoConvergence, NoFixedPoint, NonFiniteIntegral,
                                   UnboundedFrozenCoefficient)
-from degen_control.mesh import l2_norm
+from degen_control.mesh import hardy_check, l2_norm
 from degen_control.pde import solve_forward
 from degen_control.semilinear import (Nonlinearity, freeze_coefficients,
                                       frozen_problem, mixed_nonlinearity,
@@ -58,6 +58,18 @@ def test_freeze_cap_violation():
     z = _const_traj(p, np.zeros(p.grid.N))
     with pytest.raises(UnboundedFrozenCoefficient):
         freeze_coefficients(p.grid.nodes, p.times, z, runaway)
+
+
+@pytest.mark.parametrize("nl", [sine_nonlinearity(0.5), tanh_grad_nonlinearity()],
+                         ids=["sine", "tanh-grad"])
+def test_freeze_rejects_a_nonfinite_state(nl):
+    # a NaN would pass the sine cap check as a NaN b, and tanh-grad would
+    # freeze its NaN slope to c = 1; both name the time of the bad level
+    p = make_problem(N=32, M=16)
+    z = _const_traj(p, np.sin(np.pi * p.grid.nodes))
+    z[3, 7] = np.nan
+    with pytest.raises(NonFiniteIntegral, match=f"at t = {p.times[3]:.6g}"):
+        freeze_coefficients(p.grid.nodes, p.times, z, nl)
 
 
 def test_nonlinearity_vanishes_at_origin():
@@ -251,6 +263,20 @@ def test_coast_phase_fails_closed():
     p = dataclasses.replace(p, y0=3.0 * p.y0)
     with pytest.raises(NoFixedPoint, match="coast step 1"):
         semilinear_forward(p, sine_nonlinearity(-30.0))
+
+
+def test_coast_phase_rejects_an_overflowed_state():
+    # a frozen b just above -(1/dt + lambda_1) leaves the step matrix a smallest
+    # eigenvalue near 1e-9, so one step takes a finite 1e300 datum past the
+    # largest double; the step is named, not spent on inner iterations of inf
+    p = make_problem(N=32, M=16)
+    p = dataclasses.replace(p, y0=1e300 * p.y0)
+    m = -(1.0 / p.dt + 1.0 / hardy_check(p.grid, p.a)) * (1.0 - 1e-9)
+    amplifier = Nonlinearity(b_factor=lambda x, t, s, q: np.full(np.shape(s), m),
+                             c_factor=lambda x, t, s, q: np.zeros(np.shape(s)),
+                             b_cap=abs(m), c_cap=0.0)
+    with pytest.raises(NonFiniteIntegral, match="coast step 1: state at t = 0.03125"):
+        semilinear_forward(p, amplifier)
 
 
 def test_coast_phase_checks_the_caps():
