@@ -38,12 +38,18 @@ obs = int_{omega x (0, T)} v^2 e^{-2 s phi}:
 - "cacciopoli": the local Caccioppoli-type gradient energy
   lhs = int_{omega' x (0, T)} v_x^2 e^{-2 s phi}, against the lemma's rhs.
 
-Each side is a short list of terms (k, integrand, nodes or faces, time
-factor) worth s^k dt sum_t factor(t) sum_x integrand e^{-2 s phi} over the
-interior time levels: node integrands carry the trapezoid weights, face
-integrands the spacings, with v_x the difference quotient on the faces.
-The integrands depend on the sample only, so one call forms them once and
-sums them for every s of the ladder.
+Each side is a short list of terms (k, nodes or faces, integrand) worth
+s^k dt sum_{t, x} integrand e^{-2 s phi} over the interior time levels, with
+v_x the difference quotient on the faces. A term's integrand is a sample
+quadratic (v^2, v_x^2, F^2, F0^2 or F1^2) times a coefficient table: the
+term's time factor (1, theta or theta^3) times its space factor, which
+carries the trapezoid weights w at the nodes and the spacings h on the faces
+(w x^2/a, a h, w 1_omega, w or 1_omega' h). The tables depend only on the
+weights and M, so they are built once per M per weights object and cached
+there; the theorem's beta^2/a, which the weights do not record, multiplies
+F1^2 per call. One call forms each integrand once, and each term is then one
+dot product with the damping weight per s of the ladder; the source and the
+observation terms share s^0 and the nodes, so they form one integrand.
 
 e^{-2 s phi} underflows catastrophically at desk scale, so every integral
 here is computed in log space with the weight normalized by its maximum over
@@ -82,7 +88,8 @@ class CarlemanWeights:
     face and (kappa+, w2) a node or face, eta' = psi_cls' != 0 at those and
     rho' != 0 at the nodes and faces off [a', b'], all before psi_deg, and
     psi_deg(1) > 0 (psi_deg decreases, as tau/a >= 0). ``_damping`` caches
-    the normalised e^{-2 s phi} of ``_damping_weights`` per (M, s)."""
+    the normalised e^{-2 s phi} of ``_damping_weights`` per (M, s), and
+    ``_tables`` the coefficient tables of ``_term_tables`` per M."""
 
     a: DegeneracyCoefficient
     omega: tuple
@@ -101,6 +108,7 @@ class CarlemanWeights:
     inv_a: np.ndarray = field(init=False, repr=False)       # 1/a at the nodes, 0 at x = 0
     xx_over_a: np.ndarray = field(init=False, repr=False)
     _damping: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _tables: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         w1, w2 = self.omega
@@ -294,17 +302,39 @@ def _admissible_s(s) -> bool:
         return False
 
 
+def _term_tables(p: LinearProblem, w: CarlemanWeights) -> dict:
+    """theta on the interior time levels of ``p`` and the coefficient table of
+    every term the functionals sum: its time factor (1, theta or theta^3)
+    times its space factor, which carries the quadrature weights (w at the
+    nodes, the spacings h on the faces). A table whose time factor is 1 is its
+    space factor alone. ``w`` must be tied to ``p`` (grid, T, a and omega), so
+    the tables depend on the weights and M only; none depends on the drift."""
+    g = w.grid
+    theta = np.asarray(w.theta(p.times[1:-1]), dtype=float)
+    theta3 = theta[:, None] ** 3
+    ap, bp = w.omega_prime
+    return {"theta": theta,
+            "a_vx2": theta[:, None] * w.a_faces_h,        # s theta a v_x^2
+            "xx_v2": theta3 * (g.weights * w.xx_over_a),   # s^3 theta^3 (x^2/a) v^2
+            "bb_F12": theta3 * g.weights,                  # s^2 theta^3 (beta^2/a) F1^2
+            "obs_v2": g.weights * p.omega_mask(),          # v^2 on omega
+            "prime_vx2": ((g.faces > ap) & (g.faces < bp)) * g.spacings}   # v_x^2 on omega'
+
+
 def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: np.ndarray,
                          src, s_values, variant: str = "lemma"):
     """(lhs, rhs) of one audited estimate, as two arrays over ``s_values``.
 
     ``v`` is the (M+1, N) solution at ``p.times`` and ``src`` the (M+1, N)
-    source F, or a SourceSplit for "theorem". The integrands of each side's
-    terms (see the module docstring) are formed once and summed for every s;
-    ``w`` must be built for ``p.a``, ``p.omega`` and ``p.T`` on ``p.grid``,
-    which makes (M, s) a key of its damping weights. Raises
-    ``NonFiniteIntegral`` when an input or a side is non-finite, or when a side
-    with a nonzero integrand underflows to 0, where the ratio is undefined.
+    source F, or a SourceSplit for "theorem"; other shapes are a ValueError,
+    as they would broadcast against the tables. Each term of a side (see the
+    module docstring) is a sample quadratic times a coefficient table of
+    ``_term_tables``, with v^2 and v_x^2 formed once and shared, and is one
+    dot product with the damping weight per s. ``w`` must be built for
+    ``p.a``, ``p.omega`` and ``p.T`` on ``p.grid``, which makes M a key of its
+    tables and (M, s) one of its damping weights. Raises ``NonFiniteIntegral``
+    when an input or a side is non-finite, or when a side with a nonzero
+    integrand underflows to 0, where the ratio is undefined.
     """
     if variant not in ("lemma", "theorem", "cacciopoli"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -323,44 +353,45 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: np.ndarray,
         raise ValueError(f"Carleman weights were built for omega = {w.omega}, "
                          f"not for p.omega = {tuple(p.omega)}")
     fields = (src.F0, src.F1) if variant == "theorem" else (src,)
-    fields = [np.asarray(f, dtype=float)[1:-1] for f in fields]
+    fields = [np.asarray(f, dtype=float) for f in fields]
+    shape = (p.M + 1, grid.N)
+    if any(np.shape(f) != shape for f in (v, *fields)):
+        raise ValueError(f"trajectory and source must be {shape} arrays at p.times, "
+                         f"got {[np.shape(f) for f in (v, *fields)]}")
     if not all(np.all(np.isfinite(f)) for f in (v, *fields)):
         raise NonFiniteIntegral("trajectory or source contains non-finite values")
+    fields = [f[1:-1] for f in fields]
 
-    theta = np.asarray(w.theta(p.times[1:-1]), dtype=float)
+    tables = w._tables.get(p.M)
+    if tables is None:
+        tables = w._tables[p.M] = _term_tables(p, w)
     V = v[1:-1]
+    V2 = V * V
     dV = np.diff(V, axis=1) / grid.spacings
-    wq = grid.weights
+    dV2 = dV * dV
     if variant == "cacciopoli":
-        ap, bp = w.omega_prime
-        prime_mask = ((grid.faces > ap) & (grid.faces < bp)) * grid.spacings
-        lhs = [(0, prime_mask * dV * dV, "faces", 1.0)]
+        lhs = [(0, "faces", dV2 * tables["prime_vx2"])]
     else:
-        lhs = [(1, w.a_faces_h * dV * dV, "faces", theta),
-               (3, wq * w.xx_over_a * V * V, "nodes", theta ** 3)]
-    obs = (0, wq * p.omega_mask() * V * V, "nodes", 1.0)
+        lhs = [(1, "faces", dV2 * tables["a_vx2"]), (3, "nodes", V2 * tables["xx_v2"])]
+    F = fields[0]
+    rhs = [(0, "nodes", F * F * grid.weights + V2 * tables["obs_v2"])]
     if variant == "theorem":
-        F0, F1 = fields
+        F1 = fields[1]
         bb_over_a = np.asarray(p.drift.beta(grid.nodes), dtype=float) ** 2 * w.inv_a
-        rhs = [obs, (0, wq * F0 * F0, "nodes", 1.0),
-               (2, wq * bb_over_a * F1 * F1, "nodes", theta ** 3)]
-    else:
-        rhs = [(0, wq * fields[0] * fields[0], "nodes", 1.0), obs]
+        rhs.append((2, "nodes", F1 * F1 * bb_over_a * tables["bb_F12"]))
 
     sides = (("left-hand side", lhs), ("right-hand side", rhs))
-    live = [any(np.any(term[1]) for term in terms) for _, terms in sides]
     out = np.zeros((2, len(s_values)))
     for j, s in enumerate(s_values):
         key = (p.M, s)
         if key not in w._damping:
-            w._damping[key] = _damping_weights(w, theta, s)
+            w._damping[key] = _damping_weights(w, tables["theta"], s)
         W = dict(zip(("nodes", "faces"), w._damping[key]))
         for i, (side, terms) in enumerate(sides):
-            out[i, j] = sum(s ** k * p.dt * float(np.sum(tf * np.sum(I * W[at], axis=1)))
-                            for k, I, at, tf in terms)
+            out[i, j] = sum(s ** k * p.dt * float(np.vdot(W[at], I)) for k, at, I in terms)
             if not math.isfinite(out[i, j]):
                 raise NonFiniteIntegral(f"weighted {side} evaluated non-finite at s = {s:g}")
-            if out[i, j] == 0.0 and live[i]:
+            if out[i, j] == 0.0 and any(np.any(I) for _, _, I in terms):
                 raise NonFiniteIntegral(f"weighted {side} underflowed to 0 at "
                                         f"s = {s:g}; the ratio lhs/rhs is undefined")
     return out[0], out[1]

@@ -5,7 +5,9 @@ c~(x,t,s,p) beta(x) p with bounded factors, so freezing them along a
 trajectory z produces coefficients (b_z, c_z) that keep the linearized
 problem inside the bounded-coefficient theory. The factors and their caps
 are all the program reads of a nonlinearity: ``freeze_coefficients`` checks
-every frozen value against the caps. The outer loop alternates
+every frozen value against the caps. The frozen factors are the whole zero-
+and first-order drift, so both entry points refuse a problem whose own b or
+c is not 0 rather than drop it. The outer loop alternates
 freezing with the penalized linear control solve and stops when consecutive
 trajectories agree in the L^2(0,T; H^1_a) norm; the converged pair (y, h) is
 checked against the discrete semilinear equation itself.
@@ -133,6 +135,14 @@ def frozen_problem(p: LinearProblem, z: np.ndarray, nl: Nonlinearity) -> LinearP
     return p.with_drift(dataclasses.replace(p.drift, b=b_field, c=c_field))
 
 
+def _require_no_linear_drift(p: LinearProblem) -> None:
+    """Raise ValueError unless p's b and c are 0: the frozen factors are the
+    whole zero- and first-order drift, so freezing would drop them."""
+    if np.any(p.drift.b) or np.any(p.drift.c):
+        raise ValueError("semilinear runs need b = 0 and c = 0 (b.const, c.const): "
+                         "the frozen nonlinearity factors replace the linear b and c")
+
+
 # -- fixed-point loop ------------------------------------------------------------
 
 @dataclass
@@ -191,8 +201,10 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
     semilinear equation; the report's ``converged`` flag requires that
     residual to stay below 10 * fp_tol. Raises ``NoFixedPoint`` when the
     budget runs out on a growing increment sequence, and ValueError unless
-    fp_tol is finite and positive and max_fp_iters >= 1.
+    fp_tol is finite and positive and max_fp_iters >= 1, or unless p's b and
+    c are 0 (the frozen factors replace them), all before any solve.
     """
+    _require_no_linear_drift(p)
     if not (np.isfinite(fp_tol) and fp_tol > 0.0):
         raise ValueError(f"fixed-point tolerance must be finite and positive, got {fp_tol}")
     if max_fp_iters < 1:
@@ -252,7 +264,9 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> np.ndarray:
     """Uncontrolled semilinear forward solve with per-step frozen-coefficient
     inner iteration, as the (M+1, N) states at ``p.times``. A step's iterate
     is accepted at an increment of at most ``COAST_TOL`` ||y0||; a step that
-    spends ``COAST_MAX_INNER`` iterations without that raises NoFixedPoint."""
+    spends ``COAST_MAX_INNER`` iterations without that raises NoFixedPoint.
+    Raises ValueError before any solve unless p's b and c are 0."""
+    _require_no_linear_drift(p)
     act = p.active()
     dt = p.dt
     states = np.zeros((p.M + 1, p.grid.N))

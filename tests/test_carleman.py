@@ -10,7 +10,8 @@ from degen_control.carleman import (SourceSplit, beta_divergence, build_weights,
                                     ratio_experiment, solve_terminal_source,
                                     _sample_field, random_space_time_field,
                                     CarlemanWeights)
-from degen_control.coefficients import Case, power_coefficient
+from degen_control.coefficients import (Case, constant_drift, linear_beta,
+                                        power_coefficient)
 from degen_control.errors import NonFiniteIntegral, WeightInvalid
 from degen_control.mesh import build_grid
 
@@ -255,6 +256,11 @@ def test_functional_input_validation():
         carleman_functionals(p, w, v, F, [1e300], "lemma")
     with pytest.raises(ValueError):
         carleman_functionals(p, w, v, F, [2.0], "bogus")
+    # a trajectory of 3 levels broadcast against the 15 interior levels
+    with pytest.raises(ValueError, match="must be \\(17, 32\\) arrays"):
+        carleman_functionals(p, w, v[:3], F[:3], [2.0], "lemma")
+    with pytest.raises(ValueError, match="must be \\(17, 32\\) arrays"):
+        carleman_functionals(p, w, v, SourceSplit(F0=F, F1=F[:, :31]), [2.0], "theorem")
 
 
 def test_weights_frozen_and_tied_to_their_grid():
@@ -415,6 +421,72 @@ def test_functionals_match_reference_sums(rng, variant):
     single = [carleman_functionals(p, w, v, src, [s], variant) for s in ladder]
     assert np.array_equal(lhs, np.concatenate([l for l, _ in single]))
     assert np.array_equal(rhs, np.concatenate([r for _, r in single]))
+
+
+@pytest.mark.parametrize("variant", ["lemma", "theorem", "cacciopoli"])
+def test_functionals_match_reference_sums_at_audit_scale(rng, variant):
+    # the bench audit's setting: the dot products sum 16k cells per term, in
+    # another order than the reference's direct sums
+    p = make_problem(N=128, M=128, T=3.0)
+    w = build_weights(p.a, p.omega, p.T, lam=0.5, grid=p.grid)
+    vT = random_smooth_field(rng, p.case)(p.grid.nodes)
+    F = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
+    if variant == "theorem":
+        F1 = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
+        src = SourceSplit(F0=F, F1=F1)
+        v = solve_terminal_source(p, vT, F + beta_divergence(p.grid, p.drift.beta, F1, p.case))
+    else:
+        src = F
+        v = solve_terminal_source(p, vT, F)
+    ladder = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+    lhs, rhs = carleman_functionals(p, w, v, src, ladder, variant)
+    want = np.array([_reference_sides(p, w, v, src, s, variant) for s in ladder]).T
+    assert np.all(want > 0.0)
+    np.testing.assert_allclose(lhs, want[0], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(rhs, want[1], rtol=1e-13, atol=0.0)
+
+
+def test_term_tables_once_per_weights_and_step_count(monkeypatch, rng):
+    w_calls = []
+    real = carleman._term_tables
+
+    def counting(p, w):
+        w_calls.append((w, p.M))
+        return real(p, w)
+
+    monkeypatch.setattr(carleman, "_term_tables", counting)
+    p16 = make_problem(N=32, M=16, T=3.0, y0=np.zeros(32))
+    w = build_weights(p16.a, p16.omega, p16.T, lam=0.5, grid=p16.grid)
+
+    def built():
+        return [M for ww, M in w_calls if ww is w]
+
+    for variant in ("lemma", "theorem"):
+        ratio_experiment(p16, w, [1, 2, 4], 3, variant, rng)
+    assert built() == [16]
+
+    # an M switch builds the tables of the new M once, and going back reuses
+    # the first; every result is that of fresh weights, bit for bit
+    p32 = dataclasses.replace(p16, M=32)
+    for p in (p32, p16, p32):
+        fresh = build_weights(p.a, p.omega, p.T, lam=0.5, grid=p.grid)
+        for variant in ("lemma", "theorem", "cacciopoli"):
+            got = ratio_experiment(p, w, [1, 2, 4], 3, variant, np.random.default_rng(7))
+            want = ratio_experiment(p, fresh, [1, 2, 4], 3, variant, np.random.default_rng(7))
+            assert got == want
+    assert built() == [16, 32]
+
+    # beta^2/a is formed per call, so no table depends on the drift
+    shape = (p16.M + 1, p16.grid.N)
+    v = rng.standard_normal(shape)
+    src = SourceSplit(F0=rng.standard_normal(shape), F1=rng.standard_normal(shape))
+    carleman_functionals(p16, w, v, src, [1.0, 2.0], "theorem")
+    steep = p16.with_drift(constant_drift(0.0, 0.0, beta=linear_beta(3.0)))
+    fresh = build_weights(p16.a, p16.omega, p16.T, lam=0.5, grid=p16.grid)
+    got = carleman_functionals(steep, w, v, src, [1.0, 2.0], "theorem")
+    assert np.array_equal(got, carleman_functionals(steep, fresh, v, src, [1.0, 2.0], "theorem"))
+    assert not np.array_equal(got, carleman_functionals(p16, w, v, src, [1.0, 2.0], "theorem"))
+    assert built() == [16, 32]
 
 
 @pytest.mark.parametrize("variant, alpha", [("lemma", 0.5), ("theorem", 1.5),

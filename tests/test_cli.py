@@ -644,6 +644,27 @@ nl.m = 0.5
     assert "converged = True" in summary
 
 
+@pytest.mark.parametrize("drift", ["b.const = 5", "c.const = 5",
+                                   "b.const = 5\nc.const = 5"], ids=["b", "c", "b-and-c"])
+def test_semilinear_refuses_a_linear_drift(tmp_path, capsys, drift):
+    # the frozen factors replace b and c, so b = c = 5 printed the bytes of
+    # b = c = 0 with exit 0; it is a precondition error naming both
+    cfg = write_cfg(tmp_path, f"""
+command = semilinear
+a.kind = power
+a.alpha = 0.5
+grid.N = 16
+M = 16
+nl.kind = sine
+nl.m = 0.5
+{drift}
+""")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 2
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last.startswith("ERROR PRECONDITION:")
+    assert "b.const" in last and "c.const" in last
+
+
 _NO_INTEGRATE_CHILD = """
 import sys
 from degen_control import cli

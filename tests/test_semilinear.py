@@ -291,6 +291,29 @@ def test_coast_phase_checks_the_caps():
         semilinear_forward(p, runaway)
 
 
+@pytest.mark.parametrize("b0, c0", [(5.0, 0.0), (0.0, 5.0)], ids=["b", "c"])
+@pytest.mark.parametrize("entry", ["picard", "coast"])
+def test_linear_drift_is_refused_before_any_solve(monkeypatch, entry, b0, c0):
+    # freezing replaces b and c with the frozen factors, so a linear b or c
+    # would be dropped without a word: b = c = 5 gave the bytes of b = c = 0
+    factorizations = []
+    real_dgttrf = pde.dgttrf
+
+    def counting_dgttrf(*args, **kwargs):
+        factorizations.append(1)
+        return real_dgttrf(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "dgttrf", counting_dgttrf)
+    p = make_problem(N=16, M=16, b0=b0, c0=c0)
+    nl = sine_nonlinearity(0.5)
+    with pytest.raises(ValueError, match="b = 0 and c = 0"):
+        if entry == "picard":
+            picard_null_control(p, nl, epsilon=1e-6)
+        else:
+            semilinear_forward(p, nl)
+    assert factorizations == []
+
+
 def test_coast_then_control_zero_datum():
     p = make_problem(N=48, M=64, y0=np.zeros(48))
     rep = picard_null_control(p, sine_nonlinearity(0.5), epsilon=1e-6, t0=0.125)
