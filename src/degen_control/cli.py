@@ -21,7 +21,7 @@ import numpy as np
 from . import carleman, control, semilinear
 from .coefficients import (BETA_CAP, COEFFICIENT_CATALOG, Case, constant_drift,
                            linear_beta, load_tabular_coefficient,
-                           power_coefficient, validate_coefficient, zero_beta)
+                           power_coefficient, validate_coefficient)
 from .config import Config, parse_config
 from .errors import DegenControlError, EnvelopeUnbounded, HypothesisViolated
 from .mesh import build_grid, hardy_check, l2_norm
@@ -75,10 +75,10 @@ def build_coefficient(cfg: Config):
 
 def build_drift(cfg: Config):
     kind = cfg.get_str("beta.kind", default="x", choices={"x", "zero", "scaled"})
-    scale = cfg.get_float("beta.scale", default=1.0) if kind == "scaled" else 1.0
-    beta = zero_beta if kind == "zero" else linear_beta(scale)
+    scale = (cfg.get_float("beta.scale", default=1.0) if kind == "scaled"
+             else 0.0 if kind == "zero" else 1.0)
     return constant_drift(cfg.get_float("b.const", default=0.0),
-                          cfg.get_float("c.const", default=0.0), beta=beta)
+                          cfg.get_float("c.const", default=0.0), beta=linear_beta(scale))
 
 
 def build_initial_datum(cfg: Config, grid, rng):

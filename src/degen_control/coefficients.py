@@ -254,10 +254,6 @@ def linear_beta(scale: float = 1.0):
     return beta
 
 
-def zero_beta(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
 def constant_drift(b0: float = 0.0, c0: float = 0.0, beta=None) -> DriftEnvelope:
     """Drift with constant zero/first-order coefficients and beta(x) = x by default."""
     beta = beta if beta is not None else linear_beta(1.0)

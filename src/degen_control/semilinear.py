@@ -5,28 +5,30 @@ c~(x,t,s,p) beta(x) p with bounded factors, so freezing them along a
 trajectory z produces coefficients (b_z, c_z) that keep the linearized
 problem inside the bounded-coefficient theory. The factors and their caps
 are all the program reads of a nonlinearity: ``freeze_coefficients`` checks
-every frozen value against the caps. The frozen factors are the whole zero-
-and first-order drift, so both entry points refuse a problem whose own b or
-c is not 0 rather than drop it. The outer loop alternates
-freezing with the penalized linear control solve and stops when consecutive
-trajectories agree in the L^2(0,T; H^1_a) norm; the converged pair (y, h) is
-checked against the discrete semilinear equation itself.
+every frozen value against the caps. The frozen factors add to the
+problem's own b and c, so a linear zero- and first-order term is the
+constant-factor case of the same form; the caps bound the factors only.
+The outer loop alternates freezing with the penalized linear control solve
+and stops when consecutive trajectories agree in the L^2(0,T; H^1_a) norm;
+the converged pair (y, h) is checked against the discrete semilinear
+equation itself.
 
 Freezing works on whole space-time arrays: each factor is called once on
-the (M+1, N) states at ``p.times``, whose tables become the drift's b and c,
-and each frozen linear problem, the residual's included, is assembled once.
-Each Picard step after the first starts its CG from the previous step's
-vhatT, under the same stopping rule as a cold start, so a step whose frozen
-problem has not moved takes 0 iterations and repeats the previous control
-bit for bit.
+the (M+1, N) states at ``p.times``, whose tables add to the drift's b and
+c, and each frozen linear problem, the residual's included, is assembled
+once. Each Picard step after the first starts its CG from the previous
+step's vhatT, under the same stopping rule as a cold start, so a step whose
+frozen problem has not moved takes 0 iterations and repeats the previous
+control bit for bit.
 
 For rough initial data ``picard_null_control`` with t0 > 0 first runs the
 uncontrolled semilinear equation on (0, t0), then controls on (t0, T) from
 the smoothed state. The coast iterates each step on its own: every inner
 iterate w is frozen through ``freeze_coefficients`` as the one level
 ``w[None, :]`` at time t_{n+1}, so its values are checked against the caps
-too, and its one frozen row is assembled as (N,) vectors onto the diffusion
-bands built once per coast, to ``COAST_TOL`` in ``COAST_MAX_INNER`` steps.
+too, and its one frozen row, added to row n+1 of the drift's b and c, is
+assembled as (N,) vectors onto the diffusion bands built once per coast, to
+``COAST_TOL`` in ``COAST_MAX_INNER`` steps.
 """
 
 from __future__ import annotations
@@ -115,32 +117,23 @@ def freeze_coefficients(nodes: np.ndarray, times: np.ndarray, z: np.ndarray,
         raise NonFiniteIntegral(f"frozen state or its slope is not finite at "
                                 f"t = {times[bad[0]]:.6g}")
     args = (nodes, times[:, None], z, slopes)
-    b_field = np.broadcast_to(np.asarray(nl.b_factor(*args), dtype=float), z.shape)
-    c_field = np.broadcast_to(np.asarray(nl.c_factor(*args), dtype=float), z.shape)
-    tol = 1e-9
-    if np.max(np.abs(b_field)) > nl.b_cap * (1.0 + tol) + 1e-300:
-        raise UnboundedFrozenCoefficient(
-            f"frozen zero-order coefficient reaches {np.max(np.abs(b_field)):.6g} "
-            f"> cap {nl.b_cap:.6g}")
-    if np.max(np.abs(c_field)) > nl.c_cap * (1.0 + tol) + 1e-300:
-        raise UnboundedFrozenCoefficient(
-            f"frozen first-order coefficient reaches {np.max(np.abs(c_field)):.6g} "
-            f"> cap {nl.c_cap:.6g}")
+    b_field, c_field = (np.broadcast_to(np.asarray(factor(*args), dtype=float), z.shape)
+                        for factor in (nl.b_factor, nl.c_factor))
+    for order, field, cap in (("zero-order", b_field, nl.b_cap),
+                              ("first-order", c_field, nl.c_cap)):
+        peak = np.max(np.abs(field))
+        if peak > cap * (1.0 + 1e-9) + 1e-300:
+            raise UnboundedFrozenCoefficient(
+                f"frozen {order} coefficient reaches {peak:.6g} > cap {cap:.6g}")
     return b_field, c_field
 
 
 def frozen_problem(p: LinearProblem, z: np.ndarray, nl: Nonlinearity) -> LinearProblem:
-    """p with b and c frozen along the (M+1, N) states z at ``p.times``, as tables."""
+    """p with the factors frozen along the (M+1, N) states z at ``p.times``
+    added to its b and c, as tables."""
     b_field, c_field = freeze_coefficients(p.grid.nodes, p.times, z, nl)
-    return p.with_drift(dataclasses.replace(p.drift, b=b_field, c=c_field))
-
-
-def _require_no_linear_drift(p: LinearProblem) -> None:
-    """Raise ValueError unless p's b and c are 0: the frozen factors are the
-    whole zero- and first-order drift, so freezing would drop them."""
-    if np.any(p.drift.b) or np.any(p.drift.c):
-        raise ValueError("semilinear runs need b = 0 and c = 0 (b.const, c.const): "
-                         "the frozen nonlinearity factors replace the linear b and c")
+    return p.with_drift(dataclasses.replace(p.drift, b=p.drift.b + b_field,
+                                            c=p.drift.c + c_field))
 
 
 # -- fixed-point loop ------------------------------------------------------------
@@ -200,11 +193,9 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
     to ||y0||. On convergence the pair (y, h) is substituted into the discrete
     semilinear equation; the report's ``converged`` flag requires that
     residual to stay below 10 * fp_tol. Raises ``NoFixedPoint`` when the
-    budget runs out on a growing increment sequence, and ValueError unless
-    fp_tol is finite and positive and max_fp_iters >= 1, or unless p's b and
-    c are 0 (the frozen factors replace them), all before any solve.
+    budget runs out on a growing increment sequence, and ValueError before
+    any solve unless fp_tol is finite and positive and max_fp_iters >= 1.
     """
-    _require_no_linear_drift(p)
     if not (np.isfinite(fp_tol) and fp_tol > 0.0):
         raise ValueError(f"fixed-point tolerance must be finite and positive, got {fp_tol}")
     if max_fp_iters < 1:
@@ -264,12 +255,11 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> np.ndarray:
     """Uncontrolled semilinear forward solve with per-step frozen-coefficient
     inner iteration, as the (M+1, N) states at ``p.times``. A step's iterate
     is accepted at an increment of at most ``COAST_TOL`` ||y0||; a step that
-    spends ``COAST_MAX_INNER`` iterations without that raises NoFixedPoint.
-    Raises ValueError before any solve unless p's b and c are 0."""
-    _require_no_linear_drift(p)
+    spends ``COAST_MAX_INNER`` iterations without that raises NoFixedPoint."""
     act = p.active()
     dt = p.dt
     states = np.zeros((p.M + 1, p.grid.N))
+    b_lin, c_lin = (np.broadcast_to(f, states.shape) for f in (p.drift.b, p.drift.c))
     states[0, act] = p.y0[act]
     scale = max(l2_norm(p.grid.weights, states[0]), 1e-300)
     diffusion = assemble_operator(p.grid, p.a, zero_drift())
@@ -279,7 +269,8 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> np.ndarray:
         for _j in range(COAST_MAX_INNER):
             b_row, c_row = freeze_coefficients(p.grid.nodes, np.array([t1]), w[None, :], nl)
             op = assemble_operator(p.grid, p.a,
-                                   dataclasses.replace(p.drift, b=b_row[0], c=c_row[0]),
+                                   dataclasses.replace(p.drift, b=b_lin[n + 1] + b_row[0],
+                                                       c=c_lin[n + 1] + c_row[0]),
                                    diffusion)
             row[act] = states[n, act]
             _step_solve(_factor_step(op.sub, op.diag, op.sup, dt, n + 1), row[act])

@@ -644,25 +644,46 @@ nl.m = 0.5
     assert "converged = True" in summary
 
 
-@pytest.mark.parametrize("drift", ["b.const = 5", "c.const = 5",
-                                   "b.const = 5\nc.const = 5"], ids=["b", "c", "b-and-c"])
-def test_semilinear_refuses_a_linear_drift(tmp_path, capsys, drift):
-    # the frozen factors replace b and c, so b = c = 5 printed the bytes of
-    # b = c = 0 with exit 0; it is a precondition error naming both
-    cfg = write_cfg(tmp_path, f"""
+def test_semilinear_reads_a_linear_drift(tmp_path):
+    # b.const and c.const add to the frozen factors, as in every other command
+    base = """
 command = semilinear
 a.kind = power
 a.alpha = 0.5
-grid.N = 16
-M = 16
-nl.kind = sine
+grid.N = 48
+M = 48
+nl.kind = mixed
 nl.m = 0.5
-{drift}
+t0 = 0.1
+"""
+    runs = {}
+    for name, drift in (("none", ""), ("drift", "b.const = 5\nc.const = 2\n")):
+        cfg = write_cfg(tmp_path, base + drift, name=f"{name}.cfg")
+        assert main([cfg, "--out", str(tmp_path / name)]) == 0
+        runs[name] = {f: (tmp_path / name / f).read_text()
+                      for f in ("summary.txt", "control.csv")}
+    assert all(runs["drift"][f] != runs["none"][f] for f in runs["none"])
+    summary = dict(line.split(" = ") for line in runs["drift"]["summary.txt"].splitlines())
+    assert summary["converged"] == "True"
+    assert float(summary["residual"]) <= 10 * 1e-6     # the default fp.tol
+
+
+def test_semilinear_unconverged_exits_0(tmp_path, capsys):
+    # the summary flags an unconverged run; growing increments are
+    # NO_FIXED_POINT (exit 3) instead
+    cfg = write_cfg(tmp_path, """
+command = semilinear
+a.kind = power
+a.alpha = 0.5
+grid.N = 32
+M = 32
+nl.kind = mixed
+nl.m = 0.5
+fp.maxiter = 1
 """)
-    assert main([cfg, "--out", str(tmp_path / "o")]) == 2
-    last = capsys.readouterr().out.strip().splitlines()[-1]
-    assert last.startswith("ERROR PRECONDITION:")
-    assert "b.const" in last and "c.const" in last
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "iterations = 1" in out and "converged = False" in out
 
 
 _NO_INTEGRATE_CHILD = """

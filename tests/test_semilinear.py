@@ -84,15 +84,33 @@ def test_nonlinearity_vanishes_at_origin():
     assert np.all(b * zero + c * x * zero == 0.0)
 
 
+def _drift_problem(drift, N, M):
+    """make_problem with b = 0.3 and c = 0.2 held as ``drift`` says: "none"
+    is b = c = 0, and "vector" and "table" hold the constants in the other
+    shapes the drift takes."""
+    if drift == "none":
+        return make_problem(N=N, M=M)
+    p = make_problem(N=N, M=M, b0=0.3, c0=0.2)
+    shape = {"constant": (), "vector": (N,), "table": (M + 1, N)}[drift]
+    return p.with_drift(dataclasses.replace(p.drift, b=np.full(shape, 0.3),
+                                            c=np.full(shape, 0.2)))
+
+
+DRIFTS = ["none", "constant", "vector", "table"]
+
+
 def test_picard_zero_nonlinearity_reduces_to_linear():
-    p = make_problem(N=48, M=48)
-    rep = picard_null_control(p, zero_nonlinearity(), epsilon=1e-6)
-    hum = hum_solve(p, 1e-6)
-    assert rep.t0 == 0.0                # no coast unless t0 is given
-    assert rep.iterations == 2          # second pass confirms the first
-    assert rep.converged
-    assert np.array_equal(rep.hum.h, hum.h)
-    assert rep.increments[-1] == 0.0
+    # the frozen factors add to the linear b and c, so with f = 0 the loop
+    # is the linear control of the whole equation
+    for drift in DRIFTS:
+        p = _drift_problem(drift, N=48, M=48)
+        rep = picard_null_control(p, zero_nonlinearity(), epsilon=1e-6)
+        hum = hum_solve(p, 1e-6)
+        assert rep.t0 == 0.0, drift            # no coast unless t0 is given
+        assert rep.iterations == 2, drift      # second pass confirms the first
+        assert rep.converged, drift
+        assert np.array_equal(rep.hum.h, hum.h), drift
+        assert rep.increments[-1] == 0.0, drift
 
 
 def test_picard_warm_start_spends_fewer_cg_iterations(monkeypatch):
@@ -224,10 +242,11 @@ def test_one_assembly_per_linear_problem_and_one_call_per_factor(monkeypatch):
 
 
 def test_semilinear_forward_matches_linear_for_zero_nl():
-    p = make_problem(N=48, M=32)
-    traj_semi = semilinear_forward(p, zero_nonlinearity())
-    traj_lin = solve_forward(p)
-    assert np.allclose(traj_semi, traj_lin, rtol=1e-12, atol=1e-15)
+    # the coast adds its frozen row to row n+1 of the linear b and c
+    for drift in DRIFTS:
+        p = _drift_problem(drift, N=48, M=32)
+        assert np.array_equal(semilinear_forward(p, zero_nonlinearity()),
+                              solve_forward(p)), drift
 
 
 @pytest.mark.parametrize("nl,N,T", [(sine_nonlinearity(-10.0), 64, 1.0),
@@ -289,29 +308,6 @@ def test_coast_phase_checks_the_caps():
     p = make_problem(N=32, M=16)
     with pytest.raises(UnboundedFrozenCoefficient):
         semilinear_forward(p, runaway)
-
-
-@pytest.mark.parametrize("b0, c0", [(5.0, 0.0), (0.0, 5.0)], ids=["b", "c"])
-@pytest.mark.parametrize("entry", ["picard", "coast"])
-def test_linear_drift_is_refused_before_any_solve(monkeypatch, entry, b0, c0):
-    # freezing replaces b and c with the frozen factors, so a linear b or c
-    # would be dropped without a word: b = c = 5 gave the bytes of b = c = 0
-    factorizations = []
-    real_dgttrf = pde.dgttrf
-
-    def counting_dgttrf(*args, **kwargs):
-        factorizations.append(1)
-        return real_dgttrf(*args, **kwargs)
-
-    monkeypatch.setattr(pde, "dgttrf", counting_dgttrf)
-    p = make_problem(N=16, M=16, b0=b0, c0=c0)
-    nl = sine_nonlinearity(0.5)
-    with pytest.raises(ValueError, match="b = 0 and c = 0"):
-        if entry == "picard":
-            picard_null_control(p, nl, epsilon=1e-6)
-        else:
-            semilinear_forward(p, nl)
-    assert factorizations == []
 
 
 def test_coast_then_control_zero_datum():
