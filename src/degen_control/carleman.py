@@ -38,6 +38,20 @@ obs = int_{omega x (0, T)} v^2 e^{-2 s phi}:
 - "cacciopoli": the local Caccioppoli-type gradient energy
   lhs = int_{omega' x (0, T)} v_x^2 e^{-2 s phi}, against the lemma's rhs.
 
+obs carries no s^3 theta^3, unlike that of Cannarsa, Martinez & Vancostenoble
+(SIAM J. Control Optim. 47, 2008); where s theta >= 1, at every t once
+s >= (T^2/4)^4, this shrinks the rhs, so the audited form is the stronger one.
+
+The ensemble is drawn as arrays on the problem's nodes and times. A smooth
+field sums the ``FIELD_MODES`` lowest modes meeting the boundary conditions,
+sin(k pi x) (weak case) or cos((k - 1/2) pi x) (strong), with coefficients
+``standard_normal(FIELD_MODES) / k``: a function of x, not nodal noise, so
+refinement studies compare like with like. A sample draws vT, a smooth field,
+then each source in turn (F, or F0 before F1), a smooth field times
+1 + sin(2 pi j t / T + phase) / 2 with j = ``integers(1, 3)`` and then
+phase = ``uniform(0, 2 pi)`` drawn after its coefficients. v solves the
+backward equation from vT on the drift-free problem, built once.
+
 Each side is a short list of terms (k, nodes or faces, integrand) worth
 s^k dt sum_{t, x} integrand e^{-2 s phi} over the interior time levels, with
 v_x the difference quotient on the faces. A term's integrand is a sample
@@ -266,16 +280,6 @@ def beta_divergence(grid: GridSpec, beta, F1: np.ndarray,
     return out
 
 
-def solve_terminal_source(p: LinearProblem, vT: np.ndarray,
-                          F: np.ndarray) -> np.ndarray:
-    """Backward implicit-Euler solution of v_t + (a v_x)_x = F, v(T) = vT, as
-    the (M+1, N) states at ``p.times``. Marches ``p`` as given, so the caller
-    passes the drift-free problem ``p.with_drift(zero_drift())``; reusing one
-    such problem reuses its step factors. The source F is required, with
-    shape (M+1, N) sampled at the time nodes."""
-    return _finite(march(p, vT, -np.asarray(F, dtype=float)[:-1], adjoint=True), True)
-
-
 def _damping_weights(w: CarlemanWeights, theta: np.ndarray, s: float):
     """e^{-2 s phi} on (interior time, node) and (interior time, face) pairs.
 
@@ -399,44 +403,32 @@ def carleman_functionals(p: LinearProblem, w: CarlemanWeights, v: np.ndarray,
 
 # -- random solution ensembles and the ratio experiment -------------------------
 
-def random_smooth_field(rng: np.random.Generator, case: Case):
-    """Random expansion in the ``FIELD_MODES`` lowest modes compatible with
-    the boundary conditions.
+def _draw_sample(p0: LinearProblem, rng: np.random.Generator, beta=None):
+    """One sample of the ensemble (module docstring) as (v, src) at ``p0``'s
+    nodes and times: src is F, or with ``beta`` the theorem's SourceSplit with
+    F = F0 + (beta F1)_x. ``p0`` is marched as given, so the caller passes the
+    drift-free problem; an overflowing state raises ``NonFiniteIntegral``."""
+    x, case = p0.grid.nodes, p0.case
 
-    Weak case: sine modes (zero at both ends). Strong case: shifted cosine
-    modes with zero slope at 0 and zero value at 1. Returning a continuum
-    function (not nodal noise) keeps refinement studies comparable across
-    grids.
-    """
-    coeffs = rng.standard_normal(FIELD_MODES) / np.arange(1, FIELD_MODES + 1)
+    def smooth():
+        coeffs = rng.standard_normal(FIELD_MODES) / np.arange(1, FIELD_MODES + 1)
+        return sum(ck * (np.cos((k - 0.5) * np.pi * x) if case is Case.SDP
+                         else np.sin(k * np.pi * x)) for k, ck in enumerate(coeffs, start=1))
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for k, ck in enumerate(coeffs, start=1):
-            if case is Case.SDP:
-                out += ck * np.cos((k - 0.5) * np.pi * x)
-            else:
-                out += ck * np.sin(k * np.pi * x)
-        return out
+    def source():
+        spatial = smooth()
+        j = int(rng.integers(1, 3))
+        phase = float(rng.uniform(0.0, 2.0 * np.pi))
+        t = p0.times[:, None]
+        return spatial * (1.0 + 0.5 * np.sin(2.0 * np.pi * j * t / p0.T + phase))
 
-    return f
-
-
-def random_space_time_field(rng: np.random.Generator, case: Case, T: float):
-    spatial = random_smooth_field(rng, case)
-    j = int(rng.integers(1, 3))
-    phase = float(rng.uniform(0.0, 2.0 * np.pi))
-
-    def f(x, t):
-        return spatial(x) * (1.0 + 0.5 * np.sin(2.0 * np.pi * j * t / T + phase))
-
-    return f
-
-
-def _sample_field(fun, grid: GridSpec, times: np.ndarray) -> np.ndarray:
-    """fun on the (time, node) grid, from one call broadcasting times against nodes."""
-    return np.asarray(fun(grid.nodes, times[:, None]), dtype=float)
+    vT = smooth()
+    if beta is None:
+        src = F = source()
+    else:
+        src = SourceSplit(F0=source(), F1=source())
+        F = src.F0 + beta_divergence(p0.grid, beta, src.F1, case)
+    return _finite(march(p0, vT, -F[:-1], adjoint=True), True), src
 
 
 @dataclass
@@ -472,17 +464,13 @@ def calibrate_s0(s_values, max_ratios):
 def ratio_experiment(p: LinearProblem, w: CarlemanWeights, s_values,
                      n_samples: int, variant: str,
                      rng: np.random.Generator) -> AuditResult:
-    """Ratios lhs/rhs over an ensemble of random solutions, per Carleman parameter.
-
-    Every variant draws random smooth terminal data and random smooth sources
-    (F for the lemma and Caccioppoli forms, (F0, F1) for the theorem form)
-    and solves the backward equation they drive. Source-free ensembles leave
-    only the observation term on the right-hand side, whose discrete maximum
-    ratio is not stable under refinement; the audited inequalities are stated
-    for the source-driven solution class anyway. One ``carleman_functionals``
-    call per sample checks and covers the whole ladder, and raises where a
-    side underflows to 0. Raises ValueError before any solve unless
-    n_samples >= 1 and the ladder increases strictly, as ``calibrate_s0`` reads.
+    """Ratios lhs/rhs over ``n_samples`` draws of the ensemble, per Carleman
+    parameter. Every draw carries sources (F, or F0 and F1 for the theorem):
+    a source-free ensemble leaves only obs on the rhs, whose discrete maximum
+    ratio is not stable under refinement. One ``carleman_functionals`` call per
+    sample covers the ladder and raises where a side underflows to 0. Raises
+    ValueError before any solve unless n_samples >= 1 and the ladder increases
+    strictly, as ``calibrate_s0`` reads.
     """
     s_values = [float(s) for s in s_values]
     if n_samples < 1:
@@ -490,18 +478,10 @@ def ratio_experiment(p: LinearProblem, w: CarlemanWeights, s_values,
     if not np.all(np.diff(s_values) > 0.0):
         raise ValueError(f"s values must be strictly increasing, got {s_values}")
     p0 = p.with_drift(zero_drift())
+    beta = p.drift.beta if variant == "theorem" else None
     ratios = np.zeros((n_samples, len(s_values)))
     for i in range(n_samples):
-        vT = random_smooth_field(rng, p.case)(p.grid.nodes)
-        if variant == "theorem":
-            F0 = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
-            F1 = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
-            src = SourceSplit(F0=F0, F1=F1)
-            v = solve_terminal_source(
-                p0, vT, F0 + beta_divergence(p.grid, p.drift.beta, F1, p.case))
-        else:
-            src = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
-            v = solve_terminal_source(p0, vT, src)
+        v, src = _draw_sample(p0, rng, beta)
         lhs, rhs = carleman_functionals(p, w, v, src, s_values, variant)
         ratios[i] = lhs / rhs
     max_r = np.max(ratios, axis=0).tolist()

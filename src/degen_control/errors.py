@@ -26,8 +26,9 @@ class EnvelopeUnbounded(DegenControlError):
 
 
 class BadResolution(DegenControlError):
-    """Grid request below the minimum supported resolution, or with a grading
-    exponent that is not finite and >= 1 or leaves a spacing h with 1/h^2 = inf."""
+    """Grid or step count outside the supported resolutions (8 to ``N_MAX``
+    nodes, at most ``M_MAX`` steps), or a grading exponent that is not finite
+    and >= 1 or leaves a spacing h with 1/h^2 = inf."""
     code = "BAD_RESOLUTION"
     exit_code = 2
 

@@ -9,7 +9,8 @@ x_i = (i/(N-1))^gamma with the diffusivity evaluated at face midpoints:
 where w_i is the trapezoid quadrature weight (the dual cell length). Using
 w_i as the cell measure makes A exactly self-adjoint in the trapezoid-weighted
 inner product when b = c = 0, which the duality machinery relies on. The
-first-order term is fully upwinded by the sign of beta*c.
+first-order term is fully upwinded by the sign of beta*c; an upwind
+coefficient beta c / h that overflows raises ``NonFiniteIntegral``.
 
 Boundary conditions: node N-1 is always eliminated (Dirichlet). In the weak
 case node 0 is eliminated too; in the strong case node 0 stays active with
@@ -24,10 +25,12 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .coefficients import Case, DegeneracyCoefficient, DriftEnvelope, zero_drift
-from .errors import BadResolution, DegenerateSample
+from .errors import BadResolution, DegenerateSample, NonFiniteIntegral
 
 # spacing below which 1/h^2, which the flux stencil forms, overflows
 H_MIN = float(np.finfo(float).max) ** -0.5
+# desk scale is N up to about 10^3 nodes; the cap leaves a margin of ten
+N_MAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -40,8 +43,8 @@ class GridSpec:
 
 
 def build_grid(N: int, gamma: float = 1.0) -> GridSpec:
-    if N < 8:
-        raise BadResolution(f"need at least 8 nodes, got {N}")
+    if not 8 <= N <= N_MAX:
+        raise BadResolution(f"need 8 to {N_MAX} nodes, got {N}")
     if not (np.isfinite(gamma) and gamma >= 1.0):
         raise BadResolution(f"grading exponent must be finite and >= 1, got {gamma}")
     nodes = (np.arange(N, dtype=float) / (N - 1)) ** gamma
@@ -116,16 +119,21 @@ def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
     diag = np.broadcast_to(diffusion.diag + b, shape).copy()
     sup = np.broadcast_to(diffusion.sup, shape).copy()
 
-    q = np.asarray(drift.beta(grid.nodes[act]), dtype=float) * c
-    if np.any(q != 0.0):
-        backward = q >= 0.0
-        backward[..., 0] &= act.start > 0     # a strong-case node 0 has no left face
-        qh = q / np.r_[1.0, h][act]           # the padded 1 is never read
-        np.add(diag, qh, out=diag, where=backward)
-        np.subtract(sub, qh, out=sub, where=backward)
-        np.divide(q, h[act], out=qh)
-        np.subtract(diag, qh, out=diag, where=~backward)
-        np.add(sup, qh, out=sup, where=~backward)
+    try:
+        with np.errstate(over="raise"):   # an overflow raises where it happens, unprinted
+            q = np.asarray(drift.beta(grid.nodes[act]), dtype=float) * c
+            if np.any(q != 0.0):
+                backward = q >= 0.0
+                backward[..., 0] &= act.start > 0     # a strong-case node 0 has no left face
+                qh = q / np.r_[1.0, h][act]           # the padded 1 is never read
+                np.add(diag, qh, out=diag, where=backward)
+                np.subtract(sub, qh, out=sub, where=backward)
+                np.divide(q, h[act], out=qh)
+                np.subtract(diag, qh, out=diag, where=~backward)
+                np.add(sup, qh, out=sup, where=~backward)
+    except FloatingPointError:
+        raise NonFiniteIntegral(f"the upwinded first-order term beta c / h overflows "
+                                f"(max |c| = {float(np.max(np.abs(c))):.3e})") from None
     # eliminated Dirichlet neighbours couple to nothing (their value is zero)
     sub[..., 0] = sup[..., -1] = 0.0
     return TriDiagOperator(sub=sub, diag=diag, sup=sup)

@@ -38,8 +38,11 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .coefficients import DegeneracyCoefficient, DriftEnvelope
-from .errors import NonFiniteIntegral, SolverBreakdown
+from .errors import BadResolution, NonFiniteIntegral, SolverBreakdown
 from .mesh import GridSpec, active_indices, assemble_operator
+
+# desk scale is M up to about 10^3 steps; the cap leaves a margin of ten
+M_MAX = 10_000
 
 
 @dataclass
@@ -63,6 +66,8 @@ class LinearProblem:
             raise ValueError(f"horizon T must be finite and positive, got {self.T}")
         if self.M < 8:
             raise ValueError("need at least 8 time steps")
+        if self.M > M_MAX:
+            raise BadResolution(f"need at most {M_MAX} time steps, got {self.M}")
         self.y0 = np.asarray(self.y0, dtype=float)
         if self.y0.shape != (self.grid.N,):
             raise ValueError("initial datum must be a nodal vector on the grid")
@@ -114,11 +119,17 @@ def _step_solve(lu, row: np.ndarray) -> None:
 def _step_factors(p: LinearProblem) -> list:
     """LU factors of the step matrix of each of the M steps, for both directions.
     The first call assembles the bands of every time level once (one level when
-    the drift holds no table) and factors each distinct level once."""
+    the drift holds no table) and factors each distinct level once; a step
+    matrix whose entries overflow raises ``NonFiniteIntegral`` before any."""
     if not p._cache:
         op = assemble_operator(p.grid, p.a, p.drift)
         levels = list(zip(*(np.atleast_2d(band) for band in (op.sub, op.diag, op.sup))))
-        lu = [_factor_step(*bands, p.dt, k + 1) for k, bands in enumerate(levels)]
+        try:
+            with np.errstate(over="raise"):   # one per problem, not one per step
+                lu = [_factor_step(*bands, p.dt, k + 1) for k, bands in enumerate(levels)]
+        except FloatingPointError:
+            raise NonFiniteIntegral(f"the step matrix I + dt A overflows at "
+                                    f"dt = {p.dt:.3e}") from None
         p._cache["lu"] = lu * (p.M // len(levels))
     return p._cache["lu"]
 

@@ -178,6 +178,14 @@ def semilinear_residual(p: LinearProblem, nl: Nonlinearity, y: np.ndarray,
     return float(np.sqrt(acc)) / max(l2_norm(p.grid.weights, p.y0), 1e-300)
 
 
+def _drift_rows(drift, first: int, last: int):
+    """``drift`` on the time levels first..last: the rows of a b or c table,
+    a number or (N,) vector as it is."""
+    def cut(f):
+        return f[first:last + 1] if np.ndim(f) == 2 else f
+    return dataclasses.replace(drift, b=cut(drift.b), c=cut(drift.c))
+
+
 def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
                         t0: float = 0.0, fp_tol: float = 1e-6, max_fp_iters: int = 50,
                         cg_tol: float = 1e-10, cg_max_iters: int = 500) -> FixedPointReport:
@@ -185,7 +193,8 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
 
     With t0 > 0 the uncontrolled semilinear equation first coasts on (0, t0)
     and the loop controls on (t0, T) from y(t0). t0 snaps to the step grid;
-    both phases keep the original step size and need at least 8 steps.
+    both phases keep the original step size and need at least 8 steps, and
+    a b or c table is cut to each phase's rows.
     Catalog nonlinearities are autonomous, so restarting the clock at t0 is
     immaterial.
 
@@ -209,8 +218,10 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
             raise ValueError("both phases need at least 8 time steps; "
                              f"split gave {M1} + {p.M - M1}")
         t0 = M1 * p.dt
-        phase1_final = semilinear_forward(dataclasses.replace(p, T=t0, M=M1), nl)[-1]
-        p = dataclasses.replace(p, T=p.T - t0, M=p.M - M1, y0=phase1_final)
+        phase1_final = semilinear_forward(
+            dataclasses.replace(p, T=t0, M=M1, drift=_drift_rows(p.drift, 0, M1)), nl)[-1]
+        p = dataclasses.replace(p, T=p.T - t0, M=p.M - M1, y0=phase1_final,
+                                drift=_drift_rows(p.drift, M1, p.M))
     else:
         t0 = 0.0  # a t0 of -0.0 reports as 0
 
@@ -251,11 +262,14 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
                             hum=hum, t0=t0, phase1_final=phase1_final)
 
 
+@np.errstate(over="ignore")   # once per coast, not per step; see the docstring
 def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> np.ndarray:
     """Uncontrolled semilinear forward solve with per-step frozen-coefficient
     inner iteration, as the (M+1, N) states at ``p.times``. A step's iterate
     is accepted at an increment of at most ``COAST_TOL`` ||y0||; a step that
-    spends ``COAST_MAX_INNER`` iterations without that raises NoFixedPoint."""
+    spends ``COAST_MAX_INNER`` iterations without that raises NoFixedPoint.
+    A step matrix I + dt A that overflows, unwarned under the decorator,
+    leaves a row that is not finite, which raises NonFiniteIntegral."""
     act = p.active()
     dt = p.dt
     states = np.zeros((p.M + 1, p.grid.N))

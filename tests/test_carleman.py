@@ -6,10 +6,8 @@ import pytest
 from degen_control import carleman, pde
 from degen_control.carleman import (SourceSplit, beta_divergence, build_weights,
                                     c2_threshold, calibrate_s0,
-                                    carleman_functionals, random_smooth_field,
-                                    ratio_experiment, solve_terminal_source,
-                                    _sample_field, random_space_time_field,
-                                    CarlemanWeights)
+                                    carleman_functionals, ratio_experiment,
+                                    _draw_sample, CarlemanWeights)
 from degen_control.coefficients import (Case, constant_drift, linear_beta,
                                         power_coefficient)
 from degen_control.errors import NonFiniteIntegral, WeightInvalid
@@ -222,9 +220,7 @@ def test_functionals_zero_inputs():
 def test_functionals_quadratic_homogeneity(rng):
     p = make_problem(N=48, M=32, T=2.0)
     w = build_weights(p.a, p.omega, p.T, lam=0.5, grid=p.grid)
-    vT = random_smooth_field(rng, p.case)(p.grid.nodes)
-    F = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
-    v = solve_terminal_source(p, vT, F)
+    v, F = _draw_sample(p, rng)
     (lhs1,), (rhs1,) = carleman_functionals(p, w, v, F, [4.0], "lemma")
     v10 = 10.0 * v
     (lhs2,), (rhs2,) = carleman_functionals(p, w, v10, 10.0 * F, [4.0], "lemma")
@@ -322,9 +318,7 @@ def test_damping_weights_once_per_step_count_and_s(monkeypatch, rng):
     # the cache is keyed by the step count as well as s
     p32 = dataclasses.replace(p16, M=32)
     for p in (p16, p32, p16):
-        vT = random_smooth_field(rng, p.case)(p.grid.nodes)
-        F = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
-        v = solve_terminal_source(p, vT, F)
+        v, F = _draw_sample(p, rng)
         fresh = build_weights(p.a, p.omega, p.T, lam=0.5, grid=p.grid)
         got = carleman_functionals(p, w, v, F, [1.0, 2.0, 4.0], "lemma")
         want = carleman_functionals(p, fresh, v, F, [1.0, 2.0, 4.0], "lemma")
@@ -429,15 +423,7 @@ def test_functionals_match_reference_sums_at_audit_scale(rng, variant):
     # another order than the reference's direct sums
     p = make_problem(N=128, M=128, T=3.0)
     w = build_weights(p.a, p.omega, p.T, lam=0.5, grid=p.grid)
-    vT = random_smooth_field(rng, p.case)(p.grid.nodes)
-    F = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
-    if variant == "theorem":
-        F1 = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
-        src = SourceSplit(F0=F, F1=F1)
-        v = solve_terminal_source(p, vT, F + beta_divergence(p.grid, p.drift.beta, F1, p.case))
-    else:
-        src = F
-        v = solve_terminal_source(p, vT, F)
+    v, src = _draw_sample(p, rng, p.drift.beta if variant == "theorem" else None)
     ladder = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
     lhs, rhs = carleman_functionals(p, w, v, src, ladder, variant)
     want = np.array([_reference_sides(p, w, v, src, s, variant) for s in ladder]).T
@@ -525,9 +511,7 @@ def test_ratio_experiment_factors_once(monkeypatch, rng, n_samples):
 def test_cacciopoli_source_monotonicity(rng):
     p = make_problem(N=48, M=32, T=2.0)
     w = build_weights(p.a, p.omega, p.T, lam=0.5, grid=p.grid)
-    vT = random_smooth_field(rng, p.case)(p.grid.nodes)
-    F = _sample_field(random_space_time_field(rng, p.case, p.T), p.grid, p.times)
-    v = solve_terminal_source(p, vT, F)
+    v, F = _draw_sample(p, rng)
     (lhs1,), (rhs1,) = carleman_functionals(p, w, v, F, [4.0], "cacciopoli")
     (lhs2,), (rhs2,) = carleman_functionals(p, w, v, 10.0 * F, [4.0], "cacciopoli")
     assert lhs2 == pytest.approx(lhs1)
@@ -543,10 +527,7 @@ def test_cacciopoli_stable_under_refinement(rng):
         local_rng = np.random.default_rng(99)
         ratios = []
         for _ in range(20):
-            vT = random_smooth_field(local_rng, p.case)(p.grid.nodes)
-            F = _sample_field(random_space_time_field(local_rng, p.case, p.T),
-                              p.grid, p.times)
-            v = solve_terminal_source(p, vT, F)
+            v, F = _draw_sample(p, local_rng)
             (lhs,), (rhs,) = carleman_functionals(p, w, v, F, [4.0], "cacciopoli")
             ratios.append(lhs / rhs)
         vals[N] = max(ratios)
@@ -566,13 +547,20 @@ def test_calibrate_s0():
 
 
 def test_random_fields_respect_boundary_conditions(rng):
-    f_w = random_smooth_field(rng, Case.WDP)
-    assert abs(float(f_w(np.array([0.0]))[0])) < 1e-12
-    assert abs(float(f_w(np.array([1.0]))[0])) < 1e-12
-    f_s = random_smooth_field(rng, Case.SDP)
-    assert abs(float(f_s(np.array([1.0]))[0])) < 1e-12
-    slope0 = (float(f_s(np.array([1e-6]))[0]) - float(f_s(np.array([0.0]))[0])) / 1e-6
-    assert abs(slope0) < 1e-3
+    # the drawn fields on every node: 0 at both ends in the weak case
+    p = make_problem(N=64, M=16, T=1.0)
+    _, src = _draw_sample(p, rng, p.drift.beta)
+    for f in (src.F0, src.F1):
+        assert np.max(np.abs(f[:, [0, -1]])) < 1e-12
+    # strong case: 0 at x = 1 and flat at x = 0, here over a first spacing of
+    # 6e-8 (gamma = 4); node 0 is active, so v(T) = vT there
+    p = make_problem(a=power_coefficient(1.5), N=64, M=16, T=1.0, gamma=4.0)
+    v, src = _draw_sample(p, rng, p.drift.beta)
+    h0 = p.grid.spacings[0]
+    for f in (v[-1:], src.F0, src.F1):
+        assert np.max(np.abs(f[:, 1] - f[:, 0])) / h0 < 1e-3
+    for f in (src.F0, src.F1):
+        assert np.max(np.abs(f[:, -1])) < 1e-12
 
 
 def test_beta_divergence_constant_product_vanishes():
@@ -591,16 +579,54 @@ def test_beta_divergence_constant_product_vanishes():
             assert np.array_equal(d, beta_divergence(g, np.sqrt, row, case))
 
 
-def test_sample_field_matches_per_time_evaluation(rng):
-    p = make_problem(N=48, M=32, T=2.0)
-    f = random_space_time_field(rng, p.case, p.T)
-    F = _sample_field(f, p.grid, p.times)
-    ref = np.stack([f(p.grid.nodes, t) for t in p.times])
-    assert F.shape == (p.M + 1, p.grid.N)
-    assert np.allclose(F, ref, rtol=0.0, atol=1e-14)
+def test_sample_field_matches_per_time_evaluation():
+    # the module docstring's draws replayed in its order, each field summed as
+    # one matrix product and evaluated one time level at a time
+    k = np.arange(1, carleman.FIELD_MODES + 1)
+    for alpha, theorem in ((0.5, False), (1.5, True)):
+        p = make_problem(a=power_coefficient(alpha), N=48, M=32, T=2.0)
+        v, src = _draw_sample(p, np.random.default_rng(3), p.drift.beta if theorem else None)
+        replay, x = np.random.default_rng(3), p.grid.nodes[:, None]
+        basis = np.cos((k - 0.5) * np.pi * x) if p.case is Case.SDP else np.sin(k * np.pi * x)
+
+        def smooth():
+            return basis @ (replay.standard_normal(carleman.FIELD_MODES) / k)
+
+        def source():
+            spatial = smooth()
+            j, phase = replay.integers(1, 3), replay.uniform(0.0, 2.0 * np.pi)
+            return np.stack([spatial * (1.0 + 0.5 * np.sin(2.0 * np.pi * j * t / p.T + phase))
+                             for t in p.times])
+
+        vT = smooth()
+        if theorem:
+            F0, F1 = source(), source()
+            np.testing.assert_allclose(src.F0, F0, rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(src.F1, F1, rtol=0.0, atol=1e-14)
+            F = F0 + beta_divergence(p.grid, p.drift.beta, F1, p.case)
+        else:
+            F = source()
+            np.testing.assert_allclose(src, F, rtol=0.0, atol=1e-14)
+        # v is the drift-free backward solve from vT driven by F
+        want = pde.march(p, vT, -F[:-1], adjoint=True)
+        np.testing.assert_allclose(v, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+
+
+class _ZeroDraws:
+    """A generator whose normal draws are all 0: zero terminal data and sources."""
+
+    def standard_normal(self, n):
+        return np.zeros(n)
+
+    def integers(self, low, high):
+        return low
+
+    def uniform(self, low, high):
+        return low
 
 
 def test_terminal_source_solver_zero_data():
     p = make_problem(N=32, M=16, T=1.0)
-    v = solve_terminal_source(p, np.zeros(p.grid.N), np.zeros((p.M + 1, p.grid.N)))
-    assert np.all(v == 0.0)
+    for beta in (None, p.drift.beta):
+        v, _ = _draw_sample(p, _ZeroDraws(), beta)
+        assert v.shape == (p.M + 1, p.grid.N) and np.all(v == 0.0)

@@ -549,6 +549,47 @@ M = 32
     assert last.startswith("ERROR BAD_RESOLUTION:")
 
 
+@pytest.mark.parametrize("bad", ["grid.N = 9999999999999", "grid.N = 10001",
+                                 "M = 99999999999", "M = 10001"],
+                         ids=["N-huge", "N-cap", "M-huge", "M-cap"])
+def test_size_caps_are_bad_resolution(tmp_path, capsys, bad):
+    # N and M above the desk-scale caps are bad input, refused before any
+    # allocation, not a MemoryError
+    cfg = write_cfg(tmp_path, f"""
+command = solve
+a.kind = power
+a.alpha = 0.5
+{bad}
+""")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 2
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last.startswith("ERROR BAD_RESOLUTION:")
+
+
+@pytest.mark.parametrize("command,bad", [
+    ("solve", "c.const = 1e308"),
+    ("solve", "T = 1e308"),
+    ("semilinear", "T = 1e307\nt0 = 5e306\nnl.kind = mixed\nnl.m = 0.5"),
+], ids=["upwind-term", "step-matrix", "coast-step-matrix"])
+def test_overflowing_operator_is_nonfinite_integral_without_warning(tmp_path, capsys,
+                                                                    command, bad):
+    # beta c / h and I + dt A overflow: checked where they are formed, so no
+    # RuntimeWarning comes first (the test settings would turn one into
+    # ERROR INTERNAL)
+    cfg = write_cfg(tmp_path, f"""
+command = {command}
+a.kind = power
+a.alpha = 0.5
+grid.N = 32
+M = 32
+{bad}
+""")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 3
+    out = capsys.readouterr()
+    assert out.out.strip().splitlines()[-1].startswith("ERROR NONFINITE_INTEGRAL:")
+    assert out.err == ""
+
+
 def test_sweep_command(tmp_path):
     cfg = write_cfg(tmp_path, """
 command = sweep

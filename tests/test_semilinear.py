@@ -332,6 +332,28 @@ def test_coast_then_control_matches_hum_from_coasted_state(rng):
     assert rep.hum.norm_yT >= hum.norm_yT * (1.0 - 1e-9)
 
 
+def test_coast_then_control_cuts_drift_tables():
+    # an (M+1, N) b table of 0.2 gives what b = 0.2 as a number gives
+    p = make_problem(N=32, M=32, b0=0.2)
+    table = p.with_drift(dataclasses.replace(p.drift, b=np.full((33, 32), 0.2)))
+    nl = sine_nonlinearity(0.5)
+    rep = picard_null_control(table, nl, epsilon=1e-6, t0=0.25)
+    ref = picard_null_control(p, nl, epsilon=1e-6, t0=0.25)
+    assert rep.converged and ref.converged and rep.iterations == ref.iterations
+    for got, want in ((rep.phase1_final, ref.phase1_final), (rep.hum.h, ref.hum.h),
+                      (rep.hum.trajectory, ref.hum.trajectory)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # the coast reads rows 1..M1 = 16 and the control phase the rows after
+    rows = np.where(np.arange(33)[:, None] <= 16, 0.2, 0.7) * np.ones(32)
+    split = picard_null_control(p.with_drift(dataclasses.replace(p.drift, b=rows)),
+                                nl, epsilon=1e-6, t0=0.25)
+    np.testing.assert_array_equal(split.phase1_final, ref.phase1_final)
+    late = dataclasses.replace(p, T=p.T - split.t0, M=16, y0=split.phase1_final,
+                               drift=dataclasses.replace(p.drift, b=0.7))
+    np.testing.assert_allclose(split.hum.h, picard_null_control(late, nl, 1e-6).hum.h,
+                               rtol=1e-12, atol=0.0)
+
+
 def test_coast_then_control_rejects_bad_t0():
     p = make_problem(N=32, M=32)
     with pytest.raises(ValueError):
