@@ -16,7 +16,11 @@ null-controllable configurations, which the epsilon sweep measures.
 and one forward sweep per iteration, for any coefficients. CG starts from 0,
 or from a given guess such as the previous ``vhatT`` that each Picard step
 after the first passes; either way it stops at ||r_k|| <= tol ||rhs||, so the
-guess changes the work and not the accuracy. ``epsilon_sweep``
+guess changes the work and not the accuracy. Given a preconditioner it runs
+preconditioned CG under the same rule: the Picard loop passes
+``diffusion_preconditioner``'s eps (Lam_0 + eps I)^-1, the exact penalised
+inverse of the diffusion's own Gramian in closed form on its tridiagonal
+eigenbasis, and ``control`` passes none. ``epsilon_sweep``
 and ``observability_estimate`` serve time-independent coefficients only,
 through the dense ``gramian`` pair: B = W Lam and E, the map vT -> v(0). The
 sweep solves every penalty of its ladder exactly from one symmetric
@@ -33,9 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal, eigvalsh_tridiagonal
 
-from .errors import NoConvergence, NonFiniteIntegral, NotSPD
-from .mesh import l2_norm
+from .errors import DegenerateSample, NoConvergence, NonFiniteIntegral, NotSPD
+from .mesh import _symmetric_diffusion, l2_norm
 from .pde import (LinearProblem, _adjoint_step_matrix, control_cost, march,
                   solve_adjoint, solve_forward)
 
@@ -81,14 +86,22 @@ def gramian(p: LinearProblem) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (S + S.T), P
 
 
-def _cg(apply_op, rhs, inner, tol, max_iters, x0=None):
+def _cg(apply_op, rhs, inner, tol, max_iters, x0=None, precond=None):
     """Conjugate gradient for apply_op(x) = rhs in a weighted inner product.
 
     Starts from x0, or from 0 when x0 is None, and converges at the first k
     with ||r_k|| <= tol ||rhs||, measured against ||rhs|| whatever the start;
     an x0 that already meets the rule comes back as it is, after 0 iterations.
-    Returns (x, iterations, residual_history, energy_history); the energy
-    1/2 x'Ax - b'x starts at that of the start and decreases monotonically.
+    ``precond``, if given, maps a residual r to z = P r for an operator P
+    that is positive definite and self-adjoint in ``inner``; the iteration
+    is then preconditioned CG, which takes r'z where plain CG takes r'r, and
+    its finiteness checks hold where ||z|| <= ||r||, as for
+    ``diffusion_preconditioner``. Without it z is r itself, so r'z is r'r
+    and the iterates are plain CG's bit for bit.
+    Returns (x, iterations, residual_history, energy_history): the residual
+    history holds ||r_k|| itself, not the preconditioned norm, and the
+    energy 1/2 x'Ax - b'x starts at that of the start and decreases
+    monotonically, by 1/2 alpha_k r_k'z_k at step k.
     Raises ValueError on an x0 of another shape than rhs or not finite,
     NonFiniteIntegral on an overflowed ||rhs||^2, ||r_0||^2 or curvature,
     NotSPD on nonpositive curvature beyond round-off, and NoConvergence with
@@ -124,7 +137,12 @@ def _cg(apply_op, rhs, inner, tol, max_iters, x0=None):
     energy_hist = [energy]
     if x0 is not None and res_hist[0] <= tol * norm_rhs:
         return x, 0, res_hist, energy_hist
-    d = r.copy()
+    if precond is None:
+        def precond(r):
+            return r
+    z = precond(r)
+    rz = inner(r, z)
+    d = z.copy()
     for k in range(1, max_iters + 1):
         Ad = apply_op(d)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -133,19 +151,75 @@ def _cg(apply_op, rhs, inner, tol, max_iters, x0=None):
             raise NonFiniteIntegral(f"curvature {dAd:.3e} or norm^2 {dd:.3e} is not finite")
         if dAd <= 1e-14 * dd:
             raise NotSPD(f"curvature {dAd:.3e} on a direction of norm^2 {dd:.3e}")
-        alpha = rs / dAd
+        alpha = rz / dAd
         x = x + alpha * d
         r = r - alpha * Ad
-        rs_new = inner(r, r)
-        res_hist.append(np.sqrt(rs_new))
-        energy_hist.append(energy_hist[-1] - 0.5 * alpha * rs)
+        rs = inner(r, r)
+        res_hist.append(np.sqrt(rs))
+        energy_hist.append(energy_hist[-1] - 0.5 * alpha * rz)
         if res_hist[-1] <= tol * norm_rhs:
             return x, k, res_hist, energy_hist
-        d = r + (rs_new / rs) * d
-        rs = rs_new
+        z = precond(r)
+        rz_new = inner(r, z)
+        d = z + (rz_new / rz) * d
+        rz = rz_new
     raise NoConvergence(
         f"CG spent {max_iters} iterations, residual {res_hist[-1]:.3e} "
         f"(target {tol * norm_rhs:.3e})", res_hist)
+
+
+def diffusion_preconditioner(p: LinearProblem, epsilon: float):
+    """r -> eps (Lam_0 + eps I)^-1 r on the active nodes, where Lam_0 is the
+    Gramian of p's diffusion alone (p's drift is not read), or None when no
+    mode needs it.
+
+    With W^{1/2} A_0 W^{-1/2} = U diag(lam) U' (``mesh._symmetric_diffusion``)
+    and r_a = 1/(1 + dt lam_a), the step matrix and its weighted transpose
+    are both U diag(r) U' in the scaled basis, so W^{1/2} Lam_0 W^{-1/2} =
+    U K U' with K = (U_omega' U_omega) o Phi, U_omega the rows of U in omega
+    and Phi_ab = dt sum_{j=1..M} (r_a r_b)^j, summed in closed form. Only the
+    k modes with Phi_aa > eps/100, the smoothest, are coupled exactly, from
+    their k eigenvectors and a Cholesky factor of K_k + eps I; every other
+    mode has Lam_0 far below eps there and takes the gain 1. The factor eps
+    keeps ||z|| <= ||r|| in the weighted norm, so the map overflows no
+    sooner than CG's own residual. Raises DegenerateSample if A_0 is not
+    positive definite, which Dirichlet data at x = 1 rules out, and NotSPD
+    if K_k + eps I is not, as at an eps lost in round-off.
+    """
+    _check_penalty(epsilon)
+    act = p.active()
+    diag, off = _symmetric_diffusion(p.grid, p.a)
+    lam = eigvalsh_tridiagonal(diag, off)
+    if lam[0] <= 0.0:
+        raise DegenerateSample(f"weighted stiffness is not positive definite "
+                               f"(smallest eigenvalue {lam[0]:.3e})")
+
+    def phi(log_q):
+        # dt sum_{j=1..M} q^j for q = exp(-log_q) in (0, 1)
+        return p.dt * np.exp(-log_q) * np.expm1(-p.M * log_q) / np.expm1(-log_q)
+
+    k = int(np.count_nonzero(phi(2.0 * np.log1p(p.dt * lam)) > 0.01 * epsilon))
+    if k == 0:
+        return None
+    lam, U = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
+                              lapack_driver="stemr")
+    log_r = np.log1p(p.dt * lam)
+    U_omega = U[p.omega_mask()[act]]
+    K = (U_omega.T @ U_omega) * phi(log_r[:, None] + log_r[None, :])
+    K[np.diag_indices(k)] += epsilon
+    try:
+        chol = cho_factor(K)
+    except np.linalg.LinAlgError:
+        raise NotSPD(f"the Gramian of {k} diffusion modes plus the penalty "
+                     f"{epsilon:.3e} is not positive definite beyond round-off") from None
+    sw = np.sqrt(p.grid.weights[act])
+
+    def apply(r):
+        s = sw * r
+        c = U.T @ s
+        return (s + U @ (epsilon * cho_solve(chol, c) - c)) / sw
+
+    return apply
 
 
 @dataclass
@@ -201,7 +275,8 @@ def _control_of(p: LinearProblem, x: np.ndarray, epsilon: float, rhs: np.ndarray
 
 
 def hum_solve(p: LinearProblem, epsilon: float, cg_tol: float = 1e-10,
-              max_iters: int = 500, x0: np.ndarray | None = None) -> HUMResult:
+              max_iters: int = 500, x0: np.ndarray | None = None,
+              precond=None) -> HUMResult:
     """Penalized minimal-norm control of the linear problem.
 
     Solves (Lam + eps I) vhat = -y_free(T) by CG in the weighted inner
@@ -210,13 +285,16 @@ def hum_solve(p: LinearProblem, epsilon: float, cg_tol: float = 1e-10,
     yT = -eps vhat holds to the CG tolerance and its gap is recorded. CG
     starts from the nodal vector ``x0`` (read on the active nodes), such as
     the ``vhatT`` of a nearby problem, or from 0 when it is None; the
-    stopping rule is the same either way. Raises ValueError unless eps and
+    stopping rule is the same either way. ``precond``, a map on the active
+    nodes such as ``diffusion_preconditioner(p, eps)`` returns, makes it
+    preconditioned CG under the same rule. Raises ValueError unless eps and
     cg_tol are finite and positive, max_iters >= 1 and x0, if given, is a
     finite (N,) vector.
 
     The Gramian stays matrix-free here, also where the dense ``gramian``
-    would be cheaper: the benchmark's ``control`` check pins this path's
-    exact number of single-column tridiagonal solves.
+    would be cheaper, and ``control`` passes no preconditioner: the
+    benchmark's ``control`` check pins this path's exact number of
+    single-column tridiagonal solves.
     """
     epsilon = float(epsilon)
     _check_penalty(epsilon)
@@ -236,7 +314,8 @@ def hum_solve(p: LinearProblem, epsilon: float, cg_tol: float = 1e-10,
     rhs = -solve_forward(p)[-1, act]
     x, iters, res_hist, energy_hist = _cg(
         lambda u: _gramian_apply_active(p, act, u) + epsilon * u, rhs, inner,
-        cg_tol, max_iters, None if x0 is None else np.asarray(x0, dtype=float)[act])
+        cg_tol, max_iters, None if x0 is None else np.asarray(x0, dtype=float)[act],
+        precond)
     vhatT, h, y, gap = _control_of(p, x, epsilon, rhs, cg_tol, res_hist)
     cost = control_cost(p, h)
     return HUMResult(

@@ -159,7 +159,17 @@ def dirichlet_energy(grid: GridSpec, a: DegeneracyCoefficient, u: np.ndarray):
     return np.sum(af * du * du / grid.spacings, axis=-1)
 
 
-# -- discrete Hardy-type inequality --------------------------------------------
+# -- the symmetrised diffusion and the discrete Hardy-type inequality ------------
+
+def _symmetric_diffusion(grid: GridSpec, a: DegeneracyCoefficient):
+    """The bands (diag, off) of the symmetric tridiagonal W^{1/2} A W^{-1/2},
+    with A the drift-free operator on the active nodes and W their weights:
+    A is self-adjoint in the weighted inner product, so this matrix has A's
+    eigenvalues and W^{1/2}-scaled eigenvectors."""
+    op = assemble_operator(grid, a, zero_drift())
+    w = grid.weights[active_indices(grid, a.case)]
+    return op.diag, op.sup[:-1] * np.sqrt(w[:-1] / w[1:])
+
 
 def hardy_check(grid: GridSpec, a: DegeneracyCoefficient) -> float:
     """Discrete Hardy constant: max ||v||^2 / ||sqrt(a) v_x||^2 over admissible v.
@@ -170,10 +180,8 @@ def hardy_check(grid: GridSpec, a: DegeneracyCoefficient) -> float:
     W^{1/2} A W^{-1/2}, found by a direct tridiagonal eigensolve. A finite
     value certifies the discrete Hardy-type inequality with that constant.
     """
-    op = assemble_operator(grid, a, zero_drift())
-    w = grid.weights[active_indices(grid, a.case)]
-    off = op.sup[:-1] * np.sqrt(w[:-1] / w[1:])
-    mu_min = eigvalsh_tridiagonal(op.diag, off, select="i", select_range=(0, 0))[0]
+    diag, off = _symmetric_diffusion(grid, a)
+    mu_min = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
     if mu_min <= 0.0:
         raise DegenerateSample(f"weighted stiffness is not positive definite "
                                f"(smallest eigenvalue {mu_min:.3e})")

@@ -19,7 +19,12 @@ c, and each frozen linear problem, the residual's included, is assembled
 once. Each Picard step after the first starts its CG from the previous
 step's vhatT, under the same stopping rule as a cold start, so a step whose
 frozen problem has not moved takes 0 iterations and repeats the previous
-control bit for bit.
+control bit for bit. Every step's CG is preconditioned by one map, built
+once per loop by ``control.diffusion_preconditioner`` from the controlled
+phase's diffusion alone: the frozen factors are bounded, so each frozen
+Gramian stays spectrally close to the diffusion's, and the iteration count
+stops growing with N. The drift, frozen or linear, is left out of it on
+purpose, so numbers, vectors and tables take one path.
 
 For rough initial data ``picard_null_control`` with t0 > 0 first runs the
 uncontrolled semilinear equation on (0, t0), then controls on (t0, T) from
@@ -43,7 +48,7 @@ from .coefficients import zero_drift
 from .errors import NoFixedPoint, NonFiniteIntegral, UnboundedFrozenCoefficient
 from .mesh import assemble_operator, dirichlet_energy, l2_norm
 from .pde import LinearProblem, _factor_step, _step_solve, solve_forward
-from .control import HUMResult, _cost_constant, hum_solve
+from .control import HUMResult, _cost_constant, diffusion_preconditioner, hum_solve
 
 # the coast phase's per-step inner iteration: relative increment target and budget
 COAST_TOL = 1e-12
@@ -192,9 +197,11 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
     """Iterate freeze -> penalized linear control -> refreeze to a fixed point.
 
     With t0 > 0 the uncontrolled semilinear equation first coasts on (0, t0)
-    and the loop controls on (t0, T) from y(t0). t0 snaps to the step grid;
-    both phases keep the original step size and need at least 8 steps, and
-    a b or c table is cut to each phase's rows.
+    and the loop controls on (t0, T) from y(t0). t0 snaps to the step grid,
+    at M (t0 / T) steps, which cannot overflow; both phases keep the
+    original step size and need at least 8 steps, and a b or c table is cut
+    to each phase's rows. Each step's ``hum_solve`` runs CG preconditioned
+    by ``diffusion_preconditioner`` of the controlled phase, built once.
     Catalog nonlinearities are autonomous, so restarting the clock at t0 is
     immaterial.
 
@@ -213,7 +220,7 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
     if t0 != 0.0:
         if not (0.0 < t0 < p.T):
             raise ValueError("t0 must lie strictly inside (0, T)")
-        M1 = int(round(p.M * t0 / p.T))
+        M1 = int(round(p.M * (t0 / p.T)))
         if M1 < 8 or p.M - M1 < 8:
             raise ValueError("both phases need at least 8 time steps; "
                              f"split gave {M1} + {p.M - M1}")
@@ -227,6 +234,7 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
 
     y0n = l2_norm(p.grid.weights, p.y0)
     tol_abs = fp_tol * max(y0n, 1e-300)
+    precond = diffusion_preconditioner(p, epsilon)
 
     z = solve_forward(frozen_problem(p, np.zeros((p.M + 1, p.grid.N)), nl))
 
@@ -235,7 +243,8 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
     hum = None
     for _k in range(max_fp_iters):
         hum = hum_solve(frozen_problem(p, z, nl), epsilon, cg_tol=cg_tol,
-                        max_iters=cg_max_iters, x0=None if hum is None else hum.vhatT)
+                        max_iters=cg_max_iters, x0=None if hum is None else hum.vhatT,
+                        precond=precond)
         inc = _z_norm(p, hum.trajectory - z)
         increments.append(inc)
         costs.append(hum.cost)

@@ -18,7 +18,8 @@ from degen_control.cli import write_control_field
 from degen_control.coefficients import (Case, classical_coefficient,
                                         power_coefficient, validate_coefficient,
                                         zero_drift)
-from degen_control.control import epsilon_sweep, hum_solve, observability_estimate
+from degen_control.control import (diffusion_preconditioner, epsilon_sweep, hum_solve,
+                                   observability_estimate)
 from degen_control.errors import HypothesisViolated
 from degen_control.mesh import build_grid, l2_norm
 from degen_control.pde import LinearProblem, solve_adjoint, solve_forward
@@ -210,10 +211,11 @@ def test_criterion_8_semilinear_fixed_point(tmp_path):
         costs[N] = rep.cost_constant
     assert abs(costs[128] - costs[64]) <= 0.25 * costs[64]
 
-    # f == 0 reduces to the linear control, matching table bytes
+    # f == 0 reduces to the linear control under the loop's preconditioner,
+    # matching table bytes
     p = _problem(a, N=64, M=128, T=0.5)
     rep0 = picard_null_control(p, zero_nonlinearity(), epsilon=1e-6)
-    hum = hum_solve(p, 1e-6)
+    hum = hum_solve(p, 1e-6, precond=diffusion_preconditioner(p, 1e-6))
     assert rep0.iterations <= 2
     assert np.array_equal(rep0.hum.h, hum.h)
     path_a = tmp_path / "picard_control.csv"

@@ -339,6 +339,24 @@ y0.amplitude = {amplitude}
     assert last.startswith("ERROR NONFINITE_INTEGRAL:")
 
 
+def test_semilinear_near_the_overflow_threshold_exits_0(tmp_path, capsys):
+    # the preconditioner maps a residual to one no larger, so a datum whose
+    # plain-CG run stays finite stays finite under preconditioned CG too
+    cfg = write_cfg(tmp_path, """
+command = semilinear
+a.kind = power
+a.alpha = 0.5
+grid.N = 32
+M = 32
+nl.kind = sine
+nl.m = 0.5
+y0.amplitude = 1e153
+""")
+    assert main([cfg, "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr()
+    assert _summary(out.out)["converged"] == "True" and out.err == ""
+
+
 def test_two_phase_control_csv_runs_on_the_controlled_clock(tmp_path, capsys):
     # t0 = 0.2 snaps to 13 of 32 steps of T = 0.5; control.csv's time column
     # is the controlled phase's own clock shifted by t0
@@ -570,12 +588,14 @@ a.alpha = 0.5
     ("solve", "c.const = 1e308"),
     ("solve", "T = 1e308"),
     ("semilinear", "T = 1e307\nt0 = 5e306\nnl.kind = mixed\nnl.m = 0.5"),
-], ids=["upwind-term", "step-matrix", "coast-step-matrix"])
+    ("semilinear", "T = 1e308\nt0 = 3e307\nnl.kind = mixed\nnl.m = 0.5"),
+], ids=["upwind-term", "step-matrix", "coast-step-matrix", "coast-split-of-1e308"])
 def test_overflowing_operator_is_nonfinite_integral_without_warning(tmp_path, capsys,
                                                                     command, bad):
     # beta c / h and I + dt A overflow: checked where they are formed, so no
     # RuntimeWarning comes first (the test settings would turn one into
-    # ERROR INTERNAL)
+    # ERROR INTERNAL); the split of T = 1e308 at t0 = 3e307 is 10 + 22 steps,
+    # taken as M (t0 / T) because M t0 overflows
     cfg = write_cfg(tmp_path, f"""
 command = {command}
 a.kind = power

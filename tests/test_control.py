@@ -5,8 +5,9 @@ import pytest
 
 from degen_control import pde
 from degen_control.control import (ObservabilityReport, _cg,
-                                   _gramian_apply_active, epsilon_sweep,
-                                   gramian, hum_solve, observability_estimate)
+                                   _gramian_apply_active, diffusion_preconditioner,
+                                   epsilon_sweep, gramian, hum_solve,
+                                   observability_estimate)
 from degen_control.coefficients import power_coefficient
 from degen_control.errors import NoConvergence, NonFiniteIntegral, NotSPD
 from degen_control.mesh import l2_norm
@@ -298,6 +299,69 @@ def test_cg_warm_start_keeps_the_stopping_rule_and_descends():
     assert energy_hist[0] == pytest.approx(0.5 * x0 @ A @ x0 - rhs @ x0, rel=1e-12)
     assert np.all(np.diff(energy_hist) <= 0.0)
     assert energy_hist[-1] == pytest.approx(0.5 * x @ A @ x - rhs @ x, rel=1e-9)
+
+
+def test_pcg_on_a_weighted_system_matches_a_dense_solve():
+    # A = W^-1 S with S SPD is self-adjoint in the weighted inner product, and
+    # so is its Jacobi preconditioner; every iterate's residual and energy
+    # are the recorded ones, which a rerun stopping there returns
+    rng = np.random.default_rng(5)
+    n = 40
+    w = rng.uniform(0.5, 2.0, n)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    D = np.geomspace(1.0, 100.0, n)
+    S = D[:, None] * (Q @ np.diag(np.geomspace(0.1, 1.0, n)) @ Q.T) * D[None, :]
+    A = S / w[:, None]
+    rhs = rng.standard_normal(n)
+    inner = lambda u, v: float(np.sum(w * u * v))
+    jacobi = np.diag(A).copy()
+    apply_op, precond = (lambda u: A @ u), (lambda r: r / jacobi)
+    x, iters, res_hist, energy_hist = _cg(apply_op, rhs, inner, 1e-10, 500,
+                                          precond=precond)
+    _, cg_iters, _, _ = _cg(apply_op, rhs, inner, 1e-10, 500)
+    assert 0 < iters < cg_iters
+    exact = np.linalg.solve(A, rhs)
+    assert np.linalg.norm(x - exact) <= 1e-7 * np.linalg.norm(exact)
+    assert len(res_hist) == len(energy_hist) == iters + 1
+    assert np.all(np.diff(energy_hist) <= 0.0)
+    norm_rhs = np.sqrt(inner(rhs, rhs))
+    for k in range(1, iters + 1):
+        tol = res_hist[k] * (1.0 + 1e-12) / norm_rhs
+        xk, j, res_k, energy_k = _cg(apply_op, rhs, inner, tol, 500, precond=precond)
+        assert j <= k and res_k == res_hist[:j + 1] and energy_k == energy_hist[:j + 1]
+        r = rhs - A @ xk
+        assert abs(res_hist[j] - np.sqrt(inner(r, r))) <= 1e-12 * norm_rhs + 1e-8 * res_hist[j]
+        assert energy_hist[j] == pytest.approx(0.5 * inner(xk, A @ xk) - inner(rhs, xk),
+                                               rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha, gamma", [(0.5, 1.0), (1.5, 2.0)], ids=["WDP", "SDP"])
+def test_diffusion_preconditioner_inverts_the_penalised_gramian(alpha, gamma):
+    # at eps = 1e-6 every mode is coupled, so P (Lam_0 + eps I) = eps I against
+    # the dense gramian; a larger eps couples only the smooth modes, and P
+    # stays self-adjoint in the weighted inner product with spectrum in (0, 1]
+    p = make_problem(a=power_coefficient(alpha), N=32, M=32, gamma=gamma)
+    act = p.active()
+    w = p.grid.weights[act]
+    n = w.size
+    B, _ = gramian(p)
+    eye = np.eye(n)
+    sw = np.sqrt(w)
+    for eps, tol in ((1e-6, 1e-10), (1e-2, 0.02)):
+        P = diffusion_preconditioner(p, eps)
+        PA = np.column_stack([P(col) for col in (B / w[:, None] + eps * eye).T])
+        assert np.max(np.abs(PA / eps - eye)) <= tol, eps
+        S = sw[:, None] * np.column_stack([P(col) for col in eye]) / sw[None, :]
+        assert np.max(np.abs(S - S.T)) <= 1e-14, eps
+        spectrum = np.linalg.eigvalsh(0.5 * (S + S.T))
+        assert spectrum[0] > 0.0 and spectrum[-1] <= 1.0 + 1e-12, eps
+    # the drift is not read, and no mode needs coupling at a penalty this large
+    drifted = make_problem(a=power_coefficient(alpha), N=32, M=32, gamma=gamma,
+                           b0=30.0, c0=-2.0)
+    r = np.random.default_rng(6).standard_normal(n)
+    assert np.array_equal(diffusion_preconditioner(drifted, 1e-6)(r),
+                          diffusion_preconditioner(p, 1e-6)(r))
+    assert diffusion_preconditioner(p, 1e3) is None
 
 
 @pytest.mark.parametrize("x0", [np.zeros(59), np.zeros((60, 1)),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from degen_control import mesh, pde, semilinear
-from degen_control.control import hum_solve
+from degen_control.coefficients import power_coefficient
+from degen_control.control import diffusion_preconditioner, hum_solve
 from degen_control.errors import (NoConvergence, NoFixedPoint, NonFiniteIntegral,
                                   UnboundedFrozenCoefficient)
 from degen_control.mesh import hardy_check, l2_norm
@@ -101,11 +102,12 @@ DRIFTS = ["none", "constant", "vector", "table"]
 
 def test_picard_zero_nonlinearity_reduces_to_linear():
     # the frozen factors add to the linear b and c, so with f = 0 the loop
-    # is the linear control of the whole equation
+    # is the linear control of the whole equation, under the loop's
+    # preconditioner
     for drift in DRIFTS:
         p = _drift_problem(drift, N=48, M=48)
         rep = picard_null_control(p, zero_nonlinearity(), epsilon=1e-6)
-        hum = hum_solve(p, 1e-6)
+        hum = hum_solve(p, 1e-6, precond=diffusion_preconditioner(p, 1e-6))
         assert rep.t0 == 0.0, drift            # no coast unless t0 is given
         assert rep.iterations == 2, drift      # second pass confirms the first
         assert rep.converged, drift
@@ -115,13 +117,15 @@ def test_picard_zero_nonlinearity_reduces_to_linear():
 
 def test_picard_warm_start_spends_fewer_cg_iterations(monkeypatch):
     # the first step starts cold, as a lone hum_solve of its frozen problem
-    # does; every later step starts from the previous vhatT
+    # under the loop's preconditioner does; every later step starts from the
+    # previous vhatT
     p = make_problem(N=48, M=64)
     nl = mixed_nonlinearity(0.5)
     rep = picard_null_control(p, nl, epsilon=1e-6)
     zero_traj = _const_traj(p, np.zeros(p.grid.N))
     z = solve_forward(frozen_problem(p, zero_traj, nl))
-    first = hum_solve(frozen_problem(p, z, nl), 1e-6)
+    first = hum_solve(frozen_problem(p, z, nl), 1e-6,
+                      precond=diffusion_preconditioner(p, 1e-6))
     assert rep.cg_iters[0] == first.cg_iters
     monkeypatch.setattr(semilinear, "hum_solve",
                         lambda *args, x0=None, **kwargs: hum_solve(*args, **kwargs))
@@ -130,6 +134,27 @@ def test_picard_warm_start_spends_fewer_cg_iterations(monkeypatch):
     assert len(rep.cg_iters) == rep.iterations and len(cold.cg_iters) == cold.iterations
     assert cold.cg_iters[0] == first.cg_iters
     assert sum(rep.cg_iters) < sum(cold.cg_iters)
+
+
+def test_picard_pcg_count_does_not_grow_with_the_grid():
+    # the first Picard step's frozen problem at alpha = 1.5 on a graded grid:
+    # plain CG needs more iterations at every refinement, CG preconditioned
+    # by the diffusion's penalised Gramian about as many, to the same control
+    counts = {"cg": [], "pcg": []}
+    nl = mixed_nonlinearity(0.5)
+    for N in (64, 128, 256):
+        p = make_problem(a=power_coefficient(1.5), N=N, M=N, gamma=2.0)
+        z = solve_forward(frozen_problem(p, _const_traj(p, np.zeros(N)), nl))
+        frozen = frozen_problem(p, z, nl)
+        cg = hum_solve(frozen, 1e-6, cg_tol=1e-12)
+        pcg = hum_solve(frozen, 1e-6, cg_tol=1e-12,
+                        precond=diffusion_preconditioner(p, 1e-6))
+        counts["cg"].append(cg.cg_iters)
+        counts["pcg"].append(pcg.cg_iters)
+        assert np.max(np.abs(pcg.h - cg.h)) <= 1e-9 * np.max(np.abs(cg.h)), N
+    assert counts["cg"][0] < counts["cg"][1] < counts["cg"][2], counts
+    assert max(counts["pcg"]) - min(counts["pcg"]) <= 2, counts
+    assert 5 * max(counts["pcg"]) < counts["cg"][0], counts
 
 
 def test_picard_warm_start_keeps_the_cg_budget():
@@ -173,7 +198,6 @@ def test_picard_gradient_nonlinearities_converge(nl):
 
 
 def test_picard_strong_degeneracy_converges():
-    from degen_control.coefficients import power_coefficient
     p = make_problem(a=power_coefficient(1.5), N=48, M=64)
     rep = picard_null_control(p, sine_nonlinearity(0.5), epsilon=1e-6)
     assert rep.converged
@@ -327,7 +351,7 @@ def test_coast_then_control_matches_hum_from_coasted_state(rng):
     rep = picard_null_control(p, zero_nonlinearity(), epsilon=1e-6, t0=p.T / 4)
     p_single = dataclasses.replace(p, T=p.T - rep.t0, M=p.M - 16,
                                    y0=rep.phase1_final)
-    hum = hum_solve(p_single, 1e-6)
+    hum = hum_solve(p_single, 1e-6, precond=diffusion_preconditioner(p_single, 1e-6))
     assert rep.hum.norm_yT <= hum.norm_yT * (1.0 + 1e-9)
     assert rep.hum.norm_yT >= hum.norm_yT * (1.0 - 1e-9)
 
@@ -352,6 +376,14 @@ def test_coast_then_control_cuts_drift_tables():
                                drift=dataclasses.replace(p.drift, b=0.7))
     np.testing.assert_allclose(split.hum.h, picard_null_control(late, nl, 1e-6).hum.h,
                                rtol=1e-12, atol=0.0)
+
+
+def test_coast_split_of_a_huge_horizon_does_not_overflow():
+    # M t0 = 3.2e308 overflows where M (t0 / T) = 3.2 does not; the split
+    # is then too short, which is bad input
+    p = make_problem(N=32, M=32, T=1e308)
+    with pytest.raises(ValueError, match=r"split gave 3 \+ 29"):
+        picard_null_control(p, mixed_nonlinearity(0.5), epsilon=1e-6, t0=1e307)
 
 
 def test_coast_then_control_rejects_bad_t0():
