@@ -40,6 +40,24 @@ class GridSpec:
     faces: np.ndarray     # (N-1,) midpoints
     spacings: np.ndarray  # (N-1,) h_{i+1/2} = x_{i+1} - x_i
     weights: np.ndarray   # (N,) trapezoid quadrature weights
+    # np.gradient's interior weights (a, b, c) on these nodes, slope_i =
+    # a_i u_{i-1} + b_i u_i + c_i u_{i+1}; None where the spacings are all
+    # equal and the slope is (u_{i+1} - u_{i-1}) / 2h
+    slope_stencil: tuple | None
+
+    def slopes(self, u: np.ndarray) -> np.ndarray:
+        """Nodal slopes of u along its last axis: centered inside, one-sided
+        at the ends. The same bits as ``np.gradient(u, nodes, axis=-1)``."""
+        h = self.spacings
+        out = np.empty_like(u, dtype=float)
+        if self.slope_stencil is None:
+            out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * h[0])
+        else:
+            a, b, c = self.slope_stencil
+            out[..., 1:-1] = a * u[..., :-2] + b * u[..., 1:-1] + c * u[..., 2:]
+        out[..., 0] = (u[..., 1] - u[..., 0]) / h[0]
+        out[..., -1] = (u[..., -1] - u[..., -2]) / h[-1]
+        return out
 
 
 def build_grid(N: int, gamma: float = 1.0) -> GridSpec:
@@ -56,7 +74,12 @@ def build_grid(N: int, gamma: float = 1.0) -> GridSpec:
     w = np.zeros(N)
     w[:-1] += 0.5 * h
     w[1:] += 0.5 * h
-    return GridSpec(N=N, nodes=nodes, faces=faces, spacings=h, weights=w)
+    stencil = None
+    if not (h == h[0]).all():
+        h1, h2 = h[:-1], h[1:]
+        stencil = (-(h2) / (h1 * (h1 + h2)), (h2 - h1) / (h1 * h2), h1 / (h2 * (h1 + h2)))
+    return GridSpec(N=N, nodes=nodes, faces=faces, spacings=h, weights=w,
+                    slope_stencil=stencil)
 
 
 def active_indices(grid: GridSpec, case: Case) -> slice:
@@ -86,6 +109,44 @@ class TriDiagOperator:
         return r
 
 
+def _upwind(grid: GridSpec, act: slice, beta):
+    """The first-order term beta c u_x on the active nodes ``act``, as a function
+    ``add(sub, diag, sup, c)`` that adds it to (n,) or stacked (L, n) bands in
+    place, for c at the active nodes, and then cuts the bands' couplings to
+    the eliminated Dirichlet neighbours (their value is zero). beta on the
+    active nodes and the spacings of each node's left and right face are
+    formed here, once for every c. The term is upwinded by the sign of
+    q = beta c: a backward difference where q >= 0, a forward one elsewhere
+    and at a strong-case node 0, which has no left face. A q or q / h that
+    overflows raises ``NonFiniteIntegral``."""
+    beta_act = np.asarray(beta(grid.nodes[act]), dtype=float)
+    h_right = grid.spacings[act]
+    h_left = np.r_[1.0, grid.spacings][act]     # the padded 1 is never read
+    strong = act.start == 0
+
+    def add(sub, diag, sup, c):
+        try:
+            with np.errstate(over="raise"):   # an overflow raises where it happens, unprinted
+                q = beta_act * c
+                if (q != 0.0).any():
+                    backward = q >= 0.0
+                    if strong:
+                        backward[..., 0] = False
+                    qh = q / h_left
+                    np.add(diag, qh, out=diag, where=backward)
+                    np.subtract(sub, qh, out=sub, where=backward)
+                    np.divide(q, h_right, out=qh)
+                    forward = np.logical_not(backward, out=backward)
+                    np.subtract(diag, qh, out=diag, where=forward)
+                    np.add(sup, qh, out=sup, where=forward)
+        except FloatingPointError:
+            raise NonFiniteIntegral(f"the upwinded first-order term beta c / h overflows "
+                                    f"(max |c| = {float(np.max(np.abs(c))):.3e})") from None
+        sub[..., 0] = sup[..., -1] = 0.0
+
+    return add
+
+
 def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
                       drift: DriftEnvelope,
                       diffusion: TriDiagOperator | None = None) -> TriDiagOperator:
@@ -100,11 +161,10 @@ def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
     for bit.
     """
     act = active_indices(grid, a.case)
-    h = grid.spacings
     if diffusion is None:
         # conductance of node i's left face at i, of its right face at i + 1;
         # the padded 0 is the zero flux through x = 0 of a strong-case node 0
-        cond = np.r_[0.0, face_diffusivity(grid, a) / h]
+        cond = np.r_[0.0, face_diffusivity(grid, a) / grid.spacings]
         cL, cR, d = cond[act], cond[1:][act], grid.weights[act]
         diffusion = TriDiagOperator(sub=-cL / d, diag=(cL + cR) / d, sup=-cR / d)
 
@@ -115,27 +175,11 @@ def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
 
     b, c = on_steps(drift.b), on_steps(drift.c)
     shape = np.broadcast_shapes(b.shape, c.shape, diffusion.diag.shape)
-    sub = np.broadcast_to(diffusion.sub, shape).copy()
-    diag = np.broadcast_to(diffusion.diag + b, shape).copy()
-    sup = np.broadcast_to(diffusion.sup, shape).copy()
-
-    try:
-        with np.errstate(over="raise"):   # an overflow raises where it happens, unprinted
-            q = np.asarray(drift.beta(grid.nodes[act]), dtype=float) * c
-            if np.any(q != 0.0):
-                backward = q >= 0.0
-                backward[..., 0] &= act.start > 0     # a strong-case node 0 has no left face
-                qh = q / np.r_[1.0, h][act]           # the padded 1 is never read
-                np.add(diag, qh, out=diag, where=backward)
-                np.subtract(sub, qh, out=sub, where=backward)
-                np.divide(q, h[act], out=qh)
-                np.subtract(diag, qh, out=diag, where=~backward)
-                np.add(sup, qh, out=sup, where=~backward)
-    except FloatingPointError:
-        raise NonFiniteIntegral(f"the upwinded first-order term beta c / h overflows "
-                                f"(max |c| = {float(np.max(np.abs(c))):.3e})") from None
-    # eliminated Dirichlet neighbours couple to nothing (their value is zero)
-    sub[..., 0] = sup[..., -1] = 0.0
+    sub, diag, sup = np.empty(shape), np.empty(shape), np.empty(shape)
+    sub[...] = diffusion.sub
+    np.add(diffusion.diag, b, out=diag)
+    sup[...] = diffusion.sup
+    _upwind(grid, act, drift.beta)(sub, diag, sup, c)
     return TriDiagOperator(sub=sub, diag=diag, sup=sup)
 
 
@@ -145,9 +189,9 @@ def l2_norm(w: np.ndarray, u: np.ndarray):
     """sqrt(sum w u^2) along the last axis of u, a float for a vector. Each row
     is first scaled, exactly, by the power of two of its largest |entry|, so no
     square under- or overflows where the norm itself is representable."""
-    _, e = np.frexp(np.max(np.abs(u), axis=-1, keepdims=True))
+    _, e = np.frexp(np.abs(u).max(axis=-1, keepdims=True))
     v = np.ldexp(u, -e)
-    out = np.ldexp(np.sqrt(np.sum(w * v * v, axis=-1)), e[..., 0])
+    out = np.ldexp(np.sqrt((w * v * v).sum(axis=-1)), e[..., 0])
     return float(out) if out.ndim == 0 else out
 
 

@@ -103,9 +103,16 @@ class LinearProblem:
         return (x >= self.omega[0]) & (x <= self.omega[1])
 
 
-def _factor_step(sub, diag, sup, dt: float, step: int):
-    """LU factors of I + dt A from A's bands at one level."""
-    *lu, info = dgttrf(dt * sub[1:], 1.0 + dt * diag, dt * sup[:-1])
+def _step_bands(sub, diag, sup, dt: float):
+    """The bands (dl, d, du) of I + dt A that ``dgttrf`` takes, from A's (n,)
+    or stacked (L, n) bands: three products over all levels at once."""
+    return dt * sub[..., 1:], 1.0 + dt * diag, dt * sup[..., :-1]
+
+
+def _factor_step(dl, d, du, step: int):
+    """LU factors of one level's step matrix from its ``_step_bands``, which
+    are factored in place."""
+    *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info > 0:
         raise SolverBreakdown(f"singular step matrix at time index {step}")
     return lu
@@ -119,18 +126,20 @@ def _step_solve(lu, row: np.ndarray) -> None:
 def _step_factors(p: LinearProblem) -> list:
     """LU factors of the step matrix of each of the M steps, for both directions.
     The first call assembles the bands of every time level once (one level when
-    the drift holds no table) and factors each distinct level once; a step
-    matrix whose entries overflow raises ``NonFiniteIntegral`` before any."""
+    the drift holds no table), forms the step matrices' bands in one pass and
+    factors each distinct level once; a step matrix whose entries overflow
+    raises ``NonFiniteIntegral`` before any."""
     if not p._cache:
         op = assemble_operator(p.grid, p.a, p.drift)
-        levels = list(zip(*(np.atleast_2d(band) for band in (op.sub, op.diag, op.sup))))
         try:
             with np.errstate(over="raise"):   # one per problem, not one per step
-                lu = [_factor_step(*bands, p.dt, k + 1) for k, bands in enumerate(levels)]
+                bands = _step_bands(op.sub, op.diag, op.sup, p.dt)
         except FloatingPointError:
             raise NonFiniteIntegral(f"the step matrix I + dt A overflows at "
                                     f"dt = {p.dt:.3e}") from None
-        p._cache["lu"] = lu * (p.M // len(levels))
+        levels = zip(*(np.atleast_2d(band) for band in bands))
+        lu = [_factor_step(*level, k + 1) for k, level in enumerate(levels)]
+        p._cache["lu"] = lu * (p.M // len(lu))
     return p._cache["lu"]
 
 

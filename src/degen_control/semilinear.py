@@ -28,12 +28,17 @@ purpose, so numbers, vectors and tables take one path.
 
 For rough initial data ``picard_null_control`` with t0 > 0 first runs the
 uncontrolled semilinear equation on (0, t0), then controls on (t0, T) from
-the smoothed state. The coast iterates each step on its own: every inner
-iterate w is frozen through ``freeze_coefficients`` as the one level
-``w[None, :]`` at time t_{n+1}, so its values are checked against the caps
-too, and its one frozen row, added to row n+1 of the drift's b and c, is
-assembled as (N,) vectors onto the diffusion bands built once per coast, to
-``COAST_TOL`` in ``COAST_MAX_INNER`` steps.
+the smoothed state. The coast iterates each step on its own, to
+``COAST_TOL`` in ``COAST_MAX_INNER`` iterations, and shares the Picard
+loop's helpers. Once per coast it builds the diffusion bands (one
+evaluation of a), beta and the face spacings on the active nodes
+(``mesh._upwind``), and the linear b and c on the active nodes, read a row
+per step; the slope stencil is the grid's. Each inner iteration then works
+on (N,) rows only: one ``freeze_coefficients`` of the one level
+``w[None, :]`` at t_{n+1} (one call of each factor, with the slope, cap and
+finiteness checks), the frozen b on the diagonal, one upwind of the frozen
+c, one ``dgttrf`` and one ``dgttrs``, the finiteness check of the new row
+and its ``l2_norm`` increment.
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ import numpy as np
 
 from .coefficients import zero_drift
 from .errors import NoFixedPoint, NonFiniteIntegral, UnboundedFrozenCoefficient
-from .mesh import assemble_operator, dirichlet_energy, l2_norm
-from .pde import LinearProblem, _factor_step, _step_solve, solve_forward
+from .mesh import GridSpec, _upwind, assemble_operator, dirichlet_energy, l2_norm
+from .pde import LinearProblem, _factor_step, _step_bands, _step_solve, solve_forward
 from .control import HUMResult, _cost_constant, diffusion_preconditioner, hum_solve
 
 # the coast phase's per-step inner iteration: relative increment target and budget
@@ -108,26 +113,29 @@ def mixed_nonlinearity(m: float) -> Nonlinearity:
 
 # -- freezing ------------------------------------------------------------------
 
-def freeze_coefficients(nodes: np.ndarray, times: np.ndarray, z: np.ndarray,
+def freeze_coefficients(grid: GridSpec, times: np.ndarray, z: np.ndarray,
                         nl: Nonlinearity):
     """Call each factor once along the (L, N) states z at ``times`` on
-    ``nodes``, with each level's nodal slopes (centered, one-sided at the
-    ends): read-only (b_z, c_z) of z's shape; an (N,) result is broadcast.
-    Raises NonFiniteIntegral, naming the time, where a state or a slope is
-    not finite: no factor is asked what an overflowed slope freezes to."""
+    ``grid``, with each level's nodal slopes from ``grid.slopes`` (centered,
+    one-sided at the ends): (b_z, c_z) of z's shape; an (N,) result is
+    broadcast, read-only. Raises NonFiniteIntegral, naming the time, where a
+    state or a slope is not finite: no factor is asked what an overflowed
+    slope freezes to. A frozen value above its cap, or one that is not a
+    number, raises UnboundedFrozenCoefficient naming the order."""
     with np.errstate(over="ignore", invalid="ignore"):
-        slopes = np.gradient(z, nodes, axis=-1)
+        slopes = grid.slopes(z)
     bad = np.flatnonzero(~(np.isfinite(z).all(axis=-1) & np.isfinite(slopes).all(axis=-1)))
     if bad.size:
         raise NonFiniteIntegral(f"frozen state or its slope is not finite at "
                                 f"t = {times[bad[0]]:.6g}")
-    args = (nodes, times[:, None], z, slopes)
-    b_field, c_field = (np.broadcast_to(np.asarray(factor(*args), dtype=float), z.shape)
-                        for factor in (nl.b_factor, nl.c_factor))
+    args = (grid.nodes, times[:, None], z, slopes)
+    b_field, c_field = (f if f.shape == z.shape else np.broadcast_to(f, z.shape)
+                        for f in (np.asarray(factor(*args), dtype=float)
+                                  for factor in (nl.b_factor, nl.c_factor)))
     for order, field, cap in (("zero-order", b_field, nl.b_cap),
                               ("first-order", c_field, nl.c_cap)):
-        peak = np.max(np.abs(field))
-        if peak > cap * (1.0 + 1e-9) + 1e-300:
+        peak = np.abs(field).max()
+        if not peak <= cap * (1.0 + 1e-9) + 1e-300:     # a NaN fails too
             raise UnboundedFrozenCoefficient(
                 f"frozen {order} coefficient reaches {peak:.6g} > cap {cap:.6g}")
     return b_field, c_field
@@ -136,7 +144,7 @@ def freeze_coefficients(nodes: np.ndarray, times: np.ndarray, z: np.ndarray,
 def frozen_problem(p: LinearProblem, z: np.ndarray, nl: Nonlinearity) -> LinearProblem:
     """p with the factors frozen along the (M+1, N) states z at ``p.times``
     added to its b and c, as tables."""
-    b_field, c_field = freeze_coefficients(p.grid.nodes, p.times, z, nl)
+    b_field, c_field = freeze_coefficients(p.grid, p.times, z, nl)
     return p.with_drift(dataclasses.replace(p.drift, b=p.drift.b + b_field,
                                             c=p.drift.c + c_field))
 
@@ -278,27 +286,33 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> np.ndarray:
     is accepted at an increment of at most ``COAST_TOL`` ||y0||; a step that
     spends ``COAST_MAX_INNER`` iterations without that raises NoFixedPoint.
     A step matrix I + dt A that overflows, unwarned under the decorator,
-    leaves a row that is not finite, which raises NonFiniteIntegral."""
+    leaves a row that is not finite, which raises NonFiniteIntegral.
+
+    What is fixed for the whole coast is built before its loop (see the
+    module docstring); each inner iteration freezes the one level w, adds the
+    frozen b to the diffusion's diagonal and the frozen c through the upwind,
+    and factors and solves one step matrix."""
     act = p.active()
     dt = p.dt
     states = np.zeros((p.M + 1, p.grid.N))
-    b_lin, c_lin = (np.broadcast_to(f, states.shape) for f in (p.drift.b, p.drift.c))
+    b_lin, c_lin = (np.broadcast_to(f, states.shape)[:, act] for f in (p.drift.b, p.drift.c))
     states[0, act] = p.y0[act]
     scale = max(l2_norm(p.grid.weights, states[0]), 1e-300)
     diffusion = assemble_operator(p.grid, p.a, zero_drift())
+    add_upwind = _upwind(p.grid, act, p.drift.beta)
     for n in range(p.M):
-        t1 = (n + 1) * dt
+        t1 = np.array([(n + 1) * dt])
         w, row = states[n], states[n + 1]
+        b_n, c_n = b_lin[n + 1], c_lin[n + 1]
         for _j in range(COAST_MAX_INNER):
-            b_row, c_row = freeze_coefficients(p.grid.nodes, np.array([t1]), w[None, :], nl)
-            op = assemble_operator(p.grid, p.a,
-                                   dataclasses.replace(p.drift, b=b_lin[n + 1] + b_row[0],
-                                                       c=c_lin[n + 1] + c_row[0]),
-                                   diffusion)
+            b_row, c_row = freeze_coefficients(p.grid, t1, w[None, :], nl)
+            sub, sup = diffusion.sub.copy(), diffusion.sup.copy()
+            diag = diffusion.diag + (b_n + b_row[0, act])
+            add_upwind(sub, diag, sup, c_n + c_row[0, act])
             row[act] = states[n, act]
-            _step_solve(_factor_step(op.sub, op.diag, op.sup, dt, n + 1), row[act])
-            if not np.all(np.isfinite(row)):
-                raise NonFiniteIntegral(f"coast step {n + 1}: state at t = {t1:.6g} "
+            _step_solve(_factor_step(*_step_bands(sub, diag, sup, dt), n + 1), row[act])
+            if not np.isfinite(row).all():
+                raise NonFiniteIntegral(f"coast step {n + 1}: state at t = {t1[0]:.6g} "
                                         f"is not finite")
             delta = l2_norm(p.grid.weights, row - w)
             if delta <= COAST_TOL * scale:

@@ -26,6 +26,20 @@ def test_graded_node_formula():
     assert np.allclose(np.diff(build_grid(9, 1.0).nodes), 1 / 8)
 
 
+@pytest.mark.parametrize("N,gamma", [(33, 1.0), (48, 1.0), (40, 2.0), (57, 3.0)])
+@pytest.mark.parametrize("shape", [(), (1,), (5,)], ids=["N", "1xN", "LxN"])
+def test_grid_slopes_are_np_gradient_bit_for_bit(N, gamma, shape, rng):
+    # 33 nodes at gamma = 1 are spaced exactly 1/32 apart, which takes
+    # np.gradient's uniform formula; the others take its nonuniform one
+    g = build_grid(N, gamma)
+    assert (g.slope_stencil is None) == (N == 33)
+    u = rng.standard_normal(shape + (N,))
+    want = np.gradient(u, g.nodes, axis=-1)
+    got = g.slopes(u)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_build_grid_guards():
     with pytest.raises(BadResolution):
         build_grid(5, 1.0)

@@ -27,7 +27,7 @@ def _const_traj(p, values):
 def test_freeze_sine_at_zero_state():
     p = make_problem(N=32, M=16)
     z = _const_traj(p, np.zeros(p.grid.N))
-    b_f, c_f = freeze_coefficients(p.grid.nodes, p.times, z, sine_nonlinearity(3.0))
+    b_f, c_f = freeze_coefficients(p.grid, p.times, z, sine_nonlinearity(3.0))
     assert np.allclose(b_f, 3.0)          # sinc(0) = 1
     assert np.all(c_f == 0.0)
 
@@ -35,7 +35,7 @@ def test_freeze_sine_at_zero_state():
 def test_freeze_tanh_grad_linear_state():
     p = make_problem(N=32, M=16)
     z = _const_traj(p, 2.0 * p.grid.nodes)   # slope 2 everywhere
-    b_f, c_f = freeze_coefficients(p.grid.nodes, p.times, z, tanh_grad_nonlinearity())
+    b_f, c_f = freeze_coefficients(p.grid, p.times, z, tanh_grad_nonlinearity())
     assert np.all(b_f == 0.0)
     expect = np.tanh(2.0) / 2.0
     assert np.allclose(c_f, expect, atol=1e-12)
@@ -46,7 +46,7 @@ def test_freeze_tanh_grad_linear_state():
 def test_freeze_zero_nonlinearity():
     p = make_problem(N=32, M=16)
     z = _const_traj(p, np.sin(np.pi * p.grid.nodes))
-    b_f, c_f = freeze_coefficients(p.grid.nodes, p.times, z, zero_nonlinearity())
+    b_f, c_f = freeze_coefficients(p.grid, p.times, z, zero_nonlinearity())
     assert np.all(b_f == 0.0) and np.all(c_f == 0.0)
 
 
@@ -58,7 +58,33 @@ def test_freeze_cap_violation():
     p = make_problem(N=32, M=16)
     z = _const_traj(p, np.zeros(p.grid.N))
     with pytest.raises(UnboundedFrozenCoefficient):
-        freeze_coefficients(p.grid.nodes, p.times, z, runaway)
+        freeze_coefficients(p.grid, p.times, z, runaway)
+
+
+def _nan_factor(order):
+    """A nonlinearity whose factor of the given order is NaN on finite input."""
+    nan = lambda x, t, s, p: np.full(np.shape(s), np.nan)
+    zero = lambda x, t, s, p: np.zeros(np.shape(s))
+    return Nonlinearity(b_factor=nan if order == "zero-order" else zero,
+                        c_factor=nan if order == "first-order" else zero,
+                        b_cap=1.0, c_cap=1.0)
+
+
+@pytest.mark.parametrize("order", ["zero-order", "first-order"])
+def test_freeze_rejects_a_nan_factor(order):
+    # a NaN peak compares False with the cap, so the check asks peak <= cap
+    p = make_problem(N=32, M=16)
+    z = _const_traj(p, np.sin(np.pi * p.grid.nodes))
+    with pytest.raises(UnboundedFrozenCoefficient, match=f"frozen {order} coefficient"):
+        freeze_coefficients(p.grid, p.times, z, _nan_factor(order))
+
+
+@pytest.mark.parametrize("order", ["zero-order", "first-order"])
+def test_coast_phase_rejects_a_nan_factor(order):
+    # named as the factor's fault, not as a state that is no longer finite
+    p = make_problem(N=32, M=16)
+    with pytest.raises(UnboundedFrozenCoefficient, match=f"frozen {order} coefficient"):
+        semilinear_forward(p, _nan_factor(order))
 
 
 @pytest.mark.parametrize("nl", [sine_nonlinearity(0.5), tanh_grad_nonlinearity()],
@@ -70,7 +96,7 @@ def test_freeze_rejects_a_nonfinite_state(nl):
     z = _const_traj(p, np.sin(np.pi * p.grid.nodes))
     z[3, 7] = np.nan
     with pytest.raises(NonFiniteIntegral, match=f"at t = {p.times[3]:.6g}"):
-        freeze_coefficients(p.grid.nodes, p.times, z, nl)
+        freeze_coefficients(p.grid, p.times, z, nl)
 
 
 def test_nonlinearity_vanishes_at_origin():
@@ -259,7 +285,7 @@ def test_one_assembly_per_linear_problem_and_one_call_per_factor(monkeypatch):
     zero = zero_nonlinearity()
     nl = dataclasses.replace(zero, b_factor=counted("b", zero.b_factor),
                              c_factor=counted("c", zero.c_factor))
-    b_f, c_f = freeze_coefficients(p.grid.nodes, p.times, rep.hum.trajectory, nl)
+    b_f, c_f = freeze_coefficients(p.grid, p.times, rep.hum.trajectory, nl)
     assert sorted(factor_calls) == ["b", "c"]
     assert b_f.shape == c_f.shape == (p.M + 1, p.grid.N)
     assert not np.any(b_f) and not np.any(c_f)
@@ -297,6 +323,42 @@ def test_coast_phase_evaluates_a_once():
     p = dataclasses.replace(p, a=dataclasses.replace(p.a, eval=counted))
     semilinear_forward(p, mixed_nonlinearity(0.5))
     assert len(calls) == 1
+
+
+def test_coast_phase_work_per_inner_iteration(monkeypatch):
+    # each inner iteration freezes its one level, factors one step matrix and
+    # solves it once; a is evaluated and the diffusion assembled once per coast
+    p = make_problem(a=power_coefficient(1.5), N=40, M=24, gamma=2.0, b0=0.4, c0=-1.0)
+    counts = {"a": 0, "b": 0, "c": 0, "freeze": 0, "dgttrf": 0, "dgttrs": 0,
+              "assemble": 0}
+
+    def counted(name, fn, check=None):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            if check is not None:
+                check(*args)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def one_level(x, t, s, q):
+        assert np.shape(t) == (1, 1) and np.shape(s) == np.shape(q) == (1, p.grid.N)
+
+    nl = mixed_nonlinearity(2.0)
+    nl = dataclasses.replace(nl, b_factor=counted("b", nl.b_factor, one_level),
+                             c_factor=counted("c", nl.c_factor, one_level))
+    p = dataclasses.replace(p, a=dataclasses.replace(p.a, eval=counted("a", p.a.eval)))
+    monkeypatch.setattr(semilinear, "freeze_coefficients",
+                        counted("freeze", semilinear.freeze_coefficients))
+    monkeypatch.setattr(semilinear, "assemble_operator",
+                        counted("assemble", semilinear.assemble_operator))
+    for name in ("dgttrf", "dgttrs"):
+        monkeypatch.setattr(pde, name, counted(name, getattr(pde, name)))
+    traj = semilinear_forward(p, nl)
+    inner = counts["freeze"]
+    assert inner > 2 * p.M                  # the mixed factors take several per step
+    assert counts["b"] == counts["c"] == counts["dgttrf"] == counts["dgttrs"] == inner
+    assert counts["a"] == counts["assemble"] == 1
+    assert np.all(np.isfinite(traj))
 
 
 def test_coast_phase_fails_closed():
