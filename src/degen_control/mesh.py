@@ -77,7 +77,7 @@ def build_grid(N: int, gamma: float = 1.0) -> GridSpec:
     stencil = None
     if not (h == h[0]).all():
         h1, h2 = h[:-1], h[1:]
-        stencil = (-(h2) / (h1 * (h1 + h2)), (h2 - h1) / (h1 * h2), h1 / (h2 * (h1 + h2)))
+        stencil = (-h2 / (h1 * (h1 + h2)), (h2 - h1) / (h1 * h2), h1 / (h2 * (h1 + h2)))
     return GridSpec(N=N, nodes=nodes, faces=faces, spacings=h, weights=w,
                     slope_stencil=stencil)
 

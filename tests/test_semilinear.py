@@ -310,21 +310,6 @@ def test_coast_phase_solves_the_discrete_semilinear_equation(nl, N, T):
     assert semilinear_residual(p, nl, traj, np.zeros((p.M, p.grid.N))) <= 1e-9
 
 
-def test_coast_phase_evaluates_a_once():
-    # the diffusion bands are built once per coast; each inner iteration
-    # assembles only its frozen drift onto them
-    p = make_problem(N=32, M=16)
-    calls = []
-
-    def counted(x, _eval=p.a.eval):
-        calls.append(1)
-        return _eval(x)
-
-    p = dataclasses.replace(p, a=dataclasses.replace(p.a, eval=counted))
-    semilinear_forward(p, mixed_nonlinearity(0.5))
-    assert len(calls) == 1
-
-
 def test_coast_phase_work_per_inner_iteration(monkeypatch):
     # each inner iteration freezes its one level, factors one step matrix and
     # solves it once; a is evaluated and the diffusion assembled once per coast
