@@ -96,11 +96,13 @@ class TriDiagOperator:
     """Assembled operator over the active nodes (sub[0] = sup[-1] = 0).
 
     Bands are (n,), or (L, n) for L stacked time levels that ``apply`` maps
-    level by level."""
+    level by level. ``w_symmetric`` says that no first-order term is in
+    them, so W A is symmetric for the weights W of the active nodes."""
 
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
+    w_symmetric: bool = False
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         r = self.diag * u
@@ -113,7 +115,9 @@ def _upwind(grid: GridSpec, act: slice, beta):
     """The first-order term beta c u_x on the active nodes ``act``, as a function
     ``add(sub, diag, sup, c)`` that adds it to (n,) or stacked (L, n) bands in
     place, for c at the active nodes, and then cuts the bands' couplings to
-    the eliminated Dirichlet neighbours (their value is zero). beta on the
+    the eliminated Dirichlet neighbours (their value is zero); it returns
+    whether q = beta c is nonzero anywhere, that is whether it added a term
+    at all. beta on the
     active nodes and the spacings of each node's left and right face are
     formed here, once for every c. The term is upwinded by the sign of
     q = beta c: a backward difference where q >= 0, a forward one elsewhere
@@ -128,7 +132,8 @@ def _upwind(grid: GridSpec, act: slice, beta):
         try:
             with np.errstate(over="raise"):   # an overflow raises where it happens, unprinted
                 q = beta_act * c
-                if (q != 0.0).any():
+                nonzero = bool((q != 0.0).any())
+                if nonzero:
                     backward = q >= 0.0
                     if strong:
                         backward[..., 0] = False
@@ -143,6 +148,7 @@ def _upwind(grid: GridSpec, act: slice, beta):
             raise NonFiniteIntegral(f"the upwinded first-order term beta c / h overflows "
                                     f"(max |c| = {float(np.max(np.abs(c))):.3e})") from None
         sub[..., 0] = sup[..., -1] = 0.0
+        return nonzero
 
     return add
 
@@ -158,7 +164,8 @@ def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
     computed once for all levels. ``diffusion``, the (n,) bands of this grid
     and coefficient under ``zero_drift()``, spares a caller that assembles
     many drifts evaluating a on the faces again; the result is the same bit
-    for bit.
+    for bit. The result is ``w_symmetric`` where beta c is zero at every
+    active node of every level.
     """
     act = active_indices(grid, a.case)
     if diffusion is None:
@@ -166,7 +173,8 @@ def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
         # the padded 0 is the zero flux through x = 0 of a strong-case node 0
         cond = np.r_[0.0, face_diffusivity(grid, a) / grid.spacings]
         cL, cR, d = cond[act], cond[1:][act], grid.weights[act]
-        diffusion = TriDiagOperator(sub=-cL / d, diag=(cL + cR) / d, sup=-cR / d)
+        diffusion = TriDiagOperator(sub=-cL / d, diag=(cL + cR) / d, sup=-cR / d,
+                                    w_symmetric=True)
 
     def on_steps(f):
         # at the active nodes; no step reads a table's row 0
@@ -179,8 +187,8 @@ def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
     sub[...] = diffusion.sub
     np.add(diffusion.diag, b, out=diag)
     sup[...] = diffusion.sup
-    _upwind(grid, act, drift.beta)(sub, diag, sup, c)
-    return TriDiagOperator(sub=sub, diag=diag, sup=sup)
+    upwinded = _upwind(grid, act, drift.beta)(sub, diag, sup, c)
+    return TriDiagOperator(sub=sub, diag=diag, sup=sup, w_symmetric=not upwinded)
 
 
 # -- norms ---------------------------------------------------------------------

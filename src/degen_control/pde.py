@@ -16,13 +16,25 @@ t_{n+1} takes its row n+1, so ``LinearProblem`` requires M+1 rows.
 
 Every sweep goes through ``march``. One assembly per problem gives the step
 matrices M_k = I + dt A(t_k) of all M levels as stacked bands (one level when
-the drift holds no table); each distinct level is LU-factored once
-(``dgttrf``), cached on the problem, and solved with in both directions. The
-adjoint step v^k = W^{-1} M_{k+1}^{-T} W (v^{k+1} + dt src[k]) runs in
-u = W v with ``dgttrs`` in transposed mode, and a sweep scales by W once
-before and once after its loop: scaling around every step rounds twice more
-per step, which moves ``hum_solve``'s CG path on the README ``control``
-config from 108 to 109 iterations.
+the drift holds no table); each distinct level is factored once, cached on
+the problem, and solved with in both directions. The kernel,
+``_factor_steps``, picks the factorisation per problem:
+
+- Where beta c vanishes on every level, W A is symmetric, and so is
+  S_k = W M_k. Each S_k is factored LDL^T (``dpttrf``), and G = W^{-1}
+  M^{-T} W equals M^{-1} = S^{-1} W, so both directions take the same step
+  row <- S_k^{-1} (W row), one in-place ``dpttrs`` with the multiply by w
+  fused into forming the row.
+- Any nonzero beta c, or an S_k with a nonpositive pivot (1 + dt b < 0, for
+  example), keeps pivoted LU (``dgttrf``). The adjoint step then runs in
+  u = W v with ``dgttrs`` in transposed mode, and a sweep scales by W once
+  before and once after its loop.
+
+The rounding order is part of the method: ``hum_solve``'s CG takes 108
+iterations on the README ``control`` config on either path. Scaling by W
+around every LU step rounds twice more per step and gives 109; marching
+LDL^T in z = W^{1/2} y, with the symmetric scaling W^{1/2} M W^{-1/2}, gives
+106.
 
 The solvers return the (M+1, N) nodal states at ``p.times`` as plain arrays
 and raise ``NonFiniteIntegral`` on an overflowed state; ``march``, which CG
@@ -35,7 +47,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from .coefficients import DegeneracyCoefficient, DriftEnvelope
 from .errors import BadResolution, NonFiniteIntegral, SolverBreakdown
@@ -103,51 +115,80 @@ class LinearProblem:
         return (x >= self.omega[0]) & (x <= self.omega[1])
 
 
-def _step_bands(sub, diag, sup, dt: float):
-    """The bands (dl, d, du) of I + dt A that ``dgttrf`` takes, from A's (n,)
-    or stacked (L, n) bands: three products over all levels at once."""
-    return dt * sub[..., 1:], 1.0 + dt * diag, dt * sup[..., :-1]
+def _factor_steps(sub, diag, sup, dt: float, w: np.ndarray, w_symmetric: bool,
+                  step: int = 1) -> tuple[bool, list]:
+    """``(ldl, factors)``: the factors of the step matrix M_k = I + dt A_k of
+    each level of A's (n,) or stacked (L, n) bands, the first level being
+    the step to time index ``step``, for the weights ``w`` of the active
+    nodes. Each level's bands are formed in one pass over all levels and
+    factored in place.
+
+    Where A is ``w_symmetric``, S_k = W M_k is symmetric, with diagonal
+    w (1 + dt diag) and off-diagonal dt w sup; each level is factored LDL^T
+    (``dpttrf``) and ``ldl`` is True. Any other A, or a level whose S_k has
+    a nonpositive pivot (1 + dt b < 0, say), gives the LU factors of every
+    level instead (``dgttrf`` on dt sub, 1 + dt diag and dt sup), which
+    raise ``SolverBreakdown`` on a singular level. ``_step_solve`` takes a
+    step with either kind."""
+    def levels(*bands):     # the rows of stacked bands, or the one level
+        return zip(*bands) if diag.ndim == 2 else (bands,)
+
+    if w_symmetric:
+        ldl = []
+        for d, e in levels(w * (1.0 + dt * diag), dt * w[:-1] * sup[..., :-1]):
+            *f, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+            if info:
+                break
+            ldl.append(f)
+        else:
+            return True, ldl
+    lu = []
+    for k, level in enumerate(levels(dt * sub[..., 1:], 1.0 + dt * diag, dt * sup[..., :-1])):
+        *f, info = dgttrf(*level, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if info > 0:
+            raise SolverBreakdown(f"singular step matrix at time index {step + k}")
+        lu.append(f)
+    return False, lu
 
 
-def _factor_step(dl, d, du, step: int):
-    """LU factors of one level's step matrix from its ``_step_bands``, which
-    are factored in place."""
-    *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-    if info > 0:
-        raise SolverBreakdown(f"singular step matrix at time index {step}")
-    return lu
+def _step_solve(ldl: bool, factors, row: np.ndarray, w: np.ndarray) -> None:
+    """One forward step on ``row``, which holds its right-hand side, in place:
+    S^{-1} (W row) for LDL^T factors, M^{-1} row for LU factors."""
+    if ldl:
+        row *= w
+        dpttrs(*factors, row, 1)
+    else:
+        dgttrs(*factors, row, "N", 1)
 
 
-def _step_solve(lu, row: np.ndarray) -> None:
-    """Solve the step matrix on ``row`` in place."""
-    dgttrs(*lu, row, "N", 1)
-
-
-def _step_factors(p: LinearProblem) -> list:
-    """LU factors of the step matrix of each of the M steps, for both directions.
-    The first call assembles the bands of every time level once (one level when
-    the drift holds no table), forms the step matrices' bands in one pass and
-    factors each distinct level once; a step matrix whose entries overflow
-    raises ``NonFiniteIntegral`` before any."""
+def _step_factors(p: LinearProblem) -> tuple[bool, list]:
+    """``_factor_steps``' ``(ldl, factors)`` for each of the M steps, for both
+    directions. The first call assembles the bands of every time level once
+    (one level when the drift holds no table), forms the step matrices'
+    bands in one pass and factors each distinct level once; a step matrix
+    whose entries overflow raises ``NonFiniteIntegral`` before any."""
     if not p._cache:
         op = assemble_operator(p.grid, p.a, p.drift)
         try:
             with np.errstate(over="raise"):   # one per problem, not one per step
-                bands = _step_bands(op.sub, op.diag, op.sup, p.dt)
+                ldl, factors = _factor_steps(op.sub, op.diag, op.sup, p.dt,
+                                             p.grid.weights[p.active()], op.w_symmetric)
         except FloatingPointError:
             raise NonFiniteIntegral(f"the step matrix I + dt A overflows at "
                                     f"dt = {p.dt:.3e}") from None
-        levels = zip(*(np.atleast_2d(band) for band in bands))
-        lu = [_factor_step(*level, k + 1) for k, level in enumerate(levels)]
-        p._cache["lu"] = lu * (p.M // len(lu))
-    return p._cache["lu"]
+        p._cache["steps"] = ldl, factors * (p.M // len(factors))
+    return p._cache["steps"]
 
 
 def _adjoint_step_matrix(p: LinearProblem) -> np.ndarray:
     """The one-step adjoint matrix G = W^{-1} M^{-T} W of a problem with one
-    step matrix M, from one multi-column transposed solve on diag(w)."""
+    step matrix M, from one multi-column solve on diag(w): S^{-1} W itself
+    for LDL^T factors, where G = M^{-1}, and transposed for LU factors."""
     w = p.grid.weights[p.active()]
-    return dgttrs(*_step_factors(p)[0], np.diag(w), "T")[0] / w[:, None]
+    ldl, factors = _step_factors(p)
+    if ldl:
+        return dpttrs(*factors[0], np.diag(w))[0]
+    return dgttrs(*factors[0], np.diag(w), "T")[0] / w[:, None]
 
 
 def march(p: LinearProblem, u: np.ndarray, src: np.ndarray | None = None,
@@ -163,22 +204,37 @@ def march(p: LinearProblem, u: np.ndarray, src: np.ndarray | None = None,
     The sweep works on the active columns of the result, a view. Each step
     forms its right-hand side in the row it fills (dt src[k] is written into
     the rows once, up front) and solves there in place with one
-    single-column ``dgttrs`` call, so the sweep makes exactly M solves and
-    leaves ``u`` and ``src`` untouched. The adjoint multiplies the rows that
-    hold data by w before its loop, solves transposed, and divides by w after.
+    single-column solve, so the sweep makes exactly M solves and leaves
+    ``u`` and ``src`` untouched. On LDL^T factors of S_k = W M_k both
+    directions step row <- S_k^{-1} (W row), the multiply by w fused with
+    forming the row. On LU factors the adjoint multiplies the rows that hold
+    data by w before its loop, solves transposed, and divides by w after.
     """
-    factors = _step_factors(p)
+    ldl, factors = _step_factors(p)
     act = p.active()
     states = np.zeros((p.M + 1, p.grid.N))
     y = states[:, act]
     y[p.M if adjoint else 0] = u[act]
     if src is not None:
         np.multiply(p.dt, src[:, act], out=y[:-1] if adjoint else y[1:])
+    w = p.grid.weights[act]
+    steps = range(p.M - 1, -1, -1) if adjoint else range(p.M)
+    if ldl:
+        # G = W^-1 M^-T W = S^-1 W = M^-1: the adjoint step is the forward one
+        for k in steps:
+            prev, new = (k + 1, k) if adjoint else (k, k + 1)
+            row = y[new]
+            if src is None:
+                np.multiply(y[prev], w, out=row)
+            else:
+                row += y[prev]
+                row *= w
+            dpttrs(*factors[k], row, 1)     # overwrite_b: solves in place
+        return states
     if adjoint:
-        w = p.grid.weights[act]
         y[p.M if src is None else slice(None)] *= w
     trans = "T" if adjoint else "N"
-    for k in (range(p.M - 1, -1, -1) if adjoint else range(p.M)):
+    for k in steps:
         prev, new = (k + 1, k) if adjoint else (k, k + 1)
         row = y[new]
         if src is None:

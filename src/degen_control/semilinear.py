@@ -37,8 +37,9 @@ per step; the slope stencil is the grid's. Each inner iteration then works
 on (N,) rows only: one ``freeze_coefficients`` of the one level
 ``w[None, :]`` at t_{n+1} (one call of each factor, with the slope, cap and
 finiteness checks), the frozen b on the diagonal, one upwind of the frozen
-c, one ``dgttrf`` and one ``dgttrs``, the finiteness check of the new row
-and its ``l2_norm`` increment.
+c, one factorisation and one solve of the step matrix through ``pde``'s
+kernel (LDL^T where beta c is zero, pivoted LU otherwise), the finiteness
+check of the new row and its ``l2_norm`` increment.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 from .coefficients import zero_drift
 from .errors import NoFixedPoint, NonFiniteIntegral, UnboundedFrozenCoefficient
 from .mesh import GridSpec, _upwind, assemble_operator, dirichlet_energy, l2_norm
-from .pde import LinearProblem, _factor_step, _step_bands, _step_solve, solve_forward
+from .pde import LinearProblem, _factor_steps, _step_solve, solve_forward
 from .control import HUMResult, _cost_constant, diffusion_preconditioner, hum_solve
 
 # the coast phase's per-step inner iteration: relative increment target and budget
@@ -300,6 +301,7 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> np.ndarray:
     scale = max(l2_norm(p.grid.weights, states[0]), 1e-300)
     diffusion = assemble_operator(p.grid, p.a, zero_drift())
     add_upwind = _upwind(p.grid, act, p.drift.beta)
+    weights = p.grid.weights[act]
     for n in range(p.M):
         t1 = np.array([(n + 1) * dt])
         w, row = states[n], states[n + 1]
@@ -308,9 +310,10 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> np.ndarray:
             b_row, c_row = freeze_coefficients(p.grid, t1, w[None, :], nl)
             sub, sup = diffusion.sub.copy(), diffusion.sup.copy()
             diag = diffusion.diag + (b_n + b_row[0, act])
-            add_upwind(sub, diag, sup, c_n + c_row[0, act])
+            upwinded = add_upwind(sub, diag, sup, c_n + c_row[0, act])
+            ldl, (factors,) = _factor_steps(sub, diag, sup, dt, weights, not upwinded, n + 1)
             row[act] = states[n, act]
-            _step_solve(_factor_step(*_step_bands(sub, diag, sup, dt), n + 1), row[act])
+            _step_solve(ldl, factors, row[act], weights)
             if not np.isfinite(row).all():
                 raise NonFiniteIntegral(f"coast step {n + 1}: state at t = {t1[0]:.6g} "
                                         f"is not finite")

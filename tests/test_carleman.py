@@ -492,13 +492,11 @@ def test_ratio_smoke(rng, variant, alpha):
 @pytest.mark.parametrize("n_samples", [1, 5])
 def test_ratio_experiment_factors_once(monkeypatch, rng, n_samples):
     factorizations = []
-    real_dgttrf = pde.dgttrf
-
-    def counting_dgttrf(*args, **kwargs):
-        factorizations.append(1)
-        return real_dgttrf(*args, **kwargs)
-
-    monkeypatch.setattr(pde, "dgttrf", counting_dgttrf)
+    for name in ("dgttrf", "dpttrf"):    # LU or LDL^T, whichever the step takes
+        def counting(*args, _real=getattr(pde, name), **kwargs):
+            factorizations.append(1)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(pde, name, counting)
     p = make_problem(N=24, M=16, T=1.0, b0=0.3, c0=0.2)
     w = build_weights(p.a, p.omega, p.T, lam=0.5, grid=p.grid)
     for variant in ("lemma", "theorem"):

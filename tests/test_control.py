@@ -154,21 +154,26 @@ def test_sweep_preconditions():
         epsilon_sweep(p, [1e-2, float("nan"), 1e-4, 1e-5])
 
 
+def _count_calls(monkeypatch, names):
+    """Count the calls pde makes of each LAPACK routine in ``names``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _real=getattr(pde, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(pde, name, counting)
+    return calls
+
+
 def _counted_sweep(monkeypatch, p, eps):
-    solves = []
-    real_dgttrs = pde.dgttrs
-
-    def counting_dgttrs(*args, **kwargs):
-        solves.append(1)
-        return real_dgttrs(*args, **kwargs)
-
-    monkeypatch.setattr(pde, "dgttrs", counting_dgttrs)
-    return epsilon_sweep(p, eps), len(solves)
+    # LDL^T solves on a W-symmetric step matrix, LU solves on any other
+    calls = _count_calls(monkeypatch, ("dgttrs", "dpttrs"))
+    return epsilon_sweep(p, eps), sum(calls.values())
 
 
 def test_sweep_shares_one_krylov_space(monkeypatch):
-    # one multi-column transposed solve on diag(w) for the dense Gramian's
-    # one-step adjoint matrix, one free forward sweep, then one backward and
+    # one multi-column solve on diag(w) for the dense Gramian's one-step
+    # adjoint matrix, one free forward sweep, then one backward and
     # one forward sweep per penalty; the linear solves themselves march nothing
     p = make_problem(N=32, M=16)
     eps = [1e-2, 1e-3, 1e-4, 1e-5]
@@ -180,16 +185,22 @@ def test_hum_solve_count_closed_form(monkeypatch):
     # a time-independent problem factors once; then every sweep is M solves:
     # the free forward sweep, one backward and one forward sweep per CG
     # iteration, and the adjoint and forward sweeps that build the control
-    calls = {"dgttrf": 0, "dgttrs": 0}
-    for name in calls:
-        def counting(*args, _real=getattr(pde, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(pde, name, counting)
+    calls = _count_calls(monkeypatch, ("dgttrf", "dgttrs"))
     p = make_problem(N=32, M=24, b0=0.2, c0=0.1)
     res = hum_solve(p, 1e-6)
     assert res.cg_iters > 0
     assert calls == {"dgttrf": 1, "dgttrs": p.M * (1 + 2 * res.cg_iters + 2)}
+
+
+def test_hum_solve_count_closed_form_drift_free(monkeypatch):
+    # the same count without a first-order term, where the W-symmetric step
+    # matrix is factored LDL^T and no LU routine runs
+    calls = _count_calls(monkeypatch, ("dgttrf", "dgttrs", "dpttrf", "dpttrs"))
+    p = make_problem(N=32, M=24, b0=0.2)
+    res = hum_solve(p, 1e-6)
+    assert res.cg_iters > 0
+    assert calls == {"dgttrf": 0, "dgttrs": 0, "dpttrf": 1,
+                     "dpttrs": p.M * (1 + 2 * res.cg_iters + 2)}
 
 
 def test_dense_paths_refuse_drift_tables():

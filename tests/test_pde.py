@@ -239,16 +239,21 @@ def test_replace_resets_step_cache():
     assert not np.allclose(r1, r2)
 
 
+def _counting(monkeypatch, names, record):
+    """Wrap each LAPACK routine of ``names`` that pde calls so that every
+    call appends ``record(name, args)`` to the returned list."""
+    calls = []
+    for name in names:
+        def counted(*args, _real=getattr(pde, name), _name=name, **kwargs):
+            calls.append(record(_name, args))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(pde, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("time_dependent", [False, True])
 def test_step_matrix_factored_once_per_time_level(monkeypatch, time_dependent):
-    factorizations = []
-    real_dgttrf = pde.dgttrf
-
-    def counting_dgttrf(*args, **kwargs):
-        factorizations.append(1)
-        return real_dgttrf(*args, **kwargs)
-
-    monkeypatch.setattr(pde, "dgttrf", counting_dgttrf)
+    factorizations = _counting(monkeypatch, ("dgttrf", "dpttrf"), lambda name, args: name)
     p = make_problem(N=24, M=16, b0=0.3, c0=0.2)
     if time_dependent:
         p = p.with_drift(dataclasses.replace(p.drift, b=np.full((p.M + 1, p.grid.N), p.drift.b)))
@@ -257,42 +262,64 @@ def test_step_matrix_factored_once_per_time_level(monkeypatch, time_dependent):
     assert len(factorizations) == (p.M if time_dependent else 1)
 
 
-@pytest.mark.parametrize("table", [False, True], ids=["constant", "table"])
-@pytest.mark.parametrize("with_src", [False, True], ids=["no-src", "src"])
-@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
-def test_march_matches_stepwise_reference(monkeypatch, rng, adjoint, with_src, table):
-    p = make_problem(N=24, M=16, b0=0.3, c0=0.2)
-    if table:
-        b = 0.3 * (1.0 + 0.5 * np.sin(p.times))[:, None] * np.ones(p.grid.N)
-        p = p.with_drift(dataclasses.replace(p.drift, b=b))
-    act = p.active()
-    n = p.grid.nodes[act].size
-    u = rng.standard_normal(p.grid.N)
-    src = rng.standard_normal((p.M, p.grid.N)) if with_src else None
-    u_in, src_in = u.copy(), None if src is None else src.copy()
+def _with_b_table(p):
+    b = p.drift.b * (1.0 + 0.5 * np.sin(p.times))[:, None] * np.ones(p.grid.N)
+    return p.with_drift(dataclasses.replace(p.drift, b=b))
 
-    # the step recursion of march's docstring, one fresh solution per step;
-    # the adjoint runs in u = W v on the transposed forward factors (the
-    # forward recursion with w = 1 is exact)
-    factors = pde._step_factors(p)
-    w = p.grid.weights[act] if adjoint else np.ones(n)
+
+def _lu_replay(p, factors, u, src, adjoint):
+    """The LU step recursion of march's docstring on the active nodes, one
+    fresh solution per step; the adjoint runs in u = W v on the transposed
+    forward factors (the forward recursion with w = 1 is exact)."""
+    act = p.active()
+    w = p.grid.weights[act] if adjoint else np.ones(p.grid.nodes[act].size)
     trans = "T" if adjoint else "N"
-    ref = np.empty((p.M + 1, n))
+    ref = np.empty((p.M + 1, w.size))
     ref[p.M if adjoint else 0] = u[act] * w
     for k in (range(p.M - 1, -1, -1) if adjoint else range(p.M)):
         prev, new = (k + 1, k) if adjoint else (k, k + 1)
         rhs = ref[prev] if src is None else ref[prev] + p.dt * src[k, act] * w
         ref[new] = pde.dgttrs(*factors[k], rhs, trans)[0]
-    ref /= w
+    return ref / w
 
-    rhs_dims = []
-    real_dgttrs = pde.dgttrs
 
-    def counting_dgttrs(*args, **kwargs):
-        rhs_dims.append(np.ndim(args[5]))
-        return real_dgttrs(*args, **kwargs)
+def _ldl_replay(p, factors, u, src, adjoint):
+    """The LDL^T step recursion: both directions solve S_k on W (prev + dt src[k])."""
+    act = p.active()
+    w = p.grid.weights[act]
+    ref = np.empty((p.M + 1, w.size))
+    ref[p.M if adjoint else 0] = u[act]
+    for k in (range(p.M - 1, -1, -1) if adjoint else range(p.M)):
+        prev, new = (k + 1, k) if adjoint else (k, k + 1)
+        rhs = ref[prev] if src is None else p.dt * src[k, act] + ref[prev]
+        ref[new] = pde.dpttrs(*factors[k], rhs * w)[0]
+    return ref
 
-    monkeypatch.setattr(pde, "dgttrs", counting_dgttrs)
+
+@pytest.mark.parametrize("drift", ["constant", "table", "drift-free-constant",
+                                   "drift-free-table"])
+@pytest.mark.parametrize("with_src", [False, True], ids=["no-src", "src"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_march_matches_stepwise_reference(monkeypatch, rng, adjoint, with_src, drift):
+    # with beta c = 0 the step matrices are W-symmetric and march takes LDL^T
+    # factors, with LU factors otherwise; either way it replays that
+    # recursion bit for bit
+    drift_free = drift.startswith("drift-free")
+    p = make_problem(N=24, M=16, b0=0.3, c0=0.0 if drift_free else 0.2)
+    if drift.endswith("table"):
+        p = _with_b_table(p)
+    act = p.active()
+    u = rng.standard_normal(p.grid.N)
+    src = rng.standard_normal((p.M, p.grid.N)) if with_src else None
+    u_in, src_in = u.copy(), None if src is None else src.copy()
+
+    ldl, factors = pde._step_factors(p)
+    assert ldl == drift_free
+    ref = (_ldl_replay if ldl else _lu_replay)(p, factors, u, src, adjoint)
+
+    # the right-hand side is dgttrs' sixth argument and dpttrs' third
+    rhs_dims = _counting(monkeypatch, ("dgttrs", "dpttrs"),
+                         lambda name, args: np.ndim(args[5 if name == "dgttrs" else 2]))
     states = pde.march(p, u, src, adjoint)
     assert states.shape == (p.M + 1, p.grid.N)
     assert np.array_equal(states[:, act], ref)
@@ -303,6 +330,68 @@ def test_march_matches_stepwise_reference(monkeypatch, rng, adjoint, with_src, t
     assert src is None or np.array_equal(src, src_in)
     # one single-column solve per step, in place in the output
     assert rhs_dims == [1] * p.M
+
+
+def _lu_factors(p):
+    """The LU factors of p's step matrices, as march takes them where the
+    step matrices are not W-symmetric."""
+    op = pde.assemble_operator(p.grid, p.a, p.drift)
+    ldl, factors = pde._factor_steps(op.sub, op.diag, op.sup, p.dt,
+                                     p.grid.weights[p.active()], False)
+    assert not ldl
+    return factors * (p.M // len(factors))
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["constant", "table"])
+@pytest.mark.parametrize("with_src", [False, True], ids=["no-src", "src"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_ldl_march_matches_lu_replay(rng, adjoint, with_src, table):
+    # the LDL^T sweep is the same map as the pivoted-LU one, to round-off
+    p = make_problem(N=24, M=16, b0=0.3)
+    if table:
+        p = _with_b_table(p)
+    assert pde._step_factors(p)[0]
+    u = rng.standard_normal(p.grid.N)
+    src = rng.standard_normal((p.M, p.grid.N)) if with_src else None
+    ref = _lu_replay(p, _lu_factors(p), u, src, adjoint)
+    got = pde.march(p, u, src, adjoint)[:, p.active()]
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["constant", "table"])
+def test_duality_on_the_ldl_path(rng, table):
+    p = make_problem(a=power_coefficient(1.5), N=64, M=64, gamma=2.0, b0=0.3, T=0.4)
+    if table:
+        p = _with_b_table(p)
+    assert pde._step_factors(p)[0]
+    act = p.active()
+    w = p.grid.weights[act]
+    for _ in range(5):
+        y0 = rng.standard_normal(p.grid.N)
+        vT = rng.standard_normal(p.grid.N)
+        h = rng.standard_normal((p.M, p.grid.N))
+        res = duality_residual(p, y0, h, vT)
+        y = solve_forward(dataclasses.replace(p, y0=y0), h)
+        scale = abs(float(np.sum(w * y[-1][act] * vT[act])))
+        assert res <= 1e-13 * max(scale, 1e-12)
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_drift_free_step_with_a_negative_pivot_takes_lu(monkeypatch, rng, adjoint):
+    # 1 + dt b = -1 leaves W(I + dt A) indefinite, so dpttrf meets a
+    # nonpositive pivot and every level takes pivoted LU, with its old bits
+    p = make_problem(N=24, M=16, T=0.5)
+    p = p.with_drift(dataclasses.replace(p.drift, b=-2.0 / p.dt))
+    tried = _counting(monkeypatch, ("dpttrf", "dpttrs"), lambda name, args: name)
+    ldl, factors = pde._step_factors(p)
+    assert not ldl and tried == ["dpttrf"]
+    u = rng.standard_normal(p.grid.N)
+    src = rng.standard_normal((p.M, p.grid.N))
+    for s in (None, src):
+        ref = _lu_replay(p, factors, u, s, adjoint)
+        assert np.array_equal(pde.march(p, u, s, adjoint)[:, p.active()], ref)
+        assert np.all(np.isfinite(ref))
+    assert tried == ["dpttrf"]
 
 
 def test_stability_ratio_reported(tmp_path):

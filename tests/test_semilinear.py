@@ -292,9 +292,12 @@ def test_one_assembly_per_linear_problem_and_one_call_per_factor(monkeypatch):
 
 
 def test_semilinear_forward_matches_linear_for_zero_nl():
-    # the coast adds its frozen row to row n+1 of the linear b and c
+    # the coast adds its frozen row to row n+1 of the linear b and c, and
+    # factors its steps through march's kernel: LDL^T without a first-order
+    # term, pivoted LU with one
     for drift in DRIFTS:
         p = _drift_problem(drift, N=48, M=32)
+        assert pde._step_factors(p)[0] == (drift == "none"), drift
         assert np.array_equal(semilinear_forward(p, zero_nonlinearity()),
                               solve_forward(p)), drift
 
