@@ -73,7 +73,7 @@ so it is formed once per (M, s) per weights object and cached there; the
 weights record a and omega, and the functionals refuse a problem built with
 another coefficient, control region, grid or horizon. A side that still
 underflows to 0 while its integrands are not all zero has no ratio, and is an
-error.
+error; so is a horizon where theta or theta^3 is 0 or inf (``_interior_theta``).
 """
 
 from __future__ import annotations
@@ -306,6 +306,18 @@ def _admissible_s(s) -> bool:
         return False
 
 
+def _interior_theta(p: LinearProblem, w: CarlemanWeights) -> np.ndarray:
+    """theta on the interior time levels of ``p``; ValueError, unwarned, where
+    theta^3 (the highest power the tables form), and so theta, is 0 or inf."""
+    with np.errstate(all="ignore"):
+        theta = np.asarray(w.theta(p.times[1:-1]), dtype=float)
+        cube = theta ** 3
+    if not np.all((cube > 0.0) & (cube < np.inf)):
+        raise ValueError(f"the Carleman weight's theta = (t(T-t))^-4 or theta^3 is 0 "
+                         f"or not finite at T = {p.T:g}, M = {p.M}")
+    return theta
+
+
 def _term_tables(p: LinearProblem, w: CarlemanWeights) -> dict:
     """theta on the interior time levels of ``p`` and the coefficient table of
     every term the functionals sum: its time factor (1, theta or theta^3)
@@ -314,7 +326,7 @@ def _term_tables(p: LinearProblem, w: CarlemanWeights) -> dict:
     space factor alone. ``w`` must be tied to ``p`` (grid, T, a and omega), so
     the tables depend on the weights and M only; none depends on the drift."""
     g = w.grid
-    theta = np.asarray(w.theta(p.times[1:-1]), dtype=float)
+    theta = _interior_theta(p, w)
     theta3 = theta[:, None] ** 3
     ap, bp = w.omega_prime
     return {"theta": theta,
@@ -469,14 +481,15 @@ def ratio_experiment(p: LinearProblem, w: CarlemanWeights, s_values,
     a source-free ensemble leaves only obs on the rhs, whose discrete maximum
     ratio is not stable under refinement. One ``carleman_functionals`` call per
     sample covers the ladder and raises where a side underflows to 0. Raises
-    ValueError before any solve unless n_samples >= 1 and the ladder increases
-    strictly, as ``calibrate_s0`` reads.
+    ValueError before any solve unless n_samples >= 1, the ladder increases
+    strictly, as ``calibrate_s0`` reads, and T passes ``_interior_theta``.
     """
     s_values = [float(s) for s in s_values]
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     if not np.all(np.diff(s_values) > 0.0):
         raise ValueError(f"s values must be strictly increasing, got {s_values}")
+    _interior_theta(p, w)
     p0 = p.with_drift(zero_drift())
     beta = p.drift.beta if variant == "theorem" else None
     ratios = np.zeros((n_samples, len(s_values)))

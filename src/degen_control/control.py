@@ -105,7 +105,8 @@ def _cg(apply_op, rhs, inner, tol, max_iters, x0=None, precond=None):
     energy 1/2 x'Ax - b'x starts at that of the start and decreases
     monotonically, by 1/2 alpha_k r_k'z_k at step k.
     Raises ValueError on an x0 of another shape than rhs or not finite,
-    NonFiniteIntegral on an overflowed ||rhs||^2, ||r_0||^2 or curvature,
+    NonFiniteIntegral on an ||rhs||^2 that overflows, or underflows to 0 on
+    a nonzero rhs, and on an overflowed ||r_0||^2 or curvature,
     NotSPD on nonpositive curvature beyond round-off, and NoConvergence with
     the residual history when the iteration budget runs out.
     """
@@ -116,8 +117,8 @@ def _cg(apply_op, rhs, inner, tol, max_iters, x0=None, precond=None):
                              f"{rhs.shape}, got a {x0.shape} array")
     with np.errstate(over="ignore"):
         rs = inner(rhs, rhs)
-    if not np.isfinite(rs):
-        raise NonFiniteIntegral(f"||rhs||^2 = {rs:.3e} is not finite")
+    if not np.isfinite(rs) or (rs == 0.0 and np.any(rhs)):
+        raise NonFiniteIntegral(f"||rhs||^2 = {rs:.3e} of a nonzero rhs over- or underflows")
     norm_rhs = np.sqrt(rs)
     if norm_rhs == 0.0:
         return np.zeros_like(rhs), 0, [0.0], [0.0]
@@ -240,11 +241,11 @@ class HUMResult:
 
 
 def _cost_constant(cost: float, y0n: float) -> float | None:
-    """cost / ||y0||^2 (None for y0 = 0), dividing twice where ||y0||^2 overflows."""
-    try:
-        return cost / y0n ** 2 if y0n > 0.0 else None
-    except OverflowError:
-        return cost / y0n / y0n
+    """cost / ||y0||^2 (None for y0 = 0), dividing by ||y0|| twice outside
+    1e-150 < ||y0|| < 1e150, where ||y0||^2 may over- or underflow."""
+    if not y0n > 0.0:
+        return None
+    return cost / y0n ** 2 if 1e-150 < y0n < 1e150 else cost / y0n / y0n
 
 
 def _check_penalty(eps: float) -> None:

@@ -10,7 +10,9 @@ where w_i is the trapezoid quadrature weight (the dual cell length). Using
 w_i as the cell measure makes A exactly self-adjoint in the trapezoid-weighted
 inner product when b = c = 0, which the duality machinery relies on. The
 first-order term is fully upwinded by the sign of beta*c; an upwind
-coefficient beta c / h that overflows raises ``NonFiniteIntegral``.
+coefficient beta c / h that overflows raises ``NonFiniteIntegral``. One
+assembler, built once per (grid, a, beta), forms every operator for any b
+and c, and says whether it is W-symmetric, which picks the step's solver.
 
 Boundary conditions: node N-1 is always eliminated (Dirichlet). In the weak
 case node 0 is eliminated too; in the strong case node 0 stays active with
@@ -102,7 +104,7 @@ class TriDiagOperator:
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
-    w_symmetric: bool = False
+    w_symmetric: bool
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         r = self.diag * u
@@ -111,29 +113,37 @@ class TriDiagOperator:
         return r
 
 
-def _upwind(grid: GridSpec, act: slice, beta):
-    """The first-order term beta c u_x on the active nodes ``act``, as a function
-    ``add(sub, diag, sup, c)`` that adds it to (n,) or stacked (L, n) bands in
-    place, for c at the active nodes, and then cuts the bands' couplings to
-    the eliminated Dirichlet neighbours (their value is zero); it returns
-    whether q = beta c is nonzero anywhere, that is whether it added a term
-    at all. beta on the
-    active nodes and the spacings of each node's left and right face are
-    formed here, once for every c. The term is upwinded by the sign of
-    q = beta c: a backward difference where q >= 0, a forward one elsewhere
-    and at a strong-case node 0, which has no left face. A q or q / h that
+def _assembler(grid: GridSpec, a: DegeneracyCoefficient, beta):
+    """``assemble(b, c) -> (sub, diag, sup, w_symmetric)``: the bands for b and
+    c at the active nodes, as numbers, (n,) rows or stacked (L, n) levels, and
+    whether they hold no first-order term. a on the faces, the diffusion
+    bands, beta and each node's face spacings are formed here, once. beta c
+    u_x is upwinded by the sign of q = beta c: backward where q >= 0, forward
+    elsewhere and at a strong-case node 0, which has no left face; then the
+    couplings to the eliminated Dirichlet nodes are cut. A q or q / h that
     overflows raises ``NonFiniteIntegral``."""
+    act = active_indices(grid, a.case)
+    # conductance of node i's left face at i, of its right face at i + 1;
+    # the padded 0 is the zero flux through x = 0 of a strong-case node 0
+    cond = np.r_[0.0, face_diffusivity(grid, a) / grid.spacings]
+    cL, cR, d = cond[act], cond[1:][act], grid.weights[act]
+    sub0, diag0, sup0 = -cL / d, (cL + cR) / d, -cR / d
     beta_act = np.asarray(beta(grid.nodes[act]), dtype=float)
     h_right = grid.spacings[act]
     h_left = np.r_[1.0, grid.spacings][act]     # the padded 1 is never read
     strong = act.start == 0
 
-    def add(sub, diag, sup, c):
+    def assemble(b, c):
+        shape = max(np.shape(b), np.shape(c), diag0.shape, key=len)   # (L, n) or (n,)
+        sub, diag, sup = np.empty(shape), np.empty(shape), np.empty(shape)
+        sub[...] = sub0
+        np.add(diag0, b, out=diag)
+        sup[...] = sup0
         try:
             with np.errstate(over="raise"):   # an overflow raises where it happens, unprinted
                 q = beta_act * c
-                nonzero = bool((q != 0.0).any())
-                if nonzero:
+                upwinded = bool((q != 0.0).any())
+                if upwinded:
                     backward = q >= 0.0
                     if strong:
                         backward[..., 0] = False
@@ -148,47 +158,29 @@ def _upwind(grid: GridSpec, act: slice, beta):
             raise NonFiniteIntegral(f"the upwinded first-order term beta c / h overflows "
                                     f"(max |c| = {float(np.max(np.abs(c))):.3e})") from None
         sub[..., 0] = sup[..., -1] = 0.0
-        return nonzero
+        return sub, diag, sup, not upwinded
 
-    return add
+    return assemble
 
 
 def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
-                      drift: DriftEnvelope,
-                      diffusion: TriDiagOperator | None = None) -> TriDiagOperator:
-    """Flux-form diffusion + reaction + upwinded drift.
+                      drift: DriftEnvelope) -> TriDiagOperator:
+    """Flux-form diffusion + reaction + upwinded drift, by ``_assembler``.
 
     The bands are (n,) when the drift's b and c are numbers or (N,) vectors.
     An (M+1, N) table gives bands stacked with shape (M, n): level k, for the
     step to t_{k+1}, reads the table's row k+1, and the diffusion part is
-    computed once for all levels. ``diffusion``, the (n,) bands of this grid
-    and coefficient under ``zero_drift()``, spares a caller that assembles
-    many drifts evaluating a on the faces again; the result is the same bit
-    for bit. The result is ``w_symmetric`` where beta c is zero at every
-    active node of every level.
+    computed once for all levels.
     """
     act = active_indices(grid, a.case)
-    if diffusion is None:
-        # conductance of node i's left face at i, of its right face at i + 1;
-        # the padded 0 is the zero flux through x = 0 of a strong-case node 0
-        cond = np.r_[0.0, face_diffusivity(grid, a) / grid.spacings]
-        cL, cR, d = cond[act], cond[1:][act], grid.weights[act]
-        diffusion = TriDiagOperator(sub=-cL / d, diag=(cL + cR) / d, sup=-cR / d,
-                                    w_symmetric=True)
+    assemble = _assembler(grid, a, drift.beta)
 
     def on_steps(f):
         # at the active nodes; no step reads a table's row 0
         f = np.asarray(f, dtype=float)
         return f if f.ndim == 0 else f[act] if f.ndim == 1 else f[1:, act]
 
-    b, c = on_steps(drift.b), on_steps(drift.c)
-    shape = np.broadcast_shapes(b.shape, c.shape, diffusion.diag.shape)
-    sub, diag, sup = np.empty(shape), np.empty(shape), np.empty(shape)
-    sub[...] = diffusion.sub
-    np.add(diffusion.diag, b, out=diag)
-    sup[...] = diffusion.sup
-    upwinded = _upwind(grid, act, drift.beta)(sub, diag, sup, c)
-    return TriDiagOperator(sub=sub, diag=diag, sup=sup, w_symmetric=not upwinded)
+    return TriDiagOperator(*assemble(on_steps(drift.b), on_steps(drift.c)))
 
 
 # -- norms ---------------------------------------------------------------------

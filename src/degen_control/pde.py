@@ -115,13 +115,13 @@ class LinearProblem:
         return (x >= self.omega[0]) & (x <= self.omega[1])
 
 
-def _factor_steps(sub, diag, sup, dt: float, w: np.ndarray, w_symmetric: bool,
+def _factor_steps(sub, diag, sup, w_symmetric: bool, dt: float, w: np.ndarray,
                   step: int = 1) -> tuple[bool, list]:
     """``(ldl, factors)``: the factors of the step matrix M_k = I + dt A_k of
-    each level of A's (n,) or stacked (L, n) bands, the first level being
-    the step to time index ``step``, for the weights ``w`` of the active
-    nodes. Each level's bands are formed in one pass over all levels and
-    factored in place.
+    each level of A's (n,) or stacked (L, n) bands, as ``mesh._assembler``
+    gives them with their W-symmetry, the first level being the step to time
+    index ``step``, for the weights ``w`` of the active nodes. Each level's
+    bands are formed in one pass over all levels and factored in place.
 
     Where A is ``w_symmetric``, S_k = W M_k is symmetric, with diagonal
     w (1 + dt diag) and off-diagonal dt w sup; each level is factored LDL^T
@@ -171,8 +171,8 @@ def _step_factors(p: LinearProblem) -> tuple[bool, list]:
         op = assemble_operator(p.grid, p.a, p.drift)
         try:
             with np.errstate(over="raise"):   # one per problem, not one per step
-                ldl, factors = _factor_steps(op.sub, op.diag, op.sup, p.dt,
-                                             p.grid.weights[p.active()], op.w_symmetric)
+                ldl, factors = _factor_steps(op.sub, op.diag, op.sup, op.w_symmetric,
+                                             p.dt, p.grid.weights[p.active()])
         except FloatingPointError:
             raise NonFiniteIntegral(f"the step matrix I + dt A overflows at "
                                     f"dt = {p.dt:.3e}") from None

@@ -28,18 +28,9 @@ purpose, so numbers, vectors and tables take one path.
 
 For rough initial data ``picard_null_control`` with t0 > 0 first runs the
 uncontrolled semilinear equation on (0, t0), then controls on (t0, T) from
-the smoothed state. The coast iterates each step on its own, to
-``COAST_TOL`` in ``COAST_MAX_INNER`` iterations, and shares the Picard
-loop's helpers. Once per coast it builds the diffusion bands (one
-evaluation of a), beta and the face spacings on the active nodes
-(``mesh._upwind``), and the linear b and c on the active nodes, read a row
-per step; the slope stencil is the grid's. Each inner iteration then works
-on (N,) rows only: one ``freeze_coefficients`` of the one level
-``w[None, :]`` at t_{n+1} (one call of each factor, with the slope, cap and
-finiteness checks), the frozen b on the diagonal, one upwind of the frozen
-c, one factorisation and one solve of the step matrix through ``pde``'s
-kernel (LDL^T where beta c is zero, pivoted LU otherwise), the finiteness
-check of the new row and its ``l2_norm`` increment.
+the smoothed state. The coast, ``semilinear_forward``, iterates each step on
+its own, assembles each inner iteration's step through the one assembler in
+``mesh``, and shares the Picard loop's helpers.
 """
 
 from __future__ import annotations
@@ -50,9 +41,8 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import zero_drift
 from .errors import NoFixedPoint, NonFiniteIntegral, UnboundedFrozenCoefficient
-from .mesh import GridSpec, _upwind, assemble_operator, dirichlet_energy, l2_norm
+from .mesh import GridSpec, _assembler, assemble_operator, dirichlet_energy, l2_norm
 from .pde import LinearProblem, _factor_steps, _step_solve, solve_forward
 from .control import HUMResult, _cost_constant, diffusion_preconditioner, hum_solve
 
@@ -183,12 +173,16 @@ def semilinear_residual(p: LinearProblem, nl: Nonlinearity, y: np.ndarray,
     """L^2(Q) residual of the discrete semilinear equation for the (M+1, N)
     states y at ``p.times`` and the (M, N) control h, relative to ||y0||.
     Uses the solver's stencils (coefficients frozen along y itself), so a
-    true discrete solution gives round-off."""
+    true discrete solution gives round-off; one that overflows raises
+    NonFiniteIntegral."""
     op = assemble_operator(p.grid, p.a, frozen_problem(p, y, nl).drift)
     act = p.active()
     y = y[:, act]
-    r = (y[1:] - y[:-1]) / p.dt + op.apply(y[1:]) - h[:p.M, act] * p.omega_mask()[act]
-    acc = p.dt * float(np.sum(p.grid.weights[act] * r * r))
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = (y[1:] - y[:-1]) / p.dt + op.apply(y[1:]) - h[:p.M, act] * p.omega_mask()[act]
+        acc = p.dt * float(np.sum(p.grid.weights[act] * r * r))
+    if not np.isfinite(acc):
+        raise NonFiniteIntegral(f"the semilinear residual overflows at dt = {p.dt:.3e}")
     return float(np.sqrt(acc)) / max(l2_norm(p.grid.weights, p.y0), 1e-300)
 
 
@@ -289,18 +283,19 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> np.ndarray:
     A step matrix I + dt A that overflows, unwarned under the decorator,
     leaves a row that is not finite, which raises NonFiniteIntegral.
 
-    What is fixed for the whole coast is built before its loop (see the
-    module docstring); each inner iteration freezes the one level w, adds the
-    frozen b to the diffusion's diagonal and the frozen c through the upwind,
-    and factors and solves one step matrix."""
+    ``mesh._assembler`` (one evaluation of a) and the linear b and c on the
+    active nodes are built once per coast. Each inner iteration then works on
+    (N,) rows: one ``freeze_coefficients`` of the one level ``w[None, :]`` at
+    t_{n+1}, one assembly of the linear plus frozen b and c, and one
+    factorisation and one solve of the step matrix through ``pde``'s kernel
+    (LDL^T where the assembly is W-symmetric, pivoted LU otherwise)."""
     act = p.active()
     dt = p.dt
     states = np.zeros((p.M + 1, p.grid.N))
     b_lin, c_lin = (np.broadcast_to(f, states.shape)[:, act] for f in (p.drift.b, p.drift.c))
     states[0, act] = p.y0[act]
     scale = max(l2_norm(p.grid.weights, states[0]), 1e-300)
-    diffusion = assemble_operator(p.grid, p.a, zero_drift())
-    add_upwind = _upwind(p.grid, act, p.drift.beta)
+    assemble = _assembler(p.grid, p.a, p.drift.beta)
     weights = p.grid.weights[act]
     for n in range(p.M):
         t1 = np.array([(n + 1) * dt])
@@ -308,10 +303,8 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> np.ndarray:
         b_n, c_n = b_lin[n + 1], c_lin[n + 1]
         for _j in range(COAST_MAX_INNER):
             b_row, c_row = freeze_coefficients(p.grid, t1, w[None, :], nl)
-            sub, sup = diffusion.sub.copy(), diffusion.sup.copy()
-            diag = diffusion.diag + (b_n + b_row[0, act])
-            upwinded = add_upwind(sub, diag, sup, c_n + c_row[0, act])
-            ldl, (factors,) = _factor_steps(sub, diag, sup, dt, weights, not upwinded, n + 1)
+            ldl, (factors,) = _factor_steps(
+                *assemble(b_n + b_row[0, act], c_n + c_row[0, act]), dt, weights, n + 1)
             row[act] = states[n, act]
             _step_solve(ldl, factors, row[act], weights)
             if not np.isfinite(row).all():

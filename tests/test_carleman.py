@@ -259,6 +259,26 @@ def test_functional_input_validation():
         carleman_functionals(p, w, v, SourceSplit(F0=F, F1=F[:, :31]), [2.0], "theorem")
 
 
+@pytest.mark.parametrize("T", [1e60, 1e-14], ids=["theta-0", "theta3-inf"])
+def test_horizon_whose_theta_is_not_representable_is_refused(T, rng, monkeypatch):
+    # theta = (t(T-t))^-4 underflows to 0 at T = 1e60, and theta^3 overflows
+    # at T = 1e-14: a side summed over them would read 0 or inf. Both entry
+    # points refuse, the experiment before its first march
+    p = make_problem(N=32, M=12, T=T)
+    w = build_weights(p.a, p.omega, p.T, grid=p.grid)
+    v = _zero_traj(p)
+    with pytest.raises(ValueError, match="theta"):
+        carleman_functionals(p, w, v, v, [2.0], "lemma")
+    assert not w._tables
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("marched")
+
+    monkeypatch.setattr(carleman, "march", no_march)
+    with pytest.raises(ValueError, match="theta"):
+        ratio_experiment(p, w, [1.0, 2.0], 1, "lemma", rng)
+
+
 def test_weights_frozen_and_tied_to_their_grid():
     p = make_problem(N=32, M=16, T=1.0)
     w = build_weights(p.a, p.omega, p.T, grid=build_grid(32, 1.0))

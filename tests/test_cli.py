@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -617,6 +618,40 @@ M = 32
     assert main([cfg, "--out", str(tmp_path / "o")]) == 3
     out = capsys.readouterr()
     assert out.out.strip().splitlines()[-1].startswith("ERROR NONFINITE_INTEGRAL:")
+    assert out.err == ""
+
+
+@pytest.mark.parametrize("command,bad,status,code", [
+    ("control", "y0.amplitude = 1e-300", 3, "NONFINITE_INTEGRAL"),
+    ("semilinear", "y0.amplitude = 1e-300", 3, "NONFINITE_INTEGRAL"),
+    ("carleman-audit", "T = 1e60", 2, "PRECONDITION"),
+    ("carleman-audit", "T = 1e300", 2, "PRECONDITION"),
+    ("carleman-audit", "T = 1e-300", 2, "PRECONDITION"),
+    ("carleman-audit", "T = 1e-14", 2, "PRECONDITION"),
+    ("semilinear", "T = 1e-300", 3, "NONFINITE_INTEGRAL"),
+], ids=["control-tiny-datum", "semilinear-tiny-datum", "audit-T-1e60", "audit-T-1e300",
+        "audit-T-1e-300", "audit-T-1e-14", "semilinear-T-1e-300"])
+def test_unrepresentable_scale_fails_closed_without_warning(tmp_path, capsys, command,
+                                                            bad, status, code):
+    # a tiny datum's ||rhs||^2 underflows to 0, which CG would read as a zero
+    # right-hand side (and ||y0||^2 too, which the cost constant divided by);
+    # the audit's theta = (t(T-t))^-4 or theta^3 is 0 or inf at these horizons;
+    # at T = 1e-300 the residual's squared sum overflows. Each is a typed
+    # error, not ERROR INTERNAL, an exit 0 with a report of zeros or a warning
+    cfg = write_cfg(tmp_path, f"""
+command = {command}
+a.kind = power
+a.alpha = 0.5
+grid.N = 12
+M = 12
+{bad}
+""")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([cfg, "--out", str(tmp_path / "o")]) == status
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    out = capsys.readouterr()
+    assert out.out.strip().splitlines()[-1].startswith(f"ERROR {code}:")
     assert out.err == ""
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from degen_control import pde
-from degen_control.control import (ObservabilityReport, _cg,
+from degen_control.control import (ObservabilityReport, _cg, _cost_constant,
                                    _gramian_apply_active, diffusion_preconditioner,
                                    epsilon_sweep, gramian, hum_solve,
                                    observability_estimate)
@@ -249,6 +249,26 @@ def test_cg_not_spd():
     inner = lambda u, v: float(u @ v)
     with pytest.raises(NotSPD):
         _cg(lambda u: -u, rhs, inner, 1e-10, 50)
+
+
+def test_cg_rejects_a_nonzero_rhs_whose_square_underflows():
+    # ||rhs||^2 = 4e-340 underflows to 0: that is no zero right-hand side, so
+    # CG fails closed instead of returning x = 0 after 0 iterations
+    inner = lambda u, v: float(u @ v)
+    with pytest.raises(NonFiniteIntegral, match="underflows"):
+        _cg(lambda u: u, np.full(4, 1e-170), inner, 1e-10, 50)
+    x, iters, _, _ = _cg(lambda u: u, np.zeros(4), inner, 1e-10, 50)
+    assert iters == 0 and not np.any(x)
+
+
+def test_cost_constant_divides_twice_where_the_datum_norm_squared_is_not_normal():
+    # a normal ||y0||^2 is divided by once; where it may underflow to 0 or to
+    # a subnormal, or overflow, the cost is divided by ||y0|| twice
+    assert _cost_constant(3.0, 2.0) == 3.0 / 2.0 ** 2
+    assert _cost_constant(1.0, 0.0) is None
+    assert _cost_constant(1e-300, 1e-170) == 1e-300 / 1e-170 / 1e-170
+    assert _cost_constant(2e-300, 1e-160) == pytest.approx(2e20, rel=1e-15)
+    assert _cost_constant(4e301, 2e154) == pytest.approx(1e-7, rel=1e-15)
 
 
 def test_cg_no_convergence_reports_history():

@@ -180,28 +180,6 @@ def test_stacked_assembly_matches_scalar_time_levels(rng, alpha):
                           [assemble_operator(g, a, row).apply(v) for row, v in zip(rows, u)])
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.5], ids=["WDP", "SDP"])
-def test_given_diffusion_bands_assemble_the_same_operator(rng, alpha):
-    # a caller holding the zero-drift bands gets the same bits without a
-    # second evaluation of a, and the bands it passes stay as they were
-    a = power_coefficient(alpha)
-    g = build_grid(24, 1.0)
-    M = 12
-    diffusion = assemble_operator(g, a, zero_drift())
-    kept = {band: getattr(diffusion, band).copy() for band in ("sub", "diag", "sup")}
-    unevaluable = dataclasses.replace(a, eval=None)
-    for drift in (zero_drift(), constant_drift(0.4, -1.5),
-                  dataclasses.replace(zero_drift(), b=rng.uniform(-2.0, 2.0, g.N),
-                                      c=rng.uniform(-3.0, 3.0, g.N)),
-                  dataclasses.replace(zero_drift(), b=rng.uniform(-2.0, 2.0, (M + 1, g.N)),
-                                      c=rng.uniform(-3.0, 3.0, (M + 1, g.N)))):
-        want = assemble_operator(g, a, drift)
-        got = assemble_operator(g, unevaluable, drift, diffusion)
-        for band in ("sub", "diag", "sup"):
-            assert np.array_equal(getattr(got, band), getattr(want, band))
-            assert np.array_equal(getattr(diffusion, band), kept[band])
-
-
 def test_classical_smallest_eigenvalue_matches_oracle():
     g = build_grid(64, 1.0)
     op = assemble_operator(g, classical_coefficient(), zero_drift())

@@ -336,8 +336,8 @@ def _lu_factors(p):
     """The LU factors of p's step matrices, as march takes them where the
     step matrices are not W-symmetric."""
     op = pde.assemble_operator(p.grid, p.a, p.drift)
-    ldl, factors = pde._factor_steps(op.sub, op.diag, op.sup, p.dt,
-                                     p.grid.weights[p.active()], False)
+    ldl, factors = pde._factor_steps(op.sub, op.diag, op.sup, False, p.dt,
+                                     p.grid.weights[p.active()])
     assert not ldl
     return factors * (p.M // len(factors))
 

@@ -315,7 +315,7 @@ def test_coast_phase_solves_the_discrete_semilinear_equation(nl, N, T):
 
 def test_coast_phase_work_per_inner_iteration(monkeypatch):
     # each inner iteration freezes its one level, factors one step matrix and
-    # solves it once; a is evaluated and the diffusion assembled once per coast
+    # solves it once; a is evaluated and the assembler built once per coast
     p = make_problem(a=power_coefficient(1.5), N=40, M=24, gamma=2.0, b0=0.4, c0=-1.0)
     counts = {"a": 0, "b": 0, "c": 0, "freeze": 0, "dgttrf": 0, "dgttrs": 0,
               "assemble": 0}
@@ -337,8 +337,8 @@ def test_coast_phase_work_per_inner_iteration(monkeypatch):
     p = dataclasses.replace(p, a=dataclasses.replace(p.a, eval=counted("a", p.a.eval)))
     monkeypatch.setattr(semilinear, "freeze_coefficients",
                         counted("freeze", semilinear.freeze_coefficients))
-    monkeypatch.setattr(semilinear, "assemble_operator",
-                        counted("assemble", semilinear.assemble_operator))
+    monkeypatch.setattr(semilinear, "_assembler",
+                        counted("assemble", semilinear._assembler))
     for name in ("dgttrf", "dgttrs"):
         monkeypatch.setattr(pde, name, counted(name, getattr(pde, name)))
     traj = semilinear_forward(p, nl)
