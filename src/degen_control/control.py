@@ -349,9 +349,11 @@ def epsilon_sweep(p: LinearProblem, eps_list) -> SweepResult:
     Every rung is solved exactly from one symmetric eigendecomposition
     Q Lam_s Q' = W^-1/2 B W^-1/2 of the dense ``gramian``: vhat = W^-1/2 Q
     (Lam_s + eps)^-1 Q' W^1/2 rhs. Raises NotSPD when the smallest shifted
-    eigenvalue is at most 1e-14, CG's curvature threshold, and ValueError on
-    a drift table. Each rung's optimality gap, checked against the marched
-    map, must stay within 10 ``SWEEP_GAP_TOL`` max(||y0||, ||y_free(T)||).
+    eigenvalue is at most 1e-14, CG's curvature threshold, NonFiniteIntegral
+    before any rung on a free state y_free(T) that is exactly 0, which leaves
+    no slope to fit, and ValueError on a drift table. Each rung's optimality
+    gap, checked against the marched map, must stay within 10
+    ``SWEEP_GAP_TOL`` max(||y0||, ||y_free(T)||).
 
     Fits the log-log slope of ||y(T)|| against eps; for a null-controllable
     configuration the slope sits near 1/2 and the control cost stays bounded.
@@ -366,6 +368,8 @@ def epsilon_sweep(p: LinearProblem, eps_list) -> SweepResult:
     act = p.active()
     sw = np.sqrt(p.grid.weights[act])
     rhs = -solve_forward(p)[-1, act]
+    if not np.any(rhs):
+        raise NonFiniteIntegral("the free state y_free(T) is exactly 0; no slope to fit")
     B, _ = gramian(p)
     lam, Q = np.linalg.eigh(B / np.outer(sw, sw))
     if lam[0] + eps_list[-1] <= 1e-14:

@@ -30,6 +30,13 @@ the problem, and solved with in both directions. The kernel,
   u = W v with ``dgttrs`` in transposed mode, and a sweep scales by W once
   before and once after its loop.
 
+A sweep splits its states into rows once and zips each step's previous
+row, the row it fills and the step's factors, in sweep order, into one
+loop per kind of step (LDL^T or LU, each with or without a source); no
+step tests its kind or indexes the states. ``dpttrs`` and ``dgttrs`` are
+looked up in this module's namespace at each call, never bound early, so
+a wrapper set on the module sees every solve.
+
 The rounding order is part of the method: ``hum_solve``'s CG takes 108
 iterations on the README ``control`` config on either path. Scaling by W
 around every LU step rounds twice more per step and gives 109; marching
@@ -201,14 +208,17 @@ def march(p: LinearProblem, u: np.ndarray, src: np.ndarray | None = None,
     (v^{k+1} + dt src[k]). ``u`` is an (N,) nodal vector and ``src``, if
     given, an (M, N) array; both are read on the active nodes only.
 
-    The sweep works on the active columns of the result, a view. Each step
-    forms its right-hand side in the row it fills (dt src[k] is written into
-    the rows once, up front) and solves there in place with one
-    single-column solve, so the sweep makes exactly M solves and leaves
-    ``u`` and ``src`` untouched. On LDL^T factors of S_k = W M_k both
-    directions step row <- S_k^{-1} (W row), the multiply by w fused with
-    forming the row. On LU factors the adjoint multiplies the rows that hold
-    data by w before its loop, solves transposed, and divides by w after.
+    The sweep works on the active columns of the result, a view, split into
+    a list of rows once. Each step forms its right-hand side in the row it
+    fills (dt src[k] is written into the rows once, up front) and solves
+    there in place with one single-column solve, so the sweep makes exactly
+    M solves and leaves ``u`` and ``src`` untouched. The steps run as
+    (prev, row, factors) triples, forward or reversed, through the one loop
+    of their kind, with the same arithmetic in the same order as a step
+    taken alone. On LDL^T factors of S_k = W M_k both directions step
+    row <- S_k^{-1} (W row), the multiply by w fused with forming the row.
+    On LU factors the adjoint multiplies the rows that hold data by w before
+    its loop, solves transposed, and divides by w after.
     """
     ldl, factors = _step_factors(p)
     act = p.active()
@@ -218,30 +228,36 @@ def march(p: LinearProblem, u: np.ndarray, src: np.ndarray | None = None,
     if src is not None:
         np.multiply(p.dt, src[:, act], out=y[:-1] if adjoint else y[1:])
     w = p.grid.weights[act]
-    steps = range(p.M - 1, -1, -1) if adjoint else range(p.M)
+    rows = list(y)      # one view per time level, made once
+    # (prev, row, factors of the step into row), in sweep order
+    if adjoint:
+        steps = zip(rows[:0:-1], rows[-2::-1], reversed(factors))
+    else:
+        steps = zip(rows[:-1], rows[1:], factors)
+    # overwrite_b = 1: each solve works in place on its row
     if ldl:
         # G = W^-1 M^-T W = S^-1 W = M^-1: the adjoint step is the forward one
-        for k in steps:
-            prev, new = (k + 1, k) if adjoint else (k, k + 1)
-            row = y[new]
-            if src is None:
-                np.multiply(y[prev], w, out=row)
-            else:
-                row += y[prev]
+        if src is None:
+            for prev, row, (d, e) in steps:
+                np.multiply(prev, w, out=row)
+                dpttrs(d, e, row, 1)
+        else:
+            for prev, row, (d, e) in steps:
+                row += prev
                 row *= w
-            dpttrs(*factors[k], row, 1)     # overwrite_b: solves in place
+                dpttrs(d, e, row, 1)
         return states
     if adjoint:
         y[p.M if src is None else slice(None)] *= w
     trans = "T" if adjoint else "N"
-    for k in steps:
-        prev, new = (k + 1, k) if adjoint else (k, k + 1)
-        row = y[new]
-        if src is None:
-            row[...] = y[prev]          # a copy keeps -0.0, adding to 0 would not
-        else:
-            row += y[prev]
-        dgttrs(*factors[k], row, trans, 1)    # overwrite_b: solves in place
+    if src is None:
+        for prev, row, f in steps:
+            row[...] = prev         # a copy keeps -0.0, adding to 0 would not
+            dgttrs(*f, row, trans, 1)
+    else:
+        for prev, row, f in steps:
+            row += prev
+            dgttrs(*f, row, trans, 1)
     if adjoint:
         y /= w
     return states
@@ -249,13 +265,19 @@ def march(p: LinearProblem, u: np.ndarray, src: np.ndarray | None = None,
 
 def control_cost(p: LinearProblem, h: np.ndarray) -> float:
     """||h||^2 over the control region and horizon (piecewise constant in t);
-    raises ``NonFiniteIntegral`` where it overflows."""
+    raises ``NonFiniteIntegral`` where it overflows, or underflows to 0 on an
+    h that is nonzero in the control region. An h that is exactly 0 there
+    costs 0."""
     act = p.active()
-    wm = p.grid.weights[act] * p.omega_mask()[act]
+    mask = p.omega_mask()[act]
+    h = h[:p.M, act]
     with np.errstate(over="ignore", invalid="ignore"):
-        cost = p.dt * float(np.sum(wm * h[:p.M, act] ** 2))
+        cost = p.dt * float(np.sum(p.grid.weights[act] * mask * h ** 2))
     if not np.isfinite(cost):
         raise NonFiniteIntegral(f"control cost overflows: max |h| = {np.max(np.abs(h)):.3e}")
+    if cost == 0.0 and np.any(h[:, mask]):
+        raise NonFiniteIntegral(f"control cost underflows to 0: max |h| = "
+                                f"{np.max(np.abs(h[:, mask])):.3e} on the control region")
     return cost
 
 

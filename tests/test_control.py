@@ -138,10 +138,24 @@ def test_epsilon_monotone_decrease_for_weak_degeneracy():
     assert sw.cost_ratio <= 10.0
 
 
-def test_sweep_zero_datum_all_rows_zero():
-    p = make_problem(N=32, M=16, y0=np.zeros(32))
-    sw = epsilon_sweep(p, [1e-2, 1e-3, 1e-4, 1e-5])
-    assert all(r.norm_yT == 0.0 and r.cost == 0.0 for r in sw.rows)
+def test_sweep_refuses_zero_free_state(monkeypatch):
+    # a zero datum, or a horizon over which the free state decays to exactly
+    # 0, leaves no positive ||y(T)|| to fit a slope to; the sweep refuses it
+    # before the Gramian is built or any rung is solved
+    monkeypatch.setattr("degen_control.control.gramian", None)
+    for p in (make_problem(N=32, M=16, y0=np.zeros(32)), make_problem(N=12, M=12, T=1e300)):
+        with pytest.raises(NonFiniteIntegral, match="exactly 0"):
+            epsilon_sweep(p, [1e-2, 1e-3, 1e-4, 1e-5])
+
+
+def test_control_cost_refuses_underflow():
+    # at amplitude 1e-300 the rungs' controls are nonzero but their squares
+    # underflow, so every cost would read 0; an h that is exactly 0 costs 0
+    p = make_problem(N=12, M=12)
+    p = dataclasses.replace(p, y0=1e-300 * p.y0)
+    with pytest.raises(NonFiniteIntegral, match="underflows to 0"):
+        epsilon_sweep(p, [1e-2, 1e-3, 1e-4, 1e-5])
+    assert pde.control_cost(p, np.zeros((p.M, p.grid.N))) == 0.0
 
 
 def test_sweep_preconditions():
@@ -201,6 +215,17 @@ def test_hum_solve_count_closed_form_drift_free(monkeypatch):
     assert res.cg_iters > 0
     assert calls == {"dgttrf": 0, "dgttrs": 0, "dpttrf": 1,
                      "dpttrs": p.M * (1 + 2 * res.cg_iters + 2)}
+
+
+def test_hum_solve_bench_control_count(monkeypatch):
+    # the README and benchmark ``control`` problem (alpha = 0.5, N = 128,
+    # M = 256, T = 0.5, sine datum, omega = (0.3, 0.9), eps = 1e-6) takes 108
+    # CG iterations and 256 * (1 + 2 * 108 + 2) = 56,064 solves; a change in
+    # march's rounding order moves the count
+    calls = _count_calls(monkeypatch, ("dpttrs",))
+    res = hum_solve(make_problem(N=128, M=256, T=0.5, omega=(0.3, 0.9)), 1e-6)
+    assert res.cg_iters == 108
+    assert calls == {"dpttrs": 56_064}
 
 
 def test_dense_paths_refuse_drift_tables():
