@@ -4,8 +4,7 @@ from .coefficients import (Case, DegeneracyCoefficient, DriftEnvelope,
                            classical_coefficient, constant_drift,
                            power_coefficient, tabular_coefficient,
                            validate_coefficient, zero_drift)
-from .mesh import (GridSpec, TriDiagOperator, assemble_operator, build_grid,
-                   hardy_check)
+from .mesh import GridSpec, assemble_operator, build_grid, hardy_check
 from .pde import LinearProblem, solve_adjoint, solve_forward
 from .carleman import (CarlemanWeights, SourceSplit, build_weights,
                        carleman_functionals, ratio_experiment)

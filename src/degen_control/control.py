@@ -64,9 +64,9 @@ def gramian(p: LinearProblem) -> tuple[np.ndarray, np.ndarray]:
     form in the weighted inner product and E = V_0 maps vT to v(0), where
     V_k = G^(M-k) maps vT to the adjoint state v^k and G = W^-1 M^-T W, the
     one-step adjoint matrix, is one multi-column solve on diag(w) with the
-    step's factors: S^-1 W on the LDL^T factors of the W-symmetric
-    S = W M, where G = M^-1, and a transposed solve on the LU factors
-    otherwise. Square-and-multiply on the pairs (G^a, S_a), with
+    step's factors: W^-1 P S^-1 W on the LDL^T factors of the symmetric
+    S = P M (S^-1 W = M^-1 where P = W), and a transposed solve on the LU
+    factors otherwise. Square-and-multiply on the pairs (G^a, S_a), with
     S_{a+b} = S_a + (G^a)' S_b G^a, builds both in O(log M) products. B is
     returned exactly symmetric. Raises ValueError on a drift table: a
     time-dependent problem takes ``hum_solve``'s matrix-free path.

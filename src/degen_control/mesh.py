@@ -10,9 +10,12 @@ where w_i is the trapezoid quadrature weight (the dual cell length). Using
 w_i as the cell measure makes A exactly self-adjoint in the trapezoid-weighted
 inner product when b = c = 0, which the duality machinery relies on. The
 first-order term is fully upwinded by the sign of beta*c; an upwind
-coefficient beta c / h that overflows raises ``NonFiniteIntegral``. One
-assembler, built once per (grid, a, beta), forms every operator for any b
-and c, and says whether it is W-symmetric, which picks the step's solver.
+coefficient beta c / h that overflows raises ``NonFiniteIntegral``.
+Upwinding keeps the off-diagonals negative, so A is symmetric in the
+weights rho W for a discrete Liouville weight rho (``pde._symmetriser``),
+with rho = 1 where beta c = 0. One assembler, built once per (grid, a,
+beta), forms every operator for any b and c as its bands, and says whether
+it is W-symmetric, which picks the weight of the step's LDL^T solve.
 
 Boundary conditions: node N-1 is always eliminated (Dirichlet). In the weak
 case node 0 is eliminated too; in the strong case node 0 stays active with
@@ -93,26 +96,6 @@ def face_diffusivity(grid: GridSpec, a: DegeneracyCoefficient) -> np.ndarray:
     return np.asarray(a.eval(grid.faces), dtype=float)
 
 
-@dataclass(frozen=True)
-class TriDiagOperator:
-    """Assembled operator over the active nodes (sub[0] = sup[-1] = 0).
-
-    Bands are (n,), or (L, n) for L stacked time levels that ``apply`` maps
-    level by level. ``w_symmetric`` says that no first-order term is in
-    them, so W A is symmetric for the weights W of the active nodes."""
-
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-    w_symmetric: bool
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        r = self.diag * u
-        r[..., 1:] += self.sub[..., 1:] * u[..., :-1]
-        r[..., :-1] += self.sup[..., :-1] * u[..., 1:]
-        return r
-
-
 def _assembler(grid: GridSpec, a: DegeneracyCoefficient, beta):
     """``assemble(b, c) -> (sub, diag, sup, w_symmetric)``: the bands for b and
     c at the active nodes, as numbers, (n,) rows or stacked (L, n) levels, and
@@ -163,9 +146,10 @@ def _assembler(grid: GridSpec, a: DegeneracyCoefficient, beta):
     return assemble
 
 
-def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
-                      drift: DriftEnvelope) -> TriDiagOperator:
-    """Flux-form diffusion + reaction + upwinded drift, by ``_assembler``.
+def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient, drift: DriftEnvelope):
+    """Flux-form diffusion + reaction + upwinded drift over the active nodes,
+    as ``_assembler``'s ``(sub, diag, sup, w_symmetric)`` with sub[0] =
+    sup[-1] = 0.
 
     The bands are (n,) when the drift's b and c are numbers or (N,) vectors.
     An (M+1, N) table gives bands stacked with shape (M, n): level k, for the
@@ -180,7 +164,7 @@ def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient,
         f = np.asarray(f, dtype=float)
         return f if f.ndim == 0 else f[act] if f.ndim == 1 else f[1:, act]
 
-    return TriDiagOperator(*assemble(on_steps(drift.b), on_steps(drift.c)))
+    return assemble(on_steps(drift.b), on_steps(drift.c))
 
 
 # -- norms ---------------------------------------------------------------------
@@ -210,9 +194,9 @@ def _symmetric_diffusion(grid: GridSpec, a: DegeneracyCoefficient):
     with A the drift-free operator on the active nodes and W their weights:
     A is self-adjoint in the weighted inner product, so this matrix has A's
     eigenvalues and W^{1/2}-scaled eigenvectors."""
-    op = assemble_operator(grid, a, zero_drift())
+    _, diag, sup, _ = assemble_operator(grid, a, zero_drift())
     w = grid.weights[active_indices(grid, a.case)]
-    return op.diag, op.sup[:-1] * np.sqrt(w[:-1] / w[1:])
+    return diag, sup[:-1] * np.sqrt(w[:-1] / w[1:])
 
 
 def hardy_check(grid: GridSpec, a: DegeneracyCoefficient) -> float:

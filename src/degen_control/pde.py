@@ -18,30 +18,42 @@ Every sweep goes through ``march``. One assembly per problem gives the step
 matrices M_k = I + dt A(t_k) of all M levels as stacked bands (one level when
 the drift holds no table); each distinct level is factored once, cached on
 the problem, and solved with in both directions. The kernel,
-``_factor_steps``, picks the factorisation per problem:
+``_factor_steps``, picks the factorisation per problem. The upwinded A is an
+M-matrix, so each M_k is diagonally similar to a symmetric matrix: S_k =
+P_k M_k is symmetric for a positive diagonal P_k, factored LDL^T
+(``dpttrf``) and solved with ``dpttrs``.
 
-- Where beta c vanishes on every level, W A is symmetric, and so is
-  S_k = W M_k. Each S_k is factored LDL^T (``dpttrf``), and G = W^{-1}
-  M^{-T} W equals M^{-1} = S^{-1} W, so both directions take the same step
-  row <- S_k^{-1} (W row), one in-place ``dpttrs`` with the multiply by w
-  fused into forming the row.
-- Any nonzero beta c, or an S_k with a nonpositive pivot (1 + dt b < 0, for
-  example), keeps pivoted LU (``dgttrf``). The adjoint step then runs in
-  u = W v with ``dgttrs`` in transposed mode, and a sweep scales by W once
-  before and once after its loop.
+- Where beta c vanishes on every level, W A is symmetric and P_k = W. Then
+  G = W^{-1} M^{-T} W equals M^{-1} = S^{-1} W, so both directions take the
+  same step row <- S_k^{-1} (W row), one in-place ``dpttrs`` with the
+  multiply by w fused into forming the row.
+- Any nonzero beta c takes P_k = rho_k W, with rho the discrete Liouville
+  weight exp(-int beta c / a) of the upwinded level (``_symmetriser``; Roos,
+  Stynes & Tobiska, *Robust Numerical Methods for Singularly Perturbed
+  Differential Equations*, Springer 2008). The forward step is the one
+  above with p_k for w. The adjoint runs in u = W v, where M^{-T} = P S^{-1}
+  makes each step u <- p_k S_k^{-1} u, and a sweep scales by W once before
+  and once after its loop. So it is the exact W-transpose of the forward
+  map, and the duality identity holds to round-off. Each level's largest p
+  is scaled into [1/2, 1), so P y never overflows; S_k^{-1} u can exceed u
+  by up to the spread of p, so an adjoint state near the overflow threshold
+  can overflow inside the solve where LU would not, and fail closed.
+- A symmetriser that is out of the doubles' range, or an S_k with a
+  nonpositive pivot (1 + dt b < 0, for example), keeps pivoted LU
+  (``dgttrf``) bit for bit. Its adjoint runs in u = W v as above, with
+  ``dgttrs`` in transposed mode.
 
 A sweep splits its states into rows once and zips each step's previous
 row, the row it fills and the step's factors, in sweep order, into one
-loop per kind of step (LDL^T or LU, each with or without a source); no
-step tests its kind or indexes the states. ``dpttrs`` and ``dgttrs`` are
-looked up in this module's namespace at each call, never bound early, so
-a wrapper set on the module sees every solve.
+loop per kind of step (LDL^T forward, LDL^T adjoint in u, or LU, each with
+or without a source); no step tests its kind or indexes the states.
+``dpttrs`` and ``dgttrs`` are looked up in this module's namespace at each
+call, never bound early, so a wrapper set on the module sees every solve.
 
 The rounding order is part of the method: ``hum_solve``'s CG takes 108
-iterations on the README ``control`` config on either path. Scaling by W
-around every LU step rounds twice more per step and gives 109; marching
-LDL^T in z = W^{1/2} y, with the symmetric scaling W^{1/2} M W^{-1/2}, gives
-106.
+iterations on the README ``control`` config. Scaling by W around every LU
+step rounds twice more per step and gives 109; marching LDL^T in
+z = W^{1/2} y, with the symmetric scaling W^{1/2} M W^{-1/2}, gives 106.
 
 The solvers return the (M+1, N) nodal states at ``p.times`` as plain arrays
 and raise ``NonFiniteIntegral`` on an overflowed state; ``march``, which CG
@@ -62,6 +74,8 @@ from .mesh import GridSpec, active_indices, assemble_operator
 
 # desk scale is M up to about 10^3 steps; the cap leaves a margin of ten
 M_MAX = 10_000
+# the smallest positive normal double; a symmetriser below it has lost digits
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass
@@ -122,80 +136,108 @@ class LinearProblem:
         return (x >= self.omega[0]) & (x <= self.omega[1])
 
 
+def _symmetriser(sub, sup):
+    """The diagonal p of P_k that makes P_k A_k symmetric, for the (n,) or
+    stacked (L, n) bands of an upwinded A, level by level: p_{i+1} = p_i
+    sup_i / sub_{i+1}, which is the discrete Liouville weight rho = exp(-int
+    beta c / a) times W up to a constant. Each level is scaled by a power of
+    two, which is exact, so that its largest p lies in [1/2, 1) and P_k y
+    cannot overflow. None where some p is not a positive normal number, as
+    where rho spans more than the doubles do; no warning is raised either
+    way."""
+    with np.errstate(all="ignore"):
+        p = np.empty(np.shape(sup))
+        p[..., 0] = 1.0
+        np.divide(sup[..., :-1], sub[..., 1:], out=p[..., 1:])
+        np.cumprod(p, axis=-1, out=p)
+        top = p.max(axis=-1, keepdims=True)
+    if not top.max() < np.inf:      # a nan fails too
+        return None
+    np.ldexp(p, -np.frexp(top)[1], out=p)
+    return p if _TINY <= p.min() else None
+
+
 def _factor_steps(sub, diag, sup, w_symmetric: bool, dt: float, w: np.ndarray,
-                  step: int = 1) -> tuple[bool, list]:
-    """``(ldl, factors)``: the factors of the step matrix M_k = I + dt A_k of
+                  step: int = 1) -> tuple[str, list]:
+    """``(kind, factors)``: the factors of the step matrix M_k = I + dt A_k of
     each level of A's (n,) or stacked (L, n) bands, as ``mesh._assembler``
     gives them with their W-symmetry, the first level being the step to time
     index ``step``, for the weights ``w`` of the active nodes. Each level's
     bands are formed in one pass over all levels and factored in place.
 
-    Where A is ``w_symmetric``, S_k = W M_k is symmetric, with diagonal
-    w (1 + dt diag) and off-diagonal dt w sup; each level is factored LDL^T
-    (``dpttrf``) and ``ldl`` is True. Any other A, or a level whose S_k has
-    a nonpositive pivot (1 + dt b < 0, say), gives the LU factors of every
-    level instead (``dgttrf`` on dt sub, 1 + dt diag and dt sup), which
-    raise ``SolverBreakdown`` on a singular level. ``_step_solve`` takes a
-    step with either kind."""
+    Each level's S_k = P_k M_k is symmetric for a positive diagonal P_k: W
+    itself where A is ``w_symmetric`` (kind ``"ldl-w"``), the symmetriser
+    of ``_symmetriser`` otherwise (kind ``"ldl-rho"``). S_k has diagonal
+    p (1 + dt diag) and off-diagonal dt p sup, and is factored LDL^T
+    (``dpttrf``); a level's factors are ``(d, e, p)``. Where no symmetriser
+    exists, or some level has a nonpositive pivot (1 + dt b < 0, say), every
+    level takes the LU factors of M_k instead (kind ``"lu"``: ``dgttrf`` on
+    dt sub, 1 + dt diag and dt sup), which raise ``SolverBreakdown`` on a
+    singular level. ``_step_solve`` takes a step with any kind. A step
+    matrix whose entries overflow raises ``NonFiniteIntegral``, with no
+    warning printed first."""
     def levels(*bands):     # the rows of stacked bands, or the one level
         return zip(*bands) if diag.ndim == 2 else (bands,)
 
-    if w_symmetric:
-        ldl = []
-        for d, e in levels(w * (1.0 + dt * diag), dt * w[:-1] * sup[..., :-1]):
-            *f, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
-            if info:
-                break
-            ldl.append(f)
-        else:
-            return True, ldl
+    kind, p = ("ldl-w", w) if w_symmetric else ("ldl-rho", _symmetriser(sub, sup))
+    try:
+        with np.errstate(over="raise"):   # an overflow raises where it happens, unprinted
+            if p is not None:
+                ldl = []
+                for d, e, p_k in levels(p * (1.0 + dt * diag), dt * p[..., :-1] * sup[..., :-1],
+                                        p if p.ndim == diag.ndim else np.broadcast_to(p, diag.shape)):
+                    *f, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+                    if info:
+                        break
+                    ldl.append((*f, p_k))
+                else:
+                    return kind, ldl
+            bands = dt * sub[..., 1:], 1.0 + dt * diag, dt * sup[..., :-1]
+    except FloatingPointError:
+        raise NonFiniteIntegral(f"the step matrix I + dt A overflows at dt = {dt:.3e}") from None
     lu = []
-    for k, level in enumerate(levels(dt * sub[..., 1:], 1.0 + dt * diag, dt * sup[..., :-1])):
+    for k, level in enumerate(levels(*bands)):
         *f, info = dgttrf(*level, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info > 0:
             raise SolverBreakdown(f"singular step matrix at time index {step + k}")
         lu.append(f)
-    return False, lu
+    return "lu", lu
 
 
-def _step_solve(ldl: bool, factors, row: np.ndarray, w: np.ndarray) -> None:
-    """One forward step on ``row``, which holds its right-hand side, in place:
-    S^{-1} (W row) for LDL^T factors, M^{-1} row for LU factors."""
-    if ldl:
-        row *= w
-        dpttrs(*factors, row, 1)
-    else:
+def _step_solve(kind: str, factors, row: np.ndarray) -> None:
+    """One forward step M^-1 row on ``row``, which holds its right-hand side,
+    in place: S^-1 (P row) for LDL^T factors, an LU solve otherwise."""
+    if kind == "lu":
         dgttrs(*factors, row, "N", 1)
+    else:
+        d, e, p = factors
+        row *= p
+        dpttrs(d, e, row, 1)
 
 
-def _step_factors(p: LinearProblem) -> tuple[bool, list]:
-    """``_factor_steps``' ``(ldl, factors)`` for each of the M steps, for both
-    directions. The first call assembles the bands of every time level once
-    (one level when the drift holds no table), forms the step matrices'
-    bands in one pass and factors each distinct level once; a step matrix
-    whose entries overflow raises ``NonFiniteIntegral`` before any."""
+def _step_factors(p: LinearProblem) -> tuple[str, list]:
+    """``_factor_steps``' ``(kind, factors)`` for each of the M steps, for
+    both directions. The first call assembles the bands of every time level
+    once (one level when the drift holds no table), forms the step matrices'
+    bands in one pass and factors each distinct level once."""
     if not p._cache:
-        op = assemble_operator(p.grid, p.a, p.drift)
-        try:
-            with np.errstate(over="raise"):   # one per problem, not one per step
-                ldl, factors = _factor_steps(op.sub, op.diag, op.sup, op.w_symmetric,
-                                             p.dt, p.grid.weights[p.active()])
-        except FloatingPointError:
-            raise NonFiniteIntegral(f"the step matrix I + dt A overflows at "
-                                    f"dt = {p.dt:.3e}") from None
-        p._cache["steps"] = ldl, factors * (p.M // len(factors))
+        kind, factors = _factor_steps(*assemble_operator(p.grid, p.a, p.drift), p.dt,
+                                      p.grid.weights[p.active()])
+        p._cache["steps"] = kind, factors * (p.M // len(factors))
     return p._cache["steps"]
 
 
 def _adjoint_step_matrix(p: LinearProblem) -> np.ndarray:
     """The one-step adjoint matrix G = W^{-1} M^{-T} W of a problem with one
-    step matrix M, from one multi-column solve on diag(w): S^{-1} W itself
-    for LDL^T factors, where G = M^{-1}, and transposed for LU factors."""
+    step matrix M, from one multi-column solve on diag(w): W^{-1} P S^{-1} W
+    for LDL^T factors of S = P M (S^{-1} W = M^{-1} itself where P is W,
+    since p / w is then exactly 1), and transposed for LU factors."""
     w = p.grid.weights[p.active()]
-    ldl, factors = _step_factors(p)
-    if ldl:
-        return dpttrs(*factors[0], np.diag(w))[0]
-    return dgttrs(*factors[0], np.diag(w), "T")[0] / w[:, None]
+    kind, (f, *_) = _step_factors(p)
+    if kind == "lu":
+        return dgttrs(*f, np.diag(w), "T")[0] / w[:, None]
+    d, e, pk = f
+    return dpttrs(d, e, np.diag(w))[0] * (pk / w)[:, None]
 
 
 def march(p: LinearProblem, u: np.ndarray, src: np.ndarray | None = None,
@@ -215,12 +257,14 @@ def march(p: LinearProblem, u: np.ndarray, src: np.ndarray | None = None,
     M solves and leaves ``u`` and ``src`` untouched. The steps run as
     (prev, row, factors) triples, forward or reversed, through the one loop
     of their kind, with the same arithmetic in the same order as a step
-    taken alone. On LDL^T factors of S_k = W M_k both directions step
-    row <- S_k^{-1} (W row), the multiply by w fused with forming the row.
-    On LU factors the adjoint multiplies the rows that hold data by w before
-    its loop, solves transposed, and divides by w after.
+    taken alone. On LDL^T factors of S_k = P_k M_k the forward step is
+    row <- S_k^{-1} (p_k row), the multiply fused with forming the row, and
+    so is the adjoint step where P_k is W. Every other adjoint runs in
+    u = W v: it multiplies the rows that hold data by w before its loop and
+    divides by w after, and each step is u <- p_k S_k^{-1} u on LDL^T
+    factors, a transposed solve on LU factors.
     """
-    ldl, factors = _step_factors(p)
+    kind, factors = _step_factors(p)
     act = p.active()
     states = np.zeros((p.M + 1, p.grid.N))
     y = states[:, act]
@@ -235,29 +279,42 @@ def march(p: LinearProblem, u: np.ndarray, src: np.ndarray | None = None,
     else:
         steps = zip(rows[:-1], rows[1:], factors)
     # overwrite_b = 1: each solve works in place on its row
-    if ldl:
-        # G = W^-1 M^-T W = S^-1 W = M^-1: the adjoint step is the forward one
+    if kind == "ldl-w" or (kind == "ldl-rho" and not adjoint):
+        # with P = W, G = W^-1 M^-T W = S^-1 W = M^-1: the adjoint step is the forward one
         if src is None:
-            for prev, row, (d, e) in steps:
-                np.multiply(prev, w, out=row)
+            for prev, row, (d, e, pk) in steps:
+                np.multiply(prev, pk, out=row)
                 dpttrs(d, e, row, 1)
         else:
-            for prev, row, (d, e) in steps:
+            for prev, row, (d, e, pk) in steps:
                 row += prev
-                row *= w
+                row *= pk
                 dpttrs(d, e, row, 1)
         return states
     if adjoint:
         y[p.M if src is None else slice(None)] *= w
-    trans = "T" if adjoint else "N"
-    if src is None:
-        for prev, row, f in steps:
-            row[...] = prev         # a copy keeps -0.0, adding to 0 would not
-            dgttrs(*f, row, trans, 1)
+    if kind == "ldl-rho":
+        # M^-T = (P^-1 S)^-T = P S^-1
+        if src is None:
+            for prev, row, (d, e, pk) in steps:
+                row[...] = prev
+                dpttrs(d, e, row, 1)
+                row *= pk
+        else:
+            for prev, row, (d, e, pk) in steps:
+                row += prev
+                dpttrs(d, e, row, 1)
+                row *= pk
     else:
-        for prev, row, f in steps:
-            row += prev
-            dgttrs(*f, row, trans, 1)
+        trans = "T" if adjoint else "N"
+        if src is None:
+            for prev, row, f in steps:
+                row[...] = prev         # a copy keeps -0.0, adding to 0 would not
+                dgttrs(*f, row, trans, 1)
+        else:
+            for prev, row, f in steps:
+                row += prev
+                dgttrs(*f, row, trans, 1)
     if adjoint:
         y /= w
     return states

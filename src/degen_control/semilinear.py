@@ -175,11 +175,14 @@ def semilinear_residual(p: LinearProblem, nl: Nonlinearity, y: np.ndarray,
     Uses the solver's stencils (coefficients frozen along y itself), so a
     true discrete solution gives round-off; one that overflows raises
     NonFiniteIntegral."""
-    op = assemble_operator(p.grid, p.a, frozen_problem(p, y, nl).drift)
+    sub, diag, sup, _ = assemble_operator(p.grid, p.a, frozen_problem(p, y, nl).drift)
     act = p.active()
     y = y[:, act]
     with np.errstate(over="ignore", invalid="ignore"):
-        r = (y[1:] - y[:-1]) / p.dt + op.apply(y[1:]) - h[:p.M, act] * p.omega_mask()[act]
+        Ay = diag * y[1:]
+        Ay[..., 1:] += sub[..., 1:] * y[1:, :-1]
+        Ay[..., :-1] += sup[..., :-1] * y[1:, 1:]
+        r = (y[1:] - y[:-1]) / p.dt + Ay - h[:p.M, act] * p.omega_mask()[act]
         acc = p.dt * float(np.sum(p.grid.weights[act] * r * r))
     if not np.isfinite(acc):
         raise NonFiniteIntegral(f"the semilinear residual overflows at dt = {p.dt:.3e}")
@@ -280,15 +283,17 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> np.ndarray:
     inner iteration, as the (M+1, N) states at ``p.times``. A step's iterate
     is accepted at an increment of at most ``COAST_TOL`` ||y0||; a step that
     spends ``COAST_MAX_INNER`` iterations without that raises NoFixedPoint.
-    A step matrix I + dt A that overflows, unwarned under the decorator,
-    leaves a row that is not finite, which raises NonFiniteIntegral.
+    A step matrix I + dt A that overflows raises NonFiniteIntegral in
+    ``pde``'s kernel; a solve that overflows, unwarned under the decorator,
+    leaves a row that is not finite, which raises NonFiniteIntegral too.
 
     ``mesh._assembler`` (one evaluation of a) and the linear b and c on the
     active nodes are built once per coast. Each inner iteration then works on
     (N,) rows: one ``freeze_coefficients`` of the one level ``w[None, :]`` at
     t_{n+1}, one assembly of the linear plus frozen b and c, and one
     factorisation and one solve of the step matrix through ``pde``'s kernel
-    (LDL^T where the assembly is W-symmetric, pivoted LU otherwise)."""
+    (LDL^T of the step matrix symmetrised by W or by rho W, pivoted LU where
+    neither serves)."""
     act = p.active()
     dt = p.dt
     states = np.zeros((p.M + 1, p.grid.N))
@@ -303,10 +308,10 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> np.ndarray:
         b_n, c_n = b_lin[n + 1], c_lin[n + 1]
         for _j in range(COAST_MAX_INNER):
             b_row, c_row = freeze_coefficients(p.grid, t1, w[None, :], nl)
-            ldl, (factors,) = _factor_steps(
+            kind, (factors,) = _factor_steps(
                 *assemble(b_n + b_row[0, act], c_n + c_row[0, act]), dt, weights, n + 1)
             row[act] = states[n, act]
-            _step_solve(ldl, factors, row[act], weights)
+            _step_solve(kind, factors, row[act])
             if not np.isfinite(row).all():
                 raise NonFiniteIntegral(f"coast step {n + 1}: state at t = {t1[0]:.6g} "
                                         f"is not finite")

@@ -317,22 +317,25 @@ b.const = -250
     ("semilinear", "1e155", "nl.kind = sine\nnl.m = 0.5\n", 3),
     ("solve", "1e308", "", 0),
     ("solve", "1e300", "b.const = -50\n", 3),
-    ("solve", "1e308", "c.const = 1\n", 3),
+    ("solve", "1e308", "c.const = 1\n", 0),
+    ("solve", "1e308", "c.const = 1\nb.const = -128\n", 3),
     ("semilinear", "1e308", "t0 = 0.2\nnl.kind = tanh-grad\n", 3),
     ("semilinear", "1e308", "t0 = 0.2\nnl.kind = sine\n", 3),
 ], ids=["control-1e154", "control-1e155", "control-1e156", "sweep", "semilinear",
-        "solve", "solve-ldl-growth", "solve-lu", "coast-tanh-grad", "coast-sine"])
+        "solve", "solve-ldl-growth", "solve-drift-ldl", "solve-lu", "coast-tanh-grad",
+        "coast-sine"])
 def test_overflowed_cost_is_nonfinite_integral(tmp_path, capsys, command, amplitude,
                                                extra, status):
     # an overflowed ||h||^2 or ||rhs||^2 is a solver failure, not a printed
     # cost of inf or nan, nor a NOT_SPD on a curvature of inf; so is a state
     # that overflows in the march, not a summary of nan norms, and a coast
     # whose slopes overflow where it freezes the nonlinearity, not a
-    # NO_FIXED_POINT after 50 inner iterations on nan. A drift-free solve
-    # steps on LDL^T factors of W(I + dt A), whose solves keep a 1e308 datum
-    # finite, so it exits 0 with finite norms; its states overflow where
-    # they grow (b = -50, still on LDL^T), and with a first-order term the
-    # pivoted LU step overflows the 1e308 datum at once
+    # NO_FIXED_POINT after 50 inner iterations on nan. A solve steps on
+    # LDL^T factors of P(I + dt A), P = W without a first-order term and its
+    # symmetriser with one (c = 1), whose solves keep a 1e308 datum finite,
+    # so it exits 0 with finite norms; its states overflow where they grow
+    # (b = -50, still on LDL^T), and where 1 + dt b = -1 leaves LDL^T a
+    # nonpositive pivot the pivoted LU step overflows the datum at once
     cfg = write_cfg(tmp_path, f"""
 command = {command}
 a.kind = power
@@ -600,13 +603,16 @@ a.alpha = 0.5
     ("solve", "T = 1e308"),
     ("semilinear", "T = 1e307\nt0 = 5e306\nnl.kind = mixed\nnl.m = 0.5"),
     ("semilinear", "T = 1e308\nt0 = 3e307\nnl.kind = mixed\nnl.m = 0.5"),
-], ids=["upwind-term", "step-matrix", "coast-step-matrix", "coast-split-of-1e308"])
+    ("semilinear", "T = 1e307\nt0 = 5e306\nnl.kind = sine\nnl.m = 0.5"),
+], ids=["upwind-term", "step-matrix", "coast-step-matrix", "coast-split-of-1e308",
+        "coast-step-matrix-drift-free"])
 def test_overflowing_operator_is_nonfinite_integral_without_warning(tmp_path, capsys,
                                                                     command, bad):
     # beta c / h and I + dt A overflow: checked where they are formed, so no
     # RuntimeWarning comes first (the test settings would turn one into
     # ERROR INTERNAL); the split of T = 1e308 at t0 = 3e307 is 10 + 22 steps,
-    # taken as M (t0 / T) because M t0 overflows
+    # taken as M (t0 / T) because M t0 overflows; a drift-free coast's step
+    # matrix fails in the coast, before the loop's preconditioner is built
     cfg = write_cfg(tmp_path, f"""
 command = {command}
 a.kind = power

@@ -198,12 +198,15 @@ def test_sweep_shares_one_krylov_space(monkeypatch):
 def test_hum_solve_count_closed_form(monkeypatch):
     # a time-independent problem factors once; then every sweep is M solves:
     # the free forward sweep, one backward and one forward sweep per CG
-    # iteration, and the adjoint and forward sweeps that build the control
-    calls = _count_calls(monkeypatch, ("dgttrf", "dgttrs"))
+    # iteration, and the adjoint and forward sweeps that build the control;
+    # the first-order term's step matrix is symmetrised and factored LDL^T,
+    # and no LU routine runs
+    calls = _count_calls(monkeypatch, ("dgttrf", "dgttrs", "dpttrf", "dpttrs"))
     p = make_problem(N=32, M=24, b0=0.2, c0=0.1)
     res = hum_solve(p, 1e-6)
     assert res.cg_iters > 0
-    assert calls == {"dgttrf": 1, "dgttrs": p.M * (1 + 2 * res.cg_iters + 2)}
+    assert calls == {"dgttrf": 0, "dgttrs": 0, "dpttrf": 1,
+                     "dpttrs": p.M * (1 + 2 * res.cg_iters + 2)}
 
 
 def test_hum_solve_count_closed_form_drift_free(monkeypatch):

@@ -16,7 +16,18 @@ from degen_control.pde import LinearProblem, solve_forward
 
 
 def _dense(op):
-    return np.diag(op.diag) + np.diag(op.sub[1:], -1) + np.diag(op.sup[:-1], 1)
+    sub, diag, sup, _ = op
+    return np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+
+
+def _apply(op, u):
+    """A u along the last axis for the bands op = (sub, diag, sup, _), level
+    by level where they are stacked."""
+    sub, diag, sup, _ = op
+    r = diag * u
+    r[..., 1:] += sub[..., 1:] * u[..., :-1]
+    r[..., :-1] += sup[..., :-1] * u[..., 1:]
+    return r
 
 
 def test_graded_node_formula():
@@ -66,8 +77,8 @@ def test_operator_symmetry_without_drift(a, gamma, rng):
     for _ in range(10):
         u = rng.standard_normal(wa.size)
         w = rng.standard_normal(wa.size)
-        lhs = float(np.sum(wa * op.apply(u) * w))
-        rhs = float(np.sum(wa * u * op.apply(w)))
+        lhs = float(np.sum(wa * _apply(op, u) * w))
+        rhs = float(np.sum(wa * u * _apply(op, w)))
         nu = np.sqrt(np.sum(wa * u * u))
         nw = np.sqrt(np.sum(wa * w * w))
         assert abs(lhs - rhs) <= 1e-12 * nu * nw
@@ -76,7 +87,7 @@ def test_operator_symmetry_without_drift(a, gamma, rng):
 def test_row_sums_give_reaction_coefficient():
     g = build_grid(32, 1.0)
     op = assemble_operator(g, power_coefficient(0.5), constant_drift(5.0, 0.0))
-    r = op.apply(np.ones(op.diag.size))
+    r = _apply(op, np.ones(op[1].size))
     # interior rows (both neighbors active) telescope to b = 5
     assert np.allclose(r[1:-1], 5.0, atol=1e-10)
 
@@ -86,16 +97,16 @@ def test_sdp_left_node_has_zero_left_flux():
     a = power_coefficient(1.5)
     op = assemble_operator(g, a, zero_drift())
     act = active_indices(g, a.case)
-    assert act == slice(0, g.N - 1) and op.diag.size == g.N - 1
-    assert op.sub[0] == 0.0
+    assert act == slice(0, g.N - 1) and op[1].size == g.N - 1
+    assert op[0][0] == 0.0
     # constant vector: both flux differences vanish at the left node
-    r = op.apply(np.ones(op.diag.size))
+    r = _apply(op, np.ones(op[1].size))
     assert r[0] == pytest.approx(0.0, abs=1e-12)
     # row 0 couples only to the right with the conductance over the half cell
     af0 = float(a.eval(np.array([g.faces[0]]))[0])
     expect = af0 / g.spacings[0] / g.weights[0]
-    assert op.diag[0] == pytest.approx(expect, rel=1e-14)
-    assert op.sup[0] == pytest.approx(-expect, rel=1e-14)
+    assert op[1][0] == pytest.approx(expect, rel=1e-14)
+    assert op[2][0] == pytest.approx(-expect, rel=1e-14)
 
 
 @pytest.mark.parametrize("c0", [2.0, -2.0])
@@ -128,8 +139,9 @@ def test_assembly_matches_stencil_entry_by_entry(alpha, c0):
         sub.append(lo if i > first else 0.0)
         diag.append(d)
         sup.append(up if i < last else 0.0)
-    for band, ref in (("sub", sub), ("diag", diag), ("sup", sup)):
-        assert getattr(op, band).tobytes() == np.array(ref).tobytes(), band
+    for name, band, ref in zip(("sub", "diag", "sup"), op, (sub, diag, sup)):
+        assert band.tobytes() == np.array(ref).tobytes(), name
+    assert op[3] is False
 
 
 def test_positivity_with_nonnegative_reaction(rng):
@@ -140,7 +152,7 @@ def test_positivity_with_nonnegative_reaction(rng):
     wa = g.weights[active_indices(g, Case.WDP)]
     for _ in range(20):
         u = rng.standard_normal(wa.size)
-        assert float(np.sum(wa * op.apply(u) * u)) >= -1e-12
+        assert float(np.sum(wa * _apply(op, u) * u)) >= -1e-12
 
 
 def test_upwinding_is_monotone_with_drift():
@@ -149,9 +161,10 @@ def test_upwinding_is_monotone_with_drift():
     for c0 in (4.0, -4.0):
         op = assemble_operator(g, power_coefficient(0.5),
                                constant_drift(0.0, c0))
-        assert np.all(op.sub <= 1e-15)
-        assert np.all(op.sup <= 1e-15)
-        assert np.all(op.diag > 0.0)
+        sub, diag, sup, _ = op
+        assert np.all(sub <= 1e-15)
+        assert np.all(sup <= 1e-15)
+        assert np.all(diag > 0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5], ids=["WDP", "SDP"])
@@ -167,17 +180,17 @@ def test_stacked_assembly_matches_scalar_time_levels(rng, alpha):
     assert drift.time_dependent and not zero_drift().time_dependent
     stacked = assemble_operator(g, a, drift)
     n = g.nodes[active_indices(g, a.case)].size
-    assert stacked.diag.shape == (M, n)
+    assert stacked[1].shape == (M, n)
     # level k is the step to t_{k+1}: the table's row k + 1 as (N,) vectors
     rows = [dataclasses.replace(drift, b=b_field[k + 1], c=c_field[k + 1]) for k in range(M)]
     assert not any(row.time_dependent for row in rows)
     for k, row in enumerate(rows):
         op = assemble_operator(g, a, row)
-        for band in ("sub", "diag", "sup"):
-            assert np.array_equal(getattr(stacked, band)[k], getattr(op, band))
+        for band, level in zip(stacked[:3], op[:3]):
+            assert np.array_equal(band[k], level)
     u = rng.standard_normal((M, n))
-    assert np.array_equal(stacked.apply(u),
-                          [assemble_operator(g, a, row).apply(v) for row, v in zip(rows, u)])
+    assert np.array_equal(_apply(stacked, u),
+                          [_apply(assemble_operator(g, a, row), v) for row, v in zip(rows, u)])
 
 
 def test_classical_smallest_eigenvalue_matches_oracle():
@@ -199,7 +212,7 @@ def test_consistency_second_order():
         g = build_grid(N, 1.0)
         op = assemble_operator(g, classical_coefficient(), zero_drift())
         u = np.sin(np.pi * g.nodes)[active_indices(g, Case.WDP)]
-        r = op.apply(u) - np.pi ** 2 * u
+        r = _apply(op, u) - np.pi ** 2 * u
         errs.append(np.max(np.abs(r)))
     hs = [1.0 / (N - 1) for N in Ns]
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -221,7 +234,7 @@ def test_dirichlet_energy_matches_operator_quadratic_form(rng):
     u = rng.standard_normal(g.N)
     u[0] = u[-1] = 0.0
     act = active_indices(g, a.case)
-    quad_form = float(np.sum(g.weights[act] * op.apply(u[act]) * u[act]))
+    quad_form = float(np.sum(g.weights[act] * _apply(op, u[act]) * u[act]))
     assert quad_form == pytest.approx(dirichlet_energy(g, a, u), rel=1e-12)
 
 

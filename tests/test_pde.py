@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -267,32 +268,49 @@ def _with_b_table(p):
     return p.with_drift(dataclasses.replace(p.drift, b=b))
 
 
-def _lu_replay(p, factors, u, src, adjoint):
-    """The LU step recursion of march's docstring on the active nodes, one
-    fresh solution per step; the adjoint runs in u = W v on the transposed
-    forward factors (the forward recursion with w = 1 is exact)."""
+def _replay_in_u(p, u, src, adjoint, step):
+    """A step recursion on the active nodes, one fresh solution per step:
+    the state of each level is ``step(k, prev + dt src[k])``, and the adjoint
+    runs in u = W v (the forward recursion with w = 1 is exact)."""
     act = p.active()
     w = p.grid.weights[act] if adjoint else np.ones(p.grid.nodes[act].size)
-    trans = "T" if adjoint else "N"
     ref = np.empty((p.M + 1, w.size))
     ref[p.M if adjoint else 0] = u[act] * w
     for k in (range(p.M - 1, -1, -1) if adjoint else range(p.M)):
         prev, new = (k + 1, k) if adjoint else (k, k + 1)
         rhs = ref[prev] if src is None else ref[prev] + p.dt * src[k, act] * w
-        ref[new] = pde.dgttrs(*factors[k], rhs, trans)[0]
+        ref[new] = step(k, rhs)
     return ref / w
 
 
+def _lu_replay(p, factors, u, src, adjoint):
+    """The LU step recursion of march's docstring: the adjoint solves with
+    the transposed forward factors."""
+    trans = "T" if adjoint else "N"
+    return _replay_in_u(p, u, src, adjoint,
+                        lambda k, rhs: pde.dgttrs(*factors[k], rhs, trans)[0])
+
+
+def _rho_adjoint_replay(p, factors, u, src):
+    """The adjoint step on LDL^T factors of S_k = P_k M_k where P_k is not
+    W: M_k^-T = P_k S_k^-1, so u <- p_k S_k^-1 u in u = W v."""
+    def step(k, rhs):
+        d, e, pk = factors[k]
+        return pde.dpttrs(d, e, rhs)[0] * pk
+    return _replay_in_u(p, u, src, True, step)
+
+
 def _ldl_replay(p, factors, u, src, adjoint):
-    """The LDL^T step recursion: both directions solve S_k on W (prev + dt src[k])."""
+    """The forward LDL^T step recursion, which W-symmetric steps take in
+    both directions: S_k solved on P_k (prev + dt src[k])."""
     act = p.active()
-    w = p.grid.weights[act]
-    ref = np.empty((p.M + 1, w.size))
+    ref = np.empty((p.M + 1, act.stop - act.start))
     ref[p.M if adjoint else 0] = u[act]
     for k in (range(p.M - 1, -1, -1) if adjoint else range(p.M)):
         prev, new = (k + 1, k) if adjoint else (k, k + 1)
         rhs = ref[prev] if src is None else p.dt * src[k, act] + ref[prev]
-        ref[new] = pde.dpttrs(*factors[k], rhs * w)[0]
+        d, e, pk = factors[k]
+        ref[new] = pde.dpttrs(d, e, rhs * pk)[0]
     return ref
 
 
@@ -302,8 +320,9 @@ def _ldl_replay(p, factors, u, src, adjoint):
 @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
 def test_march_matches_stepwise_reference(monkeypatch, rng, adjoint, with_src, drift):
     # with beta c = 0 the step matrices are W-symmetric and march takes LDL^T
-    # factors, with LU factors otherwise; either way it replays that
-    # recursion bit for bit
+    # factors of W M_k in both directions; with beta c != 0 it takes LDL^T
+    # factors of P_k M_k, forward as above and adjoint in u = W v; either way
+    # it replays that recursion bit for bit
     drift_free = drift.startswith("drift-free")
     p = make_problem(N=24, M=16, b0=0.3, c0=0.0 if drift_free else 0.2)
     if drift.endswith("table"):
@@ -313,9 +332,12 @@ def test_march_matches_stepwise_reference(monkeypatch, rng, adjoint, with_src, d
     src = rng.standard_normal((p.M, p.grid.N)) if with_src else None
     u_in, src_in = u.copy(), None if src is None else src.copy()
 
-    ldl, factors = pde._step_factors(p)
-    assert ldl == drift_free
-    ref = (_ldl_replay if ldl else _lu_replay)(p, factors, u, src, adjoint)
+    kind, factors = pde._step_factors(p)
+    assert kind == ("ldl-w" if drift_free else "ldl-rho")
+    if kind == "ldl-rho" and adjoint:
+        ref = _rho_adjoint_replay(p, factors, u, src)
+    else:
+        ref = _ldl_replay(p, factors, u, src, adjoint)
 
     # the right-hand side is dgttrs' sixth argument and dpttrs' third
     rhs_dims = _counting(monkeypatch, ("dgttrs", "dpttrs"),
@@ -333,12 +355,12 @@ def test_march_matches_stepwise_reference(monkeypatch, rng, adjoint, with_src, d
 
 
 def _lu_factors(p):
-    """The LU factors of p's step matrices, as march takes them where the
-    step matrices are not W-symmetric."""
-    op = pde.assemble_operator(p.grid, p.a, p.drift)
-    ldl, factors = pde._factor_steps(op.sub, op.diag, op.sup, False, p.dt,
-                                     p.grid.weights[p.active()])
-    assert not ldl
+    """The pivoted LU factors of p's step matrices I + dt A_k, one per step,
+    as ``_factor_steps`` forms them where it falls back to LU."""
+    sub, diag, sup, _ = pde.assemble_operator(p.grid, p.a, p.drift)
+    bands = (p.dt * sub[..., 1:], 1.0 + p.dt * diag, p.dt * sup[..., :-1])
+    levels = zip(*bands) if diag.ndim == 2 else [bands]
+    factors = [pde.dgttrf(*level)[:-1] for level in levels]
     return factors * (p.M // len(factors))
 
 
@@ -350,7 +372,7 @@ def test_ldl_march_matches_lu_replay(rng, adjoint, with_src, table):
     p = make_problem(N=24, M=16, b0=0.3)
     if table:
         p = _with_b_table(p)
-    assert pde._step_factors(p)[0]
+    assert pde._step_factors(p)[0] == "ldl-w"
     u = rng.standard_normal(p.grid.N)
     src = rng.standard_normal((p.M, p.grid.N)) if with_src else None
     ref = _lu_replay(p, _lu_factors(p), u, src, adjoint)
@@ -358,12 +380,56 @@ def test_ldl_march_matches_lu_replay(rng, adjoint, with_src, table):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _with_c_table(p):
+    c = p.drift.c * (1.0 + 0.5 * np.sin(3.0 * p.times))[:, None] * np.ones(p.grid.N)
+    return p.with_drift(dataclasses.replace(p.drift, c=c))
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["constant", "table"])
+@pytest.mark.parametrize("c0", [2.0, -2.0, 20.0, -20.0])
+@pytest.mark.parametrize("alpha,gamma", [(0.5, 1.0), (1.5, 2.0)],
+                         ids=["WDP-uniform", "SDP-graded"])
+@pytest.mark.parametrize("with_src", [False, True], ids=["no-src", "src"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_symmetrised_march_matches_lu_replay(rng, adjoint, with_src, alpha, gamma, c0,
+                                             table):
+    # with a first-order term the step matrices are symmetrised by rho W
+    # and factored LDL^T, and the sweep is the pivoted-LU one to round-off
+    p = make_problem(a=power_coefficient(alpha), N=64, M=32, gamma=gamma, b0=0.3, c0=c0)
+    if table:
+        p = _with_c_table(p)
+    assert pde._step_factors(p)[0] == "ldl-rho"
+    u = rng.standard_normal(p.grid.N)
+    src = rng.standard_normal((p.M, p.grid.N)) if with_src else None
+    ref = _lu_replay(p, _lu_factors(p), u, src, adjoint)
+    got = pde.march(p, u, src, adjoint)[:, p.active()]
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_duality_on_the_symmetrised_path(rng):
+    # a c table gives each level its own symmetriser; the adjoint is still
+    # the exact W-transpose of the forward map
+    p = _with_c_table(make_problem(a=power_coefficient(1.5), N=64, M=64, gamma=2.0,
+                                   b0=0.3, c0=-2.0, T=0.4))
+    assert p.drift.time_dependent and pde._step_factors(p)[0] == "ldl-rho"
+    act = p.active()
+    w = p.grid.weights[act]
+    for _ in range(5):
+        y0 = rng.standard_normal(p.grid.N)
+        vT = rng.standard_normal(p.grid.N)
+        h = rng.standard_normal((p.M, p.grid.N))
+        res = duality_residual(p, y0, h, vT)
+        y = solve_forward(dataclasses.replace(p, y0=y0), h)
+        scale = abs(float(np.sum(w * y[-1][act] * vT[act])))
+        assert res <= 1e-13 * max(scale, 1e-12)
+
+
 @pytest.mark.parametrize("table", [False, True], ids=["constant", "table"])
 def test_duality_on_the_ldl_path(rng, table):
     p = make_problem(a=power_coefficient(1.5), N=64, M=64, gamma=2.0, b0=0.3, T=0.4)
     if table:
         p = _with_b_table(p)
-    assert pde._step_factors(p)[0]
+    assert pde._step_factors(p)[0] == "ldl-w"
     act = p.active()
     w = p.grid.weights[act]
     for _ in range(5):
@@ -383,8 +449,8 @@ def test_drift_free_step_with_a_negative_pivot_takes_lu(monkeypatch, rng, adjoin
     p = make_problem(N=24, M=16, T=0.5)
     p = p.with_drift(dataclasses.replace(p.drift, b=-2.0 / p.dt))
     tried = _counting(monkeypatch, ("dpttrf", "dpttrs"), lambda name, args: name)
-    ldl, factors = pde._step_factors(p)
-    assert not ldl and tried == ["dpttrf"]
+    kind, factors = pde._step_factors(p)
+    assert kind == "lu" and tried == ["dpttrf"]
     u = rng.standard_normal(p.grid.N)
     src = rng.standard_normal((p.M, p.grid.N))
     for s in (None, src):
@@ -392,6 +458,37 @@ def test_drift_free_step_with_a_negative_pivot_takes_lu(monkeypatch, rng, adjoin
         assert np.array_equal(pde.march(p, u, s, adjoint)[:, p.active()], ref)
         assert np.all(np.isfinite(ref))
     assert tried == ["dpttrf"]
+
+
+def _lu_fallback_case(case):
+    """A drift problem that LU must still step: 1 + dt b = -1, where S_k
+    meets a nonpositive pivot, or a symmetriser that overflows (alpha = 1.5
+    and c = -1e5 on 128 nodes) or underflows (c = 1e4 on 256 nodes)."""
+    if case == "negative-pivot":
+        p = make_problem(N=24, M=16, T=0.5, c0=0.2)
+        return p.with_drift(dataclasses.replace(p.drift, b=-2.0 / p.dt))
+    N, c0 = (128, -1e5) if case == "overflow" else (256, 1e4)
+    return make_problem(a=power_coefficient(1.5), N=N, M=16, gamma=2.0, c0=c0)
+
+
+@pytest.mark.parametrize("case", ["negative-pivot", "overflow", "underflow"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_drift_step_without_a_symmetric_form_takes_lu(monkeypatch, rng, adjoint, case):
+    # no dpttrf is tried where the symmetriser is out of range, and every
+    # level takes pivoted LU, with its old bits and without a warning
+    p = _lu_fallback_case(case)
+    tried = _counting(monkeypatch, ("dpttrf", "dpttrs"), lambda name, args: name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kind, factors = pde._step_factors(p)
+        assert kind == "lu"
+        u = rng.standard_normal(p.grid.N)
+        src = rng.standard_normal((p.M, p.grid.N))
+        for s in (None, src):
+            ref = _lu_replay(p, factors, u, s, adjoint)
+            assert np.array_equal(pde.march(p, u, s, adjoint)[:, p.active()], ref)
+            assert np.all(np.isfinite(ref))
+    assert tried == (["dpttrf"] if case == "negative-pivot" else [])
 
 
 def test_stability_ratio_reported(tmp_path):

@@ -293,11 +293,11 @@ def test_one_assembly_per_linear_problem_and_one_call_per_factor(monkeypatch):
 
 def test_semilinear_forward_matches_linear_for_zero_nl():
     # the coast adds its frozen row to row n+1 of the linear b and c, and
-    # factors its steps through march's kernel: LDL^T without a first-order
-    # term, pivoted LU with one
+    # factors its steps through march's kernel: LDL^T of W M_k without a
+    # first-order term, of its symmetriser times M_k with one
     for drift in DRIFTS:
         p = _drift_problem(drift, N=48, M=32)
-        assert pde._step_factors(p)[0] == (drift == "none"), drift
+        assert pde._step_factors(p)[0] == ("ldl-w" if drift == "none" else "ldl-rho"), drift
         assert np.array_equal(semilinear_forward(p, zero_nonlinearity()),
                               solve_forward(p)), drift
 
@@ -317,8 +317,8 @@ def test_coast_phase_work_per_inner_iteration(monkeypatch):
     # each inner iteration freezes its one level, factors one step matrix and
     # solves it once; a is evaluated and the assembler built once per coast
     p = make_problem(a=power_coefficient(1.5), N=40, M=24, gamma=2.0, b0=0.4, c0=-1.0)
-    counts = {"a": 0, "b": 0, "c": 0, "freeze": 0, "dgttrf": 0, "dgttrs": 0,
-              "assemble": 0}
+    counts = {"a": 0, "b": 0, "c": 0, "freeze": 0, "dpttrf": 0, "dpttrs": 0,
+              "dgttrf": 0, "dgttrs": 0, "assemble": 0}
 
     def counted(name, fn, check=None):
         def wrapped(*args, **kwargs):
@@ -339,12 +339,14 @@ def test_coast_phase_work_per_inner_iteration(monkeypatch):
                         counted("freeze", semilinear.freeze_coefficients))
     monkeypatch.setattr(semilinear, "_assembler",
                         counted("assemble", semilinear._assembler))
-    for name in ("dgttrf", "dgttrs"):
+    for name in ("dpttrf", "dpttrs", "dgttrf", "dgttrs"):
         monkeypatch.setattr(pde, name, counted(name, getattr(pde, name)))
     traj = semilinear_forward(p, nl)
     inner = counts["freeze"]
     assert inner > 2 * p.M                  # the mixed factors take several per step
-    assert counts["b"] == counts["c"] == counts["dgttrf"] == counts["dgttrs"] == inner
+    # c != 0 on every step: each is symmetrised and factored LDL^T, none LU
+    assert counts["b"] == counts["c"] == counts["dpttrf"] == counts["dpttrs"] == inner
+    assert counts["dgttrf"] == counts["dgttrs"] == 0
     assert counts["a"] == counts["assemble"] == 1
     assert np.all(np.isfinite(traj))
 
