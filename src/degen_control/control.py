@@ -69,23 +69,31 @@ def gramian(p: LinearProblem) -> tuple[np.ndarray, np.ndarray]:
     factors otherwise. Square-and-multiply on the pairs (G^a, S_a), with
     S_{a+b} = S_a + (G^a)' S_b G^a, builds both in O(log M) products. B is
     returned exactly symmetric. Raises ValueError on a drift table: a
-    time-dependent problem takes ``hum_solve``'s matrix-free path.
+    time-dependent problem takes ``hum_solve``'s matrix-free path, and
+    NonFiniteIntegral where B or E overflows, as near-singular steps
+    (1 + dt (lam + b) near 0) make them do, with no warning printed first.
     """
     if p.drift.time_dependent:
         raise ValueError("the dense Gramian needs time-independent coefficients; "
                          "a drift table takes hum_solve's matrix-free path")
     act = p.active()
     mask_w = p.grid.weights[act] * p.omega_mask()[act]
-    G = _adjoint_step_matrix(p)
-    s1 = p.dt * (G.T * mask_w) @ G
-    P, S = G, s1
-    for bit in bin(p.M)[3:]:
-        S = S + P.T @ S @ P
-        P = P @ P
-        if bit == "1":
-            S = s1 + G.T @ S @ G
-            P = P @ G
-    return 0.5 * (S + S.T), P
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _adjoint_step_matrix(p)
+        s1 = p.dt * (G.T * mask_w) @ G
+        P, S = G, s1
+        for bit in bin(p.M)[3:]:
+            S = S + P.T @ S @ P
+            P = P @ P
+            if bit == "1":
+                S = s1 + G.T @ S @ G
+                P = P @ G
+        B = 0.5 * (S + S.T)
+    # an overflow in a product reaches B or E as inf or nan; BLAS threads do
+    # not report it to the caller's errstate, so the result is checked instead
+    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(P))):
+        raise NonFiniteIntegral(f"the dense Gramian over {p.M} steps overflows")
+    return B, P
 
 
 def _cg(apply_op, rhs, inner, tol, max_iters, x0=None, precond=None):
@@ -201,7 +209,8 @@ def diffusion_preconditioner(p: LinearProblem, epsilon: float):
         # dt sum_{j=1..M} q^j for q = exp(-log_q) in (0, 1)
         return p.dt * np.exp(-log_q) * np.expm1(-p.M * log_q) / np.expm1(-log_q)
 
-    k = int(np.count_nonzero(phi(2.0 * np.log1p(p.dt * lam)) > 0.01 * epsilon))
+    with np.errstate(over="ignore"):    # dt lam = inf where the step matrix overflows
+        k = int(np.count_nonzero(phi(2.0 * np.log1p(p.dt * lam)) > 0.01 * epsilon))
     if k == 0:
         return None
     lam, U = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
@@ -415,8 +424,9 @@ def observability_estimate(p: LinearProblem, n_samples: int, power_iters: int,
     The quotients are the quadratic forms u'Au / u'Bu of the dense
     ``gramian`` pair, A = E'WE, and a power step is u -> W^-1 A u. As the
     control region holds a node, u'Bu > 0 off a null set of draws; a side
-    that underflowed to 0 raises NonFiniteIntegral naming the sample. Raises
-    ValueError on a drift table, as ``gramian`` does.
+    that is not finite, as where A overflows, or that underflowed to 0 raises
+    NonFiniteIntegral naming the sample. Raises ValueError on a drift table,
+    as ``gramian`` does.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -424,10 +434,15 @@ def observability_estimate(p: LinearProblem, n_samples: int, power_iters: int,
         raise ValueError(f"power iteration count must be >= 0, got {power_iters}")
     w_act = p.grid.weights[p.active()]
     B, E = gramian(p)
-    A = E.T @ (w_act[:, None] * E)
+    with np.errstate(over="ignore", invalid="ignore"):   # an inf in A makes u'Au inf or nan
+        A = E.T @ (w_act[:, None] * E)
 
     def quotient_of(u_act, sample):
-        num, den = float(u_act @ A @ u_act), float(u_act @ B @ u_act)
+        with np.errstate(over="ignore", invalid="ignore"):
+            num, den = float(u_act @ A @ u_act), float(u_act @ B @ u_act)
+        if not (np.isfinite(num) and np.isfinite(den)):
+            raise NonFiniteIntegral(f"u'Au = {num:.3e} or u'Bu = {den:.3e} of {sample} "
+                                    f"is not finite; no quotient")
         if num == 0.0 or den == 0.0:
             side = "numerator u'Au" if num == 0.0 else "denominator u'Bu"
             raise NonFiniteIntegral(f"{side} of {sample} underflowed to 0; no quotient")

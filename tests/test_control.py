@@ -44,12 +44,15 @@ def test_gramian_symmetry_and_quadratic_form(rng):
         assert s_uu >= 0.0
 
 
-@pytest.mark.parametrize("alpha, M", [
-    pytest.param(alpha, M, id=f"{case}-{M}")
-    for case, alpha in (("WDP", 0.5), ("SDP", 1.5)) for M in (8, 13, 37)])
-def test_gramian_matches_marched_operators(alpha, M):
-    # odd M exercise the binary decomposition's "plus one step" branch
-    p = make_problem(a=power_coefficient(alpha), N=40, M=M, b0=0.2, c0=-1.0)
+@pytest.mark.parametrize("alpha, M, c0", [
+    pytest.param(alpha, M, c0, id=f"{case}-{M}" + ("" if c0 == -1.0 else f"-c{c0:+g}"))
+    for case, alpha in (("WDP", 0.5), ("SDP", 1.5)) for M in (8, 13, 37)
+    for c0 in (-1.0, 300.0, -300.0)])
+def test_gramian_matches_marched_operators(alpha, M, c0):
+    # odd M exercise the binary decomposition's "plus one step" branch; at
+    # c = +-300 the symmetriser spans 1e28 to 1e44, which a closed form on
+    # its eigenbasis must survive before it may replace the powering
+    p = make_problem(a=power_coefficient(alpha), N=40, M=M, b0=0.2, c0=c0)
     act = p.active()
     n = p.grid.nodes[act].size
     w = p.grid.weights[act]
