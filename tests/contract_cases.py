@@ -7,13 +7,21 @@ exit status, a regex that the last stdout line must match from its start
 (``seed = `` for exit 0) and, optionally, a regex that ``summary.txt`` must
 contain (multiline, searched). A config is its ``key = value`` lines joined
 by ``; ``; ``{tmp}`` stands for a directory that holds the x^1.5 and x^2
-tables of ``write_tables``. ``tests/test_contract.py`` runs every row in
-process and through the installed script.
+tables of ``write_tables``. ``check`` runs one row ``in_process`` or through
+the installed ``script``; ``tests/test_contract.py`` runs every row both ways.
 """
 
 from __future__ import annotations
 
+import re
+import shutil
+import subprocess
+import warnings
 from typing import NamedTuple
+
+import pytest
+
+from degen_control import cli
 
 
 class Case(NamedTuple):
@@ -30,6 +38,41 @@ def write_tables(directory) -> None:
         with open(f"{directory}/{name}.csv", "w") as fh:
             for i in range(65):
                 fh.write(f"{i / 64:.17g},{(i / 64) ** alpha:.17g}\n")
+
+
+SCRIPT = shutil.which("degen-control")
+
+
+def in_process(cfg, out, capsys):
+    """``cli.main`` with every RuntimeWarning recorded and none allowed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = cli.main([cfg, "--out", out])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    printed = capsys.readouterr()
+    return status, printed.out, printed.err
+
+
+def script(cfg, out, capsys):
+    """The installed ``degen-control`` as a subprocess: its real exit status."""
+    if SCRIPT is None:
+        pytest.skip("degen-control is not installed on PATH")
+    done = subprocess.run([SCRIPT, cfg, "--out", out], capture_output=True, text=True,
+                          timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def check(case, run, tmp_path, capsys) -> None:
+    """Run one row through ``run`` in ``tmp_path`` and hold it to the contract."""
+    write_tables(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(case.config.replace("{tmp}", str(tmp_path)).replace("; ", "\n") + "\n")
+    out = tmp_path / "out"
+    status, stdout, stderr = run(str(cfg), str(out), capsys)
+    assert (status, stderr) == (case.status, "")
+    assert re.match(case.last, stdout.splitlines()[-1])
+    if case.summary is not None:
+        assert re.search(case.summary, (out / "summary.txt").read_text(), re.MULTILINE)
 
 
 SQRT = "a.kind = power; a.alpha = 0.5"
@@ -229,3 +272,5 @@ CASES = [
     Case("validate-table-x15", "command = validate; a.kind = table; a.path = {tmp}/x15.csv", 0,
          OK),
 ]
+
+ROWS = {case.id: case for case in CASES}

@@ -16,6 +16,7 @@ from degen_control.pde import solve_forward
 from degen_control.semilinear import zero_nonlinearity
 
 from conftest import make_problem
+from contract_cases import ROWS, check, in_process
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -455,3 +456,184 @@ T = 0.1
     value = row.split(",")[2]
     # round-trips through repr exactly
     assert float(value) == float(format(float(value), ".17g"))
+
+
+# The CLI contract's failure paths, grouped by what each group guards and run
+# in process. Every case is a row of tests/contract_cases.py, named here by
+# this test's case id -> the row's id; test_contract.py runs every row in
+# process and through the installed script.
+
+def contract_rows(cases):
+    return pytest.mark.parametrize("row", list(cases.values()), ids=list(cases))
+
+
+def check_row(row, tmp_path, capsys):
+    check(ROWS[row], in_process, tmp_path, capsys)
+
+
+def test_validate_beta_scale_past_cap_is_unbounded(tmp_path, capsys):
+    check_row("validate-beta-scale-2e6", tmp_path, capsys)
+
+
+def test_validate_rejects_alpha_two(tmp_path, capsys):
+    check_row("validate-alpha-2", tmp_path, capsys)
+
+
+@contract_rows({"2": "audit-alpha-2", "2.5": "audit-alpha-2.5"})
+def test_audit_needs_k_below_two(tmp_path, capsys, row):
+    # int_0^x tau/a diverges for K >= 2, so no degenerate weight exists: the
+    # same hypothesis violation as in validate
+    check_row(row, tmp_path, capsys)
+
+
+def test_missing_command_is_config_error(tmp_path, capsys):
+    check_row("missing-command", tmp_path, capsys)
+
+
+def test_malformed_line_is_config_error(tmp_path, capsys):
+    check_row("malformed-line", tmp_path, capsys)
+
+
+def test_missing_coefficient_table_is_config_error(tmp_path, capsys):
+    check_row("missing-table", tmp_path, capsys)
+
+
+def test_solver_failure_exits_three(tmp_path, capsys):
+    check_row("control-classical-cg-budget", tmp_path, capsys)
+
+
+def test_unconverged_coast_phase_exits_three(tmp_path, capsys):
+    check_row("coast-no-fixed-point", tmp_path, capsys)
+
+
+@contract_rows({"control-1e154": "control-cost-1e154", "control-1e155": "control-cost-1e155",
+                "control-1e156": "control-cost-1e156", "sweep": "sweep-cost-1e160",
+                "semilinear": "semilinear-cost-1e155", "solve": "solve-1e308",
+                "solve-ldl-growth": "solve-ldl-growth", "solve-drift-ldl": "solve-drift-1e308",
+                "solve-lu": "solve-lu", "coast-tanh-grad": "coast-tanh-grad",
+                "coast-sine": "coast-sine"})
+def test_overflowed_cost_is_nonfinite_integral(tmp_path, capsys, row):
+    # an overflowed ||h||^2 or ||rhs||^2 is a solver failure, not a printed
+    # cost of inf or nan, nor a NOT_SPD on a curvature of inf; so is a state
+    # that overflows in the march, not a summary of nan norms, and a coast
+    # whose slopes overflow where it freezes the nonlinearity, not a
+    # NO_FIXED_POINT after 50 inner iterations on nan. A solve steps on
+    # LDL^T factors of P(I + dt A), P = W without a first-order term and its
+    # symmetriser with one (c = 1), whose solves keep a 1e308 datum finite,
+    # so it exits 0 with finite norms; its states overflow where they grow
+    # (b = -50, still on LDL^T), and where 1 + dt b = -1 leaves LDL^T a
+    # nonpositive pivot the pivoted LU step overflows the datum at once
+    check_row(row, tmp_path, capsys)
+
+
+def test_semilinear_near_the_overflow_threshold_exits_0(tmp_path, capsys):
+    # the preconditioner maps a residual to one no larger, so a datum whose
+    # plain-CG run stays finite stays finite under preconditioned CG too
+    check_row("semilinear-1e153", tmp_path, capsys)
+
+
+def test_audit_region_without_a_grid_point_is_weight_invalid(tmp_path, capsys):
+    # omega' = (0.4283, 0.4317) holds no face of an 8-node grid, so the
+    # Caccioppoli energy would be an empty sum printed as a ratio of 0
+    check_row("audit-omega-prime-empty", tmp_path, capsys)
+
+
+@contract_rows({"rhs": "audit-rhs-underflow", "lhs": "audit-lhs-underflow"})
+def test_underflowed_audit_rhs_is_nonfinite_integral(tmp_path, capsys, row):
+    # rhs: at s = 1 with the default T and lambda every node weight
+    # underflows to 0, so the ratio is undefined: a solver failure, not
+    # max_ratio = inf. lhs: at c1 = 1e10 eta is about 1e9 on omega' against
+    # 48 near x = 1, so the Caccioppoli energy underflows to 0: a solver
+    # failure, not cacciopoli_max_ratio = 0
+    check_row(row, tmp_path, capsys)
+
+
+@contract_rows({"control": "control-omega-empty", "sweep": "sweep-omega-empty",
+                "observability": "observability-omega-empty",
+                "carleman-audit": "audit-omega-empty"})
+def test_empty_control_region_is_precondition_error(tmp_path, capsys, row):
+    # no node of the 8-node grid lies in [0.501, 0.502], so omega observes
+    # and controls nothing
+    check_row(row, tmp_path, capsys)
+
+
+@contract_rows({
+    "control": "control-T-nan", "carleman-audit": "audit-T-nan",
+    "control-epsilon": "control-epsilon-nan", "sweep-epsilon": "sweep-epsilon-nan",
+    "control-b-const": "control-b-nan", "control-c-const": "control-c-nan",
+    "control-beta-scale": "control-beta-scale-nan", "semilinear-nl-m": "semilinear-nl-m-nan",
+    "semilinear-nl-m-unused": "semilinear-nl-m-nan-unused", "solve-T-inf": "solve-T-inf",
+    "control-T-inf": "control-T-inf", "carleman-audit-lambda-inf": "audit-lambda-inf",
+    "carleman-audit-c1-inf": "audit-c1-inf", "control-cg-tol": "control-cg-tol-nan",
+    "semilinear-fp-tol": "semilinear-fp-tol-nan",
+    "control-y0-amplitude": "control-y0-amplitude-nan",
+    "carleman-audit-empty-ladder": "audit-empty-ladder",
+    "carleman-audit-infinite-s": "audit-s-inf", "carleman-audit-no-samples": "audit-no-samples",
+    "control-cg-maxiter": "control-cg-maxiter-0",
+    "semilinear-fp-maxiter": "semilinear-fp-maxiter-0",
+    "observability-power-iters": "observability-power-iters-negative",
+    "carleman-audit-s-cubed-overflow": "audit-s-cubed-overflow",
+    "carleman-audit-lambda-overflow": "audit-lambda-overflow",
+    "carleman-audit-c1-overflow": "audit-c1-overflow",
+    "carleman-audit-decreasing-ladder": "audit-decreasing-ladder",
+    "carleman-audit-repeated-s": "audit-repeated-s",
+    "control-y0-amplitude-unused": "control-y0-amplitude-nan-unused"})
+def test_nan_horizon_is_precondition_error(tmp_path, capsys, row):
+    # NaN and inf pass checks written as x <= 0 or x < 1; a non-finite
+    # horizon, penalty, tolerance or datum, an empty audit ensemble or an s
+    # ladder out of order must end as a precondition error, not as exit 0, a
+    # traceback or NO_CONVERGENCE after 500 CG iterations
+    check_row(row, tmp_path, capsys)
+
+
+@contract_rows({"nan-control": "control-alpha-nan", "inf-control": "control-alpha-inf",
+                "nan-validate": "validate-alpha-nan", "inf-validate": "validate-alpha-inf"})
+def test_nonfinite_alpha_is_precondition_error(tmp_path, capsys, row):
+    # a non-finite exponent passes a check written as alpha <= 0: nan ran
+    # control into NO_CONVERGENCE, inf ran it to exit 0, and validate blamed
+    # the coefficient's sign
+    check_row(row, tmp_path, capsys)
+
+
+@contract_rows({"solve-inf": "solve-gamma-inf", "control-nan": "control-gamma-nan",
+                "control-collapsed": "control-gamma-250",
+                "control-near-collapsed": "control-gamma-200"})
+def test_nonfinite_grading_is_bad_resolution(tmp_path, capsys, row):
+    check_row(row, tmp_path, capsys)
+
+
+@contract_rows({"N-huge": "solve-N-huge", "N-cap": "solve-N-cap", "M-huge": "solve-M-huge",
+                "M-cap": "solve-M-cap"})
+def test_size_caps_are_bad_resolution(tmp_path, capsys, row):
+    # N and M above the desk-scale caps are bad input, refused before any
+    # allocation, not a MemoryError
+    check_row(row, tmp_path, capsys)
+
+
+@contract_rows({"upwind-term": "solve-upwind-term", "step-matrix": "solve-step-matrix",
+                "coast-step-matrix": "coast-step-matrix",
+                "coast-split-of-1e308": "coast-split-of-1e308",
+                "coast-step-matrix-drift-free": "coast-step-matrix-drift-free"})
+def test_overflowing_operator_is_nonfinite_integral_without_warning(tmp_path, capsys, row):
+    # beta c / h and I + dt A overflow: checked where they are formed, so no
+    # RuntimeWarning comes first; a drift-free coast's step matrix fails in
+    # the coast, before the loop's preconditioner is built
+    check_row(row, tmp_path, capsys)
+
+
+@contract_rows({name: name for name in (
+    "control-tiny-datum", "semilinear-tiny-datum", "audit-T-1e60", "audit-T-1e300",
+    "audit-T-1e-300", "audit-T-1e-14", "semilinear-T-1e-300")})
+def test_unrepresentable_scale_fails_closed_without_warning(tmp_path, capsys, row):
+    # a tiny datum's ||rhs||^2 underflows to 0, which CG would read as a zero
+    # right-hand side (and ||y0||^2 too, which the cost constant divided by);
+    # the audit's theta = (t(T-t))^-4 or theta^3 is 0 or inf at these horizons;
+    # at T = 1e-300 the residual's squared sum overflows. Each is a typed
+    # error, not ERROR INTERNAL, an exit 0 with a report of zeros or a warning
+    check_row(row, tmp_path, capsys)
+
+
+def test_semilinear_unconverged_exits_0(tmp_path, capsys):
+    # the summary flags an unconverged run; growing increments are
+    # NO_FIXED_POINT (exit 3) instead
+    check_row("semilinear-unconverged", tmp_path, capsys)

@@ -3,46 +3,12 @@ through the installed ``degen-control`` script, whose real exit status and
 stderr only a subprocess sees. The script mode skips where the script is not
 on PATH; CI installs it before the tests run."""
 
-import re
-import shutil
-import subprocess
-import warnings
-
 import pytest
 
-from degen_control import cli
-
-from contract_cases import CASES, write_tables
-
-SCRIPT = shutil.which("degen-control")
+from contract_cases import CASES, check, in_process, script
 
 
-def _in_process(cfg, out, capsys):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        status = cli.main([cfg, "--out", out])
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    printed = capsys.readouterr()
-    return status, printed.out, printed.err
-
-
-def _script(cfg, out, capsys):
-    if SCRIPT is None:
-        pytest.skip("degen-control is not installed on PATH")
-    done = subprocess.run([SCRIPT, cfg, "--out", out], capture_output=True, text=True,
-                          timeout=120)
-    return done.returncode, done.stdout, done.stderr
-
-
-@pytest.mark.parametrize("run", [_in_process, _script], ids=["in-process", "script"])
+@pytest.mark.parametrize("run", [in_process, script], ids=["in-process", "script"])
 @pytest.mark.parametrize("case", CASES, ids=[case.id for case in CASES])
 def test_cli_contract(case, run, tmp_path, capsys):
-    write_tables(tmp_path)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(case.config.replace("{tmp}", str(tmp_path)).replace("; ", "\n") + "\n")
-    out = tmp_path / "out"
-    status, stdout, stderr = run(str(cfg), str(out), capsys)
-    assert (status, stderr) == (case.status, "")
-    assert re.match(case.last, stdout.splitlines()[-1])
-    if case.summary is not None:
-        assert re.search(case.summary, (out / "summary.txt").read_text(), re.MULTILINE)
+    check(case, run, tmp_path, capsys)
