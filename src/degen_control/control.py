@@ -41,7 +41,7 @@ from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal, eigvalsh_tridi
 
 from .errors import DegenerateSample, NoConvergence, NonFiniteIntegral, NotSPD
 from .mesh import _symmetric_diffusion, l2_norm
-from .pde import (LinearProblem, _adjoint_step_matrix, control_cost, march,
+from .pde import (LinearProblem, _adjoint_step_matrix, _finite, control_cost, march,
                   solve_adjoint, solve_forward)
 
 # the ladder's exact solves stand in for a CG at this tolerance in the gap check
@@ -191,7 +191,10 @@ def diffusion_preconditioner(p: LinearProblem, epsilon: float):
     and Phi_ab = dt sum_{j=1..M} (r_a r_b)^j, summed in closed form. Only the
     k modes with Phi_aa > eps/100, the smoothest, are coupled exactly, from
     their k eigenvectors and a Cholesky factor of K_k + eps I; every other
-    mode has Lam_0 far below eps there and takes the gain 1. The factor eps
+    mode has Lam_0 far below eps there and takes the gain 1. The map keeps
+    n k + k^2 numbers: ``eigh_tridiagonal`` returns the k eigenvectors as a
+    view into LAPACK's n x n output, so they are copied out, in the same
+    Fortran order, which BLAS reads with the same calls. The factor eps
     keeps ||z|| <= ||r|| in the weighted norm, so the map overflows no
     sooner than CG's own residual. Raises DegenerateSample if A_0 is not
     positive definite, which Dirichlet data at x = 1 rules out, and NotSPD
@@ -215,6 +218,7 @@ def diffusion_preconditioner(p: LinearProblem, epsilon: float):
         return None
     lam, U = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
                               lapack_driver="stemr")
+    U = U.copy(order="F")
     log_r = np.log1p(p.dt * lam)
     U_omega = U[p.omega_mask()[act]]
     K = (U_omega.T @ U_omega) * phi(log_r[:, None] + log_r[None, :])
@@ -270,14 +274,19 @@ def _control_of(p: LinearProblem, x: np.ndarray, epsilon: float, rhs: np.ndarray
     both marched; the optimality identity yT = -eps vhat must then hold to
     10 gap_tol max(||y0||, ||rhs||), or NoConvergence is raised. Returns
     (vhatT, h, trajectory, optimality_gap).
+
+    h is the adjoint's first M states masked to omega in place, so it is a
+    view of the adjoint's (M+1, N) array, and the rerun marches on it
+    directly: it is masked already, so ``solve_forward``'s masked copy would
+    repeat it. One (M+1, N) array each for h and the trajectory.
     """
     act = p.active()
     w_act = p.grid.weights[act]
     vhatT = np.zeros(p.grid.N)
     vhatT[act] = x
-    v = solve_adjoint(p, vhatT)
-    h = v[:-1] * p.omega_mask()[None, :]
-    y = solve_forward(p, h)
+    h = solve_adjoint(p, vhatT)[:-1]
+    h *= p.omega_mask()
+    y = _finite(march(p, p.y0, h), False)
     gap = l2_norm(w_act, y[-1, act] + epsilon * x)
     scale = max(l2_norm(p.grid.weights, p.y0), l2_norm(w_act, rhs))
     if gap > 10.0 * gap_tol * scale + 1e-300:
@@ -358,7 +367,9 @@ def epsilon_sweep(p: LinearProblem, eps_list) -> SweepResult:
     Every rung is solved exactly from one symmetric eigendecomposition
     Q Lam_s Q' = W^-1/2 B W^-1/2 of the dense ``gramian``: vhat = W^-1/2 Q
     (Lam_s + eps)^-1 Q' W^1/2 rhs. Raises NotSPD when the smallest shifted
-    eigenvalue is at most 1e-14, CG's curvature threshold, NonFiniteIntegral
+    eigenvalue lam_min + eps is at most n eps_mach lam_max (2 n u lam_max,
+    the order of eigh's backward error on the n active nodes), where the
+    smallest eps lies below what B resolves; NonFiniteIntegral
     before any rung on a free state y_free(T) that is exactly 0, which leaves
     no slope to fit, and ValueError on a drift table. Each rung's optimality
     gap, checked against the marched map, must stay within 10
@@ -381,9 +392,13 @@ def epsilon_sweep(p: LinearProblem, eps_list) -> SweepResult:
         raise NonFiniteIntegral("the free state y_free(T) is exactly 0; no slope to fit")
     B, _ = gramian(p)
     lam, Q = np.linalg.eigh(B / np.outer(sw, sw))
-    if lam[0] + eps_list[-1] <= 1e-14:
-        raise NotSPD(f"smallest Gramian eigenvalue {lam[0]:.3e} plus penalty "
-                     f"{eps_list[-1]:.3e} is not positive beyond round-off")
+    # eigh's eigenvalues are accurate to about n u lam_max, u the unit round-off
+    floor = lam.size * np.finfo(float).eps * lam[-1]
+    if lam[0] + eps_list[-1] <= floor:
+        raise NotSPD(f"the ladder's smallest penalty {eps_list[-1]:.3e} lies below what "
+                     f"the Gramian resolves: lam_min + eps = {lam[0] + eps_list[-1]:.3e} "
+                     f"is not above the round-off floor n eps_mach lam_max = {floor:.3e} "
+                     f"(n = {lam.size}, lam_max = {lam[-1]:.3e})")
     coef = Q.T @ (sw * rhs)
     rows = []
     for eps in eps_list:

@@ -57,7 +57,8 @@ z = W^{1/2} y, with the symmetric scaling W^{1/2} M W^{-1/2}, gives 106.
 
 The solvers return the (M+1, N) nodal states at ``p.times`` as plain arrays
 and raise ``NonFiniteIntegral`` on an overflowed state; ``march``, which CG
-calls directly, does not check.
+calls directly, does not check. ``control``'s forward rerun calls ``march``
+on an already masked control and checks its states with ``_finite``.
 """
 
 from __future__ import annotations
@@ -324,12 +325,15 @@ def control_cost(p: LinearProblem, h: np.ndarray) -> float:
     """||h||^2 over the control region and horizon (piecewise constant in t);
     raises ``NonFiniteIntegral`` where it overflows, or underflows to 0 on an
     h that is nonzero in the control region. An h that is exactly 0 there
-    costs 0."""
+    costs 0. The weighted squares take one (M, n) temporary: h^2, multiplied
+    in place by w 1_omega."""
     act = p.active()
     mask = p.omega_mask()[act]
     h = h[:p.M, act]
     with np.errstate(over="ignore", invalid="ignore"):
-        cost = p.dt * float(np.sum(p.grid.weights[act] * mask * h ** 2))
+        sq = np.square(h)
+        sq *= p.grid.weights[act] * mask
+        cost = p.dt * float(np.sum(sq))
     if not np.isfinite(cost):
         raise NonFiniteIntegral(f"control cost overflows: max |h| = {np.max(np.abs(h)):.3e}")
     if cost == 0.0 and np.any(h[:, mask]):

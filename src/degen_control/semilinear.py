@@ -134,10 +134,15 @@ def freeze_coefficients(grid: GridSpec, times: np.ndarray, z: np.ndarray,
 
 def frozen_problem(p: LinearProblem, z: np.ndarray, nl: Nonlinearity) -> LinearProblem:
     """p with the factors frozen along the (M+1, N) states z at ``p.times``
-    added to its b and c, as tables."""
+    added to its b and c, as tables. Each frozen field is dropped as soon as
+    its table exists, so at most three (M+1, N) arrays are held at once; a
+    field is never written into, as a factor may return an array it still
+    owns."""
     b_field, c_field = freeze_coefficients(p.grid, p.times, z, nl)
-    return p.with_drift(dataclasses.replace(p.drift, b=p.drift.b + b_field,
-                                            c=p.drift.c + c_field))
+    b = p.drift.b + b_field
+    del b_field
+    c = p.drift.c + c_field
+    return p.with_drift(dataclasses.replace(p.drift, b=b, c=c))
 
 
 # -- fixed-point loop ------------------------------------------------------------
@@ -231,8 +236,10 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
             raise ValueError("both phases need at least 8 time steps; "
                              f"split gave {M1} + {p.M - M1}")
         t0 = M1 * p.dt
+        # a copy of the last row: a view would keep the whole coast alive
         phase1_final = semilinear_forward(
-            dataclasses.replace(p, T=t0, M=M1, drift=_drift_rows(p.drift, 0, M1)), nl)[-1]
+            dataclasses.replace(p, T=t0, M=M1, drift=_drift_rows(p.drift, 0, M1)),
+            nl)[-1].copy()
         p = dataclasses.replace(p, T=p.T - t0, M=p.M - M1, y0=phase1_final,
                                 drift=_drift_rows(p.drift, M1, p.M))
     else:
@@ -246,11 +253,12 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
 
     increments, costs, yT_norms, cg_iters = [], [], [], []
     converged = False
-    hum = None
+    vhatT = None
     for _k in range(max_fp_iters):
+        hum = None      # the next step reads only vhatT; the last h goes before it solves
         hum = hum_solve(frozen_problem(p, z, nl), epsilon, cg_tol=cg_tol,
-                        max_iters=cg_max_iters, x0=None if hum is None else hum.vhatT,
-                        precond=precond)
+                        max_iters=cg_max_iters, x0=vhatT, precond=precond)
+        vhatT = hum.vhatT
         inc = _z_norm(p, hum.trajectory - z)
         increments.append(inc)
         costs.append(hum.cost)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,3 +29,15 @@ def heat_problem(N=128, M=256, T=0.1, omega=(0.3, 0.9)):
     return LinearProblem(a=classical_coefficient(), drift=zero_drift(), T=T,
                          omega=omega, grid=grid, M=M,
                          y0=np.sin(np.pi * grid.nodes))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak in bytes of the memory that tracemalloc
+    traced during the call): numpy's arrays count, BLAS's own buffers not."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

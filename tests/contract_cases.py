@@ -256,6 +256,10 @@ CASES = [
          "ERROR NONFINITE_INTEGRAL: the dense Gramian"),
     Case("sweep-gramian-overflow", f"command = sweep; {B300}; "
          "epsilon.sweep = 1e-2,1e-3,1e-4,1e-5", 3, "ERROR NONFINITE_INTEGRAL: the dense Gramian"),
+    # lam_min = -5e16 is round-off against lam_max = 1.6e32: the ladder, not B, is at fault
+    Case("sweep-penalty-below-round-off", f"command = sweep; {SQRT}; grid.N = 16; M = 16; "
+         "T = 0.5; b.const = -40", 3, r"ERROR NOT_SPD: the ladder's smallest penalty \S+ "
+         r"lies below what the Gramian resolves: .* round-off floor n eps_mach lam_max = "),
     # a finite Gramian pair whose quadratic form u'Au overflows
     Case("observability-quotient-overflow", f"command = observability; {SQRT}; grid.N = 32; "
          "M = 64; b.const = -150; samples = 5", 3, "ERROR NONFINITE_INTEGRAL: u'Au"),

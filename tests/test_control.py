@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from degen_control.errors import NoConvergence, NonFiniteIntegral, NotSPD
 from degen_control.mesh import l2_norm
 from degen_control.pde import solve_adjoint, solve_forward
 
-from conftest import heat_problem, make_problem
+from conftest import heat_problem, make_problem, traced_peak
 
 
 def test_gramian_zero_maps_to_zero():
@@ -424,6 +425,55 @@ def test_diffusion_preconditioner_inverts_the_penalised_gramian(alpha, gamma):
     assert np.array_equal(diffusion_preconditioner(drifted, 1e-6)(r),
                           diffusion_preconditioner(p, 1e-6)(r))
     assert diffusion_preconditioner(p, 1e3) is None
+
+
+def test_diffusion_preconditioner_keeps_only_its_k_eigenvectors():
+    # eigh_tridiagonal returns the k eigenvectors as a view into LAPACK's
+    # n x n output; the map keeps n k + k^2 doubles (the k columns and the
+    # Cholesky factor), plus 4 KiB for the n doubles of sqrt(w) and the
+    # Python objects around them, not the n x n block
+    p = make_problem(N=128, M=128)
+    diffusion_preconditioner(p, 1e-3)    # first-call imports and caches stay out
+
+    def build():
+        P = diffusion_preconditioner(p, 1e-3)
+        return P, tracemalloc.get_traced_memory()[0]
+
+    (P, retained), _ = traced_peak(build)
+    n, k = dict(zip(P.__code__.co_freevars, (c.cell_contents for c in P.__closure__)))["U"].shape
+    assert 0 < k < n
+    assert retained <= 8 * (n * k + k * k) + 4096, (retained, n, k)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("c0", [0.0, 2.0], ids=["drift-free", "c2"])
+def test_hum_control_keeps_the_bits_of_the_unfused_formulation(c0):
+    # h masked in place and the rerun marched on it give, bit for bit, the
+    # control of a masked copy through solve_forward, and the cost of
+    # sum(w * mask * h**2); c = 2 takes the rho-symmetrised steps
+    p = make_problem(N=48, M=32, c0=c0)
+    res = hum_solve(p, 1e-4)
+    act = p.active()
+    w, mask = p.grid.weights[act], p.omega_mask()
+    x = _cg(lambda u: _gramian_apply_active(p, act, u) + 1e-4 * u,
+            -solve_forward(p)[-1, act], lambda u, v: float(np.sum(w * u * v)), 1e-10, 500)[0]
+    vhatT = np.zeros(p.grid.N)
+    vhatT[act] = x
+    v = solve_adjoint(p, vhatT)
+    h = v[:-1] * mask[None, :]
+    y = solve_forward(p, h)
+    cost = p.dt * float(np.sum(w * mask[act] * h[:p.M, act] ** 2))
+    gap = l2_norm(w, y[-1, act] + 1e-4 * x)
+    assert res.cg_iters > 0
+    for name, got, want in (("vhatT", res.vhatT, vhatT), ("h", res.h, h),
+                            ("trajectory", res.trajectory, y),
+                            ("yT", res.yT, y[-1]), ("cost", res.cost, cost),
+                            ("optimality_gap", res.optimality_gap, gap)):
+        assert _same_bits(got, want), name
 
 
 @pytest.mark.parametrize("x0", [np.zeros(59), np.zeros((60, 1)),

@@ -17,7 +17,7 @@ from degen_control.semilinear import (Nonlinearity, freeze_coefficients,
                                       sine_nonlinearity, tanh_grad_nonlinearity,
                                       zero_nonlinearity)
 
-from conftest import heat_problem, make_problem
+from conftest import heat_problem, make_problem, traced_peak
 
 
 def _const_traj(p, values):
@@ -447,3 +447,40 @@ def test_coast_then_control_rejects_bad_t0():
     with pytest.raises(ValueError):
         # t0 leaves fewer than 8 steps in the coast
         picard_null_control(p, zero_nonlinearity(), epsilon=1e-6, t0=0.01)
+
+
+def test_picard_step_holds_about_eight_space_time_arrays():
+    # a step needs z and y, the frozen b and c tables, h, and the d, e and p
+    # factor stacks: 8 arrays of (M+1) N doubles; the bound leaves a margin of
+    # two for the temporaries around them and counts arrays, not seconds
+    p = make_problem(N=128, M=128)
+    y0 = np.random.default_rng(0).standard_normal(p.grid.N)
+    y0[0] = y0[-1] = 0.0
+    p = dataclasses.replace(p, y0=y0)
+    rep, peak = traced_peak(picard_null_control, p, mixed_nonlinearity(0.5), 1e-3,
+                            t0=0.1, fp_tol=1e-8)
+    assert rep.converged
+    assert peak <= 10 * (p.M + 1) * p.grid.N * 8, peak / ((p.M + 1) * p.grid.N * 8)
+
+
+def test_frozen_tables_are_the_drift_plus_the_frozen_fields():
+    p = make_problem(N=32, M=16, b0=0.3, c0=-0.7)
+    z = np.random.default_rng(3).standard_normal((p.M + 1, p.grid.N))
+    nl = mixed_nonlinearity(0.5)
+    b_field, c_field = freeze_coefficients(p.grid, p.times, z, nl)
+    q = frozen_problem(p, z, nl)
+    for got, want in ((q.drift.b, p.drift.b + b_field), (q.drift.c, p.drift.c + c_field)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_OWNED = np.full((17, 32), 0.25)    # a factor's own array, returned as it is
+
+
+def test_freezing_leaves_an_array_a_factor_returns_unmodified():
+    p = make_problem(N=32, M=16, b0=0.3)
+    owned = Nonlinearity(lambda x, t, s, q: _OWNED, lambda x, t, s, q: _OWNED,
+                         b_cap=1.0, c_cap=1.0)
+    before = _OWNED.copy()
+    frozen_problem(p, np.zeros((p.M + 1, p.grid.N)), owned)
+    assert picard_null_control(p, owned, epsilon=1e-6).converged
+    assert _OWNED.tobytes() == before.tobytes()
