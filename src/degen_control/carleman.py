@@ -233,11 +233,10 @@ def c2_threshold(a: DegeneracyCoefficient) -> float:
 
 
 def build_weights(a: DegeneracyCoefficient, omega: tuple, T: float,
-                  c1: float = 1.0, lam: float = 2.0, c2: float | None = None,
-                  *, grid: GridSpec) -> CarlemanWeights:
+                  c1: float = 1.0, lam: float = 2.0, *, grid: GridSpec) -> CarlemanWeights:
     """Construct and validate the blended weight for a control region with w1 > 0.
 
-    ``c2`` defaults to 1.05 times the positivity threshold 1/(a(1)(2-K)).
+    ``c2`` is 1.05 times the positivity threshold 1/(a(1)(2-K)).
     Raises ``HypothesisViolated`` unless K < 2, before any weight, then
     ``ValueError`` on an omega, T, c1 or lambda out of range; the weights raise
     ``WeightInvalid`` (see ``CarlemanWeights``).
@@ -253,10 +252,8 @@ def build_weights(a: DegeneracyCoefficient, omega: tuple, T: float,
         raise ValueError(f"c1 and lambda must be finite and positive, got {c1}, {lam}")
     if not 2.0 * lam < np.log(np.finfo(float).max):
         raise ValueError(f"lambda = {lam} overflows the classical weight e^(2 lambda)")
-    if c2 is None:
-        c2 = 1.05 * c2_threshold(a)
     return CarlemanWeights(a=a, omega=tuple(omega), T=float(T), c1=float(c1),
-                           c2=float(c2), lam=float(lam), grid=grid)
+                           c2=1.05 * c2_threshold(a), lam=float(lam), grid=grid)
 
 
 @dataclass(frozen=True)
@@ -420,7 +417,7 @@ def _draw_sample(p0: LinearProblem, rng: np.random.Generator, beta=None):
     nodes and times: src is F, or with ``beta`` the theorem's SourceSplit with
     F = F0 + (beta F1)_x. ``p0`` is marched as given, so the caller passes the
     drift-free problem; an overflowing state raises ``NonFiniteIntegral``."""
-    x, case = p0.grid.nodes, p0.case
+    x, case = p0.grid.nodes, p0.a.case
 
     def smooth():
         coeffs = rng.standard_normal(FIELD_MODES) / np.arange(1, FIELD_MODES + 1)

@@ -130,7 +130,7 @@ def _cg(apply_op, rhs, inner, tol, max_iters, x0=None, precond=None):
     norm_rhs = np.sqrt(rs)
     if norm_rhs == 0.0:
         return np.zeros_like(rhs), 0, [0.0], [0.0]
-    if x0 is None:
+    if x0 is None:      # a cold start skips the Gramian apply that A x0 costs
         x = np.zeros_like(rhs)
         r = rhs.copy()
         energy = 0.0
@@ -254,11 +254,9 @@ class HUMResult:
 
 
 def _cost_constant(cost: float, y0n: float) -> float | None:
-    """cost / ||y0||^2 (None for y0 = 0), dividing by ||y0|| twice outside
-    1e-150 < ||y0|| < 1e150, where ||y0||^2 may over- or underflow."""
-    if not y0n > 0.0:
-        return None
-    return cost / y0n ** 2 if 1e-150 < y0n < 1e150 else cost / y0n / y0n
+    """cost / ||y0||^2 (None for y0 = 0), dividing by ||y0|| twice, so that
+    ||y0||^2 is never formed and cannot over- or underflow."""
+    return cost / y0n / y0n if y0n > 0.0 else None
 
 
 def _check_penalty(eps: float) -> None:

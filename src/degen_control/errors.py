@@ -60,7 +60,8 @@ class SolverBreakdown(DegenControlError):
 
 
 class DegenerateSample(DegenControlError):
-    """A nonzero sample produced zero gradient energy (broken grid)."""
+    """A weighted stiffness (of ``mesh.hardy_check`` or the diffusion
+    preconditioner) is not positive definite; no CLI input reaches it."""
     code = "DEGENERATE_SAMPLE"
     exit_code = 3
 
@@ -72,7 +73,7 @@ class NonFiniteIntegral(DegenControlError):
 
 
 class NoConvergence(DegenControlError):
-    """Conjugate gradient exhausted its iteration budget."""
+    """CG exhausted its budget, or a control failed its optimality-gap check."""
     code = "NO_CONVERGENCE"
     exit_code = 3
 
@@ -82,7 +83,9 @@ class NoConvergence(DegenControlError):
 
 
 class NotSPD(DegenControlError):
-    """A CG direction produced nonpositive curvature beyond round-off."""
+    """Not positive definite beyond round-off: a CG direction's curvature,
+    the preconditioner's Gramian plus the penalty (its Cholesky factor), or
+    a ``sweep`` Gramian at the ladder's smallest penalty."""
     code = "NOT_SPD"
     exit_code = 3
 

@@ -45,8 +45,8 @@ P_k M_k is symmetric for a positive diagonal P_k, factored LDL^T
 
 A sweep splits its states into rows once and zips each step's previous
 row, the row it fills and the step's factors, in sweep order, into one
-loop per kind of step (LDL^T forward, LDL^T adjoint in u, or LU, each with
-or without a source); no step tests its kind or indexes the states.
+loop per kind of step (LDL^T forward or adjoint in u, each with or without
+a source, and one LU loop); no step tests its kind or indexes the states.
 ``dpttrs`` and ``dgttrs`` are looked up in this module's namespace at each
 call, never bound early, so a wrapper set on the module sees every solve.
 
@@ -122,15 +122,11 @@ class LinearProblem:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.M + 1)
 
-    @property
-    def case(self):
-        return self.a.case
-
     def with_drift(self, drift: DriftEnvelope) -> "LinearProblem":
         return dataclasses.replace(self, drift=drift)
 
     def active(self) -> slice:
-        return active_indices(self.grid, self.case)
+        return active_indices(self.grid, self.a.case)
 
     def omega_mask(self) -> np.ndarray:
         x = self.grid.nodes
@@ -263,7 +259,9 @@ def march(p: LinearProblem, u: np.ndarray, src: np.ndarray | None = None,
     so is the adjoint step where P_k is W. Every other adjoint runs in
     u = W v: it multiplies the rows that hold data by w before its loop and
     divides by w after, and each step is u <- p_k S_k^{-1} u on LDL^T
-    factors, a transposed solve on LU factors.
+    factors, on a copy of prev where no source is added (a copy costs half
+    an add), and a transposed solve on LU factors. LU, the fallback, takes
+    one loop that adds prev to the row, so a -0.0 of prev comes out +0.0.
     """
     kind, factors = _step_factors(p)
     act = p.active()
@@ -282,7 +280,7 @@ def march(p: LinearProblem, u: np.ndarray, src: np.ndarray | None = None,
     # overwrite_b = 1: each solve works in place on its row
     if kind == "ldl-w" or (kind == "ldl-rho" and not adjoint):
         # with P = W, G = W^-1 M^-T W = S^-1 W = M^-1: the adjoint step is the forward one
-        if src is None:
+        if src is None:     # p times prev forms the row in one pass; hum's CG runs here
             for prev, row, (d, e, pk) in steps:
                 np.multiply(prev, pk, out=row)
                 dpttrs(d, e, row, 1)
@@ -295,7 +293,8 @@ def march(p: LinearProblem, u: np.ndarray, src: np.ndarray | None = None,
     if adjoint:
         y[p.M if src is None else slice(None)] *= w
     if kind == "ldl-rho":
-        # M^-T = (P^-1 S)^-T = P S^-1
+        # M^-T = (P^-1 S)^-T = P S^-1; a copy costs half an add, and the copy twin
+        # carries each CG adjoint step of a frozen Picard problem with c != 0
         if src is None:
             for prev, row, (d, e, pk) in steps:
                 row[...] = prev
@@ -306,16 +305,11 @@ def march(p: LinearProblem, u: np.ndarray, src: np.ndarray | None = None,
                 row += prev
                 dpttrs(d, e, row, 1)
                 row *= pk
-    else:
+    else:   # the fallback: a row without a source is 0, and 0 + prev is prev but for -0.0
         trans = "T" if adjoint else "N"
-        if src is None:
-            for prev, row, f in steps:
-                row[...] = prev         # a copy keeps -0.0, adding to 0 would not
-                dgttrs(*f, row, trans, 1)
-        else:
-            for prev, row, f in steps:
-                row += prev
-                dgttrs(*f, row, trans, 1)
+        for prev, row, f in steps:
+            row += prev
+            dgttrs(*f, row, trans, 1)
     if adjoint:
         y /= w
     return states

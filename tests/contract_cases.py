@@ -273,6 +273,11 @@ CASES = [
          OK, CONVERGED),
     Case("semilinear-unconverged", f"command = semilinear; {N32}; {MIXED}; fp.maxiter = 1", 0,
          OK, r"^iterations = 1\nconverged = False$"),
+    # steep grading: ||T|| grows like 1/h_min^2, and C_H = 1/mu_min must keep mu_min
+    Case("validate-gamma-12", f"command = validate; {SQRT}; grid.N = 32; grid.gamma = 12", 0,
+         OK, r"^C_H = 0\.21792228514"),
+    Case("validate-gamma-20", f"command = validate; {SQRT}; grid.N = 32; grid.gamma = 20", 0,
+         OK, r"^C_H = 0\.22864503733"),
     Case("validate-table-x15", "command = validate; a.kind = table; a.path = {tmp}/x15.csv", 0,
          OK),
 ]

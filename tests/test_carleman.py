@@ -39,9 +39,9 @@ def test_weights_derive_their_geometry():
     # the constructor takes the parameters only; the geometry comes from omega
     init = [f.name for f in dataclasses.fields(CarlemanWeights) if f.init]
     assert init == ["a", "omega", "T", "c1", "c2", "lam", "grid"]
-    w = CarlemanWeights(a=SQRT, omega=(0.3, 0.9), T=1.0, c1=1.0, c2=0.7, lam=2.0,
+    built = build_weights(SQRT, (0.3, 0.9), T=1.0, grid=GRID)
+    w = CarlemanWeights(a=SQRT, omega=(0.3, 0.9), T=1.0, c1=1.0, c2=built.c2, lam=2.0,
                         grid=GRID)
-    built = build_weights(SQRT, (0.3, 0.9), T=1.0, c2=0.7, grid=GRID)
     for name in ("kappa_minus", "kappa_plus", "omega_prime", "rho_peak"):
         assert getattr(w, name) == getattr(built, name)
     assert np.array_equal(w.eta_nodes, built.eta_nodes)
@@ -53,7 +53,8 @@ def test_weights_derive_their_geometry():
 def _check_psi_deg_closed_form(alpha, c2):
     # int_0^x tau^(1 - alpha) dtau = x^(2 - alpha) / (2 - alpha)
     g = build_grid(128, 1.0)
-    w = build_weights(power_coefficient(alpha), (0.3, 0.9), T=1.0, c2=c2, grid=g)
+    w = dataclasses.replace(build_weights(power_coefficient(alpha), (0.3, 0.9), T=1.0, grid=g),
+                            c2=c2)
     xs = np.concatenate([np.geomspace(1e-6, 1.0, 257), np.linspace(0.0, 1.0, 257),
                          g.nodes, g.faces])
     exact = c2 - xs ** (2.0 - alpha) / (2.0 - alpha)
@@ -153,7 +154,7 @@ def test_eta_prime_nonzero_beyond_cutoff():
 
 def test_weight_positivity_guard():
     with pytest.raises(WeightInvalid):
-        build_weights(SQRT, (0.3, 0.9), T=1.0, c2=0.01, grid=GRID)
+        dataclasses.replace(build_weights(SQRT, (0.3, 0.9), T=1.0, grid=GRID), c2=0.01)
     # past K = 2 int_0^x tau^(1 - alpha) diverges: psi_deg is -inf, not the
     # positive value the closed form x^(2 - alpha)/(2 - alpha) would give
     with pytest.raises(WeightInvalid, match="psi_deg <= 0"):
@@ -605,7 +606,7 @@ def test_sample_field_matches_per_time_evaluation():
         p = make_problem(a=power_coefficient(alpha), N=48, M=32, T=2.0)
         v, src = _draw_sample(p, np.random.default_rng(3), p.drift.beta if theorem else None)
         replay, x = np.random.default_rng(3), p.grid.nodes[:, None]
-        basis = np.cos((k - 0.5) * np.pi * x) if p.case is Case.SDP else np.sin(k * np.pi * x)
+        basis = np.cos((k - 0.5) * np.pi * x) if p.a.case is Case.SDP else np.sin(k * np.pi * x)
 
         def smooth():
             return basis @ (replay.standard_normal(carleman.FIELD_MODES) / k)
@@ -621,7 +622,7 @@ def test_sample_field_matches_per_time_evaluation():
             F0, F1 = source(), source()
             np.testing.assert_allclose(src.F0, F0, rtol=0.0, atol=1e-14)
             np.testing.assert_allclose(src.F1, F1, rtol=0.0, atol=1e-14)
-            F = F0 + beta_divergence(p.grid, p.drift.beta, F1, p.case)
+            F = F0 + beta_divergence(p.grid, p.drift.beta, F1, p.a.case)
         else:
             F = source()
             np.testing.assert_allclose(src, F, rtol=0.0, atol=1e-14)

@@ -294,8 +294,8 @@ def test_cg_rejects_a_nonzero_rhs_whose_square_underflows():
 
 
 def test_cost_constant_divides_twice_where_the_datum_norm_squared_is_not_normal():
-    # a normal ||y0||^2 is divided by once; where it may underflow to 0 or to
-    # a subnormal, or overflow, the cost is divided by ||y0|| twice
+    # the cost is divided by ||y0|| twice, so ||y0||^2 is never formed: it
+    # may underflow to 0 or to a subnormal, or overflow
     assert _cost_constant(3.0, 2.0) == 3.0 / 2.0 ** 2
     assert _cost_constant(1.0, 0.0) is None
     assert _cost_constant(1e-300, 1e-170) == 1e-300 / 1e-170 / 1e-170

@@ -6,6 +6,7 @@ import scipy.linalg as sla
 from scipy.optimize import brentq
 from scipy.special import gamma, jv
 
+from degen_control import mesh
 from degen_control.coefficients import (Case, DegeneracyCoefficient,
                                         classical_coefficient, constant_drift,
                                         power_coefficient, zero_drift)
@@ -251,6 +252,21 @@ def test_hardy_classical_matches_eigensolve_oracle():
     oracle = mu[-1]   # largest mass/stiffness quotient
     assert c_h == pytest.approx(oracle, rel=1e-10)
     assert c_h == pytest.approx(1.0 / np.pi ** 2, rel=0.05)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("gamma", [1.0, 8.0, 12.0, 20.0, 60.0, 100.0])
+def test_hardy_resolves_mu_min_on_graded_grids(alpha, gamma):
+    # the symmetric tridiagonal's smallest eigenvalue at 60 digits: on a
+    # graded grid its norm grows like 1/h_min^2, and a bisection to
+    # eps ||T||_1 loses mu_min (C_H = 1.45e-7 for 0.218 at gamma = 12)
+    mpmath = pytest.importorskip("mpmath")
+    g, a = build_grid(32, gamma), power_coefficient(alpha)
+    diag, off = mesh._symmetric_diffusion(g, a)
+    with mpmath.workdps(60):
+        T = mpmath.matrix(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        mu_min = float(min(mpmath.eigsy(T, eigvals_only=True)))
+    assert hardy_check(g, a) == pytest.approx(1.0 / mu_min, rel=1e-12)
 
 
 def _bessel_nu_j(alpha):

@@ -238,6 +238,22 @@ def test_picard_zero_datum():
     assert np.all(rep.hum.h == 0.0)
 
 
+def test_picard_growing_increments_raise_no_fixed_point():
+    # a factor that doubles at each freeze, within its cap, moves each frozen
+    # problem further than the last: the increments grow to the budget
+    calls = []
+
+    def doubling(x, t, s, q):
+        calls.append(None)
+        return np.full(np.shape(s), -(2.0 ** len(calls)))
+
+    nl = Nonlinearity(b_factor=doubling, c_factor=lambda x, t, s, q: np.zeros(np.shape(s)),
+                      b_cap=1e3, c_cap=0.0)
+    with pytest.raises(NoFixedPoint, match="increments grew .* after 4 outer steps"):
+        picard_null_control(make_problem(N=32, M=32), nl, epsilon=1e-3, max_fp_iters=4)
+    assert len(calls) == 5      # the zero state, then one freeze per outer step
+
+
 def test_picard_stress_never_silently_wrong():
     p = make_problem(N=32, M=32)
     try:
@@ -300,6 +316,24 @@ def test_semilinear_forward_matches_linear_for_zero_nl():
         assert pde._step_factors(p)[0] == ("ldl-w" if drift == "none" else "ldl-rho"), drift
         assert np.array_equal(semilinear_forward(p, zero_nonlinearity()),
                               solve_forward(p)), drift
+
+
+@pytest.mark.parametrize("c0", [0.0, 0.2])
+def test_semilinear_forward_matches_linear_on_lu_steps(c0, monkeypatch):
+    # b = -2/dt leaves 1 + dt b = -1, a negative pivot on every level, so
+    # march and the coast both fall back to pivoted LU
+    kinds = []
+
+    def recorded(kind, factors, row):
+        kinds.append(kind)
+        return pde._step_solve(kind, factors, row)
+
+    monkeypatch.setattr(semilinear, "_step_solve", recorded)
+    p = make_problem(N=24, M=16)
+    p = p.with_drift(dataclasses.replace(p.drift, b=-2.0 / p.dt, c=c0))
+    assert pde._step_factors(p)[0] == "lu"
+    assert np.array_equal(semilinear_forward(p, zero_nonlinearity()), solve_forward(p))
+    assert len(kinds) >= p.M and set(kinds) == {"lu"}
 
 
 @pytest.mark.parametrize("nl,N,T", [(sine_nonlinearity(-10.0), 64, 1.0),
