@@ -34,13 +34,14 @@ fixed ``SWEEP_GAP_TOL``; only ``hum_solve`` takes a CG tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal
 
-from .errors import DegenerateSample, NoConvergence, NonFiniteIntegral, NotSPD
-from .mesh import _symmetric_diffusion, l2_norm
+from .errors import NoConvergence, NonFiniteIntegral, NotSPD
+from .mesh import _eigenvalues_in, _smallest_eigenvalue, _symmetric_diffusion, l2_norm
 from .pde import (LinearProblem, _adjoint_step_matrix, _finite, control_cost, march,
                   solve_adjoint, solve_forward)
 
@@ -179,6 +180,44 @@ def _cg(apply_op, rhs, inner, tol, max_iters, x0=None, precond=None):
         f"(target {tol * norm_rhs:.3e})", res_hist)
 
 
+def _phi_crossing(dt: float, M: int, floor: float) -> float:
+    """The lam at which Phi(lam) = dt sum_{j=1..M} q^j, q = (1 + dt lam)^-2,
+    which falls in lam, meets ``floor``: Phi > floor below it and not above
+    it, up to round-off. Bisects x = -log q, where Phi = -dt expm1(-M x) /
+    expm1(x) < dt / expm1(x), so that x lies below log1p(dt / floor); x is
+    kept below 700, where expm1 stays finite."""
+    with np.errstate(over="ignore", divide="ignore"):     # a floor of 0 or dt / floor = inf
+        lo, hi = 0.0, min(float(np.log1p(np.float64(dt) / floor)), 700.0)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if -dt * math.expm1(-M * mid) / math.expm1(mid) > floor:
+            lo = mid
+        else:
+            hi = mid
+    with np.errstate(over="ignore"):
+        return float(np.expm1(0.5 * hi) / dt)
+
+
+def _phi(p: LinearProblem, log_q):
+    """dt sum_{j=1..M} q^j for q = exp(-log_q) in (0, 1), summed in closed form."""
+    return p.dt * np.exp(-log_q) * np.expm1(-p.M * log_q) / np.expm1(-log_q)
+
+
+def _mode_count(p: LinearProblem, epsilon: float, diag, off) -> int:
+    """The number k of eigenvalues lam_a of the positive definite symmetric
+    tridiagonal (diag, off) with Phi_aa = ``_phi``(2 log1p(dt lam_a)) >
+    eps/100. Phi falls in lam, so they are the eigenvalues below the
+    crossing of eps/100 (``_phi_crossing``): one Sturm count below it, and
+    Phi itself on the eigenvalues within 1e-6 of it, where round-off could
+    put an eigenvalue on the wrong side."""
+    floor = 0.01 * epsilon
+    crossing = _phi_crossing(p.dt, p.M, floor)
+    near = crossing * (1.0 - 1e-6), crossing * (1.0 + 1e-6)
+    k = _eigenvalues_in(diag, off, 0.0, near[0], tol=np.inf).size
+    with np.errstate(over="ignore"):    # dt lam = inf where the step matrix overflows
+        log_q = 2.0 * np.log1p(p.dt * _eigenvalues_in(diag, off, *near))
+        return k + int(np.count_nonzero(_phi(p, log_q) > floor))
+
+
 def diffusion_preconditioner(p: LinearProblem, epsilon: float):
     """r -> eps (Lam_0 + eps I)^-1 r on the active nodes, where Lam_0 is the
     Gramian of p's diffusion alone (p's drift is not read), or None when no
@@ -203,17 +242,8 @@ def diffusion_preconditioner(p: LinearProblem, epsilon: float):
     _check_penalty(epsilon)
     act = p.active()
     diag, off = _symmetric_diffusion(p.grid, p.a)
-    lam = eigvalsh_tridiagonal(diag, off)
-    if lam[0] <= 0.0:
-        raise DegenerateSample(f"weighted stiffness is not positive definite "
-                               f"(smallest eigenvalue {lam[0]:.3e})")
-
-    def phi(log_q):
-        # dt sum_{j=1..M} q^j for q = exp(-log_q) in (0, 1)
-        return p.dt * np.exp(-log_q) * np.expm1(-p.M * log_q) / np.expm1(-log_q)
-
-    with np.errstate(over="ignore"):    # dt lam = inf where the step matrix overflows
-        k = int(np.count_nonzero(phi(2.0 * np.log1p(p.dt * lam)) > 0.01 * epsilon))
+    _smallest_eigenvalue(diag, off)     # A_0 must be positive definite
+    k = _mode_count(p, epsilon, diag, off)
     if k == 0:
         return None
     lam, U = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
@@ -221,7 +251,7 @@ def diffusion_preconditioner(p: LinearProblem, epsilon: float):
     U = U.copy(order="F")
     log_r = np.log1p(p.dt * lam)
     U_omega = U[p.omega_mask()[act]]
-    K = (U_omega.T @ U_omega) * phi(log_r[:, None] + log_r[None, :])
+    K = (U_omega.T @ U_omega) * _phi(p, log_r[:, None] + log_r[None, :])
     K[np.diag_indices(k)] += epsilon
     try:
         chol = cho_factor(K)

@@ -36,6 +36,9 @@ from .errors import BadResolution, DegenerateSample, NonFiniteIntegral
 H_MIN = float(np.finfo(float).max) ** -0.5
 # desk scale is N up to about 10^3 nodes; the cap leaves a margin of ten
 N_MAX = 10_000
+# stebz's bisection tolerance: twice the smallest normal double resolves an
+# eigenvalue to relative accuracy, where stebz's default, eps ||T||_1, does not
+BISECT_TOL = 2.0 * float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -211,13 +214,37 @@ def hardy_check(grid: GridSpec, a: DegeneracyCoefficient) -> float:
     default, eps ||T||_1, does not: on a graded grid ||T|| grows like
     1/h_min^2. Where it does not converge, the full spectrum gives mu_min.
     """
-    diag, off = _symmetric_diffusion(grid, a)
+    return 1.0 / _smallest_eigenvalue(*_symmetric_diffusion(grid, a))
+
+
+def _smallest_eigenvalue(diag, off) -> float:
+    """mu_min of the symmetric tridiagonal (diag, off) of a weighted
+    stiffness, by ``stebz`` bisection to ``BISECT_TOL``, or from the full
+    spectrum where that does not converge. Raises DegenerateSample unless
+    mu_min > 0."""
     try:
         mu_min = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0),
-                                      lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny)[0]
+                                      lapack_driver="stebz", tol=BISECT_TOL)[0]
     except np.linalg.LinAlgError:
         mu_min = eigvalsh_tridiagonal(diag, off)[0]
     if mu_min <= 0.0:
         raise DegenerateSample(f"weighted stiffness is not positive definite "
                                f"(smallest eigenvalue {mu_min:.3e})")
-    return 1.0 / float(mu_min)
+    return float(mu_min)
+
+
+def _eigenvalues_in(diag, off, lower: float, upper: float,
+                    tol: float = BISECT_TOL) -> np.ndarray:
+    """The eigenvalues in (lower, upper] of the symmetric tridiagonal
+    (diag, off), ascending, by ``stebz`` bisection to ``tol``; from the full
+    spectrum where that does not converge. Their number is a Sturm count,
+    exact at any tol, so at tol = inf it costs two O(n) sweeps and the
+    values are not resolved."""
+    if not lower < upper:       # stebz takes no empty range
+        return np.empty(0)
+    try:
+        return eigvalsh_tridiagonal(diag, off, select="v", select_range=(lower, upper),
+                                    lapack_driver="stebz", tol=tol)
+    except np.linalg.LinAlgError:
+        lam = eigvalsh_tridiagonal(diag, off)
+        return lam[(lower < lam) & (lam <= upper)]

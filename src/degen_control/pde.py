@@ -14,11 +14,13 @@ and observability machinery is built on (discretize-then-optimize).
 A drift table (``DriftEnvelope``) is read at the backward node: the step to
 t_{n+1} takes its row n+1, so ``LinearProblem`` requires M+1 rows.
 
-Every sweep goes through ``march``. One assembly per problem gives the step
-matrices M_k = I + dt A(t_k) of all M levels as stacked bands (one level when
-the drift holds no table); each distinct level is factored once, cached on
-the problem, and solved with in both directions. The kernel,
-``_factor_steps``, picks the factorisation per problem. The upwinded A is an
+Every sweep goes through ``march``. Each problem's step matrices M_k = I +
+dt A(t_k) are assembled and factored once, cached on the problem, and solved
+with in both directions: one level where the drift holds no table, and
+otherwise every level, assembled and factored ``LEVEL_BLOCK`` levels at a
+time, so that no band or temporary of all M levels exists beside the factors
+kept. The kernel, ``_factor_steps``, factors a level or a block of levels;
+the kind of factorisation is one decision per problem. The upwinded A is an
 M-matrix, so each M_k is diagonally similar to a symmetric matrix: S_k =
 P_k M_k is symmetric for a positive diagonal P_k, factored LDL^T
 (``dpttrf``) and solved with ``dpttrs``.
@@ -71,10 +73,12 @@ from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from .coefficients import DegeneracyCoefficient, DriftEnvelope
 from .errors import BadResolution, NonFiniteIntegral, SolverBreakdown
-from .mesh import GridSpec, active_indices, assemble_operator
+from .mesh import GridSpec, _assembler, active_indices, assemble_operator
 
 # desk scale is M up to about 10^3 steps; the cap leaves a margin of ten
 M_MAX = 10_000
+# time levels per block where a drift table's levels are built; see _table_levels
+LEVEL_BLOCK = 32
 # the smallest positive normal double; a symmetriser below it has lost digits
 _TINY = float(np.finfo(float).tiny)
 
@@ -155,7 +159,7 @@ def _symmetriser(sub, sup):
 
 
 def _factor_steps(sub, diag, sup, w_symmetric: bool, dt: float, w: np.ndarray,
-                  step: int = 1) -> tuple[str, list]:
+                  step: int = 1, ldl: bool = True) -> tuple[str, list]:
     """``(kind, factors)``: the factors of the step matrix M_k = I + dt A_k of
     each level of A's (n,) or stacked (L, n) bands, as ``mesh._assembler``
     gives them with their W-symmetry, the first level being the step to time
@@ -167,28 +171,33 @@ def _factor_steps(sub, diag, sup, w_symmetric: bool, dt: float, w: np.ndarray,
     of ``_symmetriser`` otherwise (kind ``"ldl-rho"``). S_k has diagonal
     p (1 + dt diag) and off-diagonal dt p sup, and is factored LDL^T
     (``dpttrf``); a level's factors are ``(d, e, p)``. Where no symmetriser
-    exists, or some level has a nonpositive pivot (1 + dt b < 0, say), every
-    level takes the LU factors of M_k instead (kind ``"lu"``: ``dgttrf`` on
-    dt sub, 1 + dt diag and dt sup), which raise ``SolverBreakdown`` on a
-    singular level. ``_step_solve`` takes a step with any kind. A step
-    matrix whose entries overflow raises ``NonFiniteIntegral``, with no
-    warning printed first."""
+    exists, or some level has a nonpositive pivot (1 + dt b < 0, say), or
+    ``ldl`` is false, every level takes the LU factors of M_k instead (kind
+    ``"lu"``: ``dgttrf`` on dt sub, 1 + dt diag and dt sup), which raise
+    ``SolverBreakdown`` on a singular level. ``_step_solve`` takes a step
+    with any kind. A step matrix whose entries overflow raises
+    ``NonFiniteIntegral``, with no warning printed first."""
     def levels(*bands):     # the rows of stacked bands, or the one level
         return zip(*bands) if diag.ndim == 2 else (bands,)
 
-    kind, p = ("ldl-w", w) if w_symmetric else ("ldl-rho", _symmetriser(sub, sup))
+    if not ldl:
+        p = None
+    elif w_symmetric:
+        kind, p = "ldl-w", w
+    else:
+        kind, p = "ldl-rho", _symmetriser(sub, sup)
     try:
         with np.errstate(over="raise"):   # an overflow raises where it happens, unprinted
             if p is not None:
-                ldl = []
+                factors = []
                 for d, e, p_k in levels(p * (1.0 + dt * diag), dt * p[..., :-1] * sup[..., :-1],
                                         p if p.ndim == diag.ndim else np.broadcast_to(p, diag.shape)):
                     *f, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
                     if info:
                         break
-                    ldl.append((*f, p_k))
+                    factors.append((*f, p_k))
                 else:
-                    return kind, ldl
+                    return kind, factors
             bands = dt * sub[..., 1:], 1.0 + dt * diag, dt * sup[..., :-1]
     except FloatingPointError:
         raise NonFiniteIntegral(f"the step matrix I + dt A overflows at dt = {dt:.3e}") from None
@@ -212,15 +221,63 @@ def _step_solve(kind: str, factors, row: np.ndarray) -> None:
         dpttrs(d, e, row, 1)
 
 
+def _table_levels(p: LinearProblem):
+    """The bands of the M step levels of a problem whose drift holds a
+    table, as ``mesh._assembler`` gives them: ``(k, (sub, diag, sup,
+    w_symmetric))`` for each block of levels k, k+1, ..., which read the
+    table's rows k+1, k+2, .... A block holds ``LEVEL_BLOCK`` = 32 levels
+    (the last one the rest), about 100 KiB per band at n = 382, so that a
+    block's bands and the temporaries formed from them stay in cache and
+    below the allocator's mmap threshold."""
+    act = p.active()
+    assemble = _assembler(p.grid, p.a, p.drift.beta)
+    b, c = (np.asarray(f, dtype=float) for f in (p.drift.b, p.drift.c))
+
+    def on_levels(f, k):     # at the active nodes; no level reads a table's row 0
+        return f if f.ndim == 0 else f[act] if f.ndim == 1 else f[k + 1:k + 1 + LEVEL_BLOCK, act]
+
+    for k in range(0, p.M, LEVEL_BLOCK):
+        yield k, assemble(on_levels(b, k), on_levels(c, k))
+
+
+def _table_factors(p: LinearProblem, w: np.ndarray) -> tuple[str, list]:
+    """``_factor_steps``' ``(kind, factors)`` of the M levels of a problem
+    whose drift holds a table, factored one ``_table_levels`` block at a
+    time. The kind is one decision for all levels, as if they were factored
+    at once: ``ldl-w`` only where no level is upwinded, and LU on every
+    level where some level has no symmetriser or a nonpositive pivot. A
+    block that rules out the kind so far restarts the levels with the next
+    kind, at most twice."""
+    w_symmetric, ldl = True, True
+    while True:
+        factors = []
+        for k, (sub, diag, sup, level_w_symmetric) in _table_levels(p):
+            if w_symmetric and not level_w_symmetric:
+                w_symmetric = False
+                if factors:     # levels factored as ldl-w before this block
+                    break
+            kind, block = _factor_steps(sub, diag, sup, w_symmetric, p.dt, w, k + 1, ldl)
+            if ldl and kind == "lu":
+                ldl = False
+                if factors:     # levels factored LDL^T before this block
+                    break
+            factors += block
+        else:
+            return kind, factors
+
+
 def _step_factors(p: LinearProblem) -> tuple[str, list]:
     """``_factor_steps``' ``(kind, factors)`` for each of the M steps, for
-    both directions. The first call assembles the bands of every time level
-    once (one level when the drift holds no table), forms the step matrices'
-    bands in one pass and factors each distinct level once."""
+    both directions. The first call factors each distinct level once: the
+    one level of a drift without a table, from one ``assemble_operator``,
+    or every level of a table, a block at a time (``_table_factors``)."""
     if not p._cache:
-        kind, factors = _factor_steps(*assemble_operator(p.grid, p.a, p.drift), p.dt,
-                                      p.grid.weights[p.active()])
-        p._cache["steps"] = kind, factors * (p.M // len(factors))
+        w = p.grid.weights[p.active()]
+        if p.drift.time_dependent:
+            p._cache["steps"] = _table_factors(p, w)
+        else:
+            kind, factors = _factor_steps(*assemble_operator(p.grid, p.a, p.drift), p.dt, w)
+            p._cache["steps"] = kind, factors * p.M
     return p._cache["steps"]
 
 

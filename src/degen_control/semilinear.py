@@ -13,18 +13,21 @@ and stops when consecutive trajectories agree in the L^2(0,T; H^1_a) norm;
 the converged pair (y, h) is checked against the discrete semilinear
 equation itself.
 
-Freezing works on whole space-time arrays: each factor is called once on
-the (M+1, N) states at ``p.times``, whose tables add to the drift's b and
-c, and each frozen linear problem, the residual's included, is assembled
-once. Each Picard step after the first starts its CG from the previous
-step's vhatT, under the same stopping rule as a cold start, so a step whose
-frozen problem has not moved takes 0 iterations and repeats the previous
-control bit for bit. Every step's CG is preconditioned by one map, built
-once per loop by ``control.diffusion_preconditioner`` from the controlled
-phase's diffusion alone: the frozen factors are bounded, so each frozen
-Gramian stays spectrally close to the diffusion's, and the iteration count
-stops growing with N. The drift, frozen or linear, is left out of it on
-purpose, so numbers, vectors and tables take one path.
+Freezing works a block of ``pde.LEVEL_BLOCK`` time levels at a time: each
+factor is called once per block of the (M+1, N) states at ``p.times``, and
+the frozen values are written straight into the tables that add them to the
+drift's b and c. Each frozen linear problem, the residual's included, is
+assembled once, a block of levels at a time, so that the only space-time
+arrays it makes are its two tables and the factors it keeps. Each Picard
+step after the first starts its CG from the previous step's vhatT, under
+the same stopping rule as a cold start, so a step whose frozen problem has
+not moved takes 0 iterations and repeats the previous control bit for bit.
+Every step's CG is preconditioned by one map, built once per loop by
+``control.diffusion_preconditioner`` from the controlled phase's diffusion
+alone: the frozen factors are bounded, so each frozen Gramian stays
+spectrally close to the diffusion's, and the iteration count stops growing
+with N. The drift, frozen or linear, is left out of it on purpose, so
+numbers, vectors and tables take one path.
 
 For rough initial data ``picard_null_control`` with t0 > 0 first runs the
 uncontrolled semilinear equation on (0, t0), then controls on (t0, T) from
@@ -42,8 +45,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoFixedPoint, NonFiniteIntegral, UnboundedFrozenCoefficient
-from .mesh import GridSpec, _assembler, assemble_operator, dirichlet_energy, l2_norm
-from .pde import LinearProblem, _factor_steps, _step_solve, solve_forward
+from .mesh import GridSpec, _assembler, face_diffusivity, l2_norm
+from .pde import (LEVEL_BLOCK, LinearProblem, _factor_steps, _step_solve, _table_levels,
+                  solve_forward)
 from .control import HUMResult, _cost_constant, diffusion_preconditioner, hum_solve
 
 # the coast phase's per-step inner iteration: relative increment target and budget
@@ -58,10 +62,7 @@ def _zero(x, t, s, p):
 def _tanh_grad(x, t, s, p):
     """tanh(p)/p with the limit value 1 at p = 0."""
     p = np.asarray(p, dtype=float)
-    out = np.ones_like(p)
-    big = np.abs(p) > 1e-8
-    out[big] = np.tanh(p[big]) / p[big]
-    return out
+    return np.divide(np.tanh(p), p, out=np.ones_like(p), where=np.abs(p) > 1e-8)
 
 
 def _sine(m: float):
@@ -77,8 +78,9 @@ class Nonlinearity:
     """Factored nonlinearity f = b~ s + c~ beta p with factors bounded by
     ``b_cap`` and ``c_cap``, which is all the fixed point needs of f.
 
-    Freezing calls a factor with x (N,), t (M+1, 1) and s, p (M+1, N); its
-    result must broadcast to (M+1, N)."""
+    Freezing calls a factor once per block of L time levels, with x (N,),
+    t (L, 1) and s, p (L, N); its result must broadcast to (L, N). L is at
+    most ``pde.LEVEL_BLOCK``, and 1 in the coast."""
 
     b_factor: Callable  # (x, t, s, p) -> array
     c_factor: Callable  # (x, t, s, p) -> array
@@ -104,6 +106,34 @@ def mixed_nonlinearity(m: float) -> Nonlinearity:
 
 # -- freezing ------------------------------------------------------------------
 
+def _frozen_fields(grid: GridSpec, times: np.ndarray, z: np.ndarray, nl: Nonlinearity):
+    """``freeze_coefficients`` without its cap check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = grid.slopes(z)
+    bad = np.flatnonzero(~(np.isfinite(z).all(axis=-1) & np.isfinite(slopes).all(axis=-1)))
+    if bad.size:
+        raise NonFiniteIntegral(f"frozen state or its slope is not finite at "
+                                f"t = {times[bad[0]]:.6g}")
+    args = (grid.nodes, times[:, None], z, slopes)
+    return tuple(f if f.shape == z.shape else np.broadcast_to(f, z.shape)
+                 for f in (np.asarray(factor(*args), dtype=float)
+                           for factor in (nl.b_factor, nl.c_factor)))
+
+
+def _peak(field: np.ndarray):
+    """max |field|, with no |field| copy; NaN where field holds a NaN, which
+    its max returns."""
+    return max(field.max(), -field.min())
+
+
+def _check_caps(nl: Nonlinearity, b_peak, c_peak) -> None:
+    for order, peak, cap in (("zero-order", b_peak, nl.b_cap),
+                             ("first-order", c_peak, nl.c_cap)):
+        if not peak <= cap * (1.0 + 1e-9) + 1e-300:     # a NaN fails too
+            raise UnboundedFrozenCoefficient(
+                f"frozen {order} coefficient reaches {peak:.6g} > cap {cap:.6g}")
+
+
 def freeze_coefficients(grid: GridSpec, times: np.ndarray, z: np.ndarray,
                         nl: Nonlinearity):
     """Call each factor once along the (L, N) states z at ``times`` on
@@ -113,35 +143,34 @@ def freeze_coefficients(grid: GridSpec, times: np.ndarray, z: np.ndarray,
     state or a slope is not finite: no factor is asked what an overflowed
     slope freezes to. A frozen value above its cap, or one that is not a
     number, raises UnboundedFrozenCoefficient naming the order."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        slopes = grid.slopes(z)
-    bad = np.flatnonzero(~(np.isfinite(z).all(axis=-1) & np.isfinite(slopes).all(axis=-1)))
-    if bad.size:
-        raise NonFiniteIntegral(f"frozen state or its slope is not finite at "
-                                f"t = {times[bad[0]]:.6g}")
-    args = (grid.nodes, times[:, None], z, slopes)
-    b_field, c_field = (f if f.shape == z.shape else np.broadcast_to(f, z.shape)
-                        for f in (np.asarray(factor(*args), dtype=float)
-                                  for factor in (nl.b_factor, nl.c_factor)))
-    for order, field, cap in (("zero-order", b_field, nl.b_cap),
-                              ("first-order", c_field, nl.c_cap)):
-        peak = np.abs(field).max()
-        if not peak <= cap * (1.0 + 1e-9) + 1e-300:     # a NaN fails too
-            raise UnboundedFrozenCoefficient(
-                f"frozen {order} coefficient reaches {peak:.6g} > cap {cap:.6g}")
+    b_field, c_field = _frozen_fields(grid, times, z, nl)
+    _check_caps(nl, _peak(b_field), _peak(c_field))
     return b_field, c_field
+
+
+def _rows(f, rows: slice):
+    """The rows ``rows`` of a b or c table; a number or (N,) vector as it is."""
+    return f[rows] if np.ndim(f) == 2 else f
 
 
 def frozen_problem(p: LinearProblem, z: np.ndarray, nl: Nonlinearity) -> LinearProblem:
     """p with the factors frozen along the (M+1, N) states z at ``p.times``
-    added to its b and c, as tables. Each frozen field is dropped as soon as
-    its table exists, so at most three (M+1, N) arrays are held at once; a
-    field is never written into, as a factor may return an array it still
-    owns."""
-    b_field, c_field = freeze_coefficients(p.grid, p.times, z, nl)
-    b = p.drift.b + b_field
-    del b_field
-    c = p.drift.c + c_field
+    added to its b and c, as tables: ``freeze_coefficients`` along each
+    block of ``LEVEL_BLOCK`` levels, in time order, written straight into
+    the two tables, so that no frozen field of all levels exists. A state or
+    slope that is not finite raises where its block is frozen, naming its
+    time; the caps are checked over all levels once every block is frozen,
+    against the same peaks as a freeze at once. A field is never written
+    into, as a factor may return an array it still owns."""
+    b, c = np.empty((2, p.M + 1, p.grid.N))
+    times, peaks = p.times, []
+    for k in range(0, p.M + 1, LEVEL_BLOCK):
+        rows = slice(k, k + LEVEL_BLOCK)
+        b_field, c_field = _frozen_fields(p.grid, times[rows], z[rows], nl)
+        peaks.append((_peak(b_field), _peak(c_field)))
+        np.add(_rows(p.drift.b, rows), b_field, out=b[rows])
+        np.add(_rows(p.drift.c, rows), c_field, out=c[rows])
+    _check_caps(nl, *np.max(peaks, axis=0))     # np.max keeps a NaN
     return p.with_drift(dataclasses.replace(p.drift, b=b, c=c))
 
 
@@ -166,11 +195,19 @@ class FixedPointReport:
 
 
 def _z_norm(p: LinearProblem, u: np.ndarray) -> float:
-    """L^2(0,T; H^1_a) norm of the (M+1, N) states u, trapezoid rule in time."""
-    sq = np.sum(p.grid.weights * u * u, axis=1)
+    """L^2(0,T; H^1_a) norm of the (M+1, N) states u, trapezoid rule in time.
+    Each level's ||u||^2 and ``mesh.dirichlet_energy`` are summed a block of
+    ``LEVEL_BLOCK`` levels at a time, with a evaluated once."""
+    w, h, af = p.grid.weights, p.grid.spacings, face_diffusivity(p.grid, p.a)
+    sq = np.empty(p.M + 1)
+    for k in range(0, p.M + 1, LEVEL_BLOCK):
+        rows = slice(k, k + LEVEL_BLOCK)
+        v = u[rows]
+        du = np.diff(v)
+        sq[rows] = np.sum(w * v * v, axis=1) + np.sum(af * du * du / h, axis=-1)
     tw = np.full(p.M + 1, p.dt)
     tw[0] = tw[-1] = 0.5 * p.dt
-    return float(np.sqrt(np.sum(tw * (sq + dirichlet_energy(p.grid, p.a, u)))))
+    return float(np.sqrt(np.sum(tw * sq)))
 
 
 def semilinear_residual(p: LinearProblem, nl: Nonlinearity, y: np.ndarray,
@@ -179,16 +216,29 @@ def semilinear_residual(p: LinearProblem, nl: Nonlinearity, y: np.ndarray,
     states y at ``p.times`` and the (M, N) control h, relative to ||y0||.
     Uses the solver's stencils (coefficients frozen along y itself), so a
     true discrete solution gives round-off; one that overflows raises
-    NonFiniteIntegral."""
-    sub, diag, sup, _ = assemble_operator(p.grid, p.a, frozen_problem(p, y, nl).drift)
+    NonFiniteIntegral.
+
+    The frozen problem's levels are assembled and r formed a block at a
+    time (``pde._table_levels``); w r r of every step goes into one (M, n)
+    array, summed once, and h is subtracted in omega only."""
+    q = frozen_problem(p, y, nl)
     act = p.active()
-    y = y[:, act]
+    w, mask = p.grid.weights[act], p.omega_mask()[act]
+    y, h = y[:, act], h[:, act]
+    wrr = np.empty((p.M, w.size))
+    for k, (sub, diag, sup, _) in _table_levels(q):
+        steps = slice(k, k + len(diag))
+        y1 = y[k + 1:k + 1 + len(diag)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            Ay = diag * y1
+            Ay[:, 1:] += sub[:, 1:] * y1[:, :-1]
+            Ay[:, :-1] += sup[:, :-1] * y1[:, 1:]
+            r = (y1 - y[steps]) / p.dt + Ay
+            np.subtract(r, h[steps], out=r, where=mask)
+            np.multiply(w, r, out=wrr[steps])
+            wrr[steps] *= r
     with np.errstate(over="ignore", invalid="ignore"):
-        Ay = diag * y[1:]
-        Ay[..., 1:] += sub[..., 1:] * y[1:, :-1]
-        Ay[..., :-1] += sup[..., :-1] * y[1:, 1:]
-        r = (y[1:] - y[:-1]) / p.dt + Ay - h[:p.M, act] * p.omega_mask()[act]
-        acc = p.dt * float(np.sum(p.grid.weights[act] * r * r))
+        acc = p.dt * float(np.sum(wrr))
     if not np.isfinite(acc):
         raise NonFiniteIntegral(f"the semilinear residual overflows at dt = {p.dt:.3e}")
     return float(np.sqrt(acc)) / max(l2_norm(p.grid.weights, p.y0), 1e-300)
@@ -197,9 +247,8 @@ def semilinear_residual(p: LinearProblem, nl: Nonlinearity, y: np.ndarray,
 def _drift_rows(drift, first: int, last: int):
     """``drift`` on the time levels first..last: the rows of a b or c table,
     a number or (N,) vector as it is."""
-    def cut(f):
-        return f[first:last + 1] if np.ndim(f) == 2 else f
-    return dataclasses.replace(drift, b=cut(drift.b), c=cut(drift.c))
+    rows = slice(first, last + 1)
+    return dataclasses.replace(drift, b=_rows(drift.b, rows), c=_rows(drift.c, rows))
 
 
 def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,

@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
-from degen_control import pde
+from degen_control import control, mesh, pde
 from degen_control.control import (ObservabilityReport, _cg, _cost_constant,
                                    _gramian_apply_active, diffusion_preconditioner,
                                    epsilon_sweep, gramian, hum_solve,
@@ -443,6 +444,52 @@ def test_diffusion_preconditioner_keeps_only_its_k_eigenvectors():
     n, k = dict(zip(P.__code__.co_freevars, (c.cell_contents for c in P.__closure__)))["U"].shape
     assert 0 < k < n
     assert retained <= 8 * (n * k + k * k) + 4096, (retained, n, k)
+
+
+def _coupled_modes(P) -> int:
+    """The number k of modes that the preconditioner P couples exactly."""
+    if P is None:
+        return 0
+    cells = dict(zip(P.__code__.co_freevars, (c.cell_contents for c in P.__closure__)))
+    return cells["U"].shape[1]
+
+
+def _phi(p, lam):
+    """Phi_aa = dt sum_{j=1..M} q^j, q = (1 + dt lam)^-2, summed directly."""
+    q = (1.0 + p.dt * lam) ** -2
+    return p.dt * sum(q ** j for j in range(1, p.M + 1))
+
+
+def _full_spectrum_mode_count(p, epsilon, diag, off):
+    """control._mode_count from Phi on every eigenvalue, as it was counted."""
+    with np.errstate(over="ignore"):
+        log_q = 2.0 * np.log1p(p.dt * eigvalsh_tridiagonal(diag, off))
+        return int(np.count_nonzero(control._phi(p, log_q) > 0.01 * epsilon))
+
+
+@pytest.mark.parametrize("case", ["bench-semilinear", "readme", "close-pair", "at-a-mode"])
+def test_diffusion_preconditioner_couples_the_modes_of_the_whole_spectrum(case, monkeypatch):
+    # k is one Sturm count below the crossing of Phi and its floor eps/100,
+    # with Phi taken near the crossing only; Phi on the whole spectrum gives
+    # the same k and the same map
+    if case == "bench-semilinear":     # the controlled phase: 307 of 384 steps
+        p, eps, k = make_problem(N=384, M=307, T=0.5 - 77 * (0.5 / 384)), 1e-3, 38
+    elif case == "readme":             # every mode is coupled
+        p, eps, k = make_problem(N=128, M=256), 1e-6, 126
+    else:
+        p = make_problem(a=power_coefficient(1.5), N=64, M=64, gamma=2.0)
+        lam = eigvalsh_tridiagonal(*mesh._symmetric_diffusion(p.grid, p.a))
+        j = int(np.argmin(np.diff(lam[:20]) / lam[1:20]))     # the closest pair
+        if case == "close-pair":       # the floor between the pair's Phi
+            eps, k = 100.0 * np.sqrt(_phi(p, lam[j]) * _phi(p, lam[j + 1])), j + 1
+        else:                          # the floor a hair below the pair's first Phi
+            eps, k = 100.0 * _phi(p, lam[j]) * (1.0 - 1e-9), j + 1
+    P = diffusion_preconditioner(p, eps)
+    monkeypatch.setattr(control, "_mode_count", _full_spectrum_mode_count)
+    P_full = diffusion_preconditioner(p, eps)
+    assert _coupled_modes(P) == _coupled_modes(P_full) == k
+    r = np.random.default_rng(7).standard_normal(p.active().stop - p.active().start)
+    assert _same_bits(P(r), P_full(r))
 
 
 def _same_bits(got, want):

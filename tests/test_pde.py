@@ -15,7 +15,7 @@ from degen_control.errors import SolverBreakdown
 from degen_control.mesh import build_grid, l2_norm
 from degen_control.pde import LinearProblem, solve_adjoint, solve_forward
 
-from conftest import heat_problem, make_problem
+from conftest import heat_problem, make_problem, traced_peak
 
 
 def duality_residual(p, y0, h, vT):
@@ -514,3 +514,73 @@ def test_trajectory_norms_are_consistent(rng):
     l2_Q = np.sqrt(np.sum(tw * np.sum(p.grid.weights * traj ** 2, axis=1)))
     assert semilinear._z_norm(p, traj) >= l2_Q > 0.0
     assert np.max(l2_norm(p.grid.weights, traj)) > 0.0
+
+
+def _one_shot_factors(p):
+    """``_factor_steps`` on the bands of all M levels at once, from one
+    ``assemble_operator``: the factors that the blocks must reproduce."""
+    return pde._factor_steps(*pde.assemble_operator(p.grid, p.a, p.drift), p.dt,
+                             p.grid.weights[p.active()])
+
+
+def _with_table_rows(p, name, rows, value):
+    """p with its b or c as a table whose rows ``rows`` are ``value``."""
+    table = np.broadcast_to(getattr(p.drift, name), (p.M + 1, p.grid.N)).copy()
+    table[rows] = value
+    return p.with_drift(dataclasses.replace(p.drift, **{name: table}))
+
+
+def _table_case(case, M):
+    if case == "b-table":
+        return _with_b_table(make_problem(N=24, M=M, b0=0.3))
+    if case == "c-table":
+        return _with_c_table(make_problem(a=power_coefficient(1.5), N=48, M=M, gamma=2.0,
+                                          b0=0.3, c0=-2.0))
+    if case.startswith("negative-pivot"):
+        # 1 + dt b = -1 on the one level that reads row 50, in the second block
+        p = make_problem(N=24, M=M, b0=0.3, c0=2.0 if case.endswith("rho") else 0.0)
+        return _with_table_rows(p, "b", 50, -2.0 / p.dt)
+    if case == "upwinded-late":
+        # no level before the one that reads row 41 is upwinded
+        return _with_table_rows(make_problem(N=24, M=M, b0=0.3, c0=2.0), "c", slice(0, 41), 0.0)
+    # upwinded early only: the later levels are symmetrised by rho W all the same
+    return _with_table_rows(make_problem(N=24, M=M, b0=0.3, c0=2.0), "c", slice(20, None), 0.0)
+
+
+@pytest.mark.parametrize("M", [64, 70])
+@pytest.mark.parametrize("case,kind", [("b-table", "ldl-w"), ("c-table", "ldl-rho"),
+                                       ("negative-pivot-w", "lu"),
+                                       ("negative-pivot-rho", "lu"),
+                                       ("upwinded-late", "ldl-rho"),
+                                       ("upwinded-early", "ldl-rho")])
+def test_table_factors_in_blocks_keep_the_one_shot_bits(case, kind, M):
+    # a table's levels are assembled and factored a block at a time; the
+    # kind is still one decision for all levels, and every factor has the
+    # bits of factoring all levels at once, also where a later block
+    # restarts the levels as ldl-rho or as LU, and where M is no multiple
+    # of the block length
+    p = _table_case(case, M)
+    assert p.M > pde.LEVEL_BLOCK and p.drift.time_dependent
+    want_kind, want = _one_shot_factors(p)
+    got_kind, got = pde._step_factors(p)
+    assert got_kind == want_kind == kind
+    assert len(got) == len(want) == p.M
+    for level_got, level_want in zip(got, want):
+        assert len(level_got) == len(level_want)
+        for a, b in zip(level_got, level_want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_table_factors_hold_the_factor_stacks_and_one_block():
+    # a c table keeps the d, e and p factor stacks of its M levels, 3 M n
+    # doubles, plus about 400 bytes of Python objects per level. Assembling
+    # and factoring a block of LEVEL_BLOCK levels at a time adds the bands
+    # and temporaries of one block, about 6 block-sized arrays; the bound
+    # allows 8. Assembling all levels at once peaked at about 7 M n doubles.
+    p = _with_c_table(make_problem(N=128, M=256, b0=0.3, c0=2.0))
+    pde._step_factors(_with_c_table(make_problem(N=16, M=8, c0=2.0)))   # first-call costs
+    (kind, factors), peak = traced_peak(pde._step_factors, p)
+    n = p.grid.N - 2
+    assert kind == "ldl-rho" and len(factors) == p.M
+    stacks, block = 8 * 3 * p.M * n, 8 * 8 * pde.LEVEL_BLOCK * n
+    assert peak <= stacks + block + 512 * p.M, (peak - stacks) / (8 * pde.LEVEL_BLOCK * n)

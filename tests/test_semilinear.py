@@ -240,18 +240,20 @@ def test_picard_zero_datum():
 
 def test_picard_growing_increments_raise_no_fixed_point():
     # a factor that doubles at each freeze, within its cap, moves each frozen
-    # problem further than the last: the increments grow to the budget
-    calls = []
+    # problem further than the last: the increments grow to the budget. A
+    # freeze calls the factor once per block of levels, the first at t = 0
+    freezes = []
 
     def doubling(x, t, s, q):
-        calls.append(None)
-        return np.full(np.shape(s), -(2.0 ** len(calls)))
+        if t[0, 0] == 0.0:
+            freezes.append(None)
+        return np.full(np.shape(s), -(2.0 ** len(freezes)))
 
     nl = Nonlinearity(b_factor=doubling, c_factor=lambda x, t, s, q: np.zeros(np.shape(s)),
                       b_cap=1e3, c_cap=0.0)
     with pytest.raises(NoFixedPoint, match="increments grew .* after 4 outer steps"):
         picard_null_control(make_problem(N=32, M=32), nl, epsilon=1e-3, max_fp_iters=4)
-    assert len(calls) == 5      # the zero state, then one freeze per outer step
+    assert len(freezes) == 5    # the zero state, then one freeze per outer step
 
 
 def test_picard_stress_never_silently_wrong():
@@ -275,20 +277,30 @@ def test_semilinear_residual_detects_wrong_pair(rng):
 
 
 def test_one_assembly_per_linear_problem_and_one_call_per_factor(monkeypatch):
-    real_assemble = mesh.assemble_operator
+    # a frozen problem's levels are assembled a block at a time, through
+    # one mesh._assembler per problem: count the levels each one assembles
+    real_assembler = mesh._assembler
     assemblies = []
 
-    def counting_assemble(*args, **kwargs):
-        assemblies.append(1)
-        return real_assemble(*args, **kwargs)
+    def counting_assembler(*args):
+        assemble, levels = real_assembler(*args), []
+        assemblies.append(levels)
 
-    for module in (pde, semilinear):
-        monkeypatch.setattr(module, "assemble_operator", counting_assemble)
-    p = make_problem(N=32, M=24)
+        def counted(b, c):
+            bands = assemble(b, c)
+            levels.append(len(bands[1]))
+            return bands
+        return counted
+
+    monkeypatch.setattr(pde, "_assembler", counting_assembler)
+    p = make_problem(N=32, M=40)
     rep = picard_null_control(p, mixed_nonlinearity(0.5), epsilon=1e-6)
     assert rep.iterations >= 2
-    # the initial forward solve, one HUM solve per Picard step, the residual
+    # the initial forward solve, one HUM solve per Picard step, the residual;
+    # each assembles every one of its M levels once, in blocks
     assert len(assemblies) == rep.iterations + 2
+    for levels in assemblies:
+        assert sum(levels) == p.M and max(levels) == pde.LEVEL_BLOCK
 
     factor_calls = []
 
@@ -305,6 +317,10 @@ def test_one_assembly_per_linear_problem_and_one_call_per_factor(monkeypatch):
     assert sorted(factor_calls) == ["b", "c"]
     assert b_f.shape == c_f.shape == (p.M + 1, p.grid.N)
     assert not np.any(b_f) and not np.any(c_f)
+    # a frozen problem calls each factor once per block of its M + 1 levels
+    factor_calls.clear()
+    frozen_problem(p, rep.hum.trajectory, nl)
+    assert sorted(factor_calls) == ["b", "b", "c", "c"]
 
 
 def test_semilinear_forward_matches_linear_for_zero_nl():
@@ -486,7 +502,8 @@ def test_coast_then_control_rejects_bad_t0():
 def test_picard_step_holds_about_eight_space_time_arrays():
     # a step needs z and y, the frozen b and c tables, h, and the d, e and p
     # factor stacks: 8 arrays of (M+1) N doubles; the bound leaves a margin of
-    # two for the temporaries around them and counts arrays, not seconds
+    # one for the temporaries around them, which are built a block of levels
+    # at a time (8.5 arrays at the peak), and counts arrays, not seconds
     p = make_problem(N=128, M=128)
     y0 = np.random.default_rng(0).standard_normal(p.grid.N)
     y0[0] = y0[-1] = 0.0
@@ -494,17 +511,67 @@ def test_picard_step_holds_about_eight_space_time_arrays():
     rep, peak = traced_peak(picard_null_control, p, mixed_nonlinearity(0.5), 1e-3,
                             t0=0.1, fp_tol=1e-8)
     assert rep.converged
-    assert peak <= 10 * (p.M + 1) * p.grid.N * 8, peak / ((p.M + 1) * p.grid.N * 8)
+    assert peak <= 9 * (p.M + 1) * p.grid.N * 8, peak / ((p.M + 1) * p.grid.N * 8)
 
 
 def test_frozen_tables_are_the_drift_plus_the_frozen_fields():
-    p = make_problem(N=32, M=16, b0=0.3, c0=-0.7)
-    z = np.random.default_rng(3).standard_normal((p.M + 1, p.grid.N))
+    # in one block of levels, and across block boundaries
+    for M in (16, 70):
+        p = make_problem(N=32, M=M, b0=0.3, c0=-0.7)
+        z = np.random.default_rng(3).standard_normal((p.M + 1, p.grid.N))
+        nl = mixed_nonlinearity(0.5)
+        b_field, c_field = freeze_coefficients(p.grid, p.times, z, nl)
+        q = frozen_problem(p, z, nl)
+        for got, want in ((q.drift.b, p.drift.b + b_field), (q.drift.c, p.drift.c + c_field)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _zero_factor(x, t, s, q):
+    return np.zeros(np.shape(s))
+
+
+def test_frozen_problem_fails_as_a_freeze_of_all_levels_at_once():
+    # a state that is not finite in a later block is named by its own time,
+    # also after a block that breaks a cap; a cap broken in a later block
+    # reports the peak over all levels, as freeze_coefficients does
+    p = make_problem(N=32, M=70)
+    z = _const_traj(p, np.sin(np.pi * p.grid.nodes))
+    z *= (1.0 + np.arange(p.M + 1.0))[:, None]
+    state = Nonlinearity(lambda x, t, s, q: s, _zero_factor, b_cap=20.0, c_cap=0.0)
+    with pytest.raises(UnboundedFrozenCoefficient) as at_once:
+        freeze_coefficients(p.grid, p.times, z, state)
+    with pytest.raises(UnboundedFrozenCoefficient) as in_blocks:
+        frozen_problem(p, z, state)
+    assert str(in_blocks.value) == str(at_once.value)
+    assert f"reaches {np.max(z):.6g}" in str(at_once.value)
+    z[50, 7] = np.nan
+    for nl in (state, sine_nonlinearity(0.5)):
+        with pytest.raises(NonFiniteIntegral, match=f"at t = {p.times[50]:.6g}$"):
+            frozen_problem(p, z, nl)
+
+
+def test_blocked_sums_keep_the_one_shot_bits():
+    # the residual and the Picard increment's norm, formed a block of levels
+    # at a time, against the same formulas on all levels at once
+    p = make_problem(N=32, M=70, c0=0.4)
+    rng = np.random.default_rng(5)
     nl = mixed_nonlinearity(0.5)
-    b_field, c_field = freeze_coefficients(p.grid, p.times, z, nl)
-    q = frozen_problem(p, z, nl)
-    for got, want in ((q.drift.b, p.drift.b + b_field), (q.drift.c, p.drift.c + c_field)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    y = rng.standard_normal((p.M + 1, p.grid.N))
+    h = rng.standard_normal((p.M, p.grid.N)) * p.omega_mask()
+    act = p.active()
+    sub, diag, sup, _ = mesh.assemble_operator(p.grid, p.a, frozen_problem(p, y, nl).drift)
+    ya = y[:, act]
+    Ay = diag * ya[1:]
+    Ay[..., 1:] += sub[..., 1:] * ya[1:, :-1]
+    Ay[..., :-1] += sup[..., :-1] * ya[1:, 1:]
+    r = (ya[1:] - ya[:-1]) / p.dt + Ay - h[:, act] * p.omega_mask()[act]
+    residual = (float(np.sqrt(p.dt * float(np.sum(p.grid.weights[act] * r * r))))
+                / l2_norm(p.grid.weights, p.y0))
+    assert semilinear_residual(p, nl, y, h) == residual
+    tw = np.full(p.M + 1, p.dt)
+    tw[0] = tw[-1] = 0.5 * p.dt
+    sq = np.sum(p.grid.weights * y * y, axis=1) + mesh.dirichlet_energy(p.grid, p.a, y)
+    assert semilinear._z_norm(p, y) == float(np.sqrt(np.sum(tw * sq)))
 
 
 _OWNED = np.full((17, 32), 0.25)    # a factor's own array, returned as it is
