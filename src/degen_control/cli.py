@@ -7,7 +7,8 @@ plus a human-readable ``summary.txt`` into the output directory and prints
 the summary to stdout. A fixed seed reproduces byte-identical outputs. Every
 failure path exits nonzero with a final line ``ERROR <code>: <message>``;
 exit status 2 flags hypothesis/validation failures and unreadable files, 3
-solver failures and any other exception (``ERROR INTERNAL``).
+solver failures, an allocation that fails (``ERROR OUT_OF_MEMORY``) and any
+other exception (``ERROR INTERNAL``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .coefficients import (BETA_CAP, COEFFICIENT_CATALOG, Case, constant_drift,
                            linear_beta, load_tabular_coefficient,
                            power_coefficient, validate_coefficient)
 from .config import Config, parse_config
-from .errors import DegenControlError, EnvelopeUnbounded, HypothesisViolated
+from .errors import DegenControlError, EnvelopeUnbounded, HypothesisViolated, OutOfMemory
 from .mesh import build_grid, hardy_check, l2_norm
 from .pde import LinearProblem, solve_forward
 
@@ -292,8 +293,17 @@ def _write_summary(outdir: str, lines) -> None:
             fh.write(line + "\n")
 
 
+def _out_of_memory(exc: MemoryError, cfg: Config | None) -> OutOfMemory:
+    """``OutOfMemory`` with numpy's message, which gives the array's size
+    and shape, and the config's grid.N and M as written, or "default"."""
+    entries = cfg.entries if cfg is not None else {}
+    sizes = ", ".join(f"{key} = {entries.get(key, 'default')}" for key in ("grid.N", "M"))
+    return OutOfMemory(f"{str(exc) or 'out of memory'} (config {sizes})")
+
+
 def run(config_path: str, outdir: str | None = None, seed: int | None = None) -> int:
     """Execute one configured experiment; returns the process exit status."""
+    cfg = None
     try:
         cfg = parse_config(config_path)
         command = cfg.get_str("command", choices=set(_DISPATCH))
@@ -311,6 +321,10 @@ def run(config_path: str, outdir: str | None = None, seed: int | None = None) ->
     except DegenControlError as exc:
         print(f"ERROR {exc.code}: {exc}")
         return exc.exit_code
+    except MemoryError as exc:
+        err = _out_of_memory(exc, cfg)
+        print(f"ERROR {err.code}: {err}")
+        return err.exit_code
     except ValueError as exc:
         print(f"ERROR PRECONDITION: {exc}")
         return 2

@@ -294,6 +294,13 @@ def _check_penalty(eps: float) -> None:
         raise ValueError(f"penalty epsilon must be finite and positive, got {eps}")
 
 
+def _check_cg(tol: float, max_iters: int) -> None:
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"CG tolerance must be finite and positive, got {tol}")
+    if max_iters < 1:
+        raise ValueError(f"CG budget must be at least 1 iteration, got {max_iters}")
+
+
 def _control_of(p: LinearProblem, x: np.ndarray, epsilon: float, rhs: np.ndarray,
                 gap_tol: float, res_hist=None):
     """Control of the penalised solution x = vhat on the active nodes.
@@ -301,12 +308,14 @@ def _control_of(p: LinearProblem, x: np.ndarray, epsilon: float, rhs: np.ndarray
     Builds h from the adjoint of vhat and reruns the forward problem with it,
     both marched; the optimality identity yT = -eps vhat must then hold to
     10 gap_tol max(||y0||, ||rhs||), or NoConvergence is raised. Returns
-    (vhatT, h, trajectory, optimality_gap).
+    (vhatT, h, trajectory, optimality_gap, cost), with ``control_cost`` of h.
 
     h is the adjoint's first M states masked to omega in place, so it is a
     view of the adjoint's (M+1, N) array, and the rerun marches on it
     directly: it is masked already, so ``solve_forward``'s masked copy would
-    repeat it. One (M+1, N) array each for h and the trajectory.
+    repeat it. Its cost is taken before the rerun, so that the squares of h
+    never live beside the trajectory: one (M+1, N) array each for h and the
+    trajectory.
     """
     act = p.active()
     w_act = p.grid.weights[act]
@@ -314,13 +323,14 @@ def _control_of(p: LinearProblem, x: np.ndarray, epsilon: float, rhs: np.ndarray
     vhatT[act] = x
     h = solve_adjoint(p, vhatT)[:-1]
     h *= p.omega_mask()
+    cost = control_cost(p, h)
     y = _finite(march(p, p.y0, h), False)
     gap = l2_norm(w_act, y[-1, act] + epsilon * x)
     scale = max(l2_norm(p.grid.weights, p.y0), l2_norm(w_act, rhs))
     if gap > 10.0 * gap_tol * scale + 1e-300:
         raise NoConvergence(
             f"optimality identity violated: ||yT + eps vhat|| = {gap:.3e}", res_hist)
-    return vhatT, h, y, gap
+    return vhatT, h, y, gap, cost
 
 
 def hum_solve(p: LinearProblem, epsilon: float, cg_tol: float = 1e-10,
@@ -347,10 +357,7 @@ def hum_solve(p: LinearProblem, epsilon: float, cg_tol: float = 1e-10,
     """
     epsilon = float(epsilon)
     _check_penalty(epsilon)
-    if not (np.isfinite(cg_tol) and cg_tol > 0.0):
-        raise ValueError(f"CG tolerance must be finite and positive, got {cg_tol}")
-    if max_iters < 1:
-        raise ValueError(f"CG budget must be at least 1 iteration, got {max_iters}")
+    _check_cg(cg_tol, max_iters)
     act = p.active()
     w_act = p.grid.weights[act]
 
@@ -365,8 +372,7 @@ def hum_solve(p: LinearProblem, epsilon: float, cg_tol: float = 1e-10,
         lambda u: _gramian_apply_active(p, act, u) + epsilon * u, rhs, inner,
         cg_tol, max_iters, None if x0 is None else np.asarray(x0, dtype=float)[act],
         precond)
-    vhatT, h, y, gap = _control_of(p, x, epsilon, rhs, cg_tol, res_hist)
-    cost = control_cost(p, h)
+    vhatT, h, y, gap, cost = _control_of(p, x, epsilon, rhs, cg_tol, res_hist)
     return HUMResult(
         vhatT=vhatT, h=h, yT=y[-1], norm_yT=l2_norm(p.grid.weights, y[-1]),
         cost=cost, cost_constant=_cost_constant(cost, l2_norm(p.grid.weights, p.y0)),
@@ -430,10 +436,10 @@ def epsilon_sweep(p: LinearProblem, eps_list) -> SweepResult:
     coef = Q.T @ (sw * rhs)
     rows = []
     for eps in eps_list:
-        _, h, y, gap = _control_of(p, (Q @ (coef / (lam + eps))) / sw, eps, rhs,
-                                   SWEEP_GAP_TOL)
+        _, _, y, gap, cost = _control_of(p, (Q @ (coef / (lam + eps))) / sw, eps, rhs,
+                                         SWEEP_GAP_TOL)
         rows.append(SweepRow(epsilon=eps, norm_yT=l2_norm(p.grid.weights, y[-1]),
-                             cost=control_cost(p, h), optimality_gap=gap))
+                             cost=cost, optimality_gap=gap))
     norms = np.array([r.norm_yT for r in rows])
     costs = np.array([r.cost for r in rows])
     ok = norms > 0.0

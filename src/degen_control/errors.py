@@ -90,6 +90,13 @@ class NotSPD(DegenControlError):
     exit_code = 3
 
 
+class OutOfMemory(DegenControlError):
+    """An array could not be allocated; the CLI maps ``MemoryError`` to it,
+    keeping numpy's size and shape and naming the config's grid.N and M."""
+    code = "OUT_OF_MEMORY"
+    exit_code = 3
+
+
 class NoFixedPoint(DegenControlError):
     """Fixed-point iteration hit its budget with growing increments."""
     code = "NO_FIXED_POINT"

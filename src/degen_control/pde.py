@@ -16,10 +16,13 @@ t_{n+1} takes its row n+1, so ``LinearProblem`` requires M+1 rows.
 
 Every sweep goes through ``march``. Each problem's step matrices M_k = I +
 dt A(t_k) are assembled and factored once, cached on the problem, and solved
-with in both directions: one level where the drift holds no table, and
+with in both directions: one level where the drift is constant in time, and
 otherwise every level, assembled and factored ``LEVEL_BLOCK`` levels at a
 time, so that no band or temporary of all M levels exists beside the factors
-kept. The kernel, ``_factor_steps``, factors a level or a block of levels;
+kept. A time-dependent drift gives its b and c a block of levels at a time
+(``step_blocks``): a table's rows, or, for ``semilinear.FrozenDrift``,
+values frozen as the block is asked for, so a frozen problem has no table
+at all. The kernel, ``_factor_steps``, factors a level or a block of levels;
 the kind of factorisation is one decision per problem. The upwinded A is an
 M-matrix, so each M_k is diagonally similar to a symmetric matrix: S_k =
 P_k M_k is symmetric for a positive diagonal P_k, factored LDL^T
@@ -77,7 +80,7 @@ from .mesh import GridSpec, _assembler, active_indices, assemble_operator
 
 # desk scale is M up to about 10^3 steps; the cap leaves a margin of ten
 M_MAX = 10_000
-# time levels per block where a drift table's levels are built; see _table_levels
+# time levels per block where a time-dependent drift's levels are built; see _table_levels
 LEVEL_BLOCK = 32
 # the smallest positive normal double; a symmetriser below it has lost digits
 _TINY = float(np.finfo(float).tiny)
@@ -113,10 +116,7 @@ class LinearProblem:
             raise ValueError("initial datum must be finite")
         if not np.any(self.omega_mask()):
             raise ValueError(f"control region omega = {self.omega} holds no grid node")
-        for name, shape in (("b", np.shape(self.drift.b)), ("c", np.shape(self.drift.c))):
-            if shape not in ((), (self.grid.N,), (self.M + 1, self.grid.N)):
-                raise ValueError(f"drift {name} must be a number, an (N,) vector or an "
-                                 f"(M+1, N) = ({self.M + 1}, {self.grid.N}) table, got {shape}")
+        self.drift.check_shape(self.M, self.grid.N)
 
     @property
     def dt(self) -> float:
@@ -222,41 +222,62 @@ def _step_solve(kind: str, factors, row: np.ndarray) -> None:
 
 
 def _table_levels(p: LinearProblem):
-    """The bands of the M step levels of a problem whose drift holds a
-    table, as ``mesh._assembler`` gives them: ``(k, (sub, diag, sup,
-    w_symmetric))`` for each block of levels k, k+1, ..., which read the
-    table's rows k+1, k+2, .... A block holds ``LEVEL_BLOCK`` = 32 levels
-    (the last one the rest), about 100 KiB per band at n = 382, so that a
-    block's bands and the temporaries formed from them stay in cache and
-    below the allocator's mmap threshold."""
+    """The bands of the M step levels of a time-dependent problem, as
+    ``mesh._assembler`` gives them: ``(k, (sub, diag, sup, w_symmetric))``
+    for each block of levels k, k+1, ..., which read the drift's time
+    levels k+1, k+2, ... from its ``step_blocks``: a table's rows, or the
+    values that a frozen drift (``semilinear.FrozenDrift``) freezes as the
+    block is asked for. A block holds ``LEVEL_BLOCK`` = 32 levels (the last
+    one the rest), about 100 KiB per band at n = 382, so that a block's
+    bands and the temporaries formed from them stay in cache and below the
+    allocator's mmap threshold.
+
+    An assembly error (``NonFiniteIntegral``, ``SolverBreakdown``), or one
+    that the caller throws in at a block (``throw``), is held: the drift's
+    blocks left are still read, so that a frozen drift freezes them and
+    checks its caps, whose errors come first, but none is assembled, and
+    the error is raised unchanged once the last block is read."""
     act = p.active()
     assemble = _assembler(p.grid, p.a, p.drift.beta)
-    b, c = (np.asarray(f, dtype=float) for f in (p.drift.b, p.drift.c))
 
-    def on_levels(f, k):     # at the active nodes; no level reads a table's row 0
-        return f if f.ndim == 0 else f[act] if f.ndim == 1 else f[k + 1:k + 1 + LEVEL_BLOCK, act]
+    def at_active(f):
+        f = np.asarray(f, dtype=float)
+        return f if f.ndim == 0 else f[..., act]
 
-    for k in range(0, p.M, LEVEL_BLOCK):
-        yield k, assemble(on_levels(b, k), on_levels(c, k))
+    held = None
+    for k, b, c in p.drift.step_blocks(p.M, LEVEL_BLOCK):
+        if held is None:
+            try:
+                yield k, assemble(at_active(b), at_active(c))
+            except (NonFiniteIntegral, SolverBreakdown) as exc:
+                held = exc
+    if held is not None:
+        raise held
 
 
 def _table_factors(p: LinearProblem, w: np.ndarray) -> tuple[str, list]:
-    """``_factor_steps``' ``(kind, factors)`` of the M levels of a problem
-    whose drift holds a table, factored one ``_table_levels`` block at a
-    time. The kind is one decision for all levels, as if they were factored
-    at once: ``ldl-w`` only where no level is upwinded, and LU on every
-    level where some level has no symmetriser or a nonpositive pivot. A
-    block that rules out the kind so far restarts the levels with the next
-    kind, at most twice."""
+    """``_factor_steps``' ``(kind, factors)`` of the M levels of a
+    time-dependent problem, factored one ``_table_levels`` block at a time;
+    a factor error is held as an assembly error is. The kind is one
+    decision for all levels, as if they were factored at once: ``ldl-w``
+    only where no level is upwinded, and LU on every level where some level
+    has no symmetriser or a nonpositive pivot. A block that rules out the
+    kind so far restarts the levels with the next kind, at most twice; the
+    restart reads the drift's blocks again, and a frozen drift freezes them
+    again, to the same bits."""
     w_symmetric, ldl = True, True
     while True:
         factors = []
-        for k, (sub, diag, sup, level_w_symmetric) in _table_levels(p):
+        levels = _table_levels(p)
+        for k, (sub, diag, sup, level_w_symmetric) in levels:
             if w_symmetric and not level_w_symmetric:
                 w_symmetric = False
                 if factors:     # levels factored as ldl-w before this block
                     break
-            kind, block = _factor_steps(sub, diag, sup, w_symmetric, p.dt, w, k + 1, ldl)
+            try:
+                kind, block = _factor_steps(sub, diag, sup, w_symmetric, p.dt, w, k + 1, ldl)
+            except (NonFiniteIntegral, SolverBreakdown) as exc:
+                levels.throw(exc)   # raises once the drift's blocks are all read
             if ldl and kind == "lu":
                 ldl = False
                 if factors:     # levels factored LDL^T before this block
@@ -270,7 +291,8 @@ def _step_factors(p: LinearProblem) -> tuple[str, list]:
     """``_factor_steps``' ``(kind, factors)`` for each of the M steps, for
     both directions. The first call factors each distinct level once: the
     one level of a drift without a table, from one ``assemble_operator``,
-    or every level of a table, a block at a time (``_table_factors``)."""
+    or every level of a time-dependent drift, a block at a time
+    (``_table_factors``)."""
     if not p._cache:
         w = p.grid.weights[p.active()]
         if p.drift.time_dependent:

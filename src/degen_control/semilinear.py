@@ -14,11 +14,14 @@ the converged pair (y, h) is checked against the discrete semilinear
 equation itself.
 
 Freezing works a block of ``pde.LEVEL_BLOCK`` time levels at a time: each
-factor is called once per block of the (M+1, N) states at ``p.times``, and
-the frozen values are written straight into the tables that add them to the
-drift's b and c. Each frozen linear problem, the residual's included, is
-assembled once, a block of levels at a time, so that the only space-time
-arrays it makes are its two tables and the factors it keeps. Each Picard
+factor is called once per block of the (M+1, N) states at ``p.times``. A
+frozen problem's drift, a ``FrozenDrift``, holds the states by reference
+and freezes a block as it is asked for, adding the frozen values to the
+linear b and c of that block only; ``frozen_problem`` builds the step
+factors at once, freezing, assembling and factoring each block in one
+pass, and the residual walks the same blocks without factoring them. So
+the only space-time arrays a frozen problem makes are the factors it
+keeps, and no frozen b or c table of all levels exists. Each Picard
 step after the first starts its CG from the previous step's vhatT, under
 the same stopping rule as a cold start, so a step whose frozen problem has
 not moved takes 0 iterations and repeats the previous control bit for bit.
@@ -44,11 +47,13 @@ from typing import Callable
 
 import numpy as np
 
+from .coefficients import DriftEnvelope, _rows
 from .errors import NoFixedPoint, NonFiniteIntegral, UnboundedFrozenCoefficient
 from .mesh import GridSpec, _assembler, face_diffusivity, l2_norm
-from .pde import (LEVEL_BLOCK, LinearProblem, _factor_steps, _step_solve, _table_levels,
-                  solve_forward)
-from .control import HUMResult, _cost_constant, diffusion_preconditioner, hum_solve
+from .pde import (LEVEL_BLOCK, LinearProblem, _factor_steps, _step_factors, _step_solve,
+                  _table_levels, solve_forward)
+from .control import (HUMResult, _check_cg, _cost_constant, diffusion_preconditioner,
+                      hum_solve)
 
 # the coast phase's per-step inner iteration: relative increment target and budget
 COAST_TOL = 1e-12
@@ -148,30 +153,88 @@ def freeze_coefficients(grid: GridSpec, times: np.ndarray, z: np.ndarray,
     return b_field, c_field
 
 
-def _rows(f, rows: slice):
-    """The rows ``rows`` of a b or c table; a number or (N,) vector as it is."""
-    return f[rows] if np.ndim(f) == 2 else f
+@dataclass(frozen=True, eq=False)
+class FrozenDrift:
+    """The drift ``linear`` plus the factors of ``nl`` frozen along the
+    (M+1, N) states z at ``times`` on ``grid``: b + b~(z) and c + c~(z),
+    with ``linear``'s beta. It keeps z by reference, with no copy, and never
+    writes into it (the Picard loop only rebinds its z), so that it costs
+    no space-time array of its own; ``step_blocks`` freezes the values a
+    block at a time, as they are asked for. It is time-dependent whatever
+    the values, so the dense paths of ``control`` refuse it as they refuse
+    a table, and it holds no b or c that would give ``linear`` alone."""
+
+    linear: DriftEnvelope
+    grid: GridSpec
+    times: np.ndarray
+    z: np.ndarray
+    nl: Nonlinearity
+
+    @property
+    def beta(self):
+        return self.linear.beta
+
+    @property
+    def time_dependent(self) -> bool:
+        return True
+
+    def check_shape(self, M: int, N: int) -> None:
+        self.linear.check_shape(M, N)
+        if np.shape(self.z) != (M + 1, N):
+            raise ValueError(f"frozen states must be (M+1, N) = ({M + 1}, {N}), "
+                             f"got {np.shape(self.z)}")
+
+    def step_blocks(self, M: int, size: int):
+        """``DriftEnvelope.step_blocks``, each value the linear one plus the
+        frozen one. The M+1 levels are frozen in blocks of ``size`` from
+        level 0, once each and in time order, so each factor is called once
+        per block; a step block's last level opens the next freeze block,
+        which is frozen before the step block is given. A state or slope
+        that is not finite raises where its block is frozen, naming its
+        time; the caps are checked over all levels after the last block,
+        against the same peaks as a freeze at once. A field is never written
+        into, as a factor may return an array it still owns."""
+        peaks = []
+
+        def freeze(first):
+            rows = slice(first, first + size)
+            fields = _frozen_fields(self.grid, self.times[rows], self.z[rows], self.nl)
+            peaks.append((_peak(fields[0]), _peak(fields[1])))
+            return fields
+
+        fields = freeze(0)
+        for k in range(0, M, size):
+            parts = [[f[1:]] for f in fields]   # levels k+1, ...: no step reads level k
+            if k + size <= M:                   # level k + size opens the next block
+                fields = freeze(k + size)
+                for part, f in zip(parts, fields):
+                    part.append(f[:1])
+            rows = slice(k + 1, k + 1 + size)
+            b, c = (np.add(_rows(f, rows), v, out=v) for f, v in
+                    zip((self.linear.b, self.linear.c), map(np.concatenate, parts)))
+            del parts       # it keeps the last block's fields, which the sums no longer need
+            yield k, b, c
+        _check_caps(self.nl, *np.max(peaks, axis=0))     # np.max keeps a NaN
+
+
+def _with_frozen_drift(p: LinearProblem, z: np.ndarray, nl: Nonlinearity) -> LinearProblem:
+    return p.with_drift(FrozenDrift(p.drift, p.grid, p.times, z, nl))
 
 
 def frozen_problem(p: LinearProblem, z: np.ndarray, nl: Nonlinearity) -> LinearProblem:
     """p with the factors frozen along the (M+1, N) states z at ``p.times``
-    added to its b and c, as tables: ``freeze_coefficients`` along each
-    block of ``LEVEL_BLOCK`` levels, in time order, written straight into
-    the two tables, so that no frozen field of all levels exists. A state or
+    added to its b and c, and with its step factors: its drift is a
+    ``FrozenDrift`` that reads z by reference, and ``pde._step_factors``
+    freezes, assembles and factors each block of ``LEVEL_BLOCK`` levels in
+    one pass, so that no frozen table of all levels exists. A state or
     slope that is not finite raises where its block is frozen, naming its
-    time; the caps are checked over all levels once every block is frozen,
-    against the same peaks as a freeze at once. A field is never written
-    into, as a factor may return an array it still owns."""
-    b, c = np.empty((2, p.M + 1, p.grid.N))
-    times, peaks = p.times, []
-    for k in range(0, p.M + 1, LEVEL_BLOCK):
-        rows = slice(k, k + LEVEL_BLOCK)
-        b_field, c_field = _frozen_fields(p.grid, times[rows], z[rows], nl)
-        peaks.append((_peak(b_field), _peak(c_field)))
-        np.add(_rows(p.drift.b, rows), b_field, out=b[rows])
-        np.add(_rows(p.drift.c, rows), c_field, out=c[rows])
-    _check_caps(nl, *np.max(peaks, axis=0))     # np.max keeps a NaN
-    return p.with_drift(dataclasses.replace(p.drift, b=b, c=c))
+    time, and the caps are checked once every block is frozen, as
+    ``freeze_coefficients`` of all levels at once would; an overflowed
+    step matrix or a singular one found in a block is raised after both,
+    unchanged."""
+    q = _with_frozen_drift(p, z, nl)
+    _step_factors(q)
+    return q
 
 
 # -- fixed-point loop ------------------------------------------------------------
@@ -218,10 +281,13 @@ def semilinear_residual(p: LinearProblem, nl: Nonlinearity, y: np.ndarray,
     true discrete solution gives round-off; one that overflows raises
     NonFiniteIntegral.
 
-    The frozen problem's levels are assembled and r formed a block at a
-    time (``pde._table_levels``); w r r of every step goes into one (M, n)
-    array, summed once, and h is subtracted in omega only."""
-    q = frozen_problem(p, y, nl)
+    The levels of p's drift frozen along y (a ``FrozenDrift``) are frozen,
+    assembled and r formed a block at a time (``pde._table_levels``), with
+    no step factored; w r r of every step goes into one (M, n) array,
+    summed once, and h is subtracted in omega only. A state that is not
+    finite, a broken cap and an overflowed assembly raise as they do in
+    ``frozen_problem``, all ahead of the residual's own overflow."""
+    q = _with_frozen_drift(p, y, nl)
     act = p.active()
     w, mask = p.grid.weights[act], p.omega_mask()[act]
     y, h = y[:, act], h[:, act]
@@ -270,12 +336,14 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
     semilinear equation; the report's ``converged`` flag requires that
     residual to stay below 10 * fp_tol. Raises ``NoFixedPoint`` when the
     budget runs out on a growing increment sequence, and ValueError before
-    any solve unless fp_tol is finite and positive and max_fp_iters >= 1.
+    the coast and the first freeze unless fp_tol and cg_tol are finite and
+    positive and max_fp_iters and cg_max_iters are at least 1.
     """
     if not (np.isfinite(fp_tol) and fp_tol > 0.0):
         raise ValueError(f"fixed-point tolerance must be finite and positive, got {fp_tol}")
     if max_fp_iters < 1:
         raise ValueError(f"fixed-point budget must be at least 1 iteration, got {max_fp_iters}")
+    _check_cg(cg_tol, cg_max_iters)
     phase1_final = None
     if t0 != 0.0:
         if not (0.0 < t0 < p.T):

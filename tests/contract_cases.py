@@ -60,16 +60,20 @@ def in_process(cfg, out, capsys):
     return status, printed.out, printed.err
 
 
+def source_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(degen_control.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def script(cfg, out, capsys):
     """The installed ``degen-control`` as a subprocess: its real exit status.
     Without it, ``python -m degen_control.cli`` on this package's source."""
     if SCRIPT is not None:
         command, env = [SCRIPT], None
     else:
-        src = os.path.dirname(os.path.dirname(degen_control.__file__))
-        path = os.environ.get("PYTHONPATH")
-        command = [sys.executable, "-m", "degen_control.cli"]
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        command, env = [sys.executable, "-m", "degen_control.cli"], source_env()
     done = subprocess.run([*command, cfg, "--out", out], capture_output=True, text=True,
                           timeout=120, env=env)
     return done.returncode, done.stdout, done.stderr
@@ -166,6 +170,9 @@ CASES = [
          "ERROR PRECONDITION:"),
     Case("semilinear-fp-tol-nan", f"command = semilinear; {N32}; fp.tol = nan", 2,
          "ERROR PRECONDITION:"),
+    # checked before the coast and the first freeze, which builds step factors
+    Case("semilinear-cg-tol-nan", f"command = semilinear; {N32}; {SINE}; t0 = 0.2; "
+         "cg.tol = nan", 2, "ERROR PRECONDITION:.*CG tolerance"),
     Case("control-y0-amplitude-nan", f"command = control; {N32}; y0.amplitude = nan", 2,
          "ERROR PRECONDITION:"),
     Case("control-y0-amplitude-nan-unused", f"command = control; {N32}; y0.kind = zero; "
@@ -177,6 +184,8 @@ CASES = [
          "ERROR PRECONDITION:"),
     Case("semilinear-fp-maxiter-0", f"command = semilinear; {N32}; fp.maxiter = 0", 2,
          "ERROR PRECONDITION:"),
+    Case("semilinear-cg-maxiter-0", f"command = semilinear; {N32}; {SINE}; t0 = 0.2; "
+         "cg.maxiter = 0", 2, "ERROR PRECONDITION:.*CG budget"),
     Case("observability-power-iters-negative", f"command = observability; {N32}; "
          "power.iters = -1", 2, "ERROR PRECONDITION:"),
     Case("audit-s-cubed-overflow", f"{AUDIT}; s.sweep = 1e300", 2, "ERROR PRECONDITION:"),

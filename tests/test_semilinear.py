@@ -1,11 +1,13 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from degen_control import mesh, pde, semilinear
 from degen_control.coefficients import power_coefficient
-from degen_control.control import diffusion_preconditioner, hum_solve
+from degen_control.control import (diffusion_preconditioner, epsilon_sweep, gramian,
+                                   hum_solve)
 from degen_control.errors import (NoConvergence, NoFixedPoint, NonFiniteIntegral,
                                   UnboundedFrozenCoefficient)
 from degen_control.mesh import hardy_check, l2_norm
@@ -499,11 +501,14 @@ def test_coast_then_control_rejects_bad_t0():
         picard_null_control(p, zero_nonlinearity(), epsilon=1e-6, t0=0.01)
 
 
-def test_picard_step_holds_about_eight_space_time_arrays():
-    # a step needs z and y, the frozen b and c tables, h, and the d, e and p
-    # factor stacks: 8 arrays of (M+1) N doubles; the bound leaves a margin of
-    # one for the temporaries around them, which are built a block of levels
-    # at a time (8.5 arrays at the peak), and counts arrays, not seconds
+def test_picard_step_holds_about_six_space_time_arrays():
+    # a step needs z and y, h, and the d, e and p factor stacks: 6 arrays of
+    # (M+1) N doubles. A frozen problem's drift reads z by reference and is
+    # frozen, assembled and factored a block of levels at a time, so no
+    # frozen b or c table exists, and the control's cost is taken before the
+    # rerun allocates y. The bound leaves a margin of 1.5 for the block
+    # temporaries around them (6.9 arrays at the peak), and counts arrays,
+    # not seconds
     p = make_problem(N=128, M=128)
     y0 = np.random.default_rng(0).standard_normal(p.grid.N)
     y0[0] = y0[-1] = 0.0
@@ -511,23 +516,88 @@ def test_picard_step_holds_about_eight_space_time_arrays():
     rep, peak = traced_peak(picard_null_control, p, mixed_nonlinearity(0.5), 1e-3,
                             t0=0.1, fp_tol=1e-8)
     assert rep.converged
-    assert peak <= 9 * (p.M + 1) * p.grid.N * 8, peak / ((p.M + 1) * p.grid.N * 8)
-
-
-def test_frozen_tables_are_the_drift_plus_the_frozen_fields():
-    # in one block of levels, and across block boundaries
-    for M in (16, 70):
-        p = make_problem(N=32, M=M, b0=0.3, c0=-0.7)
-        z = np.random.default_rng(3).standard_normal((p.M + 1, p.grid.N))
-        nl = mixed_nonlinearity(0.5)
-        b_field, c_field = freeze_coefficients(p.grid, p.times, z, nl)
-        q = frozen_problem(p, z, nl)
-        for got, want in ((q.drift.b, p.drift.b + b_field), (q.drift.c, p.drift.c + c_field)):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert peak <= 7.5 * (p.M + 1) * p.grid.N * 8, peak / ((p.M + 1) * p.grid.N * 8)
 
 
 def _zero_factor(x, t, s, q):
     return np.zeros(np.shape(s))
+
+
+def _with_explicit_tables(p, z, nl):
+    """p with its b and c as the explicit (M+1, N) tables of its drift plus
+    the fields frozen along z, all levels at once."""
+    b_field, c_field = freeze_coefficients(p.grid, p.times, z, nl)
+    return p.with_drift(dataclasses.replace(p.drift, b=p.drift.b + b_field,
+                                            c=p.drift.c + c_field))
+
+
+def _on_levels(p, early, late, last_early=3, first_late=50):
+    """A factor that is ``early`` on the levels up to t_3, ``late`` on those
+    from t_50 (from 0.7 T where M < 50), and 0 between."""
+    t_late = p.times[first_late] if p.M >= first_late else 0.7 * p.T
+
+    def factor(x, t, s, q):
+        on = np.where(t <= p.times[last_early], early, np.where(t >= t_late, late, 0.0))
+        return on * np.ones(np.shape(s))
+    return factor
+
+
+def _frozen_cases(p):
+    """kind -> a nonlinearity whose frozen problem on p has factors of that
+    kind: sine freezes no first-order term; mixed does; a c~ that starts
+    late restarts the levels as ldl-rho, and a b~ with 1 + dt b = -1 late
+    restarts them as LU."""
+    pivot = -2.0 / p.dt - 0.3
+    return {"ldl-w": sine_nonlinearity(0.5),
+            "ldl-rho": mixed_nonlinearity(0.5),
+            "ldl-rho-late": Nonlinearity(_zero_factor, _on_levels(p, 0.0, 1.0), 0.0, 1.0),
+            "lu": Nonlinearity(_on_levels(p, 0.0, pivot), _zero_factor, abs(pivot), 0.0)}
+
+
+@pytest.mark.parametrize("M", [16, 70])
+@pytest.mark.parametrize("case", ["ldl-w", "ldl-rho", "ldl-rho-late", "lu"])
+def test_frozen_factors_are_the_factors_of_explicit_tables(case, M):
+    # a frozen problem is frozen, assembled and factored a block at a time,
+    # in one block of levels and across block boundaries, also where a
+    # later block restarts the levels with another kind: every level's
+    # factors have the bits of the explicit tables' factors. Its linear b is
+    # a table, so that each level must read its own row of it
+    p = make_problem(N=32, M=M, b0=0.3, c0=0.0 if case in ("ldl-w", "lu") else -0.7)
+    b = 0.3 * (1.0 + 0.5 * np.sin(40.0 * p.times))[:, None] * np.ones(p.grid.N)
+    p = p.with_drift(dataclasses.replace(p.drift, b=b))
+    z = np.random.default_rng(3).standard_normal((p.M + 1, p.grid.N))
+    nl = _frozen_cases(p)[case]
+    got_kind, got = pde._step_factors(frozen_problem(p, z, nl))
+    want_kind, want = pde._step_factors(_with_explicit_tables(p, z, nl))
+    assert got_kind == want_kind == case.removesuffix("-late")
+    assert len(got) == len(want) == p.M
+    for level_got, level_want in zip(got, want):
+        assert len(level_got) == len(level_want)
+        for a, b in zip(level_got, level_want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_a_frozen_drift_describes_its_problem():
+    # a frozen problem reads z by reference, is time-dependent even where
+    # the frozen values are constant, so the dense paths refuse it, and a
+    # copy with an empty factor cache refreezes to the same factors
+    p = make_problem(N=32, M=40, b0=0.3)
+    z = _const_traj(p, np.zeros(p.grid.N))
+    q = frozen_problem(p, z, sine_nonlinearity(0.5))
+    assert q.drift.z is z and q.drift.time_dependent and q._cache
+    with pytest.raises(ValueError, match="time-independent"):
+        gramian(q)
+    with pytest.raises(ValueError, match="time-independent"):
+        epsilon_sweep(q, [1e-2, 1e-3, 1e-4, 1e-5])
+    kind, factors = pde._step_factors(q)
+    again = dataclasses.replace(q, y0=q.y0.copy())
+    assert again._cache == {}
+    assert pde._step_factors(again)[0] == kind == "ldl-w"
+    for level_got, level_want in zip(pde._step_factors(again)[1], factors):
+        for a, b in zip(level_got, level_want):
+            assert a.tobytes() == b.tobytes()
+    with pytest.raises(ValueError, match="frozen states must be"):
+        frozen_problem(p, z[:-1], sine_nonlinearity(0.5))
 
 
 def test_frozen_problem_fails_as_a_freeze_of_all_levels_at_once():
@@ -544,22 +614,67 @@ def test_frozen_problem_fails_as_a_freeze_of_all_levels_at_once():
         frozen_problem(p, z, state)
     assert str(in_blocks.value) == str(at_once.value)
     assert f"reaches {np.max(z):.6g}" in str(at_once.value)
+    # no step reads level 0, but its cap is checked all the same
+    at_zero = Nonlinearity(_on_levels(p, 30.0, 0.0, last_early=0), _zero_factor, 20.0, 0.0)
+    with pytest.raises(UnboundedFrozenCoefficient, match="reaches 30 "):
+        frozen_problem(p, z, at_zero)
     z[50, 7] = np.nan
     for nl in (state, sine_nonlinearity(0.5)):
         with pytest.raises(NonFiniteIntegral, match=f"at t = {p.times[50]:.6g}$"):
             frozen_problem(p, z, nl)
 
 
+@pytest.mark.parametrize("late", ["step-matrix", "upwind"])
+def test_a_broken_cap_beats_a_later_assembly_or_factor_error(late):
+    # the first levels break a cap; from t_50 on either dt b = 1.4e309
+    # overflows the step matrix (T = 1e300) or beta c / h overflows the
+    # assembly. The cap is checked once every block is frozen, and the
+    # later block's error is held until then, also in the residual
+    if late == "step-matrix":
+        p = make_problem(N=32, M=70, T=1e300)
+        b, c, order, error = _on_levels(p, 0.0, 1e11), _on_levels(p, 2.0, 0.0), 1, "the step"
+    else:
+        p = make_problem(N=32, M=70)
+        b, c, order, error = _on_levels(p, 2.0, 0.0), _on_levels(p, 0.0, 1e308), 0, "the upwind"
+    z = _const_traj(p, np.sin(np.pi * p.grid.nodes))
+    h = np.zeros((p.M, p.grid.N))
+    caps = [1e11, 1.0] if order else [1.0, 1e308]
+    broken = Nonlinearity(b, c, *caps)
+    with pytest.raises(UnboundedFrozenCoefficient, match=("zero-order", "first-order")[order]):
+        frozen_problem(p, z, broken)
+    with pytest.raises(UnboundedFrozenCoefficient):
+        semilinear_residual(p, broken, z, h)
+    caps[order] = 2.0
+    with pytest.raises(NonFiniteIntegral, match=error):
+        frozen_problem(p, z, Nonlinearity(b, c, *caps))
+
+
+def test_a_later_nonfinite_state_beats_an_earlier_factor_error():
+    # dt b = 1.4e309 overflows the first levels' step matrices; a state that
+    # is not finite at t_68, two freeze blocks later, still raises first,
+    # named by its time
+    p = make_problem(N=32, M=70, T=1e300)
+    z = _const_traj(p, np.sin(np.pi * p.grid.nodes))
+    nl = Nonlinearity(_on_levels(p, 1e11, 0.0), _zero_factor, b_cap=1e11, c_cap=0.0)
+    with pytest.raises(NonFiniteIntegral, match="the step matrix"):
+        frozen_problem(p, z, nl)
+    z[68, 7] = np.nan
+    with pytest.raises(NonFiniteIntegral, match=re.escape(f"at t = {p.times[68]:.6g}") + "$"):
+        frozen_problem(p, z, nl)
+
+
 def test_blocked_sums_keep_the_one_shot_bits():
     # the residual and the Picard increment's norm, formed a block of levels
-    # at a time, against the same formulas on all levels at once
+    # at a time, against the same formulas on all levels at once, on the
+    # explicit tables of the frozen coefficients
     p = make_problem(N=32, M=70, c0=0.4)
     rng = np.random.default_rng(5)
     nl = mixed_nonlinearity(0.5)
     y = rng.standard_normal((p.M + 1, p.grid.N))
     h = rng.standard_normal((p.M, p.grid.N)) * p.omega_mask()
     act = p.active()
-    sub, diag, sup, _ = mesh.assemble_operator(p.grid, p.a, frozen_problem(p, y, nl).drift)
+    sub, diag, sup, _ = mesh.assemble_operator(p.grid, p.a,
+                                               _with_explicit_tables(p, y, nl).drift)
     ya = y[:, act]
     Ay = diag * ya[1:]
     Ay[..., 1:] += sub[..., 1:] * ya[1:, :-1]
