@@ -62,48 +62,29 @@ class DegeneracyCoefficient:
     label: str = ""
 
 
-def _rows(f, rows: slice):
-    """The rows ``rows`` of a b or c table; a number or (N,) vector as it is."""
-    return f[rows] if np.ndim(f) == 2 else f
-
-
 @dataclass(frozen=True)
 class DriftEnvelope:
     """First/zero-order coefficient data for the linear equation.
 
     ``b`` multiplies the state and ``beta(x) * c`` its gradient. Each of b
     and c is a number or an (N,) vector on the grid nodes, constant in time,
-    or an (M+1, N) table over the time nodes t_k = k T/M, whose row k+1
-    serves the step to t_{k+1}. ``time_dependent`` reads the shapes: a table
-    means one step matrix per time level, whose b and c ``step_blocks``
-    gives a block of steps at a time. ``semilinear.FrozenDrift`` offers the
-    same beta, time_dependent, check_shape and step_blocks, with its b and c
-    frozen block by block instead of held.
+    so the problem has one step matrix. A b or c that varies in time is a
+    factor of (x, t) frozen by ``semilinear.FrozenDrift``, which offers the
+    same beta, time_dependent and check_shape.
     """
 
     beta: Callable[[np.ndarray], np.ndarray]
     b: float | np.ndarray
     c: float | np.ndarray
 
-    @property
-    def time_dependent(self) -> bool:
-        return np.ndim(self.b) == 2 or np.ndim(self.c) == 2
+    time_dependent = False
 
     def check_shape(self, M: int, N: int) -> None:
-        """ValueError unless b and c are each a number, an (N,) vector or an
-        (M+1, N) table."""
+        """ValueError unless b and c are each a number or an (N,) vector."""
         for name, f in (("b", self.b), ("c", self.c)):
-            if np.shape(f) not in ((), (N,), (M + 1, N)):
-                raise ValueError(f"drift {name} must be a number, an (N,) vector or an "
-                                 f"(M+1, N) = ({M + 1}, {N}) table, got {np.shape(f)}")
-
-    def step_blocks(self, M: int, size: int):
-        """``(k, b, c)`` for each block of ``size`` steps k, k+1, ... of M:
-        b and c on the time levels k+1, k+2, ... that those steps read, as a
-        table's rows, or a number or (N,) vector as it is."""
-        for k in range(0, M, size):
-            rows = slice(k + 1, k + 1 + size)
-            yield k, _rows(self.b, rows), _rows(self.c, rows)
+            if np.shape(f) not in ((), (N,)):
+                raise ValueError(f"drift {name} must be a number or an (N,) = ({N},) "
+                                 f"vector, got {np.shape(f)}")
 
 
 @dataclass(frozen=True)

@@ -69,14 +69,14 @@ def gramian(p: LinearProblem) -> tuple[np.ndarray, np.ndarray]:
     S = P M (S^-1 W = M^-1 where P = W), and a transposed solve on the LU
     factors otherwise. Square-and-multiply on the pairs (G^a, S_a), with
     S_{a+b} = S_a + (G^a)' S_b G^a, builds both in O(log M) products. B is
-    returned exactly symmetric. Raises ValueError on a drift table: a
-    time-dependent problem takes ``hum_solve``'s matrix-free path, and
+    returned exactly symmetric. Raises ValueError on a time-dependent
+    drift, which takes ``hum_solve``'s matrix-free path, and
     NonFiniteIntegral where B or E overflows, as near-singular steps
     (1 + dt (lam + b) near 0) make them do, with no warning printed first.
     """
     if p.drift.time_dependent:
         raise ValueError("the dense Gramian needs time-independent coefficients; "
-                         "a drift table takes hum_solve's matrix-free path")
+                         "a time-dependent drift takes hum_solve's matrix-free path")
     act = p.active()
     mask_w = p.grid.weights[act] * p.omega_mask()[act]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -405,8 +405,8 @@ def epsilon_sweep(p: LinearProblem, eps_list) -> SweepResult:
     the order of eigh's backward error on the n active nodes), where the
     smallest eps lies below what B resolves; NonFiniteIntegral
     before any rung on a free state y_free(T) that is exactly 0, which leaves
-    no slope to fit, and ValueError on a drift table. Each rung's optimality
-    gap, checked against the marched map, must stay within 10
+    no slope to fit, and ValueError on a time-dependent drift. Each rung's
+    optimality gap, checked against the marched map, must stay within 10
     ``SWEEP_GAP_TOL`` max(||y0||, ||y_free(T)||).
 
     Fits the log-log slope of ||y(T)|| against eps; for a null-controllable
@@ -474,8 +474,8 @@ def observability_estimate(p: LinearProblem, n_samples: int, power_iters: int,
     ``gramian`` pair, A = E'WE, and a power step is u -> W^-1 A u. As the
     control region holds a node, u'Bu > 0 off a null set of draws; a side
     that is not finite, as where A overflows, or that underflowed to 0 raises
-    NonFiniteIntegral naming the sample. Raises ValueError on a drift table,
-    as ``gramian`` does.
+    NonFiniteIntegral naming the sample. Raises ValueError on a
+    time-dependent drift, as ``gramian`` does.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")

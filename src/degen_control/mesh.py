@@ -151,23 +151,17 @@ def _assembler(grid: GridSpec, a: DegeneracyCoefficient, beta):
 
 def assemble_operator(grid: GridSpec, a: DegeneracyCoefficient, drift: DriftEnvelope):
     """Flux-form diffusion + reaction + upwinded drift over the active nodes,
-    as ``_assembler``'s ``(sub, diag, sup, w_symmetric)`` with sub[0] =
-    sup[-1] = 0.
-
-    The bands are (n,) when the drift's b and c are numbers or (N,) vectors.
-    An (M+1, N) table gives bands stacked with shape (M, n): level k, for the
-    step to t_{k+1}, reads the table's row k+1, and the diffusion part is
-    computed once for all levels.
-    """
+    as ``_assembler``'s ``(sub, diag, sup, w_symmetric)`` with (n,) bands and
+    sub[0] = sup[-1] = 0, for a drift whose b and c are numbers or (N,)
+    vectors."""
     act = active_indices(grid, a.case)
     assemble = _assembler(grid, a, drift.beta)
 
-    def on_steps(f):
-        # at the active nodes; no step reads a table's row 0
+    def at_active(f):
         f = np.asarray(f, dtype=float)
-        return f if f.ndim == 0 else f[act] if f.ndim == 1 else f[1:, act]
+        return f if f.ndim == 0 else f[act]
 
-    return assemble(on_steps(drift.b), on_steps(drift.c))
+    return assemble(at_active(drift.b), at_active(drift.c))
 
 
 # -- norms ---------------------------------------------------------------------

@@ -11,18 +11,17 @@ backward from terminal data. Consequently the discrete duality identity
 holds to solver round-off for every (y0, h, vT), which is what the control
 and observability machinery is built on (discretize-then-optimize).
 
-A drift table (``DriftEnvelope``) is read at the backward node: the step to
-t_{n+1} takes its row n+1, so ``LinearProblem`` requires M+1 rows.
+A time-dependent drift is read at the backward node: the step to t_{n+1}
+takes its level n+1, and no step reads level 0.
 
 Every sweep goes through ``march``. Each problem's step matrices M_k = I +
 dt A(t_k) are assembled and factored once, cached on the problem, and solved
 with in both directions: one level where the drift is constant in time, and
 otherwise every level, assembled and factored ``LEVEL_BLOCK`` levels at a
 time, so that no band or temporary of all M levels exists beside the factors
-kept. A time-dependent drift gives its b and c a block of levels at a time
-(``step_blocks``): a table's rows, or, for ``semilinear.FrozenDrift``,
-values frozen as the block is asked for, so a frozen problem has no table
-at all. The kernel, ``_factor_steps``, factors a level or a block of levels;
+kept. The one time-dependent drift, ``semilinear.FrozenDrift``, freezes the
+b and c of a block of levels as the block is asked for (``step_blocks``).
+The kernel, ``_factor_steps``, factors a level or a block of levels;
 the kind of factorisation is one decision per problem. The upwinded A is an
 M-matrix, so each M_k is diagonally similar to a symmetric matrix: S_k =
 P_k M_k is symmetric for a positive diagonal P_k, factored LDL^T
@@ -80,7 +79,7 @@ from .mesh import GridSpec, _assembler, active_indices, assemble_operator
 
 # desk scale is M up to about 10^3 steps; the cap leaves a margin of ten
 M_MAX = 10_000
-# time levels per block where a time-dependent drift's levels are built; see _table_levels
+# time levels per block where a time-dependent drift's levels are built; see _frozen_levels
 LEVEL_BLOCK = 32
 # the smallest positive normal double; a symmetriser below it has lost digits
 _TINY = float(np.finfo(float).tiny)
@@ -221,63 +220,40 @@ def _step_solve(kind: str, factors, row: np.ndarray) -> None:
         dpttrs(d, e, row, 1)
 
 
-def _table_levels(p: LinearProblem):
+def _frozen_levels(p: LinearProblem):
     """The bands of the M step levels of a time-dependent problem, as
     ``mesh._assembler`` gives them: ``(k, (sub, diag, sup, w_symmetric))``
     for each block of levels k, k+1, ..., which read the drift's time
-    levels k+1, k+2, ... from its ``step_blocks``: a table's rows, or the
-    values that a frozen drift (``semilinear.FrozenDrift``) freezes as the
-    block is asked for. A block holds ``LEVEL_BLOCK`` = 32 levels (the last
-    one the rest), about 100 KiB per band at n = 382, so that a block's
-    bands and the temporaries formed from them stay in cache and below the
-    allocator's mmap threshold.
-
-    An assembly error (``NonFiniteIntegral``, ``SolverBreakdown``), or one
-    that the caller throws in at a block (``throw``), is held: the drift's
-    blocks left are still read, so that a frozen drift freezes them and
-    checks its caps, whose errors come first, but none is assembled, and
-    the error is raised unchanged once the last block is read."""
+    levels k+1, k+2, ... from its ``step_blocks``. A block holds
+    ``LEVEL_BLOCK`` = 32 levels (the last one the rest), about 100 KiB per
+    band at n = 382, so that a block's bands and the temporaries formed from
+    them stay in cache and below the allocator's mmap threshold. Each block
+    is frozen, then assembled, before the next is read, so the first fault
+    in time raises."""
     act = p.active()
     assemble = _assembler(p.grid, p.a, p.drift.beta)
-
-    def at_active(f):
-        f = np.asarray(f, dtype=float)
-        return f if f.ndim == 0 else f[..., act]
-
-    held = None
     for k, b, c in p.drift.step_blocks(p.M, LEVEL_BLOCK):
-        if held is None:
-            try:
-                yield k, assemble(at_active(b), at_active(c))
-            except (NonFiniteIntegral, SolverBreakdown) as exc:
-                held = exc
-    if held is not None:
-        raise held
+        yield k, assemble(b[:, act], c[:, act])
 
 
-def _table_factors(p: LinearProblem, w: np.ndarray) -> tuple[str, list]:
+def _frozen_factors(p: LinearProblem, w: np.ndarray) -> tuple[str, list]:
     """``_factor_steps``' ``(kind, factors)`` of the M levels of a
-    time-dependent problem, factored one ``_table_levels`` block at a time;
-    a factor error is held as an assembly error is. The kind is one
-    decision for all levels, as if they were factored at once: ``ldl-w``
-    only where no level is upwinded, and LU on every level where some level
-    has no symmetriser or a nonpositive pivot. A block that rules out the
-    kind so far restarts the levels with the next kind, at most twice; the
-    restart reads the drift's blocks again, and a frozen drift freezes them
-    again, to the same bits."""
+    time-dependent problem, factored one ``_frozen_levels`` block at a time.
+    The kind is one decision for all levels, as if they were factored at
+    once: ``ldl-w`` only where no level is upwinded, and LU on every level
+    where some level has no symmetriser or a nonpositive pivot. A block that
+    rules out the kind so far restarts the levels with the next kind, at
+    most twice; the restart freezes the drift's blocks again, to the same
+    bits."""
     w_symmetric, ldl = True, True
     while True:
         factors = []
-        levels = _table_levels(p)
-        for k, (sub, diag, sup, level_w_symmetric) in levels:
+        for k, (sub, diag, sup, level_w_symmetric) in _frozen_levels(p):
             if w_symmetric and not level_w_symmetric:
                 w_symmetric = False
                 if factors:     # levels factored as ldl-w before this block
                     break
-            try:
-                kind, block = _factor_steps(sub, diag, sup, w_symmetric, p.dt, w, k + 1, ldl)
-            except (NonFiniteIntegral, SolverBreakdown) as exc:
-                levels.throw(exc)   # raises once the drift's blocks are all read
+            kind, block = _factor_steps(sub, diag, sup, w_symmetric, p.dt, w, k + 1, ldl)
             if ldl and kind == "lu":
                 ldl = False
                 if factors:     # levels factored LDL^T before this block
@@ -290,13 +266,13 @@ def _table_factors(p: LinearProblem, w: np.ndarray) -> tuple[str, list]:
 def _step_factors(p: LinearProblem) -> tuple[str, list]:
     """``_factor_steps``' ``(kind, factors)`` for each of the M steps, for
     both directions. The first call factors each distinct level once: the
-    one level of a drift without a table, from one ``assemble_operator``,
+    one level of a time-independent drift, from one ``assemble_operator``,
     or every level of a time-dependent drift, a block at a time
-    (``_table_factors``)."""
+    (``_frozen_factors``)."""
     if not p._cache:
         w = p.grid.weights[p.active()]
         if p.drift.time_dependent:
-            p._cache["steps"] = _table_factors(p, w)
+            p._cache["steps"] = _frozen_factors(p, w)
         else:
             kind, factors = _factor_steps(*assemble_operator(p.grid, p.a, p.drift), p.dt, w)
             p._cache["steps"] = kind, factors * p.M

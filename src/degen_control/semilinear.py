@@ -14,23 +14,23 @@ the converged pair (y, h) is checked against the discrete semilinear
 equation itself.
 
 Freezing works a block of ``pde.LEVEL_BLOCK`` time levels at a time: each
-factor is called once per block of the (M+1, N) states at ``p.times``. A
-frozen problem's drift, a ``FrozenDrift``, holds the states by reference
-and freezes a block as it is asked for, adding the frozen values to the
-linear b and c of that block only; ``frozen_problem`` builds the step
-factors at once, freezing, assembling and factoring each block in one
-pass, and the residual walks the same blocks without factoring them. So
-the only space-time arrays a frozen problem makes are the factors it
-keeps, and no frozen b or c table of all levels exists. Each Picard
-step after the first starts its CG from the previous step's vhatT, under
-the same stopping rule as a cold start, so a step whose frozen problem has
-not moved takes 0 iterations and repeats the previous control bit for bit.
+factor is called once per block of the M levels t_1, ..., t_M that the
+steps read. A frozen problem's drift, a ``FrozenDrift``, holds the (M+1, N)
+states by reference and freezes a block as it is asked for, adding the
+frozen values to the linear b and c; ``frozen_problem`` builds the step
+factors at once, freezing, assembling and factoring each block in turn,
+and the residual walks the same blocks without factoring them. So the only
+space-time arrays a frozen problem makes are the factors it keeps, and the
+first fault in time raises. Each Picard step after the first starts its CG
+from the previous step's vhatT, under the same stopping rule as a cold
+start, so a step whose frozen problem has not moved takes 0 iterations and
+repeats the previous control bit for bit.
 Every step's CG is preconditioned by one map, built once per loop by
 ``control.diffusion_preconditioner`` from the controlled phase's diffusion
 alone: the frozen factors are bounded, so each frozen Gramian stays
 spectrally close to the diffusion's, and the iteration count stops growing
 with N. The drift, frozen or linear, is left out of it on purpose, so
-numbers, vectors and tables take one path.
+every drift takes one path.
 
 For rough initial data ``picard_null_control`` with t0 > 0 first runs the
 uncontrolled semilinear equation on (0, t0), then controls on (t0, T) from
@@ -47,11 +47,11 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import DriftEnvelope, _rows
+from .coefficients import DriftEnvelope
 from .errors import NoFixedPoint, NonFiniteIntegral, UnboundedFrozenCoefficient
 from .mesh import GridSpec, _assembler, face_diffusivity, l2_norm
 from .pde import (LEVEL_BLOCK, LinearProblem, _factor_steps, _step_factors, _step_solve,
-                  _table_levels, solve_forward)
+                  _frozen_levels, solve_forward)
 from .control import (HUMResult, _check_cg, _cost_constant, diffusion_preconditioner,
                       hum_solve)
 
@@ -83,9 +83,9 @@ class Nonlinearity:
     """Factored nonlinearity f = b~ s + c~ beta p with factors bounded by
     ``b_cap`` and ``c_cap``, which is all the fixed point needs of f.
 
-    Freezing calls a factor once per block of L time levels, with x (N,),
-    t (L, 1) and s, p (L, N); its result must broadcast to (L, N). L is at
-    most ``pde.LEVEL_BLOCK``, and 1 in the coast."""
+    Freezing calls a factor once per block of L of the M levels the steps
+    read, with x (N,), t (L, 1) and s, p (L, N); its result must broadcast
+    to (L, N). L is at most ``pde.LEVEL_BLOCK``, and 1 in the coast."""
 
     b_factor: Callable  # (x, t, s, p) -> array
     c_factor: Callable  # (x, t, s, p) -> array
@@ -111,34 +111,6 @@ def mixed_nonlinearity(m: float) -> Nonlinearity:
 
 # -- freezing ------------------------------------------------------------------
 
-def _frozen_fields(grid: GridSpec, times: np.ndarray, z: np.ndarray, nl: Nonlinearity):
-    """``freeze_coefficients`` without its cap check."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        slopes = grid.slopes(z)
-    bad = np.flatnonzero(~(np.isfinite(z).all(axis=-1) & np.isfinite(slopes).all(axis=-1)))
-    if bad.size:
-        raise NonFiniteIntegral(f"frozen state or its slope is not finite at "
-                                f"t = {times[bad[0]]:.6g}")
-    args = (grid.nodes, times[:, None], z, slopes)
-    return tuple(f if f.shape == z.shape else np.broadcast_to(f, z.shape)
-                 for f in (np.asarray(factor(*args), dtype=float)
-                           for factor in (nl.b_factor, nl.c_factor)))
-
-
-def _peak(field: np.ndarray):
-    """max |field|, with no |field| copy; NaN where field holds a NaN, which
-    its max returns."""
-    return max(field.max(), -field.min())
-
-
-def _check_caps(nl: Nonlinearity, b_peak, c_peak) -> None:
-    for order, peak, cap in (("zero-order", b_peak, nl.b_cap),
-                             ("first-order", c_peak, nl.c_cap)):
-        if not peak <= cap * (1.0 + 1e-9) + 1e-300:     # a NaN fails too
-            raise UnboundedFrozenCoefficient(
-                f"frozen {order} coefficient reaches {peak:.6g} > cap {cap:.6g}")
-
-
 def freeze_coefficients(grid: GridSpec, times: np.ndarray, z: np.ndarray,
                         nl: Nonlinearity):
     """Call each factor once along the (L, N) states z at ``times`` on
@@ -147,10 +119,25 @@ def freeze_coefficients(grid: GridSpec, times: np.ndarray, z: np.ndarray,
     broadcast, read-only. Raises NonFiniteIntegral, naming the time, where a
     state or a slope is not finite: no factor is asked what an overflowed
     slope freezes to. A frozen value above its cap, or one that is not a
-    number, raises UnboundedFrozenCoefficient naming the order."""
-    b_field, c_field = _frozen_fields(grid, times, z, nl)
-    _check_caps(nl, _peak(b_field), _peak(c_field))
-    return b_field, c_field
+    number, raises UnboundedFrozenCoefficient naming the order and the peak
+    of these levels."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = grid.slopes(z)
+    bad = np.flatnonzero(~(np.isfinite(z).all(axis=-1) & np.isfinite(slopes).all(axis=-1)))
+    if bad.size:
+        raise NonFiniteIntegral(f"frozen state or its slope is not finite at "
+                                f"t = {times[bad[0]]:.6g}")
+    args = (grid.nodes, times[:, None], z, slopes)
+    fields = tuple(f if f.shape == z.shape else np.broadcast_to(f, z.shape)
+                   for f in (np.asarray(factor(*args), dtype=float)
+                             for factor in (nl.b_factor, nl.c_factor)))
+    for order, field, cap in zip(("zero-order", "first-order"), fields,
+                                 (nl.b_cap, nl.c_cap)):
+        peak = max(field.max(), -field.min())       # no |field| copy; a NaN stays
+        if not peak <= cap * (1.0 + 1e-9) + 1e-300:     # a NaN fails too
+            raise UnboundedFrozenCoefficient(
+                f"frozen {order} coefficient reaches {peak:.6g} > cap {cap:.6g}")
+    return fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +148,8 @@ class FrozenDrift:
     writes into it (the Picard loop only rebinds its z), so that it costs
     no space-time array of its own; ``step_blocks`` freezes the values a
     block at a time, as they are asked for. It is time-dependent whatever
-    the values, so the dense paths of ``control`` refuse it as they refuse
-    a table, and it holds no b or c that would give ``linear`` alone."""
+    the values, so the dense paths of ``control`` refuse it, and it holds no
+    b or c that would give ``linear`` alone."""
 
     linear: DriftEnvelope
     grid: GridSpec
@@ -170,13 +157,11 @@ class FrozenDrift:
     z: np.ndarray
     nl: Nonlinearity
 
+    time_dependent = True
+
     @property
     def beta(self):
         return self.linear.beta
-
-    @property
-    def time_dependent(self) -> bool:
-        return True
 
     def check_shape(self, M: int, N: int) -> None:
         self.linear.check_shape(M, N)
@@ -185,36 +170,15 @@ class FrozenDrift:
                              f"got {np.shape(self.z)}")
 
     def step_blocks(self, M: int, size: int):
-        """``DriftEnvelope.step_blocks``, each value the linear one plus the
-        frozen one. The M+1 levels are frozen in blocks of ``size`` from
-        level 0, once each and in time order, so each factor is called once
-        per block; a step block's last level opens the next freeze block,
-        which is frozen before the step block is given. A state or slope
-        that is not finite raises where its block is frozen, naming its
-        time; the caps are checked over all levels after the last block,
-        against the same peaks as a freeze at once. A field is never written
-        into, as a factor may return an array it still owns."""
-        peaks = []
-
-        def freeze(first):
-            rows = slice(first, first + size)
-            fields = _frozen_fields(self.grid, self.times[rows], self.z[rows], self.nl)
-            peaks.append((_peak(fields[0]), _peak(fields[1])))
-            return fields
-
-        fields = freeze(0)
+        """``(k, b, c)`` for each block of ``size`` steps k, k+1, ... of M:
+        the linear b and c plus the factors frozen on the levels k+1, k+2,
+        ... that those steps read, by one ``freeze_coefficients`` call,
+        which checks the block's caps. A frozen value is never written into,
+        as a factor may return an array it still owns."""
         for k in range(0, M, size):
-            parts = [[f[1:]] for f in fields]   # levels k+1, ...: no step reads level k
-            if k + size <= M:                   # level k + size opens the next block
-                fields = freeze(k + size)
-                for part, f in zip(parts, fields):
-                    part.append(f[:1])
             rows = slice(k + 1, k + 1 + size)
-            b, c = (np.add(_rows(f, rows), v, out=v) for f, v in
-                    zip((self.linear.b, self.linear.c), map(np.concatenate, parts)))
-            del parts       # it keeps the last block's fields, which the sums no longer need
-            yield k, b, c
-        _check_caps(self.nl, *np.max(peaks, axis=0))     # np.max keeps a NaN
+            b, c = freeze_coefficients(self.grid, self.times[rows], self.z[rows], self.nl)
+            yield k, np.add(self.linear.b, b), np.add(self.linear.c, c)
 
 
 def _with_frozen_drift(p: LinearProblem, z: np.ndarray, nl: Nonlinearity) -> LinearProblem:
@@ -226,12 +190,10 @@ def frozen_problem(p: LinearProblem, z: np.ndarray, nl: Nonlinearity) -> LinearP
     added to its b and c, and with its step factors: its drift is a
     ``FrozenDrift`` that reads z by reference, and ``pde._step_factors``
     freezes, assembles and factors each block of ``LEVEL_BLOCK`` levels in
-    one pass, so that no frozen table of all levels exists. A state or
-    slope that is not finite raises where its block is frozen, naming its
-    time, and the caps are checked once every block is frozen, as
-    ``freeze_coefficients`` of all levels at once would; an overflowed
-    step matrix or a singular one found in a block is raised after both,
-    unchanged."""
+    turn. Level 0, which no step reads, is not frozen. The first fault in
+    time raises: a state or slope that is not finite, or a broken cap with
+    its block's peak, where its block is frozen, and an overflowed step
+    matrix or a singular one where its block is assembled or factored."""
     q = _with_frozen_drift(p, z, nl)
     _step_factors(q)
     return q
@@ -282,7 +244,7 @@ def semilinear_residual(p: LinearProblem, nl: Nonlinearity, y: np.ndarray,
     NonFiniteIntegral.
 
     The levels of p's drift frozen along y (a ``FrozenDrift``) are frozen,
-    assembled and r formed a block at a time (``pde._table_levels``), with
+    assembled and r formed a block at a time (``pde._frozen_levels``), with
     no step factored; w r r of every step goes into one (M, n) array,
     summed once, and h is subtracted in omega only. A state that is not
     finite, a broken cap and an overflowed assembly raise as they do in
@@ -292,7 +254,7 @@ def semilinear_residual(p: LinearProblem, nl: Nonlinearity, y: np.ndarray,
     w, mask = p.grid.weights[act], p.omega_mask()[act]
     y, h = y[:, act], h[:, act]
     wrr = np.empty((p.M, w.size))
-    for k, (sub, diag, sup, _) in _table_levels(q):
+    for k, (sub, diag, sup, _) in _frozen_levels(q):
         steps = slice(k, k + len(diag))
         y1 = y[k + 1:k + 1 + len(diag)]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -310,13 +272,6 @@ def semilinear_residual(p: LinearProblem, nl: Nonlinearity, y: np.ndarray,
     return float(np.sqrt(acc)) / max(l2_norm(p.grid.weights, p.y0), 1e-300)
 
 
-def _drift_rows(drift, first: int, last: int):
-    """``drift`` on the time levels first..last: the rows of a b or c table,
-    a number or (N,) vector as it is."""
-    rows = slice(first, last + 1)
-    return dataclasses.replace(drift, b=_rows(drift.b, rows), c=_rows(drift.c, rows))
-
-
 def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
                         t0: float = 0.0, fp_tol: float = 1e-6, max_fp_iters: int = 50,
                         cg_tol: float = 1e-10, cg_max_iters: int = 500) -> FixedPointReport:
@@ -325,11 +280,10 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
     With t0 > 0 the uncontrolled semilinear equation first coasts on (0, t0)
     and the loop controls on (t0, T) from y(t0). t0 snaps to the step grid,
     at M (t0 / T) steps, which cannot overflow; both phases keep the
-    original step size and need at least 8 steps, and a b or c table is cut
-    to each phase's rows. Each step's ``hum_solve`` runs CG preconditioned
-    by ``diffusion_preconditioner`` of the controlled phase, built once.
-    Catalog nonlinearities are autonomous, so restarting the clock at t0 is
-    immaterial.
+    original step size and need at least 8 steps. Each step's ``hum_solve``
+    runs CG preconditioned by ``diffusion_preconditioner`` of the controlled
+    phase, built once. Catalog nonlinearities are autonomous, so restarting
+    the clock at t0 is immaterial.
 
     The stopping increment is ||z_{k+1} - z_k|| in L^2(0,T; H^1_a), relative
     to ||y0||. On convergence the pair (y, h) is substituted into the discrete
@@ -354,11 +308,8 @@ def picard_null_control(p: LinearProblem, nl: Nonlinearity, epsilon: float,
                              f"split gave {M1} + {p.M - M1}")
         t0 = M1 * p.dt
         # a copy of the last row: a view would keep the whole coast alive
-        phase1_final = semilinear_forward(
-            dataclasses.replace(p, T=t0, M=M1, drift=_drift_rows(p.drift, 0, M1)),
-            nl)[-1].copy()
-        p = dataclasses.replace(p, T=p.T - t0, M=p.M - M1, y0=phase1_final,
-                                drift=_drift_rows(p.drift, M1, p.M))
+        phase1_final = semilinear_forward(dataclasses.replace(p, T=t0, M=M1), nl)[-1].copy()
+        p = dataclasses.replace(p, T=p.T - t0, M=p.M - M1, y0=phase1_final)
     else:
         t0 = 0.0  # a t0 of -0.0 reports as 0
 
@@ -422,7 +373,7 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> np.ndarray:
     act = p.active()
     dt = p.dt
     states = np.zeros((p.M + 1, p.grid.N))
-    b_lin, c_lin = (np.broadcast_to(f, states.shape)[:, act] for f in (p.drift.b, p.drift.c))
+    b_lin, c_lin = (np.broadcast_to(f, p.grid.N)[act] for f in (p.drift.b, p.drift.c))
     states[0, act] = p.y0[act]
     scale = max(l2_norm(p.grid.weights, states[0]), 1e-300)
     assemble = _assembler(p.grid, p.a, p.drift.beta)
@@ -430,11 +381,10 @@ def semilinear_forward(p: LinearProblem, nl: Nonlinearity) -> np.ndarray:
     for n in range(p.M):
         t1 = np.array([(n + 1) * dt])
         w, row = states[n], states[n + 1]
-        b_n, c_n = b_lin[n + 1], c_lin[n + 1]
         for _j in range(COAST_MAX_INNER):
             b_row, c_row = freeze_coefficients(p.grid, t1, w[None, :], nl)
             kind, (factors,) = _factor_steps(
-                *assemble(b_n + b_row[0, act], c_n + c_row[0, act]), dt, weights, n + 1)
+                *assemble(b_lin + b_row[0, act], c_lin + c_row[0, act]), dt, weights, n + 1)
             row[act] = states[n, act]
             _step_solve(kind, factors, row[act])
             if not np.isfinite(row).all():

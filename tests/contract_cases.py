@@ -250,6 +250,9 @@ CASES = [
          "nl.kind = tanh-grad", 3, "ERROR NONFINITE_INTEGRAL:"),
     Case("coast-sine", f"command = semilinear; {N32}; y0.amplitude = 1e308; t0 = 0.2; "
          "nl.kind = sine", 3, "ERROR NONFINITE_INTEGRAL:"),
+    # no step reads level 0, so the first level frozen is t_1 = 1/64
+    Case("semilinear-1e308", f"command = semilinear; {N32}; {SINE}; y0.amplitude = 1e308", 3,
+         r"ERROR NONFINITE_INTEGRAL: frozen state or its slope is not finite at t = 0\.015625$"),
     Case("solve-upwind-term", f"command = solve; {N32}; c.const = 1e308", 3,
          "ERROR NONFINITE_INTEGRAL:"),
     Case("solve-step-matrix", f"command = solve; {N32}; T = 1e308", 3,

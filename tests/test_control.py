@@ -15,7 +15,7 @@ from degen_control.errors import NoConvergence, NonFiniteIntegral, NotSPD
 from degen_control.mesh import l2_norm
 from degen_control.pde import solve_adjoint, solve_forward
 
-from conftest import heat_problem, make_problem, traced_peak
+from conftest import heat_problem, make_problem, time_drift, traced_peak
 
 
 def test_gramian_zero_maps_to_zero():
@@ -237,10 +237,9 @@ def test_hum_solve_bench_control_count(monkeypatch):
 
 
 def test_dense_paths_refuse_drift_tables():
-    # binary powering needs one step matrix for every level; a drift table
-    # takes hum_solve's matrix-free path instead
-    p = make_problem(N=32, M=16, b0=0.2)
-    p = p.with_drift(dataclasses.replace(p.drift, b=np.full((p.M + 1, p.grid.N), 0.2)))
+    # binary powering needs one step matrix for every level; a drift that
+    # varies in time takes hum_solve's matrix-free path instead
+    p = time_drift(make_problem(N=32, M=16, b0=0.2), b=lambda t: 0.1 * t)
     assert p.drift.time_dependent
     with pytest.raises(ValueError, match="time-independent"):
         gramian(p)

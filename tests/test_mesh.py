@@ -170,26 +170,24 @@ def test_upwinding_is_monotone_with_drift():
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5], ids=["WDP", "SDP"])
 def test_stacked_assembly_matches_scalar_time_levels(rng, alpha):
-    # a drift table with b != 0 and c of both signs hits both upwind branches
+    # b != 0 and c of both signs on stacked levels hit both upwind branches
     a = power_coefficient(alpha)
     g = build_grid(24, 1.0)
     M = 12
-    b_field = rng.uniform(-2.0, 2.0, (M + 1, g.N))
-    c_field = rng.uniform(-3.0, 3.0, (M + 1, g.N))
+    act = active_indices(g, a.case)
+    b_field = rng.uniform(-2.0, 2.0, (M, g.N))
+    c_field = rng.uniform(-3.0, 3.0, (M, g.N))
     c_field[M // 2] = 0.0                 # one level without first-order term
-    drift = dataclasses.replace(zero_drift(), b=b_field, c=c_field)
-    assert drift.time_dependent and not zero_drift().time_dependent
-    stacked = assemble_operator(g, a, drift)
-    n = g.nodes[active_indices(g, a.case)].size
-    assert stacked[1].shape == (M, n)
-    # level k is the step to t_{k+1}: the table's row k + 1 as (N,) vectors
-    rows = [dataclasses.replace(drift, b=b_field[k + 1], c=c_field[k + 1]) for k in range(M)]
-    assert not any(row.time_dependent for row in rows)
+    drift = zero_drift()
+    stacked = mesh._assembler(g, a, drift.beta)(b_field[:, act], c_field[:, act])
+    assert stacked[1].shape == (M, act.stop - act.start)
+    # each level is the operator of its row's (N,) vectors
+    rows = [dataclasses.replace(drift, b=b_field[k], c=c_field[k]) for k in range(M)]
     for k, row in enumerate(rows):
         op = assemble_operator(g, a, row)
         for band, level in zip(stacked[:3], op[:3]):
             assert np.array_equal(band[k], level)
-    u = rng.standard_normal((M, n))
+    u = rng.standard_normal((M, act.stop - act.start))
     assert np.array_equal(_apply(stacked, u),
                           [_apply(assemble_operator(g, a, row), v) for row, v in zip(rows, u)])
 

@@ -15,7 +15,7 @@ from degen_control.errors import SolverBreakdown
 from degen_control.mesh import build_grid, l2_norm
 from degen_control.pde import LinearProblem, solve_adjoint, solve_forward
 
-from conftest import heat_problem, make_problem, traced_peak
+from conftest import frozen_bands, heat_problem, make_problem, time_drift, traced_peak
 
 
 def duality_residual(p, y0, h, vT):
@@ -214,20 +214,18 @@ def test_problem_invariants():
                       grid=g, M=16, y0=np.zeros(8))
 
 
-def test_drift_table_must_cover_every_time_node():
-    # the step to t_{k+1} reads row k+1, so a table needs M + 1 rows; one
-    # with M rows would leave the last step without coefficients
+def test_a_drift_b_or_c_of_two_dimensions_is_refused():
+    # a linear b or c is a number or a nodal vector; one that varies in time
+    # is a factor of (x, t), frozen, so a table of any shape is refused
     g = build_grid(16, 1.0)
     kwargs = dict(a=power_coefficient(0.5), T=0.5, omega=(0.3, 0.9), grid=g, M=16,
                   y0=np.zeros(16))
     for name in ("b", "c"):
-        for shape in ((16, 16), (18, 16), (17, 15), (15,), (1, 16)):
+        for shape in ((17, 16), (16, 16), (1, 16), (15,)):
             drift = dataclasses.replace(zero_drift(), **{name: np.zeros(shape)})
-            with pytest.raises(ValueError, match=f"drift {name} must be"):
+            with pytest.raises(ValueError, match=f"drift {name} must be a number or an"):
                 LinearProblem(drift=drift, **kwargs)
-        for shape in ((17, 16), (16,)):
-            LinearProblem(drift=dataclasses.replace(zero_drift(), **{name: np.ones(shape)}),
-                          **kwargs)
+        LinearProblem(drift=dataclasses.replace(zero_drift(), **{name: np.ones(16)}), **kwargs)
 
 
 def test_replace_resets_step_cache():
@@ -257,15 +255,15 @@ def test_step_matrix_factored_once_per_time_level(monkeypatch, time_dependent):
     factorizations = _counting(monkeypatch, ("dgttrf", "dpttrf"), lambda name, args: name)
     p = make_problem(N=24, M=16, b0=0.3, c0=0.2)
     if time_dependent:
-        p = p.with_drift(dataclasses.replace(p.drift, b=np.full((p.M + 1, p.grid.N), p.drift.b)))
+        p = time_drift(p)
     hum_solve(p, 1e-4)
     # one factorisation per distinct time level, shared by both directions
     assert len(factorizations) == (p.M if time_dependent else 1)
 
 
 def _with_b_table(p):
-    b = p.drift.b * (1.0 + 0.5 * np.sin(p.times))[:, None] * np.ones(p.grid.N)
-    return p.with_drift(dataclasses.replace(p.drift, b=b))
+    """p with b (1 + 0.5 sin t) for its b."""
+    return time_drift(p, b=lambda t: 0.5 * p.drift.b * np.sin(t))
 
 
 def _replay_in_u(p, u, src, adjoint, step):
@@ -356,8 +354,10 @@ def test_march_matches_stepwise_reference(monkeypatch, rng, adjoint, with_src, d
 
 def _lu_factors(p):
     """The pivoted LU factors of p's step matrices I + dt A_k, one per step,
-    as ``_factor_steps`` forms them where it falls back to LU."""
-    sub, diag, sup, _ = pde.assemble_operator(p.grid, p.a, p.drift)
+    as ``_factor_steps`` forms them where it falls back to LU: of one level,
+    or of every level of a frozen problem at once."""
+    sub, diag, sup, _ = (frozen_bands(p) if p.drift.time_dependent
+                         else pde.assemble_operator(p.grid, p.a, p.drift))
     bands = (p.dt * sub[..., 1:], 1.0 + p.dt * diag, p.dt * sup[..., :-1])
     levels = zip(*bands) if diag.ndim == 2 else [bands]
     factors = [pde.dgttrf(*level)[:-1] for level in levels]
@@ -381,8 +381,8 @@ def test_ldl_march_matches_lu_replay(rng, adjoint, with_src, table):
 
 
 def _with_c_table(p):
-    c = p.drift.c * (1.0 + 0.5 * np.sin(3.0 * p.times))[:, None] * np.ones(p.grid.N)
-    return p.with_drift(dataclasses.replace(p.drift, c=c))
+    """p with c (1 + 0.5 sin 3t) for its c."""
+    return time_drift(p, c=lambda t: 0.5 * p.drift.c * np.sin(3.0 * t))
 
 
 @pytest.mark.parametrize("table", [False, True], ids=["constant", "table"])
@@ -407,7 +407,7 @@ def test_symmetrised_march_matches_lu_replay(rng, adjoint, with_src, alpha, gamm
 
 
 def test_duality_on_the_symmetrised_path(rng):
-    # a c table gives each level its own symmetriser; the adjoint is still
+    # a c that varies in time gives each level its own symmetriser; the adjoint is still
     # the exact W-transpose of the forward map
     p = _with_c_table(make_problem(a=power_coefficient(1.5), N=64, M=64, gamma=2.0,
                                    b0=0.3, c0=-2.0, T=0.4))
@@ -516,20 +516,6 @@ def test_trajectory_norms_are_consistent(rng):
     assert np.max(l2_norm(p.grid.weights, traj)) > 0.0
 
 
-def _one_shot_factors(p):
-    """``_factor_steps`` on the bands of all M levels at once, from one
-    ``assemble_operator``: the factors that the blocks must reproduce."""
-    return pde._factor_steps(*pde.assemble_operator(p.grid, p.a, p.drift), p.dt,
-                             p.grid.weights[p.active()])
-
-
-def _with_table_rows(p, name, rows, value):
-    """p with its b or c as a table whose rows ``rows`` are ``value``."""
-    table = np.broadcast_to(getattr(p.drift, name), (p.M + 1, p.grid.N)).copy()
-    table[rows] = value
-    return p.with_drift(dataclasses.replace(p.drift, **{name: table}))
-
-
 def _table_case(case, M):
     if case == "b-table":
         return _with_b_table(make_problem(N=24, M=M, b0=0.3))
@@ -537,14 +523,15 @@ def _table_case(case, M):
         return _with_c_table(make_problem(a=power_coefficient(1.5), N=48, M=M, gamma=2.0,
                                           b0=0.3, c0=-2.0))
     if case.startswith("negative-pivot"):
-        # 1 + dt b = -1 on the one level that reads row 50, in the second block
-        p = make_problem(N=24, M=M, b0=0.3, c0=2.0 if case.endswith("rho") else 0.0)
-        return _with_table_rows(p, "b", 50, -2.0 / p.dt)
+        # 1 + dt b = -1 on the one level t_50, in the second block
+        p = make_problem(N=24, M=M, c0=2.0 if case.endswith("rho") else 0.0)
+        return time_drift(p, b=lambda t: np.where(t == p.times[50], -2.0 / p.dt, 0.3))
+    p = make_problem(N=24, M=M, b0=0.3, c0=2.0)
     if case == "upwinded-late":
-        # no level before the one that reads row 41 is upwinded
-        return _with_table_rows(make_problem(N=24, M=M, b0=0.3, c0=2.0), "c", slice(0, 41), 0.0)
+        # no level before t_41 is upwinded
+        return time_drift(p, c=lambda t: np.where(t < p.times[41], -2.0, 0.0))
     # upwinded early only: the later levels are symmetrised by rho W all the same
-    return _with_table_rows(make_problem(N=24, M=M, b0=0.3, c0=2.0), "c", slice(20, None), 0.0)
+    return time_drift(p, c=lambda t: np.where(t >= p.times[20], -2.0, 0.0))
 
 
 @pytest.mark.parametrize("M", [64, 70])
@@ -554,14 +541,14 @@ def _table_case(case, M):
                                        ("upwinded-late", "ldl-rho"),
                                        ("upwinded-early", "ldl-rho")])
 def test_table_factors_in_blocks_keep_the_one_shot_bits(case, kind, M):
-    # a table's levels are assembled and factored a block at a time; the
-    # kind is still one decision for all levels, and every factor has the
-    # bits of factoring all levels at once, also where a later block
-    # restarts the levels as ldl-rho or as LU, and where M is no multiple
-    # of the block length
+    # a time-dependent drift's levels are frozen, assembled and factored a
+    # block at a time; the kind is still one decision for all levels, and
+    # every factor has the bits of factoring all levels at once, also where
+    # a later block restarts the levels as ldl-rho or as LU, and where M is
+    # no multiple of the block length
     p = _table_case(case, M)
     assert p.M > pde.LEVEL_BLOCK and p.drift.time_dependent
-    want_kind, want = _one_shot_factors(p)
+    want_kind, want = pde._factor_steps(*frozen_bands(p), p.dt, p.grid.weights[p.active()])
     got_kind, got = pde._step_factors(p)
     assert got_kind == want_kind == kind
     assert len(got) == len(want) == p.M
@@ -572,13 +559,15 @@ def test_table_factors_in_blocks_keep_the_one_shot_bits(case, kind, M):
 
 
 def test_table_factors_hold_the_factor_stacks_and_one_block():
-    # a c table keeps the d, e and p factor stacks of its M levels, 3 M n
-    # doubles, plus about 400 bytes of Python objects per level. Assembling
-    # and factoring a block of LEVEL_BLOCK levels at a time adds the bands
-    # and temporaries of one block, about 6 block-sized arrays; the bound
-    # allows 8. Assembling all levels at once peaked at about 7 M n doubles.
+    # a c that varies in time keeps the d, e and p factor stacks of its M
+    # levels, 3 M n doubles, plus about 400 bytes of Python objects per
+    # level. Freezing, assembling and factoring a block of LEVEL_BLOCK
+    # levels at a time adds the frozen values, bands and temporaries of one
+    # block, about 7 block-sized arrays; the bound allows 8. Assembling all
+    # levels at once peaked at about 7 M n doubles.
     p = _with_c_table(make_problem(N=128, M=256, b0=0.3, c0=2.0))
-    pde._step_factors(_with_c_table(make_problem(N=16, M=8, c0=2.0)))   # first-call costs
+    _with_c_table(make_problem(N=16, M=8, c0=2.0))      # first-call costs
+    p = dataclasses.replace(p, y0=p.y0)                 # the same problem, not yet factored
     (kind, factors), peak = traced_peak(pde._step_factors, p)
     n = p.grid.N - 2
     assert kind == "ldl-rho" and len(factors) == p.M

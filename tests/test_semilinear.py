@@ -19,7 +19,7 @@ from degen_control.semilinear import (Nonlinearity, freeze_coefficients,
                                       sine_nonlinearity, tanh_grad_nonlinearity,
                                       zero_nonlinearity)
 
-from conftest import heat_problem, make_problem, traced_peak
+from conftest import frozen_bands, heat_problem, make_problem, time_drift, traced_peak
 
 
 def _const_traj(p, values):
@@ -114,28 +114,36 @@ def test_nonlinearity_vanishes_at_origin():
 
 
 def _drift_problem(drift, N, M):
-    """make_problem with b = 0.3 and c = 0.2 held as ``drift`` says: "none"
-    is b = c = 0, and "vector" and "table" hold the constants in the other
-    shapes the drift takes."""
+    """(p, nl, q): make_problem with b = 0.3 and c = 0.2 held as ``drift``
+    says, a nonlinearity nl whose Picard loop and coast on p are the linear
+    ones of q. "none" is b = c = 0, and "vector" holds the constants as
+    (N,) vectors, each with nl = 0 and q = p. "table" adds b and c that vary
+    in time: nl is their factors of t alone, which freeze to the same values
+    along every state, and q is p with them (``time_drift``)."""
     if drift == "none":
-        return make_problem(N=N, M=M)
+        p = make_problem(N=N, M=M)
+        return p, zero_nonlinearity(), p
     p = make_problem(N=N, M=M, b0=0.3, c0=0.2)
-    shape = {"constant": (), "vector": (N,), "table": (M + 1, N)}[drift]
-    return p.with_drift(dataclasses.replace(p.drift, b=np.full(shape, 0.3),
-                                            c=np.full(shape, 0.2)))
+    if drift == "table":
+        q = time_drift(p, b=lambda t: 0.1 * np.sin(20.0 * t),
+                       c=lambda t: 0.1 * np.cos(20.0 * t))
+        return p, q.drift.nl, q
+    if drift == "vector":
+        p = p.with_drift(dataclasses.replace(p.drift, b=np.full(N, 0.3), c=np.full(N, 0.2)))
+    return p, zero_nonlinearity(), p
 
 
 DRIFTS = ["none", "constant", "vector", "table"]
 
 
 def test_picard_zero_nonlinearity_reduces_to_linear():
-    # the frozen factors add to the linear b and c, so with f = 0 the loop
-    # is the linear control of the whole equation, under the loop's
-    # preconditioner
+    # the frozen factors add to the linear b and c, so with f = 0, or f of
+    # t alone, the loop is the linear control of the whole equation, under
+    # the loop's preconditioner
     for drift in DRIFTS:
-        p = _drift_problem(drift, N=48, M=48)
-        rep = picard_null_control(p, zero_nonlinearity(), epsilon=1e-6)
-        hum = hum_solve(p, 1e-6, precond=diffusion_preconditioner(p, 1e-6))
+        p, nl, q = _drift_problem(drift, N=48, M=48)
+        rep = picard_null_control(p, nl, epsilon=1e-6)
+        hum = hum_solve(q, 1e-6, precond=diffusion_preconditioner(p, 1e-6))
         assert rep.t0 == 0.0, drift            # no coast unless t0 is given
         assert rep.iterations == 2, drift      # second pass confirms the first
         assert rep.converged, drift
@@ -243,18 +251,19 @@ def test_picard_zero_datum():
 def test_picard_growing_increments_raise_no_fixed_point():
     # a factor that doubles at each freeze, within its cap, moves each frozen
     # problem further than the last: the increments grow to the budget. A
-    # freeze calls the factor once per block of levels, the first at t = 0
+    # freeze calls the factor once per block of levels, the first at t_1
+    p = make_problem(N=32, M=32)
     freezes = []
 
     def doubling(x, t, s, q):
-        if t[0, 0] == 0.0:
+        if t[0, 0] == p.times[1]:
             freezes.append(None)
         return np.full(np.shape(s), -(2.0 ** len(freezes)))
 
     nl = Nonlinearity(b_factor=doubling, c_factor=lambda x, t, s, q: np.zeros(np.shape(s)),
                       b_cap=1e3, c_cap=0.0)
     with pytest.raises(NoFixedPoint, match="increments grew .* after 4 outer steps"):
-        picard_null_control(make_problem(N=32, M=32), nl, epsilon=1e-3, max_fp_iters=4)
+        picard_null_control(p, nl, epsilon=1e-3, max_fp_iters=4)
     assert len(freezes) == 5    # the zero state, then one freeze per outer step
 
 
@@ -319,21 +328,20 @@ def test_one_assembly_per_linear_problem_and_one_call_per_factor(monkeypatch):
     assert sorted(factor_calls) == ["b", "c"]
     assert b_f.shape == c_f.shape == (p.M + 1, p.grid.N)
     assert not np.any(b_f) and not np.any(c_f)
-    # a frozen problem calls each factor once per block of its M + 1 levels
+    # a frozen problem calls each factor once per block of the M levels its steps read
     factor_calls.clear()
     frozen_problem(p, rep.hum.trajectory, nl)
     assert sorted(factor_calls) == ["b", "b", "c", "c"]
 
 
 def test_semilinear_forward_matches_linear_for_zero_nl():
-    # the coast adds its frozen row to row n+1 of the linear b and c, and
+    # the coast adds its frozen row at t_{n+1} to the linear b and c, and
     # factors its steps through march's kernel: LDL^T of W M_k without a
     # first-order term, of its symmetriser times M_k with one
     for drift in DRIFTS:
-        p = _drift_problem(drift, N=48, M=32)
-        assert pde._step_factors(p)[0] == ("ldl-w" if drift == "none" else "ldl-rho"), drift
-        assert np.array_equal(semilinear_forward(p, zero_nonlinearity()),
-                              solve_forward(p)), drift
+        p, nl, q = _drift_problem(drift, N=48, M=32)
+        assert pde._step_factors(q)[0] == ("ldl-w" if drift == "none" else "ldl-rho"), drift
+        assert np.array_equal(semilinear_forward(p, nl), solve_forward(q)), drift
 
 
 @pytest.mark.parametrize("c0", [0.0, 0.2])
@@ -460,28 +468,6 @@ def test_coast_then_control_matches_hum_from_coasted_state(rng):
     assert rep.hum.norm_yT >= hum.norm_yT * (1.0 - 1e-9)
 
 
-def test_coast_then_control_cuts_drift_tables():
-    # an (M+1, N) b table of 0.2 gives what b = 0.2 as a number gives
-    p = make_problem(N=32, M=32, b0=0.2)
-    table = p.with_drift(dataclasses.replace(p.drift, b=np.full((33, 32), 0.2)))
-    nl = sine_nonlinearity(0.5)
-    rep = picard_null_control(table, nl, epsilon=1e-6, t0=0.25)
-    ref = picard_null_control(p, nl, epsilon=1e-6, t0=0.25)
-    assert rep.converged and ref.converged and rep.iterations == ref.iterations
-    for got, want in ((rep.phase1_final, ref.phase1_final), (rep.hum.h, ref.hum.h),
-                      (rep.hum.trajectory, ref.hum.trajectory)):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-    # the coast reads rows 1..M1 = 16 and the control phase the rows after
-    rows = np.where(np.arange(33)[:, None] <= 16, 0.2, 0.7) * np.ones(32)
-    split = picard_null_control(p.with_drift(dataclasses.replace(p.drift, b=rows)),
-                                nl, epsilon=1e-6, t0=0.25)
-    np.testing.assert_array_equal(split.phase1_final, ref.phase1_final)
-    late = dataclasses.replace(p, T=p.T - split.t0, M=16, y0=split.phase1_final,
-                               drift=dataclasses.replace(p.drift, b=0.7))
-    np.testing.assert_allclose(split.hum.h, picard_null_control(late, nl, 1e-6).hum.h,
-                               rtol=1e-12, atol=0.0)
-
-
 def test_coast_split_of_a_huge_horizon_does_not_overflow():
     # M t0 = 3.2e308 overflows where M (t0 / T) = 3.2 does not; the split
     # is then too short, which is bad input
@@ -523,14 +509,6 @@ def _zero_factor(x, t, s, q):
     return np.zeros(np.shape(s))
 
 
-def _with_explicit_tables(p, z, nl):
-    """p with its b and c as the explicit (M+1, N) tables of its drift plus
-    the fields frozen along z, all levels at once."""
-    b_field, c_field = freeze_coefficients(p.grid, p.times, z, nl)
-    return p.with_drift(dataclasses.replace(p.drift, b=p.drift.b + b_field,
-                                            c=p.drift.c + c_field))
-
-
 def _on_levels(p, early, late, last_early=3, first_late=50):
     """A factor that is ``early`` on the levels up to t_3, ``late`` on those
     from t_50 (from 0.7 T where M < 50), and 0 between."""
@@ -560,15 +538,15 @@ def test_frozen_factors_are_the_factors_of_explicit_tables(case, M):
     # a frozen problem is frozen, assembled and factored a block at a time,
     # in one block of levels and across block boundaries, also where a
     # later block restarts the levels with another kind: every level's
-    # factors have the bits of the explicit tables' factors. Its linear b is
-    # a table, so that each level must read its own row of it
+    # factors have the bits of freezing all levels at once, assembling them
+    # in one call and factoring them at once. Its linear b is an (N,) vector
     p = make_problem(N=32, M=M, b0=0.3, c0=0.0 if case in ("ldl-w", "lu") else -0.7)
-    b = 0.3 * (1.0 + 0.5 * np.sin(40.0 * p.times))[:, None] * np.ones(p.grid.N)
+    b = 0.3 * (1.0 + 0.5 * np.sin(40.0 * p.grid.nodes))
     p = p.with_drift(dataclasses.replace(p.drift, b=b))
     z = np.random.default_rng(3).standard_normal((p.M + 1, p.grid.N))
-    nl = _frozen_cases(p)[case]
-    got_kind, got = pde._step_factors(frozen_problem(p, z, nl))
-    want_kind, want = pde._step_factors(_with_explicit_tables(p, z, nl))
+    q = frozen_problem(p, z, _frozen_cases(p)[case])
+    got_kind, got = pde._step_factors(q)
+    want_kind, want = pde._factor_steps(*frozen_bands(q), q.dt, q.grid.weights[q.active()])
     assert got_kind == want_kind == case.removesuffix("-late")
     assert len(got) == len(want) == p.M
     for level_got, level_want in zip(got, want):
@@ -600,26 +578,27 @@ def test_a_frozen_drift_describes_its_problem():
         frozen_problem(p, z[:-1], sine_nonlinearity(0.5))
 
 
-def test_frozen_problem_fails_as_a_freeze_of_all_levels_at_once():
-    # a state that is not finite in a later block is named by its own time,
-    # also after a block that breaks a cap; a cap broken in a later block
-    # reports the peak over all levels, as freeze_coefficients does
+def test_frozen_problem_raises_the_first_fault_in_time():
+    # each block of levels is frozen and its caps checked before the next:
+    # a broken cap names the peak of its own block, and beats a state that
+    # is not finite in a later block; a state that is not finite beats a cap
+    # broken in a later block. Level 0, which no step reads, is not frozen
     p = make_problem(N=32, M=70)
     z = _const_traj(p, np.sin(np.pi * p.grid.nodes))
     z *= (1.0 + np.arange(p.M + 1.0))[:, None]
     state = Nonlinearity(lambda x, t, s, q: s, _zero_factor, b_cap=20.0, c_cap=0.0)
-    with pytest.raises(UnboundedFrozenCoefficient) as at_once:
-        freeze_coefficients(p.grid, p.times, z, state)
-    with pytest.raises(UnboundedFrozenCoefficient) as in_blocks:
+    first_block = f"reaches {np.max(z[1:pde.LEVEL_BLOCK + 1]):.6g} "
+    with pytest.raises(UnboundedFrozenCoefficient, match=first_block):
         frozen_problem(p, z, state)
-    assert str(in_blocks.value) == str(at_once.value)
-    assert f"reaches {np.max(z):.6g}" in str(at_once.value)
-    # no step reads level 0, but its cap is checked all the same
+    with pytest.raises(UnboundedFrozenCoefficient, match=f"reaches {np.max(z):.6g} "):
+        freeze_coefficients(p.grid, p.times, z, state)
     at_zero = Nonlinearity(_on_levels(p, 30.0, 0.0, last_early=0), _zero_factor, 20.0, 0.0)
-    with pytest.raises(UnboundedFrozenCoefficient, match="reaches 30 "):
-        frozen_problem(p, z, at_zero)
+    frozen_problem(p, z, at_zero)
+    late_cap = Nonlinearity(_on_levels(p, 0.0, 30.0), _zero_factor, 20.0, 0.0)
     z[50, 7] = np.nan
-    for nl in (state, sine_nonlinearity(0.5)):
+    with pytest.raises(UnboundedFrozenCoefficient, match=first_block):
+        frozen_problem(p, z, state)
+    for nl in (late_cap, sine_nonlinearity(0.5)):
         with pytest.raises(NonFiniteIntegral, match=f"at t = {p.times[50]:.6g}$"):
             frozen_problem(p, z, nl)
 
@@ -628,8 +607,8 @@ def test_frozen_problem_fails_as_a_freeze_of_all_levels_at_once():
 def test_a_broken_cap_beats_a_later_assembly_or_factor_error(late):
     # the first levels break a cap; from t_50 on either dt b = 1.4e309
     # overflows the step matrix (T = 1e300) or beta c / h overflows the
-    # assembly. The cap is checked once every block is frozen, and the
-    # later block's error is held until then, also in the residual
+    # assembly. The first block's caps are checked before the later block is
+    # frozen, also in the residual; with the caps kept, the later error raises
     if late == "step-matrix":
         p = make_problem(N=32, M=70, T=1e300)
         b, c, order, error = _on_levels(p, 0.0, 1e11), _on_levels(p, 2.0, 0.0), 1, "the step"
@@ -649,32 +628,37 @@ def test_a_broken_cap_beats_a_later_assembly_or_factor_error(late):
         frozen_problem(p, z, Nonlinearity(b, c, *caps))
 
 
-def test_a_later_nonfinite_state_beats_an_earlier_factor_error():
-    # dt b = 1.4e309 overflows the first levels' step matrices; a state that
-    # is not finite at t_68, two freeze blocks later, still raises first,
-    # named by its time
+@pytest.mark.parametrize("first", ["factor-error", "nonfinite-state"])
+def test_the_earlier_of_a_factor_error_and_a_nonfinite_state_raises(first):
+    # dt b = 1.4e309 overflows the step matrices of the levels up to t_3, or
+    # of those from t_50; a state that is not finite at t_68, or at t_2,
+    # raises where it comes later, named by its time, and is not reached
+    # where the factor error comes first
     p = make_problem(N=32, M=70, T=1e300)
     z = _const_traj(p, np.sin(np.pi * p.grid.nodes))
-    nl = Nonlinearity(_on_levels(p, 1e11, 0.0), _zero_factor, b_cap=1e11, c_cap=0.0)
+    early, late = (1e11, 0.0) if first == "factor-error" else (0.0, 1e11)
+    nl = Nonlinearity(_on_levels(p, early, late), _zero_factor, b_cap=1e11, c_cap=0.0)
     with pytest.raises(NonFiniteIntegral, match="the step matrix"):
         frozen_problem(p, z, nl)
-    z[68, 7] = np.nan
-    with pytest.raises(NonFiniteIntegral, match=re.escape(f"at t = {p.times[68]:.6g}") + "$"):
+    bad = 68 if first == "factor-error" else 2
+    z[bad, 7] = np.nan
+    message = "the step matrix" if first == "factor-error" else \
+        re.escape(f"at t = {p.times[bad]:.6g}") + "$"
+    with pytest.raises(NonFiniteIntegral, match=message):
         frozen_problem(p, z, nl)
 
 
 def test_blocked_sums_keep_the_one_shot_bits():
     # the residual and the Picard increment's norm, formed a block of levels
     # at a time, against the same formulas on all levels at once, on the
-    # explicit tables of the frozen coefficients
+    # bands of all levels frozen at once
     p = make_problem(N=32, M=70, c0=0.4)
     rng = np.random.default_rng(5)
     nl = mixed_nonlinearity(0.5)
     y = rng.standard_normal((p.M + 1, p.grid.N))
     h = rng.standard_normal((p.M, p.grid.N)) * p.omega_mask()
     act = p.active()
-    sub, diag, sup, _ = mesh.assemble_operator(p.grid, p.a,
-                                               _with_explicit_tables(p, y, nl).drift)
+    sub, diag, sup, _ = frozen_bands(frozen_problem(p, y, nl))
     ya = y[:, act]
     Ay = diag * ya[1:]
     Ay[..., 1:] += sub[..., 1:] * ya[1:, :-1]
@@ -689,7 +673,7 @@ def test_blocked_sums_keep_the_one_shot_bits():
     assert semilinear._z_norm(p, y) == float(np.sqrt(np.sum(tw * sq)))
 
 
-_OWNED = np.full((17, 32), 0.25)    # a factor's own array, returned as it is
+_OWNED = np.full((16, 32), 0.25)    # a factor's own array, returned as it is
 
 
 def test_freezing_leaves_an_array_a_factor_returns_unmodified():
